@@ -38,24 +38,11 @@ pub struct Table1Row {
     pub ipc: f64,
 }
 
-/// Runs the Table I characterization for every benchmark.
+/// Characterizes a single benchmark (one Table I row).
 ///
 /// The characterization mirrors the paper's setup: a single-threaded 256-entry ROB
 /// processor; the hardware prefetcher is disabled so the raw miss behaviour of the
 /// benchmark (rather than the prefetcher) is characterized.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table1(scale: RunScale) -> Result<Vec<Table1Row>, SimError> {
-    let mut rows = Vec::new();
-    for profile in spec::all_benchmarks() {
-        rows.push(characterize(&profile.name, scale)?);
-    }
-    Ok(rows)
-}
-
-/// Characterizes a single benchmark (one Table I row).
 ///
 /// # Errors
 ///
@@ -91,29 +78,6 @@ pub fn characterize(benchmark: &str, scale: RunScale) -> Result<Table1Row, SimEr
         paper_class: profile.class,
         ipc: t.ipc(overlapped.cycles),
     })
-}
-
-/// Formats the Table I rows as an aligned text table (used by examples and the
-/// benchmark harness).
-pub fn format_table1(rows: &[Table1Row]) -> String {
-    let mut out = String::from(
-        "benchmark    input      LLL/1K  (paper)   MLP  (paper)  MLP-impact  class (paper)\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12} {:<10} {:>6.2} {:>8.2} {:>5.2} {:>8.2} {:>10.1}%  {:<4} ({})\n",
-            r.benchmark,
-            r.input,
-            r.lll_per_kinst,
-            r.paper_lll_per_kinst,
-            r.mlp,
-            r.paper_mlp,
-            r.mlp_impact * 100.0,
-            r.measured_class.label(),
-            r.paper_class.label(),
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -162,13 +126,18 @@ mod tests {
 
     #[test]
     fn formatting_contains_all_rows() {
-        let rows = vec![
-            characterize("mcf", RunScale::tiny()).unwrap(),
-            characterize("gcc", RunScale::tiny()).unwrap(),
-        ];
-        let text = format_table1(&rows);
-        assert!(text.contains("mcf"));
-        assert!(text.contains("gcc"));
-        assert_eq!(text.lines().count(), 3);
+        let mut spec = crate::experiments::ExperimentRegistry::builtin()
+            .get("table1_characterization")
+            .unwrap()
+            .clone()
+            .with_scale(RunScale::tiny());
+        spec.workloads = vec![vec!["mcf".to_string()], vec!["gcc".to_string()]];
+        let text = crate::experiments::run_spec(&spec).unwrap().format_text();
+        let table: Vec<&str> = text
+            .lines()
+            .skip_while(|l| !l.starts_with("benchmark"))
+            .collect();
+        assert_eq!(table.len(), 3, "{text}");
+        assert!(table[1].starts_with("mcf") && table[2].starts_with("gcc"));
     }
 }

@@ -1,13 +1,15 @@
 //! Resilient parallel execution engine for [`ExperimentSpec`]s.
 //!
-//! The engine expands a spec into its grid of independent cells
-//! (sweep point × policy × workload for policy grids; one benchmark per cell
-//! for single-thread kinds), runs the cells across OS threads with a shared
+//! The engine expands a spec into one plan of independent cells — sweep
+//! point × (policy | selector + candidate set) × optional allocation ×
+//! workload for every grid kind, whether exact or sampled, machine or chip,
+//! static or adaptive; one benchmark per cell for single-thread kinds. It
+//! runs the cells across OS threads through [`evaluate_cell`] with a shared
 //! [`StReferenceCache`] (each single-threaded reference curve is simulated
-//! exactly once, no matter how many cells need it), and assembles a uniform
-//! [`ExperimentReport`]. Results are deterministic and independent of the
-//! thread count: every cell's simulations are self-contained and seeded by
-//! the spec's [`crate::runner::RunScale::seed`].
+//! exactly once, no matter how many cells need it) and [`CheckpointCache`],
+//! and assembles a uniform [`ExperimentReport`]. Results are deterministic
+//! and independent of the thread count: every cell's simulations are
+//! self-contained and seeded by the spec's [`crate::runner::RunScale::seed`].
 //!
 //! # Resilience
 //!
@@ -30,18 +32,16 @@ use std::time::Instant; // analyze: allow(determinism) reason="harness-side wall
 
 use smt_resil::FaultInjector;
 use smt_sched::AllocationPolicyKind;
-use smt_types::config::FetchPolicyKind;
-use smt_types::{CellError, CellOutcome, RunHealth, SimError, SmtConfig};
+use smt_types::{CellError, CellOutcome, RunHealth, SamplingConfig, SimError, SmtConfig};
 
 use crate::experiments::characterization;
 use crate::experiments::report::{
-    empty_report, BenchRow, CheckpointSummary, ExperimentReport, PolicyCell,
+    empty_report, first_seen, BenchRow, CheckpointSummary, ExperimentReport,
 };
 use crate::experiments::spec::{ExperimentKind, ExperimentSpec};
 use crate::runner::{
-    evaluate_adaptive_chip_workload_with_intensities, evaluate_adaptive_workload,
-    evaluate_chip_workload_with_intensities, evaluate_workload_sampled, evaluate_workload_with,
-    mlp_intensity, run_single_thread, CheckpointCache, RunScale, StReferenceCache, WorkloadResult,
+    evaluate_cell, mlp_intensity, run_single_thread, CellMachine, CellPolicy, CellSpec,
+    CheckpointCache, RunScale, StReferenceCache,
 };
 use crate::workloads::Workload;
 
@@ -301,9 +301,8 @@ fn attempt_cell<T, R>(
 }
 
 /// Runs one cell to its terminal outcome: up to [`RunPolicy::max_attempts`]
-/// isolated attempts with deterministic backoff between them, the watchdog
-/// armed around each attempt, and `post_check` validating successful results
-/// (the simulated-cycle deadline).
+/// isolated attempts with deterministic backoff between them and the
+/// watchdog armed around each attempt.
 fn run_one_cell<T, R>(
     index: usize,
     item: &T,
@@ -311,7 +310,6 @@ fn run_one_cell<T, R>(
     injector: Option<&FaultInjector>,
     watchdog: Option<&Watchdog>,
     body: &(impl Fn(&T) -> Result<R, SimError> + Sync),
-    post_check: &(impl Fn(&R) -> Option<CellError> + Sync),
 ) -> CellRun<R> {
     let cell = index as u64;
     let max_attempts = policy.max_attempts();
@@ -326,18 +324,11 @@ fn run_one_cell<T, R>(
         let outcome = attempt_cell(cell, attempt, item, injector, body);
         let expired = watchdog.is_some_and(|w| w.disarm(index));
         let outcome = match outcome {
-            Ok(result) => {
-                if expired {
-                    Err(CellError::deadline(format!(
-                        "cell exceeded its {} ms wall-clock budget",
-                        policy.cell_timeout_ms.unwrap_or(0)
-                    )))
-                } else if let Some(error) = post_check(&result) {
-                    Err(error)
-                } else {
-                    Ok(result)
-                }
-            }
+            Ok(_) if expired => Err(CellError::deadline(format!(
+                "cell exceeded its {} ms wall-clock budget",
+                policy.cell_timeout_ms.unwrap_or(0)
+            ))),
+            Ok(result) => Ok(result),
             // A failed attempt keeps its own error even if it also overran.
             Err(error) => Err(error),
         };
@@ -376,7 +367,6 @@ fn run_cells<T: Sync, R: Send>(
     threads: usize,
     policy: &RunPolicy,
     body: impl Fn(&T) -> Result<R, SimError> + Sync,
-    post_check: impl Fn(&R) -> Option<CellError> + Sync,
 ) -> Vec<CellRun<R>> {
     install_cell_panic_hook();
     let injector = policy.fault_plan.clone().map(FaultInjector::new);
@@ -407,8 +397,7 @@ fn run_cells<T: Sync, R: Send>(
                         attempts: 0,
                     }
                 } else {
-                    let run =
-                        run_one_cell(i, &items[i], policy, injector, watchdog, &body, &post_check);
+                    let run = run_one_cell(i, &items[i], policy, injector, watchdog, &body);
                     if policy.fail_fast && run.result.is_err() {
                         abort.store(true, Ordering::Release);
                     }
@@ -437,102 +426,164 @@ fn run_cells<T: Sync, R: Send>(
         .collect()
 }
 
-/// Returns the deadline error for a multiprogram simulation that returned
-/// without any thread committing the per-thread instruction budget. The step
-/// loop's only early exit is its simulated-cycle cap, so an underrun means
-/// the cap (explicit [`RunScale::max_cycles`] or the generous
-/// [`crate::pipeline::SimOptions`] default) expired first.
-fn budget_underrun_error(scale: RunScale, max_committed: u64) -> Option<CellError> {
-    if max_committed < scale.instructions_per_thread {
-        Some(CellError::deadline(format!(
-            "simulated-cycle cap hit before any thread committed its {} instruction budget \
-             (best thread committed {max_committed})",
-            scale.instructions_per_thread
-        )))
-    } else {
-        None
-    }
-}
-
-/// Runs `f` over every item on up to `threads` OS threads, returning results
-/// in item order. Items are claimed from a shared atomic counter, so uneven
-/// cell costs balance across workers.
-pub(crate) fn parallel_map<T: Sync, R: Send>(
+/// Splits terminal cell runs into the successful results and one labelled
+/// outcome per planned cell, in cell order.
+fn fold<T, R>(
     items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(&items[i]);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            });
+    runs: Vec<CellRun<R>>,
+    label: impl Fn(&T) -> String,
+) -> (Vec<R>, Vec<CellOutcome>) {
+    let mut results = Vec::with_capacity(items.len());
+    let mut outcomes = Vec::with_capacity(items.len());
+    for (index, (item, run)) in items.iter().zip(runs).enumerate() {
+        let (index, label) = (index as u64, label(item));
+        match run.result {
+            Ok(result) => {
+                results.push(result);
+                outcomes.push(CellOutcome::success(index, label));
+            }
+            Err(error) => outcomes.push(CellOutcome::failure(index, label, error, run.attempts)),
         }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                // analyze: allow(panic-policy) reason="documented panic: a worker that panicked would have propagated through thread::scope before the slots are read"
-                .expect("every slot is filled before the scope ends")
-        })
-        .collect()
+    }
+    (results, outcomes)
 }
 
-/// Runs a policy × workload grid on one configuration, sharing `cache`
-/// across all cells, and returns results as `grid[policy][workload]`.
-///
-/// This is the primitive behind both the legacy
-/// [`crate::experiments::policies::policy_comparison`] entry point and the
-/// spec engine; with `threads == 1` it reproduces the historical serial
-/// behaviour exactly.
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered, if any.
-pub fn run_policy_grid(
-    policies: &[FetchPolicyKind],
-    workloads: &[Workload],
-    config: &SmtConfig,
-    scale: RunScale,
-    cache: &StReferenceCache,
-    threads: usize,
-) -> Result<Vec<Vec<WorkloadResult>>, SimError> {
-    let mut tasks: Vec<(FetchPolicyKind, &Workload)> = Vec::new();
-    for &policy in policies {
-        for workload in workloads {
-            tasks.push((policy, workload));
+/// One planned grid cell; `workload` indexes [`CellPlan::workloads`].
+struct PlannedCell {
+    point: Option<u64>,
+    policy: CellPolicy,
+    allocation: Option<AllocationPolicyKind>,
+    workload: usize,
+}
+
+/// A validated grid spec expanded into its cells: sweep point × (policy |
+/// selector + candidate set) × optional allocation × workload, nested in
+/// that order, so cell indices (and fault-plan targets) follow the spec's
+/// declaration order.
+struct CellPlan<'a> {
+    spec: &'a ExperimentSpec,
+    workloads: Vec<Workload>,
+    /// Per-benchmark MLP intensities; probed only when some allocation
+    /// (`mlp-balanced`) reads them, otherwise empty and read as zero.
+    intensities: HashMap<String, f64>,
+    sampling: Option<SamplingConfig>,
+    cells: Vec<PlannedCell>,
+}
+
+impl<'a> CellPlan<'a> {
+    /// Expands `spec`. Each distinct benchmark's MLP intensity is probed at
+    /// most once (serially, at negligible probe scale) before the cells fan
+    /// out, so every cell sees identical placement inputs at any engine
+    /// thread count; probe failures are setup errors, not cell failures.
+    fn new(spec: &'a ExperimentSpec) -> Result<Self, SimError> {
+        let workloads: Vec<Workload> = spec
+            .workloads
+            .iter()
+            .map(|benchmarks| Workload::new(benchmarks.clone()))
+            .collect::<Result<_, _>>()?;
+        let policies: Vec<CellPolicy> = match &spec.adaptive {
+            Some(adaptive) => adaptive
+                .selectors
+                .iter()
+                .flat_map(|&selector| {
+                    adaptive.candidate_sets.iter().map(move |candidates| {
+                        CellPolicy::Adaptive(adaptive.config_for(selector, candidates))
+                    })
+                })
+                .collect(),
+            None => spec
+                .policies
+                .iter()
+                .copied()
+                .map(CellPolicy::Static)
+                .collect(),
+        };
+        let allocations: Vec<Option<AllocationPolicyKind>> = match &spec.chip {
+            Some(chip) => chip.allocations.iter().copied().map(Some).collect(),
+            None => vec![None],
+        };
+        let mut intensities = HashMap::new();
+        if allocations.contains(&Some(AllocationPolicyKind::MlpBalanced)) {
+            // The probe normalizes to one thread, so any workload's core
+            // configuration gives the same answer.
+            let probe_config = spec.config_for(1, None);
+            for benchmark in workloads.iter().flat_map(|w| &w.benchmarks) {
+                if !intensities.contains_key(benchmark) {
+                    let value = mlp_intensity(benchmark, &probe_config, spec.scale.seed)?;
+                    intensities.insert(benchmark.clone(), value);
+                }
+            }
+        }
+        let mut cells = Vec::new();
+        for point in spec.sweep_points() {
+            for policy in &policies {
+                for &allocation in &allocations {
+                    for workload in 0..workloads.len() {
+                        cells.push(PlannedCell {
+                            point,
+                            policy: policy.clone(),
+                            allocation,
+                            workload,
+                        });
+                    }
+                }
+            }
+        }
+        Ok(CellPlan {
+            spec,
+            workloads,
+            intensities,
+            sampling: spec.sampling.map(|sampling| sampling.config()),
+            cells,
+        })
+    }
+
+    /// What `cell` simulates.
+    fn cell_spec(&self, cell: &PlannedCell) -> CellSpec<'_> {
+        let workload = &self.workloads[cell.workload];
+        let threads = workload.num_threads();
+        let machine = match cell.allocation {
+            Some(allocation) => CellMachine::Chip {
+                chip: self.spec.chip_config_for(threads, cell.point),
+                allocation,
+                intensities: workload
+                    .benchmarks
+                    .iter()
+                    .map(|b| self.intensities.get(b).copied().unwrap_or(0.0))
+                    .collect(),
+            },
+            None => CellMachine::Core(self.spec.config_for(threads, cell.point)),
+        };
+        CellSpec {
+            workload,
+            parameter: cell.point,
+            policy: cell.policy.clone(),
+            machine,
+            sampling: self.sampling,
+            scale: self.spec.scale,
         }
     }
-    let outcomes = parallel_map(&tasks, threads, |(policy, workload)| {
-        let mut cell_config = config.clone();
-        cell_config.num_threads = workload.num_threads();
-        evaluate_workload_with(&workload.benchmarks, *policy, &cell_config, scale, cache)
-    });
-    let mut grid: Vec<Vec<WorkloadResult>> = Vec::with_capacity(policies.len());
-    let mut outcomes = outcomes.into_iter();
-    for _ in policies {
-        let mut row = Vec::with_capacity(workloads.len());
-        for _ in workloads {
-            row.push(outcomes.next().ok_or_else(|| {
-                SimError::internal("engine produced fewer outcomes than tasks")
-            })??);
+
+    /// `[point/]policy/[allocation/]workload`, where an adaptive policy
+    /// reads `selector/candidate+candidate`.
+    fn label(&self, cell: &PlannedCell) -> String {
+        let mut label = cell.point.map(|p| format!("{p}/")).unwrap_or_default();
+        match &cell.policy {
+            CellPolicy::Static(policy) => label.push_str(policy.name()),
+            CellPolicy::Adaptive(adaptive) => {
+                let candidates: Vec<&str> = adaptive.candidates.iter().map(|c| c.name()).collect();
+                label.push_str(&format!(
+                    "{}/{}",
+                    adaptive.selector.name(),
+                    candidates.join("+")
+                ));
+            }
         }
-        grid.push(row);
+        if let Some(allocation) = cell.allocation {
+            label.push_str(&format!("/{}", allocation.name()));
+        }
+        format!("{label}/{}", self.workloads[cell.workload].name())
     }
-    Ok(grid)
 }
 
 /// Runs an experiment spec with the default thread count.
@@ -573,8 +624,9 @@ pub fn run_spec_with_policy(
     spec.validate()?;
     let threads = threads.max(1);
     let start = Instant::now(); // analyze: allow(determinism) reason="elapsed-time reporting for the experiment harness, not simulated state"
-                                // The simulated-cycle deadline rides on the spec's scale so every
-                                // simulation a cell starts observes it inside its own step loop.
+
+    // The simulated-cycle deadline rides on the spec's scale so every
+    // simulation a cell starts observes it inside its own step loop.
     let mut effective = spec.clone();
     if let Some(cap) = policy.max_cell_cycles {
         effective.scale.max_cycles = Some(cap);
@@ -583,14 +635,26 @@ pub fn run_spec_with_policy(
     let checkpoints = CheckpointCache::new();
     let mut report = empty_report(spec, threads);
     let outcomes = if spec.kind.is_single_thread() {
-        let (rows, outcomes) = run_bench_rows(&effective, threads, policy);
+        let benchmarks: Vec<&String> = effective.workloads.iter().map(|w| &w[0]).collect();
+        let (kind, scale) = (effective.kind, effective.scale);
+        let runs = run_cells(&benchmarks, threads, policy, |b| bench_row(kind, b, scale));
+        let (rows, outcomes) = fold(&benchmarks, runs, |b| b.to_string());
         report.bench_rows = rows;
         outcomes
     } else {
-        let (cells, summaries, outcomes) =
-            run_grid_cells(&effective, threads, &cache, &checkpoints, policy)?;
+        let plan = CellPlan::new(&effective)?;
+        let runs = run_cells(&plan.cells, threads, policy, |cell| {
+            evaluate_cell(&plan.cell_spec(cell), &cache, &checkpoints)
+        });
+        let (cells, outcomes) = fold(&plan.cells, runs, |cell| plan.label(cell));
+        // An adaptive report's `policy` axis is each candidate set's initial
+        // policy, in first-seen order.
+        let policies = match spec.adaptive {
+            Some(_) => first_seen(cells.iter().map(|cell| cell.policy)),
+            None => spec.policies.clone(),
+        };
+        report.summaries = ExperimentReport::summarize(&cells, &policies, &spec.sweep_points());
         report.policy_cells = cells;
-        report.summaries = summaries;
         outcomes
     };
     if spec.sampling.is_some() {
@@ -606,512 +670,8 @@ pub fn run_spec_with_policy(
     Ok(report)
 }
 
-type GridOutcome = (
-    Vec<PolicyCell>,
-    Vec<crate::experiments::report::SummaryRow>,
-    Vec<CellOutcome>,
-);
-
-/// Prefix for a sweep-point axis in a cell label.
-fn point_prefix(point: Option<u64>) -> String {
-    point.map(|p| format!("{p}/")).unwrap_or_default()
-}
-
-fn run_grid_cells(
-    spec: &ExperimentSpec,
-    threads: usize,
-    cache: &StReferenceCache,
-    checkpoints: &CheckpointCache,
-    policy: &RunPolicy,
-) -> Result<GridOutcome, SimError> {
-    if spec.kind == ExperimentKind::ChipGrid {
-        return run_chip_cells(spec, threads, cache, policy);
-    }
-    if spec.kind == ExperimentKind::AdaptiveGrid {
-        return run_adaptive_cells(spec, threads, cache, policy);
-    }
-    if spec.sampling.is_some() {
-        return run_sampled_cells(spec, threads, cache, checkpoints, policy);
-    }
-    let workloads: Vec<Workload> = spec
-        .workloads
-        .iter()
-        .map(|benchmarks| Workload::new(benchmarks.clone()))
-        .collect::<Result<_, _>>()?;
-    let sweep_points = spec.sweep_points();
-    let mut tasks: Vec<(Option<u64>, FetchPolicyKind, &Workload)> = Vec::new();
-    for &point in &sweep_points {
-        for &policy_kind in &spec.policies {
-            for workload in &workloads {
-                tasks.push((point, policy_kind, workload));
-            }
-        }
-    }
-    let runs = run_cells(
-        &tasks,
-        threads,
-        policy,
-        |&(point, policy_kind, workload)| {
-            let config = spec.config_for(workload.num_threads(), point);
-            evaluate_workload_with(
-                &workload.benchmarks,
-                policy_kind,
-                &config,
-                spec.scale,
-                cache,
-            )
-        },
-        |result| {
-            let max_committed = result
-                .mt_stats
-                .threads
-                .iter()
-                .map(|t| t.committed_instructions)
-                .max()
-                .unwrap_or(0);
-            budget_underrun_error(spec.scale, max_committed)
-        },
-    );
-    let mut cells = Vec::with_capacity(tasks.len());
-    let mut outcomes = Vec::with_capacity(tasks.len());
-    for (index, ((point, policy_kind, workload), run)) in tasks.iter().zip(runs).enumerate() {
-        let label = format!(
-            "{}{}/{}",
-            point_prefix(*point),
-            policy_kind.name(),
-            workload.benchmarks.join("-")
-        );
-        match run.result {
-            Ok(result) => {
-                cells.push(ExperimentReport::cell_from_result(
-                    &result,
-                    &workload.benchmarks,
-                    workload.group.label(),
-                    *point,
-                ));
-                outcomes.push(CellOutcome::success(index as u64, label));
-            }
-            Err(error) => {
-                outcomes.push(CellOutcome::failure(
-                    index as u64,
-                    label,
-                    error,
-                    run.attempts,
-                ));
-            }
-        }
-    }
-    let summaries = ExperimentReport::summarize(&cells, &spec.policies, &sweep_points);
-    Ok((cells, summaries, outcomes))
-}
-
-/// Runs a sampled policy grid: the same (sweep point × policy × workload)
-/// cell lattice as the exact path, but every cell is evaluated with
-/// SMARTS-style fast-forward/measure interleaving
-/// ([`evaluate_workload_sampled`]). All cells share one [`CheckpointCache`]:
-/// the functional warm-up prefix never consults the fetch policy, so every
-/// policy of a grid restores the same per-workload warm checkpoint instead of
-/// re-simulating the prefix.
-fn run_sampled_cells(
-    spec: &ExperimentSpec,
-    threads: usize,
-    cache: &StReferenceCache,
-    checkpoints: &CheckpointCache,
-    policy: &RunPolicy,
-) -> Result<GridOutcome, SimError> {
-    let sampling = spec
-        .sampling
-        .as_ref()
-        .ok_or_else(|| SimError::internal("sampled grid lost its sampling parameters"))?
-        .config();
-    let workloads: Vec<Workload> = spec
-        .workloads
-        .iter()
-        .map(|benchmarks| Workload::new(benchmarks.clone()))
-        .collect::<Result<_, _>>()?;
-    let sweep_points = spec.sweep_points();
-    let mut tasks: Vec<(Option<u64>, FetchPolicyKind, &Workload)> = Vec::new();
-    for &point in &sweep_points {
-        for &policy_kind in &spec.policies {
-            for workload in &workloads {
-                tasks.push((point, policy_kind, workload));
-            }
-        }
-    }
-    let runs = run_cells(
-        &tasks,
-        threads,
-        policy,
-        |&(point, policy_kind, workload)| {
-            let config = spec.config_for(workload.num_threads(), point);
-            evaluate_workload_sampled(
-                &workload.benchmarks,
-                policy_kind,
-                &config,
-                spec.scale,
-                &sampling,
-                cache,
-                checkpoints,
-            )
-        },
-        // A sampled run that measured no complete window already failed with
-        // a deadline error inside the cell body; nothing extra to check here.
-        |_| None,
-    );
-    let mut cells = Vec::with_capacity(tasks.len());
-    let mut outcomes = Vec::with_capacity(tasks.len());
-    for (index, ((point, policy_kind, workload), run)) in tasks.iter().zip(runs).enumerate() {
-        let label = format!(
-            "{}{}/{}",
-            point_prefix(*point),
-            policy_kind.name(),
-            workload.benchmarks.join("-")
-        );
-        match run.result {
-            Ok(result) => {
-                cells.push(ExperimentReport::cell_from_sampled_result(
-                    &result,
-                    &workload.benchmarks,
-                    workload.group.label(),
-                    *point,
-                ));
-                outcomes.push(CellOutcome::success(index as u64, label));
-            }
-            Err(error) => {
-                outcomes.push(CellOutcome::failure(
-                    index as u64,
-                    label,
-                    error,
-                    run.attempts,
-                ));
-            }
-        }
-    }
-    let summaries = ExperimentReport::summarize(&cells, &spec.policies, &sweep_points);
-    Ok((cells, summaries, outcomes))
-}
-
-/// Runs a chip-grid spec: one cell per (sweep point × fetch policy ×
-/// allocation × workload). Each distinct benchmark's MLP intensity is probed
-/// exactly once (serially, at negligible probe scale) before the cells fan
-/// out, so every cell sees identical placement inputs no matter how many
-/// engine threads run. Probe failures are setup errors, not cell failures.
-fn run_chip_cells(
-    spec: &ExperimentSpec,
-    threads: usize,
-    cache: &StReferenceCache,
-    policy: &RunPolicy,
-) -> Result<GridOutcome, SimError> {
-    let chip_spec = spec
-        .chip
-        .as_ref()
-        .ok_or_else(|| SimError::internal("validated chip grid lost its chip parameters"))?;
-    let workloads: Vec<Workload> = spec
-        .workloads
-        .iter()
-        .map(|benchmarks| Workload::new(benchmarks.clone()))
-        .collect::<Result<_, _>>()?;
-    let sweep_points = spec.sweep_points();
-    // Probe each distinct benchmark once; the probe normalizes to one thread,
-    // so any workload's core configuration gives the same answer.
-    let probe_config = spec.config_for(1, None);
-    let mut intensities: HashMap<&str, f64> = HashMap::new();
-    for workload in &workloads {
-        for benchmark in &workload.benchmarks {
-            if !intensities.contains_key(benchmark.as_str()) {
-                let value = mlp_intensity(benchmark, &probe_config, spec.scale.seed)?;
-                intensities.insert(benchmark, value);
-            }
-        }
-    }
-    type ChipTask<'a> = (
-        Option<u64>,
-        FetchPolicyKind,
-        AllocationPolicyKind,
-        &'a Workload,
-    );
-    let mut tasks: Vec<ChipTask> = Vec::new();
-    for &point in &sweep_points {
-        for &policy_kind in &spec.policies {
-            for &allocation in &chip_spec.allocations {
-                for workload in &workloads {
-                    tasks.push((point, policy_kind, allocation, workload));
-                }
-            }
-        }
-    }
-    let runs = run_cells(
-        &tasks,
-        threads,
-        policy,
-        |&(point, policy_kind, allocation, workload)| {
-            let chip_config = spec.chip_config_for(workload.num_threads(), point);
-            let thread_intensities: Vec<f64> = workload
-                .benchmarks
-                .iter()
-                .map(|b| intensities[b.as_str()])
-                .collect();
-            evaluate_chip_workload_with_intensities(
-                &workload.benchmarks,
-                &thread_intensities,
-                policy_kind,
-                allocation,
-                &chip_config,
-                spec.scale,
-                cache,
-            )
-        },
-        |result| {
-            let max_committed = result
-                .chip_stats
-                .threads()
-                .map(|t| t.committed_instructions)
-                .max()
-                .unwrap_or(0);
-            budget_underrun_error(spec.scale, max_committed)
-        },
-    );
-    let mut cells = Vec::with_capacity(tasks.len());
-    let mut outcomes = Vec::with_capacity(tasks.len());
-    for (index, ((point, policy_kind, allocation, workload), run)) in
-        tasks.iter().zip(runs).enumerate()
-    {
-        let label = format!(
-            "{}{}/{}/{}",
-            point_prefix(*point),
-            policy_kind.name(),
-            allocation.name(),
-            workload.benchmarks.join("-")
-        );
-        match run.result {
-            Ok(result) => {
-                cells.push(ExperimentReport::cell_from_chip_result(
-                    &result,
-                    &workload.benchmarks,
-                    workload.group.label(),
-                    *point,
-                ));
-                outcomes.push(CellOutcome::success(index as u64, label));
-            }
-            Err(error) => {
-                outcomes.push(CellOutcome::failure(
-                    index as u64,
-                    label,
-                    error,
-                    run.attempts,
-                ));
-            }
-        }
-    }
-    let summaries = ExperimentReport::summarize(&cells, &spec.policies, &sweep_points);
-    Ok((cells, summaries, outcomes))
-}
-
-/// Runs an adaptive-grid spec: one cell per (sweep point × selector ×
-/// candidate-set × [allocation ×] workload). The allocation axis only exists
-/// when the spec lifts the grid to chip level; machine-level grids have one
-/// implicit `None` allocation. Chip grids probe each distinct benchmark's
-/// MLP intensity exactly once, like [`run_chip_cells`].
-fn run_adaptive_cells(
-    spec: &ExperimentSpec,
-    threads: usize,
-    cache: &StReferenceCache,
-    policy: &RunPolicy,
-) -> Result<GridOutcome, SimError> {
-    let adaptive_spec = spec.adaptive.as_ref().ok_or_else(|| {
-        SimError::internal("validated adaptive grid lost its adaptive parameters")
-    })?;
-    let workloads: Vec<Workload> = spec
-        .workloads
-        .iter()
-        .map(|benchmarks| Workload::new(benchmarks.clone()))
-        .collect::<Result<_, _>>()?;
-    let sweep_points = spec.sweep_points();
-    // Chip-level adaptive grids need per-benchmark MLP intensities for the
-    // allocation policies; probe each distinct benchmark once, serially, so
-    // every cell sees identical placement inputs at any engine thread count.
-    let allocations: Vec<Option<AllocationPolicyKind>> = match &spec.chip {
-        Some(chip) => chip.allocations.iter().copied().map(Some).collect(),
-        None => vec![None],
-    };
-    // Only mlp-balanced placement reads the intensities; the probe runs are
-    // skipped (zero-filled) when no allocation of the spec consumes them.
-    let needs_probes = allocations
-        .iter()
-        .any(|a| matches!(a, Some(AllocationPolicyKind::MlpBalanced)));
-    let mut intensities: HashMap<&str, f64> = HashMap::new();
-    if spec.chip.is_some() {
-        let probe_config = spec.config_for(1, None);
-        for workload in &workloads {
-            for benchmark in &workload.benchmarks {
-                if !intensities.contains_key(benchmark.as_str()) {
-                    let value = if needs_probes {
-                        mlp_intensity(benchmark, &probe_config, spec.scale.seed)?
-                    } else {
-                        0.0
-                    };
-                    intensities.insert(benchmark, value);
-                }
-            }
-        }
-    }
-    type AdaptiveTask<'a> = (
-        Option<u64>,
-        smt_types::SelectorKind,
-        &'a [smt_types::config::FetchPolicyKind],
-        Option<AllocationPolicyKind>,
-        &'a Workload,
-    );
-    let mut tasks: Vec<AdaptiveTask> = Vec::new();
-    for &point in &sweep_points {
-        for &selector in &adaptive_spec.selectors {
-            for candidates in &adaptive_spec.candidate_sets {
-                for &allocation in &allocations {
-                    for workload in &workloads {
-                        tasks.push((point, selector, candidates, allocation, workload));
-                    }
-                }
-            }
-        }
-    }
-    let runs = run_cells(
-        &tasks,
-        threads,
-        policy,
-        |&(point, selector, candidates, allocation, workload)| {
-            let adaptive = adaptive_spec.config_for(selector, candidates);
-            match allocation {
-                Some(allocation) => {
-                    let chip_config = spec.chip_config_for(workload.num_threads(), point);
-                    let thread_intensities: Vec<f64> = workload
-                        .benchmarks
-                        .iter()
-                        .map(|b| intensities[b.as_str()])
-                        .collect();
-                    evaluate_adaptive_chip_workload_with_intensities(
-                        &workload.benchmarks,
-                        &thread_intensities,
-                        &adaptive,
-                        allocation,
-                        &chip_config,
-                        spec.scale,
-                        cache,
-                    )
-                }
-                None => {
-                    let config = spec.config_for(workload.num_threads(), point);
-                    evaluate_adaptive_workload(
-                        &workload.benchmarks,
-                        &adaptive,
-                        &config,
-                        spec.scale,
-                        cache,
-                    )
-                }
-            }
-        },
-        |result| {
-            // Chip-level adaptive results flatten per-core stats, so this is
-            // the chip-wide best thread — conservative but never a false
-            // positive for completed runs.
-            let max_committed = result
-                .mt_stats
-                .threads
-                .iter()
-                .map(|t| t.committed_instructions)
-                .max()
-                .unwrap_or(0);
-            budget_underrun_error(spec.scale, max_committed)
-        },
-    );
-    let mut cells = Vec::with_capacity(tasks.len());
-    let mut outcomes = Vec::with_capacity(tasks.len());
-    for (index, ((point, selector, candidates, allocation, workload), run)) in
-        tasks.iter().zip(runs).enumerate()
-    {
-        let candidate_names: Vec<&str> = candidates.iter().map(|c| c.name()).collect();
-        let allocation_part = allocation
-            .map(|a| format!("{}/", a.name()))
-            .unwrap_or_default();
-        let label = format!(
-            "{}{}/{}/{}{}",
-            point_prefix(*point),
-            selector.name(),
-            candidate_names.join("+"),
-            allocation_part,
-            workload.benchmarks.join("-")
-        );
-        match run.result {
-            Ok(result) => {
-                cells.push(ExperimentReport::cell_from_adaptive_result(
-                    &result,
-                    &workload.benchmarks,
-                    workload.group.label(),
-                    *point,
-                ));
-                outcomes.push(CellOutcome::success(index as u64, label));
-            }
-            Err(error) => {
-                outcomes.push(CellOutcome::failure(
-                    index as u64,
-                    label,
-                    error,
-                    run.attempts,
-                ));
-            }
-        }
-    }
-    // The `policy` axis of an adaptive report is derived from the cells (the
-    // initial policy of each candidate set), in first-seen order.
-    let mut policies: Vec<smt_types::config::FetchPolicyKind> = Vec::new();
-    for cell in &cells {
-        if !policies.contains(&cell.policy) {
-            policies.push(cell.policy);
-        }
-    }
-    let summaries = ExperimentReport::summarize(&cells, &policies, &sweep_points);
-    Ok((cells, summaries, outcomes))
-}
-
-fn run_bench_rows(
-    spec: &ExperimentSpec,
-    threads: usize,
-    policy: &RunPolicy,
-) -> (Vec<BenchRow>, Vec<CellOutcome>) {
-    let benchmarks: Vec<&String> = spec.workloads.iter().map(|w| &w[0]).collect();
-    let kind = spec.kind;
-    let scale = spec.scale;
-    let runs = run_cells(
-        &benchmarks,
-        threads,
-        policy,
-        |benchmark| bench_row(kind, benchmark, scale),
-        |_| None,
-    );
-    let mut rows = Vec::with_capacity(benchmarks.len());
-    let mut outcomes = Vec::with_capacity(benchmarks.len());
-    for (index, (benchmark, run)) in benchmarks.iter().zip(runs).enumerate() {
-        match run.result {
-            Ok(row) => {
-                rows.push(row);
-                outcomes.push(CellOutcome::success(index as u64, (*benchmark).clone()));
-            }
-            Err(error) => {
-                outcomes.push(CellOutcome::failure(
-                    index as u64,
-                    (*benchmark).clone(),
-                    error,
-                    run.attempts,
-                ));
-            }
-        }
-    }
-    (rows, outcomes)
-}
-
-/// Produces one single-thread characterization row. Each kind replicates the
-/// exact configuration of its legacy `experiments::*` counterpart so that
-/// registry specs and legacy entry points agree bit-for-bit.
+/// Produces one single-thread characterization row on the configuration the
+/// paper uses for that table or figure.
 fn bench_row(kind: ExperimentKind, benchmark: &str, scale: RunScale) -> Result<BenchRow, SimError> {
     match kind {
         ExperimentKind::Characterization => {
@@ -1168,7 +728,8 @@ fn bench_row(kind: ExperimentKind, benchmark: &str, scale: RunScale) -> Result<B
         }
         ExperimentKind::MlpDistanceCdf => {
             // The paper's Figure 4 characterizes a 256-entry ROB processor
-            // with a 128-entry LLSR (matching `experiments::figure4`).
+            // with a 128-entry LLSR; the runs are single threaded, so pin
+            // the LLSR length.
             let mut config = SmtConfig::baseline(1);
             config.llsr_length_override = Some(128);
             let stats = run_single_thread(benchmark, &config, scale)?;
@@ -1191,6 +752,7 @@ mod tests {
     use super::*;
     use crate::experiments::spec::{SamplingSpec, SweepParameter, SweepSpec};
     use smt_resil::{FaultAction, FaultPlan, FaultSpec};
+    use smt_types::config::FetchPolicyKind;
     use smt_types::{CellErrorKind, RunHealthStatus};
 
     fn tiny_grid_spec() -> ExperimentSpec {
@@ -1236,12 +798,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order_and_covers_all_items() {
+    fn run_cells_preserves_order_and_covers_all_items() {
         let items: Vec<u64> = (0..57).collect();
-        let doubled = parallel_map(&items, 4, |&x| x * 2);
+        let policy = RunPolicy::default();
+        let double = |threads| {
+            let runs = run_cells(&items, threads, &policy, |&x| Ok(x * 2));
+            fold(&items, runs, |x| x.to_string())
+        };
+        let (doubled, outcomes) = double(4);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let serial = parallel_map(&items, 1, |&x| x * 2);
-        assert_eq!(serial, doubled);
+        assert_eq!(outcomes.len(), items.len());
+        assert!(outcomes.iter().all(|o| o.ok));
+        assert_eq!(outcomes[56].label, "56");
+        assert_eq!(double(1), (doubled, outcomes));
     }
 
     #[test]
@@ -1300,19 +869,10 @@ mod tests {
     #[test]
     fn single_thread_spec_produces_bench_rows() {
         let spec = ExperimentSpec {
-            name: "char-test".to_string(),
-            title: "characterization test".to_string(),
-            paper_ref: String::new(),
             kind: ExperimentKind::Characterization,
             policies: vec![],
             workloads: vec![vec!["mcf".to_string()], vec!["gcc".to_string()]],
-            sweep: None,
-            overrides: None,
-            chip: None,
-            adaptive: None,
-            resilience: None,
-            sampling: None,
-            scale: RunScale::tiny(),
+            ..tiny_grid_spec()
         };
         let report = run_spec_with_threads(&spec, 2).unwrap();
         assert_eq!(report.bench_rows.len(), 2);
@@ -1323,19 +883,8 @@ mod tests {
 
     fn tiny_chip_spec() -> ExperimentSpec {
         ExperimentSpec {
-            name: "chip-engine-test".to_string(),
-            title: "chip engine test".to_string(),
-            paper_ref: String::new(),
             kind: ExperimentKind::ChipGrid,
-            policies: vec![FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush],
-            workloads: vec![vec![
-                "mcf".to_string(),
-                "swim".to_string(),
-                "gcc".to_string(),
-                "gap".to_string(),
-            ]],
-            sweep: None,
-            overrides: None,
+            workloads: vec![["mcf", "swim", "gcc", "gap"].map(String::from).to_vec()],
             chip: Some(crate::experiments::spec::ChipSpec {
                 num_cores: 2,
                 allocations: vec![
@@ -1346,10 +895,7 @@ mod tests {
                 shared_llc: None,
                 chip_threads: None,
             }),
-            adaptive: None,
-            resilience: None,
-            sampling: None,
-            scale: RunScale::tiny(),
+            ..tiny_grid_spec()
         }
     }
 

@@ -1,42 +1,25 @@
-//! Experiment runners: one module per table/figure of the paper's evaluation,
-//! plus the declarative experiment API.
+//! The declarative experiment API: every table and figure of the paper's
+//! evaluation as data, run by one engine.
 //!
-//! Every legacy runner takes a [`crate::runner::RunScale`] so the same code
-//! powers the fast regression tests, the examples, and the Criterion benchmark
-//! harness that regenerates the paper's numbers (see `EXPERIMENTS.md`).
-//!
-//! The declarative layer ([`spec`], [`registry`], [`engine`], [`report`])
-//! exposes every table/figure as a named, serde-serializable
-//! [`spec::ExperimentSpec`] that the [`engine`] runs in parallel across OS
-//! threads with a shared single-threaded reference cache, producing a uniform
-//! [`report::ExperimentReport`]. The legacy entry points below are
-//! re-expressed over the same engine, so both paths produce identical
-//! numbers.
+//! [`registry`] exposes each table/figure as a named, serde-serializable
+//! [`spec::ExperimentSpec`]. The [`engine`] expands a spec into its cells and
+//! runs them in parallel across OS threads through
+//! [`crate::runner::evaluate_cell`], with a shared single-threaded reference
+//! cache, producing a uniform [`report::ExperimentReport`].
+//! [`characterization`] holds the Table I measurement behind the
+//! `table1_characterization` rows.
 
 pub mod characterization;
 pub mod engine;
-pub mod policies;
-pub mod predictors;
 pub mod registry;
 pub mod report;
 pub mod spec;
-pub mod sweeps;
 
-pub use characterization::{characterize, format_table1, table1, Table1Row};
+pub use characterization::{characterize, Table1Row};
 pub use engine::{run_spec, run_spec_with_policy, run_spec_with_threads, RunPolicy};
-pub use policies::{
-    alternative_policies, format_group_summaries, four_thread_comparison, ipc_stacks,
-    partitioning_comparison, policy_comparison, policy_comparison_two_thread, GroupSummary,
-    IpcStack, PolicyComparison, ALTERNATIVE_POLICIES,
-};
-pub use predictors::{
-    figure4, figure5, figure6, figure7, figure8, predictor_characterization, MlpDistanceCdf,
-    PredictorAccuracyRow, PrefetchRow,
-};
-pub use registry::ExperimentRegistry;
+pub use registry::{ExperimentRegistry, ALTERNATIVE_POLICIES};
 pub use report::{BenchRow, ExperimentReport, PolicyCell, SummaryRow};
 pub use spec::{
     AdaptiveSpec, ChipSpec, ConfigOverrides, ExperimentKind, ExperimentSpec, ResilienceSpec,
     SamplingSpec, SweepParameter, SweepSpec,
 };
-pub use sweeps::{format_sweep, memory_latency_sweep, window_size_sweep, SweepPoint};

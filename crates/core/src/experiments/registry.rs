@@ -11,7 +11,6 @@ use smt_trace::spec as trace_spec;
 use smt_types::adaptive::SelectorKind;
 use smt_types::config::FetchPolicyKind;
 
-use crate::experiments::policies::ALTERNATIVE_POLICIES;
 use crate::experiments::spec::{
     AdaptiveSpec, ChipSpec, ExperimentKind, ExperimentSpec, SamplingSpec, SweepParameter, SweepSpec,
 };
@@ -19,6 +18,17 @@ use crate::runner::RunScale;
 use crate::workloads::{
     four_thread_workloads, representative_two_thread_workloads, two_thread_workloads, Workload,
 };
+
+/// The five alternative policies of Figures 20/21: (a) flush, (b) MLP distance +
+/// flush, (c) binary MLP + flush, (d) MLP distance + flush at resource stall,
+/// (e) binary MLP + flush at resource stall.
+pub const ALTERNATIVE_POLICIES: [FetchPolicyKind; 5] = [
+    FetchPolicyKind::Flush,
+    FetchPolicyKind::MlpFlush,
+    FetchPolicyKind::MlpBinaryFlush,
+    FetchPolicyKind::MlpDistanceFlushAtStall,
+    FetchPolicyKind::MlpBinaryFlushAtStall,
+];
 
 /// A named collection of ready-to-run experiment specs.
 #[derive(Clone, Debug)]

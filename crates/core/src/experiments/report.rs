@@ -13,11 +13,10 @@ use smt_types::{CellOutcome, MetricEstimate, RunHealth, SimError};
 
 use crate::experiments::spec::{ExperimentKind, ExperimentSpec};
 use crate::metrics;
-use crate::runner::{
-    AdaptiveWorkloadResult, ChipWorkloadResult, RunScale, SampledWorkloadResult, WorkloadResult,
-};
+use crate::runner::RunScale;
 
-/// One multiprogram grid cell: a (policy, workload, sweep point) evaluation.
+/// One multiprogram grid cell: a (policy, workload, sweep point) evaluation,
+/// built by [`crate::runner::evaluate_cell`].
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct PolicyCell {
@@ -188,137 +187,6 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// Builds a cell from a [`WorkloadResult`].
-    pub(crate) fn cell_from_result(
-        result: &WorkloadResult,
-        benchmarks: &[String],
-        group: &str,
-        parameter: Option<u64>,
-    ) -> PolicyCell {
-        PolicyCell {
-            policy: result.policy,
-            workload: result.workload.clone(),
-            benchmarks: benchmarks.to_vec(),
-            group: group.to_string(),
-            parameter,
-            stp: result.stp,
-            antt: result.antt,
-            per_thread_ipc: result.per_thread_ipc.clone(),
-            per_thread_st_ipc: result.per_thread_st_ipc.clone(),
-            allocation: None,
-            num_cores: None,
-            core_assignments: None,
-            per_core_ipc: None,
-            per_core_stp: None,
-            selector: None,
-            candidates: None,
-            policy_residency: None,
-            sampled: None,
-        }
-    }
-
-    /// Builds a cell from a sampled-mode [`SampledWorkloadResult`]: the shared
-    /// metric columns carry the estimate means, and the `sampled` block keeps
-    /// the confidence intervals and detailed-simulation pedigree.
-    pub(crate) fn cell_from_sampled_result(
-        result: &SampledWorkloadResult,
-        benchmarks: &[String],
-        group: &str,
-        parameter: Option<u64>,
-    ) -> PolicyCell {
-        PolicyCell {
-            policy: result.policy,
-            workload: result.workload.clone(),
-            benchmarks: benchmarks.to_vec(),
-            group: group.to_string(),
-            parameter,
-            stp: result.stp.mean,
-            antt: result.antt.mean,
-            per_thread_ipc: result.per_thread_ipc.iter().map(|e| e.mean).collect(),
-            per_thread_st_ipc: result.per_thread_st_ipc.clone(),
-            allocation: None,
-            num_cores: None,
-            core_assignments: None,
-            per_core_ipc: None,
-            per_core_stp: None,
-            selector: None,
-            candidates: None,
-            policy_residency: None,
-            sampled: Some(SampledCellStats {
-                windows: result.windows,
-                detailed_fraction: result.detailed_fraction,
-                stp: result.stp,
-                antt: result.antt,
-                total_ipc: result.total_ipc,
-            }),
-        }
-    }
-
-    /// Builds a cell from a chip-level [`ChipWorkloadResult`].
-    pub(crate) fn cell_from_chip_result(
-        result: &ChipWorkloadResult,
-        benchmarks: &[String],
-        group: &str,
-        parameter: Option<u64>,
-    ) -> PolicyCell {
-        PolicyCell {
-            policy: result.policy,
-            workload: result.workload.clone(),
-            benchmarks: benchmarks.to_vec(),
-            group: group.to_string(),
-            parameter,
-            stp: result.stp,
-            antt: result.antt,
-            per_thread_ipc: result.per_thread_ipc.clone(),
-            per_thread_st_ipc: result.per_thread_st_ipc.clone(),
-            allocation: Some(result.allocation),
-            num_cores: Some(result.num_cores),
-            core_assignments: Some(result.core_assignments.clone()),
-            per_core_ipc: Some(result.per_core_ipc.clone()),
-            per_core_stp: Some(result.per_core_stp.clone()),
-            selector: None,
-            candidates: None,
-            policy_residency: None,
-            sampled: None,
-        }
-    }
-
-    /// Builds a cell from an adaptive-engine [`AdaptiveWorkloadResult`]. The
-    /// cell's `policy` column carries the *initial* policy
-    /// (`candidates[0]`); the selector/candidates/residency columns describe
-    /// the dynamic behaviour.
-    pub(crate) fn cell_from_adaptive_result(
-        result: &AdaptiveWorkloadResult,
-        benchmarks: &[String],
-        group: &str,
-        parameter: Option<u64>,
-    ) -> PolicyCell {
-        PolicyCell {
-            policy: *result
-                .candidates
-                .first()
-                // analyze: allow(panic-policy) reason="documented panic: spec validation rejects empty candidate sets before any cell is built"
-                .expect("validated adaptive cell has candidates"),
-            workload: result.workload.clone(),
-            benchmarks: benchmarks.to_vec(),
-            group: group.to_string(),
-            parameter,
-            stp: result.stp,
-            antt: result.antt,
-            per_thread_ipc: result.per_thread_ipc.clone(),
-            per_thread_st_ipc: result.per_thread_st_ipc.clone(),
-            allocation: result.allocation,
-            num_cores: result.num_cores,
-            core_assignments: result.core_assignments.clone(),
-            per_core_ipc: result.per_core_ipc.clone(),
-            per_core_stp: result.per_core_stp.clone(),
-            selector: Some(result.selector),
-            candidates: Some(result.candidates.clone()),
-            policy_residency: Some(result.policy_residency.clone()),
-            sampled: None,
-        }
-    }
-
     /// Computes the per-(sweep point, policy, group) and per-(sweep point,
     /// policy) aggregates from `cells`, preserving the given policy order.
     pub(crate) fn summarize(
@@ -326,43 +194,15 @@ impl ExperimentReport {
         policies: &[FetchPolicyKind],
         parameters: &[Option<u64>],
     ) -> Vec<SummaryRow> {
-        let mut groups: Vec<Option<String>> = Vec::new();
-        for cell in cells {
-            if !groups
-                .iter()
-                .any(|g| g.as_deref() == Some(cell.group.as_str()))
-            {
-                groups.push(Some(cell.group.clone()));
-            }
-        }
+        let mut groups = first_seen(cells.iter().map(|c| Some(c.group.clone())));
         // Always emit the all-workloads aggregate (`group: None`) so
-        // consumers can rely on its presence, matching the legacy
-        // ungrouped entry points.
+        // consumers can rely on its presence.
         groups.push(None);
-        // Chip grids add an allocation axis; classic grids have the single
-        // `None` allocation, keeping their summary rows unchanged.
-        let mut allocations: Vec<Option<AllocationPolicyKind>> = Vec::new();
-        for cell in cells {
-            if !allocations.contains(&cell.allocation) {
-                allocations.push(cell.allocation);
-            }
-        }
-        if allocations.is_empty() {
-            allocations.push(None);
-        }
-        // Adaptive grids add a (selector, candidate-set) axis; classic grids
-        // have the single `None` combination, keeping their rows unchanged.
-        type SelectorCombo = (Option<SelectorKind>, Option<Vec<FetchPolicyKind>>);
-        let mut selectors: Vec<SelectorCombo> = Vec::new();
-        for cell in cells {
-            let combo = (cell.selector, cell.candidates.clone());
-            if !selectors.contains(&combo) {
-                selectors.push(combo);
-            }
-        }
-        if selectors.is_empty() {
-            selectors.push((None, None));
-        }
+        // Chip grids add an allocation axis and adaptive grids a (selector,
+        // candidate-set) axis; classic grids have the single `None` value of
+        // each, keeping their summary rows unchanged.
+        let allocations = first_seen(cells.iter().map(|c| c.allocation));
+        let selectors = first_seen(cells.iter().map(|c| (c.selector, c.candidates.clone())));
         let mut rows = Vec::new();
         for &parameter in parameters {
             for &policy in policies {
@@ -610,6 +450,17 @@ impl ExperimentReport {
     }
 }
 
+/// The distinct items, in first-seen order.
+pub(crate) fn first_seen<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut distinct = Vec::new();
+    for item in items {
+        if !distinct.contains(&item) {
+            distinct.push(item);
+        }
+    }
+    distinct
+}
+
 fn format_bench_rows(kind: ExperimentKind, rows: &[BenchRow]) -> String {
     let mut out = String::new();
     match kind {
@@ -849,21 +700,12 @@ mod tests {
 
     #[test]
     fn text_format_mentions_policies_and_workloads() {
-        let mut report = ExperimentReport {
-            experiment: "x".to_string(),
-            paper_ref: "Figure 9".to_string(),
-            kind: ExperimentKind::PolicyGrid,
-            scale: RunScale::tiny(),
-            threads_used: 1,
-            reference_runs: 2,
-            wall_ms: 1,
-            policy_cells: vec![cell(FetchPolicyKind::MlpFlush, "MLP", None, 1.3)],
-            summaries: Vec::new(),
-            bench_rows: Vec::new(),
-            cell_outcomes: None,
-            health: None,
-            checkpoints: None,
-        };
+        let spec = crate::experiments::registry::ExperimentRegistry::builtin()
+            .get("fig09_two_thread_policies")
+            .unwrap()
+            .clone();
+        let mut report = empty_report(&spec, 1);
+        report.policy_cells = vec![cell(FetchPolicyKind::MlpFlush, "MLP", None, 1.3)];
         report.summaries = ExperimentReport::summarize(
             &report.policy_cells,
             &[FetchPolicyKind::MlpFlush],
@@ -872,6 +714,6 @@ mod tests {
         let text = report.format_text();
         assert!(text.contains("mlp-flush"));
         assert!(text.contains("a-b"));
-        assert!(text.contains("Figure 9"));
+        assert!(text.contains("Figures 9-12"));
     }
 }

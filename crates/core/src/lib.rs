@@ -12,23 +12,30 @@
 //! * [`workloads`] — the two-thread and four-thread multiprogram workloads of
 //!   Tables II and III,
 //! * [`runner`] — high-level helpers that run single-threaded reference and
-//!   multithreaded workloads and combine them into STP/ANTT results,
-//! * [`experiments`] — one runner per table/figure of the evaluation section,
+//!   multithreaded workloads, and [`runner::evaluate_cell`], which combines
+//!   them into the STP/ANTT result of one grid cell in any mode,
+//! * [`experiments`] — every table/figure of the evaluation section as a
+//!   declarative spec, plus the engine that runs specs and the uniform report
+//!   it produces,
 //! * [`throughput`] — the simulator-throughput (sims/sec) harness behind
 //!   `smt-cli bench` and `BENCH_throughput.json`.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use smt_core::runner::{self, RunScale};
+//! use smt_core::runner::{evaluate_cell, CellSpec, CheckpointCache, RunScale, StReferenceCache};
+//! use smt_core::workloads::Workload;
 //! use smt_types::config::FetchPolicyKind;
 //!
 //! # fn main() -> Result<(), smt_types::SimError> {
 //! // Compare ICOUNT and MLP-aware flush on one MLP-intensive two-thread workload.
-//! let scale = RunScale::tiny();
-//! let icount = runner::evaluate_workload(&["mcf", "swim"], FetchPolicyKind::Icount, scale)?;
-//! let mlp = runner::evaluate_workload(&["mcf", "swim"], FetchPolicyKind::MlpFlush, scale)?;
-//! assert!(icount.stp > 0.0 && mlp.stp > 0.0);
+//! let workload = Workload::new(vec!["mcf", "swim"])?;
+//! let (references, checkpoints) = (StReferenceCache::new(), CheckpointCache::new());
+//! for policy in [FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush] {
+//!     let cell = CellSpec::baseline(&workload, policy, RunScale::tiny());
+//!     let result = evaluate_cell(&cell, &references, &checkpoints)?;
+//!     assert!(result.stp > 0.0 && result.antt > 0.0);
+//! }
 //! # Ok(())
 //! # }
 //! ```
@@ -50,6 +57,5 @@ pub use pipeline::checkpoint::{SimCheckpoint, ThreadCheckpoint};
 pub use pipeline::sampling::SampledRun;
 pub use pipeline::{Core, SimOptions, SmtSimulator};
 pub use runner::{
-    evaluate_workload, evaluate_workload_sampled, CheckpointCache, RunScale, SampledWorkloadResult,
-    WorkloadResult,
+    evaluate_cell, CellMachine, CellPolicy, CellSpec, CheckpointCache, RunScale, StReferenceCache,
 };

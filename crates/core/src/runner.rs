@@ -6,6 +6,7 @@
 //! single-threaded CPI is taken *at the same instruction count* `x_i`. The
 //! [`StReferenceCache`] records a cycles-per-instructions curve for each benchmark
 //! so those per-`x_i` reference CPIs do not require a fresh simulation per policy.
+//! [`evaluate_cell`] applies that methodology to one grid cell of any mode.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,16 +15,16 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use serde::{Deserialize, Serialize};
 use smt_sched::{build_allocation_policy, AllocationPolicyKind, ThreadSpec};
 use smt_trace::{spec, FileTraceSource, SyntheticTraceGenerator, TraceSource};
-use smt_types::adaptive::{AdaptiveConfig, PolicyResidency, SelectorKind};
+use smt_types::adaptive::{AdaptiveConfig, PolicyResidency};
 use smt_types::config::FetchPolicyKind;
-use smt_types::{
-    ChipConfig, ChipStats, MachineStats, MetricEstimate, SamplingConfig, SimError, SmtConfig,
-};
+use smt_types::{ChipConfig, MachineStats, MetricEstimate, SamplingConfig, SimError, SmtConfig};
 
 use crate::chip::ChipSimulator;
+use crate::experiments::report::{PolicyCell, SampledCellStats};
 use crate::metrics;
 use crate::pipeline::checkpoint::SimCheckpoint;
 use crate::pipeline::{SimOptions, SmtSimulator};
+use crate::workloads::Workload;
 
 /// How large a simulation to run; all experiment runners take one of these so the
 /// same code scales from unit-test sized runs to paper-scale runs.
@@ -217,12 +218,16 @@ pub fn run_multiprogram(
     let mut mt_config = config.clone();
     mt_config.num_threads = benchmarks.len();
     mt_config.fetch_policy = policy;
-    let traces = benchmarks
-        .iter()
-        .map(|b| build_trace(b, scale))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut sim = SmtSimulator::new(mt_config, traces)?;
+    let mut sim = SmtSimulator::new(mt_config, build_traces(benchmarks, scale)?)?;
     Ok(sim.run(scale.sim_options()))
+}
+
+/// [`build_trace`] for every benchmark, in order.
+fn build_traces(
+    benchmarks: &[&str],
+    scale: RunScale,
+) -> Result<Vec<Box<dyn TraceSource>>, SimError> {
+    benchmarks.iter().map(|b| build_trace(b, scale)).collect()
 }
 
 /// Runs a multiprogram workload under the adaptive policy engine and returns
@@ -241,30 +246,19 @@ pub fn run_multiprogram_adaptive(
 ) -> Result<(MachineStats, Vec<PolicyResidency>), SimError> {
     let mut mt_config = config.clone();
     mt_config.num_threads = benchmarks.len();
-    let traces = benchmarks
-        .iter()
-        .map(|b| build_trace(b, scale))
-        .collect::<Result<Vec<_>, _>>()?;
+    let traces = build_traces(benchmarks, scale)?;
     let mut sim = SmtSimulator::with_adaptive(mt_config, traces, adaptive.clone())?;
     let stats = sim.run(scale.sim_options());
-    let residency = residency_records(
-        sim.core()
-            .policy_residency()
-            .expect("adaptive simulator reports residency"),
-    );
-    Ok((stats, residency))
-}
-
-fn residency_records(fractions: Vec<(FetchPolicyKind, f64)>) -> Vec<PolicyResidency> {
-    fractions
-        .into_iter()
-        .map(|(policy, fraction)| PolicyResidency { policy, fraction })
-        .collect()
+    let residency = sim
+        .core()
+        .policy_residency()
+        .expect("adaptive simulator reports residency");
+    Ok((stats, merge_core_residencies(vec![residency])))
 }
 
 /// Averages per-core residency fractions into one chip-wide record set
 /// (cores run the same number of intervals, so the unweighted mean is the
-/// interval-weighted one).
+/// interval-weighted one; one core's fractions pass through unchanged).
 fn merge_core_residencies(per_core: Vec<Vec<(FetchPolicyKind, f64)>>) -> Vec<PolicyResidency> {
     let cores = per_core.len().max(1) as f64;
     let mut merged: Vec<PolicyResidency> = Vec::new();
@@ -459,86 +453,230 @@ fn record_st_curve(
     })
 }
 
-/// The STP/ANTT outcome of running one multiprogram workload under one policy.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct WorkloadResult {
-    /// Workload name (benchmarks joined with dashes).
-    pub workload: String,
-    /// The fetch policy evaluated.
-    pub policy: FetchPolicyKind,
-    /// System throughput (higher is better).
-    pub stp: f64,
-    /// Average normalized turnaround time (lower is better).
-    pub antt: f64,
-    /// Per-thread IPC in the multithreaded run.
-    pub per_thread_ipc: Vec<f64>,
-    /// Per-thread single-threaded reference IPC at the same instruction counts.
-    pub per_thread_st_ipc: Vec<f64>,
-    /// Raw multithreaded statistics.
-    pub mt_stats: MachineStats,
+/// The fetch-policy side of one grid cell.
+#[derive(Clone, Debug)]
+pub enum CellPolicy {
+    /// One fetch policy for the whole run.
+    Static(FetchPolicyKind),
+    /// The adaptive engine, starting on (and reported under) the first
+    /// candidate. STP/ANTT use the same ICOUNT single-thread references as
+    /// static cells, so both kinds of cell of one report are comparable.
+    Adaptive(AdaptiveConfig),
 }
 
-/// Evaluates one workload under one policy on the baseline configuration.
+/// The hardware side of one grid cell.
+#[derive(Clone, Debug)]
+pub enum CellMachine {
+    /// One SMT core running every workload thread.
+    Core(SmtConfig),
+    /// A chip of SMT cores. Each thread's single-threaded reference runs
+    /// alone on one core of the chip: the core's private levels with the
+    /// whole shared LLC to itself.
+    Chip {
+        /// The chip geometry (its cores run the cell's policy).
+        chip: ChipConfig,
+        /// How the workload's threads are placed on cores.
+        allocation: AllocationPolicyKind,
+        /// Per-thread MLP intensity in workload order (see
+        /// [`mlp_intensity`]); only [`AllocationPolicyKind::MlpBalanced`]
+        /// reads it.
+        intensities: Vec<f64>,
+    },
+}
+
+/// Everything one multiprogram grid cell simulates.
+#[derive(Clone, Debug)]
+pub struct CellSpec<'a> {
+    /// The workload, one benchmark per hardware thread.
+    pub workload: &'a Workload,
+    /// The sweep value the cell belongs to (copied into the report cell).
+    pub parameter: Option<u64>,
+    /// Static policy or adaptive engine.
+    pub policy: CellPolicy,
+    /// One core or a chip.
+    pub machine: CellMachine,
+    /// Sampled-mode cadence; `None` simulates cycle-accurately end to end.
+    /// Sampled cells run one core under one static policy.
+    pub sampling: Option<SamplingConfig>,
+    /// Simulation size.
+    pub scale: RunScale,
+}
+
+impl<'a> CellSpec<'a> {
+    /// An exact cell of `workload` under `policy` on one core of the
+    /// Table IV baseline configuration.
+    pub fn baseline(workload: &'a Workload, policy: FetchPolicyKind, scale: RunScale) -> Self {
+        CellSpec {
+            workload,
+            parameter: None,
+            policy: CellPolicy::Static(policy),
+            machine: CellMachine::Core(SmtConfig::baseline(workload.num_threads())),
+            sampling: None,
+            scale,
+        }
+    }
+}
+
+/// Evaluates one grid cell: runs the workload, takes each thread's
+/// single-threaded reference CPI from `cache` at the thread's committed
+/// count, and combines them into STP/ANTT. Sampled cells restore their warm
+/// prefix from `checkpoints`, extrapolate the committed counts from their
+/// measurement windows, and report 95% confidence intervals in
+/// [`PolicyCell::sampled`].
 ///
 /// # Errors
 ///
-/// Returns an error for unknown benchmarks or invalid configurations.
-pub fn evaluate_workload(
-    benchmarks: &[&str],
-    policy: FetchPolicyKind,
-    scale: RunScale,
-) -> Result<WorkloadResult, SimError> {
-    let config = SmtConfig::baseline(benchmarks.len());
-    let cache = StReferenceCache::new();
-    evaluate_workload_with(benchmarks, policy, &config, scale, &cache)
-}
-
-/// Evaluates one workload under one policy on an explicit configuration, reusing
-/// the shared `cache` for the single-threaded reference runs.
-///
-/// # Errors
-///
-/// Returns an error for unknown benchmarks or invalid configurations.
-pub fn evaluate_workload_with<S: AsRef<str>>(
-    benchmarks: &[S],
-    policy: FetchPolicyKind,
-    config: &SmtConfig,
-    scale: RunScale,
+/// Returns an error for unknown benchmarks, invalid configurations or
+/// placements, a sampled cell that is not one core under one static policy,
+/// and a deadline error for a run whose simulated-cycle cap expired before
+/// any thread committed its instruction budget (or, sampled, before any
+/// window was measured).
+pub fn evaluate_cell(
+    cell: &CellSpec,
     cache: &StReferenceCache,
-) -> Result<WorkloadResult, SimError> {
-    let benchmarks: Vec<&str> = benchmarks.iter().map(AsRef::as_ref).collect();
-    let mt_stats = run_multiprogram(&benchmarks, policy, config, scale)?;
-    let (st_cpis, mt_cpis) = st_mt_cpis(&benchmarks, &mt_stats, config, scale, cache)?;
-    Ok(WorkloadResult {
-        workload: benchmarks.join("-"),
+    checkpoints: &CheckpointCache,
+) -> Result<PolicyCell, SimError> {
+    let benchmarks: Vec<&str> = cell.workload.benchmarks.iter().map(AsRef::as_ref).collect();
+    let scale = cell.scale;
+    let (policy, adaptive) = match &cell.policy {
+        CellPolicy::Static(policy) => (*policy, None),
+        CellPolicy::Adaptive(adaptive) => match adaptive.candidates.first() {
+            Some(&first) => (first, Some(adaptive)),
+            None => return Err(SimError::invalid_config("adaptive: empty candidate set")),
+        },
+    };
+    let mut out = PolicyCell {
         policy,
-        stp: metrics::stp(&st_cpis, &mt_cpis),
-        antt: metrics::antt(&st_cpis, &mt_cpis),
-        per_thread_ipc: mt_cpis.iter().map(|c| 1.0 / c).collect(),
-        per_thread_st_ipc: st_cpis.iter().map(|c| 1.0 / c).collect(),
-        mt_stats,
-    })
-}
+        workload: cell.workload.name(),
+        benchmarks: cell.workload.benchmarks.clone(),
+        group: cell.workload.group.label().to_string(),
+        parameter: cell.parameter,
+        stp: 0.0,
+        antt: 0.0,
+        per_thread_ipc: Vec::new(),
+        per_thread_st_ipc: Vec::new(),
+        allocation: None,
+        num_cores: None,
+        core_assignments: None,
+        per_core_ipc: None,
+        per_core_stp: None,
+        selector: adaptive.map(|a| a.selector),
+        candidates: adaptive.map(|a| a.candidates.clone()),
+        policy_residency: None,
+        sampled: None,
+    };
+    if let Some(sampling) = &cell.sampling {
+        let (CellMachine::Core(config), None) = (&cell.machine, adaptive) else {
+            return Err(SimError::invalid_config(
+                "sampled cells run one core under one static policy",
+            ));
+        };
+        sampled_metrics(
+            &mut out,
+            &benchmarks,
+            config,
+            scale,
+            sampling,
+            cache,
+            checkpoints,
+        )?;
+        return Ok(out);
+    }
 
-/// Per-thread single-threaded and multithreaded CPIs of a finished
-/// multiprogram run, in workload order (`committed.max(1)` guards threads
-/// that never retired an instruction).
-fn st_mt_cpis(
-    benchmarks: &[&str],
-    mt_stats: &MachineStats,
-    config: &SmtConfig,
-    scale: RunScale,
-    cache: &StReferenceCache,
-) -> Result<(Vec<f64>, Vec<f64>), SimError> {
+    // Per-thread committed counts in workload order, plus the chip's
+    // statistics and placement for the per-core STP split.
+    let (st_config, cycles, committed, chip_run) = match &cell.machine {
+        CellMachine::Core(config) => {
+            let stats = match adaptive {
+                None => run_multiprogram(&benchmarks, policy, config, scale)?,
+                Some(adaptive) => {
+                    let (stats, residency) =
+                        run_multiprogram_adaptive(&benchmarks, adaptive, config, scale)?;
+                    out.policy_residency = Some(residency);
+                    stats
+                }
+            };
+            let committed = stats.threads.iter().map(|t| t.committed_instructions);
+            (config.clone(), stats.cycles, committed.collect(), None)
+        }
+        CellMachine::Chip {
+            chip,
+            allocation,
+            intensities,
+        } => {
+            let (assignment, traces) =
+                chip_placement(&benchmarks, intensities, *allocation, chip, scale)?;
+            let mut sim = match adaptive {
+                None => ChipSimulator::new(chip.clone().with_policy(policy), traces)?,
+                Some(adaptive) => {
+                    ChipSimulator::new_adaptive(chip.clone(), traces, adaptive.clone())?
+                }
+            };
+            let stats = sim.run(scale.sim_options());
+            if adaptive.is_some() {
+                out.policy_residency = Some(merge_core_residencies(
+                    (0..stats.num_cores())
+                        .map(|core| {
+                            sim.policy_residency(core)
+                                .expect("adaptive chip reports residency")
+                        })
+                        .collect(),
+                ));
+            }
+            let mut committed = vec![0; benchmarks.len()];
+            for (core, slots) in assignment.iter().enumerate() {
+                for (slot, &ti) in slots.iter().enumerate() {
+                    committed[ti] = stats.cores[core].threads[slot].committed_instructions;
+                }
+            }
+            out.allocation = Some(*allocation);
+            out.num_cores = Some(chip.num_cores as u64);
+            out.core_assignments = Some(join_core_assignments(&assignment, &benchmarks));
+            out.per_core_ipc = Some(stats.per_core_ipc());
+            let mut st_config = chip.core.clone();
+            st_config.l3 = chip.shared_llc;
+            (
+                st_config,
+                stats.cycles,
+                committed,
+                Some((stats, assignment)),
+            )
+        }
+    };
+
+    // `max(1)` guards threads that never retired an instruction.
     let mut st_cpis = Vec::with_capacity(benchmarks.len());
     let mut mt_cpis = Vec::with_capacity(benchmarks.len());
-    for (i, benchmark) in benchmarks.iter().enumerate() {
-        let committed = mt_stats.threads[i].committed_instructions.max(1);
-        mt_cpis.push(mt_stats.cycles as f64 / committed as f64);
-        st_cpis.push(cache.st_cpi(benchmark, config, scale, committed)?);
+    for (benchmark, &done) in benchmarks.iter().zip(&committed) {
+        let done = done.max(1);
+        mt_cpis.push(cycles as f64 / done as f64);
+        st_cpis.push(cache.st_cpi(benchmark, &st_config, scale, done)?);
     }
-    Ok((st_cpis, mt_cpis))
+    out.stp = metrics::stp(&st_cpis, &mt_cpis);
+    out.antt = metrics::antt(&st_cpis, &mt_cpis);
+    out.per_thread_ipc = mt_cpis.iter().map(|c| 1.0 / c).collect();
+    out.per_thread_st_ipc = st_cpis.iter().map(|c| 1.0 / c).collect();
+    if let Some((stats, assignment)) = chip_run {
+        // The per-core split wants the CPIs in canonical `(core, slot)` order.
+        let flat = |cpis: &[f64]| -> Vec<f64> {
+            assignment.iter().flatten().map(|&ti| cpis[ti]).collect()
+        };
+        let per_core = metrics::per_core_stp(&stats, &flat(&st_cpis), &flat(&mt_cpis));
+        out.per_core_stp = Some(per_core);
+    }
+
+    // The step loop's only early exit is its simulated-cycle cap (explicit
+    // `RunScale::max_cycles` or the generous `SimOptions` default), so a run
+    // in which no thread reached the budget hit that cap.
+    let best = committed.iter().copied().max().unwrap_or(0);
+    if best < scale.instructions_per_thread {
+        return Err(SimError::deadline_exceeded(format!(
+            "simulated-cycle cap hit before any thread committed its {} instruction budget \
+             (best thread committed {best})",
+            scale.instructions_per_thread
+        )));
+    }
+    Ok(out)
 }
 
 /// Cache of serialized warm checkpoints keyed by workload, configuration and
@@ -630,80 +768,38 @@ fn capture_warm_checkpoint(
     config: &SmtConfig,
     scale: RunScale,
 ) -> Result<SimCheckpoint, SimError> {
-    let traces = benchmarks
-        .iter()
-        .map(|b| build_trace(b, scale))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut sim = SmtSimulator::new(config.clone(), traces)?;
+    let mut sim = SmtSimulator::new(config.clone(), build_traces(benchmarks, scale)?)?;
     sim.fast_forward(scale.warmup_instructions);
     sim.checkpoint(scale.seed)
 }
 
-/// The sampled-mode outcome of one workload × policy cell: point estimates
-/// plus per-metric 95% confidence intervals from the between-window variance.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct SampledWorkloadResult {
-    /// Workload name (benchmarks joined with dashes).
-    pub workload: String,
-    /// The fetch policy evaluated.
-    pub policy: FetchPolicyKind,
-    /// System throughput estimate (ratio estimator over windows).
-    pub stp: MetricEstimate,
-    /// Average normalized turnaround time: the mean is the ratio-estimator
-    /// point estimate; the interval is indicative only (derived from
-    /// per-window ANTT samples, which are ratio-biased individually).
-    pub antt: MetricEstimate,
-    /// Aggregate (all-thread) IPC estimate.
-    pub total_ipc: MetricEstimate,
-    /// Per-thread IPC estimates, in workload order.
-    pub per_thread_ipc: Vec<MetricEstimate>,
-    /// Per-thread single-threaded reference IPC at the extrapolated
-    /// instruction counts.
-    pub per_thread_st_ipc: Vec<f64>,
-    /// Number of measurement windows that contributed samples.
-    pub windows: u32,
-    /// Fraction of the instruction budget executed in detailed mode.
-    pub detailed_fraction: f64,
-}
-
-/// Evaluates one workload under one policy in sampled mode: the warm prefix
-/// comes from the shared `checkpoints` cache, the run interleaves functional
-/// fast-forward with detailed measurement windows per `sampling`, and
-/// STP/ANTT are extrapolated with the paper's methodology at the estimated
-/// per-thread instruction counts.
+/// Fills a sampled cell: the warm prefix comes from the shared `checkpoints`
+/// cache, the run interleaves functional fast-forward with detailed
+/// measurement windows per `sampling`, and STP/ANTT are extrapolated with the
+/// paper's methodology at the estimated per-thread instruction counts. The
+/// metric columns carry the estimate means; `out.sampled` keeps the 95%
+/// confidence intervals from the between-window variance.
 ///
 /// An exact run stops when the first thread commits the budget; the sampled
 /// equivalent extrapolates each co-runner's committed count as
 /// `budget × ipc_i / max_j ipc_j` and takes the single-threaded reference
 /// CPIs at those counts from the shared `cache`, exactly as the exact
 /// evaluation does at its measured counts.
-///
-/// # Errors
-///
-/// Returns an error for unknown benchmarks, invalid configurations or
-/// cadences, and for runs that measured no window before the cycle cap.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_workload_sampled<S: AsRef<str>>(
-    benchmarks: &[S],
-    policy: FetchPolicyKind,
+fn sampled_metrics(
+    out: &mut PolicyCell,
+    benchmarks: &[&str],
     config: &SmtConfig,
     scale: RunScale,
     sampling: &SamplingConfig,
     cache: &StReferenceCache,
     checkpoints: &CheckpointCache,
-) -> Result<SampledWorkloadResult, SimError> {
-    let benchmarks: Vec<&str> = benchmarks.iter().map(AsRef::as_ref).collect();
+) -> Result<(), SimError> {
     let mut mt_config = config.clone();
     mt_config.num_threads = benchmarks.len();
-    mt_config.fetch_policy = policy;
-    let traces = benchmarks
-        .iter()
-        .map(|b| build_trace(b, scale))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut sim = SmtSimulator::new(mt_config, traces)?;
+    mt_config.fetch_policy = out.policy;
+    let mut sim = SmtSimulator::new(mt_config, build_traces(benchmarks, scale)?)?;
     if scale.warmup_instructions > 0 {
-        let checkpoint = checkpoints.warmed(&benchmarks, config, scale)?;
+        let checkpoint = checkpoints.warmed(benchmarks, config, scale)?;
         sim.restore_checkpoint(&checkpoint)?;
     }
     let run = sim.run_sampled(scale.sim_options(), sampling)?;
@@ -783,17 +879,18 @@ pub fn evaluate_workload_sampled<S: AsRef<str>>(
         ci95: MetricEstimate::from_samples(&antt_samples).ci95,
     };
 
-    Ok(SampledWorkloadResult {
-        workload: benchmarks.join("-"),
-        policy,
+    out.stp = stp.mean;
+    out.antt = antt.mean;
+    out.per_thread_ipc = run.estimate.per_thread_ipc.iter().map(|e| e.mean).collect();
+    out.per_thread_st_ipc = per_thread_st_ipc;
+    out.sampled = Some(SampledCellStats {
+        windows: run.estimate.windows,
+        detailed_fraction: run.estimate.detailed_fraction,
         stp,
         antt,
         total_ipc: run.estimate.total_ipc,
-        per_thread_ipc: run.estimate.per_thread_ipc,
-        per_thread_st_ipc,
-        windows: run.estimate.windows,
-        detailed_fraction: run.estimate.detailed_fraction,
-    })
+    });
+    Ok(())
 }
 
 /// Scale of the single-thread probe runs behind [`mlp_intensity`]: long
@@ -821,119 +918,6 @@ pub fn mlp_intensity(benchmark: &str, core_config: &SmtConfig, seed: u64) -> Res
     let stats = run_single_thread(benchmark, core_config, probe_scale(seed))?;
     let t = &stats.threads[0];
     Ok(t.lll_per_kilo_instruction() * t.measured_mlp())
-}
-
-/// The STP/ANTT outcome of running one multiprogram workload on a chip under
-/// one (fetch policy, thread-to-core allocation) pair.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct ChipWorkloadResult {
-    /// Workload name (benchmarks joined with dashes, in workload order).
-    pub workload: String,
-    /// The per-core fetch policy evaluated.
-    pub policy: FetchPolicyKind,
-    /// The thread-to-core allocation policy evaluated.
-    pub allocation: AllocationPolicyKind,
-    /// Number of cores on the chip.
-    pub num_cores: u64,
-    /// Benchmarks per core after allocation (slots joined with `+`).
-    pub core_assignments: Vec<String>,
-    /// System throughput (higher is better), normalized per thread against a
-    /// run alone on one core of the chip.
-    pub stp: f64,
-    /// Average normalized turnaround time (lower is better).
-    pub antt: f64,
-    /// Per-thread IPC in the chip run, in workload order.
-    pub per_thread_ipc: Vec<f64>,
-    /// Per-thread single-threaded reference IPC at the same instruction
-    /// counts, in workload order.
-    pub per_thread_st_ipc: Vec<f64>,
-    /// Aggregate IPC of each core.
-    pub per_core_ipc: Vec<f64>,
-    /// Each core's contribution to the chip STP (the weighted speedups of
-    /// its resident threads; sums to [`ChipWorkloadResult::stp`]).
-    pub per_core_stp: Vec<f64>,
-    /// Raw chip statistics.
-    pub chip_stats: ChipStats,
-}
-
-/// Evaluates one workload on a chip under one (fetch policy, allocation)
-/// pair, probing each benchmark's MLP intensity first (see
-/// [`mlp_intensity`]).
-///
-/// # Errors
-///
-/// Returns an error for unknown benchmarks, invalid configurations, or a
-/// workload that does not fill the chip's `num_cores x threads_per_core`
-/// geometry.
-pub fn evaluate_chip_workload<S: AsRef<str>>(
-    benchmarks: &[S],
-    policy: FetchPolicyKind,
-    allocation: AllocationPolicyKind,
-    chip: &ChipConfig,
-    scale: RunScale,
-    cache: &StReferenceCache,
-) -> Result<ChipWorkloadResult, SimError> {
-    let benchmarks: Vec<&str> = benchmarks.iter().map(AsRef::as_ref).collect();
-    let intensities = benchmarks
-        .iter()
-        .map(|b| mlp_intensity(b, &chip.core, scale.seed))
-        .collect::<Result<Vec<_>, _>>()?;
-    evaluate_chip_workload_with_intensities(
-        &benchmarks,
-        &intensities,
-        policy,
-        allocation,
-        chip,
-        scale,
-        cache,
-    )
-}
-
-/// [`evaluate_chip_workload`] with precomputed per-thread MLP intensities
-/// (the parallel experiment engine probes each distinct benchmark once and
-/// shares the results across cells).
-///
-/// # Errors
-///
-/// Same as [`evaluate_chip_workload`].
-pub fn evaluate_chip_workload_with_intensities<S: AsRef<str>>(
-    benchmarks: &[S],
-    intensities: &[f64],
-    policy: FetchPolicyKind,
-    allocation: AllocationPolicyKind,
-    chip: &ChipConfig,
-    scale: RunScale,
-    cache: &StReferenceCache,
-) -> Result<ChipWorkloadResult, SimError> {
-    let benchmarks: Vec<&str> = benchmarks.iter().map(AsRef::as_ref).collect();
-    let chip_config = chip.clone().with_policy(policy);
-    let (assignment, traces) =
-        chip_placement(&benchmarks, intensities, allocation, &chip_config, scale)?;
-    let mut sim = ChipSimulator::new(chip_config.clone(), traces)?;
-    let chip_stats = sim.run(scale.sim_options());
-    let cpis = chip_cpis(
-        &benchmarks,
-        &assignment,
-        &chip_stats,
-        &chip_config,
-        scale,
-        cache,
-    )?;
-    Ok(ChipWorkloadResult {
-        workload: benchmarks.join("-"),
-        policy,
-        allocation,
-        num_cores: chip_config.num_cores as u64,
-        core_assignments: join_core_assignments(&assignment, &benchmarks),
-        stp: metrics::stp(&cpis.st_cpis, &cpis.mt_cpis),
-        antt: metrics::antt(&cpis.st_cpis, &cpis.mt_cpis),
-        per_thread_ipc: cpis.mt_cpis.iter().map(|c| 1.0 / c).collect(),
-        per_thread_st_ipc: cpis.st_cpis.iter().map(|c| 1.0 / c).collect(),
-        per_core_ipc: chip_stats.per_core_ipc(),
-        per_core_stp: metrics::per_core_stp(&chip_stats, &cpis.st_flat, &cpis.mt_flat),
-        chip_stats,
-    })
 }
 
 /// A chip placement: `assignment[core] = workload thread indices`, plus the
@@ -976,50 +960,6 @@ fn chip_placement(
     Ok((assignment, traces))
 }
 
-/// Per-thread CPIs of a finished chip run, in workload order (`st_cpis` /
-/// `mt_cpis`) and in canonical `(core, slot)` order (`st_flat` / `mt_flat`,
-/// for the per-core STP split).
-struct ChipCpis {
-    st_cpis: Vec<f64>,
-    mt_cpis: Vec<f64>,
-    st_flat: Vec<f64>,
-    mt_flat: Vec<f64>,
-}
-
-fn chip_cpis(
-    benchmarks: &[&str],
-    assignment: &[Vec<usize>],
-    chip_stats: &ChipStats,
-    chip_config: &ChipConfig,
-    scale: RunScale,
-    cache: &StReferenceCache,
-) -> Result<ChipCpis, SimError> {
-    // The single-threaded reference is "alone on one core of this chip": the
-    // core's private levels with the whole shared LLC to itself.
-    let mut st_config = chip_config.core.clone();
-    st_config.l3 = chip_config.shared_llc;
-
-    let n = benchmarks.len();
-    let mut cpis = ChipCpis {
-        st_cpis: vec![0.0f64; n],
-        mt_cpis: vec![0.0f64; n],
-        st_flat: Vec::with_capacity(n),
-        mt_flat: Vec::with_capacity(n),
-    };
-    for (core, slots) in assignment.iter().enumerate() {
-        for (slot, &ti) in slots.iter().enumerate() {
-            let committed = chip_stats.cores[core].threads[slot]
-                .committed_instructions
-                .max(1);
-            cpis.mt_cpis[ti] = chip_stats.cycles as f64 / committed as f64;
-            cpis.st_cpis[ti] = cache.st_cpi(benchmarks[ti], &st_config, scale, committed)?;
-            cpis.st_flat.push(cpis.st_cpis[ti]);
-            cpis.mt_flat.push(cpis.mt_cpis[ti]);
-        }
-    }
-    Ok(cpis)
-}
-
 /// Renders a placement as per-core benchmark lists (`"mcf+gcc"`).
 fn join_core_assignments(assignment: &[Vec<usize>], benchmarks: &[&str]) -> Vec<String> {
     assignment
@@ -1032,143 +972,6 @@ fn join_core_assignments(assignment: &[Vec<usize>], benchmarks: &[&str]) -> Vec<
                 .join("+")
         })
         .collect()
-}
-
-/// The STP/ANTT outcome of running one multiprogram workload under the
-/// adaptive policy engine (machine level, or chip level when
-/// [`AdaptiveWorkloadResult::num_cores`] is set).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct AdaptiveWorkloadResult {
-    /// Workload name (benchmarks joined with dashes).
-    pub workload: String,
-    /// The policy selector evaluated.
-    pub selector: SelectorKind,
-    /// The candidate policy set evaluated (the machine starts on the first).
-    pub candidates: Vec<FetchPolicyKind>,
-    /// System throughput (higher is better).
-    pub stp: f64,
-    /// Average normalized turnaround time (lower is better).
-    pub antt: f64,
-    /// Per-thread IPC in the adaptive run (workload order).
-    pub per_thread_ipc: Vec<f64>,
-    /// Per-thread single-threaded reference IPC at the same instruction counts.
-    pub per_thread_st_ipc: Vec<f64>,
-    /// Fraction of completed intervals each policy was active (chip runs:
-    /// averaged over cores).
-    pub policy_residency: Vec<PolicyResidency>,
-    /// Chip runs: number of cores.
-    pub num_cores: Option<u64>,
-    /// Chip runs: the thread-to-core allocation policy used.
-    pub allocation: Option<AllocationPolicyKind>,
-    /// Chip runs: benchmarks per core after allocation (slots joined with `+`).
-    pub core_assignments: Option<Vec<String>>,
-    /// Chip runs: aggregate IPC of each core.
-    pub per_core_ipc: Option<Vec<f64>>,
-    /// Chip runs: each core's contribution to the chip STP.
-    pub per_core_stp: Option<Vec<f64>>,
-    /// Raw statistics of the run (chip runs: flattened to `(core, thread)`
-    /// order).
-    pub mt_stats: MachineStats,
-}
-
-/// Evaluates one workload under one adaptive-engine configuration on an
-/// explicit machine configuration, reusing the shared `cache` for the
-/// single-threaded reference runs. STP/ANTT use the same ICOUNT
-/// single-thread references as the static-policy evaluations, so adaptive
-/// and static cells of one report are directly comparable.
-///
-/// # Errors
-///
-/// Returns an error for unknown benchmarks or invalid configurations.
-pub fn evaluate_adaptive_workload<S: AsRef<str>>(
-    benchmarks: &[S],
-    adaptive: &AdaptiveConfig,
-    config: &SmtConfig,
-    scale: RunScale,
-    cache: &StReferenceCache,
-) -> Result<AdaptiveWorkloadResult, SimError> {
-    let benchmarks: Vec<&str> = benchmarks.iter().map(AsRef::as_ref).collect();
-    let (mt_stats, policy_residency) =
-        run_multiprogram_adaptive(&benchmarks, adaptive, config, scale)?;
-    let (st_cpis, mt_cpis) = st_mt_cpis(&benchmarks, &mt_stats, config, scale, cache)?;
-    Ok(AdaptiveWorkloadResult {
-        workload: benchmarks.join("-"),
-        selector: adaptive.selector,
-        candidates: adaptive.candidates.clone(),
-        stp: metrics::stp(&st_cpis, &mt_cpis),
-        antt: metrics::antt(&st_cpis, &mt_cpis),
-        per_thread_ipc: mt_cpis.iter().map(|c| 1.0 / c).collect(),
-        per_thread_st_ipc: st_cpis.iter().map(|c| 1.0 / c).collect(),
-        policy_residency,
-        num_cores: None,
-        allocation: None,
-        core_assignments: None,
-        per_core_ipc: None,
-        per_core_stp: None,
-        mt_stats,
-    })
-}
-
-/// Evaluates one workload on a chip whose cores run the adaptive policy
-/// engine, with precomputed per-thread MLP intensities for the allocation
-/// policy (see [`evaluate_chip_workload_with_intensities`]).
-///
-/// # Errors
-///
-/// Same as [`evaluate_chip_workload`], plus invalid adaptive configurations.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_adaptive_chip_workload_with_intensities<S: AsRef<str>>(
-    benchmarks: &[S],
-    intensities: &[f64],
-    adaptive: &AdaptiveConfig,
-    allocation: AllocationPolicyKind,
-    chip: &ChipConfig,
-    scale: RunScale,
-    cache: &StReferenceCache,
-) -> Result<AdaptiveWorkloadResult, SimError> {
-    let benchmarks: Vec<&str> = benchmarks.iter().map(AsRef::as_ref).collect();
-    let chip_config = chip.clone();
-    let (assignment, traces) =
-        chip_placement(&benchmarks, intensities, allocation, &chip_config, scale)?;
-    let mut sim = ChipSimulator::new_adaptive(chip_config.clone(), traces, adaptive.clone())?;
-    let chip_stats = sim.run(scale.sim_options());
-    let policy_residency = merge_core_residencies(
-        (0..chip_stats.num_cores())
-            .map(|core| {
-                sim.policy_residency(core)
-                    .expect("adaptive chip reports residency")
-            })
-            .collect(),
-    );
-    let cpis = chip_cpis(
-        &benchmarks,
-        &assignment,
-        &chip_stats,
-        &chip_config,
-        scale,
-        cache,
-    )?;
-    Ok(AdaptiveWorkloadResult {
-        workload: benchmarks.join("-"),
-        selector: adaptive.selector,
-        candidates: adaptive.candidates.clone(),
-        stp: metrics::stp(&cpis.st_cpis, &cpis.mt_cpis),
-        antt: metrics::antt(&cpis.st_cpis, &cpis.mt_cpis),
-        per_thread_ipc: cpis.mt_cpis.iter().map(|c| 1.0 / c).collect(),
-        per_thread_st_ipc: cpis.st_cpis.iter().map(|c| 1.0 / c).collect(),
-        policy_residency,
-        num_cores: Some(chip_config.num_cores as u64),
-        allocation: Some(allocation),
-        core_assignments: Some(join_core_assignments(&assignment, &benchmarks)),
-        per_core_ipc: Some(chip_stats.per_core_ipc()),
-        per_core_stp: Some(metrics::per_core_stp(
-            &chip_stats,
-            &cpis.st_flat,
-            &cpis.mt_flat,
-        )),
-        mt_stats: metrics::flatten_chip_stats(&chip_stats),
-    })
 }
 
 #[cfg(test)]
@@ -1244,10 +1047,40 @@ mod tests {
         assert!(max >= scale.instructions_per_thread);
     }
 
+    fn workload(benchmarks: &[&str]) -> Workload {
+        Workload::new(benchmarks.to_vec()).unwrap()
+    }
+
+    fn evaluate(cell: &CellSpec) -> Result<PolicyCell, SimError> {
+        evaluate_cell(cell, &StReferenceCache::new(), &CheckpointCache::new())
+    }
+
+    /// A chip cell of `workload` on two 2-thread cores, with probed
+    /// intensities.
+    fn chip_cell(workload: &Workload, allocation: AllocationPolicyKind) -> PolicyCell {
+        let chip = ChipConfig::baseline(2, 2);
+        let scale = RunScale::tiny();
+        let intensities = workload
+            .benchmarks
+            .iter()
+            .map(|b| mlp_intensity(b, &chip.core, scale.seed).unwrap())
+            .collect();
+        let cell = CellSpec {
+            machine: CellMachine::Chip {
+                chip,
+                allocation,
+                intensities,
+            },
+            ..CellSpec::baseline(workload, FetchPolicyKind::Icount, scale)
+        };
+        evaluate(&cell).unwrap()
+    }
+
     #[test]
     fn evaluate_workload_produces_sane_metrics() {
-        let r =
-            evaluate_workload(&["gcc", "gap"], FetchPolicyKind::Icount, RunScale::tiny()).unwrap();
+        let gcc_gap = workload(&["gcc", "gap"]);
+        let cell = CellSpec::baseline(&gcc_gap, FetchPolicyKind::Icount, RunScale::tiny());
+        let r = evaluate(&cell).unwrap();
         assert!(
             r.stp > 0.2 && r.stp <= 2.0 + 1e-9,
             "STP {} out of range",
@@ -1315,69 +1148,38 @@ mod tests {
 
     #[test]
     fn chip_workload_evaluation_produces_sane_metrics() {
-        let chip = ChipConfig::baseline(2, 2);
-        let cache = StReferenceCache::new();
-        let r = evaluate_chip_workload(
-            &["mcf", "swim", "gcc", "gap"],
-            FetchPolicyKind::Icount,
-            AllocationPolicyKind::RoundRobin,
-            &chip,
-            RunScale::tiny(),
-            &cache,
-        )
-        .unwrap();
+        let mix = workload(&["mcf", "swim", "gcc", "gap"]);
+        let r = chip_cell(&mix, AllocationPolicyKind::RoundRobin);
         assert_eq!(r.workload, "mcf-swim-gcc-gap");
-        assert_eq!(r.num_cores, 2);
-        assert_eq!(r.core_assignments, vec!["mcf+gcc", "swim+gap"]);
+        assert_eq!(r.num_cores, Some(2));
+        assert_eq!(r.allocation, Some(AllocationPolicyKind::RoundRobin));
+        assert_eq!(
+            r.core_assignments.as_deref(),
+            Some(&["mcf+gcc".to_string(), "swim+gap".to_string()][..])
+        );
         assert_eq!(r.per_thread_ipc.len(), 4);
-        assert_eq!(r.per_core_ipc.len(), 2);
-        assert_eq!(r.per_core_stp.len(), 2);
+        assert_eq!(r.per_core_ipc.as_ref().unwrap().len(), 2);
+        let per_core_stp = r.per_core_stp.as_ref().unwrap();
+        assert_eq!(per_core_stp.len(), 2);
         assert!(
-            (r.per_core_stp.iter().sum::<f64>() - r.stp).abs() < 1e-9,
+            (per_core_stp.iter().sum::<f64>() - r.stp).abs() < 1e-9,
             "per-core STP must sum to the chip STP"
         );
         assert!(r.stp > 0.0 && r.stp <= 4.0 + 1e-9, "STP {}", r.stp);
         assert!(r.antt >= 0.9, "ANTT {}", r.antt);
-        assert_eq!(r.chip_stats.num_cores(), 2);
     }
 
     #[test]
     fn chip_allocation_changes_placement_not_workload() {
-        let chip = ChipConfig::baseline(2, 2);
-        let cache = StReferenceCache::new();
-        let scale = RunScale::tiny();
-        let benchmarks = ["mcf", "swim", "gcc", "gap"];
-        let rr = evaluate_chip_workload(
-            &benchmarks,
-            FetchPolicyKind::Icount,
-            AllocationPolicyKind::RoundRobin,
-            &chip,
-            scale,
-            &cache,
-        )
-        .unwrap();
-        let ff = evaluate_chip_workload(
-            &benchmarks,
-            FetchPolicyKind::Icount,
-            AllocationPolicyKind::FillFirst,
-            &chip,
-            scale,
-            &cache,
-        )
-        .unwrap();
-        let mb = evaluate_chip_workload(
-            &benchmarks,
-            FetchPolicyKind::Icount,
-            AllocationPolicyKind::MlpBalanced,
-            &chip,
-            scale,
-            &cache,
-        )
-        .unwrap();
-        assert_eq!(rr.core_assignments, vec!["mcf+gcc", "swim+gap"]);
-        assert_eq!(ff.core_assignments, vec!["mcf+swim", "gcc+gap"]);
+        let mix = workload(&["mcf", "swim", "gcc", "gap"]);
+        let rr = chip_cell(&mix, AllocationPolicyKind::RoundRobin);
+        let ff = chip_cell(&mix, AllocationPolicyKind::FillFirst);
+        let mb = chip_cell(&mix, AllocationPolicyKind::MlpBalanced);
+        let cores = |r: &PolicyCell| r.core_assignments.clone().unwrap();
+        assert_eq!(cores(&rr), vec!["mcf+gcc", "swim+gap"]);
+        assert_eq!(cores(&ff), vec!["mcf+swim", "gcc+gap"]);
         // mcf and swim are the MLP monsters: balanced placement separates them.
-        assert_ne!(mb.core_assignments, ff.core_assignments);
+        assert_ne!(cores(&mb), cores(&ff));
         for r in [&rr, &ff, &mb] {
             assert_eq!(r.workload, "mcf-swim-gcc-gap");
         }
@@ -1391,33 +1193,32 @@ mod tests {
             seed: 42,
             max_cycles: None,
         };
-        let config = SmtConfig::baseline(2);
         let cache = StReferenceCache::new();
         let checkpoints = CheckpointCache::new();
-        let sampling = SamplingConfig {
-            skip_instructions: 0,
-            ff_instructions: 9_000,
-            warm_instructions: 300,
-            measure_instructions: 700,
-            min_windows: 3,
+        let mcf_gcc = workload(&["mcf", "gcc"]);
+        let exact_cell = CellSpec::baseline(&mcf_gcc, FetchPolicyKind::Icount, scale);
+        let sampled_cell = |policy| CellSpec {
+            policy: CellPolicy::Static(policy),
+            sampling: Some(SamplingConfig {
+                skip_instructions: 0,
+                ff_instructions: 9_000,
+                warm_instructions: 300,
+                measure_instructions: 700,
+                min_windows: 3,
+            }),
+            ..exact_cell.clone()
         };
-        let benchmarks = ["mcf", "gcc"];
-        let exact =
-            evaluate_workload_with(&benchmarks, FetchPolicyKind::Icount, &config, scale, &cache)
-                .unwrap();
-        let sampled = evaluate_workload_sampled(
-            &benchmarks,
-            FetchPolicyKind::Icount,
-            &config,
-            scale,
-            &sampling,
-            &cache,
-            &checkpoints,
-        )
-        .unwrap();
+        let exact = evaluate_cell(&exact_cell, &cache, &checkpoints).unwrap();
+        let sampled_icount = sampled_cell(FetchPolicyKind::Icount);
+        let sampled = evaluate_cell(&sampled_icount, &cache, &checkpoints).unwrap();
+        let stats = sampled.sampled.clone().unwrap();
         assert_eq!(sampled.workload, "mcf-gcc");
-        assert!(sampled.windows >= 3, "windows {}", sampled.windows);
-        assert!(sampled.detailed_fraction < 0.15);
+        assert!(stats.windows >= 3, "windows {}", stats.windows);
+        assert!(stats.detailed_fraction < 0.15);
+        assert_eq!(
+            (sampled.stp, sampled.antt),
+            (stats.stp.mean, stats.antt.mean)
+        );
         assert_eq!(checkpoints.captures(), 1);
 
         // The sampled estimates track the exact run within a loose band (the
@@ -1425,52 +1226,32 @@ mod tests {
         // crates/core/tests/sampling.rs; this short run just pins the
         // experiment-level plumbing).
         let exact_ipc: f64 = exact.per_thread_ipc.iter().sum();
-        let err = (sampled.total_ipc.mean - exact_ipc).abs() / exact_ipc;
+        let err = (stats.total_ipc.mean - exact_ipc).abs() / exact_ipc;
         assert!(
             err < 0.10,
             "sampled {} vs exact {exact_ipc}",
-            sampled.total_ipc.mean
+            stats.total_ipc.mean
         );
-        assert!(
-            (sampled.stp.mean - exact.stp).abs() / exact.stp < 0.15,
-            "sampled STP {} vs exact {}",
-            sampled.stp.mean,
-            exact.stp
-        );
-        assert!(
-            (sampled.antt.mean - exact.antt).abs() / exact.antt < 0.15,
-            "sampled ANTT {} vs exact {}",
-            sampled.antt.mean,
-            exact.antt
-        );
+        for (name, sampled, exact) in [
+            ("STP", sampled.stp, exact.stp),
+            ("ANTT", sampled.antt, exact.antt),
+        ] {
+            assert!(
+                (sampled - exact).abs() / exact < 0.15,
+                "sampled {name} {sampled} vs exact {exact}"
+            );
+        }
 
         // A second policy on the same workload branches from the shared
         // checkpoint instead of re-running the warm prefix.
-        let flush = evaluate_workload_sampled(
-            &benchmarks,
-            FetchPolicyKind::MlpFlush,
-            &config,
-            scale,
-            &sampling,
-            &cache,
-            &checkpoints,
-        )
-        .unwrap();
+        let flush_cell = sampled_cell(FetchPolicyKind::MlpFlush);
+        let flush = evaluate_cell(&flush_cell, &cache, &checkpoints).unwrap();
         assert_eq!(checkpoints.captures(), 1);
         assert!(checkpoints.hits() >= 1);
         assert_eq!(flush.policy, FetchPolicyKind::MlpFlush);
 
         // Deterministic: re-evaluating reproduces the result bit for bit.
-        let again = evaluate_workload_sampled(
-            &benchmarks,
-            FetchPolicyKind::Icount,
-            &config,
-            scale,
-            &sampling,
-            &cache,
-            &checkpoints,
-        )
-        .unwrap();
+        let again = evaluate_cell(&sampled_icount, &cache, &checkpoints).unwrap();
         assert_eq!(again, sampled);
     }
 

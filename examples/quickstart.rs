@@ -7,15 +7,18 @@
 //! ```
 
 use smt_core::experiments::{engine, ExperimentKind, ExperimentSpec};
-use smt_core::runner::{evaluate_workload, RunScale};
+use smt_core::runner::{evaluate_cell, CellSpec, CheckpointCache, RunScale, StReferenceCache};
+use smt_core::workloads::Workload;
 use smt_types::config::FetchPolicyKind;
 use smt_types::SimError;
 
 fn main() -> Result<(), SimError> {
     let scale = RunScale::standard();
-    let workload = ["mcf", "swim"];
+    let workload = Workload::new(vec!["mcf", "swim"])?;
+    // Single-thread reference curves are shared across the policies.
+    let (references, checkpoints) = (StReferenceCache::new(), CheckpointCache::new());
 
-    println!("workload: {}", workload.join("-"));
+    println!("workload: {}", workload.name());
     println!(
         "scale: {} instructions per thread ({} warm-up)\n",
         scale.instructions_per_thread, scale.warmup_instructions
@@ -31,7 +34,8 @@ fn main() -> Result<(), SimError> {
         FetchPolicyKind::Flush,
         FetchPolicyKind::MlpFlush,
     ] {
-        let result = evaluate_workload(&workload, policy, scale)?;
+        let cell = CellSpec::baseline(&workload, policy, scale);
+        let result = evaluate_cell(&cell, &references, &checkpoints)?;
         let ipcs: Vec<String> = result
             .per_thread_ipc
             .iter()
@@ -58,7 +62,7 @@ fn main() -> Result<(), SimError> {
         paper_ref: String::new(),
         kind: ExperimentKind::PolicyGrid,
         policies: vec![FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush],
-        workloads: vec![workload.iter().map(|s| s.to_string()).collect()],
+        workloads: vec![workload.benchmarks.clone()],
         sweep: None,
         overrides: None,
         chip: None,

@@ -1,14 +1,23 @@
 //! End-to-end integration tests: full simulations across fetch policies, checking
 //! the qualitative results the paper reports.
 
-use smt_core::experiments::policies::policy_comparison;
-use smt_core::runner::{evaluate_workload, run_multiprogram, RunScale};
+use smt_core::experiments::{engine, ExperimentKind, ExperimentSpec, PolicyCell};
+use smt_core::runner::{
+    evaluate_cell, run_multiprogram, CellSpec, CheckpointCache, RunScale, StReferenceCache,
+};
 use smt_core::workloads::Workload;
 use smt_types::config::FetchPolicyKind;
 use smt_types::SmtConfig;
 
 fn scale() -> RunScale {
     RunScale::test()
+}
+
+/// One exact cell on the baseline configuration.
+fn evaluate(benchmarks: &[&str], policy: FetchPolicyKind, scale: RunScale) -> PolicyCell {
+    let workload = Workload::new(benchmarks.to_vec()).unwrap();
+    let cell = CellSpec::baseline(&workload, policy, scale);
+    evaluate_cell(&cell, &StReferenceCache::new(), &CheckpointCache::new()).unwrap()
 }
 
 #[test]
@@ -52,25 +61,43 @@ fn every_policy_completes_an_mlp_intensive_workload() {
 
 #[test]
 fn long_latency_aware_policies_beat_icount_on_mlp_workloads() {
-    let cfg = SmtConfig::baseline(2);
-    let workloads = vec![
-        Workload::new(vec!["mcf", "swim"]).unwrap(),
-        Workload::new(vec!["mcf", "galgel"]).unwrap(),
+    let policies = [
+        FetchPolicyKind::Icount,
+        FetchPolicyKind::Flush,
+        FetchPolicyKind::MlpFlush,
     ];
-    let results = policy_comparison(
-        &[
-            FetchPolicyKind::Icount,
-            FetchPolicyKind::Flush,
-            FetchPolicyKind::MlpFlush,
+    let spec = ExperimentSpec {
+        name: "mlp-workloads".to_string(),
+        title: "long-latency-aware policies on two MLP-intensive mixes".to_string(),
+        paper_ref: String::new(),
+        kind: ExperimentKind::PolicyGrid,
+        policies: policies.to_vec(),
+        workloads: vec![
+            vec!["mcf".to_string(), "swim".to_string()],
+            vec!["mcf".to_string(), "galgel".to_string()],
         ],
-        &workloads,
-        &cfg,
-        scale(),
-    )
-    .unwrap();
-    let icount = &results[0];
-    let flush = &results[1];
-    let mlp_flush = &results[2];
+        sweep: None,
+        overrides: None,
+        chip: None,
+        adaptive: None,
+        resilience: None,
+        sampling: None,
+        scale: scale(),
+    };
+    let report = engine::run_spec(&spec).unwrap();
+    // The all-workloads aggregate of each policy, in `policies` order.
+    let results: Vec<_> = policies
+        .iter()
+        .map(|&policy| {
+            report
+                .summaries
+                .iter()
+                .find(|row| row.policy == policy && row.group.is_none())
+                .unwrap()
+        })
+        .collect();
+    assert!(results.iter().all(|row| row.workloads == 2));
+    let (icount, flush, mlp_flush) = (results[0], results[1], results[2]);
     assert!(
         flush.avg_stp > icount.avg_stp,
         "flush STP {} should beat ICOUNT {}",
@@ -100,14 +127,29 @@ fn long_latency_aware_policies_beat_icount_on_mlp_workloads() {
 }
 
 #[test]
-fn simulations_are_deterministic() {
-    let a = evaluate_workload(&["mcf", "swim"], FetchPolicyKind::MlpFlush, scale()).unwrap();
-    let b = evaluate_workload(&["mcf", "swim"], FetchPolicyKind::MlpFlush, scale()).unwrap();
-    assert_eq!(a.mt_stats.cycles, b.mt_stats.cycles);
-    assert_eq!(
-        a.mt_stats.threads[0].committed_instructions,
-        b.mt_stats.threads[0].committed_instructions
+fn mlp_flush_beats_icount_on_mlp_intensive_workload() {
+    let icount = evaluate(&["mcf", "swim"], FetchPolicyKind::Icount, scale());
+    let mlp_flush = evaluate(&["mcf", "swim"], FetchPolicyKind::MlpFlush, scale());
+    assert!(
+        mlp_flush.stp >= icount.stp * 0.98,
+        "MLP-aware flush STP {} should not trail ICOUNT {} on an MLP-intensive mix",
+        mlp_flush.stp,
+        icount.stp
     );
+}
+
+#[test]
+fn simulations_are_deterministic() {
+    let cfg = SmtConfig::baseline(2);
+    let run = || run_multiprogram(&["mcf", "swim"], FetchPolicyKind::MlpFlush, &cfg, scale());
+    let (a, b) = (run().unwrap(), run().unwrap());
+    assert_eq!(a.cycles, b.cycles);
+    assert_eq!(
+        a.threads[0].committed_instructions,
+        b.threads[0].committed_instructions
+    );
+    let a = evaluate(&["mcf", "swim"], FetchPolicyKind::MlpFlush, scale());
+    let b = evaluate(&["mcf", "swim"], FetchPolicyKind::MlpFlush, scale());
     assert_eq!(a.stp, b.stp);
     assert_eq!(a.antt, b.antt);
 }
@@ -116,9 +158,13 @@ fn simulations_are_deterministic() {
 fn different_seeds_change_the_timing() {
     let mut other = scale();
     other.seed = 1234;
-    let a = evaluate_workload(&["mcf", "swim"], FetchPolicyKind::Icount, scale()).unwrap();
-    let b = evaluate_workload(&["mcf", "swim"], FetchPolicyKind::Icount, other).unwrap();
-    assert_ne!(a.mt_stats.cycles, b.mt_stats.cycles);
+    let cfg = SmtConfig::baseline(2);
+    let cycles = |scale| {
+        run_multiprogram(&["mcf", "swim"], FetchPolicyKind::Icount, &cfg, scale)
+            .unwrap()
+            .cycles
+    };
+    assert_ne!(cycles(scale()), cycles(other));
 }
 
 #[test]
@@ -140,7 +186,7 @@ fn four_thread_workload_runs_under_mlp_flush() {
 #[test]
 fn stp_and_antt_are_within_theoretical_bounds() {
     for policy in [FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush] {
-        let r = evaluate_workload(&["swim", "twolf"], policy, scale()).unwrap();
+        let r = evaluate(&["swim", "twolf"], policy, scale());
         assert!(r.stp > 0.0 && r.stp <= 2.05, "STP {} out of bounds", r.stp);
         assert!(
             r.antt >= 0.85,

@@ -1,23 +1,37 @@
-//! Integration tests of the declarative experiment API: registry
-//! completeness against the legacy `experiments::*` entry points, spec
+//! Integration tests of the declarative experiment API: registry entries
+//! against direct evaluations on the paper's configurations, spec
 //! serialization round-trips, and exactly-once semantics of the shared
 //! single-threaded reference cache under concurrency.
+//!
+//! The "legacy" tests rebuild what the retired per-figure entry points
+//! computed — each workload evaluated on its own through
+//! [`runner::evaluate_cell`] on the Table IV baseline, then averaged — and
+//! require the registry entry's report to reproduce it, which pins that each
+//! entry runs the paper's configuration, policies and workload groups.
+//! Report stability itself is pinned by `tests/registry_reports.rs`.
 
-use smt_core::experiments::policies::{
-    alternative_policies, four_thread_comparison, ipc_stacks, partitioning_comparison,
-    policy_comparison_two_thread, GroupSummary,
-};
-use smt_core::experiments::predictors::{figure4, figure5, predictor_characterization};
-use smt_core::experiments::sweeps::memory_latency_sweep;
 use smt_core::experiments::{
-    characterization, engine, ExperimentRegistry, ExperimentReport, ExperimentSpec, SummaryRow,
+    characterization, engine, ExperimentRegistry, ExperimentReport, ExperimentSpec, PolicyCell,
+    SummaryRow, ALTERNATIVE_POLICIES,
 };
-use smt_core::runner::{RunScale, StReferenceCache};
-use smt_core::workloads::WorkloadGroup;
+use smt_core::metrics::{arithmetic_mean, harmonic_mean};
+use smt_core::runner::{
+    self, run_single_thread, CellMachine, CellSpec, CheckpointCache, RunScale, StReferenceCache,
+};
+use smt_core::workloads::{
+    four_thread_workloads, representative_two_thread_workloads, two_thread_workloads, Workload,
+    WorkloadGroup,
+};
 use smt_types::config::FetchPolicyKind;
 use smt_types::SmtConfig;
 
 const TOLERANCE: f64 = 1e-12;
+
+const PARTITIONING: [FetchPolicyKind; 3] = [
+    FetchPolicyKind::MlpFlush,
+    FetchPolicyKind::StaticPartition,
+    FetchPolicyKind::Dcra,
+];
 
 fn scale() -> RunScale {
     RunScale::tiny()
@@ -46,64 +60,103 @@ fn summary<'a>(
         .unwrap_or_else(|| panic!("no summary for {policy:?} {group:?} {parameter:?}"))
 }
 
-fn assert_group_summaries_match(report: &ExperimentReport, legacy: &[GroupSummary]) {
-    for legacy_group in legacy {
-        for comparison in &legacy_group.policies {
-            let row = summary(
-                report,
-                comparison.policy,
-                Some(legacy_group.group.label()),
-                None,
-            );
-            assert!(
-                (row.avg_stp - comparison.avg_stp).abs() < TOLERANCE,
-                "{:?}/{}: engine STP {} vs legacy {}",
-                comparison.policy,
-                legacy_group.group.label(),
-                row.avg_stp,
-                comparison.avg_stp
-            );
-            assert!(
-                (row.avg_antt - comparison.avg_antt).abs() < TOLERANCE,
-                "{:?}/{}: engine ANTT {} vs legacy {}",
-                comparison.policy,
-                legacy_group.group.label(),
-                row.avg_antt,
-                comparison.avg_antt
-            );
+/// One workload evaluated on its own on `config`.
+fn direct_cell(workload: &Workload, policy: FetchPolicyKind, config: &SmtConfig) -> PolicyCell {
+    let cell = CellSpec {
+        machine: CellMachine::Core(config.clone()),
+        ..CellSpec::baseline(workload, policy, scale())
+    };
+    runner::evaluate_cell(&cell, &StReferenceCache::new(), &CheckpointCache::new()).unwrap()
+}
+
+/// Requires `row` to aggregate `workloads` under `row.policy` on `config`:
+/// harmonic-mean STP and arithmetic-mean ANTT of the direct evaluations.
+fn assert_row_matches(row: &SummaryRow, workloads: &[Workload], config: &SmtConfig) {
+    let cells: Vec<PolicyCell> = workloads
+        .iter()
+        .map(|w| direct_cell(w, row.policy, config))
+        .collect();
+    let stps: Vec<f64> = cells.iter().map(|c| c.stp).collect();
+    let antts: Vec<f64> = cells.iter().map(|c| c.antt).collect();
+    assert_eq!(row.workloads, workloads.len() as u64);
+    assert!(
+        (row.avg_stp - harmonic_mean(&stps)).abs() < TOLERANCE,
+        "{:?}/{:?}: engine STP {} vs direct {}",
+        row.policy,
+        row.group,
+        row.avg_stp,
+        harmonic_mean(&stps)
+    );
+    assert!(
+        (row.avg_antt - arithmetic_mean(&antts)).abs() < TOLERANCE,
+        "{:?}/{:?}: engine ANTT {} vs direct {}",
+        row.policy,
+        row.group,
+        row.avg_antt,
+        arithmetic_mean(&antts)
+    );
+}
+
+/// Per group, the first `per_group` Table II two-thread workloads.
+fn two_thread_groups(per_group: usize) -> Vec<(WorkloadGroup, Vec<Workload>)> {
+    [
+        WorkloadGroup::IlpIntensive,
+        WorkloadGroup::MlpIntensive,
+        WorkloadGroup::Mixed,
+    ]
+    .into_iter()
+    .map(|group| {
+        let workloads = two_thread_workloads()
+            .into_iter()
+            .filter(|w| w.group == group)
+            .take(per_group)
+            .collect();
+        (group, workloads)
+    })
+    .collect()
+}
+
+/// Runs a two-thread registry entry at one workload per group and checks
+/// every (policy, group) row against the direct evaluation.
+fn assert_two_thread_entry_matches(name: &str, policies: &[FetchPolicyKind]) {
+    let report = engine::run_spec(&spec(name).with_workload_limit_per_group(1).unwrap()).unwrap();
+    let config = SmtConfig::baseline(2);
+    for (group, workloads) in two_thread_groups(1) {
+        for &policy in policies {
+            let row = summary(&report, policy, Some(group.label()), None);
+            assert_row_matches(row, &workloads, &config);
         }
     }
 }
 
 #[test]
 fn fig09_spec_matches_legacy_two_thread_comparison() {
-    let report = engine::run_spec(
-        &spec("fig09_two_thread_policies")
-            .with_workload_limit_per_group(1)
-            .unwrap(),
-    )
-    .unwrap();
-    let legacy = policy_comparison_two_thread(scale(), 1).unwrap();
-    assert_group_summaries_match(&report, &legacy);
+    assert_two_thread_entry_matches(
+        "fig09_two_thread_policies",
+        &FetchPolicyKind::MAIN_COMPARISON,
+    );
 }
 
 #[test]
 fn fig09_cells_reproduce_legacy_ipc_stacks() {
+    // The first MLP-intensive Table II workload: the Figure 11/12 IPC stacks
+    // are the per-thread IPCs of its cells.
+    let (_, mlp) = &two_thread_groups(1)[1];
     let mut fig09 = spec("fig09_two_thread_policies");
-    // Keep only the first MLP-intensive workload, matching
-    // ipc_stacks(scale, MlpIntensive, 1).
-    fig09.workloads = vec![vec!["apsi".to_string(), "mesa".to_string()]];
+    fig09.workloads = vec![mlp[0].benchmarks.clone()];
+    assert_eq!(mlp[0].name(), "apsi-mesa");
     let report = engine::run_spec(&fig09).unwrap();
-    let stacks = ipc_stacks(scale(), WorkloadGroup::MlpIntensive, 1).unwrap();
-    assert_eq!(stacks.len(), 1);
-    assert_eq!(stacks[0].workload, "apsi-mesa");
-    for (policy, legacy_ipcs) in &stacks[0].per_policy {
-        let cell = report
-            .policy_cells
-            .iter()
-            .find(|c| c.policy == *policy)
-            .unwrap();
-        assert_eq!(&cell.per_thread_ipc, legacy_ipcs, "{policy:?}");
+    assert_eq!(
+        report.policy_cells.len(),
+        FetchPolicyKind::MAIN_COMPARISON.len()
+    );
+    for cell in &report.policy_cells {
+        let direct = direct_cell(&mlp[0], cell.policy, &SmtConfig::baseline(2));
+        assert_eq!(
+            cell.per_thread_ipc, direct.per_thread_ipc,
+            "{:?}",
+            cell.policy
+        );
     }
 }
 
@@ -111,13 +164,10 @@ fn fig09_cells_reproduce_legacy_ipc_stacks() {
 fn fig13_spec_matches_legacy_four_thread_comparison() {
     let report =
         engine::run_spec(&spec("fig13_four_thread_policies").with_workload_limit(2)).unwrap();
-    let legacy = four_thread_comparison(scale(), 2).unwrap();
-    for comparison in &legacy {
-        // The overall aggregate (group = None) is the legacy semantics.
-        let row = summary(&report, comparison.policy, None, None);
-        assert_eq!(row.workloads, 2);
-        assert!((row.avg_stp - comparison.avg_stp).abs() < TOLERANCE);
-        assert!((row.avg_antt - comparison.avg_antt).abs() < TOLERANCE);
+    let workloads: Vec<Workload> = four_thread_workloads().into_iter().take(2).collect();
+    for policy in FetchPolicyKind::MAIN_COMPARISON {
+        let row = summary(&report, policy, None, None);
+        assert_row_matches(row, &workloads, &SmtConfig::baseline(4));
     }
 }
 
@@ -126,42 +176,27 @@ fn fig15_spec_matches_legacy_memory_latency_sweep() {
     let mut sweep_spec = spec("fig15_memory_latency_sweep");
     sweep_spec.sweep.as_mut().unwrap().values = vec![200];
     let report = engine::run_spec(&sweep_spec).unwrap();
-    let legacy = memory_latency_sweep(&[200], scale()).unwrap();
-    assert_eq!(legacy.len(), 1);
-    for comparison in &legacy[0].policies {
-        let row = summary(&report, comparison.policy, None, Some(200));
-        assert!((row.avg_stp - comparison.avg_stp).abs() < TOLERANCE);
-        assert!((row.avg_antt - comparison.avg_antt).abs() < TOLERANCE);
+    let config = SmtConfig::baseline(2).with_memory_latency(200);
+    for policy in FetchPolicyKind::MAIN_COMPARISON {
+        let row = summary(&report, policy, None, Some(200));
+        assert_row_matches(row, &representative_two_thread_workloads(), &config);
     }
 }
 
 #[test]
 fn fig20_spec_matches_legacy_alternative_policies() {
-    let report = engine::run_spec(
-        &spec("fig20_alternative_policies")
-            .with_workload_limit_per_group(1)
-            .unwrap(),
-    )
-    .unwrap();
-    let legacy = alternative_policies(scale(), 1).unwrap();
-    assert_group_summaries_match(&report, &legacy);
+    assert_two_thread_entry_matches("fig20_alternative_policies", &ALTERNATIVE_POLICIES);
 }
 
 #[test]
 fn fig22_specs_match_legacy_partitioning_comparison() {
-    let two = engine::run_spec(
-        &spec("fig22_partitioning_two_thread")
-            .with_workload_limit_per_group(1)
-            .unwrap(),
-    )
-    .unwrap();
+    assert_two_thread_entry_matches("fig22_partitioning_two_thread", &PARTITIONING);
     let four =
         engine::run_spec(&spec("fig22_partitioning_four_thread").with_workload_limit(1)).unwrap();
-    let (legacy_two, legacy_four) = partitioning_comparison(scale(), 1, 1).unwrap();
-    assert_group_summaries_match(&two, &legacy_two);
-    for comparison in &legacy_four {
-        let row = summary(&four, comparison.policy, None, None);
-        assert!((row.avg_stp - comparison.avg_stp).abs() < TOLERANCE);
+    let workloads: Vec<Workload> = four_thread_workloads().into_iter().take(1).collect();
+    for policy in PARTITIONING {
+        let row = summary(&four, policy, None, None);
+        assert_row_matches(row, &workloads, &SmtConfig::baseline(4));
     }
 }
 
@@ -171,44 +206,50 @@ fn table1_spec_matches_legacy_characterization() {
     characterization_spec.workloads = vec![vec!["mcf".to_string()], vec!["bzip2".to_string()]];
     let report = engine::run_spec(&characterization_spec).unwrap();
     for row in &report.bench_rows {
-        let legacy = characterization::characterize(&row.benchmark, scale()).unwrap();
+        let direct = characterization::characterize(&row.benchmark, scale()).unwrap();
         assert_eq!(
             row.lll_per_kinst,
-            Some(legacy.lll_per_kinst),
+            Some(direct.lll_per_kinst),
             "{}",
             row.benchmark
         );
-        assert_eq!(row.mlp, Some(legacy.mlp));
-        assert_eq!(row.mlp_impact, Some(legacy.mlp_impact));
-        assert_eq!(row.class.as_deref(), Some(legacy.measured_class.label()));
-        assert_eq!(row.ipc, legacy.ipc);
+        assert_eq!(row.mlp, Some(direct.mlp));
+        assert_eq!(row.mlp_impact, Some(direct.mlp_impact));
+        assert_eq!(row.class.as_deref(), Some(direct.measured_class.label()));
+        assert_eq!(row.ipc, direct.ipc);
     }
 }
 
 #[test]
 fn fig04_and_fig05_specs_match_legacy_rows() {
+    // Figure 4: a 256-entry ROB with a 128-entry LLSR.
     let mut cdf_spec = spec("fig04_mlp_distance_cdf");
     cdf_spec.workloads.truncate(2);
     let report = engine::run_spec(&cdf_spec).unwrap();
-    let legacy = figure4(scale()).unwrap();
+    let mut cdf_config = SmtConfig::baseline(1);
+    cdf_config.llsr_length_override = Some(128);
     for row in &report.bench_rows {
-        let legacy_row = legacy
-            .iter()
-            .find(|c| c.benchmark == row.benchmark)
-            .unwrap();
-        assert_eq!(row.mlp_distance_cdf.as_ref().unwrap(), &legacy_row.cdf);
+        let stats = run_single_thread(&row.benchmark, &cdf_config, scale()).unwrap();
+        let cdf = stats.threads[0].mlp_distance_cdf();
+        assert_eq!(
+            row.mlp_distance_cdf.as_ref(),
+            Some(&cdf),
+            "{}",
+            row.benchmark
+        );
     }
 
+    // Figure 5: the same benchmark with and without the prefetcher.
     let mut prefetch_spec = spec("fig05_prefetcher");
     prefetch_spec.workloads = vec![vec!["swim".to_string()]];
     let report = engine::run_spec(&prefetch_spec).unwrap();
-    let legacy = figure5(scale()).unwrap();
-    let legacy_row = legacy.iter().find(|r| r.benchmark == "swim").unwrap();
-    assert_eq!(report.bench_rows[0].ipc, legacy_row.ipc_with_prefetch);
-    assert_eq!(
-        report.bench_rows[0].ipc_without_prefetch,
-        Some(legacy_row.ipc_without_prefetch)
-    );
+    let ipc = |prefetcher| {
+        let config = SmtConfig::baseline(1).with_prefetcher(prefetcher);
+        let stats = run_single_thread("swim", &config, scale()).unwrap();
+        stats.threads[0].ipc(stats.cycles)
+    };
+    assert_eq!(report.bench_rows[0].ipc, ipc(true));
+    assert_eq!(report.bench_rows[0].ipc_without_prefetch, Some(ipc(false)));
 }
 
 #[test]
@@ -216,20 +257,21 @@ fn fig06_08_spec_matches_legacy_predictor_characterization() {
     let mut predictor_spec = spec("fig06_08_predictor_accuracy");
     predictor_spec.workloads = vec![vec!["swim".to_string()], vec!["mcf".to_string()]];
     let report = engine::run_spec(&predictor_spec).unwrap();
-    let legacy = predictor_characterization(scale()).unwrap();
+    // Predictors are characterized on the raw miss stream (prefetcher off).
+    let config = SmtConfig::baseline(1).with_prefetcher(false);
     for row in &report.bench_rows {
-        let legacy_row = legacy
-            .iter()
-            .find(|r| r.benchmark == row.benchmark)
-            .unwrap();
-        assert_eq!(row.lll_accuracy, Some(legacy_row.lll_accuracy));
-        assert_eq!(row.lll_miss_accuracy, Some(legacy_row.lll_miss_accuracy));
-        let legacy_mlp_accuracy = legacy_row.mlp_true_positive + legacy_row.mlp_true_negative;
-        assert!((row.mlp_accuracy.unwrap() - legacy_mlp_accuracy).abs() < TOLERANCE);
-        assert_eq!(
-            row.mlp_distance_accuracy,
-            Some(legacy_row.mlp_distance_accuracy)
-        );
+        let stats = run_single_thread(&row.benchmark, &config, scale()).unwrap();
+        let t = &stats.threads[0];
+        assert_eq!(row.lll_accuracy, Some(t.lll_predictor_accuracy()));
+        assert_eq!(row.lll_miss_accuracy, Some(t.lll_predictor_miss_accuracy()));
+        let outcomes = (t.mlp_pred_true_positive
+            + t.mlp_pred_true_negative
+            + t.mlp_pred_false_positive
+            + t.mlp_pred_false_negative)
+            .max(1) as f64;
+        let correct = (t.mlp_pred_true_positive + t.mlp_pred_true_negative) as f64 / outcomes;
+        assert!((row.mlp_accuracy.unwrap() - correct).abs() < TOLERANCE);
+        assert_eq!(row.mlp_distance_accuracy, Some(t.mlp_distance_accuracy()));
     }
 }
 

@@ -1,14 +1,26 @@
 //! Consistency checks of the STP/ANTT methodology across the runner and metrics
 //! modules.
 
+use smt_core::experiments::PolicyCell;
 use smt_core::metrics::{antt, arithmetic_mean, harmonic_mean, stp};
-use smt_core::runner::{evaluate_workload, run_single_thread, RunScale};
+use smt_core::runner::{
+    evaluate_cell, run_multiprogram, run_single_thread, CellSpec, CheckpointCache, RunScale,
+    StReferenceCache,
+};
+use smt_core::workloads::Workload;
 use smt_types::config::FetchPolicyKind;
 use smt_types::SmtConfig;
 
+/// One exact cell on the baseline configuration.
+fn evaluate(benchmarks: &[&str], policy: FetchPolicyKind, scale: RunScale) -> PolicyCell {
+    let workload = Workload::new(benchmarks.to_vec()).unwrap();
+    let cell = CellSpec::baseline(&workload, policy, scale);
+    evaluate_cell(&cell, &StReferenceCache::new(), &CheckpointCache::new()).unwrap()
+}
+
 #[test]
 fn stp_and_antt_agree_with_manual_computation() {
-    let r = evaluate_workload(&["gcc", "gap"], FetchPolicyKind::Icount, RunScale::tiny()).unwrap();
+    let r = evaluate(&["gcc", "gap"], FetchPolicyKind::Icount, RunScale::tiny());
     let st_cpi: Vec<f64> = r.per_thread_st_ipc.iter().map(|ipc| 1.0 / ipc).collect();
     let mt_cpi: Vec<f64> = r.per_thread_ipc.iter().map(|ipc| 1.0 / ipc).collect();
     assert!((stp(&st_cpi, &mt_cpi) - r.stp).abs() < 1e-9);
@@ -19,12 +31,11 @@ fn stp_and_antt_agree_with_manual_computation() {
 fn single_thread_execution_is_an_upper_bound_for_per_thread_ipc() {
     // Running together can never make an individual program faster than running
     // alone by more than measurement noise (cache warm-up differences).
-    let r = evaluate_workload(
+    let r = evaluate(
         &["swim", "twolf"],
         FetchPolicyKind::Icount,
         RunScale::test(),
-    )
-    .unwrap();
+    );
     for (mt, st) in r.per_thread_ipc.iter().zip(&r.per_thread_st_ipc) {
         assert!(
             mt <= &(st * 1.15),
@@ -43,9 +54,15 @@ fn harmonic_mean_is_never_above_arithmetic_mean() {
 fn identical_benchmarks_share_the_machine_roughly_equally() {
     // Two copies of the same benchmark under ICOUNT should commit similar
     // instruction counts (no starvation).
-    let r = evaluate_workload(&["gcc", "gcc"], FetchPolicyKind::Icount, RunScale::test()).unwrap();
-    let a = r.mt_stats.threads[0].committed_instructions as f64;
-    let b = r.mt_stats.threads[1].committed_instructions as f64;
+    let stats = run_multiprogram(
+        &["gcc", "gcc"],
+        FetchPolicyKind::Icount,
+        &SmtConfig::baseline(2),
+        RunScale::test(),
+    )
+    .unwrap();
+    let a = stats.threads[0].committed_instructions as f64;
+    let b = stats.threads[1].committed_instructions as f64;
     let ratio = a.max(b) / a.min(b);
     assert!(ratio < 1.6, "identical threads diverged: {a} vs {b}");
 }
@@ -57,14 +74,12 @@ fn st_reference_runs_are_policy_independent() {
     // policy stops its co-runners at different instruction counts, the reference
     // CPIs are sampled at different points of the same curve; they must still be
     // positive and of the same magnitude.
-    let icount = evaluate_workload(
+    let icount = evaluate(
         &["swim", "twolf"],
         FetchPolicyKind::Icount,
         RunScale::test(),
-    )
-    .unwrap();
-    let flush =
-        evaluate_workload(&["swim", "twolf"], FetchPolicyKind::Flush, RunScale::test()).unwrap();
+    );
+    let flush = evaluate(&["swim", "twolf"], FetchPolicyKind::Flush, RunScale::test());
     for (a, b) in icount
         .per_thread_st_ipc
         .iter()

@@ -1,10 +1,25 @@
 //! Integration tests for the predictor stack (long-latency load predictor, LLSR,
 //! MLP distance predictor) measured through full pipeline runs — the Figures 6, 7
-//! and 8 claims at unit-test scale.
+//! and 8 claims at unit-test scale, plus the Figure 4 and 5 registry rows.
 
-use smt_core::experiments::predictors::{figure4, predictor_characterization};
+use smt_core::experiments::{engine, BenchRow, ExperimentRegistry};
+use smt_core::metrics::cdf_fraction_within;
 use smt_core::runner::{run_single_thread, RunScale};
 use smt_types::SmtConfig;
+
+/// The rows of registry entry `name` at `scale`, restricted to `benchmarks`
+/// when given.
+fn registry_rows(name: &str, scale: RunScale, benchmarks: Option<&[&str]>) -> Vec<BenchRow> {
+    let mut spec = ExperimentRegistry::builtin()
+        .get(name)
+        .unwrap()
+        .clone()
+        .with_scale(scale);
+    if let Some(benchmarks) = benchmarks {
+        spec.workloads = benchmarks.iter().map(|b| vec![b.to_string()]).collect();
+    }
+    engine::run_spec(&spec).unwrap().bench_rows
+}
 
 #[test]
 fn long_latency_predictor_accuracy_is_high_across_memory_benchmarks() {
@@ -60,48 +75,92 @@ fn mlp_distance_predictions_are_far_enough_most_of_the_time() {
 
 #[test]
 fn characterization_rows_cover_all_benchmarks_with_valid_fractions() {
-    let rows = predictor_characterization(RunScale::tiny()).unwrap();
+    let rows = registry_rows("fig06_08_predictor_accuracy", RunScale::tiny(), None);
     assert_eq!(rows.len(), 26);
+    let cfg = SmtConfig::baseline(1).with_prefetcher(false);
     for row in &rows {
-        let total = row.mlp_true_positive
-            + row.mlp_true_negative
-            + row.mlp_false_positive
-            + row.mlp_false_negative;
+        let unit = |v: Option<f64>| v.is_some_and(|v| (0.0..=1.0).contains(&v));
+        assert!(unit(row.lll_accuracy), "{}", row.benchmark);
+        assert!(unit(row.mlp_accuracy), "{}", row.benchmark);
+        assert!(unit(row.mlp_distance_accuracy), "{}", row.benchmark);
+        // The binary MLP outcome fractions behind Figure 7.
+        let stats = run_single_thread(&row.benchmark, &cfg, RunScale::tiny()).unwrap();
+        let t = &stats.threads[0];
+        let outcomes = [
+            t.mlp_pred_true_positive,
+            t.mlp_pred_true_negative,
+            t.mlp_pred_false_positive,
+            t.mlp_pred_false_negative,
+        ];
+        let all = outcomes.iter().sum::<u64>().max(1) as f64;
+        let total: f64 = outcomes.iter().map(|&n| n as f64 / all).sum();
         assert!(
             total <= 1.0 + 1e-9,
             "{}: MLP outcome fractions sum to {total}",
             row.benchmark
         );
-        assert!(row.lll_accuracy >= 0.0 && row.lll_accuracy <= 1.0);
-        assert!(row.mlp_distance_accuracy >= 0.0 && row.mlp_distance_accuracy <= 1.0);
+        assert_eq!(row.lll_accuracy, Some(t.lll_predictor_accuracy()));
     }
 }
 
 #[test]
 fn figure4_cdfs_are_monotone_and_complete() {
-    let cdfs = figure4(RunScale::test()).unwrap();
-    assert_eq!(cdfs.len(), 6);
-    for cdf in &cdfs {
+    let rows = registry_rows("fig04_mlp_distance_cdf", RunScale::test(), None);
+    assert_eq!(rows.len(), 6);
+    for row in &rows {
+        let cdf = row.mlp_distance_cdf.as_deref().unwrap();
         assert!(
-            !cdf.cdf.is_empty(),
+            !cdf.is_empty(),
             "{} produced no MLP-distance observations",
-            cdf.benchmark
+            row.benchmark
         );
         let mut last = 0.0;
-        for &(_, fraction) in &cdf.cdf {
+        for &(_, fraction) in cdf {
             assert!(
                 fraction >= last - 1e-12,
                 "{}: CDF must be monotone",
-                cdf.benchmark
+                row.benchmark
             );
             last = fraction;
         }
         assert!(
             (last - 1.0).abs() < 1e-9,
             "{}: CDF must reach 1.0",
-            cdf.benchmark
+            row.benchmark
         );
     }
+    // lucas exposes its MLP over short distances, mcf over long distances
+    // (Section 4.2): at 48 instructions lucas has seen most of its MLP.
+    let within_48 = |name: &str| {
+        let row = rows.iter().find(|r| r.benchmark == name).unwrap();
+        cdf_fraction_within(row.mlp_distance_cdf.as_deref().unwrap(), 48)
+    };
+    assert!(
+        within_48("lucas") > within_48("mcf"),
+        "lucas {} vs mcf {}",
+        within_48("lucas"),
+        within_48("mcf")
+    );
+}
+
+#[test]
+fn prefetcher_speeds_up_strided_benchmark() {
+    let rows = registry_rows("fig05_prefetcher", RunScale::test(), Some(&["swim", "mcf"]));
+    let speedup = |name: &str| {
+        let row = rows.iter().find(|r| r.benchmark == name).unwrap();
+        row.prefetch_speedup.unwrap()
+    };
+    assert!(
+        speedup("swim") > 1.05,
+        "swim should benefit from prefetching, speedup {}",
+        speedup("swim")
+    );
+    assert!(
+        speedup("swim") > speedup("mcf"),
+        "strided swim ({}) should gain more than pointer-chasing mcf ({})",
+        speedup("swim"),
+        speedup("mcf")
+    );
 }
 
 #[test]

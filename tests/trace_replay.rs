@@ -126,28 +126,25 @@ fn sampled_replay_matches_live_generator() {
     let scale = RunScale::tiny();
     let path = record_temp("mcf", "sampled-parity", scale);
     let trace_name = format!("trace:{}", path.display());
-    let config = SmtConfig::baseline(2);
-    let sampling = SamplingConfig::default();
     let mut results = Vec::new();
     for benchmarks in [["mcf", "gcc"], [trace_name.as_str(), "gcc"]] {
+        let workload = Workload::new(benchmarks.to_vec()).expect("workload resolves");
+        let cell = runner::CellSpec {
+            sampling: Some(SamplingConfig::default()),
+            ..runner::CellSpec::baseline(&workload, FetchPolicyKind::MlpFlush, scale)
+        };
         results.push(
-            runner::evaluate_workload_sampled(
-                &benchmarks,
-                FetchPolicyKind::MlpFlush,
-                &config,
-                scale,
-                &sampling,
-                &StReferenceCache::new(),
-                &CheckpointCache::new(),
-            )
-            .expect("sampled run succeeds"),
+            runner::evaluate_cell(&cell, &StReferenceCache::new(), &CheckpointCache::new())
+                .expect("sampled run succeeds"),
         );
     }
     // The workload label embeds the source names (`mcf-gcc` vs
     // `trace:...-gcc`); every measured quantity must agree exactly.
     let mut replayed = results.pop().unwrap();
     let live = results.pop().unwrap();
+    assert!(replayed.sampled.is_some());
     replayed.workload = live.workload.clone();
+    replayed.benchmarks = live.benchmarks.clone();
     assert_eq!(live, replayed, "sampled trace replay diverged");
     std::fs::remove_file(&path).ok();
 }
