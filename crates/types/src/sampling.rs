@@ -105,14 +105,30 @@ impl SamplingConfig {
     }
 }
 
+/// Two-sided 95% Student-t critical values for 1..=30 degrees of freedom.
+const T95: [f64; 30] = [
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+    2.052, 2.048, 2.045, 2.042,
+];
+
+/// The 95% critical value for an interval over `n` windows: Student's t
+/// with `n - 1` degrees of freedom up to 30, the normal 1.96 beyond. With
+/// the default three windows the normal value would make the interval
+/// about 2.2x too narrow.
+fn t95(n: usize) -> f64 {
+    T95.get(n.saturating_sub(2)).copied().unwrap_or(1.96)
+}
+
 /// One extrapolated metric: the window mean and its 95% confidence interval.
 #[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct MetricEstimate {
     /// Mean over measurement windows.
     pub mean: f64,
-    /// Half-width of the 95% confidence interval (`1.96 * s / sqrt(n)`;
-    /// zero when only one window was measured).
+    /// Half-width of the 95% confidence interval (`t * s / sqrt(n)`, with
+    /// `t` the Student-t critical value for `n - 1` degrees of freedom; zero
+    /// when only one window was measured).
     pub ci95: f64,
 }
 
@@ -131,7 +147,7 @@ impl MetricEstimate {
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / (n - 1.0);
         MetricEstimate {
             mean,
-            ci95: 1.96 * (var / n).sqrt(),
+            ci95: t95(samples.len()) * (var / n).sqrt(),
         }
     }
 
@@ -170,7 +186,7 @@ impl MetricEstimate {
             / (n - 1.0);
         MetricEstimate {
             mean: ratio,
-            ci95: 1.96 * (residual_var / n).sqrt() / mean_den,
+            ci95: t95(pairs.len()) * (residual_var / n).sqrt() / mean_den,
         }
     }
 
@@ -272,6 +288,23 @@ mod tests {
         let single = MetricEstimate::from_samples(&[2.5]);
         assert!((single.mean - 2.5).abs() < 1e-12);
         assert_eq!(single.ci95, 0.0);
+    }
+
+    #[test]
+    fn interval_uses_student_t_by_window_count() {
+        // Two windows: one degree of freedom, t = 12.706.
+        let e = MetricEstimate::from_samples(&[0.8, 1.2]);
+        let half_width = (0.08f64 / 2.0).sqrt();
+        assert!((e.ci95 - 12.706 * half_width).abs() < 1e-9);
+        // Three windows (the default cadence): t = 4.303, not 1.96.
+        assert_eq!(t95(3), 4.303);
+        assert_eq!(t95(31), 2.042);
+        assert_eq!(t95(32), 1.96);
+        let pairs = [(900.0, 1_000.0), (1_100.0, 1_000.0), (1_000.0, 1_000.0)];
+        let r = MetricEstimate::from_ratio(&pairs);
+        let s = MetricEstimate::from_samples(&[0.9, 1.1, 1.0]);
+        assert!((r.ci95 - s.ci95).abs() < 1e-12);
+        assert!((s.ci95 - 4.303 * (0.01f64 / 3.0).sqrt()).abs() < 1e-9);
     }
 
     #[test]
