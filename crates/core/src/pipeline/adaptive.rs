@@ -60,6 +60,11 @@ impl AdaptiveState {
         }
     }
 
+    /// The cycle count after the step whose end ticks the current interval.
+    pub(super) fn next_boundary(&self) -> u64 {
+        self.interval_start + self.config.interval_cycles
+    }
+
     fn record_residency(&mut self, policy: FetchPolicyKind) {
         match self.residency.iter_mut().find(|(p, _)| *p == policy) {
             Some((_, count)) => *count += 1,
@@ -166,6 +171,9 @@ impl Core {
         if elapsed < adaptive.config.interval_cycles {
             return;
         }
+        // The selector consumes the interval (and may swap the policy): the
+        // cycle is not quiet.
+        self.busy = true;
         let current = self.policy.kind();
         adaptive.record_residency(current);
         // Publish the finished interval and re-baseline for the next one.

@@ -24,6 +24,8 @@ impl Core {
                     break;
                 }
                 let op = ctx.window.op_at(0);
+                // A rejected store is activity too: it counts a rejection.
+                self.busy = true;
                 if op.kind == OpKind::Store && !self.write_buffer.try_push(cycle) {
                     // Commit blocks when the write buffer is full (Section 5).
                     break;

@@ -129,6 +129,7 @@ impl Core {
                     }
                 }
                 remaining -= 1;
+                self.busy = true;
 
                 // Front-end long-latency / MLP prediction for loads.
                 if op.kind == OpKind::Load {

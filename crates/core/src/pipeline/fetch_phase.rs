@@ -11,6 +11,7 @@ impl Core {
         if self.fetch_frozen {
             // The sampled loop is draining in-flight work before a
             // fast-forward phase: nothing enters the pipeline.
+            self.gated_mask = 0;
             return;
         }
         let cycle = self.cycle;
@@ -23,11 +24,14 @@ impl Core {
         for t in &priority {
             selected |= 1 << t.index();
         }
+        let mut gated: u64 = 0;
         for ti in 0..self.threads.len() {
             if self.threads[ti].active && selected & (1 << ti) == 0 {
+                gated |= 1 << ti;
                 self.stats.thread_mut(ThreadId::new(ti)).fetch_gated_cycles += 1;
             }
         }
+        self.gated_mask = gated;
         let mut budget = self.config.fetch_width;
         let mut threads_used = 0;
         let frontend_ready_at = cycle + self.config.frontend_depth as u64;
@@ -78,6 +82,7 @@ impl Core {
                 self.policy.on_fetch(t, SeqNum(seq));
                 budget -= 1;
                 fetched_here += 1;
+                self.busy = true;
                 if predicted_taken {
                     // The fetch group ends at a predicted-taken branch.
                     break;

@@ -58,6 +58,7 @@ impl Core {
                 }
                 *unit -= 1;
                 remaining -= 1;
+                self.busy = true;
 
                 let mut done_at = cycle + op.kind.exec_latency();
                 let mut detected_lll = false;

@@ -22,6 +22,7 @@
 //! * [`dispatch_phase`](self) — shared-buffer allocation and resource stalls,
 //! * [`fetch_phase`](self) — policy-prioritized instruction fetch,
 //! * `squash` — branch/flush recovery, `stats` — per-cycle accounting,
+//! * `skip` — next-event cycle skipping over quiet cycles,
 //! * [`adaptive`] — the interval-telemetry collector and runtime
 //!   fetch-policy switching ([`Core::swap_policy`]).
 
@@ -33,6 +34,7 @@ mod fast_forward;
 mod fetch_phase;
 mod issue_phase;
 pub mod sampling;
+mod skip;
 mod squash;
 mod stats;
 mod thread;
@@ -123,6 +125,12 @@ pub struct Core {
     /// When set, the fetch phase pulls nothing: the sampled loop freezes
     /// fetch to drain in-flight work before a fast-forward phase.
     fetch_frozen: bool,
+    /// Set by every phase that changes pipeline state this cycle; a cycle
+    /// that leaves it clear is quiet and may be skipped past (see `skip`).
+    busy: bool,
+    /// Threads the fetch policy gated this cycle (bit per thread), so the
+    /// skipped cycles after a quiet one account the same gating.
+    gated_mask: u64,
     // Reusable per-cycle buffers: the steady-state cycle loop performs no heap
     // allocation.
     snapshot: SmtSnapshot,
@@ -193,6 +201,8 @@ impl Core {
             completions: BinaryHeap::new(),
             adaptive: None,
             fetch_frozen: false,
+            busy: false,
+            gated_mask: 0,
             priority: Vec::with_capacity(num_threads),
             flushes: Vec::new(),
             caps: vec![ResourceCaps::default(); num_threads],
@@ -250,6 +260,7 @@ impl Core {
         // Move the reusable buffers out of `self` for the duration of the cycle
         // (a pointer-sized swap, not an allocation) so the phases can borrow
         // them alongside `&mut self`.
+        self.busy = false;
         let mut snapshot = std::mem::take(&mut self.snapshot);
         self.refresh_snapshot(&mut snapshot);
         let mut caps = std::mem::take(&mut self.caps);
@@ -397,6 +408,10 @@ impl SmtSimulator {
     /// measured phase once any thread has committed the instruction budget (the
     /// paper's stop criterion) or the cycle limit is hit, and returns the
     /// statistics of the measured phase.
+    ///
+    /// Quiet cycles, in which no pipeline state changes, are skipped in one
+    /// jump; the result is bit-for-bit what a loop of [`SmtSimulator::step`]
+    /// calls with the same stop rules produces.
     pub fn run(&mut self, options: SimOptions) -> MachineStats {
         self.warm_up(options.warmup_instructions_per_thread, options.max_cycles);
         // analyze: allow(hot-path-alloc) reason="once per run at measured-phase entry, not per cycle"
@@ -410,7 +425,7 @@ impl SmtSimulator {
             {
                 break;
             }
-            self.step();
+            self.advance(options.max_cycles);
         }
         // `run` is the single writer of the aggregate cycle count; `step` only
         // advances the raw cycle counter.
@@ -434,7 +449,7 @@ impl SmtSimulator {
                 .zip(&targets)
                 .any(|(committed, &target)| committed < target)
         {
-            self.step();
+            self.advance(max_cycles);
         }
         self.reset_stats();
     }
@@ -444,8 +459,15 @@ impl SmtSimulator {
         self.core.reset_stats();
     }
 
-    /// Advances the machine by one cycle.
+    /// Advances the machine by exactly one cycle.
     pub fn step(&mut self) {
         self.core.step_against(&mut self.shared);
+    }
+
+    /// Advances one cycle and then skips any quiet cycles that follow, up to
+    /// `limit`: the stepping primitive of every run loop that owns a stop
+    /// condition which only a non-quiet cycle can change.
+    pub(crate) fn advance(&mut self, limit: u64) {
+        self.core.step_skipping_against(&mut self.shared, limit);
     }
 }

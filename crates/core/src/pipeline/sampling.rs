@@ -60,13 +60,44 @@ impl SmtSimulator {
     /// unfreezes fetch. Returns whether the pipeline fully drained within the
     /// safety cycle bound.
     pub fn drain_pipeline(&mut self) -> bool {
-        self.freeze_fetch(true);
         let limit = self.core.cycle() + MAX_DRAIN_CYCLES;
+        self.drain_until(limit)
+    }
+
+    /// Drains with fetch frozen until the pipeline is empty or the cycle
+    /// count reaches `limit`; returns whether it drained.
+    fn drain_until(&mut self, limit: u64) -> bool {
+        self.freeze_fetch(true);
         while !self.core.is_drained() && self.core.cycle() < limit {
-            self.step();
+            self.advance(limit);
         }
         self.freeze_fetch(false);
         self.core.is_drained()
+    }
+
+    /// The drain between a measurement window and the next fast-forward,
+    /// bounded by the run's cycle cap `max_cycles` and by `bound` cycles.
+    /// Fast-forwarding an undrained pipeline would reorder the LLSR commit
+    /// stream, so a drain that does not finish is an error: deadline
+    /// exceeded when the cap stopped it, internal otherwise.
+    fn drain_for_fast_forward(&mut self, max_cycles: u64, bound: u64) -> Result<(), SimError> {
+        let start = self.core.cycle();
+        if self.drain_until(max_cycles.min(start + bound)) {
+            return Ok(());
+        }
+        let cycle = self.core.cycle();
+        if cycle >= max_cycles {
+            // analyze: allow(hot-path-alloc) reason="error path, at most once per run"
+            Err(SimError::deadline_exceeded(format!(
+                "simulated-cycle cap of {max_cycles} cycles hit while draining the \
+                 pipeline after a sampled measurement window"
+            )))
+        } else {
+            // analyze: allow(hot-path-alloc) reason="error path, at most once per run"
+            Err(SimError::internal(format!(
+                "pipeline failed to drain within {bound} cycles (cycles {start}..{cycle})"
+            )))
+        }
     }
 
     /// Runs the workload in sampled mode and returns extrapolated IPC
@@ -82,7 +113,10 @@ impl SmtSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if `sampling` does not validate.
+    /// Returns [`SimError::InvalidConfig`] if `sampling` does not validate,
+    /// [`SimError::DeadlineExceeded`] if `options.max_cycles` stops the
+    /// drain after a measurement window, and [`SimError::Internal`] if a
+    /// drain does not finish within its safety bound.
     pub fn run_sampled(
         &mut self,
         options: SimOptions,
@@ -138,7 +172,7 @@ impl SmtSimulator {
                 {
                     break;
                 }
-                self.step();
+                self.advance(measure_cap);
             }
             let cycles = self.measured_cycles();
             if cycles > 0 {
@@ -155,7 +189,7 @@ impl SmtSimulator {
             }
 
             // Drain so the next fast-forward starts from a sound boundary.
-            self.drain_pipeline();
+            self.drain_for_fast_forward(options.max_cycles, MAX_DRAIN_CYCLES)?;
         }
 
         // Ratio estimates (Σ committed / Σ cycles): equal weight per cycle,
@@ -191,5 +225,84 @@ impl SmtSimulator {
             window_cycles,
             window_thread_committed,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::{build_trace, RunScale};
+    use smt_types::config::FetchPolicyKind;
+    use smt_types::SmtConfig;
+
+    fn build_sim(benchmarks: &[&str]) -> SmtSimulator {
+        let mut config = SmtConfig::baseline(benchmarks.len());
+        config.fetch_policy = FetchPolicyKind::MlpFlush;
+        config.write_buffer_entries = 2;
+        let traces = benchmarks
+            .iter()
+            .map(|b| build_trace(b, RunScale::tiny()).expect("known benchmark"))
+            .collect();
+        SmtSimulator::new(config, traces).expect("valid configuration")
+    }
+
+    fn write_buffer_busy(sim: &mut SmtSimulator) -> bool {
+        let now = sim.cycle();
+        sim.core.write_buffer.occupancy(now) > 0
+    }
+
+    #[test]
+    fn drain_stops_on_the_same_cycle_as_a_frozen_step_loop() {
+        let benchmarks = ["swim", "mcf", "gcc"];
+        let mut skipping = build_sim(&benchmarks);
+        let mut stepping = build_sim(&benchmarks);
+        for drain in 0..20 {
+            // Step both machines to the next cycle with stores in the write
+            // buffer, then drain one by skipping and one cycle by cycle.
+            for sim in [&mut skipping, &mut stepping] {
+                sim.step();
+                while !write_buffer_busy(sim) {
+                    sim.step();
+                }
+            }
+            assert_eq!(skipping.cycle(), stepping.cycle());
+            assert!(skipping.drain_pipeline());
+            stepping.freeze_fetch(true);
+            while !stepping.core.is_drained() {
+                stepping.step();
+            }
+            stepping.freeze_fetch(false);
+            assert_eq!(skipping.cycle(), stepping.cycle(), "drain {drain}");
+            assert_eq!(skipping.stats(), stepping.stats(), "drain {drain}");
+        }
+    }
+
+    #[test]
+    fn drain_hitting_the_cycle_cap_is_deadline_exceeded() {
+        let mut sim = build_sim(&["mcf", "swim"]);
+        let options = SimOptions {
+            max_instructions_per_thread: 30_000,
+            warmup_instructions_per_thread: 0,
+            max_cycles: 300,
+        };
+        // The warm-up stops at the cap with work in flight, so the drain
+        // after the (empty) measurement window cannot run.
+        let err = sim
+            .run_sampled(options, &SamplingConfig::default())
+            .expect_err("capped drain must fail");
+        assert!(matches!(err, SimError::DeadlineExceeded { .. }), "{err}");
+        assert_eq!(sim.cycle(), 300, "the drain ran past the cycle cap");
+    }
+
+    #[test]
+    fn drain_exceeding_its_bound_is_internal() {
+        let mut sim = build_sim(&["mcf", "swim"]);
+        for _ in 0..200 {
+            sim.step();
+        }
+        let err = sim
+            .drain_for_fast_forward(u64::MAX, 1)
+            .expect_err("a one-cycle drain bound cannot empty a busy pipeline");
+        assert!(matches!(err, SimError::Internal { .. }), "{err}");
     }
 }

@@ -17,6 +17,9 @@ pub(super) enum SquashCause {
 
 impl Core {
     pub(super) fn apply_flush(&mut self, request: FlushRequest) {
+        // A flush request is activity even when it squashes nothing: the
+        // policy that emitted it may have changed its own state.
+        self.busy = true;
         let ti = request.thread.index();
         if ti >= self.threads.len() {
             return;

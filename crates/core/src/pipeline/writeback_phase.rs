@@ -34,6 +34,7 @@ impl Core {
                 break;
             }
             self.completions.pop();
+            self.busy = true;
             let ti = event.thread as usize;
             let ctx = &mut self.threads[ti];
             let Some(idx) = ctx.window.position_of_seq(event.seq) else {

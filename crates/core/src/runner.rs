@@ -425,7 +425,7 @@ fn record_st_curve(
     let mut next_checkpoint = interval;
     let budget = scale.instructions_per_thread;
     while sim.stats().threads[0].committed_instructions < budget && sim.cycle() < max_cycles {
-        sim.step();
+        sim.advance(max_cycles);
         let committed = sim.stats().threads[0].committed_instructions;
         while committed >= next_checkpoint {
             // `stats().cycles` is only finalized by `run()`; when stepping

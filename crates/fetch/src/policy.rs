@@ -49,6 +49,22 @@ pub struct ResourceCaps {
 /// callbacks in any thread order; policies must not rely on cross-thread
 /// ordering.
 ///
+/// # Cycle-skipping contract
+///
+/// The pipeline jumps over *quiet* cycles, in which nothing commits, issues,
+/// dispatches, fetches, completes or flushes, without calling the policy
+/// (see `smt_core::pipeline`). The skipped cycles must behave as the quiet
+/// cycle did, so every policy must satisfy three rules:
+///
+/// * per-cycle queries never read [`SmtSnapshot::cycle`];
+/// * for an unchanged snapshot, per-cycle queries are idempotent: a second
+///   call returns the same answer and leaves the same state as the first;
+/// * beyond that, policy state changes only in the event callbacks (the
+///   `on_*` methods other than [`on_resource_stall`]) or in a query that
+///   emits a flush request.
+///
+/// All built-in policies satisfy these rules.
+///
 /// [`fetch_priority`]: FetchPolicy::fetch_priority
 /// [`on_resource_stall`]: FetchPolicy::on_resource_stall
 /// [`resource_caps`]: FetchPolicy::resource_caps

@@ -70,6 +70,13 @@ impl WriteBuffer {
         self.entries.len()
     }
 
+    /// Completion cycle of the youngest buffered store: the buffer is empty
+    /// at every `now` at or after it. Entries already drained by an earlier
+    /// query may still be reported; they lie at or before that query's `now`.
+    pub fn youngest_completion(&self) -> Option<u64> {
+        self.entries.last().copied()
+    }
+
     /// Total stores accepted.
     pub fn total_stores(&self) -> u64 {
         self.total_stores
@@ -107,8 +114,10 @@ mod tests {
         wb.try_push(0); // done at 200 (serialized)
         assert_eq!(wb.occupancy(150), 1);
         assert!(wb.try_push(150));
+        assert_eq!(wb.youngest_completion(), Some(300));
         assert_eq!(wb.occupancy(201), 1); // the 150 push drains at 300
         assert_eq!(wb.occupancy(301), 0);
+        assert_eq!(wb.youngest_completion(), None);
         assert_eq!(wb.total_stores(), 3);
     }
 
