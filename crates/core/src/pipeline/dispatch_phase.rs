@@ -98,6 +98,7 @@ impl Core {
                 let pc = op.pc;
                 ctx.window.set_src_dep_offsets(idx, dep_offsets);
                 ctx.window.mark_dispatched(idx);
+                ctx.issue_idle = false;
                 {
                     let flags = ctx.window.flags_mut(idx);
                     flags.set_uses_lsq(uses_lsq);

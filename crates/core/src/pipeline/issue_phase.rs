@@ -27,6 +27,9 @@ impl Core {
                 break;
             }
             let ti = (self.rotate + offset) % num_threads;
+            if self.threads[ti].issue_idle {
+                continue;
+            }
             let thread_id = ThreadId::new(ti);
             // Resume after the settled prefix of already-issued instructions,
             // then gather this thread's ready-to-issue candidates in one tight
@@ -38,6 +41,7 @@ impl Core {
             self.threads[ti]
                 .window
                 .collect_issue_candidates(start, &mut candidates);
+            self.threads[ti].issue_idle = candidates.is_empty();
             let mut candidate_pos = 0;
             while remaining > 0 && candidate_pos < candidates.len() {
                 let idx = candidates[candidate_pos] as usize;

@@ -273,7 +273,7 @@ impl Core {
         self.issue_phase(shared);
         self.dispatch_phase(&mut snapshot, caps_apply.then_some(caps.as_slice()));
         self.fetch_phase(&snapshot);
-        self.account_mlp();
+        self.account_mlp(1);
         self.cycle += 1;
         self.rotate = (self.rotate + 1) % self.threads.len();
         self.snapshot = snapshot;

@@ -85,19 +85,10 @@ impl Core {
     /// skipped cycles exactly as stepping through them would have.
     fn skip_to(&mut self, target: u64) {
         let skipped = target - self.cycle;
+        self.account_mlp(skipped);
         for ti in 0..self.threads.len() {
-            let outstanding = self.threads[ti].outstanding_lll.len() as u64;
-            let gated = self.gated_mask & (1 << ti) != 0;
-            if outstanding == 0 && !gated {
-                continue;
-            }
-            let tstats = self.stats.thread_mut(ThreadId::new(ti));
-            if outstanding > 0 {
-                tstats.mlp_cycles += skipped;
-                tstats.mlp_outstanding_sum += skipped * outstanding;
-            }
-            if gated {
-                tstats.fetch_gated_cycles += skipped;
+            if self.gated_mask & (1 << ti) != 0 {
+                self.stats.thread_mut(ThreadId::new(ti)).fetch_gated_cycles += skipped;
             }
         }
         let num_threads = self.threads.len() as u64;

@@ -68,13 +68,15 @@ impl Core {
         debug_assert_eq!(self.totals, expect, "incremental occupancy totals drifted");
     }
 
-    pub(super) fn account_mlp(&mut self) {
+    /// Accounts `cycles` cycles of the current outstanding long-latency
+    /// loads: one per step, or a whole skipped stretch at once.
+    pub(super) fn account_mlp(&mut self, cycles: u64) {
         for ti in 0..self.threads.len() {
             let outstanding = self.threads[ti].outstanding_lll.len() as u64;
             if outstanding > 0 {
                 let tstats = self.stats.thread_mut(ThreadId::new(ti));
-                tstats.mlp_cycles += 1;
-                tstats.mlp_outstanding_sum += outstanding;
+                tstats.mlp_cycles += cycles;
+                tstats.mlp_outstanding_sum += cycles * outstanding;
             }
         }
     }

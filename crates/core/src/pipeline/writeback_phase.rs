@@ -46,6 +46,7 @@ impl Core {
                 flags.issued() && !flags.completed() && ctx.window.done_at(idx) == event.done_at
             );
             ctx.window.flags_mut(idx).set_completed(true);
+            ctx.issue_idle = false;
             let seq = event.seq;
             let was_lll = flags.is_long_latency();
             let was_l1_miss = flags.l1_missed();
