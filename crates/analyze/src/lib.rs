@@ -26,10 +26,9 @@
 //!   counters or cycle accounting: warming must be invisible to everything
 //!   the measure windows report;
 //! * **sync-discipline** — simulation state is single-owner: locks, atomics,
-//!   interior mutability and `unsafe` live only in the sanctioned chip
-//!   worker-pool module (`crates/core/src/chip/parallel.rs`) and the
-//!   host-side harness files, and frozen read views expose only `&self`
-//!   methods.
+//!   interior mutability and `unsafe` live only in the host-side harness
+//!   files (experiment engine, runner, bench harness), never in a
+//!   simulation module, and frozen read views expose only `&self` methods.
 //!
 //! A finding is suppressed with a justified annotation on (or directly
 //! above) the offending line:

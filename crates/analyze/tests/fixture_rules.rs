@@ -117,32 +117,31 @@ fn sampling_discipline_fires_only_in_the_fast_forward_file() {
 }
 
 #[test]
-fn sync_discipline_fires_in_sim_crates_outside_the_pool_module() {
-    let report = analyze_inputs(&[input(
-        "crates/adapt/src/fake.rs",
-        include_str!("fixtures/sync_discipline.rs"),
-    )]);
-    // `&self` view queries (line 14) and `&mut self` methods on non-view
-    // impls (line 24) are legal; the allowed Mutex on line 38 is suppressed,
-    // not reported.
-    assert_eq!(
-        hits(&report),
-        vec![
-            (6, "sync-discipline"),
-            (7, "sync-discipline"),
-            (18, "sync-discipline"),
-            (30, "sync-discipline"),
-            (31, "sync-discipline"),
-            (32, "sync-discipline"),
-        ]
-    );
-    assert_eq!(report.suppressed.len(), 1);
+fn sync_discipline_fires_in_every_sim_module() {
+    for path in ["crates/adapt/src/fake.rs", "crates/core/src/chip/mod.rs"] {
+        let report = analyze_inputs(&[input(path, include_str!("fixtures/sync_discipline.rs"))]);
+        // `&self` view queries (line 14) and `&mut self` methods on non-view
+        // impls (line 24) are legal; the allowed Mutex on line 38 is
+        // suppressed, not reported.
+        assert_eq!(
+            hits(&report),
+            vec![
+                (6, "sync-discipline"),
+                (7, "sync-discipline"),
+                (18, "sync-discipline"),
+                (30, "sync-discipline"),
+                (31, "sync-discipline"),
+                (32, "sync-discipline"),
+            ],
+            "{path}"
+        );
+        assert_eq!(report.suppressed.len(), 1, "{path}");
+    }
 }
 
 #[test]
-fn sync_discipline_spares_the_pool_module_and_the_harness() {
+fn sync_discipline_spares_only_the_harness() {
     for path in [
-        "crates/core/src/chip/parallel.rs",
         "crates/core/src/runner.rs",
         "crates/core/src/throughput.rs",
         "crates/core/src/experiments/engine.rs",

@@ -1,6 +1,6 @@
 //! Fixture: sync-discipline. Fed to the analyzer under a simulation-crate
 //! path; never compiled. Synchronization primitives, interior mutability
-//! and `unsafe` are forbidden outside the chip worker-pool module, and
+//! and `unsafe` are forbidden outside the host-side harness files, and
 //! frozen read views must stay `&self`.
 
 use std::sync::Mutex; // line 6: lock type

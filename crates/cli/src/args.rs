@@ -142,9 +142,6 @@ pub struct BenchArgs {
     pub baseline: Option<String>,
     /// `--cores <n>`: additionally run the chip scenario at n cores x 2 threads.
     pub cores: Option<usize>,
-    /// `--chip-threads <n>`: worker threads stepping every chip row's cores
-    /// (1 = serial; overrides each scenario's own setting).
-    pub chip_threads: Option<usize>,
     /// `--selector <name>`: selector driving the adaptive matrix row.
     pub selector: Option<SelectorKind>,
     /// `--interval <cycles>`: interval length of the adaptive matrix row.
@@ -168,9 +165,6 @@ pub struct RunArgs {
     pub limit: Option<usize>,
     /// `--cores <n>`: overrides a chip spec's core count.
     pub cores: Option<usize>,
-    /// `--chip-threads <n>`: worker threads stepping a chip spec's cores
-    /// within each cell (1 = serial; distinct from the engine's `--threads`).
-    pub chip_threads: Option<usize>,
     /// `--selector <name>`: restricts an adaptive spec to one selector.
     pub selector: Option<SelectorKind>,
     /// `--interval <cycles>`: overrides an adaptive spec's interval length.
@@ -208,7 +202,6 @@ impl RunArgs {
             per_group: None,
             limit: None,
             cores: None,
-            chip_threads: None,
             selector: None,
             interval: None,
             threads: None,
@@ -311,16 +304,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         }
                         run.cores = Some(cores);
                     }
-                    "--chip-threads" => {
-                        let value = value_for("--chip-threads")?;
-                        let threads: usize = value
-                            .parse()
-                            .map_err(|_| format!("invalid chip thread count `{value}`"))?;
-                        if threads == 0 {
-                            return Err("`--chip-threads` must be at least 1".to_string());
-                        }
-                        run.chip_threads = Some(threads);
-                    }
                     "--threads" => {
                         let value = value_for("--threads")?;
                         let threads: usize = value
@@ -411,16 +394,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                             return Err("`--cores` must be between 2 and 8 for bench".to_string());
                         }
                         bench.cores = Some(cores);
-                    }
-                    "--chip-threads" => {
-                        let value = value_for("--chip-threads")?;
-                        let threads: usize = value
-                            .parse()
-                            .map_err(|_| format!("invalid chip thread count `{value}`"))?;
-                        if threads == 0 {
-                            return Err("`--chip-threads` must be at least 1".to_string());
-                        }
-                        bench.chip_threads = Some(threads);
                     }
                     "--selector" => {
                         bench.selector = Some(parse_selector(&value_for("--selector")?)?);
@@ -663,7 +636,6 @@ BENCH FLAGS:
     --instructions <n>  Instructions per thread (default 30000; 3000 with --quick)
     --runs <n>          Timed repetitions per scenario (default 3; 1 with --quick)
     --cores <n>         Also run the chip scenario at n cores x 2 threads (2-8)
-    --chip-threads <n>  Worker threads stepping every chip row's cores (1 = serial)
     --selector <s>      Selector for the adaptive row (static|sampling|mlp-threshold)
     --interval <n>      Interval cycles for the adaptive row (default 512)
     --out <path>        Trajectory path to append to (default BENCH_throughput.json)
@@ -676,7 +648,6 @@ RUN FLAGS:
     --per-group <n>     Keep at most n workloads per ILP/MLP/MIX group
     --limit <n>         Keep at most the first n workloads
     --cores <n>         Override a chip spec's core count
-    --chip-threads <n>  Worker threads stepping a chip spec's cores (1 = serial)
     --selector <s>      Restrict an adaptive spec to one selector
     --interval <n>      Override an adaptive spec's interval length (cycles)
     --threads <n>       Engine worker threads (default: all cores)
@@ -713,7 +684,6 @@ EXIT CODES (run):
 EXAMPLES:
     smt-cli run fig09_two_thread_policies --scale test --out /tmp/r.json
     smt-cli run chip_2c2t_allocation_matrix --scale tiny --limit 1
-    smt-cli run chip_4c2t_allocation_matrix --scale test --chip-threads 4
     smt-cli run adaptive_4t --scale test --selector sampling --interval 256
     smt-cli describe fig09_two_thread_policies > my_experiment.toml
     smt-cli run my_experiment.toml --threads 8
@@ -855,23 +825,6 @@ mod tests {
         assert!(parse_err(&["run", "x", "--cores", "0"]).contains("at least 1"));
         assert!(parse_err(&["bench", "--cores", "1"]).contains("between 2 and 8"));
         assert!(parse_err(&["bench", "--cores", "9"]).contains("between 2 and 8"));
-    }
-
-    #[test]
-    fn chip_threads_flags_parse_and_validate() {
-        let Command::Run(run) =
-            parse_ok(&["run", "chip_2c2t_allocation_matrix", "--chip-threads", "2"])
-        else {
-            panic!("expected run");
-        };
-        assert_eq!(run.chip_threads, Some(2));
-        let Command::Bench(bench) = parse_ok(&["bench", "--chip-threads", "4"]) else {
-            panic!("expected bench");
-        };
-        assert_eq!(bench.chip_threads, Some(4));
-        assert!(parse_err(&["run", "x", "--chip-threads", "0"]).contains("at least 1"));
-        assert!(parse_err(&["bench", "--chip-threads", "zero"]).contains("invalid chip thread"));
-        assert!(parse_err(&["bench", "--chip-threads"]).contains("--chip-threads"));
     }
 
     #[test]

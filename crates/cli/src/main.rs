@@ -252,7 +252,6 @@ fn execute_bench(bench: BenchArgs) -> Result<(), String> {
     opts.extra_chip_cores = bench.cores;
     opts.adaptive_selector = bench.selector;
     opts.adaptive_interval = bench.interval;
-    opts.chip_threads = bench.chip_threads;
     // Load the baseline up front: a missing or malformed file must fail before
     // the (minutes-long) measurement, not after it. Both the trajectory schema
     // and the legacy single-report schema are accepted; the latest entry is
@@ -430,18 +429,6 @@ fn execute(run: RunArgs) -> Result<ExitCode, String> {
             None => {
                 return Err(format!(
                     "`--cores` only applies to chip_grid specs; `{}` is a `{}` experiment",
-                    spec.name,
-                    spec.kind.name()
-                ))
-            }
-        }
-    }
-    if let Some(chip_threads) = run.chip_threads {
-        match spec.chip.as_mut() {
-            Some(chip) => chip.chip_threads = Some(chip_threads),
-            None => {
-                return Err(format!(
-                    "`--chip-threads` only applies to chip_grid specs; `{}` is a `{}` experiment",
                     spec.name,
                     spec.kind.name()
                 ))

@@ -1,6 +1,6 @@
-//! Untrusted files must fail cleanly: a spec TOML or checkpoint JSON nested
+//! Untrusted input must fail cleanly: a spec TOML or checkpoint JSON nested
 //! far deeper than any real document exits with a load error and a message,
-//! never a stack-overflow abort.
+//! never a stack-overflow abort, and retired knobs are rejected, not ignored.
 
 use std::process::Command;
 
@@ -44,5 +44,39 @@ fn deeply_nested_spec_and_checkpoint_fail_with_a_load_error() {
         let (code, stderr) = run_on(args, name, &contents);
         assert_eq!(code, Some(1), "{args:?} {name}: {stderr}");
         assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+    }
+}
+
+/// The retired `chip_threads` spec field accepts only 1: any other value is
+/// a validation error naming the field (exit 1), never silently ignored.
+#[test]
+fn chip_spec_with_retired_chip_threads_fails_naming_the_field() {
+    let describe = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+        .args(["describe", "chip_2c2t_allocation_matrix"])
+        .output()
+        .expect("smt-cli runs");
+    assert!(describe.status.success());
+    let spec = String::from_utf8(describe.stdout).expect("utf-8 spec");
+    let retired = spec.replace("[chip]\n", "[chip]\nchip_threads = 2\n");
+    assert_ne!(retired, spec, "describe output has a [chip] table");
+    let (code, stderr) = run_on(&["run"], "chip-threads-2.toml", &retired);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("chip.chip_threads"), "{stderr}");
+    assert!(stderr.contains("serially"), "{stderr}");
+}
+
+#[test]
+fn chip_threads_flag_is_an_unknown_argument() {
+    for args in [
+        &["run", "chip_2c2t_allocation_matrix", "--chip-threads", "2"][..],
+        &["bench", "--chip-threads", "2"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+            .args(args)
+            .output()
+            .expect("smt-cli runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag `--chip-threads`"), "{stderr}");
     }
 }

@@ -13,122 +13,40 @@
 //! Multi-core chips step each core against a frozen [`smt_mem::SharedLlcView`]
 //! of the cycle-start shared state plus a private [`smt_mem::CoreStage`]
 //! buffer, merged back in canonical core order at the end of the cycle. That
-//! staging makes core stepping commutative, which is what lets the run loops
-//! optionally step cores on a worker pool ([`parallel`]) — selected with
-//! [`smt_types::ChipConfig::chip_threads`] or the `SMT_CHIP_THREADS`
-//! environment variable — with bit-for-bit identical results.
+//! staging is what makes the result independent of the core stepping order:
+//! every core sees the same cycle-start state, whichever core goes first.
 //!
 //! A one-core chip degenerates exactly to the paper's single-core machine
 //! ([`crate::pipeline::SmtSimulator`]): same discipline, same per-requester
 //! MSHRs, uncontended bus, bit-for-bit identical statistics.
 
-pub mod parallel;
-
 use smt_fetch::build_policy;
-use smt_mem::{CoreStage, SharedLlc, StagedShared};
+use smt_mem::{CoreStage, SharedLevel, SharedLlc, StagedShared};
 use smt_trace::TraceSource;
 use smt_types::config::FetchPolicyKind;
 use smt_types::{AdaptiveConfig, ChipConfig, ChipStats, MachineStats, SimError};
 
 use crate::pipeline::{Core, SimOptions};
 
-pub use parallel::ChipSession;
-
 /// Instructions each thread advances per lockstep fast-forward round.
 const FF_ROUND: u64 = 64;
 
-/// The operations the chip run loops need from a stepping backend, so that
-/// [`run_loop`], [`warm_loop`] and [`ff_loop`] are written once and shared
-/// between the serial [`ChipSimulator`] and the pooled [`ChipSession`].
-pub(crate) trait ChipExec {
-    /// Current chip cycle.
-    fn exec_cycle(&self) -> u64;
-    /// Advances the chip by one cycle.
-    fn step_cycle(&mut self);
-    /// Advances every thread of every core by `chunk` instructions
-    /// functionally, inside one shared-level cycle bracket.
-    fn fast_forward_round(&mut self, chunk: u64);
-    /// Appends the committed instruction counts in `(core, thread)` order.
-    fn collect_committed(&self, out: &mut Vec<u64>);
-    /// Converts each core's live cycle counter into final statistics.
-    fn finalize_cores(&mut self);
-    /// Zeroes all statistics counters on every core.
-    fn reset_core_stats(&mut self);
+/// What every core does inside one shared-level cycle bracket.
+#[derive(Clone, Copy)]
+enum CoreAction {
+    /// One detailed pipeline cycle.
+    Step,
+    /// Functional fast-forward by this many instructions per thread.
+    FastForward(u64),
 }
 
-/// The warm-up phase: run until every thread has committed `instructions`
-/// more instructions (or the cycle limit), then clear statistics. The scratch
-/// vectors are reused across iterations, keeping the loop allocation-free
-/// after the first pass.
-pub(crate) fn warm_loop<E: ChipExec>(exec: &mut E, instructions: u64, max_cycles: u64) {
-    if instructions == 0 {
-        return;
-    }
-    let mut targets = Vec::new();
-    exec.collect_committed(&mut targets);
-    for target in &mut targets {
-        *target += instructions;
-    }
-    let mut committed = Vec::with_capacity(targets.len());
-    while exec.exec_cycle() < max_cycles {
-        committed.clear();
-        exec.collect_committed(&mut committed);
-        if !committed.iter().zip(&targets).any(|(&c, &t)| c < t) {
-            break;
+impl CoreAction {
+    fn apply<S: SharedLevel>(self, core: &mut Core, shared: &mut S) {
+        match self {
+            CoreAction::Step => core.step_against(shared),
+            CoreAction::FastForward(chunk) => core.fast_forward_against(shared, chunk),
         }
-        exec.step_cycle();
     }
-    exec.reset_core_stats();
-}
-
-/// The full run: warm-up, then the measured phase until any thread of any
-/// core commits the per-thread budget (the paper's stop criterion, applied
-/// chip-wide) or the cycle limit is hit.
-pub(crate) fn run_loop<E: ChipExec>(exec: &mut E, options: &SimOptions) {
-    warm_loop(
-        exec,
-        options.warmup_instructions_per_thread,
-        options.max_cycles,
-    );
-    let mut baselines = Vec::new();
-    exec.collect_committed(&mut baselines);
-    let mut committed = Vec::with_capacity(baselines.len());
-    while exec.exec_cycle() < options.max_cycles {
-        committed.clear();
-        exec.collect_committed(&mut committed);
-        if committed
-            .iter()
-            .zip(&baselines)
-            .any(|(&c, &base)| c - base >= options.max_instructions_per_thread)
-        {
-            break;
-        }
-        exec.step_cycle();
-    }
-    exec.finalize_cores();
-}
-
-/// Functional fast-forward by `instructions_per_thread`, in lockstep rounds
-/// of [`FF_ROUND`] instructions.
-pub(crate) fn ff_loop<E: ChipExec>(exec: &mut E, instructions_per_thread: u64) {
-    let mut remaining = instructions_per_thread;
-    while remaining > 0 {
-        let chunk = remaining.min(FF_ROUND);
-        exec.fast_forward_round(chunk);
-        remaining -= chunk;
-    }
-}
-
-/// Resolves the chip-stepping worker count: the `SMT_CHIP_THREADS`
-/// environment variable overrides the configured value, and the result is
-/// clamped to `[1, num_cores]` (extra workers would only idle).
-fn resolve_chip_threads(config: &ChipConfig) -> usize {
-    let configured = std::env::var("SMT_CHIP_THREADS") // analyze: allow(determinism) reason="worker-pool sizing only; chip results are bit-for-bit identical at any thread count"
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or_else(|| config.chip_threads());
-    configured.clamp(1, config.num_cores)
 }
 
 /// The chip (CMP-of-SMT) simulator.
@@ -179,9 +97,6 @@ pub struct ChipSimulator {
     stages: Vec<CoreStage>,
     shared: SharedLlc,
     cycle: u64,
-    /// Resolved worker count for the run loops (config value, overridden by
-    /// `SMT_CHIP_THREADS`, clamped to the core count).
-    chip_threads: usize,
     /// Reusable membership bitmask for validating explicit core orders.
     order_scratch: Vec<bool>,
 }
@@ -219,7 +134,6 @@ impl ChipSimulator {
         let stages = (0..config.num_cores)
             .map(|core_id| CoreStage::new(core_id * threads_per_core, threads_per_core))
             .collect();
-        let chip_threads = resolve_chip_threads(&config);
         let order_scratch = vec![false; config.num_cores];
         Ok(ChipSimulator {
             config,
@@ -227,7 +141,6 @@ impl ChipSimulator {
             stages,
             shared,
             cycle: 0,
-            chip_threads,
             order_scratch,
         })
     }
@@ -276,13 +189,6 @@ impl ChipSimulator {
         self.cores.len()
     }
 
-    /// The resolved chip-stepping worker count the run loops will use
-    /// (configuration value, overridden by `SMT_CHIP_THREADS`, clamped to
-    /// the core count; `1` = serial).
-    pub fn chip_threads(&self) -> usize {
-        self.chip_threads
-    }
-
     /// Current cycle count (identical across cores: they step in lockstep).
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -302,78 +208,29 @@ impl ChipSimulator {
         self.cores.first().map_or(0, |c| c.measured_cycles())
     }
 
-    /// Splits the simulator into the disjoint parts the worker pool needs.
-    pub(crate) fn pool_parts(
-        &mut self,
-    ) -> (&mut [Core], &mut [CoreStage], &mut SharedLlc, &mut u64) {
-        (
-            &mut self.cores,
-            &mut self.stages,
-            &mut self.shared,
-            &mut self.cycle,
-        )
-    }
-
-    /// Steps every core once within the current (already begun) shared-level
-    /// cycle, visiting cores in `order`. Multi-core chips step staged —
-    /// each core against a frozen view plus its own stage buffer, merged
-    /// back in canonical core order — so the result is independent of
-    /// `order`; a one-core chip steps directly (legacy discipline).
-    fn step_cores(&mut self, order: Option<&[usize]>) {
+    /// Runs one shared-level cycle bracket: `action` on every core, visiting
+    /// cores in `order` (ascending core id when `None`). Multi-core chips
+    /// act staged — each core against a frozen view plus its own stage
+    /// buffer, merged back in canonical core order — so the result is
+    /// independent of `order`; a one-core chip acts directly (legacy
+    /// discipline). The chip cycle counter is left to the caller.
+    fn cycle_bracket(&mut self, action: CoreAction, order: Option<&[usize]>) {
+        self.shared.begin_cycle(self.cycle);
         if self.shared.chip_arbitration() {
-            match order {
-                None => {
-                    for (core, stage) in self.cores.iter_mut().zip(self.stages.iter_mut()) {
-                        let mut staged = StagedShared::new(self.shared.view(), stage);
-                        core.step_against(&mut staged);
-                    }
-                }
-                Some(order) => {
-                    for &core in order {
-                        let mut staged =
-                            StagedShared::new(self.shared.view(), &mut self.stages[core]);
-                        self.cores[core].step_against(&mut staged);
-                    }
-                }
+            for i in 0..self.cores.len() {
+                let core = order.map_or(i, |order| order[i]);
+                let mut staged = StagedShared::new(self.shared.view(), &mut self.stages[core]);
+                action.apply(&mut self.cores[core], &mut staged);
             }
             for stage in &mut self.stages {
                 self.shared.merge_stage(stage);
             }
         } else {
             for core in &mut self.cores {
-                core.step_against(&mut self.shared);
+                action.apply(core, &mut self.shared);
             }
         }
-    }
-
-    /// Fast-forwards every core by `chunk` instructions per thread within
-    /// the current shared-level cycle, visiting cores in `order` (staged for
-    /// multi-core chips, exactly like [`ChipSimulator::step_cores`]).
-    fn fast_forward_cores(&mut self, chunk: u64, order: Option<&[usize]>) {
-        if self.shared.chip_arbitration() {
-            match order {
-                None => {
-                    for (core, stage) in self.cores.iter_mut().zip(self.stages.iter_mut()) {
-                        let mut staged = StagedShared::new(self.shared.view(), stage);
-                        core.fast_forward_against(&mut staged, chunk);
-                    }
-                }
-                Some(order) => {
-                    for &core in order {
-                        let mut staged =
-                            StagedShared::new(self.shared.view(), &mut self.stages[core]);
-                        self.cores[core].fast_forward_against(&mut staged, chunk);
-                    }
-                }
-            }
-            for stage in &mut self.stages {
-                self.shared.merge_stage(stage);
-            }
-        } else {
-            for core in &mut self.cores {
-                core.fast_forward_against(&mut self.shared, chunk);
-            }
-        }
+        self.shared.end_cycle();
     }
 
     /// Validates that `order` is a permutation of `0..num_cores`, reusing
@@ -394,9 +251,7 @@ impl ChipSimulator {
     /// Advances the whole chip by one cycle, stepping cores in ascending
     /// core-id order.
     pub fn step(&mut self) {
-        self.shared.begin_cycle(self.cycle);
-        self.step_cores(None);
-        self.shared.end_cycle();
+        self.cycle_bracket(CoreAction::Step, None);
         self.cycle += 1;
     }
 
@@ -410,9 +265,7 @@ impl ChipSimulator {
     /// Panics if `order` is not a permutation of `0..num_cores`.
     pub fn step_with_core_order(&mut self, order: &[usize]) {
         self.check_core_order(order);
-        self.shared.begin_cycle(self.cycle);
-        self.step_cores(Some(order));
-        self.shared.end_cycle();
+        self.cycle_bracket(CoreAction::Step, Some(order));
         self.cycle += 1;
     }
 
@@ -427,18 +280,8 @@ impl ChipSimulator {
     /// lockstep rounds bracketed by the shared level's cycle discipline, so
     /// under chip arbitration the resulting state is — like detailed
     /// stepping — invariant to the order cores advance within a round.
-    ///
-    /// With more than one resolved chip thread the rounds run on the worker
-    /// pool; results are identical either way.
     pub fn fast_forward(&mut self, instructions_per_thread: u64) {
-        if self.chip_threads > 1 {
-            let workers = self.chip_threads;
-            parallel::with_pool(self, workers, |session| {
-                ff_loop(session, instructions_per_thread);
-            });
-        } else {
-            ff_loop(self, instructions_per_thread);
-        }
+        self.fast_forward_rounds(instructions_per_thread, None);
     }
 
     /// Functionally fast-forwards like [`ChipSimulator::fast_forward`], but
@@ -451,12 +294,15 @@ impl ChipSimulator {
     /// Panics if `order` is not a permutation of `0..num_cores`.
     pub fn fast_forward_with_core_order(&mut self, instructions_per_thread: u64, order: &[usize]) {
         self.check_core_order(order);
+        self.fast_forward_rounds(instructions_per_thread, Some(order));
+    }
+
+    /// The lockstep fast-forward rounds of [`FF_ROUND`] instructions each.
+    fn fast_forward_rounds(&mut self, instructions_per_thread: u64, order: Option<&[usize]>) {
         let mut remaining = instructions_per_thread;
         while remaining > 0 {
             let chunk = remaining.min(FF_ROUND);
-            self.shared.begin_cycle(self.cycle);
-            self.fast_forward_cores(chunk, Some(order));
-            self.shared.end_cycle();
+            self.cycle_bracket(CoreAction::FastForward(chunk), order);
             remaining -= chunk;
         }
     }
@@ -466,43 +312,36 @@ impl ChipSimulator {
     /// instruction budget (the paper's stop criterion, applied chip-wide) or
     /// the cycle limit is hit, and returns the statistics of the measured
     /// phase.
-    ///
-    /// With more than one resolved chip thread ([`ChipConfig::chip_threads`]
-    /// or `SMT_CHIP_THREADS`) the whole run — warm-up and measurement —
-    /// executes on the worker pool; results are bit-for-bit identical to the
-    /// serial loop.
     pub fn run(&mut self, options: SimOptions) -> ChipStats {
-        if self.chip_threads > 1 {
-            let workers = self.chip_threads;
-            parallel::with_pool(self, workers, |session| run_loop(session, &options));
-        } else {
-            run_loop(self, &options);
+        self.warm_up(options.warmup_instructions_per_thread, options.max_cycles);
+        let baselines: Vec<u64> = self.committed().collect();
+        while self.cycle < options.max_cycles
+            && !self
+                .committed()
+                .zip(&baselines)
+                .any(|(c, &base)| c - base >= options.max_instructions_per_thread)
+        {
+            self.step();
+        }
+        for core in &mut self.cores {
+            core.finalize_cycles();
         }
         self.chip_stats()
     }
 
     /// Runs until every thread of every core has committed `instructions`
-    /// further instructions, then clears all statistics (microarchitectural
-    /// state stays warm). A zero-length warm-up is a no-op. Pooled when more
-    /// than one chip thread is resolved, with identical results.
+    /// further instructions (or the cycle limit is hit), then clears all
+    /// statistics (microarchitectural state stays warm). A zero-length
+    /// warm-up is a no-op.
     pub fn warm_up(&mut self, instructions: u64, max_cycles: u64) {
-        if self.chip_threads > 1 {
-            let workers = self.chip_threads;
-            parallel::with_pool(self, workers, |session| {
-                warm_loop(session, instructions, max_cycles);
-            });
-        } else {
-            warm_loop(self, instructions, max_cycles);
+        if instructions == 0 {
+            return;
         }
-    }
-
-    /// Runs `f` against a pooled stepping session at the resolved worker
-    /// count, even if that is 1. The pool (threads, barriers, locks) lives
-    /// for the duration of the call; cycles stepped inside the session are
-    /// bit-for-bit identical to [`ChipSimulator::step`].
-    pub fn with_parallel_session<R>(&mut self, f: impl FnOnce(&mut ChipSession<'_, '_>) -> R) -> R {
-        let workers = self.chip_threads;
-        parallel::with_pool(self, workers, f)
+        let targets: Vec<u64> = self.committed().map(|c| c + instructions).collect();
+        while self.cycle < max_cycles && self.committed().zip(&targets).any(|(c, &t)| c < t) {
+            self.step();
+        }
+        self.reset_stats();
     }
 
     /// Zeroes all statistics counters on every core without disturbing
@@ -523,36 +362,6 @@ impl ChipSimulator {
             .first()
             .map_or(0, |c| c.cycles.max(self.measured_cycles()));
         ChipStats { cycles, cores }
-    }
-}
-
-impl ChipExec for ChipSimulator {
-    fn exec_cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn step_cycle(&mut self) {
-        self.step();
-    }
-
-    fn fast_forward_round(&mut self, chunk: u64) {
-        self.shared.begin_cycle(self.cycle);
-        self.fast_forward_cores(chunk, None);
-        self.shared.end_cycle();
-    }
-
-    fn collect_committed(&self, out: &mut Vec<u64>) {
-        out.extend(self.committed());
-    }
-
-    fn finalize_cores(&mut self) {
-        for core in &mut self.cores {
-            core.finalize_cycles();
-        }
-    }
-
-    fn reset_core_stats(&mut self) {
-        self.reset_stats();
     }
 }
 
@@ -615,58 +424,5 @@ mod tests {
         let chip = ChipConfig::baseline(2, 2);
         let err = ChipSimulator::new(chip, chip_traces(&[&["mcf", "gcc"]], scale));
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn pooled_run_matches_serial_run() {
-        let scale = RunScale::tiny();
-        let run = |threads: usize| {
-            let chip = ChipConfig::baseline(2, 2).with_chip_threads(threads);
-            let mut sim = ChipSimulator::new(
-                chip,
-                chip_traces(&[&["mcf", "gcc"], &["swim", "twolf"]], scale),
-            )
-            .unwrap();
-            sim.run(scale.sim_options())
-        };
-        assert_eq!(run(1), run(2));
-    }
-
-    #[test]
-    fn parallel_session_steps_match_serial_steps() {
-        let scale = RunScale::tiny();
-        let build = |threads: usize| {
-            let chip = ChipConfig::baseline(2, 2).with_chip_threads(threads);
-            ChipSimulator::new(
-                chip,
-                chip_traces(&[&["mcf", "swim"], &["gcc", "twolf"]], scale),
-            )
-            .unwrap()
-        };
-        let mut serial = build(1);
-        let mut pooled = build(2);
-        pooled.with_parallel_session(|session| {
-            for _ in 0..3_000 {
-                session.step_cycle();
-            }
-            assert_eq!(session.session_cycle(), 3_000);
-        });
-        for _ in 0..3_000 {
-            serial.step();
-        }
-        assert_eq!(serial.chip_stats(), pooled.chip_stats());
-        assert_eq!(serial.cycle(), pooled.cycle());
-    }
-
-    #[test]
-    fn chip_threads_clamps_to_core_count() {
-        let scale = RunScale::tiny();
-        let chip = ChipConfig::baseline(2, 2).with_chip_threads(16);
-        let sim = ChipSimulator::new(
-            chip,
-            chip_traces(&[&["mcf", "gcc"], &["swim", "twolf"]], scale),
-        )
-        .unwrap();
-        assert_eq!(sim.chip_threads(), 2);
     }
 }

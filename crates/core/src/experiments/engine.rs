@@ -979,6 +979,26 @@ mod tests {
         assert_eq!(serial.summaries, parallel.summaries);
     }
 
+    /// The retired `chip.chip_threads` field, at its one accepted value, is
+    /// inert: the report equals the one of the same spec without it.
+    #[test]
+    fn retired_chip_threads_of_one_leaves_the_report_unchanged() {
+        let registry = crate::experiments::registry::ExperimentRegistry::builtin();
+        let spec = registry
+            .get("chip_2c2t_allocation_matrix")
+            .expect("registry entry")
+            .clone()
+            .with_scale(RunScale::tiny())
+            .with_workload_limit(1);
+        let mut explicit = spec.clone();
+        explicit.chip.as_mut().expect("chip spec").chip_threads = Some(1);
+        assert_eq!(spec.chip.as_ref().unwrap().chip_threads, None);
+        let absent = comparable(run_spec_with_threads(&spec, 1).unwrap());
+        let one = comparable(run_spec_with_threads(&explicit, 1).unwrap());
+        assert!(!absent.policy_cells.is_empty());
+        assert_eq!(absent, one);
+    }
+
     #[test]
     fn invalid_spec_is_rejected_before_running() {
         let mut spec = tiny_grid_spec();

@@ -215,9 +215,9 @@ pub struct ChipSpec {
     /// Shared LLC geometry; defaults to the Table IV L3 of the core
     /// configuration when absent.
     pub shared_llc: Option<CacheConfig>,
-    /// Worker threads stepping cores within a chip cycle (default 1 =
-    /// serial). Purely a host-side throughput knob: grid results are
-    /// bit-for-bit identical at any value.
+    /// Retired: chips always step their cores serially. Only an absent
+    /// field or `1` validates; any other value is an error, never silently
+    /// ignored.
     pub chip_threads: Option<usize>,
 }
 
@@ -473,7 +473,6 @@ impl ExperimentSpec {
                 bytes_per_cycle: chip.bus_bytes_per_cycle,
             },
             core,
-            chip_threads: chip.chip_threads,
         }
     }
 
@@ -568,6 +567,15 @@ impl ExperimentSpec {
             }
             if chip.allocations.is_empty() {
                 return Err(invalid(name, "chip.allocations: must not be empty"));
+            }
+            if let Some(threads) = chip.chip_threads.filter(|&t| t != 1) {
+                return Err(invalid(
+                    name,
+                    format!(
+                        "chip.chip_threads: retired field; chips step their cores \
+                         serially, so only 1 is accepted (got {threads})"
+                    ),
+                ));
             }
         }
         if self.kind == ExperimentKind::AdaptiveGrid {
@@ -1034,6 +1042,23 @@ mod tests {
             spec.chip.as_mut().unwrap().num_cores = cores;
             let err = spec.validate().unwrap_err().to_string();
             assert!(err.contains("num_cores"), "cores={cores}: {err}");
+        }
+    }
+
+    #[test]
+    fn retired_chip_threads_accepts_only_one() {
+        let mut spec = sample_chip_spec();
+        spec.chip.as_mut().unwrap().chip_threads = Some(1);
+        spec.validate().unwrap();
+        for threads in [0usize, 2, 8] {
+            spec.chip.as_mut().unwrap().chip_threads = Some(threads);
+            match spec.validate() {
+                Err(SimError::InvalidConfig { reason }) => {
+                    assert!(reason.contains("chip.chip_threads"), "{reason}");
+                    assert!(reason.contains("serially"), "{reason}");
+                }
+                other => panic!("chip_threads = {threads}: expected InvalidConfig, got {other:?}"),
+            }
         }
     }
 

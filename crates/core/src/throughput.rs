@@ -38,6 +38,13 @@ pub const TRAJECTORY_SCHEMA_VERSION: u32 = 2;
 /// trajectory number compared across commits.
 pub const BASELINE_SCENARIO: &str = "4t_mix_icount";
 
+/// Scenarios that `BENCH_throughput.json` history records but the matrix no
+/// longer runs, each with the reason it was retired.
+pub const RETIRED_SCENARIOS: &[(&str, &str)] = &[(
+    "4c2t_mix_chipthreads",
+    "chip worker pool removed: it ran 10-12x slower than serial chip stepping",
+)];
+
 /// Instruction-budget multiplier for sampled matrix rows: they run this many
 /// times the exact rows' per-thread budget, so a sampled row's wall-clock
 /// column demonstrates the fast-forward speedup side by side with the same
@@ -71,10 +78,6 @@ pub struct BenchScenario {
     /// [`smt_trace::FileTraceSource`] versus the same stream regenerated by
     /// the synthetic generator, both pulled in engine-sized refill batches.
     pub ingest: bool,
-    /// Chip rows: worker threads stepping the chip's cores (1 = serial
-    /// loop). Parallel rows exist to measure the pool's speedup on the same
-    /// workload as a serial row — simulated results are bit-for-bit equal.
-    pub chip_threads: usize,
 }
 
 /// The benchmark pool chip rows draw from (2 threads per core, core-major).
@@ -111,7 +114,6 @@ pub fn chip_scenario(cores: usize) -> Result<BenchScenario, SimError> {
         selector: None,
         sampled: false,
         ingest: false,
-        chip_threads: 1,
     })
 }
 
@@ -130,7 +132,6 @@ pub fn adaptive_scenario(selector: Option<SelectorKind>) -> BenchScenario {
         selector: Some(selector.unwrap_or(SelectorKind::Sampling)),
         sampled: false,
         ingest: false,
-        chip_threads: 1,
     }
 }
 
@@ -147,7 +148,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "1t_mlp_icount",
@@ -157,7 +157,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "2t_ilp_icount",
@@ -167,7 +166,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "2t_mlp_icount",
@@ -177,7 +175,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "2t_mlp_mlpflush",
@@ -187,7 +184,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "4t_ilp_icount",
@@ -197,7 +193,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "4t_mix_icount",
@@ -207,7 +202,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "4t_mix_mlpflush",
@@ -217,7 +211,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "4t_mlp_mlpflush",
@@ -227,7 +220,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         // The same workload as `4t_mlp_mlpflush` in sampled mode at ten
         // times the budget: its wall-clock and instrs/s columns sit next to
@@ -240,23 +232,9 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: true,
             ingest: false,
-            chip_threads: 1,
         },
     ];
     matrix.push(chip_scenario(2).expect("2-core chip scenario is always valid"));
-    // The serial 4-core chip row's workload stepped by a 2-worker pool: the
-    // wall-clock delta between this row and a serial `--cores 4` run is the
-    // standing measurement of what intra-chip parallelism buys.
-    matrix.push(BenchScenario {
-        name: "4c2t_mix_chipthreads",
-        benchmarks: &CHIP_MIX[..8],
-        policy: FetchPolicyKind::Icount,
-        cores: 4,
-        selector: None,
-        sampled: false,
-        ingest: false,
-        chip_threads: 2,
-    });
     matrix.push(adaptive_scenario(None));
     // Raw ingestion row: `.smtt` replay versus synthetic regeneration of the
     // same stream, in ops/sec. No machine is simulated; the row pins the
@@ -270,7 +248,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
         selector: None,
         sampled: false,
         ingest: true,
-        chip_threads: 1,
     });
     matrix
 }
@@ -294,9 +271,6 @@ pub struct BenchOptions {
     /// Interval-length override in cycles for the adaptive matrix row
     /// (`smt-cli bench --interval`).
     pub adaptive_interval: Option<u64>,
-    /// Worker-thread override for every chip row (`smt-cli bench
-    /// --chip-threads`); `None` keeps each scenario's own setting.
-    pub chip_threads: Option<usize>,
 }
 
 impl BenchOptions {
@@ -309,7 +283,6 @@ impl BenchOptions {
             extra_chip_cores: None,
             adaptive_selector: None,
             adaptive_interval: None,
-            chip_threads: None,
         }
     }
 
@@ -322,7 +295,6 @@ impl BenchOptions {
             extra_chip_cores: None,
             adaptive_selector: None,
             adaptive_interval: None,
-            chip_threads: None,
         }
     }
 }
@@ -350,8 +322,9 @@ pub struct ScenarioResult {
     /// Adaptive rows: the policy selector used (`None` for static rows and
     /// pre-adaptive reports).
     pub selector: Option<SelectorKind>,
-    /// Chip rows: worker threads that stepped the cores (`None` for
-    /// single-core rows and pre-parallelism reports).
+    /// Retired: worker threads that stepped a chip row's cores in reports
+    /// written while chips could step on a worker pool. Read from history,
+    /// never written (`None` in every new row).
     pub chip_threads: Option<usize>,
     /// Instruction budget per thread.
     pub instructions_per_thread: u64,
@@ -695,13 +668,6 @@ pub fn prepare_scenario(
     Ok((sim, options))
 }
 
-/// Worker threads a chip scenario will step its cores on: the
-/// `--chip-threads` override when given, the scenario's own setting
-/// otherwise (1 = serial loop). The simulator clamps to the core count.
-fn effective_chip_threads(scenario: &BenchScenario, opts: &BenchOptions) -> usize {
-    opts.chip_threads.unwrap_or(scenario.chip_threads).max(1)
-}
-
 /// Builds a ready-to-run chip simulator for a `cores > 1` scenario,
 /// dealing the benchmark list out over the cores core-major.
 fn prepare_chip_scenario(
@@ -715,9 +681,7 @@ fn prepare_chip_scenario(
         ));
     }
     let threads_per_core = scenario.benchmarks.len() / cores;
-    let config = ChipConfig::baseline(cores, threads_per_core)
-        .with_policy(scenario.policy)
-        .with_chip_threads(effective_chip_threads(scenario, opts));
+    let config = ChipConfig::baseline(cores, threads_per_core).with_policy(scenario.policy);
     let scale = RunScale::standard().with_instructions(opts.instructions_per_thread);
     let traces = scenario
         .benchmarks
@@ -795,7 +759,7 @@ pub fn run_scenario(
         policy: scenario.policy,
         cores: Some(scenario.cores),
         selector: scenario.selector,
-        chip_threads: (scenario.cores > 1).then(|| effective_chip_threads(scenario, opts)),
+        chip_threads: None,
         instructions_per_thread: opts.instructions_per_thread,
         simulated_cycles: stats.cycles,
         committed_instructions: committed,
@@ -1137,15 +1101,13 @@ mod tests {
             matrix.iter().any(|s| s.ingest),
             "matrix must contain a trace-ingestion row"
         );
-        let pooled = matrix
-            .iter()
-            .find(|s| s.chip_threads > 1)
-            .expect("matrix must contain a parallel chip row");
-        assert_eq!((pooled.name, pooled.cores), ("4c2t_mix_chipthreads", 4));
         let mut names: Vec<_> = matrix.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), matrix.len(), "scenario names must be unique");
+        for (retired, _) in RETIRED_SCENARIOS {
+            assert!(!names.contains(retired), "{retired} is retired");
+        }
     }
 
     #[test]
@@ -1158,7 +1120,6 @@ mod tests {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         };
         let result = run_scenario(&scenario, &tiny_opts()).unwrap();
         assert!(result.simulated_cycles > 0);
@@ -1223,7 +1184,6 @@ mod tests {
                 selector: None,
                 sampled: false,
                 ingest: false,
-                chip_threads: 1,
             },
             &tiny_opts(),
         )
@@ -1243,28 +1203,11 @@ mod tests {
         let result = run_scenario(&scenario, &tiny_opts()).unwrap();
         assert_eq!(result.cores, Some(2));
         assert_eq!(result.threads, 4);
-        assert_eq!(result.chip_threads, Some(1));
+        assert_eq!(result.chip_threads, None);
         assert!(result.simulated_cycles > 0);
         assert!(result.cycles_per_second > 0.0);
         assert!(chip_scenario(1).is_err());
         assert!(chip_scenario(9).is_err());
-    }
-
-    /// The `--chip-threads` override reaches the simulator and the report,
-    /// and the pooled row simulates the exact machine the serial row does.
-    #[test]
-    fn chip_threads_override_is_recorded_and_bit_for_bit() {
-        let scenario = chip_scenario(2).unwrap();
-        let serial = run_scenario(&scenario, &tiny_opts()).unwrap();
-        let opts = BenchOptions {
-            chip_threads: Some(2),
-            ..tiny_opts()
-        };
-        let pooled = run_scenario(&scenario, &opts).unwrap();
-        assert_eq!(pooled.chip_threads, Some(2));
-        assert_eq!(pooled.simulated_cycles, serial.simulated_cycles);
-        assert_eq!(pooled.committed_instructions, serial.committed_instructions);
-        assert_eq!(pooled.total_ipc, serial.total_ipc);
     }
 
     #[test]
@@ -1290,7 +1233,6 @@ mod tests {
                     selector: None,
                     sampled: false,
                     ingest: false,
-                    chip_threads: 1,
                 },
                 &opts,
             )
@@ -1312,6 +1254,21 @@ mod tests {
         assert_eq!(migrated.entries[0].date, "unknown");
         assert_eq!(migrated.latest().unwrap(), &report);
         assert!(ThroughputTrajectory::from_json("{]").is_err());
+    }
+
+    /// The checked-in trajectory, retired rows and the retired
+    /// `chip_threads` column included, still loads.
+    #[test]
+    fn checked_in_trajectory_still_loads() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let trajectory = ThroughputTrajectory::from_json(&text).unwrap();
+        assert!(trajectory.latest().is_some());
+        let rows = || trajectory.entries.iter().flat_map(|e| &e.report.scenarios);
+        for (name, _) in RETIRED_SCENARIOS {
+            assert!(rows().any(|r| r.name == *name), "{name} not in history");
+        }
+        assert!(rows().any(|r| r.chip_threads.is_some()));
     }
 
     #[test]
@@ -1337,7 +1294,6 @@ mod tests {
                     selector: None,
                     sampled: false,
                     ingest: false,
-                    chip_threads: 1,
                 },
                 &opts,
             )

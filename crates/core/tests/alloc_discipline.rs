@@ -186,21 +186,6 @@ fn steady_state_cycle_loop_performs_no_heap_allocations() {
         assert_zero_alloc_steady_state(&format!("ChipSimulator/order/{policy:?}"), || {
             chip.step_with_core_order(&order)
         });
-
-        // The pooled path: barriers, locks and stage buffers must all be
-        // allocation-free once warm, on the workers as well as the main
-        // thread (the counter is process-global).
-        let chip_config = ChipConfig::baseline(2, 2)
-            .with_policy(policy)
-            .with_chip_threads(2);
-        let mut chip =
-            ChipSimulator::new(chip_config, vec![mixed_pair(), mixed_pair()]).expect("chip builds");
-        assert_eq!(chip.chip_threads(), 2, "pooled path must be selected");
-        chip.with_parallel_session(|session| {
-            assert_zero_alloc_steady_state(&format!("ChipSession/{policy:?}"), || {
-                session.step_cycle()
-            });
-        });
     }
     std::fs::remove_file(&replay_path).ok();
 }

@@ -26,8 +26,8 @@
 //!
 //! # The view / stage / merge split
 //!
-//! The chip discipline is made explicit in the type system so that cores can
-//! step in parallel without sharing mutable state:
+//! The chip discipline is made explicit in the type system so that no core
+//! can see another core's writes from the same cycle:
 //!
 //! * [`SharedLlcView`] is a **frozen read view** of the shared level —
 //!   `&self`-only queries against cycle-start state: tag probes, the frozen
@@ -41,8 +41,8 @@
 //!
 //! Because every intra-cycle write either carries the idempotent cycle stamp
 //! or is deferred to the merge, the staged path is bit-for-bit the serial
-//! interleaved one — which is exactly what lets a worker pool step cores of
-//! one cycle concurrently.
+//! interleaved one, and each core's cycle depends only on cycle-start state:
+//! the chip's results are invariant to the order its cores step in.
 
 use smt_types::{ChipConfig, SmtConfig};
 
@@ -378,8 +378,8 @@ impl SharedLlc {
     /// Merge order within a cycle is immaterial to the final state: stamp
     /// touches all carry the same cycle stamp, MSHR slots are per-requester,
     /// counters commute, and bus observables are order-independent — but the
-    /// canonical order makes the serial and pooled schedules produce not
-    /// just equivalent, byte-identical internal state.
+    /// canonical order makes every core stepping order produce not just
+    /// equivalent, byte-identical internal state.
     pub fn merge_stage(&mut self, stage: &mut CoreStage) {
         let stamp = self.cycle + 1;
         // Stamp touches must land before end_cycle installs any fill: the
@@ -446,7 +446,7 @@ impl SharedLevel for SharedLlc {
 /// Every query is answered from state that cannot change while cores step:
 /// tag presence (fills are staged), bus congestion (frozen at
 /// [`SharedLlc::begin_cycle`]), and the MSHR entry maps (allocations are
-/// staged per core). Many views may coexist, one per worker thread.
+/// staged per core). Every core of a cycle reads the same view.
 #[derive(Clone, Copy)]
 pub struct SharedLlcView<'a> {
     shared: &'a SharedLlc,

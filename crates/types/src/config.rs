@@ -538,14 +538,6 @@ pub struct ChipConfig {
     pub shared_llc: CacheConfig,
     /// The off-chip memory bus shared by all cores.
     pub bus: BusConfig,
-    /// Worker threads used to step cores within a chip cycle (`None` or
-    /// `Some(1)` = the serial loop). Results are bit-for-bit identical at
-    /// any value — the staged arbitration discipline makes core stepping
-    /// commutative — so this is purely a host-side throughput knob. The
-    /// `SMT_CHIP_THREADS` environment variable overrides it at simulator
-    /// construction. Optional so pre-parallelism serialized configs stay
-    /// valid and the default serializes to nothing.
-    pub chip_threads: Option<usize>,
 }
 
 impl ChipConfig {
@@ -577,7 +569,6 @@ impl ChipConfig {
             core,
             shared_llc,
             bus,
-            chip_threads: None,
         }
     }
 
@@ -589,7 +580,6 @@ impl ChipConfig {
             shared_llc: core.l3,
             bus: BusConfig::unlimited(),
             core,
-            chip_threads: None,
         }
     }
 
@@ -603,17 +593,6 @@ impl ChipConfig {
     pub fn with_bus_bytes_per_cycle(mut self, bytes_per_cycle: u32) -> Self {
         self.bus = BusConfig { bytes_per_cycle };
         self
-    }
-
-    /// Returns a copy stepping cores on `threads` workers per chip cycle.
-    pub fn with_chip_threads(mut self, threads: usize) -> Self {
-        self.chip_threads = Some(threads);
-        self
-    }
-
-    /// The configured chip-stepping worker count (`1` when unset).
-    pub fn chip_threads(&self) -> usize {
-        self.chip_threads.unwrap_or(1)
     }
 
     /// Total hardware threads across all cores.
@@ -633,11 +612,6 @@ impl ChipConfig {
                 "num_cores must be between 1 and {}",
                 Self::MAX_CORES
             )));
-        }
-        if self.chip_threads == Some(0) {
-            return Err(SimError::invalid_config(
-                "chip_threads must be at least 1 (1 = serial stepping)",
-            ));
         }
         self.core.validate()?;
         self.shared_llc.validate()?;
@@ -677,29 +651,6 @@ mod tests {
         assert_eq!(c.l3.latency, 35);
         assert_eq!(c.write_buffer_entries, 8);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn chip_threads_defaults_serialize_compatibly() {
-        // Missing field deserializes to 1 (pre-parallelism specs stay valid)
-        // and the default value round-trips invisibly (reports keep the
-        // pre-parallelism schema bytes).
-        let chip = ChipConfig::baseline(2, 2);
-        assert_eq!(chip.chip_threads(), 1);
-        let json = serde_json::to_string(&chip).unwrap();
-        assert!(!json.contains("chip_threads"));
-        let back: ChipConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, chip);
-
-        let tuned = chip.clone().with_chip_threads(4);
-        assert!(tuned.validate().is_ok());
-        let json = serde_json::to_string(&tuned).unwrap();
-        assert!(json.contains("chip_threads"));
-        let back: ChipConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, tuned);
-        assert_eq!(back.chip_threads(), 4);
-
-        assert!(chip.with_chip_threads(0).validate().is_err());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! 1. **Record/replay parity** — recording a benchmark's op stream and
 //!    replaying it through [`smt_trace::FileTraceSource`] yields bit-for-bit
 //!    identical statistics to running the live generator at the same seed, on
-//!    the SMT core, on the chip (serial and pooled stepping — CI reruns this
-//!    suite under `SMT_CHIP_THREADS=2`), and in sampled mode.
+//!    the SMT core, on the chip, and in sampled mode.
 //! 2. **Golden replay stats** — the checked-in fixture
 //!    (`tests/golden/trace_2t_replay.smtt`, referenced by the
 //!    `trace_2t_replay` registry entry) replays to pinned [`MachineStats`]
