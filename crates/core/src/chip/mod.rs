@@ -2,8 +2,8 @@
 //! and a memory bus.
 //!
 //! A [`ChipSimulator`] owns `num_cores` independent [`Core`] pipelines and
-//! one [`smt_mem::SharedLlc`]. Each chip cycle, every core advances one
-//! cycle against the shared level; cores interact *only* through LLC
+//! one [`smt_mem::SharedLlc`]. [`ChipSimulator::step`] advances every core
+//! one cycle against the shared level; cores interact *only* through LLC
 //! capacity, the LLC MSHR file, and bus bandwidth. Under the chip
 //! arbitration discipline (see [`smt_mem::shared`]) the shared level's
 //! per-cycle state is a pure function of the *set* of requests made in the
@@ -15,6 +15,14 @@
 //! buffer, merged back in canonical core order at the end of the cycle. That
 //! staging is what makes the result independent of the core stepping order:
 //! every core sees the same cycle-start state, whichever core goes first.
+//!
+//! The run loops ([`ChipSimulator::run`] and [`ChipSimulator::warm_up`])
+//! skip per core: a core whose cycle was quiet sleeps until its own next
+//! event while the other cores step, and the chip cycle jumps ahead when
+//! every core sleeps (see the `skip` module of [`crate::pipeline`] for why
+//! this is sound). Before either loop returns, every core is brought up to
+//! the chip cycle, so no lagging core is ever observable. `step` and
+//! `step_with_core_order` never skip; they are the reference.
 //!
 //! A one-core chip degenerates exactly to the paper's single-core machine
 //! ([`crate::pipeline::SmtSimulator`]): same discipline, same per-requester
@@ -36,14 +44,26 @@ const FF_ROUND: u64 = 64;
 enum CoreAction {
     /// One detailed pipeline cycle.
     Step,
+    /// One detailed pipeline cycle on each awake core, recording its next
+    /// wake cycle, capped at the given cycle limit. Sleeping cores sit the
+    /// bracket out.
+    Advance(u64),
     /// Functional fast-forward by this many instructions per thread.
     FastForward(u64),
 }
 
 impl CoreAction {
-    fn apply<S: SharedLevel>(self, core: &mut Core, shared: &mut S) {
+    /// Applies the action to `core`, whose wake cycle is `wake`, in the
+    /// bracket of chip cycle `now`.
+    fn apply<S: SharedLevel>(self, core: &mut Core, wake: &mut u64, now: u64, shared: &mut S) {
         match self {
             CoreAction::Step => core.step_against(shared),
+            CoreAction::Advance(limit) => {
+                if *wake <= now {
+                    core.skip_to(now);
+                    *wake = core.step_to_next_event(shared, limit);
+                }
+            }
             CoreAction::FastForward(chunk) => core.fast_forward_against(shared, chunk),
         }
     }
@@ -97,6 +117,10 @@ pub struct ChipSimulator {
     stages: Vec<CoreStage>,
     shared: SharedLlc,
     cycle: u64,
+    /// Per core, the chip cycle in which the run loops next step it. A core
+    /// whose wake cycle lies ahead of the chip cycle is asleep: its last
+    /// step was quiet and it has not been brought up to the chip cycle yet.
+    wake: Vec<u64>,
     /// Reusable membership bitmask for validating explicit core orders.
     order_scratch: Vec<bool>,
 }
@@ -134,6 +158,7 @@ impl ChipSimulator {
         let stages = (0..config.num_cores)
             .map(|core_id| CoreStage::new(core_id * threads_per_core, threads_per_core))
             .collect();
+        let wake = vec![0; config.num_cores];
         let order_scratch = vec![false; config.num_cores];
         Ok(ChipSimulator {
             config,
@@ -141,6 +166,7 @@ impl ChipSimulator {
             stages,
             shared,
             cycle: 0,
+            wake,
             order_scratch,
         })
     }
@@ -189,7 +215,9 @@ impl ChipSimulator {
         self.cores.len()
     }
 
-    /// Current cycle count (identical across cores: they step in lockstep).
+    /// Current cycle count (identical across cores: only the run loops let a
+    /// core lag behind it, and they bring every core up to it before they
+    /// return).
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
@@ -208,29 +236,62 @@ impl ChipSimulator {
         self.cores.first().map_or(0, |c| c.measured_cycles())
     }
 
-    /// Runs one shared-level cycle bracket: `action` on every core, visiting
-    /// cores in `order` (ascending core id when `None`). Multi-core chips
-    /// act staged — each core against a frozen view plus its own stage
-    /// buffer, merged back in canonical core order — so the result is
-    /// independent of `order`; a one-core chip acts directly (legacy
-    /// discipline). The chip cycle counter is left to the caller.
+    /// Runs one shared-level cycle bracket: `action` on every core that is
+    /// not asleep, visiting cores in `order` (ascending core id when
+    /// `None`). Multi-core chips act staged — each core against a frozen
+    /// view plus its own stage buffer, merged back in canonical core order —
+    /// so the result is independent of `order`; a one-core chip acts
+    /// directly (legacy discipline). The chip cycle counter is left to the
+    /// caller.
     fn cycle_bracket(&mut self, action: CoreAction, order: Option<&[usize]>) {
-        self.shared.begin_cycle(self.cycle);
+        let now = self.cycle;
+        self.shared.begin_cycle(now);
         if self.shared.chip_arbitration() {
             for i in 0..self.cores.len() {
                 let core = order.map_or(i, |order| order[i]);
                 let mut staged = StagedShared::new(self.shared.view(), &mut self.stages[core]);
-                action.apply(&mut self.cores[core], &mut staged);
+                action.apply(
+                    &mut self.cores[core],
+                    &mut self.wake[core],
+                    now,
+                    &mut staged,
+                );
             }
             for stage in &mut self.stages {
                 self.shared.merge_stage(stage);
             }
         } else {
-            for core in &mut self.cores {
-                action.apply(core, &mut self.shared);
+            for (core, wake) in self.cores.iter_mut().zip(&mut self.wake) {
+                action.apply(core, wake, now, &mut self.shared);
             }
         }
         self.shared.end_cycle();
+    }
+
+    /// One chip cycle of the run loops: steps every awake core, then, if
+    /// every core sleeps, jumps the chip cycle to the earliest wake cycle
+    /// (never past `limit`, which caps every wake cycle).
+    fn advance(&mut self, limit: u64) {
+        self.cycle_bracket(CoreAction::Advance(limit), None);
+        self.cycle += 1;
+        if let Some(&earliest) = self.wake.iter().min() {
+            self.cycle = self.cycle.max(earliest);
+        }
+    }
+
+    /// Brings every sleeping core up to the chip cycle, accounting its
+    /// skipped cycles, and marks every core awake. The run loops call this
+    /// before they return or touch statistics.
+    fn wake_all(&mut self) {
+        for (core, wake) in self.cores.iter_mut().zip(&mut self.wake) {
+            core.skip_to(self.cycle);
+            *wake = self.cycle;
+        }
+    }
+
+    /// Whether every core's cycle counter equals the chip cycle.
+    fn cores_in_step(&self) -> bool {
+        self.cores.iter().all(|core| core.cycle() == self.cycle)
     }
 
     /// Validates that `order` is a permutation of `0..num_cores`, reusing
@@ -248,8 +309,9 @@ impl ChipSimulator {
         }
     }
 
-    /// Advances the whole chip by one cycle, stepping cores in ascending
-    /// core-id order.
+    /// Advances the whole chip by one cycle, stepping every core in
+    /// ascending core-id order. It never skips: this is the reference the
+    /// skipping run loops are compared against.
     pub fn step(&mut self) {
         self.cycle_bracket(CoreAction::Step, None);
         self.cycle += 1;
@@ -312,6 +374,10 @@ impl ChipSimulator {
     /// instruction budget (the paper's stop criterion, applied chip-wide) or
     /// the cycle limit is hit, and returns the statistics of the measured
     /// phase.
+    ///
+    /// Each core sleeps through its own quiet cycles; the result is
+    /// bit-for-bit what a loop of [`ChipSimulator::step`] calls with the same
+    /// stop rules produces.
     pub fn run(&mut self, options: SimOptions) -> ChipStats {
         self.warm_up(options.warmup_instructions_per_thread, options.max_cycles);
         let baselines: Vec<u64> = self.committed().collect();
@@ -321,8 +387,9 @@ impl ChipSimulator {
                 .zip(&baselines)
                 .any(|(c, &base)| c - base >= options.max_instructions_per_thread)
         {
-            self.step();
+            self.advance(options.max_cycles);
         }
+        self.wake_all();
         for core in &mut self.cores {
             core.finalize_cycles();
         }
@@ -332,15 +399,16 @@ impl ChipSimulator {
     /// Runs until every thread of every core has committed `instructions`
     /// further instructions (or the cycle limit is hit), then clears all
     /// statistics (microarchitectural state stays warm). A zero-length
-    /// warm-up is a no-op.
+    /// warm-up is a no-op. Skips per core like [`ChipSimulator::run`].
     pub fn warm_up(&mut self, instructions: u64, max_cycles: u64) {
         if instructions == 0 {
             return;
         }
         let targets: Vec<u64> = self.committed().map(|c| c + instructions).collect();
         while self.cycle < max_cycles && self.committed().zip(&targets).any(|(c, &t)| c < t) {
-            self.step();
+            self.advance(max_cycles);
         }
+        self.wake_all();
         self.reset_stats();
     }
 
@@ -357,6 +425,7 @@ impl ChipSimulator {
     /// finalized by [`ChipSimulator::run`], otherwise from the live measured
     /// count.
     pub fn chip_stats(&self) -> ChipStats {
+        debug_assert!(self.cores_in_step(), "a core lags the chip cycle");
         let cores: Vec<MachineStats> = self.cores.iter().map(|c| c.stats().clone()).collect();
         let cycles = cores
             .first()

@@ -100,8 +100,9 @@ impl SimOptions {
 /// levels, stepping against a [`SharedLlc`] borrowed from its owner.
 ///
 /// The single-core machine ([`SmtSimulator`]) owns one `Core` and one shared
-/// level; a chip ([`crate::chip::ChipSimulator`]) owns N cores stepping in
-/// lockstep against one shared level. The core never touches anything outside
+/// level; a chip ([`crate::chip::ChipSimulator`]) owns N cores stepping
+/// against one shared level, in lockstep apart from quiet cycles a core may
+/// sleep through (see `skip`). The core never touches anything outside
 /// its own state and the borrowed shared level, which is what makes chip
 /// results independent of anything but the per-cycle shared-level discipline.
 pub struct Core {
@@ -468,6 +469,7 @@ impl SmtSimulator {
     /// `limit`: the stepping primitive of every run loop that owns a stop
     /// condition which only a non-quiet cycle can change.
     pub(crate) fn advance(&mut self, limit: u64) {
-        self.core.step_skipping_against(&mut self.shared, limit);
+        let wake = self.core.step_to_next_event(&mut self.shared, limit);
+        self.core.skip_to(wake);
     }
 }

@@ -1,7 +1,7 @@
 //! Next-event cycle skipping: after a *quiet* cycle — one in which no phase
-//! changed any pipeline state — jump `cycle` straight to the next cycle in
-//! which anything can happen, adding up the per-cycle counters the skipped
-//! cycles would have incremented.
+//! changed any pipeline state — a core need not be stepped again until the
+//! next cycle in which anything can happen; bringing it there adds up the
+//! per-cycle counters the skipped cycles would have incremented.
 //!
 //! A cycle is quiet when it saw no commit, no completion-event pop (stale
 //! events included), no issue, dispatch or fetch, no flush or squash, no
@@ -22,10 +22,38 @@
 //! forbids per-cycle queries to read. The skipped cycles therefore gate the
 //! same threads the quiet cycle gated.
 //!
-//! Only the run loops that own a stop condition skip (through
-//! [`Core::step_skipping_against`]); [`super::SmtSimulator::step`] and chip
-//! stepping always advance exactly one cycle, which makes them the
-//! non-skipping reference the equivalence tests compare against.
+//! # One primitive, two run loops
+//!
+//! [`Core::step_to_next_event`] steps one cycle and returns the core's wake
+//! cycle: the next cycle after a busy one, the next event after a quiet one.
+//! [`Core::skip_to`] later brings the core from its last step up to any cycle
+//! no later than that wake cycle. The single-core run loops
+//! ([`super::SmtSimulator::advance`]) call the two back to back. A chip
+//! ([`crate::chip::ChipSimulator`]) records each core's wake cycle and leaves
+//! the core asleep while the other cores step; it calls `skip_to` when the
+//! chip reaches the wake cycle, or when a run loop ends and every core is
+//! brought up to the chip cycle. When every core sleeps, the chip cycle jumps
+//! to the earliest wake cycle.
+//!
+//! A core may sleep while its neighbours step because a quiet core has no
+//! dealings with the chip's shared level, and the shared level keeps no
+//! per-cycle state on a core's behalf:
+//!
+//! * commit, issue and fetch set the activity flag before they touch the
+//!   shared level, so a quiet cycle makes no call into it, and the core's
+//!   wake cycle is a function of core-local state alone;
+//! * LLC MSHR slots belong to a single `(core, thread)` requester and are
+//!   retired lazily, on that requester's next request;
+//! * the memory bus retires finished transfers with an idempotent `retain`
+//!   at every cycle start, so skipped cycle starts leave nothing behind;
+//! * LRU stamps are written only on an access.
+//!
+//! So a sleeping core wakes into the same state it would have reached by
+//! stepping. [`super::SmtSimulator::step`],
+//! [`crate::chip::ChipSimulator::step`] and
+//! [`crate::chip::ChipSimulator::step_with_core_order`] always step every
+//! core for exactly one cycle, which makes them the non-skipping reference
+//! the equivalence tests compare against.
 
 use std::cmp::Reverse;
 
@@ -35,22 +63,23 @@ use smt_types::ThreadId;
 use super::Core;
 
 impl Core {
-    /// Advances one cycle against `shared`; if the cycle was quiet, then
-    /// jumps to the next cycle in which anything can happen, but never past
+    /// Advances one cycle against `shared` and returns the cycle in which the
+    /// core must next be stepped: the very next cycle if this one was busy,
+    /// else the next cycle in which anything can happen, but never past
     /// `limit` (the caller's cycle cap). Callers must only pass a `limit`
     /// beyond which their loop would not step anyway.
-    pub(crate) fn step_skipping_against<S: SharedLevel>(&mut self, shared: &mut S, limit: u64) {
+    pub(crate) fn step_to_next_event<S: SharedLevel>(&mut self, shared: &mut S, limit: u64) -> u64 {
         self.step_against(shared);
-        if !self.busy {
-            let target = self.next_event_cycle(limit);
-            if target > self.cycle {
-                self.skip_to(target);
-            }
+        if self.busy {
+            self.cycle
+        } else {
+            self.next_event_cycle(limit)
         }
     }
 
     /// The first cycle after a quiet cycle in which some phase may act,
     /// capped at `limit`.
+    #[inline]
     fn next_event_cycle(&self, limit: u64) -> u64 {
         let now = self.cycle;
         let mut next = limit;
@@ -78,13 +107,21 @@ impl Core {
             // The tick runs at the end of the cycle before the boundary.
             next = next.min(adaptive.next_boundary() - 1);
         }
-        next
+        next.max(now)
     }
 
-    /// Jumps from the cycle after a quiet one to `target`, accounting the
-    /// skipped cycles exactly as stepping through them would have.
-    fn skip_to(&mut self, target: u64) {
+    /// Brings the core from its last step up to `target`, accounting the
+    /// skipped cycles exactly as stepping through them would have. `target`
+    /// must not lie past the wake cycle that step returned; a `target` equal
+    /// to the current cycle is a no-op.
+    #[inline]
+    pub(crate) fn skip_to(&mut self, target: u64) {
+        debug_assert!(target >= self.cycle, "a core never skips backwards");
         let skipped = target - self.cycle;
+        if skipped == 0 {
+            return;
+        }
+        debug_assert!(!self.busy, "only a quiet cycle may be skipped past");
         self.account_mlp(skipped);
         for ti in 0..self.threads.len() {
             if self.gated_mask & (1 << ti) != 0 {

@@ -369,6 +369,10 @@ pub struct ThroughputReport {
     pub runs_per_scenario: u32,
     /// Git commit the binary was built from, when known.
     pub commit: Option<String>,
+    /// CPUs available to the process that measured the report (absent in
+    /// entries recorded before the field existed).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub nproc: Option<u64>,
     /// One result per matrix scenario, in matrix order.
     pub scenarios: Vec<ScenarioResult>,
 }
@@ -1063,6 +1067,9 @@ pub fn run_matrix(
         instructions_per_thread: opts.instructions_per_thread,
         runs_per_scenario: opts.runs.max(1),
         commit,
+        nproc: std::thread::available_parallelism()
+            .ok()
+            .map(|n| n.get() as u64),
         scenarios,
     })
 }
@@ -1224,6 +1231,7 @@ mod tests {
             instructions_per_thread: opts.instructions_per_thread,
             runs_per_scenario: 1,
             commit: Some("abc".to_string()),
+            nproc: Some(2),
             scenarios: vec![run_scenario(
                 &BenchScenario {
                     name: BASELINE_SCENARIO,
@@ -1285,6 +1293,7 @@ mod tests {
             instructions_per_thread: opts.instructions_per_thread,
             runs_per_scenario: 1,
             commit: Some("abc1234".to_string()),
+            nproc: None,
             scenarios: vec![run_scenario(
                 &BenchScenario {
                     name: BASELINE_SCENARIO,

@@ -6,6 +6,8 @@
 //! high-water marks, stepping it must perform **zero** heap allocations,
 //! for both the single-core [`SmtSimulator`] and the chip-level
 //! [`ChipSimulator`], across the baseline and the paper's headline policy.
+//! The skipping chip run loop is covered too: [`ChipSimulator::run`] must
+//! allocate the same amount however long it runs.
 //!
 //! Everything runs inside one `#[test]` function: the process-global
 //! allocation counter would otherwise be polluted by concurrently running
@@ -17,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use smt_core::chip::ChipSimulator;
-use smt_core::pipeline::SmtSimulator;
+use smt_core::pipeline::{SimOptions, SmtSimulator};
 use smt_trace::{ScriptedTrace, TraceSource};
 use smt_types::config::FetchPolicyKind;
 use smt_types::{ChipConfig, SmtConfig, TraceOp};
@@ -131,6 +133,30 @@ fn assert_zero_alloc_steady_state(label: &str, mut step: impl FnMut()) {
     );
 }
 
+/// Heap allocations one [`ChipSimulator::run`] of `instructions` per
+/// thread makes on a chip warmed by [`WARMUP_CYCLES`] steps.
+fn chip_run_allocations(policy: FetchPolicyKind, instructions: u64) -> u64 {
+    let chip_config = ChipConfig::baseline(2, 2).with_policy(policy);
+    let mut chip =
+        ChipSimulator::new(chip_config, vec![mixed_pair(), mixed_pair()]).expect("chip builds");
+    for _ in 0..WARMUP_CYCLES {
+        chip.step();
+    }
+    let options = SimOptions {
+        max_instructions_per_thread: instructions,
+        warmup_instructions_per_thread: 1_000,
+        max_cycles: u64::MAX,
+    };
+    let before = allocation_count();
+    let stats = chip.run(options);
+    let delta = allocation_count() - before;
+    assert!(
+        stats.total_committed() >= instructions,
+        "the run reached its budget"
+    );
+    delta
+}
+
 #[test]
 fn steady_state_cycle_loop_performs_no_heap_allocations() {
     // Recorded once up front (recording may allocate; it is not under test):
@@ -186,6 +212,17 @@ fn steady_state_cycle_loop_performs_no_heap_allocations() {
         assert_zero_alloc_steady_state(&format!("ChipSimulator/order/{policy:?}"), || {
             chip.step_with_core_order(&order)
         });
+
+        // The skipping run loop allocates only per run (stop-rule
+        // baselines, the returned statistics), never per cycle or per
+        // wake-up: a run four times as long allocates exactly as much.
+        let short = chip_run_allocations(policy, 5_000);
+        let long = chip_run_allocations(policy, 20_000);
+        assert_eq!(
+            short, long,
+            "ChipSimulator::run/{policy:?}: {short} allocation(s) at 5K instructions per thread, \
+             {long} at 20K"
+        );
     }
     std::fs::remove_file(&replay_path).ok();
 }
