@@ -88,17 +88,13 @@ impl Core {
                     }
                 }
 
-                // Resolve source-operand producers once; issue then checks
-                // readiness by window offset instead of re-searching each cycle.
-                let dep_offsets = ctx.window.resolve_dep_offsets(idx);
-
-                // Allocate and mark dispatched.
+                // Allocate and mark dispatched: the window resolves the source
+                // producers once and enters the op into its ready set, or
+                // links it onto the producers it waits for.
                 let ctx = &mut self.threads[ti];
                 let seq = ctx.window.seq_at(idx);
                 let pc = op.pc;
-                ctx.window.set_src_dep_offsets(idx, dep_offsets);
                 ctx.window.mark_dispatched(idx);
-                ctx.issue_idle = false;
                 {
                     let flags = ctx.window.flags_mut(idx);
                     flags.set_uses_lsq(uses_lsq);

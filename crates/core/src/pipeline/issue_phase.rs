@@ -1,8 +1,7 @@
-//! Issue phase: pick ready instructions per thread (bitmap candidate scan),
-//! perform memory accesses, schedule completion events, and hand
-//! long-latency-load detections to the fetch policy.
-
-use std::cmp::Reverse;
+//! Issue phase: walk each thread's ready set oldest first, perform memory
+//! accesses, schedule completion events, and hand long-latency-load
+//! detections to the fetch policy. A thread with an empty ready set costs
+//! one counter test.
 
 use smt_mem::{AccessLevel, SharedLevel};
 use smt_predictors::LongLatencyPredictor;
@@ -27,21 +26,16 @@ impl Core {
                 break;
             }
             let ti = (self.rotate + offset) % num_threads;
-            if self.threads[ti].issue_idle {
+            if !self.threads[ti].window.has_ready() {
                 continue;
             }
             let thread_id = ThreadId::new(ti);
-            // Resume after the settled prefix of already-issued instructions,
-            // then gather this thread's ready-to-issue candidates in one tight
-            // bitmap pass instead of rescanning the (mostly issued, mostly
-            // blocked) window entry by entry.
-            let start = self.threads[ti].window.issue_scan_start();
+            // Readiness is stable for the whole phase (operands only arrive
+            // at writeback), so the ready set, oldest first, is the
+            // candidate list.
             let mut candidates = std::mem::take(&mut self.issue_candidates);
             candidates.clear();
-            self.threads[ti]
-                .window
-                .collect_issue_candidates(start, &mut candidates);
-            self.threads[ti].issue_idle = candidates.is_empty();
+            self.threads[ti].window.collect_ready(&mut candidates);
             let mut candidate_pos = 0;
             while remaining > 0 && candidate_pos < candidates.len() {
                 let idx = candidates[candidate_pos] as usize;
@@ -144,11 +138,15 @@ impl Core {
                         self.totals.iq_int -= 1;
                     }
                     ctx.occ.icount -= 1;
-                    self.completions.push(Reverse(CompletionEvent {
-                        done_at,
-                        thread: ti as u32,
-                        seq,
-                    }));
+                    self.completions.push(
+                        CompletionEvent {
+                            done_at,
+                            thread: ti as u32,
+                            seq,
+                            slot: ctx.window.slot_id(idx),
+                        },
+                        cycle,
+                    );
                 }
 
                 if op.kind == OpKind::Load {

@@ -13,12 +13,19 @@
 //! reads; the trace front end is refilled in batches so the `Box<dyn
 //! TraceSource>` virtual call is paid once per ~64 fetched instructions.
 //!
+//! Scheduling is event driven, with no per-cycle search: completions wait in
+//! a timing wheel until their cycle comes, and an instruction enters its
+//! window's ready set when its last operand arrives (producer-to-consumer
+//! wakeup), so issue never re-checks an instruction that is still waiting.
+//!
 //! The pipeline is organised one phase per module, in commit-to-fetch order
 //! exactly as the per-cycle step runs them:
 //!
 //! * [`commit_phase`](self) — in-order retirement and LLSR/MLP training,
-//! * [`writeback_phase`](self) — event-driven completion (min-heap),
-//! * [`issue_phase`](self) — ready-instruction selection and memory access,
+//! * [`writeback_phase`](self) — completions drained from a timing wheel,
+//!   consumer wakeup and branch-misprediction recovery,
+//! * [`issue_phase`](self) — oldest-first selection from the ready set and
+//!   memory access,
 //! * [`dispatch_phase`](self) — shared-buffer allocation and resource stalls,
 //! * [`fetch_phase`](self) — policy-prioritized instruction fetch,
 //! * `squash` — branch/flush recovery, `stats` — per-cycle accounting,
@@ -41,9 +48,6 @@ mod thread;
 pub mod window;
 mod writeback_phase;
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use smt_fetch::{build_policy, FetchPolicy, FlushRequest, ResourceCaps};
 use smt_mem::{CoreMemory, SharedLevel, SharedLlc, WriteBuffer};
 use smt_trace::TraceSource;
@@ -52,7 +56,7 @@ use smt_types::{AdaptiveConfig, MachineStats, SimError, SmtConfig, SmtSnapshot, 
 use adaptive::AdaptiveState;
 use stats::SharedTotals;
 use thread::ThreadContext;
-use writeback_phase::CompletionEvent;
+use writeback_phase::{CompletionEvent, CompletionQueue};
 
 /// Run-length options for a simulation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -118,8 +122,10 @@ pub struct Core {
     frontend_capacity: u32,
     /// Shared-resource occupancy totals, updated at every allocate/release.
     totals: SharedTotals,
-    /// Pending execution completions, ordered by completion cycle.
-    completions: BinaryHeap<Reverse<CompletionEvent>>,
+    /// Pending execution completions (see `writeback_phase`).
+    completions: CompletionQueue,
+    /// The completion events due this cycle (reused scratch).
+    due_completions: Vec<CompletionEvent>,
     /// The adaptive policy engine, when enabled: interval telemetry collector
     /// plus the selector that picks the next interval's fetch policy.
     adaptive: Option<AdaptiveState>,
@@ -138,8 +144,8 @@ pub struct Core {
     priority: Vec<ThreadId>,
     flushes: Vec<FlushRequest>,
     caps: Vec<ResourceCaps>,
-    /// Ready-to-issue candidate indices of the thread currently being scanned
-    /// by the issue phase (reused scratch).
+    /// Ready instructions of the thread the issue phase is visiting, oldest
+    /// first (reused scratch).
     issue_candidates: Vec<u32>,
     /// Per-thread oldest mispredicted-branch seq completing this cycle.
     mispredicts: Vec<Option<u64>>,
@@ -199,7 +205,8 @@ impl Core {
             rotate: 0,
             frontend_capacity,
             totals: SharedTotals::default(),
-            completions: BinaryHeap::new(),
+            completions: CompletionQueue::default(),
+            due_completions: Vec::new(),
             adaptive: None,
             fetch_frozen: false,
             busy: false,

@@ -10,7 +10,9 @@
 //! cycle the machine state is the same at the start of the next cycle, so
 //! that cycle is quiet too unless a time-driven condition comes due:
 //!
-//! * the oldest pending completion event (`done_at`);
+//! * the earliest pending completion event: the next occupied bucket of the
+//!   completion wheel, found with one `rotate_right`/`trailing_zeros`, or the
+//!   top of the far-event heap;
 //! * the first undispatched front-end op of a thread reaching
 //!   `frontend_ready_at` (an op already past it is blocked by a resource,
 //!   which only activity frees);
@@ -55,8 +57,6 @@
 //! core for exactly one cycle, which makes them the non-skipping reference
 //! the equivalence tests compare against.
 
-use std::cmp::Reverse;
-
 use smt_mem::SharedLevel;
 use smt_types::ThreadId;
 
@@ -83,8 +83,8 @@ impl Core {
     fn next_event_cycle(&self, limit: u64) -> u64 {
         let now = self.cycle;
         let mut next = limit;
-        if let Some(&Reverse(event)) = self.completions.peek() {
-            next = next.min(event.done_at);
+        if let Some(due) = self.completions.next_due(now) {
+            next = next.min(due);
         }
         for ctx in &self.threads {
             if ctx.occ.frontend > 0 {

@@ -48,7 +48,8 @@ impl Core {
 
     /// Verifies (in debug builds) that the incremental shared-resource totals
     /// agree with a from-scratch recomputation over the per-thread counters,
-    /// and that the window cursors agree with the occupancy counters.
+    /// that the window cursors agree with the occupancy counters, and that
+    /// every window's ready set is exactly its issuable instructions.
     #[cfg(debug_assertions)]
     pub(super) fn debug_check_totals(&self) {
         let mut expect = SharedTotals::default();
@@ -64,6 +65,7 @@ impl Core {
                 ctx.window.len() - ctx.occ.frontend as usize,
                 "dispatch cursor drifted from front-end occupancy"
             );
+            ctx.window.debug_check_ready();
         }
         debug_assert_eq!(self.totals, expect, "incremental occupancy totals drifted");
     }

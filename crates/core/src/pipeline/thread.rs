@@ -1,4 +1,5 @@
-//! Per-thread pipeline state.
+//! Per-thread pipeline state: the trace front end, the instruction window
+//! with its ready set, occupancy counters and the per-thread predictors.
 
 use std::collections::VecDeque;
 
@@ -117,10 +118,6 @@ pub(crate) struct ThreadContext {
     pub outstanding_lll: OutstandingLll,
     /// Outstanding L1 data-cache misses (count), the DCRA memory-intensity signal.
     pub outstanding_l1d: u32,
-    /// Set when the issue phase last found no ready instruction in this
-    /// thread. Only a completion or a dispatch in the thread can make one
-    /// ready, and both clear it, so until then the issue scan is skipped.
-    pub issue_idle: bool,
     /// Per-thread branch predictor.
     pub branch_predictor: BranchPredictor,
     /// Long-latency load predictor (miss pattern predictor).
@@ -156,7 +153,6 @@ impl ThreadContext {
             committed: 0,
             outstanding_lll: OutstandingLll::default(),
             outstanding_l1d: 0,
-            issue_idle: false,
             branch_predictor: BranchPredictor::new(
                 config.gshare_entries,
                 config.btb_entries,

@@ -4,21 +4,39 @@
 //! columns (sequence numbers, trace ops, timestamps, dependence offsets and one
 //! packed [`OpFlags`] word per slot) over a fixed power-of-two ring, so each
 //! pipeline phase streams only the columns it actually reads: commit tests one
-//! `u16` per head entry, the issue scan walks the flags column, and writeback
-//! binary-searches the dense `seq` column. Two monotone cursors
-//! (first-undispatched, first-unissued) let dispatch and issue resume from the
-//! settled prefix instead of rescanning the window from the front each cycle.
+//! `u16` per head entry, issue walks the ready bitmap, and writeback finds its
+//! instruction with one probe of the `seq` column at the event's slot. A
+//! monotone first-undispatched cursor lets dispatch resume where it stopped.
 //!
-//! Mutation is restricted to the three pipeline-shaped operations — push at the
-//! back (fetch), pop at the front (commit), pop at the back (squash) — which is
-//! what makes the dispatch-time dependence offsets and the per-phase cursors
-//! stable.
+//! Readiness is event driven, as in the register update unit of
+//! SimpleScalar's `sim-outorder`: an instruction becomes ready when its last
+//! operand arrives and is never rescanned. A `ready` bitmap holds one bit per
+//! slot, set exactly while the slot is dispatched, unissued and has both
+//! source operands available. At dispatch, a slot whose producers have not
+//! all completed links itself onto each such producer's consumer column;
+//! [`OpWindow::complete`] re-checks the linked consumers. A producer with more
+//! than [`CONSUMER_LINKS`] consumers rescans the dispatched slots younger than
+//! itself instead. The re-check is idempotent, so links left behind by a
+//! squash or a reused slot are harmless.
+//!
+//! Mutation is restricted to the pipeline-shaped operations — push at the
+//! back (fetch), dispatch, issue and complete in place, pop at the front
+//! (commit), pop at the back (squash) — which is what keeps the dispatch-time
+//! dependence offsets, the dispatch cursor and the ready set consistent.
 
-use smt_types::{OpFlags, TraceOp};
+use smt_types::{OpFlags, SmtConfig, TraceOp};
 
 /// Sentinel marking an absent source-dependence offset (the producer was
 /// outside the window at dispatch time, so the operand is always ready).
 pub const NO_DEP: u32 = u32::MAX;
+
+/// Consumers a producer slot links directly. A producer with more waiting
+/// consumers rescans the younger dispatched slots when it completes.
+pub const CONSUMER_LINKS: usize = 4;
+
+/// The most slots a window may have: consumer links hold slot ids as `u16`.
+/// [`SmtConfig::validate`] keeps every configured window within it.
+pub const MAX_WINDOW_SLOTS: usize = SmtConfig::MAX_WINDOW_ENTRIES as usize;
 
 /// Fixed-capacity struct-of-arrays ring buffer of in-flight instructions, in
 /// program order (front = oldest).
@@ -36,12 +54,14 @@ pub const NO_DEP: u32 = u32::MAX;
 ///
 /// let mut w = OpWindow::new(8);
 /// w.push_back(1, TraceOp::int_alu(0x40), 14, OpFlags::default());
-/// w.push_back(2, TraceOp::int_alu(0x44), 14, OpFlags::default());
-/// assert_eq!(w.len(), 2);
-/// assert_eq!(w.seq_at(0), 1);
+/// w.push_back(2, TraceOp::int_alu(0x44).with_dep(1), 14, OpFlags::default());
 /// w.mark_dispatched(0);
+/// w.mark_dispatched(1);
+/// // Seq 2 waits for its producer; seq 1 is ready.
+/// assert!(w.is_ready(0) && !w.is_ready(1));
 /// w.mark_issued(0);
-/// w.flags_mut(0).set_completed(true);
+/// w.complete(0);
+/// assert!(w.is_ready(1));
 /// w.pop_front();
 /// assert_eq!(w.seq_at(0), 2);
 /// ```
@@ -54,17 +74,13 @@ pub struct OpWindow {
     /// Capacity - 1; capacity is a power of two.
     mask: usize,
     /// Entries ever popped from the front: the global position of logical 0.
-    /// Cursors are stored in this monotone coordinate system so front pops
-    /// never invalidate them.
+    /// The dispatch cursor is stored in this monotone coordinate system so
+    /// front pops never invalidate it.
     base: u64,
     /// Global position of the oldest undispatched instruction. Everything
     /// before it is dispatched; everything at or after it is not (dispatch is
     /// strictly in order).
     first_undispatched: u64,
-    /// Global position at or below which every instruction has issued. Issue
-    /// is out of order, so entries *after* this cursor may also have issued;
-    /// the cursor is a resume point, not a partition.
-    first_unissued: u64,
     seq: Box<[u64]>,
     op: Box<[TraceOp]>,
     frontend_ready_at: Box<[u64]>,
@@ -72,13 +88,16 @@ pub struct OpWindow {
     predicted_mlp_distance: Box<[u32]>,
     src_dep_offsets: Box<[[u32; 2]]>,
     flags: Box<[OpFlags]>,
-    /// One bit per physical slot, set while the slot's instruction has not yet
-    /// issued. The issue-queue sizes cap unissued instructions at a small
-    /// fraction of the window, so the issue scan jumps between set bits
-    /// (`u64::trailing_zeros`) instead of stepping over the issued majority
-    /// slot by slot. Bits of dead slots are stale and masked off by the scan's
-    /// logical bounds.
-    unissued: Box<[u64]>,
+    /// One bit per physical slot, set exactly while the slot is dispatched,
+    /// unissued and has both source operands available.
+    ready: Box<[u64]>,
+    /// Number of set bits in `ready`.
+    ready_count: usize,
+    /// Per producer slot: the slots of the consumers waiting on it.
+    consumers: Box<[[u16; CONSUMER_LINKS]]>,
+    /// Per producer slot: how many consumers linked since the slot was
+    /// filled, saturating at `CONSUMER_LINKS + 1` (overflow: rescan).
+    consumer_count: Box<[u8]>,
 }
 
 impl OpWindow {
@@ -87,9 +106,13 @@ impl OpWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or exceeds [`MAX_WINDOW_SLOTS`].
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
+        assert!(
+            capacity <= MAX_WINDOW_SLOTS,
+            "window capacity {capacity} exceeds {MAX_WINDOW_SLOTS} slots"
+        );
         let capacity = capacity.next_power_of_two();
         OpWindow {
             head: 0,
@@ -97,7 +120,6 @@ impl OpWindow {
             mask: capacity - 1,
             base: 0,
             first_undispatched: 0,
-            first_unissued: 0,
             seq: vec![0; capacity].into_boxed_slice(),
             op: vec![TraceOp::int_alu(0); capacity].into_boxed_slice(),
             frontend_ready_at: vec![0; capacity].into_boxed_slice(),
@@ -105,7 +127,10 @@ impl OpWindow {
             predicted_mlp_distance: vec![0; capacity].into_boxed_slice(),
             src_dep_offsets: vec![[NO_DEP; 2]; capacity].into_boxed_slice(),
             flags: vec![OpFlags::default(); capacity].into_boxed_slice(),
-            unissued: vec![0; capacity.div_ceil(64)].into_boxed_slice(),
+            ready: vec![0; capacity.div_ceil(64)].into_boxed_slice(),
+            ready_count: 0,
+            consumers: vec![[0; CONSUMER_LINKS]; capacity].into_boxed_slice(),
+            consumer_count: vec![0; capacity].into_boxed_slice(),
         }
     }
 
@@ -161,7 +186,8 @@ impl OpWindow {
         self.predicted_mlp_distance[slot] = 0;
         self.src_dep_offsets[slot] = [NO_DEP; 2];
         self.flags[slot] = flags;
-        self.unissued[slot / 64] |= 1 << (slot % 64);
+        // Links a squashed former occupant collected are dead.
+        self.consumer_count[slot] = 0;
         self.len += 1;
     }
 
@@ -182,15 +208,14 @@ impl OpWindow {
         self.len -= 1;
         self.base += 1;
         // Commit only retires dispatched instructions, so the dispatch cursor
-        // can never fall behind the new front; the (lazily advanced) issue
-        // cursor may lag the front by the retired prefix and is pulled level.
+        // can never fall behind the new front.
         debug_assert!(self.first_undispatched >= self.base);
-        self.first_unissued = self.first_unissued.max(self.base);
     }
 
     /// Squashes the youngest instruction (callers read its columns at logical
-    /// index `len() - 1` first). The dispatch/issue cursors are clamped to the
-    /// shortened window — the one sanctioned way they move backwards.
+    /// index `len() - 1` first). The dispatch cursor is clamped to the
+    /// shortened window — the one sanctioned way it moves backwards — and the
+    /// slot leaves the ready set.
     ///
     /// # Panics
     ///
@@ -198,13 +223,14 @@ impl OpWindow {
     #[inline]
     pub fn pop_back(&mut self) {
         debug_assert!(self.len > 0, "pop_back on empty window");
+        let slot = self.slot(self.len - 1);
+        self.clear_ready(slot);
         self.len -= 1;
         let end = self.base + self.len as u64;
         self.first_undispatched = self.first_undispatched.min(end);
-        self.first_unissued = self.first_unissued.min(end);
     }
 
-    // ------------------------------------------------------------ cursors
+    // ------------------------------------------------- dispatch and readiness
 
     /// Logical index of the oldest undispatched instruction — where the
     /// in-order dispatch phase resumes. Equals `len()` when everything in the
@@ -214,9 +240,11 @@ impl OpWindow {
         (self.first_undispatched - self.base) as usize
     }
 
-    /// Marks the instruction at `index` dispatched and advances the dispatch
-    /// cursor past it. Dispatch is strictly in order: `index` must be exactly
-    /// [`OpWindow::first_undispatched_index`].
+    /// Dispatches the instruction at `index`: resolves its source producers
+    /// into dependence offsets, advances the dispatch cursor past it, and
+    /// either enters it into the ready set or links it onto each producer it
+    /// still waits for. Dispatch is strictly in order: `index` must be
+    /// exactly [`OpWindow::first_undispatched_index`].
     #[inline]
     pub fn mark_dispatched(&mut self, index: usize) {
         debug_assert_eq!(
@@ -226,85 +254,178 @@ impl OpWindow {
         );
         let slot = self.slot(index);
         debug_assert!(!self.flags[slot].dispatched());
+        let offsets = self.resolve_dep_offsets(index);
+        self.src_dep_offsets[slot] = offsets;
         self.flags[slot].set_dispatched(true);
         self.first_undispatched += 1;
-    }
-
-    /// Advances the issue cursor past the settled prefix of issued
-    /// instructions and returns the logical index the issue scan starts from.
-    /// The cursor only ever moves forward here; `pop_back` is the only place
-    /// it can shrink.
-    #[inline]
-    pub fn issue_scan_start(&mut self) -> usize {
-        debug_assert!(self.first_unissued >= self.base);
-        while self.first_unissued < self.first_undispatched {
-            let idx = (self.first_unissued - self.base) as usize;
-            if !self.flags[self.slot(idx)].issued() {
-                break;
+        let mut waiting = false;
+        for (i, offset) in offsets.into_iter().enumerate() {
+            if offset == NO_DEP || (i == 1 && offset == offsets[0]) {
+                continue;
             }
-            self.first_unissued += 1;
+            let producer = self.slot(index - offset as usize);
+            if !self.flags[producer].completed() {
+                waiting = true;
+                let links = self.consumer_count[producer] as usize;
+                if links < CONSUMER_LINKS {
+                    self.consumers[producer][links] = slot as u16;
+                }
+                self.consumer_count[producer] = (links + 1).min(CONSUMER_LINKS + 1) as u8;
+            }
         }
-        debug_assert!(
-            self.first_unissued <= self.first_undispatched,
-            "issue cursor overtook the dispatch cursor"
-        );
-        (self.first_unissued - self.base) as usize
+        if !waiting {
+            self.set_ready(slot);
+        }
     }
 
-    /// Marks the (dispatched, unissued) instruction at logical `index` as
-    /// issued, clearing its bit in the unissued bitmap.
+    /// Marks the ready instruction at logical `index` as issued, taking it
+    /// out of the ready set.
     #[inline]
     pub fn mark_issued(&mut self, index: usize) {
         let slot = self.slot(index);
-        debug_assert!(self.flags[slot].dispatched() && !self.flags[slot].issued());
+        debug_assert!(self.is_ready(index), "only a ready instruction may issue");
         self.flags[slot].set_issued(true);
-        self.unissued[slot / 64] &= !(1 << (slot % 64));
+        self.clear_ready(slot);
     }
 
-    /// Appends to `out` the logical index of every dispatched, unissued
-    /// instruction at or after `from` whose source operands are ready, in
-    /// program order — the issue phase's candidate list, gathered in one tight
-    /// pass over the unissued bitmap.
-    ///
-    /// Readiness is stable for the duration of an issue phase (`completed`
-    /// bits only change at writeback, and dispatch-time dependence offsets
-    /// never move), so collecting up front is equivalent to re-testing each
-    /// candidate mid-scan — while instructions that cannot issue this cycle
-    /// never leave this loop.
-    pub fn collect_issue_candidates(&self, from: usize, out: &mut Vec<u32>) {
-        let end = self.first_undispatched_index();
-        let mut idx = from;
-        while idx < end {
-            let slot = (self.head + idx) & self.mask;
-            // The physical run from `slot` is contiguous until the ring wraps
-            // or the dispatched region ends.
-            let run = (self.capacity() - slot).min(end - idx);
-            let run_end = slot + run;
-            let mut word_idx = slot / 64;
-            let mut word = self.unissued[word_idx] >> (slot % 64) << (slot % 64);
-            'words: loop {
-                while word != 0 {
-                    let bit = (word_idx * 64) + word.trailing_zeros() as usize;
-                    if bit >= run_end {
-                        break 'words;
-                    }
-                    let candidate = idx + (bit - slot);
-                    if self.deps_ready(candidate) {
-                        out.push(candidate as u32);
-                    }
-                    word &= word - 1;
-                }
-                word_idx += 1;
-                if word_idx * 64 >= run_end {
-                    break;
-                }
-                word = self.unissued[word_idx];
+    /// Marks the issued instruction at logical `index` as completed and
+    /// re-checks the consumers waiting on it, entering every one whose
+    /// operands are now all available into the ready set.
+    pub fn complete(&mut self, index: usize) {
+        let slot = self.slot(index);
+        debug_assert!(self.flags[slot].issued() && !self.flags[slot].completed());
+        self.flags[slot].set_completed(true);
+        let links = self.consumer_count[slot] as usize;
+        if links > CONSUMER_LINKS {
+            for consumer in index + 1..self.first_undispatched_index() {
+                self.wake(consumer);
             }
-            idx += run;
+        } else {
+            for i in 0..links {
+                let consumer =
+                    (self.consumers[slot][i] as usize).wrapping_sub(self.head) & self.mask;
+                if consumer < self.len {
+                    self.wake(consumer);
+                }
+            }
         }
     }
 
+    /// Enters the instruction at logical `index` into the ready set if it is
+    /// dispatched, unissued and has its operands. Idempotent: a stale link
+    /// to a squashed or reused slot re-checks whatever the slot now holds.
+    #[inline]
+    fn wake(&mut self, index: usize) {
+        let flags = self.flags[self.slot(index)];
+        if flags.dispatched() && !flags.issued() && self.deps_ready(index) {
+            self.set_ready(self.slot(index));
+        }
+    }
+
+    #[inline(always)]
+    fn set_ready(&mut self, slot: usize) {
+        let bit = 1u64 << (slot % 64);
+        let word = &mut self.ready[slot / 64];
+        if *word & bit == 0 {
+            *word |= bit;
+            self.ready_count += 1;
+        }
+    }
+
+    #[inline(always)]
+    fn clear_ready(&mut self, slot: usize) {
+        let bit = 1u64 << (slot % 64);
+        let word = &mut self.ready[slot / 64];
+        if *word & bit != 0 {
+            *word &= !bit;
+            self.ready_count -= 1;
+        }
+    }
+
+    /// Whether the instruction at logical `index` is in the ready set.
+    #[inline(always)]
+    pub fn is_ready(&self, index: usize) -> bool {
+        let slot = self.slot(index);
+        self.ready[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    /// Whether any instruction is ready to issue.
+    #[inline(always)]
+    pub fn has_ready(&self) -> bool {
+        self.ready_count > 0
+    }
+
+    /// Appends to `out` the logical index of every ready instruction, oldest
+    /// first: the issue phase's candidate list, one `trailing_zeros` per
+    /// ready instruction.
+    pub fn collect_ready(&self, out: &mut Vec<u32>) {
+        // Only dispatched slots can be ready. They run from physical slot
+        // `head` to `end`, wrapping past the ring's end into `0..`.
+        let end = self.head + self.first_undispatched_index();
+        let capacity = self.capacity();
+        for (lo, hi) in [
+            (self.head, end.min(capacity)),
+            (0, end.saturating_sub(capacity)),
+        ] {
+            if lo >= hi {
+                continue;
+            }
+            let mut word_idx = lo / 64;
+            let mut word = self.ready[word_idx] & (u64::MAX << (lo % 64));
+            loop {
+                while word != 0 {
+                    let slot = word_idx * 64 + word.trailing_zeros() as usize;
+                    if slot >= hi {
+                        break;
+                    }
+                    out.push((slot.wrapping_sub(self.head) & self.mask) as u32);
+                    word &= word - 1;
+                }
+                word_idx += 1;
+                if word_idx * 64 >= hi {
+                    break;
+                }
+                word = self.ready[word_idx];
+            }
+        }
+    }
+
+    /// Asserts that the ready set holds exactly the dispatched, unissued
+    /// instructions whose operands are available, without allocating.
+    #[cfg(debug_assertions)]
+    pub(crate) fn debug_check_ready(&self) {
+        let mut live_ready = 0;
+        for index in 0..self.len {
+            let flags = self.flags_at(index);
+            let expect = flags.dispatched() && !flags.issued() && self.deps_ready(index);
+            debug_assert_eq!(self.is_ready(index), expect, "ready bit drifted at {index}");
+            live_ready += usize::from(expect);
+        }
+        let set: u32 = self.ready.iter().map(|w| w.count_ones()).sum();
+        debug_assert_eq!(set as usize, live_ready, "ready bits on dead slots");
+        debug_assert_eq!(self.ready_count, live_ready, "ready count drifted");
+    }
+
     // ------------------------------------------------------------ lookup
+
+    /// Physical slot of the instruction at logical `index`: a handle that
+    /// stays valid while the instruction is in flight (see
+    /// [`OpWindow::index_of_slot`]).
+    #[inline(always)]
+    pub fn slot_id(&self, index: usize) -> u16 {
+        self.slot(index) as u16
+    }
+
+    /// Logical index of the instruction `seq` if it still occupies physical
+    /// slot `slot` — one probe, where [`OpWindow::position_of_seq`] may have
+    /// to search across squash gaps. Sequence numbers are never reused, so a
+    /// squashed instruction never matches, even after its slot is refilled.
+    #[inline]
+    pub fn index_of_slot(&self, slot: u16, seq: u64) -> Option<usize> {
+        let slot = slot as usize;
+        let index = slot.wrapping_sub(self.head) & self.mask;
+        (index < self.len && self.seq[slot] == seq).then_some(index)
+    }
 
     /// Logical index of the in-flight instruction with sequence number `seq`,
     /// if present. Sequence numbers are dense except across squash gaps, so
@@ -395,14 +516,6 @@ impl OpWindow {
         self.src_dep_offsets[self.slot(index)]
     }
 
-    /// Stores the dispatch-time dependence offsets of the instruction at
-    /// logical `index`.
-    #[inline(always)]
-    pub fn set_src_dep_offsets(&mut self, index: usize, offsets: [u32; 2]) {
-        let slot = self.slot(index);
-        self.src_dep_offsets[slot] = offsets;
-    }
-
     /// Packed status flags of the instruction at logical `index`.
     #[inline(always)]
     pub fn flags_at(&self, index: usize) -> OpFlags {
@@ -411,8 +524,10 @@ impl OpWindow {
 
     /// Mutable access to the packed status flags at logical `index`.
     ///
-    /// The `dispatched` bit must be set through [`OpWindow::mark_dispatched`]
-    /// so the dispatch cursor stays consistent.
+    /// The `dispatched`, `issued` and `completed` bits must be set through
+    /// [`OpWindow::mark_dispatched`], [`OpWindow::mark_issued`] and
+    /// [`OpWindow::complete`], so the dispatch cursor and the ready set stay
+    /// consistent.
     #[inline(always)]
     pub fn flags_mut(&mut self, index: usize) -> &mut OpFlags {
         let slot = self.slot(index);
@@ -444,7 +559,7 @@ impl OpWindow {
     /// consumer) is a single O(1) probe; after a squash gap it falls back to a
     /// binary search. A missing producer (already committed, or unreachable
     /// across a squash) yields [`NO_DEP`] = always ready.
-    pub fn resolve_dep_offsets(&self, index: usize) -> [u32; 2] {
+    fn resolve_dep_offsets(&self, index: usize) -> [u32; 2] {
         let slot = self.slot(index);
         let seq = self.seq[slot];
         let op = &self.op[slot];
@@ -481,11 +596,24 @@ mod tests {
         );
     }
 
+    fn ready(w: &OpWindow) -> Vec<u32> {
+        let mut out = Vec::new();
+        w.collect_ready(&mut out);
+        out
+    }
+
     #[test]
     fn capacity_rounds_to_power_of_two() {
         assert_eq!(OpWindow::new(1).capacity(), 1);
         assert_eq!(OpWindow::new(5).capacity(), 8);
         assert_eq!(OpWindow::new(312).capacity(), 512);
+        assert_eq!(OpWindow::new(MAX_WINDOW_SLOTS).capacity(), MAX_WINDOW_SLOTS);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn oversized_window_panics() {
+        let _ = OpWindow::new(MAX_WINDOW_SLOTS + 1);
     }
 
     #[test]
@@ -508,32 +636,31 @@ mod tests {
         assert_eq!(seqs, vec![3, 4, 5, 6]);
         assert_eq!(w.position_of_seq(5), Some(2));
         assert_eq!(w.position_of_seq(2), None);
+        // The ready walk follows program order across the wrap.
+        for i in 0..4 {
+            w.mark_dispatched(i);
+        }
+        assert_eq!(ready(&w), vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn cursors_track_dispatch_and_issue() {
+    fn ready_set_tracks_dispatch_and_issue() {
         let mut w = OpWindow::new(8);
         for seq in 1..=5 {
             push(&mut w, seq);
         }
-        assert_eq!(w.first_undispatched_index(), 0);
+        assert!(!w.has_ready());
         w.mark_dispatched(0);
         w.mark_dispatched(1);
         w.mark_dispatched(2);
         assert_eq!(w.first_undispatched_index(), 3);
-        // Nothing issued yet: the scan starts at the front.
-        assert_eq!(w.issue_scan_start(), 0);
-        // Issue out of order: 0 and 2, leaving 1 as the resume point.
+        assert_eq!(ready(&w), vec![0, 1, 2]);
+        // Issue out of order: 0 and 2, leaving 1.
         w.mark_issued(0);
         w.mark_issued(2);
-        assert_eq!(w.issue_scan_start(), 1);
-        // No deps in this test, so the candidate list is the unissued
-        // dispatched set: just index 1.
-        let mut candidates = Vec::new();
-        w.collect_issue_candidates(0, &mut candidates);
-        assert_eq!(candidates, vec![1]);
+        assert_eq!(ready(&w), vec![1]);
         w.mark_issued(1);
-        assert_eq!(w.issue_scan_start(), 3);
+        assert!(!w.has_ready());
     }
 
     #[test]
@@ -544,16 +671,15 @@ mod tests {
         }
         for i in 0..4 {
             w.mark_dispatched(i);
-            w.mark_issued(i);
         }
-        assert_eq!(w.issue_scan_start(), 4);
+        w.mark_issued(0);
         w.pop_back();
         w.pop_back();
         assert_eq!(w.first_undispatched_index(), 2);
-        assert_eq!(w.issue_scan_start(), 2);
+        assert_eq!(ready(&w), vec![1]);
         push(&mut w, 9);
         assert_eq!(w.first_undispatched_index(), 2);
-        assert_eq!(w.issue_scan_start(), 2);
+        assert_eq!(ready(&w), vec![1]);
     }
 
     #[test]
@@ -563,16 +689,17 @@ mod tests {
         push(&mut w, 2);
         let op = TraceOp::int_alu(0x100).with_dep(1).with_dep(2);
         w.push_back(3, op, 14, OpFlags::default());
-        w.mark_dispatched(0);
-        w.mark_dispatched(1);
-        w.mark_dispatched(2);
-        let offsets = w.resolve_dep_offsets(2);
-        assert_eq!(offsets, [1, 2]);
-        w.set_src_dep_offsets(2, offsets);
-        assert!(!w.deps_ready(2));
-        w.flags_mut(0).set_completed(true);
-        w.flags_mut(1).set_completed(true);
-        assert!(w.deps_ready(2));
+        for i in 0..3 {
+            w.mark_dispatched(i);
+        }
+        assert_eq!(w.src_dep_offsets_at(2), [1, 2]);
+        assert!(!w.deps_ready(2) && !w.is_ready(2));
+        w.mark_issued(0);
+        w.mark_issued(1);
+        w.complete(0);
+        assert!(!w.is_ready(2), "one operand still missing");
+        w.complete(1);
+        assert!(w.deps_ready(2) && w.is_ready(2));
     }
 
     #[test]
@@ -581,16 +708,59 @@ mod tests {
         push(&mut w, 1);
         w.mark_dispatched(0);
         w.mark_issued(0);
-        w.flags_mut(0).set_completed(true);
+        w.complete(0);
         w.pop_front();
         let op = TraceOp::int_alu(0x100).with_dep(1);
         w.push_back(2, op, 14, OpFlags::default());
         w.mark_dispatched(0);
         // Producer seq 1 has committed: no in-window position, offset = NO_DEP.
-        let offsets = w.resolve_dep_offsets(0);
-        assert_eq!(offsets, [NO_DEP, NO_DEP]);
-        w.set_src_dep_offsets(0, offsets);
-        assert!(w.deps_ready(0));
+        assert_eq!(w.src_dep_offsets_at(0), [NO_DEP, NO_DEP]);
+        assert!(w.deps_ready(0) && w.is_ready(0));
+    }
+
+    #[test]
+    fn overflowing_producer_wakes_every_consumer() {
+        let mut w = OpWindow::new(16);
+        push(&mut w, 1);
+        let consumers = CONSUMER_LINKS as u64 + 3;
+        for seq in 2..2 + consumers {
+            let op = TraceOp::int_alu(0x100 + seq).with_dep((seq - 1) as u32);
+            w.push_back(seq, op, 14, OpFlags::default());
+        }
+        for i in 0..w.len() {
+            w.mark_dispatched(i);
+        }
+        assert_eq!(ready(&w), vec![0]);
+        w.mark_issued(0);
+        w.complete(0);
+        let expect: Vec<u32> = (1..=consumers as u32).collect();
+        assert_eq!(ready(&w), expect);
+    }
+
+    #[test]
+    fn stale_link_rechecks_the_reused_slot() {
+        let mut w = OpWindow::new(8);
+        push(&mut w, 1);
+        w.push_back(
+            2,
+            TraceOp::int_alu(0x80).with_dep(1),
+            14,
+            OpFlags::default(),
+        );
+        w.mark_dispatched(0);
+        w.mark_dispatched(1);
+        w.mark_issued(0);
+        // Squash the consumer; its slot is reused by a later op that waits on
+        // nothing in the window but is not yet dispatched.
+        w.pop_back();
+        push(&mut w, 3);
+        w.complete(0);
+        assert!(
+            !w.is_ready(1),
+            "an undispatched slot never enters the ready set"
+        );
+        w.mark_dispatched(1);
+        assert_eq!(ready(&w), vec![1]);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Model-based tests for the struct-of-arrays instruction window: a naive
 //! `VecDeque`-of-structs reference model is driven through random
 //! fetch/dispatch/issue/complete/commit/squash sequences in lockstep with
-//! [`OpWindow`], asserting identical observable state after every step — plus
-//! a deterministic squash-at-wraparound regression test for the ring buffer.
+//! [`OpWindow`], asserting identical observable state after every step. The
+//! model recomputes readiness from scratch, so every step also checks that
+//! the window's event-driven ready set is exactly the dispatched, unissued
+//! instructions whose operands are available — across squashes of linked
+//! consumers, producers with more consumers than their link column holds, and
+//! slots reused across the ring wrap. A deterministic squash-at-wraparound
+//! regression test pins the ring buffer.
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use smt_core::pipeline::window::{OpWindow, NO_DEP};
+use smt_core::pipeline::window::{OpWindow, CONSUMER_LINKS, NO_DEP};
 use smt_types::{OpFlags, TraceOp};
 
 /// The naive all-in-one-struct reference entry (what the pre-SoA pipeline kept
@@ -31,6 +36,9 @@ struct RefEntry {
 #[derive(Default)]
 struct RefWindow {
     entries: VecDeque<RefEntry>,
+    /// `(slot_id, seq)` handles of recently issued entries, as completion
+    /// events carry them; squashed or committed ones must stop resolving.
+    handles: VecDeque<(u16, u64)>,
 }
 
 impl RefWindow {
@@ -66,8 +74,9 @@ impl RefWindow {
         offsets
     }
 
-    /// Dispatched, unissued, operands ready — in program order.
-    fn issue_candidates(&self) -> Vec<u32> {
+    /// The ready set: dispatched, unissued, operands ready — in program
+    /// order.
+    fn ready(&self) -> Vec<u32> {
         (0..self.first_undispatched_index())
             .filter(|&i| !self.entries[i].issued && self.deps_ready(i))
             .map(|i| i as u32)
@@ -80,6 +89,14 @@ fn assert_same_state(w: &OpWindow, r: &RefWindow) {
     assert_eq!(w.len(), r.entries.len());
     assert_eq!(w.is_empty(), r.entries.is_empty());
     assert_eq!(w.first_undispatched_index(), r.first_undispatched_index());
+    let mut ready = Vec::new();
+    w.collect_ready(&mut ready);
+    assert_eq!(ready, r.ready(), "ready set diverged");
+    assert_eq!(w.has_ready(), !ready.is_empty());
+    for &(slot, seq) in &r.handles {
+        let expect = r.entries.iter().position(|e| e.seq == seq);
+        assert_eq!(w.index_of_slot(slot, seq), expect, "slot handle of {seq}");
+    }
     for (i, e) in r.entries.iter().enumerate() {
         assert_eq!(w.seq_at(i), e.seq, "seq at {i}");
         assert_eq!(w.op_at(i), e.op, "op at {i}");
@@ -93,6 +110,11 @@ fn assert_same_state(w: &OpWindow, r: &RefWindow) {
         assert_eq!(f.mispredicted(), e.mispredicted, "mispredicted at {i}");
         assert_eq!(f.predicted_taken(), e.predicted_taken, "ptaken at {i}");
         assert_eq!(w.deps_ready(i), r.deps_ready(i), "deps_ready at {i}");
+        assert_eq!(
+            w.is_ready(i),
+            e.dispatched && !e.issued && r.deps_ready(i),
+            "ready bit at {i}"
+        );
         assert_eq!(
             w.position_of_seq(e.seq),
             Some(i),
@@ -127,20 +149,62 @@ fn action_strategy() -> impl Strategy<Value = Action> {
 }
 
 /// A deterministic little op generator so dependence resolution is exercised
-/// with realistic producer distances.
+/// with realistic producer distances. Every op in the second half of a 16-op
+/// block reads op 8 of the block in place of any second operand, which makes
+/// op 8 a producer with more consumers than its link column holds.
 fn op_for(seq: u64) -> TraceOp {
     let pc = 0x1000 + 4 * seq;
-    match seq % 4 {
+    let op = match seq % 4 {
         0 => TraceOp::int_alu(pc).with_dep((seq % 3 + 1) as u32),
         1 => TraceOp::load(pc, 0x100 * seq).with_dep((seq % 5 + 1) as u32),
         2 => TraceOp::branch(pc, seq.is_multiple_of(2), pc + 0x40),
         _ => TraceOp::int_alu(pc)
             .with_dep(1)
             .with_dep((seq % 7 + 2) as u32),
+    };
+    let in_block = seq % 16;
+    if in_block > 8 {
+        let mut op = op;
+        op.src_deps[1] = None;
+        op.with_dep((in_block - 8) as u32)
+    } else {
+        op
     }
 }
 
-fn apply(action: Action, w: &mut OpWindow, r: &mut RefWindow, next_seq: &mut u64) {
+/// How often a run hit the edge cases of the consumer links.
+#[derive(Default, Debug)]
+struct Coverage {
+    /// Completions of a producer with more waiting consumers than
+    /// `CONSUMER_LINKS`.
+    overflowing_producers: u64,
+    /// Squashes that removed a consumer still linked to a surviving producer.
+    squashed_live_links: u64,
+    /// Fetches into a ring that has wrapped, right after such a squash: the
+    /// new op reuses the slot a stale link points at.
+    reused_linked_slots: u64,
+    /// Set by a squash of a linked consumer, cleared by the next fetch.
+    stale_link_pending: bool,
+}
+
+/// Whether the dispatched, unissued entry `idx` waits on the producer at
+/// `producer`.
+fn waits_on(r: &RefWindow, idx: usize, producer: usize) -> bool {
+    let e = &r.entries[idx];
+    e.dispatched
+        && !e.issued
+        && e.src_dep_offsets
+            .iter()
+            .any(|&o| o != NO_DEP && o as usize <= idx && idx - o as usize == producer)
+}
+
+fn apply(
+    action: Action,
+    w: &mut OpWindow,
+    r: &mut RefWindow,
+    next_seq: &mut u64,
+    cov: &mut Coverage,
+) {
     match action {
         Action::Fetch => {
             // Keep the window smaller than its (tiny) capacity so the ring
@@ -150,6 +214,10 @@ fn apply(action: Action, w: &mut OpWindow, r: &mut RefWindow, next_seq: &mut u64
             }
             let seq = *next_seq;
             *next_seq += 1;
+            if cov.stale_link_pending && seq > w.capacity() as u64 {
+                cov.reused_linked_slots += 1;
+            }
+            cov.stale_link_pending = false;
             let op = op_for(seq);
             let mut flags = OpFlags::default();
             flags.set_mispredicted(seq.is_multiple_of(11));
@@ -175,26 +243,29 @@ fn apply(action: Action, w: &mut OpWindow, r: &mut RefWindow, next_seq: &mut u64
                 return;
             }
             let expect = r.resolve_dep_offsets(idx);
-            let offsets = w.resolve_dep_offsets(idx);
-            assert_eq!(offsets, expect, "dep resolution diverged at {idx}");
-            w.set_src_dep_offsets(idx, offsets);
             w.mark_dispatched(idx);
+            assert_eq!(
+                w.src_dep_offsets_at(idx),
+                expect,
+                "dep resolution diverged at {idx}"
+            );
             let e = &mut r.entries[idx];
             e.src_dep_offsets = expect;
             e.dispatched = true;
         }
         Action::Issue(param) => {
-            let expect = r.issue_candidates();
+            let expect = r.ready();
             let mut got = Vec::new();
-            let start = w.issue_scan_start();
-            w.collect_issue_candidates(start, &mut got);
-            // The scan may resume after an all-issued prefix; candidates below
-            // `start` cannot exist, so the full lists must agree.
-            assert_eq!(got, expect, "issue candidates diverged");
+            w.collect_ready(&mut got);
+            assert_eq!(got, expect, "ready set diverged");
             if expect.is_empty() {
                 return;
             }
             let idx = expect[(param % expect.len() as u64) as usize] as usize;
+            if r.handles.len() == 32 {
+                r.handles.pop_front();
+            }
+            r.handles.push_back((w.slot_id(idx), r.entries[idx].seq));
             w.mark_issued(idx);
             w.set_done_at(idx, param % 1024);
             let e = &mut r.entries[idx];
@@ -210,9 +281,14 @@ fn apply(action: Action, w: &mut OpWindow, r: &mut RefWindow, next_seq: &mut u64
             }
             let idx = pending[(param % pending.len() as u64) as usize];
             let seq = r.entries[idx].seq;
-            // Completion events address instructions by sequence number.
             assert_eq!(w.position_of_seq(seq), Some(idx));
-            w.flags_mut(idx).set_completed(true);
+            let waiting = (idx + 1..r.entries.len())
+                .filter(|&j| waits_on(r, j, idx))
+                .count();
+            if waiting > CONSUMER_LINKS {
+                cov.overflowing_producers += 1;
+            }
+            w.complete(idx);
             r.entries[idx].completed = true;
         }
         Action::Commit(param) => {
@@ -235,6 +311,12 @@ fn apply(action: Action, w: &mut OpWindow, r: &mut RefWindow, next_seq: &mut u64
             }
             let keep_idx = (param % r.entries.len() as u64) as usize;
             let keep_up_to = r.entries[keep_idx].seq;
+            let linked = (keep_idx + 1..r.entries.len())
+                .any(|j| (0..=keep_idx).any(|p| !r.entries[p].completed && waits_on(r, j, p)));
+            if linked {
+                cov.squashed_live_links += 1;
+                cov.stale_link_pending = true;
+            }
             while let Some(back) = r.entries.back() {
                 if back.seq <= keep_up_to {
                     break;
@@ -257,20 +339,55 @@ proptest! {
     fn op_window_matches_vecdeque_reference(
         actions in prop::collection::vec(action_strategy(), 1..600),
     ) {
-        // Capacity 16 with up to 600 operations: the ring wraps repeatedly and
-        // squashes regularly cross the wrap boundary.
-        let mut w = OpWindow::new(16);
-        let mut r = RefWindow::default();
-        let mut next_seq = 1u64;
-        for action in actions {
-            apply(action, &mut w, &mut r, &mut next_seq);
-            assert_same_state(&w, &r);
-        }
+        let (w, next_seq, _) = run_against_model(actions);
         prop_assert!(w.position_of_seq(next_seq).is_none());
     }
 }
 
-/// The bitmap scan of `collect_issue_candidates` crosses 64-bit word
+/// Drives a capacity-16 window and the model through `actions`, checking
+/// them against each other after every step. With hundreds of operations the
+/// ring wraps repeatedly and squashes regularly cross the wrap boundary.
+fn run_against_model(actions: impl IntoIterator<Item = Action>) -> (OpWindow, u64, Coverage) {
+    let mut w = OpWindow::new(16);
+    let mut r = RefWindow::default();
+    let mut next_seq = 1u64;
+    let mut cov = Coverage::default();
+    for action in actions {
+        apply(action, &mut w, &mut r, &mut next_seq, &mut cov);
+        assert_same_state(&w, &r);
+    }
+    (w, next_seq, cov)
+}
+
+/// The random op mix reaches every edge case of the consumer links: a
+/// squash of a linked consumer, a producer whose consumers overflow its link
+/// column, and a stale link whose slot the wrapped ring hands to a new op.
+#[test]
+fn random_mix_covers_consumer_link_edge_cases() {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let actions = (0..60_000).map(|_| {
+        // xorshift64*: a fixed, dependency-free stream of actions.
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        let x = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        let param = x >> 8;
+        match x % 6 {
+            0 => Action::Fetch,
+            1 => Action::Dispatch,
+            2 => Action::Issue(param),
+            3 => Action::Complete(param),
+            4 => Action::Commit(param),
+            _ => Action::Squash(param),
+        }
+    });
+    let (_, _, cov) = run_against_model(actions);
+    assert!(cov.overflowing_producers > 0, "{cov:?}");
+    assert!(cov.squashed_live_links > 0, "{cov:?}");
+    assert!(cov.reused_linked_slots > 0, "{cov:?}");
+}
+
+/// The ready walk that yields the issue candidates crosses 64-bit word
 /// boundaries only in windows larger than one word; pin that path directly
 /// with a production-sized (capacity 128) window, both head-aligned and with
 /// the live region wrapping across the ring's end.
@@ -280,52 +397,62 @@ fn issue_candidates_cross_bitmap_words() {
         let mut w = OpWindow::new(128);
         let mut r = RefWindow::default();
         let mut next_seq = 1u64;
+        let mut cov = Coverage::default();
+        let mut step = |action, w: &mut OpWindow, r: &mut RefWindow| {
+            apply(action, w, r, &mut next_seq, &mut cov);
+        };
         // Optionally march the head forward so the live region starts at slot
         // 100 and wraps: fill, retire, then refill.
         for _ in 0..retire_first {
-            apply(Action::Fetch, &mut w, &mut r, &mut next_seq);
-            apply(Action::Dispatch, &mut w, &mut r, &mut next_seq);
-            apply(Action::Issue(0), &mut w, &mut r, &mut next_seq);
-            apply(Action::Complete(0), &mut w, &mut r, &mut next_seq);
-            apply(Action::Commit(0), &mut w, &mut r, &mut next_seq);
+            step(Action::Fetch, &mut w, &mut r);
+            step(Action::Dispatch, &mut w, &mut r);
+            step(Action::Issue(0), &mut w, &mut r);
+            step(Action::Complete(0), &mut w, &mut r);
+            step(Action::Commit(0), &mut w, &mut r);
         }
         assert!(w.is_empty());
         // 120 in-flight entries spanning two (aligned) or three (wrapped)
         // bitmap words; dispatch everything, then issue a scattered subset so
-        // unissued bits survive in every word.
+        // ready bits survive in every word.
         for _ in 0..120 {
-            apply(Action::Fetch, &mut w, &mut r, &mut next_seq);
+            step(Action::Fetch, &mut w, &mut r);
         }
         for _ in 0..120 {
-            apply(Action::Dispatch, &mut w, &mut r, &mut next_seq);
+            step(Action::Dispatch, &mut w, &mut r);
         }
         assert_eq!(w.len(), 120);
         for param in [0u64, 17, 63, 64, 65, 90, 118, 3, 77, 111, 40] {
-            apply(Action::Issue(param), &mut w, &mut r, &mut next_seq);
+            step(Action::Issue(param), &mut w, &mut r);
         }
-        let expect = r.issue_candidates();
+        // Complete a few producers so woken consumers join the set too.
+        for param in [0u64, 5, 9] {
+            step(Action::Complete(param), &mut w, &mut r);
+        }
+        let expect = r.ready();
         assert!(!expect.is_empty());
         let mut got = Vec::new();
-        w.collect_issue_candidates(0, &mut got);
+        w.collect_ready(&mut got);
         assert_eq!(got, expect, "retire_first={retire_first}");
         assert_same_state(&w, &r);
     }
 }
 
 /// Regression: squashing a suffix whose physical slots straddle the ring's
-/// wrap point must leave exactly the kept prefix, with cursors clamped.
+/// wrap point must leave exactly the kept prefix, with the dispatch cursor
+/// clamped and the squashed slots out of the ready set.
 #[test]
 fn squash_across_ring_wraparound() {
-    let mut w = OpWindow::new(8); // capacity 8
-                                  // Fill, retire the first six, and refill: head sits at slot 6, and the
-                                  // window's 8 entries occupy slots 6,7,0,1,2,3,4,5 — wrapping physically.
+    // Capacity 8. Fill, retire the first six, and refill: head sits at slot
+    // 6, and the window's 8 entries occupy slots 6,7,0,1,2,3,4,5 — wrapping
+    // physically.
+    let mut w = OpWindow::new(8);
     for seq in 1..=8u64 {
         w.push_back(seq, TraceOp::int_alu(0x40 + seq), 0, OpFlags::default());
     }
     for i in 0..6 {
         w.mark_dispatched(i);
         w.mark_issued(i);
-        w.flags_mut(i).set_completed(true);
+        w.complete(i);
     }
     for _ in 0..6 {
         w.pop_front();
@@ -334,8 +461,8 @@ fn squash_across_ring_wraparound() {
         w.push_back(seq, TraceOp::int_alu(0x40 + seq), 0, OpFlags::default());
     }
     assert_eq!(w.len(), 8);
-    // Dispatch and issue a few of the survivors so the squash crosses both
-    // cursor positions and the wrap boundary.
+    // Dispatch and issue a few of the survivors so the squash crosses the
+    // dispatch cursor, ready slots and the wrap boundary.
     for i in 0..5 {
         w.mark_dispatched(i);
     }
@@ -350,14 +477,12 @@ fn squash_across_ring_wraparound() {
     assert_eq!(w.len(), 3);
     let seqs: Vec<u64> = (0..w.len()).map(|i| w.seq_at(i)).collect();
     assert_eq!(seqs, vec![7, 8, 9]);
-    // Cursors clamp to the shortened window: entries 0..3 stay dispatched
-    // (dispatch cursor was at 5, now clamps to 3), and the issue scan resumes
-    // at the unissued survivor (index 1).
+    // The dispatch cursor was at 5 and clamps to 3; of the ready entries
+    // (indices 1, 3, 4) only index 1 survives.
     assert_eq!(w.first_undispatched_index(), 3);
-    assert_eq!(w.issue_scan_start(), 1);
-    let mut candidates = Vec::new();
-    w.collect_issue_candidates(0, &mut candidates);
-    assert_eq!(candidates, vec![1]);
+    let mut ready = Vec::new();
+    w.collect_ready(&mut ready);
+    assert_eq!(ready, vec![1]);
     assert_eq!(w.position_of_seq(9), Some(2));
     assert_eq!(w.position_of_seq(10), None);
 
@@ -368,4 +493,10 @@ fn squash_across_ring_wraparound() {
     assert_eq!(w.len(), 8);
     assert_eq!(w.seq_at(3), 20);
     assert_eq!(w.position_of_seq(24), Some(7));
+    for i in 3..8 {
+        w.mark_dispatched(i);
+    }
+    ready.clear();
+    w.collect_ready(&mut ready);
+    assert_eq!(ready, vec![1, 3, 4, 5, 6, 7]);
 }

@@ -304,6 +304,7 @@ impl FetchPolicy for MlpBinaryFlushAtStallPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{fetch_priority_vec, on_resource_stall_vec};
 
     fn active_snapshot(num: usize) -> SmtSnapshot {
         let mut s = SmtSnapshot::new(num);
@@ -321,7 +322,7 @@ mod tests {
             .on_long_latency_detected(t0, 0x40, SeqNum(10), SeqNum(50), 30, true)
             .is_none());
         let s = active_snapshot(2);
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 
     #[test]
@@ -333,9 +334,9 @@ mod tests {
             .expect("flush expected");
         assert_eq!(req.keep_up_to, SeqNum(10));
         let s = active_snapshot(2);
-        assert!(!p.fetch_priority_vec(&s).contains(&t0));
+        assert!(!fetch_priority_vec(&mut p, &s).contains(&t0));
         p.on_long_latency_resolved(t0, SeqNum(10));
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 
     #[test]
@@ -356,18 +357,18 @@ mod tests {
         s.threads[0].outstanding_long_latency_loads = 1;
         s.threads[0].oldest_lll_cycle = Some(1);
         s.resource_stalled = true;
-        let reqs = p.on_resource_stall_vec(&s);
+        let reqs = on_resource_stall_vec(&mut p, &s);
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].keep_up_to, SeqNum(100));
         // Only one flush per stall episode.
-        assert!(p.on_resource_stall_vec(&s).is_empty());
+        assert!(on_resource_stall_vec(&mut p, &s).is_empty());
         // After the load resolves the episode resets.
         p.on_long_latency_resolved(t0, SeqNum(100));
         s.threads[0].outstanding_long_latency_loads = 0;
-        let _ = p.fetch_priority_vec(&s);
+        let _ = fetch_priority_vec(&mut p, &s);
         let _ = p.on_long_latency_detected(t0, 0x44, SeqNum(300), SeqNum(310), 4, true);
         s.threads[0].outstanding_long_latency_loads = 1;
-        assert_eq!(p.on_resource_stall_vec(&s).len(), 1);
+        assert_eq!(on_resource_stall_vec(&mut p, &s).len(), 1);
     }
 
     #[test]
@@ -379,9 +380,9 @@ mod tests {
         s.threads[0].oldest_lll_cycle = Some(1);
         let _ = p.on_long_latency_detected(t0, 0x40, SeqNum(100), SeqNum(100), 6, true);
         p.on_fetch(t0, SeqNum(103));
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
         p.on_fetch(t0, SeqNum(106));
-        assert!(!p.fetch_priority_vec(&s).contains(&t0));
+        assert!(!fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 
     #[test]
@@ -395,14 +396,14 @@ mod tests {
             .on_long_latency_detected(t0, 0x40, SeqNum(100), SeqNum(120), 0, true)
             .is_none());
         // MLP predicted: no gating even with the load outstanding.
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
         // A resource stall reclaims the resources.
         s.resource_stalled = true;
-        let reqs = p.on_resource_stall_vec(&s);
+        let reqs = on_resource_stall_vec(&mut p, &s);
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].keep_up_to, SeqNum(100));
         // After the flush the thread is gated at the trigger until resolution.
-        assert!(!p.fetch_priority_vec(&s).contains(&t0));
+        assert!(!fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 
     #[test]
@@ -412,6 +413,6 @@ mod tests {
         let _ = p.on_long_latency_detected(t0, 0x40, SeqNum(100), SeqNum(120), 0, false);
         p.on_squash(t0, SeqNum(50));
         let s = active_snapshot(2);
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 }

@@ -62,6 +62,7 @@ impl FetchPolicy for FlushPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::fetch_priority_vec;
 
     #[test]
     fn flushes_everything_after_the_load() {
@@ -90,7 +91,7 @@ mod tests {
         }
         s.threads[1].outstanding_long_latency_loads = 2;
         s.threads[1].oldest_lll_cycle = Some(5);
-        assert_eq!(p.fetch_priority_vec(&s), vec![ThreadId::new(0)]);
+        assert_eq!(fetch_priority_vec(&mut p, &s), vec![ThreadId::new(0)]);
         assert_eq!(p.kind(), FetchPolicyKind::Flush);
     }
 }

@@ -48,6 +48,7 @@ impl FetchPolicy for IcountPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::fetch_priority_vec;
 
     #[test]
     fn never_gates() {
@@ -57,7 +58,7 @@ mod tests {
             t.outstanding_long_latency_loads = 3;
             t.active = true;
         }
-        assert_eq!(p.fetch_priority_vec(&snap).len(), 4);
+        assert_eq!(fetch_priority_vec(&mut p, &snap).len(), 4);
         assert_eq!(p.kind(), FetchPolicyKind::Icount);
         assert_eq!(p.name(), "icount");
     }

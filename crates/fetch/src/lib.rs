@@ -95,6 +95,50 @@ pub fn build_policy(kind: FetchPolicyKind, config: &SmtConfig) -> Box<dyn FetchP
 }
 
 #[cfg(test)]
+mod testing {
+    //! Allocating wrappers around the buffer-based [`FetchPolicy`] queries, for
+    //! unit tests. The pipeline reuses scratch buffers instead.
+
+    use smt_types::config::SmtConfig;
+    use smt_types::{SmtSnapshot, ThreadId};
+
+    use crate::policy::{FetchPolicy, FlushRequest, ResourceCaps};
+
+    /// [`FetchPolicy::fetch_priority`] into a fresh vector.
+    pub(crate) fn fetch_priority_vec<P: FetchPolicy + ?Sized>(
+        policy: &mut P,
+        snapshot: &SmtSnapshot,
+    ) -> Vec<ThreadId> {
+        let mut priority = Vec::new();
+        policy.fetch_priority(snapshot, &mut priority);
+        priority
+    }
+
+    /// [`FetchPolicy::on_resource_stall`] into a fresh vector.
+    pub(crate) fn on_resource_stall_vec<P: FetchPolicy + ?Sized>(
+        policy: &mut P,
+        snapshot: &SmtSnapshot,
+    ) -> Vec<FlushRequest> {
+        let mut flushes = Vec::new();
+        policy.on_resource_stall(snapshot, &mut flushes);
+        flushes
+    }
+
+    /// [`FetchPolicy::resource_caps`] into a fresh vector; `None` when the
+    /// policy imposes no caps.
+    pub(crate) fn resource_caps_vec<P: FetchPolicy + ?Sized>(
+        policy: &mut P,
+        snapshot: &SmtSnapshot,
+        config: &SmtConfig,
+    ) -> Option<Vec<ResourceCaps>> {
+        let mut caps = vec![ResourceCaps::default(); snapshot.num_threads()];
+        policy
+            .resource_caps(snapshot, config, &mut caps)
+            .then_some(caps)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use smt_types::SmtSnapshot;

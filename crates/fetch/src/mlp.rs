@@ -195,6 +195,7 @@ impl FetchPolicy for MlpFlushPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::fetch_priority_vec;
 
     fn active_snapshot(num: usize) -> SmtSnapshot {
         let mut s = SmtSnapshot::new(num);
@@ -214,13 +215,13 @@ mod tests {
         s.threads[0].outstanding_long_latency_loads = 0;
         // Fetched up to 104: still within the allowance.
         p.on_fetch(t0, SeqNum(104));
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
         // Fetched up to 108: allowance exhausted, thread gates.
         p.on_fetch(t0, SeqNum(108));
-        assert!(!p.fetch_priority_vec(&s).contains(&t0));
+        assert!(!fetch_priority_vec(&mut p, &s).contains(&t0));
         // Load resolves: thread resumes.
         p.on_long_latency_resolved(t0, SeqNum(100));
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 
     #[test]
@@ -230,9 +231,9 @@ mod tests {
         let t0 = ThreadId::new(0);
         p.on_load_predicted(t0, 0x40, SeqNum(50), true, 0, false);
         p.on_fetch(t0, SeqNum(50));
-        assert!(!p.fetch_priority_vec(&s).contains(&t0));
+        assert!(!fetch_priority_vec(&mut p, &s).contains(&t0));
         p.on_load_executed_hit(t0, 0x40, SeqNum(50));
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 
     #[test]
@@ -263,14 +264,14 @@ mod tests {
             .on_long_latency_detected(t0, 0x40, SeqNum(100), SeqNum(105), 12, true)
             .is_none());
         // Still below the allowance of 112: keeps fetching.
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
         p.on_fetch(t0, SeqNum(112));
-        assert!(!p.fetch_priority_vec(&s).contains(&t0));
+        assert!(!fetch_priority_vec(&mut p, &s).contains(&t0));
         // Data returns: outstanding drops to zero and the thread resumes.
         p.on_long_latency_resolved(t0, SeqNum(100));
         s.threads[0].outstanding_long_latency_loads = 0;
         s.threads[0].oldest_lll_cycle = None;
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 
     #[test]
@@ -293,7 +294,7 @@ mod tests {
         p.on_squash(t0, SeqNum(400));
         // The pending trigger was squashed; with no outstanding loads the thread
         // must not stay gated.
-        assert!(p.fetch_priority_vec(&s).contains(&t0));
+        assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 
     #[test]
@@ -310,6 +311,6 @@ mod tests {
             p.on_long_latency_detected(ThreadId::new(1), 0x44, SeqNum(10), SeqNum(10), 0, false);
         p.on_fetch(ThreadId::new(0), SeqNum(10));
         p.on_fetch(ThreadId::new(1), SeqNum(10));
-        assert_eq!(p.fetch_priority_vec(&s), vec![ThreadId::new(0)]);
+        assert_eq!(fetch_priority_vec(&mut p, &s), vec![ThreadId::new(0)]);
     }
 }

@@ -134,13 +134,14 @@ impl FetchPolicy for DcraPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{fetch_priority_vec, resource_caps_vec};
 
     #[test]
     fn static_partition_gives_equal_shares() {
         let mut p = StaticPartitionPolicy::new(2);
         let cfg = SmtConfig::baseline(2);
         let snap = SmtSnapshot::new(2);
-        let caps = p.resource_caps_vec(&snap, &cfg).unwrap();
+        let caps = resource_caps_vec(&mut p, &snap, &cfg).unwrap();
         assert_eq!(caps.len(), 2);
         assert_eq!(caps[0].rob, Some(128));
         assert_eq!(caps[0].lsq, Some(64));
@@ -157,7 +158,7 @@ mod tests {
         let mut snap = SmtSnapshot::new(2);
         snap.threads[0].outstanding_l1d_misses = 3; // slow
         snap.threads[1].outstanding_l1d_misses = 0; // fast
-        let caps = p.resource_caps_vec(&snap, &cfg).unwrap();
+        let caps = resource_caps_vec(&mut p, &snap, &cfg).unwrap();
         assert!(caps[0].rob.unwrap() > caps[1].rob.unwrap());
         assert!(caps[0].rob.unwrap() > cfg.rob_size / 2);
         assert!(caps[1].rob.unwrap() <= cfg.rob_size / 2);
@@ -168,14 +169,14 @@ mod tests {
         let mut p = DcraPolicy::new(2);
         let cfg = SmtConfig::baseline(2);
         let snap = SmtSnapshot::new(2);
-        let caps = p.resource_caps_vec(&snap, &cfg).unwrap();
+        let caps = resource_caps_vec(&mut p, &snap, &cfg).unwrap();
         assert_eq!(caps[0].rob, Some(128));
         assert_eq!(caps[1].rob, Some(128));
         let mut snap_all_slow = SmtSnapshot::new(2);
         for t in &mut snap_all_slow.threads {
             t.outstanding_l1d_misses = 1;
         }
-        let caps = p.resource_caps_vec(&snap_all_slow, &cfg).unwrap();
+        let caps = resource_caps_vec(&mut p, &snap_all_slow, &cfg).unwrap();
         assert_eq!(caps[0].rob, Some(128));
     }
 
@@ -185,7 +186,7 @@ mod tests {
         let cfg = SmtConfig::baseline(4);
         let mut snap = SmtSnapshot::new(4);
         snap.threads[0].outstanding_l1d_misses = 2;
-        let caps = p.resource_caps_vec(&snap, &cfg).unwrap();
+        let caps = resource_caps_vec(&mut p, &snap, &cfg).unwrap();
         // The one slow thread gets more than an equal share; fast threads get less.
         assert!(caps[0].rob.unwrap() > 64);
         for c in &caps[1..] {
@@ -202,7 +203,7 @@ mod tests {
         let mut snap = SmtSnapshot::new(2);
         snap.threads[0].icount = 9;
         snap.threads[1].icount = 1;
-        assert_eq!(sp.fetch_priority_vec(&snap)[0].index(), 1);
-        assert_eq!(dcra.fetch_priority_vec(&snap)[0].index(), 1);
+        assert_eq!(fetch_priority_vec(&mut sp, &snap)[0].index(), 1);
+        assert_eq!(fetch_priority_vec(&mut dcra, &snap)[0].index(), 1);
     }
 }

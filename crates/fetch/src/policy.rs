@@ -44,8 +44,7 @@ pub struct ResourceCaps {
 /// The per-cycle queries ([`fetch_priority`], [`on_resource_stall`],
 /// [`resource_caps`]) write into caller-provided scratch buffers instead of
 /// returning fresh allocations, so the pipeline's steady state is
-/// allocation-free; allocating `*_vec` convenience wrappers exist behind
-/// `cfg(any(test, feature = "test-util"))` for tests and one-off callers. Within one cycle the pipeline may deliver per-thread
+/// allocation-free. Within one cycle the pipeline may deliver per-thread
 /// callbacks in any thread order; policies must not rely on cross-thread
 /// ordering.
 ///
@@ -76,17 +75,6 @@ pub trait FetchPolicy: Send {
     /// most-preferred first (clearing whatever the buffer held). Threads not in
     /// the list are fetch gated this cycle.
     fn fetch_priority(&mut self, snapshot: &SmtSnapshot, priority: &mut Vec<ThreadId>);
-
-    /// Allocating convenience wrapper around [`FetchPolicy::fetch_priority`]
-    /// for tests and examples; the pipeline reuses a scratch buffer instead.
-    /// Only compiled for tests and under the `test-util` feature, so the
-    /// production build has a single, non-allocating query surface.
-    #[cfg(any(test, feature = "test-util"))]
-    fn fetch_priority_vec(&mut self, snapshot: &SmtSnapshot) -> Vec<ThreadId> {
-        let mut priority = Vec::new();
-        self.fetch_priority(snapshot, &mut priority);
-        priority
-    }
 
     /// An instruction with sequence number `seq` was fetched for `thread`.
     fn on_fetch(&mut self, thread: ThreadId, seq: SeqNum) {
@@ -159,16 +147,6 @@ pub trait FetchPolicy: Send {
         let _ = (snapshot, flushes);
     }
 
-    /// Allocating convenience wrapper around [`FetchPolicy::on_resource_stall`]
-    /// for tests and examples (see [`FetchPolicy::fetch_priority_vec`] for the
-    /// gating rationale).
-    #[cfg(any(test, feature = "test-util"))]
-    fn on_resource_stall_vec(&mut self, snapshot: &SmtSnapshot) -> Vec<FlushRequest> {
-        let mut flushes = Vec::new();
-        self.on_resource_stall(snapshot, &mut flushes);
-        flushes
-    }
-
     /// Instructions of `thread` younger than `keep_up_to` were squashed (by a
     /// branch misprediction or a policy flush); policies drop any per-seq state.
     fn on_squash(&mut self, thread: ThreadId, keep_up_to: SeqNum) {
@@ -189,20 +167,6 @@ pub trait FetchPolicy: Send {
     ) -> bool {
         let _ = (snapshot, config, caps);
         false
-    }
-
-    /// Allocating convenience wrapper around [`FetchPolicy::resource_caps`]
-    /// for tests and examples (see [`FetchPolicy::fetch_priority_vec`] for the
-    /// gating rationale).
-    #[cfg(any(test, feature = "test-util"))]
-    fn resource_caps_vec(
-        &mut self,
-        snapshot: &SmtSnapshot,
-        config: &SmtConfig,
-    ) -> Option<Vec<ResourceCaps>> {
-        let mut caps = vec![ResourceCaps::default(); snapshot.num_threads()];
-        self.resource_caps(snapshot, config, &mut caps)
-            .then_some(caps)
     }
 
     /// Human-readable policy name.

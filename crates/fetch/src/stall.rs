@@ -93,6 +93,7 @@ impl FetchPolicy for StallPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::fetch_priority_vec;
 
     fn busy_snapshot() -> SmtSnapshot {
         let mut s = SmtSnapshot::new(2);
@@ -108,7 +109,7 @@ mod tests {
         let mut s = busy_snapshot();
         s.threads[0].outstanding_long_latency_loads = 1;
         s.threads[0].oldest_lll_cycle = Some(10);
-        let order = p.fetch_priority_vec(&s);
+        let order = fetch_priority_vec(&mut p, &s);
         assert_eq!(order, vec![ThreadId::new(1)]);
     }
 
@@ -117,7 +118,7 @@ mod tests {
         let mut p = StallPolicy::detected(2);
         p.on_load_predicted(ThreadId::new(0), 0x40, SeqNum(5), true, 10, true);
         let s = busy_snapshot();
-        assert_eq!(p.fetch_priority_vec(&s).len(), 2);
+        assert_eq!(fetch_priority_vec(&mut p, &s).len(), 2);
     }
 
     #[test]
@@ -125,10 +126,10 @@ mod tests {
         let mut p = StallPolicy::predictive(2);
         let s = busy_snapshot();
         p.on_load_predicted(ThreadId::new(0), 0x40, SeqNum(5), true, 0, false);
-        assert_eq!(p.fetch_priority_vec(&s), vec![ThreadId::new(1)]);
+        assert_eq!(fetch_priority_vec(&mut p, &s), vec![ThreadId::new(1)]);
         // The load turns out to be a hit: the thread resumes fetching.
         p.on_load_executed_hit(ThreadId::new(0), 0x40, SeqNum(5));
-        assert_eq!(p.fetch_priority_vec(&s).len(), 2);
+        assert_eq!(fetch_priority_vec(&mut p, &s).len(), 2);
     }
 
     #[test]
@@ -137,10 +138,10 @@ mod tests {
         let s = busy_snapshot();
         p.on_load_predicted(ThreadId::new(0), 0x40, SeqNum(5), true, 0, false);
         p.on_long_latency_resolved(ThreadId::new(0), SeqNum(5));
-        assert_eq!(p.fetch_priority_vec(&s).len(), 2);
+        assert_eq!(fetch_priority_vec(&mut p, &s).len(), 2);
         p.on_load_predicted(ThreadId::new(0), 0x44, SeqNum(9), true, 0, false);
         p.on_squash(ThreadId::new(0), SeqNum(7));
-        assert_eq!(p.fetch_priority_vec(&s).len(), 2);
+        assert_eq!(fetch_priority_vec(&mut p, &s).len(), 2);
     }
 
     #[test]
@@ -151,7 +152,7 @@ mod tests {
             t.outstanding_long_latency_loads = 1;
             t.oldest_lll_cycle = Some(100 - i as u64); // thread 1 stalled first
         }
-        assert_eq!(p.fetch_priority_vec(&s), vec![ThreadId::new(1)]);
+        assert_eq!(fetch_priority_vec(&mut p, &s), vec![ThreadId::new(1)]);
     }
 
     #[test]

@@ -288,6 +288,12 @@ pub struct SmtConfig {
 }
 
 impl SmtConfig {
+    /// The largest per-thread instruction window the pipeline supports:
+    /// `rob_size + frontend_depth * fetch_width` (a thread may own the whole
+    /// ROB plus its front-end buffer) must not exceed it, and neither may an
+    /// explicit LLSR length.
+    pub const MAX_WINDOW_ENTRIES: u32 = 1 << 16;
+
     /// The baseline Table IV configuration for `num_threads` hardware threads.
     ///
     /// # Panics
@@ -432,6 +438,26 @@ impl SmtConfig {
         }
         if self.rob_size < self.num_threads as u32 {
             return Err(SimError::invalid_config("ROB smaller than thread count"));
+        }
+        let window = self
+            .frontend_depth
+            .checked_mul(self.fetch_width)
+            .and_then(|frontend| frontend.checked_add(self.rob_size));
+        if window.is_none_or(|w| w > Self::MAX_WINDOW_ENTRIES) {
+            return Err(SimError::invalid_config(format!(
+                "instruction window too large: rob_size + frontend_depth * fetch_width \
+                 must not exceed {}",
+                Self::MAX_WINDOW_ENTRIES
+            )));
+        }
+        if self
+            .llsr_length_override
+            .is_some_and(|length| length > Self::MAX_WINDOW_ENTRIES)
+        {
+            return Err(SimError::invalid_config(format!(
+                "LLSR length must not exceed {}",
+                Self::MAX_WINDOW_ENTRIES
+            )));
         }
         if self.lsq_size == 0 || self.iq_int_size == 0 || self.iq_fp_size == 0 {
             return Err(SimError::invalid_config("queue sizes must be non-zero"));
@@ -712,6 +738,28 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = SmtConfig::baseline(2);
         c.memory_latency = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_window_rejected() {
+        // A ROB override alone past the cap.
+        let c = SmtConfig::baseline(2).with_window_size(4_000_000_000);
+        assert!(matches!(c.validate(), Err(SimError::InvalidConfig { .. })));
+        // A fetch width whose front-end product overflows `u32`.
+        let mut c = SmtConfig::baseline(2);
+        c.fetch_width = 2_000_000_000;
+        let err = c.validate().unwrap_err();
+        assert!(err.to_string().contains("instruction window"), "{err}");
+        // The cap itself is allowed.
+        let mut c = SmtConfig::baseline(2);
+        c.rob_size = SmtConfig::MAX_WINDOW_ENTRIES - c.frontend_depth * c.fetch_width;
+        assert!(c.validate().is_ok());
+        c.rob_size += 1;
+        assert!(c.validate().is_err());
+        // The LLSR shadows the window, so its override has the same cap.
+        let mut c = SmtConfig::baseline(2);
+        c.llsr_length_override = Some(4_000_000_000);
         assert!(c.validate().is_err());
     }
 

@@ -580,3 +580,42 @@ fn regression_warm_up_then_step_matches_pure_stepping() {
         );
     }
 }
+
+/// Regression: completion events due far beyond the completion queue's
+/// 64-cycle wheel. Serialized long-latency loads at a memory latency of 800
+/// queue behind one another, so loads complete hundreds to thousands of
+/// cycles after they issue, and a 16 B/cycle bus stretches them further on
+/// a chip. Those events wait in the far heap and must come due in exactly
+/// the cycle stepping pops them.
+#[test]
+fn regression_far_completion_events_with_serialized_loads() {
+    let benchmarks = ["mcf", "swim", "art", "applu"];
+    let scale = RunScale::tiny();
+    for policy in [FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush] {
+        let mut config = SmtConfig::baseline(benchmarks.len()).with_policy(policy);
+        config.memory_latency = 800;
+        config.serialize_long_latency_loads = true;
+        assert_skip_matches_step(
+            &format!("serialized loads, single core / {policy:?}"),
+            scale.sim_options(),
+            || {
+                let traces = benchmarks
+                    .iter()
+                    .map(|b| build_trace(b, scale).expect("known benchmark"))
+                    .collect();
+                SmtSimulator::new(config.clone(), traces).expect("valid machine")
+            },
+        );
+
+        let mut chip = named_chip(&benchmarks, 2);
+        chip.config = chip.config.with_policy(policy);
+        chip.config.core.memory_latency = 800;
+        chip.config.core.serialize_long_latency_loads = true;
+        chip.config.bus = BusConfig::contended();
+        assert_chip_skip_matches_step(
+            &format!("serialized loads, chip / {policy:?}"),
+            chip.options,
+            || ChipSimulator::new(chip.config.clone(), chip.traces()).expect("valid chip"),
+        );
+    }
+}
