@@ -2,19 +2,15 @@
 //! and a memory bus.
 //!
 //! A [`ChipSimulator`] owns `num_cores` independent [`Core`] pipelines and
-//! one [`smt_mem::SharedLlc`]. [`ChipSimulator::step`] advances every core
-//! one cycle against the shared level; cores interact *only* through LLC
-//! capacity, the LLC MSHR file, and bus bandwidth. Under the chip
-//! arbitration discipline (see [`smt_mem::shared`]) the shared level's
-//! per-cycle state is a pure function of the *set* of requests made in the
-//! cycle, so chip results are invariant to the order cores are stepped in —
-//! [`ChipSimulator::step_with_core_order`] exposes that property to tests.
-//!
-//! Multi-core chips step each core against a frozen [`smt_mem::SharedLlcView`]
-//! of the cycle-start shared state plus a private [`smt_mem::CoreStage`]
-//! buffer, merged back in canonical core order at the end of the cycle. That
-//! staging is what makes the result independent of the core stepping order:
-//! every core sees the same cycle-start state, whichever core goes first.
+//! one [`smt_mem::SharedLlc`]; cores interact *only* through LLC capacity,
+//! the LLC MSHR file, and bus bandwidth. A chip cycle is one bracket:
+//! [`smt_mem::SharedLlc::begin_cycle`], every core stepped directly against
+//! the shared level one after another, then
+//! [`smt_mem::SharedLlc::end_cycle`]. Under the chip arbitration discipline
+//! (see [`smt_mem::shared`]) each core's cycle is a function of cycle-start
+//! state and its own requests, so chip results are invariant to the order
+//! cores are stepped in — [`ChipSimulator::step_with_core_order`] exposes
+//! that property to tests.
 //!
 //! The run loops ([`ChipSimulator::run`] and [`ChipSimulator::warm_up`])
 //! skip per core: a core whose cycle was quiet sleeps until its own next
@@ -29,15 +25,12 @@
 //! MSHRs, uncontended bus, bit-for-bit identical statistics.
 
 use smt_fetch::build_policy;
-use smt_mem::{CoreStage, SharedLevel, SharedLlc, StagedShared};
+use smt_mem::SharedLlc;
 use smt_trace::TraceSource;
 use smt_types::config::FetchPolicyKind;
 use smt_types::{AdaptiveConfig, ChipConfig, ChipStats, MachineStats, SimError};
 
 use crate::pipeline::{Core, SimOptions};
-
-/// Instructions each thread advances per lockstep fast-forward round.
-const FF_ROUND: u64 = 64;
 
 /// What every core does inside one shared-level cycle bracket.
 #[derive(Clone, Copy)]
@@ -48,14 +41,12 @@ enum CoreAction {
     /// wake cycle, capped at the given cycle limit. Sleeping cores sit the
     /// bracket out.
     Advance(u64),
-    /// Functional fast-forward by this many instructions per thread.
-    FastForward(u64),
 }
 
 impl CoreAction {
     /// Applies the action to `core`, whose wake cycle is `wake`, in the
     /// bracket of chip cycle `now`.
-    fn apply<S: SharedLevel>(self, core: &mut Core, wake: &mut u64, now: u64, shared: &mut S) {
+    fn apply(self, core: &mut Core, wake: &mut u64, now: u64, shared: &mut SharedLlc) {
         match self {
             CoreAction::Step => core.step_against(shared),
             CoreAction::Advance(limit) => {
@@ -64,7 +55,6 @@ impl CoreAction {
                     *wake = core.step_to_next_event(shared, limit);
                 }
             }
-            CoreAction::FastForward(chunk) => core.fast_forward_against(shared, chunk),
         }
     }
 }
@@ -112,9 +102,6 @@ impl CoreAction {
 pub struct ChipSimulator {
     config: ChipConfig,
     cores: Vec<Core>,
-    /// One stage buffer per core (multi-core chips step staged; a one-core
-    /// chip keeps the legacy direct discipline and never touches these).
-    stages: Vec<CoreStage>,
     shared: SharedLlc,
     cycle: u64,
     /// Per core, the chip cycle in which the run loops next step it. A core
@@ -148,22 +135,17 @@ impl ChipSimulator {
             )));
         }
         let shared = SharedLlc::for_chip(&config);
-        let threads_per_core = config.core.num_threads;
         let mut cores = Vec::with_capacity(config.num_cores);
         for (core_id, traces) in traces_per_core.into_iter().enumerate() {
             let core_config = config.core.clone();
             let policy = build_policy(core_config.fetch_policy, &core_config);
             cores.push(Core::with_policy(core_config, traces, policy, core_id)?);
         }
-        let stages = (0..config.num_cores)
-            .map(|core_id| CoreStage::new(core_id * threads_per_core, threads_per_core))
-            .collect();
         let wake = vec![0; config.num_cores];
         let order_scratch = vec![false; config.num_cores];
         Ok(ChipSimulator {
             config,
             cores,
-            stages,
             shared,
             cycle: 0,
             wake,
@@ -238,32 +220,20 @@ impl ChipSimulator {
 
     /// Runs one shared-level cycle bracket: `action` on every core that is
     /// not asleep, visiting cores in `order` (ascending core id when
-    /// `None`). Multi-core chips act staged — each core against a frozen
-    /// view plus its own stage buffer, merged back in canonical core order —
-    /// so the result is independent of `order`; a one-core chip acts
-    /// directly (legacy discipline). The chip cycle counter is left to the
-    /// caller.
+    /// `None`), each directly against the shared level. The shared level's
+    /// arbitration makes the result independent of `order`. The chip cycle
+    /// counter is left to the caller.
     fn cycle_bracket(&mut self, action: CoreAction, order: Option<&[usize]>) {
         let now = self.cycle;
         self.shared.begin_cycle(now);
-        if self.shared.chip_arbitration() {
-            for i in 0..self.cores.len() {
-                let core = order.map_or(i, |order| order[i]);
-                let mut staged = StagedShared::new(self.shared.view(), &mut self.stages[core]);
-                action.apply(
-                    &mut self.cores[core],
-                    &mut self.wake[core],
-                    now,
-                    &mut staged,
-                );
-            }
-            for stage in &mut self.stages {
-                self.shared.merge_stage(stage);
-            }
-        } else {
-            for (core, wake) in self.cores.iter_mut().zip(&mut self.wake) {
-                action.apply(core, wake, now, &mut self.shared);
-            }
+        for i in 0..self.cores.len() {
+            let core = order.map_or(i, |order| order[i]);
+            action.apply(
+                &mut self.cores[core],
+                &mut self.wake[core],
+                now,
+                &mut self.shared,
+            );
         }
         self.shared.end_cycle();
     }
@@ -334,39 +304,6 @@ impl ChipSimulator {
     /// Committed instruction counts across the chip, in `(core, thread)` order.
     fn committed(&self) -> impl Iterator<Item = u64> + '_ {
         self.cores.iter().flat_map(|c| c.committed())
-    }
-
-    /// Functionally fast-forwards every thread of every core by
-    /// `instructions_per_thread` instructions (see
-    /// [`crate::pipeline::SmtSimulator::fast_forward`]). Cores advance in
-    /// lockstep rounds bracketed by the shared level's cycle discipline, so
-    /// under chip arbitration the resulting state is — like detailed
-    /// stepping — invariant to the order cores advance within a round.
-    pub fn fast_forward(&mut self, instructions_per_thread: u64) {
-        self.fast_forward_rounds(instructions_per_thread, None);
-    }
-
-    /// Functionally fast-forwards like [`ChipSimulator::fast_forward`], but
-    /// advancing cores in the given order within every lockstep round. Under
-    /// chip arbitration the resulting state is independent of the order; the
-    /// determinism tests pin that property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of `0..num_cores`.
-    pub fn fast_forward_with_core_order(&mut self, instructions_per_thread: u64, order: &[usize]) {
-        self.check_core_order(order);
-        self.fast_forward_rounds(instructions_per_thread, Some(order));
-    }
-
-    /// The lockstep fast-forward rounds of [`FF_ROUND`] instructions each.
-    fn fast_forward_rounds(&mut self, instructions_per_thread: u64, order: Option<&[usize]>) {
-        let mut remaining = instructions_per_thread;
-        while remaining > 0 {
-            let chunk = remaining.min(FF_ROUND);
-            self.cycle_bracket(CoreAction::FastForward(chunk), order);
-            remaining -= chunk;
-        }
     }
 
     /// Runs the warm-up phase followed by the measured phase, stopping the

@@ -2,14 +2,14 @@
 //! stores into the write buffer, and feed the LLSR / MLP-predictor training
 //! pipeline at window exit.
 
-use smt_mem::SharedLevel;
+use smt_mem::SharedLlc;
 use smt_types::{OpKind, ThreadId};
 
 use super::thread::PendingMlpEval;
 use super::Core;
 
 impl Core {
-    pub(super) fn commit_phase<S: SharedLevel>(&mut self, shared: &mut S) {
+    pub(super) fn commit_phase(&mut self, shared: &mut SharedLlc) {
         let cycle = self.cycle;
         let commit_width = self.config.commit_width;
         for ti in 0..self.threads.len() {

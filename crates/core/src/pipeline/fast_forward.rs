@@ -25,7 +25,7 @@
 //! analyze rule pins that fast-forward code never reaches a statistics
 //! counter.
 
-use smt_mem::SharedLevel;
+use smt_mem::SharedLlc;
 use smt_predictors::LongLatencyPredictor;
 use smt_types::{OpKind, ThreadId};
 
@@ -52,11 +52,7 @@ impl Core {
     ///
     /// The core's cycle counter does not move; `self.cycle` only stamps
     /// stream-buffer availability, frozen at the current value.
-    pub(crate) fn fast_forward_against<S: SharedLevel>(
-        &mut self,
-        shared: &mut S,
-        instructions: u64,
-    ) {
+    pub(crate) fn fast_forward_against(&mut self, shared: &mut SharedLlc, instructions: u64) {
         debug_assert!(
             self.is_drained(),
             "fast-forward requires a drained pipeline"

@@ -3,7 +3,7 @@
 //! detections to the fetch policy. A thread with an empty ready set costs
 //! one counter test.
 
-use smt_mem::{AccessLevel, SharedLevel};
+use smt_mem::{AccessLevel, SharedLlc};
 use smt_predictors::LongLatencyPredictor;
 use smt_types::{OpKind, SeqNum, ThreadId};
 
@@ -11,7 +11,7 @@ use super::writeback_phase::CompletionEvent;
 use super::Core;
 
 impl Core {
-    pub(super) fn issue_phase<S: SharedLevel>(&mut self, shared: &mut S) {
+    pub(super) fn issue_phase(&mut self, shared: &mut SharedLlc) {
         let cycle = self.cycle;
         let mut remaining = self.config.issue_width;
         let mut int_units = self.config.int_alus;

@@ -49,7 +49,7 @@ pub mod window;
 mod writeback_phase;
 
 use smt_fetch::{build_policy, FetchPolicy, FlushRequest, ResourceCaps};
-use smt_mem::{CoreMemory, SharedLevel, SharedLlc, WriteBuffer};
+use smt_mem::{CoreMemory, SharedLlc, WriteBuffer};
 use smt_trace::TraceSource;
 use smt_types::{AdaptiveConfig, MachineStats, SimError, SmtConfig, SmtSnapshot, ThreadId};
 
@@ -264,7 +264,7 @@ impl Core {
     }
 
     /// Advances the core by one cycle against the given shared level.
-    pub(crate) fn step_against<S: SharedLevel>(&mut self, shared: &mut S) {
+    pub(crate) fn step_against(&mut self, shared: &mut SharedLlc) {
         // Move the reusable buffers out of `self` for the duration of the cycle
         // (a pointer-sized swap, not an allocation) so the phases can borrow
         // them alongside `&mut self`.

@@ -37,13 +37,16 @@
 //! brought up to the chip cycle. When every core sleeps, the chip cycle jumps
 //! to the earliest wake cycle.
 //!
-//! A core may sleep while its neighbours step because a quiet core has no
-//! dealings with the chip's shared level, and the shared level keeps no
-//! per-cycle state on a core's behalf:
+//! The awake cores of a chip cycle step directly against the chip's
+//! [`smt_mem::SharedLlc`], one after another. A core may sleep while its
+//! neighbours step because a quiet core has no dealings with the shared
+//! level, and the shared level keeps no per-cycle state on a core's behalf:
 //!
 //! * commit, issue and fetch set the activity flag before they touch the
 //!   shared level, so a quiet cycle makes no call into it, and the core's
 //!   wake cycle is a function of core-local state alone;
+//! * fills held during a cycle are installed when that cycle ends, so
+//!   nothing a core requested waits for it to wake;
 //! * LLC MSHR slots belong to a single `(core, thread)` requester and are
 //!   retired lazily, on that requester's next request;
 //! * the memory bus retires finished transfers with an idempotent `retain`
@@ -57,7 +60,7 @@
 //! core for exactly one cycle, which makes them the non-skipping reference
 //! the equivalence tests compare against.
 
-use smt_mem::SharedLevel;
+use smt_mem::SharedLlc;
 use smt_types::ThreadId;
 
 use super::Core;
@@ -68,7 +71,7 @@ impl Core {
     /// else the next cycle in which anything can happen, but never past
     /// `limit` (the caller's cycle cap). Callers must only pass a `limit`
     /// beyond which their loop would not step anyway.
-    pub(crate) fn step_to_next_event<S: SharedLevel>(&mut self, shared: &mut S, limit: u64) -> u64 {
+    pub(crate) fn step_to_next_event(&mut self, shared: &mut SharedLlc, limit: u64) -> u64 {
         self.step_against(shared);
         if self.busy {
             self.cycle

@@ -629,8 +629,8 @@ fn scenario_options(opts: &BenchOptions) -> SimOptions {
 }
 
 /// Builds a ready-to-run single-core simulator (and its run options) for one
-/// scenario, so callers timing the hot path — [`run_scenario`], the criterion
-/// bench — can exclude trace construction from the measurement.
+/// scenario, so callers timing the hot path (such as [`run_scenario`]) can
+/// exclude trace construction from the measurement.
 ///
 /// # Errors
 ///

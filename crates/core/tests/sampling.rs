@@ -6,16 +6,14 @@
 //!   wall-clock time is not);
 //! * checkpoint save → load → run is bit-for-bit identical to the
 //!   uninterrupted run (deterministic cases plus a property test over
-//!   fast-forward lengths and budgets);
-//! * chip fast-forward is invariant to core stepping order.
+//!   fast-forward lengths and budgets).
 
 use proptest::prelude::*;
 
 use smt_core::pipeline::{SimOptions, SmtSimulator};
 use smt_core::runner::{build_trace, RunScale};
-use smt_core::ChipSimulator;
 use smt_types::config::FetchPolicyKind;
-use smt_types::{ChipConfig, SamplingConfig, SmtConfig};
+use smt_types::{SamplingConfig, SmtConfig};
 
 fn build_sim(benchmarks: &[&str], policy: FetchPolicyKind, scale: RunScale) -> SmtSimulator {
     let mut config = SmtConfig::baseline(benchmarks.len());
@@ -200,43 +198,6 @@ proptest! {
         };
         roundtrip_case(policy, &["mcf", "twolf"], ff, budget);
     }
-}
-
-#[test]
-fn chip_fast_forward_is_core_order_invariant() {
-    let scale = RunScale::tiny();
-    let build = || {
-        let chip = ChipConfig::baseline(2, 2);
-        let traces = vec![
-            vec![
-                build_trace("mcf", scale).unwrap(),
-                build_trace("gcc", scale).unwrap(),
-            ],
-            vec![
-                build_trace("swim", scale).unwrap(),
-                build_trace("twolf", scale).unwrap(),
-            ],
-        ];
-        ChipSimulator::new(chip, traces).expect("valid chip")
-    };
-    let options = SimOptions {
-        max_instructions_per_thread: 2_000,
-        warmup_instructions_per_thread: 0,
-        max_cycles: 10_000_000,
-    };
-
-    let mut forward = build();
-    forward.fast_forward_with_core_order(10_000, &[0, 1]);
-    let forward_stats = forward.run(options);
-
-    let mut reversed = build();
-    reversed.fast_forward_with_core_order(10_000, &[1, 0]);
-    let reversed_stats = reversed.run(options);
-
-    assert_eq!(
-        forward_stats, reversed_stats,
-        "chip fast-forward depends on core stepping order"
-    );
 }
 
 /// The headline sampled cadence for 10x-budget scenarios: a long raw-speed

@@ -171,15 +171,6 @@ impl SetAssocCache {
         self.hits += 1;
     }
 
-    /// Folds externally tallied lookup outcomes into the hit/miss counters.
-    /// The staged chip discipline classifies accesses against a frozen view
-    /// during the cycle and merges each core's tallies here, so the counters
-    /// end the cycle exactly as interleaved lookups would have left them.
-    pub fn add_lookup_counts(&mut self, hits: u64, misses: u64) {
-        self.hits += hits;
-        self.misses += misses;
-    }
-
     /// Looks up `addr` with an explicit LRU stamp instead of the internal
     /// access tick, updating hit/miss counters.
     ///

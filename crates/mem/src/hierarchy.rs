@@ -5,10 +5,11 @@
 //! [`CoreMemory`] owns everything private to one SMT core: L1I/L1D, the
 //! private L2, both TLBs, the stream-buffer prefetcher, and the per-thread
 //! long-latency serialization state. Every access that misses the private
-//! levels is presented to a [`SharedLlc`] borrowed from the caller — the
-//! single-core machine owns one exclusively (via the [`MemoryHierarchy`]
+//! levels is presented to a `&mut` [`SharedLlc`] borrowed from the caller —
+//! the single-core machine owns one exclusively (via the [`MemoryHierarchy`]
 //! facade, which preserves the pre-split API bit-for-bit), while a chip
-//! passes the same shared level to all of its cores each cycle.
+//! lends its one shared level to each of its cores in turn within a cycle
+//! (see [`crate::shared`] for why the order cannot matter).
 
 use serde::{Deserialize, Serialize};
 use smt_types::{SmtConfig, ThreadId};
@@ -16,7 +17,7 @@ use smt_types::{SmtConfig, ThreadId};
 use crate::cache::{CacheState, SetAssocCache};
 use crate::mshr::MshrOutcome;
 use crate::prefetch::{PrefetcherState, StreamBufferPrefetcher};
-use crate::shared::{SharedLevel, SharedLlc};
+use crate::shared::SharedLlc;
 use crate::tlb::{TlbFile, TlbFileState};
 
 /// Deepest level that had to service a data access.
@@ -147,9 +148,9 @@ impl CoreMemory {
     /// Performs a data load issued by the static load at `pc` at `cycle` and
     /// returns its timing/classification. Misses below the private L2 are
     /// serviced by `shared`.
-    pub fn load_access<S: SharedLevel>(
+    pub fn load_access(
         &mut self,
-        shared: &mut S,
+        shared: &mut SharedLlc,
         thread: ThreadId,
         pc: u64,
         addr: u64,
@@ -265,9 +266,9 @@ impl CoreMemory {
 
     /// Performs a store for cache-content purposes (write-allocate, no timing: store
     /// latency is hidden behind the write buffer at commit).
-    pub fn store_access<S: SharedLevel>(
+    pub fn store_access(
         &mut self,
-        shared: &mut S,
+        shared: &mut SharedLlc,
         thread: ThreadId,
         addr: u64,
         _cycle: u64,
@@ -283,9 +284,9 @@ impl CoreMemory {
 
     /// Instruction fetch of the line containing `pc`; returns the fetch latency in
     /// cycles (1 on an L1 I-cache hit).
-    pub fn fetch_access<S: SharedLevel>(
+    pub fn fetch_access(
         &mut self,
-        shared: &mut S,
+        shared: &mut SharedLlc,
         thread: ThreadId,
         pc: u64,
         cycle: u64,
@@ -322,9 +323,9 @@ impl CoreMemory {
     ///
     /// `now` stamps stream-buffer availability times; fast-forward callers
     /// pass their frozen cycle.
-    pub fn warm_load<S: SharedLevel>(
+    pub fn warm_load(
         &mut self,
-        shared: &mut S,
+        shared: &mut SharedLlc,
         thread: ThreadId,
         pc: u64,
         addr: u64,
@@ -358,7 +359,7 @@ impl CoreMemory {
 
     /// Functional (fast-forward) store: identical to
     /// [`CoreMemory::store_access`], which is already timing-free.
-    pub fn warm_store<S: SharedLevel>(&mut self, shared: &mut S, thread: ThreadId, addr: u64) {
+    pub fn warm_store(&mut self, shared: &mut SharedLlc, thread: ThreadId, addr: u64) {
         self.store_access(shared, thread, addr, 0);
     }
 

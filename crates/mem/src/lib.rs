@@ -47,10 +47,8 @@ pub mod write_buffer;
 
 pub use cache::{CacheState, SetAssocCache, WayState};
 pub use hierarchy::{AccessLevel, CoreMemory, CoreMemoryState, LoadAccessResult, MemoryHierarchy};
-pub use mshr::{MshrFile, MshrStage};
+pub use mshr::MshrFile;
 pub use prefetch::{PrefetcherState, StreamBufferPrefetcher};
-pub use shared::{
-    CoreStage, MemoryBus, SharedLevel, SharedLlc, SharedLlcState, SharedLlcView, StagedShared,
-};
+pub use shared::{MemoryBus, SharedLlc, SharedLlcState};
 pub use tlb::{Tlb, TlbFile, TlbFileState};
 pub use write_buffer::WriteBuffer;

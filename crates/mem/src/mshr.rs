@@ -9,7 +9,10 @@
 //! Entries are tracked per *requester*: on the single-core machine a
 //! requester is a hardware thread; on a chip a requester is one `(core,
 //! thread)` slot, so the file also bounds each core's outstanding misses at
-//! the shared LLC.
+//! the shared LLC. A chip's cores present their misses to the one file
+//! directly, one core after another; since a requester's entries are its
+//! own and retire only on its own requests, the order the cores go in
+//! cannot change any outcome.
 
 use std::collections::HashMap;
 
@@ -24,32 +27,6 @@ pub enum MshrOutcome {
     /// No MSHR is free; the access must serialize behind the returned completion
     /// cycle of the soonest-finishing outstanding miss.
     Full(u64),
-}
-
-/// Staged MSHR mutations of one requester within one chip cycle.
-///
-/// Under the staged chip discipline a core never mutates the shared MSHR
-/// file mid-cycle: allocations land here and the whole slot is folded into
-/// the file at the end-of-cycle merge ([`MshrFile::apply_stage`]). Because
-/// `now` is constant within a cycle and every requester owns a private
-/// entry map, the merged file is bit-for-bit the state the serial
-/// interleaved [`MshrFile::request`] calls would have produced.
-#[derive(Clone, Debug, Default)]
-pub struct MshrStage {
-    /// `(line, completion)` pairs allocated this cycle.
-    inserts: Vec<(u64, u64)>,
-    /// Whether the requester presented at least one request this cycle. The
-    /// serial discipline retires completed entries on every request; the
-    /// merge replays that retire exactly once, and only if it would have
-    /// happened.
-    requested: bool,
-}
-
-impl MshrStage {
-    /// Whether the stage holds no pending mutations.
-    pub fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && !self.requested
-    }
 }
 
 /// A per-requester file of miss status handling registers.
@@ -106,65 +83,6 @@ impl MshrFile {
         }
         map.insert(line_addr, completion);
         MshrOutcome::Allocated
-    }
-
-    /// Presents a miss against the *frozen* file without mutating it: the
-    /// outcome is computed from the cycle-start entry map plus the
-    /// requester's staged allocations, and a new allocation is recorded in
-    /// `stage`. With `now` held constant across the cycle this reproduces
-    /// [`MshrFile::request`] outcome-for-outcome: retired entries (done
-    /// `<= now`) are skipped instead of removed, and the live population is
-    /// the surviving frozen entries plus this cycle's staged inserts.
-    pub fn request_frozen(
-        &self,
-        requester: usize,
-        stage: &mut MshrStage,
-        line_addr: u64,
-        now: u64,
-        completion: u64,
-    ) -> MshrOutcome {
-        stage.requested = true;
-        // A line allocated earlier this cycle merges exactly as a live map
-        // entry would (it is never also live in the frozen map: a live entry
-        // would have merged instead of allocating).
-        if let Some(&(_, done)) = stage.inserts.iter().find(|&&(line, _)| line == line_addr) {
-            return MshrOutcome::Merged(done);
-        }
-        let map = &self.outstanding[requester];
-        if let Some(&done) = map.get(&line_addr) {
-            if done > now {
-                return MshrOutcome::Merged(done);
-            }
-        }
-        let live = map.values().filter(|&&done| done > now).count() + stage.inserts.len();
-        if live >= self.capacity {
-            let soonest = map
-                .values()
-                .copied()
-                .filter(|&done| done > now)
-                .chain(stage.inserts.iter().map(|&(_, done)| done))
-                .min()
-                .expect("full MSHR file is non-empty");
-            return MshrOutcome::Full(soonest);
-        }
-        stage.inserts.push((line_addr, completion));
-        MshrOutcome::Allocated
-    }
-
-    /// Folds one requester's staged mutations into the file at the
-    /// end-of-cycle merge: replay the retire the serial discipline would
-    /// have performed on the requester's first request of the cycle, then
-    /// install the staged allocations. Clears the stage.
-    pub fn apply_stage(&mut self, requester: usize, stage: &mut MshrStage, now: u64) {
-        if stage.requested {
-            self.retire_completed(requester, now);
-        }
-        let map = &mut self.outstanding[requester];
-        for &(line, completion) in &stage.inserts {
-            map.insert(line, completion);
-        }
-        stage.inserts.clear();
-        stage.requested = false;
     }
 
     /// Removes entries whose miss has completed by `now`.
@@ -245,57 +163,5 @@ mod tests {
     #[should_panic]
     fn zero_capacity_rejected() {
         let _ = MshrFile::new(1, 0);
-    }
-
-    /// The staged protocol must reproduce the serial one outcome-for-outcome
-    /// within a cycle and state-for-state after the merge, including retire
-    /// replay (stale entries), merges with staged inserts, and Full with the
-    /// soonest completion drawn from both populations.
-    #[test]
-    fn frozen_plus_stage_matches_serial_request_sequence() {
-        // `(line, latency)` pairs; completions are `now + latency` as in the
-        // real discipline (a request never carries a completion in the past).
-        let requests: [(u64, u64); 6] = [
-            (0x40, 350),
-            (0x80, 360),
-            (0x40, 370), // merge with this-cycle insert
-            (0xc0, 380), // full once two entries are live
-            (0x100, 390),
-            (0x80, 400), // merge with this-cycle insert
-        ];
-        for now in [0u64, 355] {
-            let mut serial = MshrFile::new(1, 2);
-            let mut frozen = MshrFile::new(1, 2);
-            // Pre-populate both files identically in an earlier cycle; the
-            // entry is live at `now == 0` and stale by `now == 355`, so both
-            // the capacity-pressure and retire-replay paths are exercised.
-            for file in [&mut serial, &mut frozen] {
-                file.request(0, 0x200, 0, 300);
-            }
-            let mut stage = MshrStage::default();
-            assert!(stage.is_empty());
-            for &(line, latency) in &requests {
-                let completion = now + latency;
-                let expect = serial.request(0, line, now, completion);
-                let got = frozen.request_frozen(0, &mut stage, line, now, completion);
-                assert_eq!(got, expect, "line {line:#x} at now={now}");
-            }
-            assert!(!stage.is_empty());
-            frozen.apply_stage(0, &mut stage, now);
-            assert!(stage.is_empty());
-            assert_eq!(frozen.outstanding[0], serial.outstanding[0], "now={now}");
-        }
-    }
-
-    #[test]
-    fn apply_stage_without_requests_leaves_stale_entries() {
-        // A requester that made no request this cycle must not have its
-        // completed entries retired by the merge (the serial discipline only
-        // retires on a request).
-        let mut file = MshrFile::new(1, 2);
-        file.request(0, 0x40, 0, 100);
-        let mut stage = MshrStage::default();
-        file.apply_stage(0, &mut stage, 200);
-        assert_eq!(file.total_entries(), 1);
     }
 }

@@ -24,25 +24,27 @@
 //!   makes chip results independent of the order cores are stepped in within
 //!   a cycle.
 //!
-//! # The view / stage / merge split
+//! # Why chip results ignore core stepping order
 //!
-//! The chip discipline is made explicit in the type system so that no core
-//! can see another core's writes from the same cycle:
+//! A chip steps its cores one after another against the one [`SharedLlc`],
+//! bracketed by [`SharedLlc::begin_cycle`] and [`SharedLlc::end_cycle`].
+//! No core can observe another core's requests from the same cycle:
 //!
-//! * [`SharedLlcView`] is a **frozen read view** of the shared level —
-//!   `&self`-only queries against cycle-start state: tag probes, the frozen
-//!   bus congestion, and MSHR availability snapshots;
-//! * [`CoreStage`] is a **per-core stage buffer** owned by one core for the
-//!   duration of a cycle: staged fills, MSHR allocations, bus enqueues, LRU
-//!   stamp touches, and hit/miss tallies;
-//! * [`StagedShared`] pairs the two into a [`SharedLevel`] the pipeline
-//!   steps against; [`SharedLlc::merge_stage`] folds each stage back in
-//!   canonical core order before [`SharedLlc::end_cycle`] applies the fills.
+//! * every access of the cycle writes the same LRU stamp, so a refresh is
+//!   idempotent and the stamps after the cycle do not depend on who went
+//!   first;
+//! * a fill is only staged during the cycle and applied at `end_cycle` in
+//!   sorted line order, so the installed lines and their victims depend on
+//!   the *set* of lines filled; the staged lines a lookup sees can only be
+//!   the requesting core's own, because physical address spaces are
+//!   disjoint per core;
+//! * bus congestion is frozen at `begin_cycle`, and a new transfer only
+//!   joins the in-flight set the next cycle reads;
+//! * MSHR slots belong to one `(core, thread)` requester, and hit/miss
+//!   counters are sums.
 //!
-//! Because every intra-cycle write either carries the idempotent cycle stamp
-//! or is deferred to the merge, the staged path is bit-for-bit the serial
-//! interleaved one, and each core's cycle depends only on cycle-start state:
-//! the chip's results are invariant to the order its cores step in.
+//! Each core's cycle is therefore a function of cycle-start state and its
+//! own requests, whatever order the cores step in.
 
 use smt_types::{ChipConfig, SmtConfig};
 
@@ -50,34 +52,7 @@ use crate::cache::SetAssocCache;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheState;
-use crate::mshr::{MshrFile, MshrOutcome, MshrStage};
-
-/// The interface a core's private memory hierarchy steps against: either the
-/// shared level itself ([`SharedLlc`], the serial discipline) or a frozen
-/// view plus per-core stage buffer ([`StagedShared`], the staged chip
-/// discipline). Static dispatch keeps the hot path monomorphized.
-pub trait SharedLevel {
-    /// Looks up `addr` in the shared LLC, returning `true` on a hit.
-    fn access(&mut self, addr: u64) -> bool;
-    /// Installs (or refreshes) the line containing `addr`.
-    fn fill(&mut self, addr: u64);
-    /// Hit latency of the shared LLC.
-    fn latency(&self) -> u64;
-    /// Off-chip main-memory latency (excluding bus queueing).
-    fn memory_latency(&self) -> u64;
-    /// Bus queueing delay a transfer issued this cycle pays.
-    fn queue_delay(&self) -> u64;
-    /// Presents an off-chip miss to the LLC MSHR file.
-    fn mshr_request(
-        &mut self,
-        requester: usize,
-        line_addr: u64,
-        now: u64,
-        completion: u64,
-    ) -> MshrOutcome;
-    /// Records a newly issued off-chip transfer completing at `completion`.
-    fn register_transfer(&mut self, completion: u64);
-}
+use crate::mshr::{MshrFile, MshrOutcome};
 
 /// The shared off-chip memory bus: each in-flight line transfer adds one bus
 /// occupancy of queueing delay to newly issued transfers.
@@ -228,11 +203,6 @@ impl SharedLlc {
         self.memory_latency
     }
 
-    /// Whether the chip arbitration discipline is active.
-    pub fn chip_arbitration(&self) -> bool {
-        self.chip_arbitration
-    }
-
     /// Starts a chip cycle: freezes bus congestion and sets the LRU stamp.
     /// The single-core pipeline never calls this (its discipline has no
     /// per-cycle shared state).
@@ -365,253 +335,6 @@ impl SharedLlc {
         self.staged.clear();
         self.cycle = 0;
     }
-
-    /// A frozen read view of the cycle-start state, for staged stepping.
-    pub fn view(&self) -> SharedLlcView<'_> {
-        SharedLlcView { shared: self }
-    }
-
-    /// Folds one core's stage buffer into the shared level at the end of a
-    /// cycle. Call once per core in canonical (ascending core id) order,
-    /// then [`SharedLlc::end_cycle`] to apply the combined staged fills.
-    ///
-    /// Merge order within a cycle is immaterial to the final state: stamp
-    /// touches all carry the same cycle stamp, MSHR slots are per-requester,
-    /// counters commute, and bus observables are order-independent — but the
-    /// canonical order makes every core stepping order produce not just
-    /// equivalent, byte-identical internal state.
-    pub fn merge_stage(&mut self, stage: &mut CoreStage) {
-        let stamp = self.cycle + 1;
-        // Stamp touches must land before end_cycle installs any fill: the
-        // serial discipline refreshes stamps during the cycle, and victim
-        // selection at the fill point sees those refreshed stamps.
-        for &addr in &stage.touched {
-            debug_assert!(self.llc.probe(addr), "touched line vanished mid-cycle");
-            self.llc.fill_stamped(addr, stamp);
-        }
-        stage.touched.clear();
-        self.llc.add_lookup_counts(stage.hits, stage.misses);
-        stage.hits = 0;
-        stage.misses = 0;
-        for (slot, mshr_stage) in stage.mshr.iter_mut().enumerate() {
-            self.mshrs
-                .apply_stage(stage.requester_base + slot, mshr_stage, self.cycle);
-        }
-        for &completion in &stage.transfers {
-            self.bus.register(completion);
-        }
-        stage.transfers.clear();
-        self.staged.append(&mut stage.staged_lines);
-    }
-}
-
-impl SharedLevel for SharedLlc {
-    fn access(&mut self, addr: u64) -> bool {
-        SharedLlc::access(self, addr)
-    }
-
-    fn fill(&mut self, addr: u64) {
-        SharedLlc::fill(self, addr)
-    }
-
-    fn latency(&self) -> u64 {
-        SharedLlc::latency(self)
-    }
-
-    fn memory_latency(&self) -> u64 {
-        SharedLlc::memory_latency(self)
-    }
-
-    fn queue_delay(&self) -> u64 {
-        SharedLlc::queue_delay(self)
-    }
-
-    fn mshr_request(
-        &mut self,
-        requester: usize,
-        line_addr: u64,
-        now: u64,
-        completion: u64,
-    ) -> MshrOutcome {
-        SharedLlc::mshr_request(self, requester, line_addr, now, completion)
-    }
-
-    fn register_transfer(&mut self, completion: u64) {
-        SharedLlc::register_transfer(self, completion)
-    }
-}
-
-/// A frozen, `&self`-only read view of a [`SharedLlc`] at cycle start.
-///
-/// Every query is answered from state that cannot change while cores step:
-/// tag presence (fills are staged), bus congestion (frozen at
-/// [`SharedLlc::begin_cycle`]), and the MSHR entry maps (allocations are
-/// staged per core). Every core of a cycle reads the same view.
-#[derive(Clone, Copy)]
-pub struct SharedLlcView<'a> {
-    shared: &'a SharedLlc,
-}
-
-impl SharedLlcView<'_> {
-    /// Whether the line containing `addr` is present, without touching LRU
-    /// state or counters.
-    pub fn probe(&self, addr: u64) -> bool {
-        self.shared.llc.probe(addr)
-    }
-
-    /// Hit latency of the shared LLC.
-    pub fn latency(&self) -> u64 {
-        self.shared.llc.latency()
-    }
-
-    /// Off-chip main-memory latency (excluding bus queueing).
-    pub fn memory_latency(&self) -> u64 {
-        self.shared.memory_latency
-    }
-
-    /// Bus queueing delay, frozen at cycle start.
-    pub fn queue_delay(&self) -> u64 {
-        self.shared.bus.queue_delay()
-    }
-
-    /// Cache-line id of `addr`.
-    fn line_of(&self, addr: u64) -> u64 {
-        addr / self.shared.line_bytes
-    }
-}
-
-/// One core's staged mutations of the shared level within one chip cycle.
-///
-/// Owned exclusively by its core while the cycle runs (no synchronization
-/// needed), drained by [`SharedLlc::merge_stage`] at the end of the cycle.
-/// All buffers retain capacity across cycles, keeping the steady-state cycle
-/// loop allocation-free.
-#[derive(Debug)]
-pub struct CoreStage {
-    /// First chip-wide requester id of the owning core
-    /// (`core_id * threads_per_core`).
-    requester_base: usize,
-    /// Staged MSHR mutations, one slot per hardware thread of the core.
-    mshr: Vec<MshrStage>,
-    /// Line ids newly staged for fill this cycle.
-    staged_lines: Vec<u64>,
-    /// Addresses whose LRU stamp must refresh at the merge (hits on present
-    /// lines, and fills of already-present lines).
-    touched: Vec<u64>,
-    /// LLC lookup tallies of this cycle, folded into the cache counters at
-    /// the merge.
-    hits: u64,
-    misses: u64,
-    /// Completion cycles of off-chip transfers issued this cycle.
-    transfers: Vec<u64>,
-}
-
-impl CoreStage {
-    /// Creates the stage buffer for the core whose first chip-wide requester
-    /// id is `requester_base` and which hosts `threads` hardware threads.
-    pub fn new(requester_base: usize, threads: usize) -> Self {
-        CoreStage {
-            requester_base,
-            mshr: (0..threads).map(|_| MshrStage::default()).collect(),
-            staged_lines: Vec::new(),
-            touched: Vec::new(),
-            hits: 0,
-            misses: 0,
-            transfers: Vec::new(),
-        }
-    }
-
-    /// Whether the stage holds no pending mutations (always true between
-    /// cycles: the merge drains every buffer).
-    pub fn is_empty(&self) -> bool {
-        self.staged_lines.is_empty()
-            && self.touched.is_empty()
-            && self.transfers.is_empty()
-            && self.hits == 0
-            && self.misses == 0
-            && self.mshr.iter().all(MshrStage::is_empty)
-    }
-}
-
-/// A frozen view plus one core's stage buffer: the [`SharedLevel`] a core
-/// steps against under the staged chip discipline. Reads are answered from
-/// the view (and the core's own staged fills), writes land in the stage.
-pub struct StagedShared<'a> {
-    view: SharedLlcView<'a>,
-    stage: &'a mut CoreStage,
-}
-
-impl<'a> StagedShared<'a> {
-    /// Pairs a frozen view with the stepping core's stage buffer.
-    pub fn new(view: SharedLlcView<'a>, stage: &'a mut CoreStage) -> Self {
-        StagedShared { view, stage }
-    }
-}
-
-impl SharedLevel for StagedShared<'_> {
-    fn access(&mut self, addr: u64) -> bool {
-        // Own staged fills read as present, exactly as the serial chip
-        // discipline's global staged check (address spaces are per-core
-        // disjoint, so only the owner can ever match its staged lines).
-        if self.stage.staged_lines.contains(&self.view.line_of(addr)) {
-            self.stage.hits += 1;
-            return true;
-        }
-        if self.view.probe(addr) {
-            // The serial path refreshes the LRU stamp here; defer the
-            // (idempotent, same-stamp) refresh to the merge.
-            self.stage.touched.push(addr);
-            self.stage.hits += 1;
-            return true;
-        }
-        self.stage.misses += 1;
-        false
-    }
-
-    fn fill(&mut self, addr: u64) {
-        if self.view.probe(addr) {
-            // Present: a stamp refresh, never a duplicate install.
-            self.stage.touched.push(addr);
-            return;
-        }
-        let line = self.view.line_of(addr);
-        if !self.stage.staged_lines.contains(&line) {
-            self.stage.staged_lines.push(line);
-        }
-    }
-
-    fn latency(&self) -> u64 {
-        self.view.latency()
-    }
-
-    fn memory_latency(&self) -> u64 {
-        self.view.memory_latency()
-    }
-
-    fn queue_delay(&self) -> u64 {
-        self.view.queue_delay()
-    }
-
-    fn mshr_request(
-        &mut self,
-        requester: usize,
-        line_addr: u64,
-        now: u64,
-        completion: u64,
-    ) -> MshrOutcome {
-        let slot = requester - self.stage.requester_base;
-        self.view.shared.mshrs.request_frozen(
-            requester,
-            &mut self.stage.mshr[slot],
-            line_addr,
-            now,
-            completion,
-        )
-    }
-
-    fn register_transfer(&mut self, completion: u64) {
-        self.stage.transfers.push(completion);
-    }
 }
 
 #[cfg(test)]
@@ -651,7 +374,7 @@ mod tests {
     fn legacy_discipline_matches_plain_cache() {
         let config = SmtConfig::baseline(2);
         let mut shared = SharedLlc::single_core(&config);
-        assert!(!shared.chip_arbitration());
+        assert!(!shared.chip_arbitration);
         assert!(!shared.access(0x40));
         shared.fill(0x40);
         assert!(shared.access(0x40));
@@ -663,7 +386,7 @@ mod tests {
     fn chip_arbitration_stages_fills_until_end_of_cycle() {
         let chip = ChipConfig::baseline(2, 2);
         let mut shared = SharedLlc::for_chip(&chip);
-        assert!(shared.chip_arbitration());
+        assert!(shared.chip_arbitration);
         shared.begin_cycle(10);
         assert!(!shared.access(0x40));
         shared.fill(0x40);
@@ -679,6 +402,48 @@ mod tests {
         shared.reset();
         shared.begin_cycle(12);
         assert!(!shared.access(0x40));
+    }
+
+    /// Per-request outcomes of [`drive_two_cores`]: LLC hit, else the MSHR
+    /// outcome and the bus-delayed completion cycle. Indexed by
+    /// `(cycle, core, k)` whatever order the cores stepped in.
+    type Outcomes = Vec<(bool, Option<(MshrOutcome, u64)>)>;
+
+    /// Drives two cores for 200 cycles of access/MSHR/bus/fill traffic over
+    /// per-core-disjoint physical spaces, stepping the cores in `order`
+    /// within every cycle. Addresses are reused, so misses, MSHR allocations,
+    /// congested bus transfers, hits and stamp refreshes all occur.
+    fn drive_two_cores(order: [usize; 2]) -> (SharedLlc, Outcomes, Vec<u64>) {
+        const CYCLES: u64 = 200;
+        const PER_CORE: u64 = 6;
+        let mut shared = SharedLlc::for_chip(&ChipConfig::baseline(2, 2));
+        let mut outcomes = vec![(false, None); (CYCLES * 2 * PER_CORE) as usize];
+        let mut probes = Vec::new();
+        for cycle in 0..CYCLES {
+            shared.begin_cycle(cycle);
+            for core in order {
+                let space = (core as u64) << 44;
+                for k in 0..PER_CORE {
+                    let addr = space + ((cycle * 13 + k * 29) % 96) * 64;
+                    probes.push(addr);
+                    let slot = ((cycle * 2 + core as u64) * PER_CORE + k) as usize;
+                    if shared.access(addr) {
+                        outcomes[slot] = (true, None);
+                        continue;
+                    }
+                    let requester = core * 2 + (k as usize % 2);
+                    let completion = cycle + 300 + shared.queue_delay();
+                    let outcome = shared.mshr_request(requester, addr / 64, cycle, completion);
+                    if outcome == MshrOutcome::Allocated {
+                        shared.register_transfer(completion);
+                    }
+                    shared.fill(addr);
+                    outcomes[slot] = (false, Some((outcome, completion)));
+                }
+            }
+            shared.end_cycle();
+        }
+        (shared, outcomes, probes)
     }
 
     #[test]
@@ -704,75 +469,36 @@ mod tests {
             assert_eq!(a.access(l), b.access(l), "line {l:#x}");
             assert!(a.access(l));
         }
+
+        // A whole two-core workload, stepped 0,1 and 1,0 within every cycle.
+        let (forward, forward_outcomes, probes) = drive_two_cores([0, 1]);
+        let (reversed, reversed_outcomes, _) = drive_two_cores([1, 0]);
+        for (i, (f, r)) in forward_outcomes.iter().zip(&reversed_outcomes).enumerate() {
+            assert_eq!(f, r, "request {i}");
+        }
+        assert!(forward_outcomes.iter().any(|&(hit, _)| hit));
+        assert!(forward_outcomes
+            .iter()
+            .any(|&(_, o)| matches!(o, Some((MshrOutcome::Allocated, _)))));
+        assert_eq!(forward.llc_hit_rate(), reversed.llc_hit_rate());
+        assert_eq!(
+            forward.bus.inflight_transfers(),
+            reversed.bus.inflight_transfers()
+        );
+        for addr in probes {
+            assert_eq!(
+                forward.llc.probe(addr),
+                reversed.llc.probe(addr),
+                "{addr:#x}"
+            );
+        }
     }
 
     #[test]
     fn one_core_chip_uses_legacy_discipline() {
         let chip = ChipConfig::baseline(1, 2);
         let shared = SharedLlc::for_chip(&chip);
-        assert!(!shared.chip_arbitration());
+        assert!(!shared.chip_arbitration);
         assert!(shared.bus.is_unlimited());
-    }
-
-    /// Drives the same access/fill/MSHR/bus sequence through the serial
-    /// interleaved chip discipline and through the view+stage+merge split;
-    /// every intra-cycle outcome and all cycle-end observables must agree.
-    #[test]
-    fn staged_discipline_matches_serial_chip_discipline() {
-        let chip = ChipConfig::baseline(2, 2);
-        let mut serial = SharedLlc::for_chip(&chip);
-        let mut staged = SharedLlc::for_chip(&chip);
-        let mut stages = [CoreStage::new(0, 2), CoreStage::new(2, 2)];
-        let mut probes: Vec<u64> = Vec::new();
-        for cycle in 0..200u64 {
-            serial.begin_cycle(cycle);
-            staged.begin_cycle(cycle);
-            assert_eq!(serial.queue_delay(), staged.queue_delay());
-            for (core, stage) in stages.iter_mut().enumerate() {
-                // Per-core-disjoint physical spaces, with reuse so hits,
-                // stamp refreshes, merges and capacity pressure all occur.
-                let space = (core as u64) << 44;
-                for k in 0..6u64 {
-                    let addr = space + ((cycle * 13 + k * 29) % 96) * 64;
-                    probes.push(addr);
-                    let hit_serial = serial.access(addr);
-                    let hit_staged = StagedShared::new(staged.view(), stage).access(addr);
-                    assert_eq!(hit_serial, hit_staged, "cycle {cycle} addr {addr:#x}");
-                    if hit_serial {
-                        continue;
-                    }
-                    let requester = core * 2 + (k as usize % 2);
-                    let completion = cycle + 300 + serial.queue_delay();
-                    let out_serial = serial.mshr_request(requester, addr / 64, cycle, completion);
-                    let out_staged = StagedShared::new(staged.view(), stage).mshr_request(
-                        requester,
-                        addr / 64,
-                        cycle,
-                        completion,
-                    );
-                    assert_eq!(out_serial, out_staged, "cycle {cycle} addr {addr:#x}");
-                    if out_serial == MshrOutcome::Allocated {
-                        serial.register_transfer(completion);
-                        StagedShared::new(staged.view(), stage).register_transfer(completion);
-                    }
-                    serial.fill(addr);
-                    StagedShared::new(staged.view(), stage).fill(addr);
-                }
-            }
-            for stage in &mut stages {
-                staged.merge_stage(stage);
-                assert!(stage.is_empty(), "merge must drain the stage");
-            }
-            serial.end_cycle();
-            staged.end_cycle();
-        }
-        assert_eq!(serial.llc_hit_rate(), staged.llc_hit_rate());
-        assert_eq!(
-            serial.bus.inflight_transfers(),
-            staged.bus.inflight_transfers()
-        );
-        for addr in probes {
-            assert_eq!(serial.view().probe(addr), staged.view().probe(addr));
-        }
     }
 }

@@ -19,6 +19,12 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// Largest number of lines (`size_bytes / line_bytes`) a cache may hold:
+    /// 64 times the Table IV L3. The simulator allocates every way up front,
+    /// so the bound turns an oversized geometry into a validation error
+    /// instead of an allocation abort.
+    pub const MAX_LINES: u64 = 1 << 22;
+
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
@@ -34,14 +40,21 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if any field is zero, the capacity is not
-    /// a multiple of `associativity * line_bytes`, or the resulting set count is not
-    /// a power of two.
+    /// Returns [`SimError::InvalidConfig`] if any field is zero, the line count
+    /// exceeds [`CacheConfig::MAX_LINES`], the capacity is not a multiple of
+    /// `associativity * line_bytes`, or the resulting set count is not a power
+    /// of two.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.size_bytes == 0 || self.associativity == 0 || self.line_bytes == 0 {
             return Err(SimError::invalid_config(
                 "cache geometry fields must be non-zero",
             ));
+        }
+        if self.size_bytes / self.line_bytes as u64 > Self::MAX_LINES {
+            return Err(SimError::invalid_config(format!(
+                "cache too large: size_bytes / line_bytes must not exceed {}",
+                Self::MAX_LINES
+            )));
         }
         let way_bytes = self.associativity as u64 * self.line_bytes as u64;
         if !self.size_bytes.is_multiple_of(way_bytes) {
@@ -726,6 +739,47 @@ mod tests {
             latency: 1,
         };
         assert!(zero.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_cache_size_rejected() {
+        // A petabyte cache would need ~2^44 ways allocated up front.
+        let huge = CacheConfig {
+            size_bytes: 1 << 50,
+            associativity: 16,
+            line_bytes: 64,
+            latency: 20,
+        };
+        let err = huge.validate().unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("cache too large"), "{err}");
+        // The bound itself is allowed.
+        let at_cap = CacheConfig {
+            size_bytes: CacheConfig::MAX_LINES * 64,
+            associativity: 16,
+            line_bytes: 64,
+            latency: 20,
+        };
+        assert!(at_cap.validate().is_ok());
+        let over = CacheConfig {
+            size_bytes: at_cap.size_bytes * 2,
+            ..at_cap
+        };
+        assert!(over.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_cache_associativity_rejected() {
+        // A huge associativity is a huge line count too, even with one set.
+        let wide = CacheConfig {
+            size_bytes: (1 << 30) * 64,
+            associativity: 1 << 30,
+            line_bytes: 64,
+            latency: 20,
+        };
+        let err = wide.validate().unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("cache too large"), "{err}");
     }
 
     #[test]

@@ -182,10 +182,11 @@ proptest! {
 
 #[test]
 fn adaptive_chip_is_invariant_to_core_stepping_order() {
-    // Dynamic selection decisions are core-local functions of core-local
-    // telemetry, so even with every core switching policies at interval
-    // boundaries, chip results must not depend on the order cores step
-    // within a cycle.
+    // Cores step one after another directly against the shared LLC, whose
+    // chip arbitration hides same-cycle requests between cores. Dynamic
+    // selection decisions are core-local functions of core-local telemetry,
+    // so even with every core switching policies at interval boundaries,
+    // chip results must not depend on the order cores step within a cycle.
     let scale = RunScale::tiny();
     let assignments: &[&[&str]] = &[&["mcf", "gcc"], &["swim", "twolf"]];
     let adaptive = AdaptiveConfig::new(

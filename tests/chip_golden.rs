@@ -153,11 +153,12 @@ fn golden_chip_runs_exercise_contention_and_squashes() {
 #[test]
 fn chip_results_are_invariant_to_core_iteration_order() {
     // Step one chip canonically and its twin with the core order reversed
-    // every cycle. Under the chip arbitration discipline (cycle-stamped LRU,
-    // staged fills, cycle-start-frozen bus congestion, per-requester MSHRs,
-    // per-core-disjoint address spaces) the shared level's behaviour is a
-    // pure function of each cycle's request set, so the statistics must be
-    // bit-for-bit identical.
+    // every cycle. Each core steps directly against the one shared LLC, one
+    // after the other; the chip arbitration discipline (cycle-stamped LRU,
+    // fills held until the end of the cycle, cycle-start-frozen bus
+    // congestion, per-requester MSHRs, per-core-disjoint address spaces)
+    // hides every core's same-cycle requests from the others, so the
+    // statistics must be bit-for-bit identical.
     let scale = golden_scale();
     let build = || {
         let config = ChipConfig::baseline(2, 2).with_policy(FetchPolicyKind::MlpFlush);
