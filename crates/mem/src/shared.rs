@@ -469,8 +469,14 @@ mod tests {
             assert_eq!(a.access(l), b.access(l), "line {l:#x}");
             assert!(a.access(l));
         }
+    }
 
-        // A whole two-core workload, stepped 0,1 and 1,0 within every cycle.
+    /// The chip discipline stages every fill until `end_cycle`, so stepping
+    /// the cores serially gives the same per-request outcomes and cycle-end
+    /// state whichever core goes first: a whole two-core workload, stepped
+    /// 0,1 and 1,0 within every cycle, must agree request by request.
+    #[test]
+    fn staged_discipline_matches_serial_chip_discipline() {
         let (forward, forward_outcomes, probes) = drive_two_cores([0, 1]);
         let (reversed, reversed_outcomes, _) = drive_two_cores([1, 0]);
         for (i, (f, r)) in forward_outcomes.iter().zip(&reversed_outcomes).enumerate() {
