@@ -138,14 +138,9 @@ pub struct BenchArgs {
     /// `--out <path>`: where to write the JSON report
     /// (default `BENCH_throughput.json`).
     pub out: Option<String>,
-    /// `--baseline <path>`: earlier report (or trajectory) to compare against.
+    /// `--baseline <path>`: earlier trajectory whose latest entry to compare
+    /// against.
     pub baseline: Option<String>,
-    /// `--cores <n>`: additionally run the chip scenario at n cores x 2 threads.
-    pub cores: Option<usize>,
-    /// `--selector <name>`: selector driving the adaptive matrix row.
-    pub selector: Option<SelectorKind>,
-    /// `--interval <cycles>`: interval length of the adaptive matrix row.
-    pub interval: Option<u64>,
     /// `--quiet`: suppress the stdout table.
     pub quiet: bool,
 }
@@ -385,22 +380,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         }
                         bench.runs = Some(runs);
                     }
-                    "--cores" => {
-                        let value = value_for("--cores")?;
-                        let cores: usize = value
-                            .parse()
-                            .map_err(|_| format!("invalid core count `{value}`"))?;
-                        if !(2..=8).contains(&cores) {
-                            return Err("`--cores` must be between 2 and 8 for bench".to_string());
-                        }
-                        bench.cores = Some(cores);
-                    }
-                    "--selector" => {
-                        bench.selector = Some(parse_selector(&value_for("--selector")?)?);
-                    }
-                    "--interval" => {
-                        bench.interval = Some(parse_interval(&value_for("--interval")?)?);
-                    }
                     "--out" => bench.out = Some(value_for("--out")?),
                     "--baseline" => bench.baseline = Some(value_for("--baseline")?),
                     "--quiet" | "-q" => bench.quiet = true,
@@ -608,9 +587,10 @@ USAGE:
         Run a registered experiment or a TOML spec file.
 
     smt-cli bench [flags]
-        Time the fixed throughput scenario matrix (1T/2T/4T single-core cells
-        plus a 2-core chip cell, ILP/MLP mixes, ICOUNT + MLP-aware flush) and
-        append a dated entry to the BENCH_throughput.json trajectory.
+        Time the fixed throughput scenario matrix (1T/2T/4T single-core cells,
+        ILP/MLP mixes, ICOUNT + MLP-aware flush, plus a 2-core chip, an
+        adaptive, a sampled and a trace-ingestion cell) and append a dated
+        entry to the BENCH_throughput.json trajectory.
 
     smt-cli checkpoint save <bench1,bench2,...> --out <path> [flags]
         Functionally fast-forward a workload's warm-up prefix and write the
@@ -635,11 +615,8 @@ BENCH FLAGS:
     --quick             Reduced-size smoke run (CI)
     --instructions <n>  Instructions per thread (default 30000; 3000 with --quick)
     --runs <n>          Timed repetitions per scenario (default 3; 1 with --quick)
-    --cores <n>         Also run the chip scenario at n cores x 2 threads (2-8)
-    --selector <s>      Selector for the adaptive row (static|sampling|mlp-threshold)
-    --interval <n>      Interval cycles for the adaptive row (default 512)
     --out <path>        Trajectory path to append to (default BENCH_throughput.json)
-    --baseline <path>   Compare against an earlier report/trajectory, print speedups
+    --baseline <path>   Compare against an earlier trajectory's latest entry, print speedups
     --quiet             Suppress the stdout table
 
 RUN FLAGS:
@@ -688,7 +665,7 @@ EXAMPLES:
     smt-cli describe fig09_two_thread_policies > my_experiment.toml
     smt-cli run my_experiment.toml --threads 8
     smt-cli bench --out BENCH_throughput.json
-    smt-cli bench --quick --cores 4 --baseline BENCH_throughput.json --out /tmp/now.json
+    smt-cli bench --quick --baseline BENCH_throughput.json --out /tmp/now.json
     smt-cli run sampled_4t_policies --scale standard
     smt-cli run fig09_two_thread_policies --sampled --scale test
     smt-cli checkpoint save mcf,gcc --scale test --out /tmp/warm.json
@@ -796,8 +773,6 @@ mod tests {
             "5000",
             "--runs",
             "2",
-            "--cores",
-            "4",
             "--out",
             "/tmp/b.json",
             "--baseline",
@@ -810,7 +785,6 @@ mod tests {
         assert!(bench.quick && bench.quiet);
         assert_eq!(bench.instructions, Some(5_000));
         assert_eq!(bench.runs, Some(2));
-        assert_eq!(bench.cores, Some(4));
         assert_eq!(bench.out.as_deref(), Some("/tmp/b.json"));
         assert_eq!(bench.baseline.as_deref(), Some("old.json"));
     }
@@ -823,8 +797,6 @@ mod tests {
         };
         assert_eq!(run.cores, Some(4));
         assert!(parse_err(&["run", "x", "--cores", "0"]).contains("at least 1"));
-        assert!(parse_err(&["bench", "--cores", "1"]).contains("between 2 and 8"));
-        assert!(parse_err(&["bench", "--cores", "9"]).contains("between 2 and 8"));
     }
 
     #[test]
@@ -841,15 +813,8 @@ mod tests {
         };
         assert_eq!(run.selector, Some(SelectorKind::MlpThreshold));
         assert_eq!(run.interval, Some(256));
-        let Command::Bench(bench) =
-            parse_ok(&["bench", "--selector", "sampling", "--interval", "64"])
-        else {
-            panic!("expected bench");
-        };
-        assert_eq!(bench.selector, Some(SelectorKind::Sampling));
-        assert_eq!(bench.interval, Some(64));
         assert!(parse_err(&["run", "x", "--selector", "oracle"]).contains("sampling"));
-        assert!(parse_err(&["bench", "--interval", "0"]).contains("at least 1"));
+        assert!(parse_err(&["run", "x", "--interval", "0"]).contains("at least 1"));
         assert!(parse_err(&["run", "x", "--interval", "soon"]).contains("invalid interval"));
     }
 

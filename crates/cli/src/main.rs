@@ -249,13 +249,9 @@ fn execute_bench(bench: BenchArgs) -> Result<(), String> {
     if let Some(runs) = bench.runs {
         opts.runs = runs;
     }
-    opts.extra_chip_cores = bench.cores;
-    opts.adaptive_selector = bench.selector;
-    opts.adaptive_interval = bench.interval;
     // Load the baseline up front: a missing or malformed file must fail before
-    // the (minutes-long) measurement, not after it. Both the trajectory schema
-    // and the legacy single-report schema are accepted; the latest entry is
-    // what we compare against.
+    // the (minutes-long) measurement, not after it. The latest trajectory
+    // entry is what we compare against.
     let baseline = bench
         .baseline
         .as_deref()
@@ -284,12 +280,11 @@ fn execute_bench(bench: BenchArgs) -> Result<(), String> {
         })
         .transpose()?;
 
-    let scenario_count = throughput::scenarios_for(&opts)
-        .map_err(|e| e.to_string())?
-        .len();
     eprintln!(
-        "benchmarking {scenario_count} scenarios at {} instructions/thread, best of {} run(s)...",
-        opts.instructions_per_thread, opts.runs
+        "benchmarking {} scenarios at {} instructions/thread, best of {} run(s)...",
+        throughput::scenario_matrix().len(),
+        opts.instructions_per_thread,
+        opts.runs
     );
     let report = throughput::run_matrix(&opts, current_commit()).map_err(|e| e.to_string())?;
 

@@ -65,18 +65,28 @@ fn chip_spec_with_retired_chip_threads_fails_naming_the_field() {
     assert!(stderr.contains("serially"), "{stderr}");
 }
 
+/// Retired flags are unknown arguments (exit 2), not silently ignored:
+/// `--chip-threads` everywhere, and the `bench` flags that reshaped the
+/// fixed scenario matrix.
 #[test]
 fn chip_threads_flag_is_an_unknown_argument() {
     for args in [
         &["run", "chip_2c2t_allocation_matrix", "--chip-threads", "2"][..],
         &["bench", "--chip-threads", "2"],
+        &["bench", "--cores", "4"],
+        &["bench", "--selector", "sampling"],
+        &["bench", "--interval", "256"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
             .args(args)
             .output()
             .expect("smt-cli runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
+        let flag = args[args.len() - 2];
         assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("unknown flag `--chip-threads`"), "{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
     }
 }

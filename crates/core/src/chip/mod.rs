@@ -9,16 +9,16 @@
 //! [`smt_mem::SharedLlc::end_cycle`]. Under the chip arbitration discipline
 //! (see [`smt_mem::shared`]) each core's cycle is a function of cycle-start
 //! state and its own requests, so chip results are invariant to the order
-//! cores are stepped in — [`ChipSimulator::step_with_core_order`] exposes
-//! that property to tests.
+//! cores are stepped in; this module's tests step cores in reverse order to
+//! pin that property.
 //!
 //! The run loops ([`ChipSimulator::run`] and [`ChipSimulator::warm_up`])
 //! skip per core: a core whose cycle was quiet sleeps until its own next
 //! event while the other cores step, and the chip cycle jumps ahead when
 //! every core sleeps (see the `skip` module of [`crate::pipeline`] for why
 //! this is sound). Before either loop returns, every core is brought up to
-//! the chip cycle, so no lagging core is ever observable. `step` and
-//! `step_with_core_order` never skip; they are the reference.
+//! the chip cycle, so no lagging core is ever observable. `step` never
+//! skips; it is the reference.
 //!
 //! A one-core chip degenerates exactly to the paper's single-core machine
 //! ([`crate::pipeline::SmtSimulator`]): same discipline, same per-requester
@@ -108,8 +108,6 @@ pub struct ChipSimulator {
     /// whose wake cycle lies ahead of the chip cycle is asleep: its last
     /// step was quiet and it has not been brought up to the chip cycle yet.
     wake: Vec<u64>,
-    /// Reusable membership bitmask for validating explicit core orders.
-    order_scratch: Vec<bool>,
 }
 
 impl ChipSimulator {
@@ -142,14 +140,12 @@ impl ChipSimulator {
             cores.push(Core::with_policy(core_config, traces, policy, core_id)?);
         }
         let wake = vec![0; config.num_cores];
-        let order_scratch = vec![false; config.num_cores];
         Ok(ChipSimulator {
             config,
             cores,
             shared,
             cycle: 0,
             wake,
-            order_scratch,
         })
     }
 
@@ -264,21 +260,6 @@ impl ChipSimulator {
         self.cores.iter().all(|core| core.cycle() == self.cycle)
     }
 
-    /// Validates that `order` is a permutation of `0..num_cores`, reusing
-    /// the scratch bitmask (no per-call allocation).
-    fn check_core_order(&mut self, order: &[usize]) {
-        assert_eq!(order.len(), self.cores.len(), "order must cover every core");
-        for seen in &mut self.order_scratch {
-            *seen = false;
-        }
-        for &core in order {
-            assert!(
-                !std::mem::replace(&mut self.order_scratch[core], true),
-                "core {core} stepped twice"
-            );
-        }
-    }
-
     /// Advances the whole chip by one cycle, stepping every core in
     /// ascending core-id order. It never skips: this is the reference the
     /// skipping run loops are compared against.
@@ -288,15 +269,11 @@ impl ChipSimulator {
     }
 
     /// Advances the whole chip by one cycle, stepping cores in the given
-    /// order. Under the chip arbitration discipline the results are
-    /// independent of the order; the determinism tests step reversed against
-    /// canonical to pin that property.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of `0..num_cores`.
-    pub fn step_with_core_order(&mut self, order: &[usize]) {
-        self.check_core_order(order);
+    /// order (a permutation of `0..num_cores`). The order-reversal tests
+    /// step reversed against canonical to pin that the chip arbitration
+    /// discipline makes results independent of the order.
+    #[cfg(test)]
+    fn step_with_core_order(&mut self, order: &[usize]) {
         self.cycle_bracket(CoreAction::Step, Some(order));
         self.cycle += 1;
     }
@@ -430,5 +407,80 @@ mod tests {
         let chip = ChipConfig::baseline(2, 2);
         let err = ChipSimulator::new(chip, chip_traces(&[&["mcf", "gcc"]], scale));
         assert!(err.is_err());
+    }
+
+    /// Steps `build()` canonically and a twin with the core order reversed
+    /// every cycle for 6,000 cycles, asserts their statistics are
+    /// bit-for-bit identical, and returns both.
+    fn step_canonical_and_reversed(
+        build: impl Fn() -> ChipSimulator,
+    ) -> (ChipSimulator, ChipSimulator) {
+        let mut canonical = build();
+        let mut reversed = build();
+        for _ in 0..6_000 {
+            canonical.step();
+            reversed.step_with_core_order(&[1, 0]);
+        }
+        assert_eq!(
+            canonical.chip_stats(),
+            reversed.chip_stats(),
+            "core stepping order leaked into chip results"
+        );
+        (canonical, reversed)
+    }
+
+    #[test]
+    fn chip_results_are_invariant_to_core_iteration_order() {
+        // Each core steps directly against the one shared LLC, one after the
+        // other; the chip arbitration discipline (cycle-stamped LRU, fills
+        // held until the end of the cycle, cycle-start-frozen bus
+        // congestion, per-requester MSHRs, per-core-disjoint address spaces)
+        // hides every core's same-cycle requests from the others.
+        let scale = RunScale::tiny();
+        let (canonical, _) = step_canonical_and_reversed(|| {
+            let config = ChipConfig::baseline(2, 2).with_policy(FetchPolicyKind::MlpFlush);
+            let traces = chip_traces(&[&["mcf", "gcc"], &["swim", "twolf"]], scale);
+            ChipSimulator::new(config, traces).expect("chip builds")
+        });
+        let committed = canonical.chip_stats().total_committed();
+        assert!(
+            committed > 1_000,
+            "run too short to be meaningful: {committed}"
+        );
+    }
+
+    #[test]
+    fn adaptive_chip_is_invariant_to_core_stepping_order() {
+        // Dynamic selection decisions are core-local functions of core-local
+        // telemetry, so even with every core switching policies at interval
+        // boundaries, chip results must not depend on the order cores step
+        // within a cycle.
+        let scale = RunScale::tiny();
+        let adaptive = AdaptiveConfig::new(
+            smt_types::SelectorKind::Sampling,
+            vec![FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush],
+        )
+        .with_interval_cycles(256);
+        let (canonical, reversed) = step_canonical_and_reversed(|| {
+            let traces = chip_traces(&[&["mcf", "gcc"], &["swim", "twolf"]], scale);
+            ChipSimulator::new_adaptive(ChipConfig::baseline(2, 2), traces, adaptive.clone())
+                .expect("adaptive chip builds")
+        });
+        for core in 0..2 {
+            assert_eq!(
+                canonical.policy_residency(core),
+                reversed.policy_residency(core),
+                "core stepping order leaked into core {core}'s policy residency"
+            );
+        }
+        // The run was long enough for dynamic selection to actually happen.
+        let switched = (0..2).any(|core| {
+            canonical
+                .policy_residency(core)
+                .expect("adaptive chip reports residency")
+                .len()
+                > 1
+        });
+        assert!(switched, "no core ever switched policy; test is vacuous");
     }
 }

@@ -49,19 +49,9 @@ pub struct SampledRun {
 }
 
 impl SmtSimulator {
-    /// Freezes or unfreezes the fetch stage (used by the sampled loop's drain;
-    /// exposed for tests).
-    pub fn freeze_fetch(&mut self, frozen: bool) {
+    /// Freezes or unfreezes the fetch stage (the sampled loop's drain).
+    fn freeze_fetch(&mut self, frozen: bool) {
         self.core.fetch_frozen = frozen;
-    }
-
-    /// Runs with fetch frozen until the pipeline holds no in-flight work (all
-    /// windows empty, completion queue empty, write buffer drained), then
-    /// unfreezes fetch. Returns whether the pipeline fully drained within the
-    /// safety cycle bound.
-    pub fn drain_pipeline(&mut self) -> bool {
-        let limit = self.core.cycle() + MAX_DRAIN_CYCLES;
-        self.drain_until(limit)
     }
 
     /// Drains with fetch frozen until the pipeline is empty or the cycle
@@ -266,7 +256,7 @@ mod tests {
                 }
             }
             assert_eq!(skipping.cycle(), stepping.cycle());
-            assert!(skipping.drain_pipeline());
+            assert!(skipping.drain_until(skipping.cycle() + MAX_DRAIN_CYCLES));
             stepping.freeze_fetch(true);
             while !stepping.core.is_drained() {
                 stepping.step();

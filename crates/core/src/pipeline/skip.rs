@@ -54,11 +54,10 @@
 //! * LRU stamps are written only on an access.
 //!
 //! So a sleeping core wakes into the same state it would have reached by
-//! stepping. [`super::SmtSimulator::step`],
-//! [`crate::chip::ChipSimulator::step`] and
-//! [`crate::chip::ChipSimulator::step_with_core_order`] always step every
-//! core for exactly one cycle, which makes them the non-skipping reference
-//! the equivalence tests compare against.
+//! stepping. [`super::SmtSimulator::step`] and
+//! [`crate::chip::ChipSimulator::step`] always step every core for exactly
+//! one cycle, which makes them the non-skipping reference the equivalence
+//! tests compare against.
 
 use smt_mem::SharedLlc;
 use smt_types::ThreadId;

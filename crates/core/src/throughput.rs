@@ -3,9 +3,11 @@
 //!
 //! The matrix covers 1-, 2- and 4-thread runs over ILP- and MLP-heavy mixes
 //! under the ICOUNT baseline and the paper's MLP-aware flush policy — plus a
-//! chip-level CMP row, an adaptive-engine row and a sampled-execution row —
-//! so a single `smt-cli bench` run characterizes the hot path for every
-//! pipeline shape the experiments exercise. Results serialize
+//! chip-level CMP row, an adaptive-engine row, a sampled-execution row and a
+//! trace-ingestion row — so a single `smt-cli bench` run characterizes the
+//! hot path for every pipeline shape the experiments exercise. Every row
+//! goes through one timed-repetition loop (best wall time of `runs`
+//! repetitions, which must agree bit for bit). Results serialize
 //! to a stable JSON schema; `BENCH_throughput.json` is an **append-only
 //! [`ThroughputTrajectory`]**: one dated [`ThroughputReport`] entry per
 //! recorded commit, so the whole perf history stays recoverable from the
@@ -20,18 +22,17 @@ use smt_types::config::FetchPolicyKind;
 use smt_types::{SimError, SmtConfig};
 
 use crate::chip::ChipSimulator;
-use crate::pipeline::sampling::SampledRun;
 use crate::pipeline::{SimOptions, SmtSimulator};
 use crate::runner::{build_trace, RunScale};
-use smt_types::{ChipConfig, MachineStats, SamplingConfig};
+use smt_types::{ChipConfig, SamplingConfig};
 
 /// Version of one report's schema. Bump only when a field is removed or
 /// changes meaning; additions keep the version.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Version of the on-disk `BENCH_throughput.json` trajectory schema
-/// (an array of dated report entries; version 1 was a single overwritten
-/// report).
+/// (an array of dated report entries; version 1, a single overwritten
+/// report, is no longer read).
 pub const TRAJECTORY_SCHEMA_VERSION: u32 = 2;
 
 /// Name of the 4-thread baseline scenario whose cycles/sec is the headline
@@ -51,7 +52,28 @@ pub const RETIRED_SCENARIOS: &[(&str, &str)] = &[(
 /// workload measured exactly.
 pub const SAMPLED_BUDGET_MULTIPLIER: u64 = 10;
 
-/// One cell of the fixed scenario matrix.
+/// What a matrix row measures.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ScenarioKind {
+    /// A static-policy simulation: the single-core machine, or a chip when
+    /// the row has more than one core.
+    Exact,
+    /// The adaptive engine: [`SelectorKind::Sampling`] switches at runtime
+    /// between the row's policy and the MLP-aware flush policy, at the
+    /// default interval length.
+    Adaptive,
+    /// A sampled run through [`SmtSimulator::run_sampled`] at
+    /// [`SAMPLED_BUDGET_MULTIPLIER`] times the exact rows' instruction
+    /// budget, timing the fast-forward/measure interleaving.
+    Sampled,
+    /// Raw trace-stream delivery instead of a simulation: a recorded `.smtt`
+    /// replayed through [`smt_trace::FileTraceSource`] versus the same stream
+    /// regenerated by the synthetic generator, both pulled in engine-sized
+    /// refill batches.
+    Ingest,
+}
+
+/// One row of the fixed scenario matrix.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BenchScenario {
     /// Stable scenario identifier (`<threads>t_<mix>_<policy>`, or
@@ -65,191 +87,62 @@ pub struct BenchScenario {
     /// `benchmarks.len() / cores` threads per core (round-robin placement by
     /// construction of the list).
     pub cores: usize,
-    /// Adaptive rows: the policy selector driving runtime switching between
-    /// `policy` and the MLP-aware flush policy; `None` runs the static
-    /// machine.
-    pub selector: Option<SelectorKind>,
-    /// Sampled rows: run through [`SmtSimulator::run_sampled`] at
-    /// [`SAMPLED_BUDGET_MULTIPLIER`] times the exact rows' instruction
-    /// budget, timing the fast-forward/measure interleaving.
-    pub sampled: bool,
-    /// Ingestion rows: time raw trace-stream delivery instead of a
-    /// simulation — a recorded `.smtt` replayed through
-    /// [`smt_trace::FileTraceSource`] versus the same stream regenerated by
-    /// the synthetic generator, both pulled in engine-sized refill batches.
-    pub ingest: bool,
+    /// What the row measures.
+    pub kind: ScenarioKind,
 }
 
-/// The benchmark pool chip rows draw from (2 threads per core, core-major).
-const CHIP_MIX: [&str; 16] = [
-    "mcf", "swim", "perlbmk", "mesa", "vortex", "parser", "crafty", "twolf", "applu", "galgel",
-    "gzip", "wupwise", "apsi", "art", "equake", "gcc",
-];
-
-/// The chip scenario at `cores` cores x 2 threads (the `--cores` bench row).
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] when `cores` is outside `2..=8`.
-pub fn chip_scenario(cores: usize) -> Result<BenchScenario, SimError> {
-    let name = match cores {
-        2 => "2c2t_mix_icount",
-        3 => "3c2t_mix_icount",
-        4 => "4c2t_mix_icount",
-        5 => "5c2t_mix_icount",
-        6 => "6c2t_mix_icount",
-        7 => "7c2t_mix_icount",
-        8 => "8c2t_mix_icount",
-        other => {
-            return Err(SimError::invalid_config(format!(
-                "chip bench scenarios support 2..=8 cores, got {other}"
-            )))
-        }
-    };
-    Ok(BenchScenario {
-        name,
-        benchmarks: &CHIP_MIX[..cores * 2],
-        policy: FetchPolicyKind::Icount,
-        cores,
-        selector: None,
-        sampled: false,
-        ingest: false,
-    })
-}
-
-/// The adaptive-engine scenario: the 4-thread mix under runtime policy
-/// switching between ICOUNT and the MLP-aware flush policy, driven by
-/// `selector` at the `interval` cycle granularity (defaults:
-/// [`SelectorKind::Sampling`],
-/// [`AdaptiveConfig::DEFAULT_INTERVAL_CYCLES`]). The scenario name is stable
-/// across selectors so trajectory entries stay comparable.
-pub fn adaptive_scenario(selector: Option<SelectorKind>) -> BenchScenario {
+const fn row(
+    name: &'static str,
+    benchmarks: &'static [&'static str],
+    policy: FetchPolicyKind,
+    cores: usize,
+    kind: ScenarioKind,
+) -> BenchScenario {
     BenchScenario {
-        name: "4t_mix_adaptive",
-        benchmarks: &["mcf", "swim", "perlbmk", "mesa"],
-        policy: FetchPolicyKind::Icount,
-        cores: 1,
-        selector: Some(selector.unwrap_or(SelectorKind::Sampling)),
-        sampled: false,
-        ingest: false,
+        name,
+        benchmarks,
+        policy,
+        cores,
+        kind,
     }
 }
 
 /// The fixed scenario matrix: 1T/2T/4T, ILP- and MLP-heavy mixes, ICOUNT
-/// baseline plus the MLP-aware flush policy.
+/// baseline plus the MLP-aware flush policy, then one chip, one adaptive,
+/// one sampled and one trace-ingestion row.
 pub fn scenario_matrix() -> Vec<BenchScenario> {
     use FetchPolicyKind::{Icount, MlpFlush};
-    let mut matrix = vec![
-        BenchScenario {
-            name: "1t_ilp_icount",
-            benchmarks: &["gcc"],
-            policy: Icount,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        },
-        BenchScenario {
-            name: "1t_mlp_icount",
-            benchmarks: &["mcf"],
-            policy: Icount,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        },
-        BenchScenario {
-            name: "2t_ilp_icount",
-            benchmarks: &["gcc", "gap"],
-            policy: Icount,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        },
-        BenchScenario {
-            name: "2t_mlp_icount",
-            benchmarks: &["mcf", "swim"],
-            policy: Icount,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        },
-        BenchScenario {
-            name: "2t_mlp_mlpflush",
-            benchmarks: &["mcf", "swim"],
-            policy: MlpFlush,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        },
-        BenchScenario {
-            name: "4t_ilp_icount",
-            benchmarks: &["vortex", "parser", "crafty", "twolf"],
-            policy: Icount,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        },
-        BenchScenario {
-            name: "4t_mix_icount",
-            benchmarks: &["mcf", "swim", "perlbmk", "mesa"],
-            policy: Icount,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        },
-        BenchScenario {
-            name: "4t_mix_mlpflush",
-            benchmarks: &["mcf", "swim", "perlbmk", "mesa"],
-            policy: MlpFlush,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        },
-        BenchScenario {
-            name: "4t_mlp_mlpflush",
-            benchmarks: &["applu", "galgel", "swim", "mesa"],
-            policy: MlpFlush,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        },
+    use ScenarioKind::{Adaptive, Exact, Ingest, Sampled};
+    const MIX: &[&str] = &["mcf", "swim", "perlbmk", "mesa"];
+    const MLP: &[&str] = &["applu", "galgel", "swim", "mesa"];
+    vec![
+        row("1t_ilp_icount", &["gcc"], Icount, 1, Exact),
+        row("1t_mlp_icount", &["mcf"], Icount, 1, Exact),
+        row("2t_ilp_icount", &["gcc", "gap"], Icount, 1, Exact),
+        row("2t_mlp_icount", &["mcf", "swim"], Icount, 1, Exact),
+        row("2t_mlp_mlpflush", &["mcf", "swim"], MlpFlush, 1, Exact),
+        row(
+            "4t_ilp_icount",
+            &["vortex", "parser", "crafty", "twolf"],
+            Icount,
+            1,
+            Exact,
+        ),
+        row("4t_mix_icount", MIX, Icount, 1, Exact),
+        row("4t_mix_mlpflush", MIX, MlpFlush, 1, Exact),
+        row("4t_mlp_mlpflush", MLP, MlpFlush, 1, Exact),
         // The same workload as `4t_mlp_mlpflush` in sampled mode at ten
         // times the budget: its wall-clock and instrs/s columns sit next to
         // the exact row's, making the sampling speedup a standing bench fact.
-        BenchScenario {
-            name: "4t_mlp_sampled",
-            benchmarks: &["applu", "galgel", "swim", "mesa"],
-            policy: MlpFlush,
-            cores: 1,
-            selector: None,
-            sampled: true,
-            ingest: false,
-        },
-    ];
-    matrix.push(chip_scenario(2).expect("2-core chip scenario is always valid"));
-    matrix.push(adaptive_scenario(None));
-    // Raw ingestion row: `.smtt` replay versus synthetic regeneration of the
-    // same stream, in ops/sec. No machine is simulated; the row pins the
-    // zero-copy reader's memory-bandwidth headroom over generation as a
-    // standing bench fact (`ingest_speedup` in the report).
-    matrix.push(BenchScenario {
-        name: "trace_replay_ingest",
-        benchmarks: &["mcf"],
-        policy: FetchPolicyKind::Icount,
-        cores: 1,
-        selector: None,
-        sampled: false,
-        ingest: true,
-    });
-    matrix
+        row("4t_mlp_sampled", MLP, MlpFlush, 1, Sampled),
+        // The 4-thread mix as a 2-core x 2-thread chip.
+        row("2c2t_mix_icount", MIX, Icount, 2, Exact),
+        row("4t_mix_adaptive", MIX, Icount, 1, Adaptive),
+        // `.smtt` replay versus synthetic regeneration of the same stream,
+        // in ops/sec. No machine is simulated; the row pins the zero-copy
+        // reader's headroom over generation (`ingest_speedup`).
+        row("trace_replay_ingest", &["mcf"], Icount, 1, Ingest),
+    ]
 }
 
 /// Run-length and repetition knobs for the harness.
@@ -262,15 +155,6 @@ pub struct BenchOptions {
     pub runs: u32,
     /// Whether this is a reduced-size smoke run (recorded in the report).
     pub quick: bool,
-    /// Additional chip scenario at this core count (`smt-cli bench --cores`),
-    /// on top of the matrix's built-in 2-core row.
-    pub extra_chip_cores: Option<usize>,
-    /// Selector override for the adaptive matrix row (`smt-cli bench
-    /// --selector`); the row keeps its stable name either way.
-    pub adaptive_selector: Option<SelectorKind>,
-    /// Interval-length override in cycles for the adaptive matrix row
-    /// (`smt-cli bench --interval`).
-    pub adaptive_interval: Option<u64>,
 }
 
 impl BenchOptions {
@@ -280,9 +164,6 @@ impl BenchOptions {
             instructions_per_thread: 30_000,
             runs: 3,
             quick: false,
-            extra_chip_cores: None,
-            adaptive_selector: None,
-            adaptive_interval: None,
         }
     }
 
@@ -292,9 +173,6 @@ impl BenchOptions {
             instructions_per_thread: 3_000,
             runs: 1,
             quick: true,
-            extra_chip_cores: None,
-            adaptive_selector: None,
-            adaptive_interval: None,
         }
     }
 }
@@ -469,22 +347,14 @@ impl ThroughputReport {
                 base_only.join(", ")
             ));
         }
-        // Shared scenarios that do not simulate the same machine: a selector
-        // retune (`bench --selector/--interval`) or a behaviour-changing
-        // commit makes the wall-clock ratio meaningless for that row.
+        // Shared scenarios that do not simulate the same machine: a
+        // behaviour-changing commit makes the wall-clock ratio meaningless
+        // for that row.
         for s in &self.scenarios {
             let Some(base) = baseline.scenario(&s.name) else {
                 continue;
             };
-            if s.selector != base.selector {
-                warnings.push(format!(
-                    "scenario `{}` used selector `{}` but the baseline used `{}`; \
-                     its speedup compares different machines",
-                    s.name,
-                    s.selector.map_or("none", |v| v.name()),
-                    base.selector.map_or("none", |v| v.name()),
-                ));
-            } else if s.instructions_per_thread == base.instructions_per_thread
+            if s.instructions_per_thread == base.instructions_per_thread
                 && s.simulated_cycles != base.simulated_cycles
             {
                 warnings.push(format!(
@@ -570,26 +440,14 @@ impl ThroughputTrajectory {
         }
     }
 
-    /// Parses a trajectory from JSON, migrating the legacy schema (a single
-    /// overwritten [`ThroughputReport`]) into a one-entry trajectory dated
-    /// `"unknown"`.
+    /// Parses a trajectory from its JSON form.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when the text is neither a
-    /// trajectory nor a legacy report.
+    /// Returns [`SimError::InvalidConfig`] on malformed input.
     pub fn from_json(text: &str) -> Result<Self, SimError> {
-        if let Ok(trajectory) = serde_json::from_str::<ThroughputTrajectory>(text) {
-            return Ok(trajectory);
-        }
-        let legacy = ThroughputReport::from_json(text).map_err(|e| {
-            SimError::invalid_config(format!(
-                "neither a throughput trajectory nor a legacy report: {e}"
-            ))
-        })?;
-        let mut trajectory = Self::new();
-        trajectory.push("unknown", legacy);
-        Ok(trajectory)
+        serde_json::from_str(text)
+            .map_err(|e| SimError::invalid_config(format!("throughput trajectory from JSON: {e}")))
     }
 
     /// Serializes the trajectory as pretty-printed JSON (the on-disk format).
@@ -628,53 +486,38 @@ fn scenario_options(opts: &BenchOptions) -> SimOptions {
     }
 }
 
-/// Builds a ready-to-run single-core simulator (and its run options) for one
-/// scenario, so callers timing the hot path (such as [`run_scenario`]) can
-/// exclude trace construction from the measurement.
-///
-/// # Errors
-///
-/// Returns an error for unknown benchmarks, invalid configurations, or a
-/// chip scenario (`cores > 1`; those are driven through [`run_scenario`]).
-pub fn prepare_scenario(
+/// Builds a ready-to-run single-core simulator (and its run options) for
+/// one row, so trace construction stays outside the timed region.
+fn prepare_scenario(
     scenario: &BenchScenario,
     opts: &BenchOptions,
 ) -> Result<(SmtSimulator, SimOptions), SimError> {
-    if scenario.cores > 1 {
-        return Err(SimError::invalid_config(
-            "prepare_scenario builds single-core simulators; chip scenarios run via run_scenario",
-        ));
-    }
-    let threads = scenario.benchmarks.len();
-    let mut config = SmtConfig::baseline(threads);
+    let mut config = SmtConfig::baseline(scenario.benchmarks.len());
     config.fetch_policy = scenario.policy;
     let scale = RunScale::standard().with_instructions(opts.instructions_per_thread);
-    let options = scenario_options(opts);
     let traces = scenario
         .benchmarks
         .iter()
         .map(|b| build_trace(b, scale))
         .collect::<Result<Vec<_>, _>>()?;
-    let sim = match scenario.selector {
-        Some(selector) => {
-            // Adaptive rows switch between the scenario policy and the
-            // MLP-aware flush policy, timing the interval collector and the
-            // swap machinery alongside the pipeline.
-            let mut adaptive =
-                AdaptiveConfig::new(selector, vec![scenario.policy, FetchPolicyKind::MlpFlush]);
-            if let Some(interval) = opts.adaptive_interval {
-                adaptive.interval_cycles = interval;
-            }
-            SmtSimulator::with_adaptive(config, traces, adaptive)?
-        }
-        None => SmtSimulator::new(config, traces)?,
+    let sim = if scenario.kind == ScenarioKind::Adaptive {
+        // Adaptive rows switch between the row's policy and the MLP-aware
+        // flush policy, timing the interval collector and the swap
+        // machinery alongside the pipeline.
+        let adaptive = AdaptiveConfig::new(
+            SelectorKind::Sampling,
+            vec![scenario.policy, FetchPolicyKind::MlpFlush],
+        );
+        SmtSimulator::with_adaptive(config, traces, adaptive)?
+    } else {
+        SmtSimulator::new(config, traces)?
     };
-    Ok((sim, options))
+    Ok((sim, scenario_options(opts)))
 }
 
 /// Builds a ready-to-run chip simulator for a `cores > 1` scenario,
 /// dealing the benchmark list out over the cores core-major.
-fn prepare_chip_scenario(
+fn prepare_chip(
     scenario: &BenchScenario,
     opts: &BenchOptions,
 ) -> Result<(ChipSimulator, SimOptions), SimError> {
@@ -700,12 +543,51 @@ fn prepare_chip_scenario(
     Ok((sim, scenario_options(opts)))
 }
 
-/// Runs one scenario: `opts.runs` timed repetitions, best wall time kept.
-/// Only [`SmtSimulator::run`] is inside the timed region; trace and simulator
-/// construction are not.
+/// Runs `f` and returns its value with the wall-clock seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now(); // analyze: allow(determinism) reason="wall-clock timing of the benchmark harness itself, not simulated state"
+    let value = f();
+    (value, start.elapsed().as_secs_f64())
+}
+
+/// Calls `once` `runs` times (at least once) and returns the first
+/// repetition's outcome with the lowest wall time. Each call builds its own
+/// inputs and wraps only the measured region in [`timed`].
 ///
-/// Repetitions must produce bit-identical [`smt_types::MachineStats`]; a
-/// mismatch means the simulator lost determinism and is reported as an error.
+/// # Errors
+///
+/// Propagates the first failing repetition, and returns
+/// [`SimError::InvalidConfig`] naming the scenario when a repetition's
+/// outcome differs from the first (the simulator lost determinism).
+fn best_of<T: PartialEq>(
+    scenario: &BenchScenario,
+    runs: u32,
+    mut once: impl FnMut() -> Result<(T, f64), SimError>,
+) -> Result<(T, f64), SimError> {
+    let (first, mut best_wall) = once()?;
+    for _ in 1..runs {
+        let (outcome, wall) = once()?;
+        if outcome != first {
+            return Err(SimError::invalid_config(format!(
+                "scenario `{}`: repeated runs diverged (lost determinism)",
+                scenario.name
+            )));
+        }
+        best_wall = best_wall.min(wall);
+    }
+    Ok((first, best_wall))
+}
+
+/// Runs one scenario: `opts.runs` timed repetitions through `best_of`,
+/// best wall time kept. Only the simulator's run (or, for the ingestion
+/// row, the stream pull) is timed; trace and simulator construction are not.
+///
+/// Chip rows flatten their per-core statistics into the single-core shape.
+/// Sampled rows count only detailed cycles in `simulated_cycles` (the
+/// functional fast-forward phases have none), so their instrs/s column is
+/// where the sampling speedup shows against the exact row. The ingestion
+/// row's rate columns describe the replay side, and `ingest_speedup` is
+/// replay ops/sec over generation ops/sec.
 ///
 /// # Errors
 ///
@@ -715,128 +597,75 @@ pub fn run_scenario(
     scenario: &BenchScenario,
     opts: &BenchOptions,
 ) -> Result<ScenarioResult, SimError> {
-    if scenario.sampled {
-        return run_sampled_scenario(scenario, opts);
-    }
-    if scenario.ingest {
-        return run_ingest_scenario(scenario, opts);
-    }
-    let threads = scenario.benchmarks.len();
-    let mut best_wall = f64::INFINITY;
-    let mut reference_stats: Option<MachineStats> = None;
-    for _ in 0..opts.runs.max(1) {
-        // The timed region contains only the simulator's `run`; trace and
-        // simulator construction stay outside. Chip scenarios flatten their
-        // per-core statistics into the single-core shape for reporting.
-        let stats = if scenario.cores > 1 {
-            let (mut sim, options) = prepare_chip_scenario(scenario, opts)?;
-            let start = Instant::now(); // analyze: allow(determinism) reason="wall-clock timing of the benchmark harness itself, not simulated state"
-            let chip_stats = sim.run(options);
-            best_wall = best_wall.min(start.elapsed().as_secs_f64());
-            crate::metrics::flatten_chip_stats(&chip_stats)
-        } else {
-            let (mut sim, options) = prepare_scenario(scenario, opts)?;
-            let start = Instant::now(); // analyze: allow(determinism) reason="wall-clock timing of the benchmark harness itself, not simulated state"
-            let stats = sim.run(options);
-            best_wall = best_wall.min(start.elapsed().as_secs_f64());
-            stats
-        };
-        match &reference_stats {
-            None => reference_stats = Some(stats),
-            Some(reference) => {
-                if *reference != stats {
-                    return Err(SimError::invalid_config(format!(
-                        "scenario `{}`: repeated runs diverged (simulator lost determinism)",
-                        scenario.name
-                    )));
-                }
-            }
-        }
-    }
-    let stats = reference_stats.expect("at least one run");
-    let committed: u64 = stats.threads.iter().map(|t| t.committed_instructions).sum();
-    let wall = best_wall.max(1e-9);
-    Ok(ScenarioResult {
+    let runs = opts.runs.max(1);
+    let mut result = ScenarioResult {
         name: scenario.name.to_string(),
-        threads,
+        threads: scenario.benchmarks.len(),
         benchmarks: scenario.benchmarks.iter().map(|b| b.to_string()).collect(),
         policy: scenario.policy,
         cores: Some(scenario.cores),
-        selector: scenario.selector,
+        selector: (scenario.kind == ScenarioKind::Adaptive).then_some(SelectorKind::Sampling),
         chip_threads: None,
         instructions_per_thread: opts.instructions_per_thread,
-        simulated_cycles: stats.cycles,
-        committed_instructions: committed,
-        total_ipc: stats.total_ipc(),
-        wall_seconds: best_wall,
-        cycles_per_second: stats.cycles as f64 / wall,
-        instructions_per_second: committed as f64 / wall,
-        runs: opts.runs.max(1),
+        simulated_cycles: 0,
+        committed_instructions: 0,
+        total_ipc: 0.0,
+        wall_seconds: 0.0,
+        cycles_per_second: 0.0,
+        instructions_per_second: 0.0,
+        runs,
         sampled_windows: None,
         detailed_fraction: None,
         ingest_speedup: None,
-    })
-}
-
-/// Runs a sampled scenario: the same timed-repetition protocol as
-/// [`run_scenario`], but through [`SmtSimulator::run_sampled`] at
-/// [`SAMPLED_BUDGET_MULTIPLIER`] times the exact rows' per-thread budget
-/// under the default [`SamplingConfig`]. `simulated_cycles` (and thus
-/// cycles/sec) counts only detailed cycles — the functional fast-forward
-/// phases have none — so the instructions/sec column is where the sampling
-/// speedup shows against the exact row over the same workload.
-fn run_sampled_scenario(
-    scenario: &BenchScenario,
-    opts: &BenchOptions,
-) -> Result<ScenarioResult, SimError> {
-    let threads = scenario.benchmarks.len();
-    let sampling = SamplingConfig::default();
-    let budget = opts.instructions_per_thread * SAMPLED_BUDGET_MULTIPLIER;
-    let mut best_wall = f64::INFINITY;
-    let mut reference: Option<(SampledRun, u64)> = None;
-    for _ in 0..opts.runs.max(1) {
-        let (mut sim, mut options) = prepare_scenario(scenario, opts)?;
-        options.max_instructions_per_thread = budget;
-        let start = Instant::now(); // analyze: allow(determinism) reason="wall-clock timing of the benchmark harness itself, not simulated state"
-        let run = sim.run_sampled(options, &sampling)?;
-        best_wall = best_wall.min(start.elapsed().as_secs_f64());
-        let committed: u64 = sim.core().committed().sum();
-        match &reference {
-            None => reference = Some((run, committed)),
-            Some((reference_run, reference_committed)) => {
-                if *reference_run != run || *reference_committed != committed {
-                    return Err(SimError::invalid_config(format!(
-                        "scenario `{}`: repeated sampled runs diverged \
-                         (simulator lost determinism)",
-                        scenario.name
-                    )));
+    };
+    let wall = match scenario.kind {
+        ScenarioKind::Exact | ScenarioKind::Adaptive => {
+            let (stats, wall) = best_of(scenario, runs, || {
+                if scenario.cores > 1 {
+                    let (mut sim, options) = prepare_chip(scenario, opts)?;
+                    let (stats, wall) = timed(|| sim.run(options));
+                    Ok((crate::metrics::flatten_chip_stats(&stats), wall))
+                } else {
+                    let (mut sim, options) = prepare_scenario(scenario, opts)?;
+                    Ok(timed(|| sim.run(options)))
                 }
-            }
+            })?;
+            result.simulated_cycles = stats.cycles;
+            result.committed_instructions =
+                stats.threads.iter().map(|t| t.committed_instructions).sum();
+            result.total_ipc = stats.total_ipc();
+            wall
         }
-    }
-    let (run, committed) = reference.expect("at least one run");
-    let detailed_cycles: u64 = run.window_cycles.iter().sum();
-    let wall = best_wall.max(1e-9);
-    Ok(ScenarioResult {
-        name: scenario.name.to_string(),
-        threads,
-        benchmarks: scenario.benchmarks.iter().map(|b| b.to_string()).collect(),
-        policy: scenario.policy,
-        cores: Some(scenario.cores),
-        selector: scenario.selector,
-        chip_threads: None,
-        instructions_per_thread: budget,
-        simulated_cycles: detailed_cycles,
-        committed_instructions: committed,
-        total_ipc: run.estimate.total_ipc.mean,
-        wall_seconds: best_wall,
-        cycles_per_second: detailed_cycles as f64 / wall,
-        instructions_per_second: committed as f64 / wall,
-        runs: opts.runs.max(1),
-        sampled_windows: Some(run.estimate.windows),
-        detailed_fraction: Some(run.estimate.detailed_fraction),
-        ingest_speedup: None,
-    })
+        ScenarioKind::Sampled => {
+            let budget = opts.instructions_per_thread * SAMPLED_BUDGET_MULTIPLIER;
+            let ((run, committed), wall) = best_of(scenario, runs, || {
+                let (mut sim, mut options) = prepare_scenario(scenario, opts)?;
+                options.max_instructions_per_thread = budget;
+                let (run, wall) = timed(|| sim.run_sampled(options, &SamplingConfig::default()));
+                Ok(((run?, sim.core().committed().sum::<u64>()), wall))
+            })?;
+            result.instructions_per_thread = budget;
+            result.simulated_cycles = run.window_cycles.iter().sum();
+            result.committed_instructions = committed;
+            result.total_ipc = run.estimate.total_ipc.mean;
+            result.sampled_windows = Some(run.estimate.windows);
+            result.detailed_fraction = Some(run.estimate.detailed_fraction);
+            wall
+        }
+        ScenarioKind::Ingest => {
+            let ops = ingest_ops(opts);
+            let (replay_wall, generate_wall) = time_ingestion(scenario, opts, runs, ops)?;
+            result.instructions_per_thread = ops;
+            result.committed_instructions = ops;
+            result.ingest_speedup = Some(generate_wall.max(1e-9) / replay_wall.max(1e-9));
+            replay_wall
+        }
+    };
+    let rate_wall = wall.max(1e-9);
+    result.wall_seconds = wall;
+    result.cycles_per_second = result.simulated_cycles as f64 / rate_wall;
+    result.instructions_per_second = result.committed_instructions as f64 / rate_wall;
+    Ok(result)
 }
 
 /// Ops an ingestion row streams per timed repetition: enough multiples of the
@@ -930,25 +759,24 @@ fn generation_checksum(source: &mut dyn smt_trace::TraceSource, total: u64) -> u
     checksum
 }
 
-/// Runs an ingestion scenario: records the benchmark's stream into a
-/// temporary `.smtt`, then times (a) replaying it zero-copy through a
-/// memory-resident [`smt_trace::FileTraceSource`] and (b) regenerating it
-/// with the synthetic generator in engine-sized refill batches, both folding
-/// the same on-disk record words over the same op count (the resident load
-/// itself is untimed, like the generator's construction). The reported rate
-/// columns describe the *replay* side; `ingest_speedup` is replay ops/sec
-/// over generation ops/sec.
+/// Records the ingestion row's benchmark stream into a temporary `.smtt`,
+/// then times (a) replaying it zero-copy through a memory-resident
+/// [`smt_trace::FileTraceSource`] and (b) regenerating it with the synthetic
+/// generator in engine-sized refill batches, both folding the same on-disk
+/// record words over `ops` ops (the resident load and the generator's
+/// construction are untimed). Returns the best replay and generation wall
+/// times.
 ///
-/// The two streams must fold to the same checksum (replay is the recorded
-/// generator stream verbatim) and repetitions must reproduce it bit for bit;
-/// either mismatch is reported as a lost-determinism error.
-fn run_ingest_scenario(
+/// The two streams must fold to the same checksum: replay is the recorded
+/// generator stream verbatim.
+fn time_ingestion(
     scenario: &BenchScenario,
     opts: &BenchOptions,
-) -> Result<ScenarioResult, SimError> {
+    runs: u32,
+    ops: u64,
+) -> Result<(f64, f64), SimError> {
     let benchmark = scenario.benchmarks[0];
     let scale = RunScale::standard().with_instructions(opts.instructions_per_thread);
-    let ops = ingest_ops(opts);
     let path = std::env::temp_dir().join(format!(
         "smt-ingest-{}-{}.smtt",
         benchmark,
@@ -956,92 +784,23 @@ fn run_ingest_scenario(
     ));
     let mut recorder = build_trace(benchmark, scale)?;
     smt_trace::record_source(recorder.as_mut(), ops, &path, false)?;
-
-    let mut replay_wall = f64::INFINITY;
-    let mut generate_wall = f64::INFINITY;
-    let mut reference_checksum: Option<u64> = None;
-    let result = (|| {
-        for _ in 0..opts.runs.max(1) {
-            let mut replay = smt_trace::FileTraceSource::open_resident(&path)?;
-            let start = Instant::now(); // analyze: allow(determinism) reason="wall-clock timing of the benchmark harness itself, not simulated state"
-            let replayed = replay_checksum(&mut replay, ops);
-            replay_wall = replay_wall.min(start.elapsed().as_secs_f64());
-
-            let mut generator = build_trace(benchmark, scale)?;
-            let start = Instant::now(); // analyze: allow(determinism) reason="wall-clock timing of the benchmark harness itself, not simulated state"
-            let generated = generation_checksum(generator.as_mut(), ops);
-            generate_wall = generate_wall.min(start.elapsed().as_secs_f64());
-
-            if replayed != generated {
-                return Err(SimError::invalid_config(format!(
-                    "scenario `{}`: replayed stream diverged from the generator stream",
-                    scenario.name
-                )));
-            }
-            match reference_checksum {
-                None => reference_checksum = Some(replayed),
-                Some(reference) => {
-                    if reference != replayed {
-                        return Err(SimError::invalid_config(format!(
-                            "scenario `{}`: repeated runs diverged (reader lost determinism)",
-                            scenario.name
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
-    })();
+    let replayed = best_of(scenario, runs, || {
+        let mut replay = smt_trace::FileTraceSource::open_resident(&path)?;
+        Ok(timed(|| replay_checksum(&mut replay, ops)))
+    });
     std::fs::remove_file(&path).ok();
-    result?;
-
-    let replay_wall = replay_wall.max(1e-9);
-    let generate_wall = generate_wall.max(1e-9);
-    Ok(ScenarioResult {
-        name: scenario.name.to_string(),
-        threads: scenario.benchmarks.len(),
-        benchmarks: scenario.benchmarks.iter().map(|b| b.to_string()).collect(),
-        policy: scenario.policy,
-        cores: Some(scenario.cores),
-        selector: None,
-        chip_threads: None,
-        instructions_per_thread: ops,
-        simulated_cycles: 0,
-        committed_instructions: ops,
-        total_ipc: 0.0,
-        wall_seconds: replay_wall,
-        cycles_per_second: 0.0,
-        instructions_per_second: ops as f64 / replay_wall,
-        runs: opts.runs.max(1),
-        sampled_windows: None,
-        detailed_fraction: None,
-        ingest_speedup: Some((ops as f64 / replay_wall) / (ops as f64 / generate_wall)),
-    })
-}
-
-/// The exact scenario list a [`run_matrix`] call with `opts` will measure:
-/// the fixed matrix plus the `extra_chip_cores` row when it is not already a
-/// matrix member. Callers announcing the run (the CLI) derive their counts
-/// from this so the message cannot drift from what actually runs.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] for an unsupported extra core count.
-pub fn scenarios_for(opts: &BenchOptions) -> Result<Vec<BenchScenario>, SimError> {
-    let mut matrix = scenario_matrix();
-    if let Some(cores) = opts.extra_chip_cores {
-        let extra = chip_scenario(cores)?;
-        if !matrix.iter().any(|s| s.name == extra.name) {
-            matrix.push(extra);
-        }
+    let (replayed, replay_wall) = replayed?;
+    let (generated, generate_wall) = best_of(scenario, runs, || {
+        let mut generator = build_trace(benchmark, scale)?;
+        Ok(timed(|| generation_checksum(generator.as_mut(), ops)))
+    })?;
+    if replayed != generated {
+        return Err(SimError::invalid_config(format!(
+            "scenario `{}`: replayed stream diverged from the generator stream",
+            scenario.name
+        )));
     }
-    if let Some(selector) = opts.adaptive_selector {
-        let adaptive = adaptive_scenario(Some(selector));
-        if let Some(row) = matrix.iter_mut().find(|s| s.name == adaptive.name) {
-            *row = adaptive;
-        }
-    }
-    Ok(matrix)
+    Ok((replay_wall, generate_wall))
 }
 
 /// Runs the whole [`scenario_matrix`] and assembles the report.
@@ -1056,11 +815,10 @@ pub fn run_matrix(
     opts: &BenchOptions,
     commit: Option<String>,
 ) -> Result<ThroughputReport, SimError> {
-    let matrix = scenarios_for(opts)?;
-    let mut scenarios = Vec::new();
-    for scenario in &matrix {
-        scenarios.push(run_scenario(scenario, opts)?);
-    }
+    let scenarios = scenario_matrix()
+        .iter()
+        .map(|scenario| run_scenario(scenario, opts))
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(ThroughputReport {
         schema_version: SCHEMA_VERSION,
         quick: opts.quick,
@@ -1083,7 +841,38 @@ mod tests {
             instructions_per_thread: 300,
             runs: 2,
             quick: true,
-            ..BenchOptions::quick()
+        }
+    }
+
+    fn matrix_row(kind: ScenarioKind, cores: usize) -> BenchScenario {
+        scenario_matrix()
+            .into_iter()
+            .find(|s| s.kind == kind && s.cores == cores)
+            .expect("matrix row")
+    }
+
+    /// A one-scenario report measured at 200 instructions per thread.
+    fn small_report(nproc: Option<u64>) -> ThroughputReport {
+        let opts = BenchOptions {
+            instructions_per_thread: 200,
+            runs: 1,
+            quick: true,
+        };
+        let scenario = row(
+            BASELINE_SCENARIO,
+            &["gcc", "gap"],
+            FetchPolicyKind::Icount,
+            1,
+            ScenarioKind::Exact,
+        );
+        ThroughputReport {
+            schema_version: SCHEMA_VERSION,
+            quick: true,
+            instructions_per_thread: opts.instructions_per_thread,
+            runs_per_scenario: 1,
+            commit: Some("abc1234".to_string()),
+            nproc,
+            scenarios: vec![run_scenario(&scenario, &opts).unwrap()],
         }
     }
 
@@ -1100,14 +889,13 @@ mod tests {
             matrix.iter().any(|s| s.cores > 1),
             "matrix must contain a chip row"
         );
-        assert!(
-            matrix.iter().any(|s| s.sampled),
-            "matrix must contain a sampled row"
-        );
-        assert!(
-            matrix.iter().any(|s| s.ingest),
-            "matrix must contain a trace-ingestion row"
-        );
+        for kind in [
+            ScenarioKind::Adaptive,
+            ScenarioKind::Sampled,
+            ScenarioKind::Ingest,
+        ] {
+            assert!(matrix.iter().any(|s| s.kind == kind), "no {kind:?} row");
+        }
         let mut names: Vec<_> = matrix.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
@@ -1118,16 +906,35 @@ mod tests {
     }
 
     #[test]
+    fn best_of_keeps_the_fastest_repetition_and_rejects_divergence() {
+        let scenario = row(
+            "test_best_of",
+            &["gcc"],
+            FetchPolicyKind::Icount,
+            1,
+            ScenarioKind::Exact,
+        );
+        let mut walls = [0.3, 0.1, 0.2].into_iter();
+        let best = best_of(&scenario, 3, || Ok((7u64, walls.next().unwrap()))).unwrap();
+        assert_eq!(best, (7, 0.1));
+        assert_eq!(walls.next(), None, "every repetition ran");
+
+        let mut outcomes = [1u64, 1, 2].into_iter();
+        let err = best_of(&scenario, 3, || Ok((outcomes.next().unwrap(), 0.1))).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("`test_best_of`"), "{err}");
+        assert!(err.to_string().contains("diverged"), "{err}");
+    }
+
+    #[test]
     fn scenario_runs_and_reports_positive_rates() {
-        let scenario = BenchScenario {
-            name: "test_2t",
-            benchmarks: &["gcc", "gap"],
-            policy: FetchPolicyKind::Icount,
-            cores: 1,
-            selector: None,
-            sampled: false,
-            ingest: false,
-        };
+        let scenario = row(
+            "test_2t",
+            &["gcc", "gap"],
+            FetchPolicyKind::Icount,
+            1,
+            ScenarioKind::Exact,
+        );
         let result = run_scenario(&scenario, &tiny_opts()).unwrap();
         assert!(result.simulated_cycles > 0);
         assert!(result.committed_instructions >= 300);
@@ -1135,14 +942,13 @@ mod tests {
         assert!(result.instructions_per_second > 0.0);
         assert!(result.total_ipc > 0.0);
         assert_eq!(result.threads, 2);
+        assert_eq!(result.selector, None);
     }
 
     #[test]
     fn sampled_scenario_runs_at_ten_x_budget() {
         let opts = tiny_opts();
-        let matrix = scenario_matrix();
-        let scenario = matrix.iter().find(|s| s.sampled).expect("sampled row");
-        let result = run_scenario(scenario, &opts).unwrap();
+        let result = run_scenario(&matrix_row(ScenarioKind::Sampled, 1), &opts).unwrap();
         assert_eq!(result.name, "4t_mlp_sampled");
         assert_eq!(
             result.instructions_per_thread,
@@ -1162,9 +968,7 @@ mod tests {
     /// against regeneration of the same stream.
     #[test]
     fn ingest_scenario_times_replay_against_generation() {
-        let matrix = scenario_matrix();
-        let scenario = matrix.iter().find(|s| s.ingest).expect("ingest row");
-        let result = run_scenario(scenario, &tiny_opts()).unwrap();
+        let result = run_scenario(&matrix_row(ScenarioKind::Ingest, 1), &tiny_opts()).unwrap();
         assert_eq!(result.name, "trace_replay_ingest");
         assert_eq!(result.instructions_per_thread, 50_000);
         assert_eq!(result.committed_instructions, 50_000);
@@ -1182,19 +986,7 @@ mod tests {
     /// still parse; present values round-trip.
     #[test]
     fn ingest_speedup_field_is_backward_compatible() {
-        let result = run_scenario(
-            &BenchScenario {
-                name: "test_compat",
-                benchmarks: &["gcc"],
-                policy: FetchPolicyKind::Icount,
-                cores: 1,
-                selector: None,
-                sampled: false,
-                ingest: false,
-            },
-            &tiny_opts(),
-        )
-        .unwrap();
+        let result = small_report(None).scenarios.remove(0);
         let json = serde_json::to_string(&result).unwrap();
         assert!(
             !json.contains("ingest_speedup"),
@@ -1204,49 +996,27 @@ mod tests {
         assert_eq!(parsed, result);
     }
 
+    /// The chip row runs the 4-thread mix as 2 cores x 2 threads.
     #[test]
     fn chip_scenario_runs_and_reports() {
-        let scenario = chip_scenario(2).unwrap();
+        let scenario = matrix_row(ScenarioKind::Exact, 2);
+        assert_eq!(scenario.name, "2c2t_mix_icount");
+        let mix = scenario_matrix()
+            .into_iter()
+            .find(|s| s.name == "4t_mix_icount")
+            .unwrap();
+        assert_eq!(scenario.benchmarks, mix.benchmarks);
         let result = run_scenario(&scenario, &tiny_opts()).unwrap();
         assert_eq!(result.cores, Some(2));
         assert_eq!(result.threads, 4);
         assert_eq!(result.chip_threads, None);
         assert!(result.simulated_cycles > 0);
         assert!(result.cycles_per_second > 0.0);
-        assert!(chip_scenario(1).is_err());
-        assert!(chip_scenario(9).is_err());
     }
 
     #[test]
-    fn trajectory_appends_and_migrates_legacy_reports() {
-        let opts = BenchOptions {
-            instructions_per_thread: 200,
-            runs: 1,
-            quick: true,
-            ..BenchOptions::quick()
-        };
-        let report = ThroughputReport {
-            schema_version: SCHEMA_VERSION,
-            quick: true,
-            instructions_per_thread: opts.instructions_per_thread,
-            runs_per_scenario: 1,
-            commit: Some("abc".to_string()),
-            nproc: Some(2),
-            scenarios: vec![run_scenario(
-                &BenchScenario {
-                    name: BASELINE_SCENARIO,
-                    benchmarks: &["gcc", "gap"],
-                    policy: FetchPolicyKind::Icount,
-                    cores: 1,
-                    selector: None,
-                    sampled: false,
-                    ingest: false,
-                },
-                &opts,
-            )
-            .unwrap()],
-        };
-        // Append-only round trip.
+    fn trajectory_round_trips_and_rejects_malformed_input() {
+        let report = small_report(Some(2));
         let mut trajectory = ThroughputTrajectory::new();
         trajectory.push("2026-07-01", report.clone());
         trajectory.push("2026-07-30", report.clone());
@@ -1255,13 +1025,11 @@ mod tests {
         assert_eq!(parsed, trajectory);
         assert_eq!(parsed.entries.len(), 2);
         assert_eq!(parsed.latest().unwrap(), &report);
-        // A legacy single-report file migrates to a one-entry trajectory.
-        let legacy_json = report.to_json().unwrap();
-        let migrated = ThroughputTrajectory::from_json(&legacy_json).unwrap();
-        assert_eq!(migrated.entries.len(), 1);
-        assert_eq!(migrated.entries[0].date, "unknown");
-        assert_eq!(migrated.latest().unwrap(), &report);
-        assert!(ThroughputTrajectory::from_json("{]").is_err());
+        // A bare report is not a trajectory.
+        for bad in [report.to_json().unwrap().as_str(), "{]"] {
+            let err = ThroughputTrajectory::from_json(bad).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        }
     }
 
     /// The checked-in trajectory, retired rows and the retired
@@ -1281,33 +1049,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json_and_compares() {
-        let opts = BenchOptions {
-            instructions_per_thread: 200,
-            runs: 1,
-            quick: true,
-            ..BenchOptions::quick()
-        };
-        let mut report = ThroughputReport {
-            schema_version: SCHEMA_VERSION,
-            quick: true,
-            instructions_per_thread: opts.instructions_per_thread,
-            runs_per_scenario: 1,
-            commit: Some("abc1234".to_string()),
-            nproc: None,
-            scenarios: vec![run_scenario(
-                &BenchScenario {
-                    name: BASELINE_SCENARIO,
-                    benchmarks: &["gcc", "gap"],
-                    policy: FetchPolicyKind::Icount,
-                    cores: 1,
-                    selector: None,
-                    sampled: false,
-                    ingest: false,
-                },
-                &opts,
-            )
-            .unwrap()],
-        };
+        let mut report = small_report(None);
         let json = report.to_json().unwrap();
         let parsed = ThroughputReport::from_json(&json).unwrap();
         assert_eq!(parsed, report);

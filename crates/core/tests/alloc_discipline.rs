@@ -203,16 +203,6 @@ fn steady_state_cycle_loop_performs_no_heap_allocations() {
             ChipSimulator::new(chip_config, vec![mixed_pair(), mixed_pair()]).expect("chip builds");
         assert_zero_alloc_steady_state(&format!("ChipSimulator/{policy:?}"), || chip.step());
 
-        // The explicit-order entry point must reuse its validation scratch
-        // instead of allocating a fresh bitmask per cycle.
-        let chip_config = ChipConfig::baseline(2, 2).with_policy(policy);
-        let mut chip =
-            ChipSimulator::new(chip_config, vec![mixed_pair(), mixed_pair()]).expect("chip builds");
-        let order = [1usize, 0];
-        assert_zero_alloc_steady_state(&format!("ChipSimulator/order/{policy:?}"), || {
-            chip.step_with_core_order(&order)
-        });
-
         // The skipping run loop allocates only per run (stop-rule
         // baselines, the returned statistics), never per cycle or per
         // wake-up: a run four times as long allocates exactly as much.

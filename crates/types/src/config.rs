@@ -4,6 +4,23 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
 
+/// Largest latency, in cycles, that any configured access may take
+/// ([`CacheConfig::latency`], [`TlbConfig::miss_penalty`],
+/// [`SmtConfig::memory_latency`]): far past the paper's 800-cycle Figure 15
+/// sweep, and small enough that the memory hierarchy's completion-cycle
+/// sums cannot overflow.
+pub const MAX_LATENCY_CYCLES: u64 = 1 << 32;
+
+/// Checks one configured latency against [`MAX_LATENCY_CYCLES`].
+fn check_latency(field: &str, cycles: u64) -> Result<(), SimError> {
+    if cycles > MAX_LATENCY_CYCLES {
+        return Err(SimError::invalid_config(format!(
+            "{field} of {cycles} cycles exceeds the {MAX_LATENCY_CYCLES}-cycle limit"
+        )));
+    }
+    Ok(())
+}
+
 /// Geometry and latency of one cache level.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
@@ -40,16 +57,17 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if any field is zero, the line count
-    /// exceeds [`CacheConfig::MAX_LINES`], the capacity is not a multiple of
-    /// `associativity * line_bytes`, or the resulting set count is not a power
-    /// of two.
+    /// Returns [`SimError::InvalidConfig`] if any geometry field is zero, the
+    /// line count exceeds [`CacheConfig::MAX_LINES`], the capacity is not a
+    /// multiple of `associativity * line_bytes`, the resulting set count is
+    /// not a power of two, or the latency exceeds [`MAX_LATENCY_CYCLES`].
     pub fn validate(&self) -> Result<(), SimError> {
         if self.size_bytes == 0 || self.associativity == 0 || self.line_bytes == 0 {
             return Err(SimError::invalid_config(
                 "cache geometry fields must be non-zero",
             ));
         }
+        check_latency("cache latency", self.latency)?;
         if self.size_bytes / self.line_bytes as u64 > Self::MAX_LINES {
             return Err(SimError::invalid_config(format!(
                 "cache too large: size_bytes / line_bytes must not exceed {}",
@@ -436,7 +454,7 @@ impl SmtConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when widths, resource sizes, or cache
-    /// geometries are degenerate.
+    /// geometries are degenerate, or a latency exceeds [`MAX_LATENCY_CYCLES`].
     pub fn validate(&self) -> Result<(), SimError> {
         if self.num_threads == 0 || self.num_threads > crate::ThreadId::MAX_THREADS {
             return Err(SimError::invalid_config("unsupported number of threads"));
@@ -492,9 +510,12 @@ impl SmtConfig {
         if !self.dtlb.page_bytes.is_power_of_two() || !self.itlb.page_bytes.is_power_of_two() {
             return Err(SimError::invalid_config("page size must be a power of two"));
         }
+        check_latency("TLB miss_penalty", self.dtlb.miss_penalty)?;
+        check_latency("TLB miss_penalty", self.itlb.miss_penalty)?;
         if self.memory_latency == 0 {
             return Err(SimError::invalid_config("memory latency must be non-zero"));
         }
+        check_latency("memory_latency", self.memory_latency)?;
         Ok(())
     }
 }
@@ -780,6 +801,44 @@ mod tests {
         let err = wide.validate().unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
         assert!(err.to_string().contains("cache too large"), "{err}");
+    }
+
+    #[test]
+    fn oversized_cache_latency_rejected() {
+        let l3 = SmtConfig::baseline(2).l3;
+        let at_cap = CacheConfig {
+            latency: MAX_LATENCY_CYCLES,
+            ..l3
+        };
+        assert!(at_cap.validate().is_ok());
+        let wrapping = CacheConfig {
+            latency: u64::MAX,
+            ..l3
+        };
+        let err = wrapping.validate().unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("cache latency"), "{err}");
+        // A core's private levels go through the same check.
+        let mut c = SmtConfig::baseline(2);
+        c.l2.latency = MAX_LATENCY_CYCLES + 1;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_memory_latency_rejected() {
+        let c = SmtConfig::baseline(2).with_memory_latency(MAX_LATENCY_CYCLES);
+        assert!(c.validate().is_ok());
+        let c = SmtConfig::baseline(2).with_memory_latency(u64::MAX);
+        let err = c.validate().unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("memory_latency"), "{err}");
+        let mut c = SmtConfig::baseline(2);
+        c.dtlb.miss_penalty = u64::MAX;
+        assert!(c
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .contains("miss_penalty"));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! fetch policy, at both SMT widths, and on a chip), and
 //! [`smt_core::pipeline::Core::swap_policy`] to the installed kind must be a
 //! no-op on [`smt_types::MachineStats`]. On top of that, random
-//! selector-switch schedules must stay deterministic across repeat runs,
-//! chip core stepping orders, and engine thread counts — and on a mixed
-//! ILP/MLP four-thread workload a dynamic selector must beat the best static
+//! selector-switch schedules must stay deterministic across repeat runs and
+//! engine thread counts (chip core stepping order is pinned by `smt-core`'s
+//! chip unit tests) — and on a mixed ILP/MLP four-thread workload a dynamic selector must beat the best static
 //! policy on harmonic-mean IPC (the whole point of the engine).
 
 use proptest::prelude::*;
@@ -178,57 +178,6 @@ proptest! {
         let committed: u64 = first.threads.iter().map(|t| t.committed_instructions).sum();
         prop_assert!(committed > 0, "swap schedule starved the machine");
     }
-}
-
-#[test]
-fn adaptive_chip_is_invariant_to_core_stepping_order() {
-    // Cores step one after another directly against the shared LLC, whose
-    // chip arbitration hides same-cycle requests between cores. Dynamic
-    // selection decisions are core-local functions of core-local telemetry,
-    // so even with every core switching policies at interval boundaries,
-    // chip results must not depend on the order cores step within a cycle.
-    let scale = RunScale::tiny();
-    let assignments: &[&[&str]] = &[&["mcf", "gcc"], &["swim", "twolf"]];
-    let adaptive = AdaptiveConfig::new(
-        SelectorKind::Sampling,
-        vec![FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush],
-    )
-    .with_interval_cycles(256);
-    let build = || {
-        ChipSimulator::new_adaptive(
-            ChipConfig::baseline(2, 2),
-            chip_traces(assignments, scale),
-            adaptive.clone(),
-        )
-        .expect("adaptive chip builds")
-    };
-    let mut canonical = build();
-    let mut reversed = build();
-    for _ in 0..6_000 {
-        canonical.step();
-        reversed.step_with_core_order(&[1, 0]);
-    }
-    assert_eq!(
-        canonical.chip_stats(),
-        reversed.chip_stats(),
-        "core stepping order leaked into adaptive chip results"
-    );
-    for core in 0..2 {
-        assert_eq!(
-            canonical.policy_residency(core),
-            reversed.policy_residency(core),
-            "core stepping order leaked into core {core}'s policy residency"
-        );
-    }
-    // The run was long enough for dynamic selection to actually happen.
-    let switched = (0..2).any(|core| {
-        canonical
-            .policy_residency(core)
-            .expect("adaptive chip reports residency")
-            .len()
-            > 1
-    });
-    assert!(switched, "no core ever switched policy; test is vacuous");
 }
 
 #[test]
