@@ -159,17 +159,22 @@ impl Core {
         };
 
         if shared_blocked {
-            // Flip the stall flag and refresh the outstanding-load view in
-            // place (saving the overwritten start-of-cycle values) instead of
-            // cloning the snapshot for the policy callback.
-            snapshot.resource_stalled = true;
-            let mut stall_view = std::mem::take(&mut self.stall_view);
-            stall_view.clear();
-            for (i, ctx) in self.threads.iter().enumerate() {
-                let t = &mut snapshot.threads[i];
-                stall_view.push((t.outstanding_long_latency_loads, t.oldest_lll_cycle));
-                t.outstanding_long_latency_loads = ctx.outstanding_lll.len() as u32;
-                t.oldest_lll_cycle = ctx.oldest_lll_cycle();
+            // The policy sees the current outstanding-load view. Commit,
+            // writeback and issue may have changed it since the start-of-cycle
+            // refresh; only then is it rewritten in place, saving the
+            // start-of-cycle entries for the fetch phase.
+            let mut saved = std::mem::take(&mut self.stall_view);
+            saved.clear();
+            let stale = self.threads.iter().zip(&snapshot.threads).any(|(ctx, t)| {
+                t.outstanding_long_latency_loads != ctx.outstanding_lll.len() as u32
+                    || t.oldest_lll_cycle != ctx.outstanding_lll.min_cycle()
+            });
+            if stale {
+                saved.extend_from_slice(&snapshot.threads);
+                for (t, ctx) in snapshot.threads.iter_mut().zip(&self.threads) {
+                    t.outstanding_long_latency_loads = ctx.outstanding_lll.len() as u32;
+                    t.oldest_lll_cycle = ctx.outstanding_lll.min_cycle();
+                }
             }
             let mut flushes = std::mem::take(&mut self.flushes);
             flushes.clear();
@@ -178,14 +183,10 @@ impl Core {
                 self.apply_flush(req);
             }
             self.flushes = flushes;
-            // Restore the start-of-cycle view: the fetch phase must see the
-            // same snapshot the pre-refactor pipeline handed it.
-            snapshot.resource_stalled = false;
-            for (i, (lll, oldest)) in stall_view.drain(..).enumerate() {
-                snapshot.threads[i].outstanding_long_latency_loads = lll;
-                snapshot.threads[i].oldest_lll_cycle = oldest;
+            if stale {
+                snapshot.threads.copy_from_slice(&saved);
             }
-            self.stall_view = stall_view;
+            self.stall_view = saved;
         }
     }
 }

@@ -45,7 +45,7 @@ impl Core {
             && self.threads.iter().all(|t| t.window.is_empty())
     }
 
-    /// Functionally advances every active thread by `instructions`
+    /// Functionally advances every thread by `instructions`
     /// instructions against the given shared level, interleaving threads one
     /// instruction at a time (the same fairness detailed stepping gives
     /// threads that share the private cache levels).
@@ -60,9 +60,6 @@ impl Core {
         let now = self.cycle;
         for _ in 0..instructions {
             for ti in 0..self.threads.len() {
-                if !self.threads[ti].active {
-                    continue;
-                }
                 let thread_id = ThreadId::new(ti);
                 let ctx = &mut self.threads[ti];
                 let (op, replay) = ctx.pull_op();
@@ -112,7 +109,7 @@ impl Core {
 }
 
 impl Core {
-    /// Advances every active thread by `instructions` instructions at raw
+    /// Advances every thread by `instructions` instructions at raw
     /// trace speed: ops are pulled and discarded, committed-instruction
     /// counters advance, and *nothing else* is touched — no caches, TLBs,
     /// predictors or LLSR, no cycles, no statistics.
@@ -131,7 +128,7 @@ impl Core {
         // and this per-thread bulk skip are observationally identical — and
         // the bulk form lets seekable sources (`FileTraceSource`) take their
         // O(1) `skip` instead of decoding every skipped op.
-        for ctx in self.threads.iter_mut().filter(|t| t.active) {
+        for ctx in &mut self.threads {
             ctx.skip_ops(instructions);
             ctx.committed += instructions;
         }

@@ -2,7 +2,7 @@
 //! account gated cycles, and pull instructions (fresh or re-fetched) into the
 //! front end, predicting branches exactly once per dynamic branch.
 
-use smt_types::{OpFlags, OpKind, SeqNum, SmtSnapshot, ThreadId};
+use smt_types::{OpFlags, OpKind, SeqNum, SmtSnapshot};
 
 use super::Core;
 
@@ -17,21 +17,15 @@ impl Core {
         let cycle = self.cycle;
         let mut priority = std::mem::take(&mut self.priority);
         self.policy.fetch_priority(snapshot, &mut priority);
-        // Account gated cycles for active threads the policy excluded, via a
-        // "selected" bitmask filled in one pass over the priority list
-        // (MAX_THREADS <= 64) instead of an O(threads) scan per thread.
+        // Account gated cycles for the threads the policy excluded: every
+        // thread outside the "selected" bitmask (MAX_THREADS <= 64).
         let mut selected: u64 = 0;
         for t in &priority {
             selected |= 1 << t.index();
         }
-        let mut gated: u64 = 0;
-        for ti in 0..self.threads.len() {
-            if self.threads[ti].active && selected & (1 << ti) == 0 {
-                gated |= 1 << ti;
-                self.stats.thread_mut(ThreadId::new(ti)).fetch_gated_cycles += 1;
-            }
-        }
-        self.gated_mask = gated;
+        let all_threads = (1u64 << self.threads.len()) - 1;
+        self.gated_mask = all_threads & !selected;
+        self.account_gated(1);
         let mut budget = self.config.fetch_width;
         let mut threads_used = 0;
         let frontend_ready_at = cycle + self.config.frontend_depth as u64;
@@ -40,9 +34,6 @@ impl Core {
                 break;
             }
             let ti = t.index();
-            if !self.threads[ti].active {
-                continue;
-            }
             if self.threads[ti].occ.frontend >= self.frontend_capacity {
                 continue;
             }

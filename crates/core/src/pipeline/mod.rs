@@ -51,7 +51,9 @@ mod writeback_phase;
 use smt_fetch::{build_policy, FetchPolicy, FlushRequest, ResourceCaps};
 use smt_mem::{CoreMemory, SharedLlc, WriteBuffer};
 use smt_trace::TraceSource;
-use smt_types::{AdaptiveConfig, MachineStats, SimError, SmtConfig, SmtSnapshot, ThreadId};
+use smt_types::{
+    AdaptiveConfig, MachineStats, SimError, SmtConfig, SmtSnapshot, ThreadId, ThreadSnapshot,
+};
 
 use adaptive::AdaptiveState;
 use stats::SharedTotals;
@@ -149,9 +151,9 @@ pub struct Core {
     issue_candidates: Vec<u32>,
     /// Per-thread oldest mispredicted-branch seq completing this cycle.
     mispredicts: Vec<Option<u64>>,
-    /// Saved start-of-cycle snapshot fields overwritten for the resource-stall
-    /// policy callback, restored before fetch.
-    stall_view: Vec<(u32, Option<u64>)>,
+    /// Saved start-of-cycle snapshot entries overwritten for the
+    /// resource-stall policy callback, restored before fetch.
+    stall_view: Vec<ThreadSnapshot>,
 }
 
 impl Core {

@@ -19,10 +19,10 @@
 //! * the write buffer emptying, which [`Core::is_drained`] observes;
 //! * the cycle whose end ticks the adaptive interval.
 //!
-//! Fetch policies see an identical snapshot in every skipped cycle, apart
-//! from its `cycle` field, which the [`smt_fetch::FetchPolicy`] contract
-//! forbids per-cycle queries to read. The skipped cycles therefore gate the
-//! same threads the quiet cycle gated.
+//! Fetch policies see an identical snapshot in every skipped cycle, and the
+//! [`smt_fetch::FetchPolicy`] contract makes their per-cycle queries
+//! idempotent on it. The skipped cycles therefore gate the same threads the
+//! quiet cycle gated.
 //!
 //! # One primitive, two run loops
 //!
@@ -60,7 +60,6 @@
 //! tests compare against.
 
 use smt_mem::SharedLlc;
-use smt_types::ThreadId;
 
 use super::Core;
 
@@ -125,11 +124,7 @@ impl Core {
         }
         debug_assert!(!self.busy, "only a quiet cycle may be skipped past");
         self.account_mlp(skipped);
-        for ti in 0..self.threads.len() {
-            if self.gated_mask & (1 << ti) != 0 {
-                self.stats.thread_mut(ThreadId::new(ti)).fetch_gated_cycles += skipped;
-            }
-        }
+        self.account_gated(skipped);
         let num_threads = self.threads.len() as u64;
         self.rotate = ((self.rotate as u64 + skipped) % num_threads) as usize;
         self.cycle = target;

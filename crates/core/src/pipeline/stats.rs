@@ -1,8 +1,8 @@
 //! Per-cycle accounting: the incrementally maintained shared-resource
 //! occupancy totals, the start-of-cycle snapshot refresh handed to fetch
-//! policies, and the MLP cycle accounting.
+//! policies, and the fetch-gating and MLP cycle accounting.
 
-use smt_types::{SmtSnapshot, ThreadId};
+use smt_types::{SmtSnapshot, ThreadId, ThreadSnapshot};
 
 use super::Core;
 
@@ -23,33 +23,21 @@ impl Core {
     /// Rewrites the reused snapshot buffer in place with the start-of-cycle
     /// machine state (no allocation in steady state).
     pub(super) fn refresh_snapshot(&self, snap: &mut SmtSnapshot) {
-        snap.begin_cycle(self.cycle);
-        snap.rob_total_occupancy = self.totals.rob;
-        snap.lsq_total_occupancy = self.totals.lsq;
-        snap.iq_int_total_occupancy = self.totals.iq_int;
-        snap.iq_fp_total_occupancy = self.totals.iq_fp;
-        snap.rename_int_total_used = self.totals.rename_int;
-        snap.rename_fp_total_used = self.totals.rename_fp;
-        for (i, ctx) in self.threads.iter().enumerate() {
-            let t = &mut snap.threads[i];
-            t.active = ctx.active;
-            t.icount = ctx.occ.icount;
-            t.rob_occupancy = ctx.occ.rob;
-            t.lsq_occupancy = ctx.occ.lsq;
-            t.iq_int_occupancy = ctx.occ.iq_int;
-            t.iq_fp_occupancy = ctx.occ.iq_fp;
-            t.rename_int_used = ctx.occ.rename_int;
-            t.rename_fp_used = ctx.occ.rename_fp;
-            t.outstanding_long_latency_loads = ctx.outstanding_lll.len() as u32;
-            t.outstanding_l1d_misses = ctx.outstanding_l1d;
-            t.oldest_lll_cycle = ctx.oldest_lll_cycle();
+        for (t, ctx) in snap.threads.iter_mut().zip(&self.threads) {
+            *t = ThreadSnapshot {
+                icount: ctx.occ.icount,
+                outstanding_long_latency_loads: ctx.outstanding_lll.len() as u32,
+                outstanding_l1d_misses: ctx.outstanding_l1d,
+                oldest_lll_cycle: ctx.outstanding_lll.min_cycle(),
+            };
         }
     }
 
     /// Verifies (in debug builds) that the incremental shared-resource totals
     /// agree with a from-scratch recomputation over the per-thread counters,
-    /// that the window cursors agree with the occupancy counters, and that
-    /// every window's ready set is exactly its issuable instructions.
+    /// that the window cursors agree with the occupancy counters, that every
+    /// window's ready set is exactly its issuable instructions, and that each
+    /// thread's cached oldest long-latency load cycle is the true minimum.
     #[cfg(debug_assertions)]
     pub(super) fn debug_check_totals(&self) {
         let mut expect = SharedTotals::default();
@@ -66,8 +54,24 @@ impl Core {
                 "dispatch cursor drifted from front-end occupancy"
             );
             ctx.window.debug_check_ready();
+            debug_assert_eq!(
+                ctx.outstanding_lll.min_cycle(),
+                ctx.outstanding_lll.scanned_min_cycle(),
+                "cached oldest long-latency load cycle drifted"
+            );
         }
         debug_assert_eq!(self.totals, expect, "incremental occupancy totals drifted");
+    }
+
+    /// Accounts `cycles` fetch-gated cycles to every thread in the gated
+    /// mask, walking its set bits: one per step, or a whole skipped stretch.
+    pub(super) fn account_gated(&mut self, cycles: u64) {
+        let mut gated = self.gated_mask;
+        while gated != 0 {
+            let ti = gated.trailing_zeros() as usize;
+            self.stats.thread_mut(ThreadId::new(ti)).fetch_gated_cycles += cycles;
+            gated &= gated - 1;
+        }
     }
 
     /// Accounts `cycles` cycles of the current outstanding long-latency

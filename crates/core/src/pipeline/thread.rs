@@ -43,14 +43,16 @@ pub(crate) struct PendingMlpEval {
 
 /// The set of outstanding long-latency loads of one thread, as a flat
 /// `(seq, detection_cycle)` vector. The set is tiny (bounded by the in-flight
-/// misses the MSHRs allow), so linear search beats a hash map and — unlike a
-/// hash map, whose per-cycle iteration in the snapshot refresh walks its whole
-/// bucket array — the min-scan touches one dense allocation. All queries are
-/// order-independent (membership, count, minimum cycle), so the swap-remove
-/// keeps results deterministic.
+/// misses the MSHRs allow), so linear search beats a hash map. The detection
+/// cycle of the oldest entry is cached, so the per-cycle snapshot refresh
+/// reads the continue-oldest-thread input in O(1); only removing the oldest
+/// entry rescans. All queries are order-independent (membership, count,
+/// minimum cycle), so the swap-remove keeps results deterministic.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct OutstandingLll {
     entries: Vec<(u64, u64)>,
+    /// Minimum detection cycle over `entries`, `None` when empty.
+    oldest: Option<u64>,
 }
 
 impl OutstandingLll {
@@ -58,13 +60,17 @@ impl OutstandingLll {
     pub(super) fn insert(&mut self, seq: u64, cycle: u64) {
         debug_assert!(self.entries.iter().all(|&(s, _)| s != seq));
         self.entries.push((seq, cycle));
+        self.oldest = Some(self.oldest.map_or(cycle, |oldest| oldest.min(cycle)));
     }
 
     /// Removes the load `seq`; returns whether it was outstanding.
     pub(super) fn remove(&mut self, seq: u64) -> bool {
         match self.entries.iter().position(|&(s, _)| s == seq) {
             Some(pos) => {
-                self.entries.swap_remove(pos);
+                let (_, cycle) = self.entries.swap_remove(pos);
+                if self.oldest == Some(cycle) {
+                    self.oldest = self.scanned_min_cycle();
+                }
                 true
             }
             None => false,
@@ -78,6 +84,12 @@ impl OutstandingLll {
 
     /// Detection cycle of the oldest outstanding long-latency load, if any.
     pub(super) fn min_cycle(&self) -> Option<u64> {
+        self.oldest
+    }
+
+    /// The minimum detection cycle recomputed from the entries: what the
+    /// cached [`OutstandingLll::min_cycle`] must always equal.
+    pub(super) fn scanned_min_cycle(&self) -> Option<u64> {
         self.entries.iter().map(|&(_, c)| c).min()
     }
 }
@@ -130,8 +142,6 @@ pub(crate) struct ThreadContext {
     pub llsr: Llsr,
     /// Predictions awaiting their LLSR ground truth, in commit order.
     pub pending_mlp_evals: VecDeque<PendingMlpEval>,
-    /// Whether the thread is still running (has not reached its instruction budget).
-    pub active: bool,
 }
 
 impl ThreadContext {
@@ -166,7 +176,6 @@ impl ThreadContext {
             binary_mlp_predictor: BinaryMlpPredictor::new(config.mlp_predictor_entries),
             llsr: Llsr::new(config.llsr_length() as usize),
             pending_mlp_evals: VecDeque::new(),
-            active: true,
         }
     }
 
@@ -233,12 +242,6 @@ impl ThreadContext {
         self.refill_pos = 0;
     }
 
-    /// Cycle at which the oldest currently outstanding long-latency load was
-    /// detected (for the COT rule).
-    pub(super) fn oldest_lll_cycle(&self) -> Option<u64> {
-        self.outstanding_lll.min_cycle()
-    }
-
     /// The predictor front end consults for a load: returns
     /// `(predicted_long_latency, predicted_mlp_distance, predicted_has_mlp)`.
     pub(super) fn predict_load(&mut self, pc: u64) -> (bool, u32, bool) {
@@ -246,5 +249,44 @@ impl ThreadContext {
         let distance = self.mlp_predictor.predict(pc);
         let has_mlp = self.binary_mlp_predictor.predict(pc);
         (lll, distance, has_mlp)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::OutstandingLll;
+
+    fn assert_cached(lll: &OutstandingLll, expect: Option<u64>) {
+        assert_eq!(lll.min_cycle(), expect);
+        assert_eq!(lll.scanned_min_cycle(), expect);
+    }
+
+    #[test]
+    fn cached_oldest_cycle_tracks_removals_and_older_inserts() {
+        let mut lll = OutstandingLll::default();
+        assert_cached(&lll, None);
+        for (seq, cycle) in [(1, 30), (2, 10), (3, 20), (4, 40)] {
+            lll.insert(seq, cycle);
+        }
+        assert_cached(&lll, Some(10));
+        // The oldest entry goes: the cache falls back to the next oldest.
+        assert!(lll.remove(2));
+        assert_cached(&lll, Some(20));
+        // A middle entry goes: the oldest stays.
+        assert!(lll.remove(1));
+        assert_cached(&lll, Some(20));
+        // Not outstanding: nothing changes.
+        assert!(!lll.remove(2));
+        assert_cached(&lll, Some(20));
+        // The last entry goes: the oldest stays.
+        assert!(lll.remove(4));
+        assert_cached(&lll, Some(20));
+        // An older insert becomes the oldest.
+        lll.insert(5, 5);
+        assert_cached(&lll, Some(5));
+        assert!(lll.remove(3));
+        assert!(lll.remove(5));
+        assert_cached(&lll, None);
+        assert_eq!(lll.len(), 0);
     }
 }

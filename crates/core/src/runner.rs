@@ -692,7 +692,7 @@ pub fn evaluate_cell(
 #[derive(Default)]
 pub struct CheckpointCache {
     #[allow(clippy::type_complexity)]
-    cells: Mutex<HashMap<CheckpointKey, Arc<OnceLock<Result<SimCheckpoint, SimError>>>>>,
+    cells: Mutex<HashMap<CheckpointKey, Arc<OnceLock<Result<Arc<SimCheckpoint>, SimError>>>>>,
     captures: AtomicU64,
     requests: AtomicU64,
 }
@@ -717,7 +717,8 @@ impl CheckpointCache {
     /// Returns the warm checkpoint for `benchmarks` on `config` after
     /// fast-forwarding `scale.warmup_instructions` per thread, capturing it on
     /// first use. Concurrent callers asking for the same prefix block until
-    /// the one elected fast-forward finishes.
+    /// the one elected fast-forward finishes. Every caller shares the one
+    /// captured checkpoint; restoring from it copies what the simulator needs.
     ///
     /// # Errors
     ///
@@ -727,7 +728,7 @@ impl CheckpointCache {
         benchmarks: &[&str],
         config: &SmtConfig,
         scale: RunScale,
-    ) -> Result<SimCheckpoint, SimError> {
+    ) -> Result<Arc<SimCheckpoint>, SimError> {
         let mut norm = config.clone();
         norm.num_threads = benchmarks.len();
         norm.fetch_policy = FetchPolicyKind::Icount;
@@ -742,14 +743,11 @@ impl CheckpointCache {
             let mut cells = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(cells.entry(key).or_default())
         };
-        let outcome = cell.get_or_init(|| {
+        cell.get_or_init(|| {
             self.captures.fetch_add(1, Ordering::Relaxed);
-            capture_warm_checkpoint(benchmarks, &norm, scale)
-        });
-        match outcome {
-            Ok(ck) => Ok(ck.clone()),
-            Err(e) => Err(e.clone()),
-        }
+            capture_warm_checkpoint(benchmarks, &norm, scale).map(Arc::new)
+        })
+        .clone()
     }
 
     /// Number of warm prefixes actually fast-forwarded and captured.

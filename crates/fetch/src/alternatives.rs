@@ -306,14 +306,6 @@ mod tests {
     use super::*;
     use crate::testing::{fetch_priority_vec, on_resource_stall_vec};
 
-    fn active_snapshot(num: usize) -> SmtSnapshot {
-        let mut s = SmtSnapshot::new(num);
-        for t in &mut s.threads {
-            t.active = true;
-        }
-        s
-    }
-
     #[test]
     fn binary_flush_ignores_loads_with_predicted_mlp() {
         let mut p = MlpBinaryFlushPolicy::new(2);
@@ -321,7 +313,7 @@ mod tests {
         assert!(p
             .on_long_latency_detected(t0, 0x40, SeqNum(10), SeqNum(50), 30, true)
             .is_none());
-        let s = active_snapshot(2);
+        let s = SmtSnapshot::new(2);
         assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 
@@ -333,7 +325,7 @@ mod tests {
             .on_long_latency_detected(t0, 0x40, SeqNum(10), SeqNum(50), 0, false)
             .expect("flush expected");
         assert_eq!(req.keep_up_to, SeqNum(10));
-        let s = active_snapshot(2);
+        let s = SmtSnapshot::new(2);
         assert!(!fetch_priority_vec(&mut p, &s).contains(&t0));
         p.on_long_latency_resolved(t0, SeqNum(10));
         assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
@@ -353,10 +345,9 @@ mod tests {
         let mut p = MlpDistanceFlushAtStallPolicy::new(2);
         let t0 = ThreadId::new(0);
         let _ = p.on_long_latency_detected(t0, 0x40, SeqNum(100), SeqNum(130), 8, true);
-        let mut s = active_snapshot(2);
+        let mut s = SmtSnapshot::new(2);
         s.threads[0].outstanding_long_latency_loads = 1;
         s.threads[0].oldest_lll_cycle = Some(1);
-        s.resource_stalled = true;
         let reqs = on_resource_stall_vec(&mut p, &s);
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].keep_up_to, SeqNum(100));
@@ -375,7 +366,7 @@ mod tests {
     fn distance_flush_at_stall_gates_past_allowance() {
         let mut p = MlpDistanceFlushAtStallPolicy::new(2);
         let t0 = ThreadId::new(0);
-        let mut s = active_snapshot(2);
+        let mut s = SmtSnapshot::new(2);
         s.threads[0].outstanding_long_latency_loads = 1;
         s.threads[0].oldest_lll_cycle = Some(1);
         let _ = p.on_long_latency_detected(t0, 0x40, SeqNum(100), SeqNum(100), 6, true);
@@ -389,7 +380,7 @@ mod tests {
     fn binary_flush_at_stall_keeps_fetching_with_mlp() {
         let mut p = MlpBinaryFlushAtStallPolicy::new(2);
         let t0 = ThreadId::new(0);
-        let mut s = active_snapshot(2);
+        let mut s = SmtSnapshot::new(2);
         s.threads[0].outstanding_long_latency_loads = 1;
         s.threads[0].oldest_lll_cycle = Some(1);
         assert!(p
@@ -398,7 +389,6 @@ mod tests {
         // MLP predicted: no gating even with the load outstanding.
         assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
         // A resource stall reclaims the resources.
-        s.resource_stalled = true;
         let reqs = on_resource_stall_vec(&mut p, &s);
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].keep_up_to, SeqNum(100));
@@ -412,7 +402,7 @@ mod tests {
         let t0 = ThreadId::new(0);
         let _ = p.on_long_latency_detected(t0, 0x40, SeqNum(100), SeqNum(120), 0, false);
         p.on_squash(t0, SeqNum(50));
-        let s = active_snapshot(2);
+        let s = SmtSnapshot::new(2);
         assert!(fetch_priority_vec(&mut p, &s).contains(&t0));
     }
 }

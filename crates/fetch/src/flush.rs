@@ -86,9 +86,6 @@ mod tests {
     fn gates_thread_with_outstanding_lll() {
         let mut p = FlushPolicy::new(2);
         let mut s = SmtSnapshot::new(2);
-        for t in &mut s.threads {
-            t.active = true;
-        }
         s.threads[1].outstanding_long_latency_loads = 2;
         s.threads[1].oldest_lll_cycle = Some(5);
         assert_eq!(fetch_priority_vec(&mut p, &s), vec![ThreadId::new(0)]);

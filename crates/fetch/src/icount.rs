@@ -56,7 +56,6 @@ mod tests {
         let mut snap = SmtSnapshot::new(4);
         for t in &mut snap.threads {
             t.outstanding_long_latency_loads = 3;
-            t.active = true;
         }
         assert_eq!(fetch_priority_vec(&mut p, &snap).len(), 4);
         assert_eq!(p.kind(), FetchPolicyKind::Icount);

@@ -28,7 +28,7 @@
 //! | [`DcraPolicy`] | dynamically controlled resource allocation |
 //!
 //! All long-latency-aware policies implement the continue-oldest-thread (COT) rule
-//! of Cazorla et al.: when every active thread is stalled on a long-latency load,
+//! of Cazorla et al.: when every thread is stalled on a long-latency load,
 //! the thread whose load is oldest keeps fetching.
 //!
 //! # Example

@@ -197,18 +197,10 @@ mod tests {
     use super::*;
     use crate::testing::fetch_priority_vec;
 
-    fn active_snapshot(num: usize) -> SmtSnapshot {
-        let mut s = SmtSnapshot::new(num);
-        for t in &mut s.threads {
-            t.active = true;
-        }
-        s
-    }
-
     #[test]
     fn mlp_stall_allows_fetch_up_to_predicted_distance() {
         let mut p = MlpStallPolicy::new(2);
-        let mut s = active_snapshot(2);
+        let mut s = SmtSnapshot::new(2);
         let t0 = ThreadId::new(0);
         // Predicted long-latency load at seq 100 with MLP distance 8.
         p.on_load_predicted(t0, 0x40, SeqNum(100), true, 8, true);
@@ -227,7 +219,7 @@ mod tests {
     #[test]
     fn mlp_stall_with_zero_distance_behaves_like_predictive_stall() {
         let mut p = MlpStallPolicy::new(2);
-        let s = active_snapshot(2);
+        let s = SmtSnapshot::new(2);
         let t0 = ThreadId::new(0);
         p.on_load_predicted(t0, 0x40, SeqNum(50), true, 0, false);
         p.on_fetch(t0, SeqNum(50));
@@ -255,7 +247,7 @@ mod tests {
     #[test]
     fn mlp_flush_keeps_fetching_until_distance_then_gates() {
         let mut p = MlpFlushPolicy::new(2);
-        let mut s = active_snapshot(2);
+        let mut s = SmtSnapshot::new(2);
         let t0 = ThreadId::new(0);
         s.threads[0].outstanding_long_latency_loads = 1;
         s.threads[0].oldest_lll_cycle = Some(1);
@@ -287,7 +279,7 @@ mod tests {
     #[test]
     fn squash_rolls_back_state() {
         let mut p = MlpFlushPolicy::new(2);
-        let s = active_snapshot(2);
+        let s = SmtSnapshot::new(2);
         let t0 = ThreadId::new(0);
         p.on_fetch(t0, SeqNum(500));
         let _ = p.on_long_latency_detected(t0, 0x40, SeqNum(480), SeqNum(500), 5, true);
@@ -300,7 +292,7 @@ mod tests {
     #[test]
     fn cot_applies_when_both_threads_exhausted() {
         let mut p = MlpFlushPolicy::new(2);
-        let mut s = active_snapshot(2);
+        let mut s = SmtSnapshot::new(2);
         for (i, t) in s.threads.iter_mut().enumerate() {
             t.outstanding_long_latency_loads = 1;
             t.oldest_lll_cycle = Some(10 + i as u64);

@@ -53,9 +53,9 @@ pub struct ResourceCaps {
 /// The pipeline jumps over *quiet* cycles, in which nothing commits, issues,
 /// dispatches, fetches, completes or flushes, without calling the policy
 /// (see `smt_core::pipeline`). The skipped cycles must behave as the quiet
-/// cycle did, so every policy must satisfy three rules:
+/// cycle did. The snapshot has no cycle field, so no per-cycle query can see
+/// which cycle it is. Every policy must also satisfy two rules:
 ///
-/// * per-cycle queries never read [`SmtSnapshot::cycle`];
 /// * for an unchanged snapshot, per-cycle queries are idempotent: a second
 ///   call returns the same answer and leaves the same state as the first;
 /// * beyond that, policy state changes only in the event callbacks (the
@@ -179,46 +179,155 @@ pub trait FetchPolicy: Send {
 /// thread id) — the ICOUNT 2.4 priority rule every policy falls back to. The
 /// buffer is cleared first and reused across cycles by the pipeline.
 pub fn icount_order(snapshot: &SmtSnapshot, order: &mut Vec<ThreadId>) {
-    order.clear();
-    order.extend(ThreadId::all(snapshot.num_threads()));
-    order.sort_by_key(|t| (snapshot.thread(*t).icount, t.index()));
+    icount_order_except(snapshot, 0, order);
 }
 
 /// Applies gating with the continue-oldest-thread exemption: writes the ICOUNT
 /// ordering of threads into `order`, with gated threads removed — unless *every*
-/// active thread is both gated and stalled on a long-latency load, in which case
+/// thread is both gated and stalled on a long-latency load, in which case
 /// the thread whose long-latency load is oldest is re-admitted (COT, Cazorla et
 /// al. 2004a).
+///
+/// `gated` is evaluated exactly once per thread per call, in thread-id order.
 pub fn gated_icount_order(
     snapshot: &SmtSnapshot,
     gated: impl Fn(ThreadId) -> bool,
     order: &mut Vec<ThreadId>,
 ) {
-    icount_order(snapshot, order);
-    if order.iter().any(|&t| !gated(t)) {
-        order.retain(|&t| !gated(t));
-        return;
+    let n = snapshot.num_threads();
+    let mut mask: u64 = 0;
+    for t in ThreadId::all(n) {
+        mask |= u64::from(gated(t)) << t.index();
     }
-    // Nothing is allowed: re-admit the continue-oldest thread when every active
-    // thread is memory-stalled; otherwise fall back to plain ICOUNT (already in
-    // `order`) so the machine never deadlocks.
-    if snapshot.all_active_threads_stalled_on_memory() {
-        if let Some(cot) = snapshot.oldest_memory_stalled_thread() {
+    if mask.count_ones() as usize != n {
+        return icount_order_except(snapshot, mask, order);
+    }
+    // Nothing is allowed: re-admit the continue-oldest thread when every
+    // thread is memory-stalled; otherwise fall back to plain ICOUNT so the
+    // machine never deadlocks.
+    let cot = snapshot
+        .oldest_memory_stalled_thread()
+        .filter(|_| snapshot.all_threads_stalled_on_memory());
+    match cot {
+        Some(cot) => {
             order.clear();
             order.push(cot);
+        }
+        None => icount_order_except(snapshot, 0, order),
+    }
+}
+
+/// Clears `order` and writes the threads outside `excluded` (bit per thread)
+/// into it by ascending `(icount, thread id)`. Each thread's key packs both
+/// into one integer, `icount * MAX_THREADS + id`; the keys are unique, so an
+/// insertion sort over them gives exactly the stable sort by `(icount, id)`.
+fn icount_order_except(snapshot: &SmtSnapshot, excluded: u64, order: &mut Vec<ThreadId>) {
+    const MAX: u64 = ThreadId::MAX_THREADS as u64;
+    let mut keys = [0u64; ThreadId::MAX_THREADS];
+    for (i, t) in snapshot.threads.iter().enumerate() {
+        let key = u64::from(t.icount) * MAX + i as u64;
+        let mut j = i;
+        while j > 0 && keys[j - 1] > key {
+            keys[j] = keys[j - 1];
+            j -= 1;
+        }
+        keys[j] = key;
+    }
+    order.clear();
+    for &key in &keys[..snapshot.num_threads()] {
+        let i = (key % MAX) as usize;
+        if excluded & (1 << i) == 0 {
+            order.push(ThreadId::new(i));
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use smt_types::ThreadSnapshot;
+
     use super::*;
+
+    /// The closure-sorted ICOUNT order the integer-keyed one replaced: the
+    /// reference the equivalence property compares against.
+    fn reference_icount_order(snapshot: &SmtSnapshot, order: &mut Vec<ThreadId>) {
+        order.clear();
+        order.extend(ThreadId::all(snapshot.num_threads()));
+        order.sort_by_key(|t| (snapshot.thread(*t).icount, t.index()));
+    }
+
+    /// The two-pass gated order (`any`, then `retain`, then COT) the one-pass
+    /// mask replaced.
+    fn reference_gated_icount_order(
+        snapshot: &SmtSnapshot,
+        gated: impl Fn(ThreadId) -> bool,
+        order: &mut Vec<ThreadId>,
+    ) {
+        reference_icount_order(snapshot, order);
+        if order.iter().any(|&t| !gated(t)) {
+            order.retain(|&t| !gated(t));
+            return;
+        }
+        if snapshot.all_threads_stalled_on_memory() {
+            if let Some(cot) = snapshot.oldest_memory_stalled_thread() {
+                order.clear();
+                order.push(cot);
+            }
+        }
+    }
+
+    /// One generated thread: icount (0..4 forces ties), outstanding
+    /// long-latency loads (0..3) and the oldest one's detection cycle.
+    fn arbitrary_thread() -> impl Strategy<Value = ThreadSnapshot> {
+        (0u32..4, 0u32..3, 0u64..6).prop_map(|(icount, lll, oldest)| ThreadSnapshot {
+            icount,
+            outstanding_long_latency_loads: lll,
+            outstanding_l1d_misses: 0,
+            oldest_lll_cycle: (lll > 0).then_some(oldest),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The integer-keyed order and the one-pass gate give exactly the
+        /// reference output, for every thread count, gate mask and COT input.
+        /// `all_gated` forces the COT path and `all_stalled` every thread to
+        /// be memory-stalled, so both branches of the all-gated case are hit.
+        #[test]
+        fn orders_match_reference(
+            threads in prop::collection::vec(arbitrary_thread(), 1..9),
+            mask in any::<u8>(),
+            all_gated in any::<bool>(),
+            all_stalled in any::<bool>(),
+            stall_cycles in prop::collection::vec(0u64..6, 8..9),
+        ) {
+            let mut s = SmtSnapshot { threads };
+            if all_stalled {
+                for (t, &c) in s.threads.iter_mut().zip(&stall_cycles) {
+                    t.outstanding_long_latency_loads = t.outstanding_long_latency_loads.max(1);
+                    t.oldest_lll_cycle = Some(t.oldest_lll_cycle.unwrap_or(c));
+                }
+            }
+            let mask = if all_gated { u8::MAX } else { mask };
+            let gated = |t: ThreadId| mask & (1 << t.index()) != 0;
+
+            let (mut expect, mut got) = (Vec::new(), vec![ThreadId::new(0); 3]);
+            reference_icount_order(&s, &mut expect);
+            icount_order(&s, &mut got);
+            prop_assert_eq!(&got, &expect);
+
+            reference_gated_icount_order(&s, gated, &mut expect);
+            gated_icount_order(&s, gated, &mut got);
+            prop_assert_eq!(&got, &expect);
+        }
+    }
 
     fn snapshot_with_icounts(icounts: &[u32]) -> SmtSnapshot {
         let mut s = SmtSnapshot::new(icounts.len());
         for (i, &c) in icounts.iter().enumerate() {
             s.threads[i].icount = c;
-            s.threads[i].active = true;
         }
         s
     }
@@ -233,6 +342,23 @@ mod tests {
         let mut order = Vec::new();
         gated_icount_order(s, gated, &mut order);
         order
+    }
+
+    #[test]
+    fn gate_is_evaluated_once_per_thread() {
+        let s = snapshot_with_icounts(&[3, 1, 2, 0]);
+        let calls = std::cell::RefCell::new(Vec::new());
+        let mut order = Vec::new();
+        let gated = |t: ThreadId| {
+            calls.borrow_mut().push(t.index());
+            t.index() == 3
+        };
+        gated_icount_order(&s, gated, &mut order);
+        assert_eq!(
+            order,
+            vec![ThreadId::new(1), ThreadId::new(2), ThreadId::new(0)]
+        );
+        assert_eq!(*calls.borrow(), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -95,18 +95,10 @@ mod tests {
     use super::*;
     use crate::testing::fetch_priority_vec;
 
-    fn busy_snapshot() -> SmtSnapshot {
-        let mut s = SmtSnapshot::new(2);
-        for t in &mut s.threads {
-            t.active = true;
-        }
-        s
-    }
-
     #[test]
     fn detected_stall_gates_thread_with_outstanding_lll() {
         let mut p = StallPolicy::detected(2);
-        let mut s = busy_snapshot();
+        let mut s = SmtSnapshot::new(2);
         s.threads[0].outstanding_long_latency_loads = 1;
         s.threads[0].oldest_lll_cycle = Some(10);
         let order = fetch_priority_vec(&mut p, &s);
@@ -117,14 +109,14 @@ mod tests {
     fn detected_stall_ignores_predictions() {
         let mut p = StallPolicy::detected(2);
         p.on_load_predicted(ThreadId::new(0), 0x40, SeqNum(5), true, 10, true);
-        let s = busy_snapshot();
+        let s = SmtSnapshot::new(2);
         assert_eq!(fetch_priority_vec(&mut p, &s).len(), 2);
     }
 
     #[test]
     fn predictive_stall_gates_on_prediction_until_hit() {
         let mut p = StallPolicy::predictive(2);
-        let s = busy_snapshot();
+        let s = SmtSnapshot::new(2);
         p.on_load_predicted(ThreadId::new(0), 0x40, SeqNum(5), true, 0, false);
         assert_eq!(fetch_priority_vec(&mut p, &s), vec![ThreadId::new(1)]);
         // The load turns out to be a hit: the thread resumes fetching.
@@ -135,7 +127,7 @@ mod tests {
     #[test]
     fn predictive_stall_clears_on_resolution_and_squash() {
         let mut p = StallPolicy::predictive(2);
-        let s = busy_snapshot();
+        let s = SmtSnapshot::new(2);
         p.on_load_predicted(ThreadId::new(0), 0x40, SeqNum(5), true, 0, false);
         p.on_long_latency_resolved(ThreadId::new(0), SeqNum(5));
         assert_eq!(fetch_priority_vec(&mut p, &s).len(), 2);
@@ -147,7 +139,7 @@ mod tests {
     #[test]
     fn cot_lets_oldest_thread_continue_when_all_stalled() {
         let mut p = StallPolicy::detected(2);
-        let mut s = busy_snapshot();
+        let mut s = SmtSnapshot::new(2);
         for (i, t) in s.threads.iter_mut().enumerate() {
             t.outstanding_long_latency_loads = 1;
             t.oldest_lll_cycle = Some(100 - i as u64); // thread 1 stalled first

@@ -26,6 +26,7 @@ impl ThreadId {
     /// # Panics
     ///
     /// Panics if `index >= ThreadId::MAX_THREADS`.
+    #[inline]
     pub fn new(index: usize) -> Self {
         assert!(
             index < Self::MAX_THREADS,
@@ -45,6 +46,7 @@ impl ThreadId {
     /// # Panics
     ///
     /// Panics if `n > ThreadId::MAX_THREADS`.
+    #[inline]
     pub fn all(n: usize) -> impl Iterator<Item = ThreadId> {
         assert!(n <= Self::MAX_THREADS);
         (0..n).map(ThreadId::new)

@@ -2,34 +2,23 @@
 //!
 //! The pipeline (in `smt_core`) owns all of the machine state; fetch policies (in
 //! `smt_fetch`) are notified of events and, once per cycle, receive an
-//! [`SmtSnapshot`] describing per-thread occupancy so that they can pick fetch
-//! priorities and resource limits without a circular crate dependency.
-
-use serde::{Deserialize, Serialize};
+//! [`SmtSnapshot`] so that they can pick fetch priorities and resource limits
+//! without a circular crate dependency.
+//!
+//! The view holds exactly what policies read: per thread, the ICOUNT value,
+//! the outstanding long-latency loads and L1 data-cache misses, and the
+//! detection cycle of the oldest outstanding long-latency load (the
+//! continue-oldest-thread input). It has no cycle number, so no per-cycle
+//! policy query can depend on the current cycle.
 
 use crate::ids::ThreadId;
 
-/// Per-thread occupancy and status visible to the fetch policy.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+/// Per-thread state visible to the fetch policy.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct ThreadSnapshot {
-    /// Whether the thread still has instructions left to fetch.
-    pub active: bool,
     /// ICOUNT value: instructions in the front-end pipeline plus the instruction
     /// queues (the quantity the ICOUNT policy balances).
     pub icount: u32,
-    /// Instructions currently occupying ROB entries.
-    pub rob_occupancy: u32,
-    /// Load/store queue entries occupied.
-    pub lsq_occupancy: u32,
-    /// Integer issue-queue entries occupied.
-    pub iq_int_occupancy: u32,
-    /// Floating-point issue-queue entries occupied.
-    pub iq_fp_occupancy: u32,
-    /// Integer rename registers in use.
-    pub rename_int_used: u32,
-    /// Floating-point rename registers in use.
-    pub rename_fp_used: u32,
     /// Number of long-latency loads (L3 / D-TLB misses) currently outstanding.
     pub outstanding_long_latency_loads: u32,
     /// Number of L1 data-cache misses currently outstanding (DCRA's memory-intensity
@@ -38,69 +27,28 @@ pub struct ThreadSnapshot {
     /// Cycle at which the oldest currently-outstanding long-latency load was
     /// detected, if any (used by the continue-oldest-thread rule).
     pub oldest_lll_cycle: Option<u64>,
-    /// Whether the front end of this thread is currently gated by the fetch policy.
-    pub fetch_gated: bool,
-    /// Instructions fetched since the most recent long-latency load that triggered
-    /// a policy decision (used by MLP-distance bounded fetching).
-    pub fetched_since_trigger: u32,
 }
 
 /// Machine-wide snapshot passed to [`smt_fetch`]-style policies once per cycle.
 ///
 /// [`smt_fetch`]: https://docs.rs/smt-fetch
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SmtSnapshot {
-    /// Current cycle number.
-    pub cycle: u64,
     /// Per-thread state, indexed by thread id.
     pub threads: Vec<ThreadSnapshot>,
-    /// Total ROB entries occupied (all threads).
-    pub rob_total_occupancy: u32,
-    /// Total LSQ entries occupied.
-    pub lsq_total_occupancy: u32,
-    /// Total integer issue-queue entries occupied.
-    pub iq_int_total_occupancy: u32,
-    /// Total floating-point issue-queue entries occupied.
-    pub iq_fp_total_occupancy: u32,
-    /// Integer rename registers in use (all threads).
-    pub rename_int_total_used: u32,
-    /// Floating-point rename registers in use (all threads).
-    pub rename_fp_total_used: u32,
-    /// Whether the previous cycle ended with a dispatch-blocking resource stall
-    /// (full ROB/IQ/LSQ or no rename registers) — the trigger for the
-    /// flush-at-resource-stall policy alternatives.
-    pub resource_stalled: bool,
 }
 
 impl SmtSnapshot {
     /// Creates an all-zero snapshot for `num_threads` threads.
     pub fn new(num_threads: usize) -> Self {
         SmtSnapshot {
-            cycle: 0,
             threads: vec![ThreadSnapshot::default(); num_threads],
-            rob_total_occupancy: 0,
-            lsq_total_occupancy: 0,
-            iq_int_total_occupancy: 0,
-            iq_fp_total_occupancy: 0,
-            rename_int_total_used: 0,
-            rename_fp_total_used: 0,
-            resource_stalled: false,
         }
     }
 
     /// Number of hardware threads described by the snapshot.
     pub fn num_threads(&self) -> usize {
         self.threads.len()
-    }
-
-    /// Prepares a reused snapshot buffer for a new cycle: stamps the cycle
-    /// number and clears the per-cycle `resource_stalled` flag. The owner (the
-    /// pipeline) then rewrites every per-thread entry and occupancy total in
-    /// place, so a single snapshot allocation serves the whole simulation.
-    pub fn begin_cycle(&mut self, cycle: u64) {
-        self.cycle = cycle;
-        self.resource_stalled = false;
     }
 
     /// Per-thread accessor.
@@ -112,28 +60,24 @@ impl SmtSnapshot {
         &self.threads[t.index()]
     }
 
-    /// Returns `true` when every active thread currently has at least one
-    /// outstanding long-latency load (the situation the COT rule arbitrates).
-    pub fn all_active_threads_stalled_on_memory(&self) -> bool {
-        let mut any_active = false;
-        for t in &self.threads {
-            if t.active {
-                any_active = true;
-                if t.outstanding_long_latency_loads == 0 {
-                    return false;
-                }
-            }
-        }
-        any_active
+    /// Returns `true` when there is at least one thread and every thread
+    /// currently has an outstanding long-latency load (the situation the COT
+    /// rule arbitrates).
+    pub fn all_threads_stalled_on_memory(&self) -> bool {
+        !self.threads.is_empty()
+            && self
+                .threads
+                .iter()
+                .all(|t| t.outstanding_long_latency_loads > 0)
     }
 
-    /// The active thread whose oldest outstanding long-latency load is oldest — the
-    /// thread the continue-oldest-thread (COT) rule gives priority to.
+    /// The thread whose oldest outstanding long-latency load is oldest — the
+    /// thread the continue-oldest-thread (COT) rule gives priority to. Ties go
+    /// to the lowest thread id.
     pub fn oldest_memory_stalled_thread(&self) -> Option<ThreadId> {
         self.threads
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.active)
             .filter_map(|(i, t)| t.oldest_lll_cycle.map(|c| (i, c)))
             .min_by_key(|&(i, c)| (c, i))
             .map(|(i, _)| ThreadId::new(i))
@@ -149,55 +93,44 @@ mod tests {
         let s = SmtSnapshot::new(4);
         assert_eq!(s.num_threads(), 4);
         assert_eq!(s.thread(ThreadId::new(3)).icount, 0);
-        assert!(!s.all_active_threads_stalled_on_memory());
+        assert!(!s.all_threads_stalled_on_memory());
         assert!(s.oldest_memory_stalled_thread().is_none());
-    }
-
-    #[test]
-    fn begin_cycle_resets_per_cycle_state_only() {
-        let mut s = SmtSnapshot::new(2);
-        s.threads[0].icount = 7;
-        s.resource_stalled = true;
-        s.begin_cycle(42);
-        assert_eq!(s.cycle, 42);
-        assert!(!s.resource_stalled);
-        // Per-thread entries are the owner's responsibility and stay put.
-        assert_eq!(s.threads[0].icount, 7);
+        assert!(!SmtSnapshot::new(0).all_threads_stalled_on_memory());
     }
 
     #[test]
     fn all_stalled_detection() {
         let mut s = SmtSnapshot::new(2);
-        s.threads[0].active = true;
         s.threads[0].outstanding_long_latency_loads = 1;
         s.threads[0].oldest_lll_cycle = Some(100);
-        s.threads[1].active = true;
         s.threads[1].outstanding_long_latency_loads = 0;
-        assert!(!s.all_active_threads_stalled_on_memory());
+        assert!(!s.all_threads_stalled_on_memory());
         s.threads[1].outstanding_long_latency_loads = 2;
         s.threads[1].oldest_lll_cycle = Some(90);
-        assert!(s.all_active_threads_stalled_on_memory());
+        assert!(s.all_threads_stalled_on_memory());
         assert_eq!(s.oldest_memory_stalled_thread(), Some(ThreadId::new(1)));
     }
 
     #[test]
-    fn inactive_threads_ignored_for_cot() {
-        let mut s = SmtSnapshot::new(2);
-        s.threads[0].active = false;
+    fn cot_considers_every_thread() {
+        let mut s = SmtSnapshot::new(3);
         s.threads[0].outstanding_long_latency_loads = 5;
         s.threads[0].oldest_lll_cycle = Some(1);
-        s.threads[1].active = true;
         s.threads[1].outstanding_long_latency_loads = 1;
         s.threads[1].oldest_lll_cycle = Some(50);
-        assert_eq!(s.oldest_memory_stalled_thread(), Some(ThreadId::new(1)));
-        assert!(s.all_active_threads_stalled_on_memory());
+        // One thread without an outstanding load: not everyone is stalled.
+        assert!(!s.all_threads_stalled_on_memory());
+        assert_eq!(s.oldest_memory_stalled_thread(), Some(ThreadId::new(0)));
+        s.threads[2].outstanding_long_latency_loads = 1;
+        s.threads[2].oldest_lll_cycle = Some(20);
+        assert!(s.all_threads_stalled_on_memory());
+        assert_eq!(s.oldest_memory_stalled_thread(), Some(ThreadId::new(0)));
     }
 
     #[test]
     fn cot_tie_breaks_by_thread_id() {
         let mut s = SmtSnapshot::new(2);
         for t in &mut s.threads {
-            t.active = true;
             t.outstanding_long_latency_loads = 1;
             t.oldest_lll_cycle = Some(10);
         }
