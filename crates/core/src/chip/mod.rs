@@ -12,19 +12,22 @@
 //! cores are stepped in; this module's tests step cores in reverse order to
 //! pin that property.
 //!
-//! The run loops ([`ChipSimulator::run`] and [`ChipSimulator::warm_up`])
-//! skip per core: a core whose cycle was quiet sleeps until its own next
+//! Every run loop of the crate — [`ChipSimulator::run`] and
+//! [`ChipSimulator::warm_up`], the single-core machine's, the sampled
+//! measurement windows and drains, and the single-thread reference curves —
+//! is one call of `ChipSimulator::drive` with a stop rule and a cycle cap.
+//! It skips per core: a core whose cycle was quiet sleeps until its own next
 //! event while the other cores step, and the chip cycle jumps ahead when
 //! every core sleeps (see the `skip` module of [`crate::pipeline`] for why
-//! this is sound). Before either loop returns, every core is brought up to
-//! the chip cycle, so no lagging core is ever observable. `step` never
-//! skips; it is the reference.
+//! this is sound). Before `drive` returns, every core is brought up to the
+//! chip cycle, so no lagging core is ever observable. `step` never skips; it
+//! is the reference.
 //!
-//! A one-core chip degenerates exactly to the paper's single-core machine
-//! ([`crate::pipeline::SmtSimulator`]): same discipline, same per-requester
-//! MSHRs, uncontended bus, bit-for-bit identical statistics.
+//! The paper's single-core machine ([`crate::pipeline::SmtSimulator`]) is a
+//! one-core chip: the shared level keeps its legacy discipline and an
+//! uncontended bus when there is no second core.
 
-use smt_fetch::build_policy;
+use smt_fetch::{build_policy, FetchPolicy};
 use smt_mem::SharedLlc;
 use smt_trace::TraceSource;
 use smt_types::config::FetchPolicyKind;
@@ -32,31 +35,15 @@ use smt_types::{AdaptiveConfig, ChipConfig, ChipStats, MachineStats, SimError};
 
 use crate::pipeline::{Core, SimOptions};
 
-/// What every core does inside one shared-level cycle bracket.
+/// When [`ChipSimulator::drive`] stops, short of its cycle cap.
 #[derive(Clone, Copy)]
-enum CoreAction {
-    /// One detailed pipeline cycle.
-    Step,
-    /// One detailed pipeline cycle on each awake core, recording its next
-    /// wake cycle, capped at the given cycle limit. Sleeping cores sit the
-    /// bracket out.
-    Advance(u64),
-}
-
-impl CoreAction {
-    /// Applies the action to `core`, whose wake cycle is `wake`, in the
-    /// bracket of chip cycle `now`.
-    fn apply(self, core: &mut Core, wake: &mut u64, now: u64, shared: &mut SharedLlc) {
-        match self {
-            CoreAction::Step => core.step_against(shared),
-            CoreAction::Advance(limit) => {
-                if *wake <= now {
-                    core.skip_to(now);
-                    *wake = core.step_to_next_event(shared, limit);
-                }
-            }
-        }
-    }
+pub(crate) enum StopRule {
+    /// Some thread has committed this many instructions since the call.
+    AnyThreadCommits(u64),
+    /// Every thread has committed this many instructions since the call.
+    EveryThreadCommits(u64),
+    /// Every core's pipeline is empty (see `Core::is_drained`).
+    Drained,
 }
 
 /// The chip (CMP-of-SMT) simulator.
@@ -101,10 +88,10 @@ impl CoreAction {
 /// ```
 pub struct ChipSimulator {
     config: ChipConfig,
-    cores: Vec<Core>,
-    shared: SharedLlc,
+    pub(crate) cores: Vec<Core>,
+    pub(crate) shared: SharedLlc,
     cycle: u64,
-    /// Per core, the chip cycle in which the run loops next step it. A core
+    /// Per core, the chip cycle in which `drive` next steps it. A core
     /// whose wake cycle lies ahead of the chip cycle is asleep: its last
     /// step was quiet and it has not been brought up to the chip cycle yet.
     wake: Vec<u64>,
@@ -124,6 +111,25 @@ impl ChipSimulator {
         config: ChipConfig,
         traces_per_core: Vec<Vec<Box<dyn TraceSource>>>,
     ) -> Result<Self, SimError> {
+        // Validate first: the policies size themselves by the thread count.
+        config.validate()?;
+        let policies = (0..config.num_cores)
+            .map(|_| build_policy(config.core.fetch_policy, &config.core))
+            .collect();
+        Self::with_policies(config, traces_per_core, policies)
+    }
+
+    /// Builds a chip whose core `i` runs under `policies[i]`, overriding
+    /// the fetch policy named in `config.core`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ChipSimulator::new`].
+    pub(crate) fn with_policies(
+        config: ChipConfig,
+        traces_per_core: Vec<Vec<Box<dyn TraceSource>>>,
+        policies: Vec<Box<dyn FetchPolicy>>,
+    ) -> Result<Self, SimError> {
         config.validate()?;
         if traces_per_core.len() != config.num_cores {
             return Err(SimError::invalid_workload(format!(
@@ -132,12 +138,16 @@ impl ChipSimulator {
                 traces_per_core.len()
             )));
         }
+        // Shared level first: allocated after the cores, it raises peak RSS.
         let shared = SharedLlc::for_chip(&config);
         let mut cores = Vec::with_capacity(config.num_cores);
-        for (core_id, traces) in traces_per_core.into_iter().enumerate() {
-            let core_config = config.core.clone();
-            let policy = build_policy(core_config.fetch_policy, &core_config);
-            cores.push(Core::with_policy(core_config, traces, policy, core_id)?);
+        for (core_id, (traces, policy)) in traces_per_core.into_iter().zip(policies).enumerate() {
+            cores.push(Core::with_policy(
+                config.core.clone(),
+                traces,
+                policy,
+                core_id,
+            )?);
         }
         let wake = vec![0; config.num_cores];
         Ok(ChipSimulator {
@@ -193,9 +203,8 @@ impl ChipSimulator {
         self.cores.len()
     }
 
-    /// Current cycle count (identical across cores: only the run loops let a
-    /// core lag behind it, and they bring every core up to it before they
-    /// return).
+    /// Current cycle count (identical across cores: only `drive` lets a core
+    /// lag behind it, and it brings every core up to it before it returns).
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
@@ -214,31 +223,33 @@ impl ChipSimulator {
         self.cores.first().map_or(0, |c| c.measured_cycles())
     }
 
-    /// Runs one shared-level cycle bracket: `action` on every core that is
-    /// not asleep, visiting cores in `order` (ascending core id when
-    /// `None`), each directly against the shared level. The shared level's
-    /// arbitration makes the result independent of `order`. The chip cycle
-    /// counter is left to the caller.
-    fn cycle_bracket(&mut self, action: CoreAction, order: Option<&[usize]>) {
+    /// Runs one shared-level cycle bracket: `step` on every core that is not
+    /// asleep, visiting cores in `order` (ascending core id when `None`),
+    /// each directly against the shared level; `step` returns the core's
+    /// next wake cycle. The shared level's arbitration makes the result
+    /// independent of `order`. The chip cycle counter is left to the caller.
+    fn cycle_bracket(
+        &mut self,
+        order: Option<&[usize]>,
+        mut step: impl FnMut(&mut Core, &mut SharedLlc) -> u64,
+    ) {
         let now = self.cycle;
         self.shared.begin_cycle(now);
         for i in 0..self.cores.len() {
             let core = order.map_or(i, |order| order[i]);
-            action.apply(
-                &mut self.cores[core],
-                &mut self.wake[core],
-                now,
-                &mut self.shared,
-            );
+            if self.wake[core] <= now {
+                self.cores[core].skip_to(now);
+                self.wake[core] = step(&mut self.cores[core], &mut self.shared);
+            }
         }
         self.shared.end_cycle();
     }
 
-    /// One chip cycle of the run loops: steps every awake core, then, if
+    /// One chip cycle of `drive`: steps every awake core, then, if
     /// every core sleeps, jumps the chip cycle to the earliest wake cycle
     /// (never past `limit`, which caps every wake cycle).
     fn advance(&mut self, limit: u64) {
-        self.cycle_bracket(CoreAction::Advance(limit), None);
+        self.cycle_bracket(None, |core, shared| core.step_to_next_event(shared, limit));
         self.cycle += 1;
         if let Some(&earliest) = self.wake.iter().min() {
             self.cycle = self.cycle.max(earliest);
@@ -246,8 +257,8 @@ impl ChipSimulator {
     }
 
     /// Brings every sleeping core up to the chip cycle, accounting its
-    /// skipped cycles, and marks every core awake. The run loops call this
-    /// before they return or touch statistics.
+    /// skipped cycles, and marks every core awake. `drive` calls this before
+    /// it returns and before it reads a core's drain state.
     fn wake_all(&mut self) {
         for (core, wake) in self.cores.iter_mut().zip(&mut self.wake) {
             core.skip_to(self.cycle);
@@ -262,10 +273,17 @@ impl ChipSimulator {
 
     /// Advances the whole chip by one cycle, stepping every core in
     /// ascending core-id order. It never skips: this is the reference the
-    /// skipping run loops are compared against.
+    /// skipping run loop is compared against.
     pub fn step(&mut self) {
-        self.cycle_bracket(CoreAction::Step, None);
+        self.cycle_bracket(None, Self::step_core);
         self.cycle += 1;
+    }
+
+    /// One detailed cycle of `core`, which wakes the next cycle: outside
+    /// `drive` no core sleeps.
+    fn step_core(core: &mut Core, shared: &mut SharedLlc) -> u64 {
+        core.step_against(shared);
+        core.cycle()
     }
 
     /// Advances the whole chip by one cycle, stepping cores in the given
@@ -274,13 +292,41 @@ impl ChipSimulator {
     /// discipline makes results independent of the order.
     #[cfg(test)]
     fn step_with_core_order(&mut self, order: &[usize]) {
-        self.cycle_bracket(CoreAction::Step, Some(order));
+        self.cycle_bracket(Some(order), Self::step_core);
         self.cycle += 1;
     }
 
     /// Committed instruction counts across the chip, in `(core, thread)` order.
     fn committed(&self) -> impl Iterator<Item = u64> + '_ {
         self.cores.iter().flat_map(|c| c.committed())
+    }
+
+    /// Steps the chip, skipping quiet cycles per core, until `rule` holds or
+    /// the chip cycle reaches `cap`, then brings every core up to the chip
+    /// cycle. The instruction counts of `rule` are counted from the call.
+    /// This is the run loop of every caller in the crate; the result is
+    /// bit-for-bit what a loop of [`ChipSimulator::step`] calls with the same
+    /// stop rule produces.
+    pub(crate) fn drive(&mut self, rule: StopRule, cap: u64) {
+        let base: Vec<u64> = self.committed().collect();
+        while self.cycle < cap {
+            let since = || self.committed().zip(&base).map(|(c, &b)| c - b);
+            let holds = match rule {
+                StopRule::AnyThreadCommits(n) => since().any(|d| d >= n),
+                StopRule::EveryThreadCommits(n) => since().all(|d| d >= n),
+                StopRule::Drained => {
+                    // A sleeping core's write buffer must be read at the
+                    // chip cycle, not at the cycle it fell asleep in.
+                    self.wake_all();
+                    self.cores.iter_mut().all(Core::is_drained)
+                }
+            };
+            if holds {
+                break;
+            }
+            self.advance(cap);
+        }
+        self.wake_all();
     }
 
     /// Runs the warm-up phase followed by the measured phase, stopping the
@@ -294,16 +340,10 @@ impl ChipSimulator {
     /// stop rules produces.
     pub fn run(&mut self, options: SimOptions) -> ChipStats {
         self.warm_up(options.warmup_instructions_per_thread, options.max_cycles);
-        let baselines: Vec<u64> = self.committed().collect();
-        while self.cycle < options.max_cycles
-            && !self
-                .committed()
-                .zip(&baselines)
-                .any(|(c, &base)| c - base >= options.max_instructions_per_thread)
-        {
-            self.advance(options.max_cycles);
-        }
-        self.wake_all();
+        self.drive(
+            StopRule::AnyThreadCommits(options.max_instructions_per_thread),
+            options.max_cycles,
+        );
         for core in &mut self.cores {
             core.finalize_cycles();
         }
@@ -318,11 +358,7 @@ impl ChipSimulator {
         if instructions == 0 {
             return;
         }
-        let targets: Vec<u64> = self.committed().map(|c| c + instructions).collect();
-        while self.cycle < max_cycles && self.committed().zip(&targets).any(|(c, &t)| c < t) {
-            self.advance(max_cycles);
-        }
-        self.wake_all();
+        self.drive(StopRule::EveryThreadCommits(instructions), max_cycles);
         self.reset_stats();
     }
 
@@ -334,17 +370,16 @@ impl ChipSimulator {
         }
     }
 
-    /// Assembles the current per-core statistics into a [`ChipStats`] record.
-    /// The chip-wide cycle count is taken from the per-core records when
-    /// finalized by [`ChipSimulator::run`], otherwise from the live measured
-    /// count.
+    /// Assembles the current per-core statistics into a [`ChipStats`] record
+    /// whose chip-wide cycle count is the live measured count (which a
+    /// finalized per-core count never exceeds).
     pub fn chip_stats(&self) -> ChipStats {
         debug_assert!(self.cores_in_step(), "a core lags the chip cycle");
-        let cores: Vec<MachineStats> = self.cores.iter().map(|c| c.stats().clone()).collect();
-        let cycles = cores
-            .first()
-            .map_or(0, |c| c.cycles.max(self.measured_cycles()));
-        ChipStats { cycles, cores }
+        let cores = self.cores.iter().map(|c| c.stats().clone()).collect();
+        ChipStats {
+            cycles: self.measured_cycles(),
+            cores,
+        }
     }
 }
 

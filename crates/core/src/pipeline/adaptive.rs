@@ -92,11 +92,6 @@ impl Core {
         Ok(())
     }
 
-    /// Whether the adaptive policy engine is driving this core.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive.is_some()
-    }
-
     /// The fetch policy currently installed.
     pub fn current_policy(&self) -> FetchPolicyKind {
         self.policy.kind()

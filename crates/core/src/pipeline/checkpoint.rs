@@ -127,17 +127,18 @@ impl SmtSimulator {
     /// checkpointable boundary and [`SimError::InvalidWorkload`] when a trace
     /// source does not support checkpointing.
     pub fn checkpoint(&mut self, seed: u64) -> Result<SimCheckpoint, SimError> {
-        if self.core.cycle() != 0 || !self.core.is_drained() {
+        if self.cycle() != 0 || !self.chip.cores[0].is_drained() {
             return Err(SimError::internal(
                 "checkpoints may only be captured after a pure fast-forward from reset \
                  (cycle 0, empty pipeline)",
             ));
         }
-        let shared = self.shared.state().map_err(SimError::internal)?;
-        let mut threads = Vec::with_capacity(self.core.threads.len());
-        let mut benchmarks = Vec::with_capacity(self.core.threads.len());
+        let shared = self.chip.shared.state().map_err(SimError::internal)?;
+        let core = self.core();
+        let mut threads = Vec::with_capacity(core.threads.len());
+        let mut benchmarks = Vec::with_capacity(core.threads.len());
         let mut warmed = u64::MAX;
-        for ctx in &self.core.threads {
+        for ctx in &core.threads {
             let trace = ctx.trace.save_state().ok_or_else(|| {
                 SimError::invalid_workload(format!(
                     "trace source '{}' does not support checkpointing",
@@ -175,7 +176,7 @@ impl SmtSimulator {
         Ok(SimCheckpoint {
             meta,
             threads,
-            memory: self.core.mem.state(),
+            memory: core.mem.state(),
             shared,
         })
     }
@@ -197,7 +198,7 @@ impl SmtSimulator {
                 CheckpointMeta::SCHEMA_VERSION
             )));
         }
-        if self.core.cycle() != 0 || !self.core.is_drained() {
+        if self.cycle() != 0 || !self.chip.cores[0].is_drained() {
             return Err(SimError::internal(
                 "checkpoints may only be restored into a freshly built simulator",
             ));
@@ -209,7 +210,9 @@ impl SmtSimulator {
                 ck.threads.len()
             )));
         }
-        for (ctx, t) in self.core.threads.iter_mut().zip(&ck.threads) {
+        let chip = &mut self.chip;
+        let core = &mut chip.cores[0];
+        for (ctx, t) in core.threads.iter_mut().zip(&ck.threads) {
             ctx.trace
                 .restore_state(&t.trace)
                 .map_err(SimError::invalid_workload)?;
@@ -239,11 +242,10 @@ impl SmtSimulator {
                 })
                 .collect();
         }
-        self.core
-            .mem
+        core.mem
             .restore_state(&ck.memory)
             .map_err(SimError::invalid_config)?;
-        self.shared
+        chip.shared
             .restore_state(&ck.shared)
             .map_err(SimError::invalid_config)?;
         Ok(())

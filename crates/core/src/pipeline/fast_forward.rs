@@ -106,9 +106,7 @@ impl Core {
             }
         }
     }
-}
 
-impl Core {
     /// Advances every thread by `instructions` instructions at raw
     /// trace speed: ops are pulled and discarded, committed-instruction
     /// counters advance, and *nothing else* is touched — no caches, TLBs,
@@ -147,8 +145,8 @@ impl SmtSimulator {
     /// instructions); call it on a fresh simulator or after the sampled loop's
     /// drain.
     pub fn fast_forward(&mut self, instructions_per_thread: u64) {
-        self.core
-            .fast_forward_against(&mut self.shared, instructions_per_thread);
+        let chip = &mut self.chip;
+        chip.cores[0].fast_forward_against(&mut chip.shared, instructions_per_thread);
     }
 
     /// Skips every thread ahead by `instructions_per_thread` instructions at
@@ -162,6 +160,6 @@ impl SmtSimulator {
     /// Debug builds assert the pipeline is drained, as for
     /// [`SmtSimulator::fast_forward`].
     pub fn skip_forward(&mut self, instructions_per_thread: u64) {
-        self.core.skip_forward(instructions_per_thread);
+        self.chip.cores[0].skip_forward(instructions_per_thread);
     }
 }

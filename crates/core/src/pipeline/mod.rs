@@ -5,7 +5,7 @@
 //! fetch → (14-stage front end) → dispatch → issue → execute → commit pipeline with
 //! the shared resources of Table IV (256-entry ROB, 128-entry LSQ, 64-entry issue
 //! queues, 100+100 rename registers, 4-wide everywhere). The fetch stage is driven
-//! by an [`smt_fetch::FetchPolicy`]; loads access the [`smt_mem::MemoryHierarchy`];
+//! by an [`smt_fetch::FetchPolicy`]; loads access the [`smt_mem::CoreMemory`];
 //! long-latency loads feed the LLSR/MLP predictors of [`smt_predictors`].
 //!
 //! Per-thread in-flight instructions live in a struct-of-arrays ring buffer
@@ -48,12 +48,15 @@ mod thread;
 pub mod window;
 mod writeback_phase;
 
-use smt_fetch::{build_policy, FetchPolicy, FlushRequest, ResourceCaps};
+use smt_fetch::{FetchPolicy, FlushRequest, ResourceCaps};
 use smt_mem::{CoreMemory, SharedLlc, WriteBuffer};
 use smt_trace::TraceSource;
 use smt_types::{
-    AdaptiveConfig, MachineStats, SimError, SmtConfig, SmtSnapshot, ThreadId, ThreadSnapshot,
+    AdaptiveConfig, ChipConfig, MachineStats, SimError, SmtConfig, SmtSnapshot, ThreadId,
+    ThreadSnapshot,
 };
+
+use crate::chip::ChipSimulator;
 
 use adaptive::AdaptiveState;
 use stats::SharedTotals;
@@ -94,23 +97,17 @@ impl SimOptions {
             ..Self::default()
         }
     }
-
-    /// Options with an explicit warm-up length.
-    pub fn with_warmup(mut self, warmup: u64) -> Self {
-        self.warmup_instructions_per_thread = warmup;
-        self
-    }
 }
 
 /// One SMT core: the full out-of-order pipeline plus the core-private memory
 /// levels, stepping against a [`SharedLlc`] borrowed from its owner.
 ///
-/// The single-core machine ([`SmtSimulator`]) owns one `Core` and one shared
-/// level; a chip ([`crate::chip::ChipSimulator`]) owns N cores stepping
-/// against one shared level, in lockstep apart from quiet cycles a core may
-/// sleep through (see `skip`). The core never touches anything outside
-/// its own state and the borrowed shared level, which is what makes chip
-/// results independent of anything but the per-cycle shared-level discipline.
+/// Every core belongs to a [`ChipSimulator`], which steps its cores against
+/// one shared level, in lockstep apart from quiet cycles a core may sleep
+/// through (see `skip`); the single-core machine ([`SmtSimulator`]) is a
+/// one-core chip. The core never touches anything outside its own state and
+/// the borrowed shared level, which is what makes chip results independent
+/// of anything but the per-cycle shared-level discipline.
 pub struct Core {
     config: SmtConfig,
     policy: Box<dyn FetchPolicy>,
@@ -298,9 +295,9 @@ impl Core {
     }
 }
 
-/// The single-core SMT processor simulator: one [`Core`] plus an exclusively
-/// owned shared level. This is the machine of the paper; behaviour is
-/// bit-for-bit identical to the pre-chip-refactor simulator.
+/// The single-core SMT processor simulator: the machine of the paper, run as
+/// a one-core [`ChipSimulator`] so that one constructor and one run loop
+/// serve both.
 ///
 /// # Example
 ///
@@ -322,8 +319,7 @@ impl Core {
 /// # }
 /// ```
 pub struct SmtSimulator {
-    core: Core,
-    shared: SharedLlc,
+    chip: ChipSimulator,
 }
 
 impl SmtSimulator {
@@ -336,8 +332,8 @@ impl SmtSimulator {
     /// and [`SimError::InvalidWorkload`] if the number of traces does not match
     /// `config.num_threads`.
     pub fn new(config: SmtConfig, traces: Vec<Box<dyn TraceSource>>) -> Result<Self, SimError> {
-        let policy = build_policy(config.fetch_policy, &config);
-        Self::with_policy(config, traces, policy)
+        let chip = ChipSimulator::new(ChipConfig::single_core(config), vec![traces])?;
+        Ok(SmtSimulator { chip })
     }
 
     /// Builds a simulator with an explicitly provided fetch policy (used to test
@@ -351,10 +347,9 @@ impl SmtSimulator {
         traces: Vec<Box<dyn TraceSource>>,
         policy: Box<dyn FetchPolicy>,
     ) -> Result<Self, SimError> {
-        config.validate()?;
-        let shared = SharedLlc::single_core(&config);
-        let core = Core::with_policy(config, traces, policy, 0)?;
-        Ok(SmtSimulator { core, shared })
+        let config = ChipConfig::single_core(config);
+        let chip = ChipSimulator::with_policies(config, vec![traces], vec![policy])?;
+        Ok(SmtSimulator { chip })
     }
 
     /// Builds a simulator driven by the adaptive policy engine: the machine
@@ -370,21 +365,19 @@ impl SmtSimulator {
         traces: Vec<Box<dyn TraceSource>>,
         adaptive: AdaptiveConfig,
     ) -> Result<Self, SimError> {
-        adaptive.validate()?;
-        let policy = build_policy(adaptive.initial_policy(), &config);
-        let mut sim = Self::with_policy(config, traces, policy)?;
-        sim.core.set_adaptive(adaptive)?;
-        Ok(sim)
+        let config = ChipConfig::single_core(config);
+        let chip = ChipSimulator::new_adaptive(config, vec![traces], adaptive)?;
+        Ok(SmtSimulator { chip })
     }
 
     /// The configuration the simulator was built with.
     pub fn config(&self) -> &SmtConfig {
-        self.core.config()
+        self.core().config()
     }
 
     /// Current cycle count.
     pub fn cycle(&self) -> u64 {
-        self.core.cycle()
+        self.chip.cycle()
     }
 
     /// Statistics accumulated so far.
@@ -393,25 +386,25 @@ impl SmtSimulator {
     /// the simulator manually, read the live count from
     /// [`SmtSimulator::measured_cycles`] instead.
     pub fn stats(&self) -> &MachineStats {
-        self.core.stats()
+        self.core().stats()
     }
 
     /// Cycles elapsed in the current measurement phase, i.e. since the last
     /// statistics reset (warm-up end).
     pub fn measured_cycles(&self) -> u64 {
-        self.core.measured_cycles()
+        self.chip.measured_cycles()
     }
 
     /// Direct access to the simulator's core (policy swapping, adaptive
     /// residency).
     pub fn core(&self) -> &Core {
-        &self.core
+        &self.chip.cores[0]
     }
 
     /// Replaces the running fetch policy with a freshly built `kind` policy
     /// (see [`Core::swap_policy`]). Returns whether a swap happened.
     pub fn swap_policy(&mut self, kind: smt_types::config::FetchPolicyKind) -> bool {
-        self.core.swap_policy(kind) // analyze: allow(swap-point) reason="public passthrough for tests and tooling; the cycle loop swaps only via adaptive_interval_tick"
+        self.chip.cores[0].swap_policy(kind) // analyze: allow(swap-point) reason="public passthrough for tests and tooling; the cycle loop swaps only via adaptive_interval_tick"
     }
 
     /// Runs the warm-up phase followed by the measured phase, stopping the
@@ -423,62 +416,23 @@ impl SmtSimulator {
     /// jump; the result is bit-for-bit what a loop of [`SmtSimulator::step`]
     /// calls with the same stop rules produces.
     pub fn run(&mut self, options: SimOptions) -> MachineStats {
-        self.warm_up(options.warmup_instructions_per_thread, options.max_cycles);
-        // analyze: allow(hot-path-alloc) reason="once per run at measured-phase entry, not per cycle"
-        let baselines: Vec<u64> = self.core.committed().collect();
-        while self.core.cycle() < options.max_cycles {
-            if self
-                .core
-                .committed()
-                .zip(&baselines)
-                .any(|(committed, &base)| committed - base >= options.max_instructions_per_thread)
-            {
-                break;
-            }
-            self.advance(options.max_cycles);
-        }
-        // `run` is the single writer of the aggregate cycle count; `step` only
-        // advances the raw cycle counter.
-        self.core.finalize_cycles();
-        self.core.stats().clone() // analyze: allow(hot-path-alloc) reason="once per run when returning final statistics"
+        self.chip.run(options).cores.swap_remove(0)
     }
 
     /// Runs until every thread has committed `instructions` further instructions,
     /// then clears all statistics (microarchitectural state — caches, TLBs,
     /// predictors, stream buffers — stays warm). A zero-length warm-up is a no-op.
     pub fn warm_up(&mut self, instructions: u64, max_cycles: u64) {
-        if instructions == 0 {
-            return;
-        }
-        // analyze: allow(hot-path-alloc) reason="once per warm-up phase, not per cycle"
-        let targets: Vec<u64> = self.core.committed().map(|c| c + instructions).collect();
-        while self.core.cycle() < max_cycles
-            && self
-                .core
-                .committed()
-                .zip(&targets)
-                .any(|(committed, &target)| committed < target)
-        {
-            self.advance(max_cycles);
-        }
-        self.reset_stats();
+        self.chip.warm_up(instructions, max_cycles);
     }
 
     /// Zeroes all statistics counters without disturbing microarchitectural state.
     pub fn reset_stats(&mut self) {
-        self.core.reset_stats();
+        self.chip.reset_stats();
     }
 
     /// Advances the machine by exactly one cycle.
     pub fn step(&mut self) {
-        self.core.step_against(&mut self.shared);
-    }
-
-    /// Advances one cycle and then skips any quiet cycles that follow, up to
-    /// `limit`: the stepping primitive of every run loop that owns a stop
-    /// condition which only a non-quiet cycle can change.
-    pub(crate) fn advance(&mut self, limit: u64) {
-        let wake = self.core.step_to_next_event(&mut self.shared, limit);
-        self.core.skip_to(wake);
+        self.chip.step();
     }
 }

@@ -24,6 +24,7 @@
 use smt_types::{MetricEstimate, SampledEstimate, SamplingConfig, SimError};
 
 use super::{SimOptions, SmtSimulator};
+use crate::chip::StopRule;
 
 /// Safety multiplier bounding the cycles one detailed phase may take per
 /// instruction: generous enough for the most memory-bound workload (CPI well
@@ -51,18 +52,16 @@ pub struct SampledRun {
 impl SmtSimulator {
     /// Freezes or unfreezes the fetch stage (the sampled loop's drain).
     fn freeze_fetch(&mut self, frozen: bool) {
-        self.core.fetch_frozen = frozen;
+        self.chip.cores[0].fetch_frozen = frozen;
     }
 
     /// Drains with fetch frozen until the pipeline is empty or the cycle
     /// count reaches `limit`; returns whether it drained.
     fn drain_until(&mut self, limit: u64) -> bool {
         self.freeze_fetch(true);
-        while !self.core.is_drained() && self.core.cycle() < limit {
-            self.advance(limit);
-        }
+        self.chip.drive(StopRule::Drained, limit);
         self.freeze_fetch(false);
-        self.core.is_drained()
+        self.chip.cores[0].is_drained()
     }
 
     /// The drain between a measurement window and the next fast-forward,
@@ -71,11 +70,11 @@ impl SmtSimulator {
     /// stream, so a drain that does not finish is an error: deadline
     /// exceeded when the cap stopped it, internal otherwise.
     fn drain_for_fast_forward(&mut self, max_cycles: u64, bound: u64) -> Result<(), SimError> {
-        let start = self.core.cycle();
+        let start = self.cycle();
         if self.drain_until(max_cycles.min(start + bound)) {
             return Ok(());
         }
-        let cycle = self.core.cycle();
+        let cycle = self.cycle();
         if cycle >= max_cycles {
             // analyze: allow(hot-path-alloc) reason="error path, at most once per run"
             Err(SimError::deadline_exceeded(format!(
@@ -126,7 +125,7 @@ impl SmtSimulator {
         let mut window_thread_committed: Vec<Vec<u64>> = Vec::new();
 
         for _ in 0..units {
-            if self.core.cycle() >= options.max_cycles {
+            if self.cycle() >= options.max_cycles {
                 break;
             }
             if sampling.skip_instructions > 0 {
@@ -137,7 +136,7 @@ impl SmtSimulator {
             // Detailed warm-up: re-fills the transient pipeline state the
             // functional path does not model; resets statistics at the end.
             let warm_cap = options.max_cycles.min(
-                self.core.cycle()
+                self.cycle()
                     + sampling.warm_instructions * MAX_CYCLES_PER_INSTRUCTION
                     + MAX_DRAIN_CYCLES,
             );
@@ -146,24 +145,15 @@ impl SmtSimulator {
 
             // Measurement window: the paper's any-thread stop criterion at
             // window scale.
-            // analyze: allow(hot-path-alloc) reason="once per measurement window, not per cycle"
-            let baselines: Vec<u64> = self.core.committed().collect();
             let measure_cap = options.max_cycles.min(
-                self.core.cycle()
+                self.cycle()
                     + sampling.measure_instructions * MAX_CYCLES_PER_INSTRUCTION
                     + MAX_DRAIN_CYCLES,
             );
-            while self.core.cycle() < measure_cap {
-                if self
-                    .core
-                    .committed()
-                    .zip(&baselines)
-                    .any(|(committed, &base)| committed - base >= sampling.measure_instructions)
-                {
-                    break;
-                }
-                self.advance(measure_cap);
-            }
+            self.chip.drive(
+                StopRule::AnyThreadCommits(sampling.measure_instructions),
+                measure_cap,
+            );
             let cycles = self.measured_cycles();
             if cycles > 0 {
                 let stats = self.stats();
@@ -222,8 +212,9 @@ impl SmtSimulator {
 mod tests {
     use super::*;
     use crate::runner::{build_trace, RunScale};
+    use smt_trace::ScriptedTrace;
     use smt_types::config::FetchPolicyKind;
-    use smt_types::SmtConfig;
+    use smt_types::{SmtConfig, TraceOp};
 
     fn build_sim(benchmarks: &[&str]) -> SmtSimulator {
         let mut config = SmtConfig::baseline(benchmarks.len());
@@ -238,32 +229,48 @@ mod tests {
 
     fn write_buffer_busy(sim: &mut SmtSimulator) -> bool {
         let now = sim.cycle();
-        sim.core.write_buffer.occupancy(now) > 0
+        sim.chip.cores[0].write_buffer.occupancy(now) > 0
     }
 
     #[test]
     fn drain_stops_on_the_same_cycle_as_a_frozen_step_loop() {
-        let benchmarks = ["swim", "mcf", "gcc"];
-        let mut skipping = build_sim(&benchmarks);
-        let mut stepping = build_sim(&benchmarks);
-        for drain in 0..20 {
-            // Step both machines to the next cycle with stores in the write
-            // buffer, then drain one by skipping and one cycle by cycle.
-            for sim in [&mut skipping, &mut stepping] {
-                sim.step();
-                while !write_buffer_busy(sim) {
-                    sim.step();
+        // The second machine, one thread looping over stores to 32 distinct
+        // lines, ends some drains while its core sleeps: the write buffer
+        // must be read at the chip cycle, not where the core fell asleep.
+        for store_loop in [false, true] {
+            let build = || {
+                if !store_loop {
+                    return build_sim(&["swim", "mcf", "gcc"]);
                 }
+                let ops = (0..32).map(|i| TraceOp::store(0x1000 + 4 * i, 0x10_0000 + 64 * i));
+                let trace = ScriptedTrace::looping("stores", ops.collect());
+                SmtSimulator::new(SmtConfig::baseline(1), vec![Box::new(trace)]).unwrap()
+            };
+            let (mut skipping, mut stepping) = (build(), build());
+            for drain in 0..20 {
+                // Step both machines to the drain's start (the next cycle
+                // with stores in the write buffer, or a growing stretch),
+                // then drain one by skipping and one cycle by cycle.
+                for sim in [&mut skipping, &mut stepping] {
+                    if store_loop {
+                        (0..50 + 7 * drain).for_each(|_| sim.step());
+                        continue;
+                    }
+                    sim.step();
+                    while !write_buffer_busy(sim) {
+                        sim.step();
+                    }
+                }
+                assert_eq!(skipping.cycle(), stepping.cycle());
+                assert!(skipping.drain_until(skipping.cycle() + MAX_DRAIN_CYCLES));
+                stepping.freeze_fetch(true);
+                while !stepping.chip.cores[0].is_drained() {
+                    stepping.step();
+                }
+                stepping.freeze_fetch(false);
+                assert_eq!(skipping.cycle(), stepping.cycle(), "drain {drain}");
+                assert_eq!(skipping.stats(), stepping.stats(), "drain {drain}");
             }
-            assert_eq!(skipping.cycle(), stepping.cycle());
-            assert!(skipping.drain_until(skipping.cycle() + MAX_DRAIN_CYCLES));
-            stepping.freeze_fetch(true);
-            while !stepping.core.is_drained() {
-                stepping.step();
-            }
-            stepping.freeze_fetch(false);
-            assert_eq!(skipping.cycle(), stepping.cycle(), "drain {drain}");
-            assert_eq!(skipping.stats(), stepping.stats(), "drain {drain}");
         }
     }
 

@@ -24,18 +24,18 @@
 //! idempotent on it. The skipped cycles therefore gate the same threads the
 //! quiet cycle gated.
 //!
-//! # One primitive, two run loops
+//! # One primitive, one run loop
 //!
 //! [`Core::step_to_next_event`] steps one cycle and returns the core's wake
 //! cycle: the next cycle after a busy one, the next event after a quiet one.
 //! [`Core::skip_to`] later brings the core from its last step up to any cycle
-//! no later than that wake cycle. The single-core run loops
-//! ([`super::SmtSimulator::advance`]) call the two back to back. A chip
-//! ([`crate::chip::ChipSimulator`]) records each core's wake cycle and leaves
-//! the core asleep while the other cores step; it calls `skip_to` when the
-//! chip reaches the wake cycle, or when a run loop ends and every core is
-//! brought up to the chip cycle. When every core sleeps, the chip cycle jumps
-//! to the earliest wake cycle.
+//! no later than that wake cycle. The one run loop that calls them is the
+//! chip's ([`crate::chip::ChipSimulator`]); the single-core machine is a
+//! one-core chip. The chip records each core's wake cycle and leaves the
+//! core asleep while the other cores step; it calls `skip_to` when the chip
+//! reaches the wake cycle, before it reads whether a core has drained, and
+//! when the loop ends and every core is brought up to the chip cycle. When
+//! every core sleeps, the chip cycle jumps to the earliest wake cycle.
 //!
 //! The awake cores of a chip cycle step directly against the chip's
 //! [`smt_mem::SharedLlc`], one after another. A core may sleep while its
@@ -54,10 +54,10 @@
 //! * LRU stamps are written only on an access.
 //!
 //! So a sleeping core wakes into the same state it would have reached by
-//! stepping. [`super::SmtSimulator::step`] and
-//! [`crate::chip::ChipSimulator::step`] always step every core for exactly
-//! one cycle, which makes them the non-skipping reference the equivalence
-//! tests compare against.
+//! stepping. [`crate::chip::ChipSimulator::step`] (and
+//! [`super::SmtSimulator::step`], which calls it) always steps every core
+//! for exactly one cycle, which makes it the non-skipping reference the
+//! equivalence tests compare against.
 
 use smt_mem::SharedLlc;
 

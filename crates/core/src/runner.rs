@@ -19,7 +19,7 @@ use smt_types::adaptive::{AdaptiveConfig, PolicyResidency};
 use smt_types::config::FetchPolicyKind;
 use smt_types::{ChipConfig, MachineStats, MetricEstimate, SamplingConfig, SimError, SmtConfig};
 
-use crate::chip::ChipSimulator;
+use crate::chip::{ChipSimulator, StopRule};
 use crate::experiments::report::{PolicyCell, SampledCellStats};
 use crate::metrics;
 use crate::pipeline::checkpoint::SimCheckpoint;
@@ -88,12 +88,6 @@ impl RunScale {
     /// Returns a copy with a different instruction budget.
     pub fn with_instructions(mut self, instructions: u64) -> Self {
         self.instructions_per_thread = instructions;
-        self
-    }
-
-    /// Returns a copy with a deterministic simulated-cycle cap.
-    pub fn with_max_cycles(mut self, max_cycles: u64) -> Self {
-        self.max_cycles = Some(max_cycles);
         self
     }
 
@@ -195,12 +189,19 @@ pub fn run_single_thread(
     config: &SmtConfig,
     scale: RunScale,
 ) -> Result<MachineStats, SimError> {
-    let mut st_config = config.clone();
-    st_config.num_threads = 1;
-    st_config.fetch_policy = FetchPolicyKind::Icount;
     let trace = build_trace(benchmark, scale)?;
-    let mut sim = SmtSimulator::new(st_config, vec![trace])?;
+    let mut sim = SmtSimulator::new(single_thread(config), vec![trace])?;
     Ok(sim.run(scale.sim_options()))
+}
+
+/// `config` with one thread under ICOUNT: the machine every single-thread
+/// reference runs on.
+fn single_thread(config: &SmtConfig) -> SmtConfig {
+    SmtConfig {
+        num_threads: 1,
+        fetch_policy: FetchPolicyKind::Icount,
+        ..config.clone()
+    }
 }
 
 /// Runs a multiprogram workload under `policy` and returns the raw machine
@@ -228,32 +229,6 @@ fn build_traces(
     scale: RunScale,
 ) -> Result<Vec<Box<dyn TraceSource>>, SimError> {
     benchmarks.iter().map(|b| build_trace(b, scale)).collect()
-}
-
-/// Runs a multiprogram workload under the adaptive policy engine and returns
-/// the raw machine statistics plus the per-policy interval residency of the
-/// measured phase.
-///
-/// # Errors
-///
-/// Returns an error for unknown benchmarks or invalid (machine or adaptive)
-/// configurations.
-pub fn run_multiprogram_adaptive(
-    benchmarks: &[&str],
-    adaptive: &AdaptiveConfig,
-    config: &SmtConfig,
-    scale: RunScale,
-) -> Result<(MachineStats, Vec<PolicyResidency>), SimError> {
-    let mut mt_config = config.clone();
-    mt_config.num_threads = benchmarks.len();
-    let traces = build_traces(benchmarks, scale)?;
-    let mut sim = SmtSimulator::with_adaptive(mt_config, traces, adaptive.clone())?;
-    let stats = sim.run(scale.sim_options());
-    let residency = sim
-        .core()
-        .policy_residency()
-        .expect("adaptive simulator reports residency");
-    Ok((stats, merge_core_residencies(vec![residency])))
 }
 
 /// Averages per-core residency fractions into one chip-wide record set
@@ -327,12 +302,12 @@ pub struct StReferenceCache {
     reference_runs: AtomicU64,
 }
 
-/// Cache key: the *full* configuration normalized exactly as
-/// [`record_st_curve`] normalizes it (one thread, ICOUNT fetch), plus the run
-/// scale. Keying on the whole configuration rather than a hand-picked field
-/// subset guarantees that any knob affecting single-threaded timing —
-/// including ones added later — separates cache entries instead of silently
-/// aliasing them.
+/// Cache key: the *full* configuration normalized by [`single_thread`] as
+/// every reference run is (one thread, ICOUNT fetch), plus the run scale.
+/// Keying on the whole configuration rather than a hand-picked field subset
+/// guarantees that any knob affecting single-threaded timing — including
+/// ones added later — separates cache entries instead of silently aliasing
+/// them.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct ConfigKey {
     st_config: SmtConfig,
@@ -341,9 +316,7 @@ struct ConfigKey {
 
 impl ConfigKey {
     fn new(config: &SmtConfig, scale: RunScale) -> Self {
-        let mut st_config = config.clone();
-        st_config.num_threads = 1;
-        st_config.fetch_policy = FetchPolicyKind::Icount;
+        let st_config = single_thread(config);
         ConfigKey { st_config, scale }
     }
 }
@@ -413,28 +386,30 @@ fn record_st_curve(
     config: &SmtConfig,
     scale: RunScale,
 ) -> Result<StCurve, SimError> {
-    let mut st_config = config.clone();
-    st_config.num_threads = 1;
-    st_config.fetch_policy = FetchPolicyKind::Icount;
     let trace = build_trace(benchmark, scale)?;
-    let mut sim = SmtSimulator::new(st_config, vec![trace])?;
+    let st_config = ChipConfig::single_core(single_thread(config));
+    let mut sim = ChipSimulator::new(st_config, vec![vec![trace]])?;
     let max_cycles = scale.sim_options().max_cycles;
     sim.warm_up(scale.warmup_instructions, max_cycles);
     let interval = (scale.instructions_per_thread / 64).max(256);
     let mut cycles = Vec::new();
     let mut next_checkpoint = interval;
     let budget = scale.instructions_per_thread;
-    while sim.stats().threads[0].committed_instructions < budget && sim.cycle() < max_cycles {
-        sim.advance(max_cycles);
-        let committed = sim.stats().threads[0].committed_instructions;
-        while committed >= next_checkpoint {
-            // `stats().cycles` is only finalized by `run()`; when stepping
-            // manually the live measured count is the source of truth.
+    let committed = |sim: &ChipSimulator| sim.core_stats(0).threads[0].committed_instructions;
+    while committed(&sim) < budget && sim.cycle() < max_cycles {
+        let target = next_checkpoint.min(budget);
+        sim.drive(
+            StopRule::AnyThreadCommits(target - committed(&sim)),
+            max_cycles,
+        );
+        while committed(&sim) >= next_checkpoint {
+            // `stats().cycles` is only finalized by `run()`; between `drive`
+            // calls the live measured count is the source of truth.
             cycles.push(sim.measured_cycles());
             next_checkpoint += interval;
         }
     }
-    let committed = sim.stats().threads[0].committed_instructions;
+    let committed = committed(&sim);
     if committed < budget {
         // A truncated curve would yield bogus (even zero) reference CPIs and
         // silently corrupt STP/ANTT; fail loudly so the resilient engine can
@@ -583,84 +558,77 @@ pub fn evaluate_cell(
         return Ok(out);
     }
 
-    // Per-thread committed counts in workload order, plus the chip's
-    // statistics and placement for the per-core STP split.
-    let (st_config, cycles, committed, chip_run) = match &cell.machine {
+    // A one-core cell is a one-core chip with every thread in workload
+    // order; only a chip cell places threads and reports per-core columns.
+    let (chip, placement) = match &cell.machine {
         CellMachine::Core(config) => {
-            let stats = match adaptive {
-                None => run_multiprogram(&benchmarks, policy, config, scale)?,
-                Some(adaptive) => {
-                    let (stats, residency) =
-                        run_multiprogram_adaptive(&benchmarks, adaptive, config, scale)?;
-                    out.policy_residency = Some(residency);
-                    stats
-                }
-            };
-            let committed = stats.threads.iter().map(|t| t.committed_instructions);
-            (config.clone(), stats.cycles, committed.collect(), None)
+            let mut config = config.clone();
+            config.num_threads = benchmarks.len();
+            (ChipConfig::single_core(config), None)
         }
         CellMachine::Chip {
             chip,
             allocation,
             intensities,
-        } => {
-            let (assignment, traces) =
-                chip_placement(&benchmarks, intensities, *allocation, chip, scale)?;
-            let mut sim = match adaptive {
-                None => ChipSimulator::new(chip.clone().with_policy(policy), traces)?,
-                Some(adaptive) => {
-                    ChipSimulator::new_adaptive(chip.clone(), traces, adaptive.clone())?
-                }
-            };
-            let stats = sim.run(scale.sim_options());
-            if adaptive.is_some() {
-                out.policy_residency = Some(merge_core_residencies(
-                    (0..stats.num_cores())
-                        .map(|core| {
-                            sim.policy_residency(core)
-                                .expect("adaptive chip reports residency")
-                        })
-                        .collect(),
-                ));
-            }
-            let mut committed = vec![0; benchmarks.len()];
-            for (core, slots) in assignment.iter().enumerate() {
-                for (slot, &ti) in slots.iter().enumerate() {
-                    committed[ti] = stats.cores[core].threads[slot].committed_instructions;
-                }
-            }
-            out.allocation = Some(*allocation);
-            out.num_cores = Some(chip.num_cores as u64);
-            out.core_assignments = Some(join_core_assignments(&assignment, &benchmarks));
-            out.per_core_ipc = Some(stats.per_core_ipc());
-            let mut st_config = chip.core.clone();
-            st_config.l3 = chip.shared_llc;
-            (
-                st_config,
-                stats.cycles,
-                committed,
-                Some((stats, assignment)),
-            )
+        } => (chip.clone(), Some((*allocation, intensities))),
+    };
+    let (assignment, traces) = match placement {
+        None => (
+            vec![(0..benchmarks.len()).collect()],
+            vec![build_traces(&benchmarks, scale)?],
+        ),
+        Some((allocation, intensities)) => {
+            chip_placement(&benchmarks, intensities, allocation, &chip, scale)?
         }
     };
+    let mut sim = match adaptive {
+        None => ChipSimulator::new(chip.clone().with_policy(policy), traces)?,
+        Some(adaptive) => ChipSimulator::new_adaptive(chip.clone(), traces, adaptive.clone())?,
+    };
+    let stats = sim.run(scale.sim_options());
+    if adaptive.is_some() {
+        out.policy_residency = Some(merge_core_residencies(
+            (0..stats.num_cores())
+                .map(|core| {
+                    sim.policy_residency(core)
+                        .expect("adaptive chip reports residency")
+                })
+                .collect(),
+        ));
+    }
+    // Freed before the reference runs below build their own simulators.
+    drop(sim);
+    // Per-thread committed counts in workload order.
+    let mut committed = vec![0; benchmarks.len()];
+    for (core, slots) in assignment.iter().enumerate() {
+        for (slot, &ti) in slots.iter().enumerate() {
+            committed[ti] = stats.cores[core].threads[slot].committed_instructions;
+        }
+    }
+    let mut st_config = chip.core.clone();
+    st_config.l3 = chip.shared_llc;
 
     // `max(1)` guards threads that never retired an instruction.
     let mut st_cpis = Vec::with_capacity(benchmarks.len());
     let mut mt_cpis = Vec::with_capacity(benchmarks.len());
     for (benchmark, &done) in benchmarks.iter().zip(&committed) {
         let done = done.max(1);
-        mt_cpis.push(cycles as f64 / done as f64);
+        mt_cpis.push(stats.cycles as f64 / done as f64);
         st_cpis.push(cache.st_cpi(benchmark, &st_config, scale, done)?);
     }
     out.stp = metrics::stp(&st_cpis, &mt_cpis);
     out.antt = metrics::antt(&st_cpis, &mt_cpis);
     out.per_thread_ipc = mt_cpis.iter().map(|c| 1.0 / c).collect();
     out.per_thread_st_ipc = st_cpis.iter().map(|c| 1.0 / c).collect();
-    if let Some((stats, assignment)) = chip_run {
+    if let Some((allocation, _)) = placement {
         // The per-core split wants the CPIs in canonical `(core, slot)` order.
         let flat = |cpis: &[f64]| -> Vec<f64> {
             assignment.iter().flatten().map(|&ti| cpis[ti]).collect()
         };
+        out.allocation = Some(allocation);
+        out.num_cores = Some(chip.num_cores as u64);
+        out.core_assignments = Some(join_core_assignments(&assignment, &benchmarks));
+        out.per_core_ipc = Some(stats.per_core_ipc());
         let per_core = metrics::per_core_stp(&stats, &flat(&st_cpis), &flat(&mt_cpis));
         out.per_core_stp = Some(per_core);
     }
@@ -1278,5 +1246,34 @@ mod tests {
         // Beyond the recorded range we fall back to the final totals.
         assert!(curve.cpi_at(800) > 0.0);
         assert!(curve.cpi_at(0) > 0.0);
+    }
+
+    #[test]
+    fn st_curve_matches_a_step_loop() {
+        let scale = RunScale::tiny();
+        let config = SmtConfig::baseline(4);
+        let curve = record_st_curve("mcf", &config, scale).expect("reference records");
+
+        // The same stop rules and checkpoints, one `step()` at a time (the
+        // run stays far below the cycle cap).
+        let trace = build_trace("mcf", scale).expect("known benchmark");
+        let mut sim = SmtSimulator::new(single_thread(&config), vec![trace]).expect("valid");
+        let committed = |sim: &SmtSimulator| sim.stats().threads[0].committed_instructions;
+        while committed(&sim) < scale.warmup_instructions {
+            sim.step();
+        }
+        sim.reset_stats();
+        let interval = (scale.instructions_per_thread / 64).max(256);
+        let mut cycles = Vec::new();
+        while committed(&sim) < scale.instructions_per_thread {
+            sim.step();
+            while committed(&sim) >= interval * (cycles.len() as u64 + 1) {
+                cycles.push(sim.measured_cycles());
+            }
+        }
+        assert_eq!(curve.interval, interval);
+        assert_eq!(curve.cycles, cycles);
+        assert_eq!(curve.total_instructions, committed(&sim));
+        assert_eq!(curve.total_cycles, sim.measured_cycles());
     }
 }

@@ -486,9 +486,9 @@ fn scenario_options(opts: &BenchOptions) -> SimOptions {
     }
 }
 
-/// Builds a ready-to-run single-core simulator (and its run options) for
-/// one row, so trace construction stays outside the timed region.
-fn prepare_scenario(
+/// Builds a ready-to-run single-core simulator (and its run options) for a
+/// sampled row, so trace construction stays outside the timed region.
+fn prepare_sampled(
     scenario: &BenchScenario,
     opts: &BenchOptions,
 ) -> Result<(SmtSimulator, SimOptions), SimError> {
@@ -500,23 +500,12 @@ fn prepare_scenario(
         .iter()
         .map(|b| build_trace(b, scale))
         .collect::<Result<Vec<_>, _>>()?;
-    let sim = if scenario.kind == ScenarioKind::Adaptive {
-        // Adaptive rows switch between the row's policy and the MLP-aware
-        // flush policy, timing the interval collector and the swap
-        // machinery alongside the pipeline.
-        let adaptive = AdaptiveConfig::new(
-            SelectorKind::Sampling,
-            vec![scenario.policy, FetchPolicyKind::MlpFlush],
-        );
-        SmtSimulator::with_adaptive(config, traces, adaptive)?
-    } else {
-        SmtSimulator::new(config, traces)?
-    };
-    Ok((sim, scenario_options(opts)))
+    Ok((SmtSimulator::new(config, traces)?, scenario_options(opts)))
 }
 
-/// Builds a ready-to-run chip simulator for a `cores > 1` scenario,
-/// dealing the benchmark list out over the cores core-major.
+/// Builds a ready-to-run chip (one core unless the row names more) for an
+/// exact or adaptive row, dealing the benchmark list out over the cores
+/// core-major.
 fn prepare_chip(
     scenario: &BenchScenario,
     opts: &BenchOptions,
@@ -539,7 +528,18 @@ fn prepare_chip(
                 .collect::<Result<Vec<_>, _>>()
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let sim = ChipSimulator::new(config, traces)?;
+    let sim = if scenario.kind == ScenarioKind::Adaptive {
+        // Adaptive rows switch between the row's policy and the MLP-aware
+        // flush policy, timing the interval collector and the swap
+        // machinery alongside the pipeline.
+        let adaptive = AdaptiveConfig::new(
+            SelectorKind::Sampling,
+            vec![scenario.policy, FetchPolicyKind::MlpFlush],
+        );
+        ChipSimulator::new_adaptive(config, traces, adaptive)?
+    } else {
+        ChipSimulator::new(config, traces)?
+    };
     Ok((sim, scenario_options(opts)))
 }
 
@@ -621,14 +621,9 @@ pub fn run_scenario(
     let wall = match scenario.kind {
         ScenarioKind::Exact | ScenarioKind::Adaptive => {
             let (stats, wall) = best_of(scenario, runs, || {
-                if scenario.cores > 1 {
-                    let (mut sim, options) = prepare_chip(scenario, opts)?;
-                    let (stats, wall) = timed(|| sim.run(options));
-                    Ok((crate::metrics::flatten_chip_stats(&stats), wall))
-                } else {
-                    let (mut sim, options) = prepare_scenario(scenario, opts)?;
-                    Ok(timed(|| sim.run(options)))
-                }
+                let (mut sim, options) = prepare_chip(scenario, opts)?;
+                let (stats, wall) = timed(|| sim.run(options));
+                Ok((crate::metrics::flatten_chip_stats(&stats), wall))
             })?;
             result.simulated_cycles = stats.cycles;
             result.committed_instructions =
@@ -639,7 +634,7 @@ pub fn run_scenario(
         ScenarioKind::Sampled => {
             let budget = opts.instructions_per_thread * SAMPLED_BUDGET_MULTIPLIER;
             let ((run, committed), wall) = best_of(scenario, runs, || {
-                let (mut sim, mut options) = prepare_scenario(scenario, opts)?;
+                let (mut sim, mut options) = prepare_sampled(scenario, opts)?;
                 options.max_instructions_per_thread = budget;
                 let (run, wall) = timed(|| sim.run_sampled(options, &SamplingConfig::default()));
                 Ok(((run?, sim.core().committed().sum::<u64>()), wall))

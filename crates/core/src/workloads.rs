@@ -202,14 +202,6 @@ pub fn four_thread_workloads() -> Vec<Workload> {
     table.iter().map(|b| mk(b)).collect()
 }
 
-/// Two-thread workloads restricted to one group.
-pub fn two_thread_group(group: WorkloadGroup) -> Vec<Workload> {
-    two_thread_workloads()
-        .into_iter()
-        .filter(|w| w.group == group)
-        .collect()
-}
-
 /// A small representative subset of two-thread workloads (one per group plus two
 /// extra MLP-heavy mixes), used by the microarchitecture sweeps of Section 6.4 and
 /// by quick regression runs.

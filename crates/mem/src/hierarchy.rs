@@ -1,18 +1,17 @@
-//! The memory hierarchy queried by the pipeline, split into per-core private
-//! levels ([`CoreMemory`]) and the chip-shared bottom level
-//! ([`crate::shared::SharedLlc`]).
+//! The memory hierarchy, split into per-core private levels ([`CoreMemory`])
+//! and the chip-shared bottom level ([`crate::shared::SharedLlc`]).
 //!
 //! [`CoreMemory`] owns everything private to one SMT core: L1I/L1D, the
 //! private L2, both TLBs, the stream-buffer prefetcher, and the per-thread
 //! long-latency serialization state. Every access that misses the private
-//! levels is presented to a `&mut` [`SharedLlc`] borrowed from the caller —
-//! the single-core machine owns one exclusively (via the [`MemoryHierarchy`]
-//! facade, which preserves the pre-split API bit-for-bit), while a chip
-//! lends its one shared level to each of its cores in turn within a cycle
-//! (see [`crate::shared`] for why the order cannot matter).
+//! levels is presented to a `&mut` [`SharedLlc`] borrowed from the caller: a
+//! chip lends its one shared level to each of its cores in turn within a
+//! cycle (see [`crate::shared`] for why the order cannot matter). The
+//! [`MemoryHierarchy`] facade fuses one core's levels with a shared level of
+//! its own, for tests and benchmarks that drive memory accesses directly.
 
 use serde::{Deserialize, Serialize};
-use smt_types::{SmtConfig, ThreadId};
+use smt_types::{ChipConfig, SmtConfig, ThreadId};
 
 use crate::cache::{CacheState, SetAssocCache};
 use crate::mshr::MshrOutcome;
@@ -427,10 +426,10 @@ impl CoreMemory {
 }
 
 /// The fused single-core memory hierarchy of Table IV: one core's private
-/// levels plus an exclusively owned shared level. This facade preserves the
-/// pre-split API (and behaviour, bit for bit) for the single-core machine
-/// and for tests; the chip simulator composes [`CoreMemory`] and
-/// [`SharedLlc`] directly instead.
+/// levels plus an exclusively owned one-core-chip shared level. A
+/// convenience for tests and benchmarks that drive memory accesses
+/// directly; the simulator composes [`CoreMemory`] and [`SharedLlc`]
+/// itself.
 #[derive(Clone, Debug)]
 pub struct MemoryHierarchy {
     core: CoreMemory,
@@ -446,7 +445,7 @@ impl MemoryHierarchy {
     pub fn new(config: &SmtConfig) -> Self {
         MemoryHierarchy {
             core: CoreMemory::new(config, 0),
-            shared: SharedLlc::single_core(config),
+            shared: SharedLlc::for_chip(&ChipConfig::single_core(config.clone())),
         }
     }
 

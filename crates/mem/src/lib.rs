@@ -12,9 +12,10 @@
 //! * an 8-entry write buffer drained at commit ([`write_buffer`]),
 //! * the chip-shared bottom level — LLC, LLC MSHRs, memory bus — with its
 //!   order-invariant multi-core arbitration discipline ([`shared`]),
-//! * the per-core private levels ([`hierarchy::CoreMemory`]) and the composed
-//!   single-core [`hierarchy::MemoryHierarchy`] facade that the pipeline
-//!   queries for load and fetch latencies.
+//! * the per-core private levels ([`hierarchy::CoreMemory`]), which the
+//!   pipeline queries for load and fetch latencies, and the composed
+//!   single-core [`hierarchy::MemoryHierarchy`] facade for tests and
+//!   benchmarks that drive accesses directly.
 //!
 //! # Example
 //!

@@ -1,10 +1,9 @@
 //! The chip-shared memory levels: last-level cache, LLC MSHRs, and the
 //! off-chip memory bus.
 //!
-//! On the paper's single-core machine these structures sit at the bottom of
-//! [`crate::hierarchy::MemoryHierarchy`] and are private to the one core. On
-//! a chip ([`smt_types::ChipConfig`]) every core's private levels
-//! ([`crate::hierarchy::CoreMemory`]) miss into one [`SharedLlc`]: cores
+//! Every core's private levels ([`crate::hierarchy::CoreMemory`]) miss into
+//! one [`SharedLlc`], built for a chip ([`smt_types::ChipConfig`]); the
+//! paper's single-core machine is a one-core chip. On a multi-core chip cores
 //! compete for LLC capacity, per-`(core, thread)` MSHR slots bound each
 //! requester's outstanding misses, and the [`MemoryBus`] charges queueing
 //! delay per in-flight line transfer.
@@ -15,8 +14,8 @@
 //!
 //! * **Legacy (single requester domain)** — LRU is stamped with an internal
 //!   access tick and fills take effect immediately, exactly the behaviour of
-//!   the original fused hierarchy. Used by the single-core machine (and
-//!   one-core chips) so its results stay bit-for-bit identical.
+//!   the original fused hierarchy. Used by one-core chips, which is what the
+//!   paper's single-core machine is.
 //! * **Chip arbitration** — every access of one chip cycle carries the same
 //!   LRU stamp (the cycle number), fills are staged and applied once per
 //!   cycle in a canonical order, and bus congestion is frozen at the start of
@@ -46,7 +45,7 @@
 //! Each core's cycle is therefore a function of cycle-start state and its
 //! own requests, whatever order the cores step in.
 
-use smt_types::{ChipConfig, SmtConfig};
+use smt_types::ChipConfig;
 
 use crate::cache::SetAssocCache;
 use serde::{Deserialize, Serialize};
@@ -130,7 +129,7 @@ impl MemoryBus {
 pub struct SharedLlcState {
     /// LLC tag-store contents.
     pub llc: CacheState,
-    /// Current cycle stamp (chip arbitration only; zero otherwise).
+    /// Current cycle stamp (read by chip arbitration only).
     pub cycle: u64,
 }
 
@@ -152,31 +151,12 @@ pub struct SharedLlc {
 }
 
 impl SharedLlc {
-    /// The shared level of the paper's single-core machine: the `config.l3`
-    /// cache, per-thread MSHRs, an uncontended bus, and the legacy
-    /// synchronous discipline.
-    pub fn single_core(config: &SmtConfig) -> Self {
-        SharedLlc {
-            llc: SetAssocCache::new(&config.l3),
-            mshrs: MshrFile::new(config.num_threads, config.max_outstanding_misses as usize),
-            bus: MemoryBus::new(
-                smt_types::BusConfig::unlimited(),
-                config.l1d.line_bytes as u64,
-            ),
-            memory_latency: config.memory_latency,
-            line_bytes: config.l1d.line_bytes as u64,
-            chip_arbitration: false,
-            cycle: 0,
-            staged: Vec::new(),
-        }
-    }
-
     /// The shared level of a chip: the `shared_llc` cache, one MSHR slot set
     /// per `(core, thread)` requester, the configured bus, and (for
     /// multi-core chips) the order-invariant chip arbitration discipline.
     ///
-    /// A one-core chip keeps the legacy discipline so that `num_cores == 1`
-    /// is bit-for-bit the single-core machine.
+    /// A one-core chip, the paper's single-core machine, keeps the legacy
+    /// discipline and an uncontended bus unless its configuration names one.
     pub fn for_chip(chip: &ChipConfig) -> Self {
         SharedLlc {
             llc: SetAssocCache::new(&chip.shared_llc),
@@ -204,8 +184,8 @@ impl SharedLlc {
     }
 
     /// Starts a chip cycle: freezes bus congestion and sets the LRU stamp.
-    /// The single-core pipeline never calls this (its discipline has no
-    /// per-cycle shared state).
+    /// Under the legacy discipline with an unlimited bus it only records the
+    /// cycle, which nothing reads.
     pub fn begin_cycle(&mut self, cycle: u64) {
         self.cycle = cycle;
         self.bus.begin_cycle(cycle);
@@ -340,7 +320,7 @@ impl SharedLlc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smt_types::BusConfig;
+    use smt_types::{BusConfig, SmtConfig};
 
     #[test]
     fn unlimited_bus_is_free() {
@@ -373,7 +353,7 @@ mod tests {
     #[test]
     fn legacy_discipline_matches_plain_cache() {
         let config = SmtConfig::baseline(2);
-        let mut shared = SharedLlc::single_core(&config);
+        let mut shared = SharedLlc::for_chip(&ChipConfig::single_core(config.clone()));
         assert!(!shared.chip_arbitration);
         assert!(!shared.access(0x40));
         shared.fill(0x40);

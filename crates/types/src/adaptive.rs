@@ -120,12 +120,6 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Returns a copy with a different selector.
-    pub fn with_selector(mut self, selector: SelectorKind) -> Self {
-        self.selector = selector;
-        self
-    }
-
     /// The policy the machine starts on (`candidates[0]`).
     ///
     /// # Panics

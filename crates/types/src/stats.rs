@@ -201,15 +201,6 @@ impl ThreadStats {
         }
     }
 
-    /// Branch misprediction rate per committed branch.
-    pub fn branch_mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.branch_mispredictions as f64 / self.branches as f64
-        }
-    }
-
     /// Merges another statistics record into this one (used when aggregating
     /// across simulation chunks).
     pub fn merge(&mut self, other: &ThreadStats) {

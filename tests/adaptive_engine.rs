@@ -48,18 +48,20 @@ fn static_selector_is_bit_for_bit_the_legacy_machine() {
             let legacy =
                 runner::run_multiprogram(&benchmarks, policy, &config, scale).expect("legacy run");
             let adaptive = AdaptiveConfig::new(SelectorKind::Static, vec![policy]);
-            let (stats, residency) =
-                runner::run_multiprogram_adaptive(&benchmarks, &adaptive, &config, scale)
-                    .expect("adaptive run");
+            let mut sim =
+                SmtSimulator::with_adaptive(config, traces_for(&benchmarks, scale), adaptive)
+                    .expect("adaptive machine builds");
+            let stats = sim.run(scale.sim_options());
             assert_eq!(
                 stats,
                 legacy,
                 "static selector diverged from the legacy machine for `{}` on {benchmarks:?}",
                 policy.name()
             );
+            let residency = sim.core().policy_residency().expect("adaptive residency");
             assert_eq!(residency.len(), 1);
-            assert_eq!(residency[0].policy, policy);
-            assert!((residency[0].fraction - 1.0).abs() < 1e-12);
+            assert_eq!(residency[0].0, policy);
+            assert!((residency[0].1 - 1.0).abs() < 1e-12);
         }
     }
 }
