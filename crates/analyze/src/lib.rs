@@ -11,8 +11,6 @@
 //! * **determinism** — simulation crates take no nondeterministic inputs:
 //!   no wall-clock (`Instant`/`SystemTime`), no `thread_rng`, no environment
 //!   reads, no iteration over hash-ordered containers;
-//! * **swap-point** — runtime fetch-policy swaps happen only at the
-//!   sanctioned end-of-cycle point (`crates/core/src/pipeline/adaptive.rs`);
 //! * **config-hygiene** — every `Deserialize` struct in `smt-types` carries
 //!   `#[serde(deny_unknown_fields)]`;
 //! * **registry-drift** — experiment names cited in the docs exist in the

@@ -24,10 +24,9 @@ pub struct Finding {
 }
 
 /// The enforced rule ids, i.e. the valid arguments to `analyze: allow(...)`.
-pub const RULE_IDS: [&str; 8] = [
+pub const RULE_IDS: [&str; 7] = [
     "hot-path-alloc",
     "determinism",
-    "swap-point",
     "config-hygiene",
     "registry-drift",
     "panic-policy",
@@ -37,7 +36,7 @@ pub const RULE_IDS: [&str; 8] = [
 
 /// Crates whose sources must stay deterministic: everything that executes
 /// *inside* a simulation, as opposed to the CLI / bench-harness shells.
-const SIM_CRATES: [&str; 9] = [
+const SIM_CRATES: [&str; 8] = [
     "types",
     "core",
     "fetch",
@@ -45,7 +44,6 @@ const SIM_CRATES: [&str; 9] = [
     "branch",
     "predictors",
     "sched",
-    "adapt",
     "trace",
 ];
 
@@ -67,10 +65,6 @@ fn in_sim_scope(path: &str) -> bool {
             .is_some_and(|p| p.starts_with("/src/"))
     })
 }
-
-/// The one file allowed to call `swap_policy`: the end-of-cycle adaptive
-/// tick, the sanctioned swap point.
-const SWAP_POINT_FILE: &str = "crates/core/src/pipeline/adaptive.rs";
 
 /// The functional fast-forward file, where `sampling-discipline` pins that
 /// warm-state code never reaches a statistics counter or moves simulated
@@ -168,9 +162,6 @@ pub(crate) fn check_file(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding
     }
     if in_sim_scope(&file.path) {
         determinism(file, raw, out);
-    }
-    if file.path != SWAP_POINT_FILE {
-        swap_point(file, raw, out);
     }
     if file.path.starts_with("crates/types/src/") {
         config_hygiene(file, raw, out);
@@ -463,34 +454,6 @@ fn receiver_ident(before: &str) -> Option<(String, bool)> {
     }
 }
 
-/// **swap-point** — `swap_policy` may only be called from the adaptive
-/// end-of-cycle tick.
-fn swap_point(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding>) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = line.code.as_str();
-        if code.contains("fn swap_policy") {
-            continue;
-        }
-        if let Some(at) = find_word(code, "swap_policy", 0) {
-            let rest = code[at + "swap_policy".len()..].trim_start();
-            if rest.starts_with('(') {
-                out.push(finding(
-                    file,
-                    raw,
-                    idx + 1,
-                    "swap-point",
-                    "`swap_policy` called outside the sanctioned end-of-cycle swap \
-                     point (crates/core/src/pipeline/adaptive.rs)"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-}
-
 /// **config-hygiene** — every `Deserialize` struct in `smt-types` must carry
 /// `#[serde(deny_unknown_fields)]` so config typos fail loudly.
 fn config_hygiene(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding>) {
@@ -730,13 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_policy_only_from_adaptive_submodule() {
-        let src = "fn tick(&mut self) {\n    self.swap_policy(kind);\n}\n";
-        assert_eq!(run("crates/core/src/pipeline/mod.rs", src).len(), 1);
-        assert!(run("crates/core/src/pipeline/adaptive.rs", src).is_empty());
-    }
-
-    #[test]
     fn panic_policy_scoped_to_the_experiment_engine() {
         let src =
             "fn go() {\n    let x = compute().unwrap();\n    let y = other().expect(\"y\");\n}\n";
@@ -772,7 +728,7 @@ mod tests {
     #[test]
     fn sync_discipline_flags_primitives_outside_the_harness() {
         let src = "use std::sync::{Mutex, RwLock};\nfn f() {\n    let c = RefCell::new(0u64);\n    let n = AtomicU64::new(0);\n    unsafe { hint::unreachable_unchecked() };\n}\n";
-        let out = run("crates/adapt/src/x.rs", src);
+        let out = run("crates/sched/src/x.rs", src);
         let lines: Vec<usize> = out.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![1, 1, 3, 4, 5], "{out:?}");
         assert!(out.iter().all(|f| f.rule == "sync-discipline"));
@@ -785,7 +741,7 @@ mod tests {
         assert!(run("crates/core/src/experiments/engine.rs", src).is_empty());
         assert!(run("crates/cli/src/main.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let m = std::sync::Mutex::new(0);\n        let _ = m;\n    }\n}\n";
-        assert!(run("crates/adapt/src/x.rs", test_src).is_empty());
+        assert!(run("crates/sched/src/x.rs", test_src).is_empty());
     }
 
     #[test]

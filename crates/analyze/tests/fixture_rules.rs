@@ -74,21 +74,6 @@ fn determinism_is_scoped_to_simulation_crates() {
 }
 
 #[test]
-fn swap_point_fires_everywhere_but_the_sanctioned_file() {
-    let outside = analyze_inputs(&[input(
-        "crates/core/src/pipeline/fake.rs",
-        include_str!("fixtures/swap_point.rs"),
-    )]);
-    assert_eq!(hits(&outside), vec![(13, "swap-point")]);
-
-    let sanctioned = analyze_inputs(&[input(
-        "crates/core/src/pipeline/adaptive.rs",
-        include_str!("fixtures/swap_point.rs"),
-    )]);
-    assert!(sanctioned.is_clean(), "{:?}", sanctioned.findings);
-}
-
-#[test]
 fn sampling_discipline_fires_only_in_the_fast_forward_file() {
     let report = analyze_inputs(&[input(
         "crates/core/src/pipeline/fast_forward.rs",
@@ -118,7 +103,7 @@ fn sampling_discipline_fires_only_in_the_fast_forward_file() {
 
 #[test]
 fn sync_discipline_fires_in_every_sim_module() {
-    for path in ["crates/adapt/src/fake.rs", "crates/core/src/chip/mod.rs"] {
+    for path in ["crates/sched/src/fake.rs", "crates/core/src/chip/mod.rs"] {
         let report = analyze_inputs(&[input(path, include_str!("fixtures/sync_discipline.rs"))]);
         // `&self` view queries (line 14) and `&mut self` methods on non-view
         // impls (line 24) are legal; the allowed Mutex on line 38 is

@@ -2,7 +2,6 @@
 //! offline workspace).
 
 use smt_core::runner::RunScale;
-use smt_types::SelectorKind;
 
 /// Output format for `run`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -160,10 +159,6 @@ pub struct RunArgs {
     pub limit: Option<usize>,
     /// `--cores <n>`: overrides a chip spec's core count.
     pub cores: Option<usize>,
-    /// `--selector <name>`: restricts an adaptive spec to one selector.
-    pub selector: Option<SelectorKind>,
-    /// `--interval <cycles>`: overrides an adaptive spec's interval length.
-    pub interval: Option<u64>,
     /// `--threads <n>`: engine worker threads (default: machine parallelism).
     pub threads: Option<usize>,
     /// `--serial`: shorthand for `--threads 1`.
@@ -197,8 +192,6 @@ impl RunArgs {
             per_group: None,
             limit: None,
             cores: None,
-            selector: None,
-            interval: None,
             threads: None,
             serial: false,
             out: None,
@@ -308,12 +301,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                             return Err("`--threads` must be at least 1".to_string());
                         }
                         run.threads = Some(threads);
-                    }
-                    "--selector" => {
-                        run.selector = Some(parse_selector(&value_for("--selector")?)?);
-                    }
-                    "--interval" => {
-                        run.interval = Some(parse_interval(&value_for("--interval")?)?);
                     }
                     "--serial" => run.serial = true,
                     "--out" => run.out = Some(value_for("--out")?),
@@ -552,26 +539,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
 }
 
-fn parse_selector(value: &str) -> Result<SelectorKind, String> {
-    SelectorKind::from_name(value).ok_or_else(|| {
-        let names: Vec<&str> = SelectorKind::ALL.iter().map(|s| s.name()).collect();
-        format!(
-            "unknown selector `{value}`, expected one of: {}",
-            names.join(", ")
-        )
-    })
-}
-
-fn parse_interval(value: &str) -> Result<u64, String> {
-    let interval: u64 = value
-        .parse()
-        .map_err(|_| format!("invalid interval `{value}`"))?;
-    if interval == 0 {
-        return Err("`--interval` must be at least 1 cycle".to_string());
-    }
-    Ok(interval)
-}
-
 /// The help text.
 pub const HELP: &str = "\
 smt-cli - run the paper's experiments (and your own) from the command line
@@ -588,9 +555,9 @@ USAGE:
 
     smt-cli bench [flags]
         Time the fixed throughput scenario matrix (1T/2T/4T single-core cells,
-        ILP/MLP mixes, ICOUNT + MLP-aware flush, plus a 2-core chip, an
-        adaptive, a sampled and a trace-ingestion cell) and append a dated
-        entry to the BENCH_throughput.json trajectory.
+        ILP/MLP mixes, ICOUNT + MLP-aware flush, plus a 2-core chip, a
+        sampled and a trace-ingestion cell) and append a dated entry to the
+        BENCH_throughput.json trajectory.
 
     smt-cli checkpoint save <bench1,bench2,...> --out <path> [flags]
         Functionally fast-forward a workload's warm-up prefix and write the
@@ -625,8 +592,6 @@ RUN FLAGS:
     --per-group <n>     Keep at most n workloads per ILP/MLP/MIX group
     --limit <n>         Keep at most the first n workloads
     --cores <n>         Override a chip spec's core count
-    --selector <s>      Restrict an adaptive spec to one selector
-    --interval <n>      Override an adaptive spec's interval length (cycles)
     --threads <n>       Engine worker threads (default: all cores)
     --serial            Same as --threads 1
     --out <path>        Also write the report to a file (.json/.toml/.txt)
@@ -655,13 +620,13 @@ TRACE RECORD FLAGS:
 EXIT CODES (run):
     0   every cell completed
     3   degraded: some cells failed, partial report written
-    1   total failure (no cells completed, or the run could not start)
-    2   command-line or spec parse error
+    1   total failure (no cells completed, or the run could not start,
+        including a spec file that does not parse or validate)
+    2   command-line parse error
 
 EXAMPLES:
     smt-cli run fig09_two_thread_policies --scale test --out /tmp/r.json
     smt-cli run chip_2c2t_allocation_matrix --scale tiny --limit 1
-    smt-cli run adaptive_4t --scale test --selector sampling --interval 256
     smt-cli describe fig09_two_thread_policies > my_experiment.toml
     smt-cli run my_experiment.toml --threads 8
     smt-cli bench --out BENCH_throughput.json
@@ -797,25 +762,6 @@ mod tests {
         };
         assert_eq!(run.cores, Some(4));
         assert!(parse_err(&["run", "x", "--cores", "0"]).contains("at least 1"));
-    }
-
-    #[test]
-    fn selector_and_interval_flags_parse_and_validate() {
-        let Command::Run(run) = parse_ok(&[
-            "run",
-            "adaptive_2t",
-            "--selector",
-            "mlp-threshold",
-            "--interval",
-            "256",
-        ]) else {
-            panic!("expected run");
-        };
-        assert_eq!(run.selector, Some(SelectorKind::MlpThreshold));
-        assert_eq!(run.interval, Some(256));
-        assert!(parse_err(&["run", "x", "--selector", "oracle"]).contains("sampling"));
-        assert!(parse_err(&["run", "x", "--interval", "0"]).contains("at least 1"));
-        assert!(parse_err(&["run", "x", "--interval", "soon"]).contains("invalid interval"));
     }
 
     #[test]

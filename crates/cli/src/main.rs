@@ -12,7 +12,7 @@
 //!
 //! `run` reports partial results instead of dying with the first cell: exit
 //! code 0 means every cell completed, 3 means a degraded (partial) report,
-//! and 1 means total failure. Parse errors stay on exit code 2.
+//! and 1 means total failure. Command-line parse errors stay on exit code 2.
 
 mod args;
 
@@ -430,22 +430,6 @@ fn execute(run: RunArgs) -> Result<ExitCode, String> {
             }
         }
     }
-    if run.selector.is_some() || run.interval.is_some() {
-        let Some(adaptive) = spec.adaptive.as_mut() else {
-            return Err(format!(
-                "`--selector`/`--interval` only apply to adaptive_grid specs; `{}` is a `{}` \
-                 experiment",
-                spec.name,
-                spec.kind.name()
-            ));
-        };
-        if let Some(selector) = run.selector {
-            adaptive.selectors = vec![selector];
-        }
-        if let Some(interval) = run.interval {
-            adaptive.interval_cycles = Some(interval);
-        }
-    }
     if run.sampled && spec.sampling.is_none() {
         spec.sampling = Some(SamplingSpec::default());
     }
@@ -472,25 +456,16 @@ fn execute(run: RunArgs) -> Result<ExitCode, String> {
         policy.fault_plan = Some(load_fault_plan(path)?);
     }
 
-    // The first banner axis is whatever the grid actually fans out over:
-    // selector x candidate-set for adaptive grids, policies otherwise.
-    let cell_axis = match &spec.adaptive {
-        Some(adaptive) => format!(
-            "{} selectors x {} candidate sets",
-            adaptive.selectors.len(),
-            adaptive.candidate_sets.len()
-        ),
-        None => format!("{} policies", spec.policies.len().max(1)),
-    };
     let mode = if spec.sampling.is_some() {
         " (sampled)"
     } else {
         ""
     };
     eprintln!(
-        "running `{}`{mode}: {cell_axis} x {} workloads x {} sweep points at {} \
+        "running `{}`{mode}: {} policies x {} workloads x {} sweep points at {} \
          instructions/thread on {} threads...",
         spec.name,
+        spec.policies.len().max(1),
         spec.workloads.len(),
         spec.sweep_points().len(),
         spec.scale.instructions_per_thread,

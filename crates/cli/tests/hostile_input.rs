@@ -65,13 +65,42 @@ fn chip_spec_with_retired_chip_threads_fails_naming_the_field() {
     assert!(stderr.contains("serially"), "{stderr}");
 }
 
+/// Specs written for the removed adaptive policy selection fail loudly: the
+/// `adaptive_grid` kind no longer parses, and an `[adaptive]` table is a
+/// validation error naming it (both load errors, exit 1), never ignored.
+#[test]
+fn adaptive_specs_fail_naming_the_retired_parts() {
+    let describe = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+        .args(["describe", "fig09_two_thread_policies"])
+        .output()
+        .expect("smt-cli runs");
+    assert!(describe.status.success());
+    let spec = String::from_utf8(describe.stdout).expect("utf-8 spec");
+
+    let kind = spec.replace("kind = \"policy_grid\"", "kind = \"adaptive_grid\"");
+    assert_ne!(kind, spec, "describe output names its kind");
+    let (code, stderr) = run_on(&["run"], "adaptive-kind.toml", &kind);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown experiment kind `adaptive_grid`"),
+        "{stderr}"
+    );
+
+    let table = format!("{spec}\n[adaptive]\nselectors = [\"sampling\"]\n");
+    let (code, stderr) = run_on(&["run"], "adaptive-table.toml", &table);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("adaptive: retired"), "{stderr}");
+}
+
 /// Retired flags are unknown arguments (exit 2), not silently ignored:
-/// `--chip-threads` everywhere, and the `bench` flags that reshaped the
-/// fixed scenario matrix.
+/// `--chip-threads` everywhere, the adaptive `run` flags, and the `bench`
+/// flags that reshaped the fixed scenario matrix.
 #[test]
 fn chip_threads_flag_is_an_unknown_argument() {
     for args in [
         &["run", "chip_2c2t_allocation_matrix", "--chip-threads", "2"][..],
+        &["run", "fig09_two_thread_policies", "--selector", "sampling"],
+        &["run", "fig09_two_thread_policies", "--interval", "256"],
         &["bench", "--chip-threads", "2"],
         &["bench", "--cores", "4"],
         &["bench", "--selector", "sampling"],

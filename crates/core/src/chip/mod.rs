@@ -30,8 +30,7 @@
 use smt_fetch::{build_policy, FetchPolicy};
 use smt_mem::SharedLlc;
 use smt_trace::TraceSource;
-use smt_types::config::FetchPolicyKind;
-use smt_types::{AdaptiveConfig, ChipConfig, ChipStats, MachineStats, SimError};
+use smt_types::{ChipConfig, ChipStats, MachineStats, SimError};
 
 use crate::pipeline::{Core, SimOptions};
 
@@ -157,40 +156,6 @@ impl ChipSimulator {
             cycle: 0,
             wake,
         })
-    }
-
-    /// Builds a chip whose cores are driven by the adaptive policy engine:
-    /// every core gets its *own* selector instance (selectors keep state) and
-    /// starts on `adaptive.candidates[0]`, overriding the fetch policy named
-    /// in `config.core`. Cores then switch policies independently, each on
-    /// its own interval telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ChipSimulator::new`], plus [`SimError::InvalidConfig`] for
-    /// an invalid adaptive configuration.
-    pub fn new_adaptive(
-        config: ChipConfig,
-        traces_per_core: Vec<Vec<Box<dyn TraceSource>>>,
-        adaptive: AdaptiveConfig,
-    ) -> Result<Self, SimError> {
-        adaptive.validate()?;
-        let mut sim = Self::new(config, traces_per_core)?;
-        for core in &mut sim.cores {
-            core.set_adaptive(adaptive.clone())?;
-        }
-        Ok(sim)
-    }
-
-    /// Fraction of completed intervals each policy was installed for on one
-    /// core (see [`Core::policy_residency`]); `None` when the chip is not
-    /// adaptive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn policy_residency(&self, core: usize) -> Option<Vec<(FetchPolicyKind, f64)>> {
-        self.cores[core].policy_residency()
     }
 
     /// The chip configuration the simulator was built with.
@@ -387,6 +352,7 @@ impl ChipSimulator {
 mod tests {
     use super::*;
     use crate::runner::{build_trace, RunScale};
+    use smt_types::config::FetchPolicyKind;
 
     fn chip_traces(assignments: &[&[&str]], scale: RunScale) -> Vec<Vec<Box<dyn TraceSource>>> {
         assignments
@@ -424,8 +390,7 @@ mod tests {
     fn chip_runs_are_reproducible() {
         let scale = RunScale::tiny();
         let run = || {
-            let chip = ChipConfig::baseline(2, 2)
-                .with_policy(smt_types::config::FetchPolicyKind::MlpFlush);
+            let chip = ChipConfig::baseline(2, 2).with_policy(FetchPolicyKind::MlpFlush);
             let mut sim = ChipSimulator::new(
                 chip,
                 chip_traces(&[&["mcf", "swim"], &["gcc", "twolf"]], scale),
@@ -444,12 +409,19 @@ mod tests {
         assert!(err.is_err());
     }
 
-    /// Steps `build()` canonically and a twin with the core order reversed
-    /// every cycle for 6,000 cycles, asserts their statistics are
-    /// bit-for-bit identical, and returns both.
-    fn step_canonical_and_reversed(
-        build: impl Fn() -> ChipSimulator,
-    ) -> (ChipSimulator, ChipSimulator) {
+    #[test]
+    fn chip_results_are_invariant_to_core_iteration_order() {
+        // Each core steps directly against the one shared LLC, one after the
+        // other; the chip arbitration discipline (cycle-stamped LRU, fills
+        // held until the end of the cycle, cycle-start-frozen bus
+        // congestion, per-requester MSHRs, per-core-disjoint address spaces)
+        // hides every core's same-cycle requests from the others.
+        let scale = RunScale::tiny();
+        let build = || {
+            let config = ChipConfig::baseline(2, 2).with_policy(FetchPolicyKind::MlpFlush);
+            let traces = chip_traces(&[&["mcf", "gcc"], &["swim", "twolf"]], scale);
+            ChipSimulator::new(config, traces).expect("chip builds")
+        };
         let mut canonical = build();
         let mut reversed = build();
         for _ in 0..6_000 {
@@ -461,61 +433,10 @@ mod tests {
             reversed.chip_stats(),
             "core stepping order leaked into chip results"
         );
-        (canonical, reversed)
-    }
-
-    #[test]
-    fn chip_results_are_invariant_to_core_iteration_order() {
-        // Each core steps directly against the one shared LLC, one after the
-        // other; the chip arbitration discipline (cycle-stamped LRU, fills
-        // held until the end of the cycle, cycle-start-frozen bus
-        // congestion, per-requester MSHRs, per-core-disjoint address spaces)
-        // hides every core's same-cycle requests from the others.
-        let scale = RunScale::tiny();
-        let (canonical, _) = step_canonical_and_reversed(|| {
-            let config = ChipConfig::baseline(2, 2).with_policy(FetchPolicyKind::MlpFlush);
-            let traces = chip_traces(&[&["mcf", "gcc"], &["swim", "twolf"]], scale);
-            ChipSimulator::new(config, traces).expect("chip builds")
-        });
         let committed = canonical.chip_stats().total_committed();
         assert!(
             committed > 1_000,
             "run too short to be meaningful: {committed}"
         );
-    }
-
-    #[test]
-    fn adaptive_chip_is_invariant_to_core_stepping_order() {
-        // Dynamic selection decisions are core-local functions of core-local
-        // telemetry, so even with every core switching policies at interval
-        // boundaries, chip results must not depend on the order cores step
-        // within a cycle.
-        let scale = RunScale::tiny();
-        let adaptive = AdaptiveConfig::new(
-            smt_types::SelectorKind::Sampling,
-            vec![FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush],
-        )
-        .with_interval_cycles(256);
-        let (canonical, reversed) = step_canonical_and_reversed(|| {
-            let traces = chip_traces(&[&["mcf", "gcc"], &["swim", "twolf"]], scale);
-            ChipSimulator::new_adaptive(ChipConfig::baseline(2, 2), traces, adaptive.clone())
-                .expect("adaptive chip builds")
-        });
-        for core in 0..2 {
-            assert_eq!(
-                canonical.policy_residency(core),
-                reversed.policy_residency(core),
-                "core stepping order leaked into core {core}'s policy residency"
-            );
-        }
-        // The run was long enough for dynamic selection to actually happen.
-        let switched = (0..2).any(|core| {
-            canonical
-                .policy_residency(core)
-                .expect("adaptive chip reports residency")
-                .len()
-                > 1
-        });
-        assert!(switched, "no core ever switched policy; test is vacuous");
     }
 }

@@ -1,9 +1,9 @@
 //! Resilient parallel execution engine for [`ExperimentSpec`]s.
 //!
 //! The engine expands a spec into one plan of independent cells — sweep
-//! point × (policy | selector + candidate set) × optional allocation ×
-//! workload for every grid kind, whether exact or sampled, machine or chip,
-//! static or adaptive; one benchmark per cell for single-thread kinds. It
+//! point × policy × optional allocation × workload for every grid kind,
+//! whether exact or sampled, machine or chip; one benchmark per cell for
+//! single-thread kinds. It
 //! runs the cells across OS threads through [`evaluate_cell`] with a shared
 //! [`StReferenceCache`] (each single-threaded reference curve is simulated
 //! exactly once, no matter how many cells need it) and [`CheckpointCache`],
@@ -32,16 +32,15 @@ use std::time::Instant; // analyze: allow(determinism) reason="harness-side wall
 
 use smt_resil::FaultInjector;
 use smt_sched::AllocationPolicyKind;
+use smt_types::config::FetchPolicyKind;
 use smt_types::{CellError, CellOutcome, RunHealth, SamplingConfig, SimError, SmtConfig};
 
 use crate::experiments::characterization;
-use crate::experiments::report::{
-    empty_report, first_seen, BenchRow, CheckpointSummary, ExperimentReport,
-};
+use crate::experiments::report::{empty_report, BenchRow, CheckpointSummary, ExperimentReport};
 use crate::experiments::spec::{ExperimentKind, ExperimentSpec};
 use crate::runner::{
-    evaluate_cell, mlp_intensity, run_single_thread, CellMachine, CellPolicy, CellSpec,
-    CheckpointCache, RunScale, StReferenceCache,
+    evaluate_cell, mlp_intensity, run_single_thread, CellMachine, CellSpec, CheckpointCache,
+    RunScale, StReferenceCache,
 };
 use crate::workloads::Workload;
 
@@ -451,14 +450,13 @@ fn fold<T, R>(
 /// One planned grid cell; `workload` indexes [`CellPlan::workloads`].
 struct PlannedCell {
     point: Option<u64>,
-    policy: CellPolicy,
+    policy: FetchPolicyKind,
     allocation: Option<AllocationPolicyKind>,
     workload: usize,
 }
 
-/// A validated grid spec expanded into its cells: sweep point × (policy |
-/// selector + candidate set) × optional allocation × workload, nested in
-/// that order, so cell indices (and fault-plan targets) follow the spec's
+/// A validated grid spec expanded into its cells: sweep point × policy ×
+/// optional allocation × workload, nested in that order, so cell indices (and fault-plan targets) follow the spec's
 /// declaration order.
 struct CellPlan<'a> {
     spec: &'a ExperimentSpec,
@@ -481,23 +479,6 @@ impl<'a> CellPlan<'a> {
             .iter()
             .map(|benchmarks| Workload::new(benchmarks.clone()))
             .collect::<Result<_, _>>()?;
-        let policies: Vec<CellPolicy> = match &spec.adaptive {
-            Some(adaptive) => adaptive
-                .selectors
-                .iter()
-                .flat_map(|&selector| {
-                    adaptive.candidate_sets.iter().map(move |candidates| {
-                        CellPolicy::Adaptive(adaptive.config_for(selector, candidates))
-                    })
-                })
-                .collect(),
-            None => spec
-                .policies
-                .iter()
-                .copied()
-                .map(CellPolicy::Static)
-                .collect(),
-        };
         let allocations: Vec<Option<AllocationPolicyKind>> = match &spec.chip {
             Some(chip) => chip.allocations.iter().copied().map(Some).collect(),
             None => vec![None],
@@ -516,12 +497,12 @@ impl<'a> CellPlan<'a> {
         }
         let mut cells = Vec::new();
         for point in spec.sweep_points() {
-            for policy in &policies {
+            for &policy in &spec.policies {
                 for &allocation in &allocations {
                     for workload in 0..workloads.len() {
                         cells.push(PlannedCell {
                             point,
-                            policy: policy.clone(),
+                            policy,
                             allocation,
                             workload,
                         });
@@ -557,28 +538,17 @@ impl<'a> CellPlan<'a> {
         CellSpec {
             workload,
             parameter: cell.point,
-            policy: cell.policy.clone(),
+            policy: cell.policy,
             machine,
             sampling: self.sampling,
             scale: self.spec.scale,
         }
     }
 
-    /// `[point/]policy/[allocation/]workload`, where an adaptive policy
-    /// reads `selector/candidate+candidate`.
+    /// `[point/]policy/[allocation/]workload`.
     fn label(&self, cell: &PlannedCell) -> String {
         let mut label = cell.point.map(|p| format!("{p}/")).unwrap_or_default();
-        match &cell.policy {
-            CellPolicy::Static(policy) => label.push_str(policy.name()),
-            CellPolicy::Adaptive(adaptive) => {
-                let candidates: Vec<&str> = adaptive.candidates.iter().map(|c| c.name()).collect();
-                label.push_str(&format!(
-                    "{}/{}",
-                    adaptive.selector.name(),
-                    candidates.join("+")
-                ));
-            }
-        }
+        label.push_str(cell.policy.name());
         if let Some(allocation) = cell.allocation {
             label.push_str(&format!("/{}", allocation.name()));
         }
@@ -647,13 +617,8 @@ pub fn run_spec_with_policy(
             evaluate_cell(&plan.cell_spec(cell), &cache, &checkpoints)
         });
         let (cells, outcomes) = fold(&plan.cells, runs, |cell| plan.label(cell));
-        // An adaptive report's `policy` axis is each candidate set's initial
-        // policy, in first-seen order.
-        let policies = match spec.adaptive {
-            Some(_) => first_seen(cells.iter().map(|cell| cell.policy)),
-            None => spec.policies.clone(),
-        };
-        report.summaries = ExperimentReport::summarize(&cells, &policies, &spec.sweep_points());
+        report.summaries =
+            ExperimentReport::summarize(&cells, &spec.policies, &spec.sweep_points());
         report.policy_cells = cells;
         outcomes
     };
@@ -741,7 +706,7 @@ fn bench_row(kind: ExperimentKind, benchmark: &str, scale: RunScale) -> Result<B
                 ..BenchRow::default()
             })
         }
-        ExperimentKind::PolicyGrid | ExperimentKind::ChipGrid | ExperimentKind::AdaptiveGrid => {
+        ExperimentKind::PolicyGrid | ExperimentKind::ChipGrid => {
             Err(SimError::internal("policy grids do not produce bench rows"))
         }
     }
@@ -752,7 +717,6 @@ mod tests {
     use super::*;
     use crate::experiments::spec::{SamplingSpec, SweepParameter, SweepSpec};
     use smt_resil::{FaultAction, FaultPlan, FaultSpec};
-    use smt_types::config::FetchPolicyKind;
     use smt_types::{CellErrorKind, RunHealthStatus};
 
     fn tiny_grid_spec() -> ExperimentSpec {

@@ -20,8 +20,8 @@ pub use engine::{run_spec, run_spec_with_policy, run_spec_with_threads, RunPolic
 pub use registry::{ExperimentRegistry, ALTERNATIVE_POLICIES};
 pub use report::{BenchRow, ExperimentReport, PolicyCell, SummaryRow};
 pub use spec::{
-    AdaptiveSpec, ChipSpec, ConfigOverrides, ExperimentKind, ExperimentSpec, ResilienceSpec,
-    SamplingSpec, SweepParameter, SweepSpec,
+    ChipSpec, ConfigOverrides, ExperimentKind, ExperimentSpec, ResilienceSpec, SamplingSpec,
+    SweepParameter, SweepSpec,
 };
 
 // Figure-level checks run end to end through the registry specs: the policy

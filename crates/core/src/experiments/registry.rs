@@ -8,11 +8,10 @@
 
 use smt_sched::AllocationPolicyKind;
 use smt_trace::spec as trace_spec;
-use smt_types::adaptive::SelectorKind;
 use smt_types::config::FetchPolicyKind;
 
 use crate::experiments::spec::{
-    AdaptiveSpec, ChipSpec, ExperimentKind, ExperimentSpec, SamplingSpec, SweepParameter, SweepSpec,
+    ChipSpec, ExperimentKind, ExperimentSpec, SamplingSpec, SweepParameter, SweepSpec,
 };
 use crate::runner::RunScale;
 use crate::workloads::{
@@ -179,38 +178,6 @@ impl ExperimentRegistry {
                     vec_of(&["mcf", "galgel", "vortex", "gcc"]),
                 ],
             ),
-            adaptive_grid(
-                "adaptive_2t",
-                "Policy selector x candidate-set matrix over representative two-thread workloads: static baselines versus sampling and MLP-threshold dynamic selection",
-                workload_names(&representative_two_thread_workloads()),
-                None,
-            ),
-            adaptive_grid(
-                "adaptive_4t",
-                "Policy selector x candidate-set matrix over mixed ILP/MLP four-thread workloads, where phasic behaviour gives dynamic selection room to beat every static policy",
-                vec![
-                    vec_of(&["mcf", "swim", "perlbmk", "mesa"]),
-                    vec_of(&["swim", "perlbmk", "galgel", "twolf"]),
-                    vec_of(&["equake", "perlbmk", "applu", "vortex"]),
-                    vec_of(&["gzip", "wupwise", "apsi", "twolf"]),
-                ],
-                None,
-            ),
-            adaptive_grid(
-                "chip_2c2t_adaptive",
-                "Per-core dynamic policy selection on a 2-core x 2-thread chip with a shared LLC and contended bus: each core switches policies on its own interval telemetry",
-                vec![
-                    vec_of(&["mcf", "swim", "perlbmk", "mesa"]),
-                    vec_of(&["mcf", "galgel", "vortex", "gcc"]),
-                ],
-                Some(ChipSpec {
-                    num_cores: 2,
-                    allocations: vec![AllocationPolicyKind::RoundRobin],
-                    bus_bytes_per_cycle: 16,
-                    shared_llc: None,
-                chip_threads: None,
-                }),
-            ),
             grid(
                 "trace_2t_replay",
                 "ICOUNT versus MLP-aware flush on a two-thread workload replayed from the \
@@ -296,44 +263,6 @@ fn chip_grid(
             chip_threads: None,
         }),
         adaptive: None,
-        resilience: None,
-        sampling: None,
-        scale: RunScale::standard(),
-    }
-}
-
-/// An adaptive-engine selector x candidate-set matrix. Both orderings of the
-/// ICOUNT / MLP-aware-flush pair are present, so under the `static` selector
-/// the grid contains both static baselines and the dynamic selectors can be
-/// compared against the best of them inside one report.
-fn adaptive_grid(
-    name: &str,
-    title: &str,
-    workloads: Vec<Vec<String>>,
-    chip: Option<ChipSpec>,
-) -> ExperimentSpec {
-    ExperimentSpec {
-        name: name.to_string(),
-        title: title.to_string(),
-        paper_ref: String::new(),
-        kind: ExperimentKind::AdaptiveGrid,
-        policies: Vec::new(),
-        workloads,
-        sweep: None,
-        overrides: None,
-        chip,
-        adaptive: Some(AdaptiveSpec {
-            selectors: SelectorKind::ALL.to_vec(),
-            candidate_sets: vec![
-                vec![FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush],
-                vec![FetchPolicyKind::MlpFlush, FetchPolicyKind::Icount],
-            ],
-            interval_cycles: None,
-            sample_intervals: None,
-            commit_intervals: None,
-            lll_per_kinst_threshold: None,
-            mlp_threshold: None,
-        }),
         resilience: None,
         sampling: None,
         scale: RunScale::standard(),

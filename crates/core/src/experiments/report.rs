@@ -7,7 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 use smt_sched::AllocationPolicyKind;
-use smt_types::adaptive::{PolicyResidency, SelectorKind};
 use smt_types::config::FetchPolicyKind;
 use smt_types::{CellOutcome, MetricEstimate, RunHealth, SimError};
 
@@ -48,14 +47,6 @@ pub struct PolicyCell {
     pub per_core_ipc: Option<Vec<f64>>,
     /// Chip cells: each core's contribution to the cell STP.
     pub per_core_stp: Option<Vec<f64>>,
-    /// Adaptive cells: the policy selector evaluated (`policy` then names
-    /// the *initial* policy, `candidates[0]`).
-    pub selector: Option<SelectorKind>,
-    /// Adaptive cells: the candidate policy set evaluated.
-    pub candidates: Option<Vec<FetchPolicyKind>>,
-    /// Adaptive cells: fraction of completed intervals each policy was
-    /// active.
-    pub policy_residency: Option<Vec<PolicyResidency>>,
     /// Sampled cells: the statistical pedigree of the estimates. `None` for
     /// exact (full-detail) cells; when present, `stp`/`antt` and the IPC
     /// columns above carry the estimate means.
@@ -104,10 +95,6 @@ pub struct SummaryRow {
     pub parameter: Option<u64>,
     /// Chip grids: the thread-to-core allocation policy aggregated.
     pub allocation: Option<AllocationPolicyKind>,
-    /// Adaptive grids: the policy selector aggregated.
-    pub selector: Option<SelectorKind>,
-    /// Adaptive grids: the candidate policy set aggregated.
-    pub candidates: Option<Vec<FetchPolicyKind>>,
     /// Number of workloads aggregated.
     pub workloads: u64,
     /// Harmonic-mean STP (higher is better).
@@ -198,45 +185,37 @@ impl ExperimentReport {
         // Always emit the all-workloads aggregate (`group: None`) so
         // consumers can rely on its presence.
         groups.push(None);
-        // Chip grids add an allocation axis and adaptive grids a (selector,
-        // candidate-set) axis; classic grids have the single `None` value of
-        // each, keeping their summary rows unchanged.
+        // Chip grids add an allocation axis; classic grids have its single
+        // `None` value, keeping their summary rows unchanged.
         let allocations = first_seen(cells.iter().map(|c| c.allocation));
-        let selectors = first_seen(cells.iter().map(|c| (c.selector, c.candidates.clone())));
         let mut rows = Vec::new();
         for &parameter in parameters {
             for &policy in policies {
                 for &allocation in &allocations {
-                    for (selector, candidates) in &selectors {
-                        for group in &groups {
-                            let slice: Vec<&PolicyCell> = cells
-                                .iter()
-                                .filter(|c| {
-                                    c.parameter == parameter
-                                        && c.policy == policy
-                                        && c.allocation == allocation
-                                        && c.selector == *selector
-                                        && c.candidates == *candidates
-                                        && group.as_deref().is_none_or(|g| c.group == g)
-                                })
-                                .collect();
-                            if slice.is_empty() {
-                                continue;
-                            }
-                            let stps: Vec<f64> = slice.iter().map(|c| c.stp).collect();
-                            let antts: Vec<f64> = slice.iter().map(|c| c.antt).collect();
-                            rows.push(SummaryRow {
-                                policy,
-                                group: group.clone(),
-                                parameter,
-                                allocation,
-                                selector: *selector,
-                                candidates: candidates.clone(),
-                                workloads: slice.len() as u64,
-                                avg_stp: metrics::harmonic_mean(&stps),
-                                avg_antt: metrics::arithmetic_mean(&antts),
-                            });
+                    for group in &groups {
+                        let slice: Vec<&PolicyCell> = cells
+                            .iter()
+                            .filter(|c| {
+                                c.parameter == parameter
+                                    && c.policy == policy
+                                    && c.allocation == allocation
+                                    && group.as_deref().is_none_or(|g| c.group == g)
+                            })
+                            .collect();
+                        if slice.is_empty() {
+                            continue;
                         }
+                        let stps: Vec<f64> = slice.iter().map(|c| c.stp).collect();
+                        let antts: Vec<f64> = slice.iter().map(|c| c.antt).collect();
+                        rows.push(SummaryRow {
+                            policy,
+                            group: group.clone(),
+                            parameter,
+                            allocation,
+                            workloads: slice.len() as u64,
+                            avg_stp: metrics::harmonic_mean(&stps),
+                            avg_antt: metrics::arithmetic_mean(&antts),
+                        });
                     }
                 }
             }
@@ -324,17 +303,10 @@ impl ExperimentReport {
         // pre-rendered string.
         let chip_report = self.summaries.iter().any(|r| r.allocation.is_some())
             || self.policy_cells.iter().any(|c| c.allocation.is_some());
-        let adaptive_report = self.summaries.iter().any(|r| r.selector.is_some())
-            || self.policy_cells.iter().any(|c| c.selector.is_some());
         if !self.summaries.is_empty() {
             let alloc_header = if chip_report { "allocation    " } else { "" };
-            let selector_header = if adaptive_report {
-                "selector       "
-            } else {
-                ""
-            };
             out.push_str(&format!(
-                "\nsweep  group  policy                      {selector_header}{alloc_header}STP      ANTT  workloads\n"
+                "\nsweep  group  policy                      {alloc_header}STP      ANTT  workloads\n"
             ));
             for row in &self.summaries {
                 let alloc_col = if chip_report {
@@ -342,13 +314,8 @@ impl ExperimentReport {
                 } else {
                     String::new()
                 };
-                let selector_col = if adaptive_report {
-                    format!("{:<13}  ", row.selector.map_or("-", |s| s.name()))
-                } else {
-                    String::new()
-                };
                 out.push_str(&format!(
-                    "{:>5}  {:<5}  {:<26} {selector_col}{alloc_col}{:>6.3}  {:>8.3}  {:>9}\n",
+                    "{:>5}  {:<5}  {:<26} {alloc_col}{:>6.3}  {:>8.3}  {:>9}\n",
                     row.parameter
                         .map_or_else(|| "-".to_string(), |p| p.to_string()),
                     row.group.as_deref().unwrap_or("all"),
@@ -365,13 +332,8 @@ impl ExperimentReport {
             } else {
                 ("workload            ", "per-thread IPC")
             };
-            let selector_header = if adaptive_report {
-                "selector       "
-            } else {
-                ""
-            };
             out.push_str(&format!(
-                "\nsweep  group  policy                      {selector_header}{mid_header} {:>6}  {:>8}  {ipc_header}\n",
+                "\nsweep  group  policy                      {mid_header} {:>6}  {:>8}  {ipc_header}\n",
                 "STP", "ANTT"
             ));
             for cell in &self.policy_cells {
@@ -404,24 +366,6 @@ impl ExperimentReport {
                         .collect();
                     (format!("{:<20}", cell.workload), ipcs)
                 };
-                let selector_col = if adaptive_report {
-                    format!("{:<13}  ", cell.selector.map_or("-", |s| s.name()))
-                } else {
-                    String::new()
-                };
-                // Adaptive cells append their per-policy interval residency.
-                let residency = cell
-                    .policy_residency
-                    .as_deref()
-                    .filter(|r| !r.is_empty())
-                    .map(|records| {
-                        let parts: Vec<String> = records
-                            .iter()
-                            .map(|r| format!("{} {:.0}%", r.policy.name(), r.fraction * 100.0))
-                            .collect();
-                        format!("  [{}]", parts.join(" | "))
-                    })
-                    .unwrap_or_default();
                 // Sampled cells append their statistical pedigree.
                 let sampled = cell
                     .sampled
@@ -429,7 +373,7 @@ impl ExperimentReport {
                     .map(|s| format!("  [{} windows, STP ±{:.3}]", s.windows, s.stp.ci95))
                     .unwrap_or_default();
                 out.push_str(&format!(
-                    "{:>5}  {:<5}  {:<26} {selector_col}{mid} {:>6.3}  {:>8.3}  {}{residency}{sampled}\n",
+                    "{:>5}  {:<5}  {:<26} {mid} {:>6.3}  {:>8.3}  {}{sampled}\n",
                     cell.parameter
                         .map_or_else(|| "-".to_string(), |p| p.to_string()),
                     cell.group,
@@ -451,7 +395,7 @@ impl ExperimentReport {
 }
 
 /// The distinct items, in first-seen order.
-pub(crate) fn first_seen<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+fn first_seen<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
     let mut distinct = Vec::new();
     for item in items {
         if !distinct.contains(&item) {
@@ -519,7 +463,7 @@ fn format_bench_rows(kind: ExperimentKind, rows: &[BenchRow]) -> String {
                 ));
             }
         }
-        ExperimentKind::PolicyGrid | ExperimentKind::ChipGrid | ExperimentKind::AdaptiveGrid => {}
+        ExperimentKind::PolicyGrid | ExperimentKind::ChipGrid => {}
     }
     out
 }
@@ -564,9 +508,6 @@ mod tests {
             core_assignments: None,
             per_core_ipc: None,
             per_core_stp: None,
-            selector: None,
-            candidates: None,
-            policy_residency: None,
             sampled: None,
         }
     }

@@ -12,7 +12,6 @@ use serde::{Deserialize, Serialize};
 use smt_resil::FaultPlan;
 use smt_sched::AllocationPolicyKind;
 use smt_trace::spec as trace_spec;
-use smt_types::adaptive::{AdaptiveConfig, SelectorKind};
 use smt_types::config::{BusConfig, CacheConfig, FetchPolicyKind};
 use smt_types::{ChipConfig, SamplingConfig, SimError, SmtConfig};
 
@@ -36,23 +35,17 @@ pub enum ExperimentKind {
     /// STP/ANTT of each (fetch policy × allocation × workload) chip-level run
     /// on a CMP of SMT cores sharing an LLC (requires [`ExperimentSpec::chip`]).
     ChipGrid,
-    /// STP/ANTT of each (selector × candidate-set × workload) run under the
-    /// adaptive policy engine (requires [`ExperimentSpec::adaptive`]; with
-    /// [`ExperimentSpec::chip`] present, the grid runs at chip level and also
-    /// spans the chip's allocation policies).
-    AdaptiveGrid,
 }
 
 impl ExperimentKind {
     /// Every experiment kind.
-    pub const ALL: [ExperimentKind; 7] = [
+    pub const ALL: [ExperimentKind; 6] = [
         ExperimentKind::PolicyGrid,
         ExperimentKind::Characterization,
         ExperimentKind::PredictorAccuracy,
         ExperimentKind::MlpDistanceCdf,
         ExperimentKind::PrefetcherImpact,
         ExperimentKind::ChipGrid,
-        ExperimentKind::AdaptiveGrid,
     ];
 
     /// Machine-readable name used in spec files.
@@ -64,7 +57,6 @@ impl ExperimentKind {
             ExperimentKind::MlpDistanceCdf => "mlp_distance_cdf",
             ExperimentKind::PrefetcherImpact => "prefetcher_impact",
             ExperimentKind::ChipGrid => "chip_grid",
-            ExperimentKind::AdaptiveGrid => "adaptive_grid",
         }
     }
 
@@ -76,10 +68,7 @@ impl ExperimentKind {
     /// Whether this kind runs one benchmark at a time on a single-thread
     /// configuration (no policies, no multiprogram workloads).
     pub fn is_single_thread(self) -> bool {
-        !matches!(
-            self,
-            ExperimentKind::PolicyGrid | ExperimentKind::ChipGrid | ExperimentKind::AdaptiveGrid
-        )
+        !matches!(self, ExperimentKind::PolicyGrid | ExperimentKind::ChipGrid)
     }
 }
 
@@ -221,61 +210,6 @@ pub struct ChipSpec {
     pub chip_threads: Option<usize>,
 }
 
-/// Adaptive-engine parameters of an [`ExperimentKind::AdaptiveGrid`]
-/// experiment.
-///
-/// The grid evaluates every selector × candidate-set combination on every
-/// workload. A `candidate_sets` entry is an ordered policy list: the machine
-/// starts on (and, under the static selector, never leaves) the first
-/// policy, so `[["icount", "mlp-flush"], ["mlp-flush", "icount"]]` with the
-/// `static` selector yields both static baselines inside the same report.
-/// Optional fields default to the [`AdaptiveConfig::new`] geometry.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct AdaptiveSpec {
-    /// Policy selectors to evaluate (the first grid axis).
-    pub selectors: Vec<SelectorKind>,
-    /// Candidate policy sets to evaluate (the second grid axis).
-    pub candidate_sets: Vec<Vec<FetchPolicyKind>>,
-    /// Interval length in cycles between selector evaluations.
-    pub interval_cycles: Option<u64>,
-    /// Sampling selector: intervals per candidate trial.
-    pub sample_intervals: Option<u64>,
-    /// Sampling selector: intervals the epoch winner runs for.
-    pub commit_intervals: Option<u64>,
-    /// MLP-threshold selector: memory-bound LLL/Kinst threshold.
-    pub lll_per_kinst_threshold: Option<f64>,
-    /// MLP-threshold selector: exploitable-MLP threshold.
-    pub mlp_threshold: Option<f64>,
-}
-
-impl AdaptiveSpec {
-    /// Builds the [`AdaptiveConfig`] of one grid cell.
-    pub fn config_for(
-        &self,
-        selector: SelectorKind,
-        candidates: &[FetchPolicyKind],
-    ) -> AdaptiveConfig {
-        let mut config = AdaptiveConfig::new(selector, candidates.to_vec());
-        if let Some(interval) = self.interval_cycles {
-            config.interval_cycles = interval;
-        }
-        if let Some(sample) = self.sample_intervals {
-            config.sample_intervals = sample;
-        }
-        if let Some(commit) = self.commit_intervals {
-            config.commit_intervals = commit;
-        }
-        if let Some(lll) = self.lll_per_kinst_threshold {
-            config.lll_per_kinst_threshold = lll;
-        }
-        if let Some(mlp) = self.mlp_threshold {
-            config.mlp_threshold = mlp;
-        }
-        config
-    }
-}
-
 /// Resilience knobs and test hooks for the fault-tolerant engine: retry
 /// budgets, per-cell deadlines, and the deterministic fault plan the chaos
 /// harness (`smt-resil`) injects. Every field is optional; an absent field
@@ -408,13 +342,14 @@ pub struct ExperimentSpec {
     pub sweep: Option<SweepSpec>,
     /// Optional sparse configuration overrides (policy grids only).
     pub overrides: Option<ConfigOverrides>,
-    /// Chip-level parameters (required for [`ExperimentKind::ChipGrid`];
-    /// optional for [`ExperimentKind::AdaptiveGrid`], lifting that grid to
-    /// chip level).
+    /// Chip-level parameters (required for, and exclusive to,
+    /// [`ExperimentKind::ChipGrid`]).
     pub chip: Option<ChipSpec>,
-    /// Adaptive-engine parameters (required for, and exclusive to,
-    /// [`ExperimentKind::AdaptiveGrid`]).
-    pub adaptive: Option<AdaptiveSpec>,
+    /// Retired: the runtime fetch-policy selectors are gone, because static
+    /// MLP-aware flush beat every selector configuration on every workload.
+    /// Only an absent field validates; any `[adaptive]` table is an error,
+    /// never silently ignored.
+    pub adaptive: Option<serde::Value>,
     /// Resilience knobs and fault-injection hooks (any kind; optional).
     pub resilience: Option<ResilienceSpec>,
     /// Sampled-execution cadence (exclusive to
@@ -538,11 +473,8 @@ impl ExperimentSpec {
         // from them (like the per-workload thread limit), so a degenerate
         // `num_cores` gets its own diagnostic instead of poisoning later
         // arithmetic.
-        let chip_allowed = matches!(
-            self.kind,
-            ExperimentKind::ChipGrid | ExperimentKind::AdaptiveGrid
-        );
-        if self.kind == ExperimentKind::ChipGrid && self.chip.is_none() {
+        let chip_allowed = self.kind == ExperimentKind::ChipGrid;
+        if chip_allowed && self.chip.is_none() {
             return Err(invalid(name, "chip: required for kind `chip_grid`"));
         }
         if let Some(chip) = &self.chip {
@@ -550,8 +482,7 @@ impl ExperimentSpec {
                 return Err(invalid(
                     name,
                     format!(
-                        "chip: only supported for kinds `chip_grid` and `adaptive_grid`, \
-                         not `{}`",
+                        "chip: only supported for kind `chip_grid`, not `{}`",
                         self.kind.name()
                     ),
                 ));
@@ -578,48 +509,11 @@ impl ExperimentSpec {
                 ));
             }
         }
-        if self.kind == ExperimentKind::AdaptiveGrid {
-            let Some(adaptive) = &self.adaptive else {
-                return Err(invalid(name, "adaptive: required for kind `adaptive_grid`"));
-            };
-            if adaptive.selectors.is_empty() {
-                return Err(invalid(name, "adaptive.selectors: must not be empty"));
-            }
-            if adaptive.candidate_sets.is_empty() {
-                return Err(invalid(name, "adaptive.candidate_sets: must not be empty"));
-            }
-            // Every cell's engine configuration must itself be valid.
-            for &selector in &adaptive.selectors {
-                for (i, candidates) in adaptive.candidate_sets.iter().enumerate() {
-                    adaptive
-                        .config_for(selector, candidates)
-                        .validate()
-                        .map_err(|e| {
-                            prefix_error(
-                                name,
-                                &format!(
-                                    "adaptive (selector `{}`, candidate_sets[{i}])",
-                                    selector.name()
-                                ),
-                                e,
-                            )
-                        })?;
-                }
-            }
-            if !self.policies.is_empty() {
-                return Err(invalid(
-                    name,
-                    "policies: must be empty for kind `adaptive_grid` (the candidate sets \
-                     name the policies)",
-                ));
-            }
-        } else if self.adaptive.is_some() {
+        if self.adaptive.is_some() {
             return Err(invalid(
                 name,
-                format!(
-                    "adaptive: only supported for kind `adaptive_grid`, not `{}`",
-                    self.kind.name()
-                ),
+                "adaptive: retired table; runtime policy selection was removed, so \
+                 name the fetch policies in `policies` instead",
             ));
         }
         let threads_limit = match &self.chip {
@@ -712,7 +606,7 @@ impl ExperimentSpec {
                     format!("overrides: not supported for kind `{}`", self.kind.name()),
                 ));
             }
-        } else if self.policies.is_empty() && self.kind != ExperimentKind::AdaptiveGrid {
+        } else if self.policies.is_empty() {
             return Err(invalid(
                 name,
                 "policies: must not be empty for a policy grid",
@@ -1059,6 +953,21 @@ mod tests {
                 }
                 other => panic!("chip_threads = {threads}: expected InvalidConfig, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn retired_adaptive_table_is_rejected_naming_it() {
+        let text = format!(
+            "{}\n[adaptive]\nselectors = [\"sampling\"]\n",
+            toml::to_string(&sample_spec()).unwrap()
+        );
+        let spec: ExperimentSpec = toml::from_str(&text).expect("any table parses");
+        match spec.validate() {
+            Err(SimError::InvalidConfig { reason }) => {
+                assert!(reason.contains("adaptive: retired"), "{reason}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
 

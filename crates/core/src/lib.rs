@@ -57,5 +57,5 @@ pub use pipeline::checkpoint::{SimCheckpoint, ThreadCheckpoint};
 pub use pipeline::sampling::SampledRun;
 pub use pipeline::{Core, SimOptions, SmtSimulator};
 pub use runner::{
-    evaluate_cell, CellMachine, CellPolicy, CellSpec, CheckpointCache, RunScale, StReferenceCache,
+    evaluate_cell, CellMachine, CellSpec, CheckpointCache, RunScale, StReferenceCache,
 };

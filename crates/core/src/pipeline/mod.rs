@@ -29,11 +29,8 @@
 //! * [`dispatch_phase`](self) — shared-buffer allocation and resource stalls,
 //! * [`fetch_phase`](self) — policy-prioritized instruction fetch,
 //! * `squash` — branch/flush recovery, `stats` — per-cycle accounting,
-//! * `skip` — next-event cycle skipping over quiet cycles,
-//! * [`adaptive`] — the interval-telemetry collector and runtime
-//!   fetch-policy switching ([`Core::swap_policy`]).
+//! * `skip` — next-event cycle skipping over quiet cycles.
 
-pub mod adaptive;
 pub mod checkpoint;
 mod commit_phase;
 mod dispatch_phase;
@@ -52,13 +49,11 @@ use smt_fetch::{FetchPolicy, FlushRequest, ResourceCaps};
 use smt_mem::{CoreMemory, SharedLlc, WriteBuffer};
 use smt_trace::TraceSource;
 use smt_types::{
-    AdaptiveConfig, ChipConfig, MachineStats, SimError, SmtConfig, SmtSnapshot, ThreadId,
-    ThreadSnapshot,
+    ChipConfig, MachineStats, SimError, SmtConfig, SmtSnapshot, ThreadId, ThreadSnapshot,
 };
 
 use crate::chip::ChipSimulator;
 
-use adaptive::AdaptiveState;
 use stats::SharedTotals;
 use thread::ThreadContext;
 use writeback_phase::{CompletionEvent, CompletionQueue};
@@ -125,9 +120,6 @@ pub struct Core {
     completions: CompletionQueue,
     /// The completion events due this cycle (reused scratch).
     due_completions: Vec<CompletionEvent>,
-    /// The adaptive policy engine, when enabled: interval telemetry collector
-    /// plus the selector that picks the next interval's fetch policy.
-    adaptive: Option<AdaptiveState>,
     /// When set, the fetch phase pulls nothing: the sampled loop freezes
     /// fetch to drain in-flight work before a fast-forward phase.
     fetch_frozen: bool,
@@ -206,7 +198,6 @@ impl Core {
             totals: SharedTotals::default(),
             completions: CompletionQueue::default(),
             due_completions: Vec::new(),
-            adaptive: None,
             fetch_frozen: false,
             busy: false,
             gated_mask: 0,
@@ -253,7 +244,6 @@ impl Core {
     pub(crate) fn reset_stats(&mut self) {
         self.stats = MachineStats::new(self.threads.len());
         self.stats_cycle_base = self.cycle;
-        self.reset_adaptive_baselines();
     }
 
     /// Writes the measured cycle count into the statistics record (the owning
@@ -285,11 +275,6 @@ impl Core {
         self.rotate = (self.rotate + 1) % self.threads.len();
         self.snapshot = snapshot;
         self.caps = caps;
-        // The sanctioned policy-swap point: interval telemetry is published
-        // and the selector consulted only here, at end-of-cycle, after every
-        // phase has run — a pure function of core-local state, so chip
-        // results stay invariant to core stepping order.
-        self.adaptive_interval_tick();
         #[cfg(debug_assertions)]
         self.debug_check_totals();
     }
@@ -352,24 +337,6 @@ impl SmtSimulator {
         Ok(SmtSimulator { chip })
     }
 
-    /// Builds a simulator driven by the adaptive policy engine: the machine
-    /// starts on `adaptive.candidates[0]` (overriding `config.fetch_policy`)
-    /// and re-evaluates the selector at every interval boundary.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SmtSimulator::new`], plus [`SimError::InvalidConfig`] for an
-    /// invalid adaptive configuration.
-    pub fn with_adaptive(
-        config: SmtConfig,
-        traces: Vec<Box<dyn TraceSource>>,
-        adaptive: AdaptiveConfig,
-    ) -> Result<Self, SimError> {
-        let config = ChipConfig::single_core(config);
-        let chip = ChipSimulator::new_adaptive(config, vec![traces], adaptive)?;
-        Ok(SmtSimulator { chip })
-    }
-
     /// The configuration the simulator was built with.
     pub fn config(&self) -> &SmtConfig {
         self.core().config()
@@ -395,16 +362,9 @@ impl SmtSimulator {
         self.chip.measured_cycles()
     }
 
-    /// Direct access to the simulator's core (policy swapping, adaptive
-    /// residency).
+    /// Direct access to the simulator's core.
     pub fn core(&self) -> &Core {
         &self.chip.cores[0]
-    }
-
-    /// Replaces the running fetch policy with a freshly built `kind` policy
-    /// (see [`Core::swap_policy`]). Returns whether a swap happened.
-    pub fn swap_policy(&mut self, kind: smt_types::config::FetchPolicyKind) -> bool {
-        self.chip.cores[0].swap_policy(kind) // analyze: allow(swap-point) reason="public passthrough for tests and tooling; the cycle loop swaps only via adaptive_interval_tick"
     }
 
     /// Runs the warm-up phase followed by the measured phase, stopping the

@@ -4,11 +4,11 @@
 //! per-cycle counters the skipped cycles would have incremented.
 //!
 //! A cycle is quiet when it saw no commit, no completion-event pop (stale
-//! events included), no issue, dispatch or fetch, no flush or squash, no
-//! store rejected by a full write buffer and no adaptive interval tick. Each
-//! of those mutation points sets [`Core`]'s activity flag. After a quiet
-//! cycle the machine state is the same at the start of the next cycle, so
-//! that cycle is quiet too unless a time-driven condition comes due:
+//! events included), no issue, dispatch or fetch, no flush or squash, and
+//! no store rejected by a full write buffer. Each of those mutation points
+//! sets [`Core`]'s activity flag. After a quiet cycle the machine state is
+//! the same at the start of the next cycle, so that cycle is quiet too
+//! unless a time-driven condition comes due:
 //!
 //! * the earliest pending completion event: the next occupied bucket of the
 //!   completion wheel, found with one `rotate_right`/`trailing_zeros`, or the
@@ -16,8 +16,7 @@
 //! * the first undispatched front-end op of a thread reaching
 //!   `frontend_ready_at` (an op already past it is blocked by a resource,
 //!   which only activity frees);
-//! * the write buffer emptying, which [`Core::is_drained`] observes;
-//! * the cycle whose end ticks the adaptive interval.
+//! * the write buffer emptying, which [`Core::is_drained`] observes.
 //!
 //! Fetch policies see an identical snapshot in every skipped cycle, and the
 //! [`smt_fetch::FetchPolicy`] contract makes their per-cycle queries
@@ -103,10 +102,6 @@ impl Core {
             if done >= now {
                 next = next.min(done);
             }
-        }
-        if let Some(adaptive) = &self.adaptive {
-            // The tick runs at the end of the cycle before the boundary.
-            next = next.min(adaptive.next_boundary() - 1);
         }
         next.max(now)
     }

@@ -15,7 +15,6 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use serde::{Deserialize, Serialize};
 use smt_sched::{build_allocation_policy, AllocationPolicyKind, ThreadSpec};
 use smt_trace::{spec, FileTraceSource, SyntheticTraceGenerator, TraceSource};
-use smt_types::adaptive::{AdaptiveConfig, PolicyResidency};
 use smt_types::config::FetchPolicyKind;
 use smt_types::{ChipConfig, MachineStats, MetricEstimate, SamplingConfig, SimError, SmtConfig};
 
@@ -231,26 +230,6 @@ fn build_traces(
     benchmarks.iter().map(|b| build_trace(b, scale)).collect()
 }
 
-/// Averages per-core residency fractions into one chip-wide record set
-/// (cores run the same number of intervals, so the unweighted mean is the
-/// interval-weighted one; one core's fractions pass through unchanged).
-fn merge_core_residencies(per_core: Vec<Vec<(FetchPolicyKind, f64)>>) -> Vec<PolicyResidency> {
-    let cores = per_core.len().max(1) as f64;
-    let mut merged: Vec<PolicyResidency> = Vec::new();
-    for core in per_core {
-        for (policy, fraction) in core {
-            match merged.iter_mut().find(|r| r.policy == policy) {
-                Some(r) => r.fraction += fraction / cores,
-                None => merged.push(PolicyResidency {
-                    policy,
-                    fraction: fraction / cores,
-                }),
-            }
-        }
-    }
-    merged
-}
-
 /// A cycles-versus-instructions curve recorded from a single-threaded run.
 #[derive(Clone, Debug)]
 struct StCurve {
@@ -428,17 +407,6 @@ fn record_st_curve(
     })
 }
 
-/// The fetch-policy side of one grid cell.
-#[derive(Clone, Debug)]
-pub enum CellPolicy {
-    /// One fetch policy for the whole run.
-    Static(FetchPolicyKind),
-    /// The adaptive engine, starting on (and reported under) the first
-    /// candidate. STP/ANTT use the same ICOUNT single-thread references as
-    /// static cells, so both kinds of cell of one report are comparable.
-    Adaptive(AdaptiveConfig),
-}
-
 /// The hardware side of one grid cell.
 #[derive(Clone, Debug)]
 pub enum CellMachine {
@@ -466,12 +434,12 @@ pub struct CellSpec<'a> {
     pub workload: &'a Workload,
     /// The sweep value the cell belongs to (copied into the report cell).
     pub parameter: Option<u64>,
-    /// Static policy or adaptive engine.
-    pub policy: CellPolicy,
+    /// The fetch policy every core runs.
+    pub policy: FetchPolicyKind,
     /// One core or a chip.
     pub machine: CellMachine,
     /// Sampled-mode cadence; `None` simulates cycle-accurately end to end.
-    /// Sampled cells run one core under one static policy.
+    /// Sampled cells run one core.
     pub sampling: Option<SamplingConfig>,
     /// Simulation size.
     pub scale: RunScale,
@@ -484,7 +452,7 @@ impl<'a> CellSpec<'a> {
         CellSpec {
             workload,
             parameter: None,
-            policy: CellPolicy::Static(policy),
+            policy,
             machine: CellMachine::Core(SmtConfig::baseline(workload.num_threads())),
             sampling: None,
             scale,
@@ -502,7 +470,7 @@ impl<'a> CellSpec<'a> {
 /// # Errors
 ///
 /// Returns an error for unknown benchmarks, invalid configurations or
-/// placements, a sampled cell that is not one core under one static policy,
+/// placements, a sampled cell that is not one core,
 /// and a deadline error for a run whose simulated-cycle cap expired before
 /// any thread committed its instruction budget (or, sampled, before any
 /// window was measured).
@@ -513,13 +481,7 @@ pub fn evaluate_cell(
 ) -> Result<PolicyCell, SimError> {
     let benchmarks: Vec<&str> = cell.workload.benchmarks.iter().map(AsRef::as_ref).collect();
     let scale = cell.scale;
-    let (policy, adaptive) = match &cell.policy {
-        CellPolicy::Static(policy) => (*policy, None),
-        CellPolicy::Adaptive(adaptive) => match adaptive.candidates.first() {
-            Some(&first) => (first, Some(adaptive)),
-            None => return Err(SimError::invalid_config("adaptive: empty candidate set")),
-        },
-    };
+    let policy = cell.policy;
     let mut out = PolicyCell {
         policy,
         workload: cell.workload.name(),
@@ -535,16 +497,11 @@ pub fn evaluate_cell(
         core_assignments: None,
         per_core_ipc: None,
         per_core_stp: None,
-        selector: adaptive.map(|a| a.selector),
-        candidates: adaptive.map(|a| a.candidates.clone()),
-        policy_residency: None,
         sampled: None,
     };
     if let Some(sampling) = &cell.sampling {
-        let (CellMachine::Core(config), None) = (&cell.machine, adaptive) else {
-            return Err(SimError::invalid_config(
-                "sampled cells run one core under one static policy",
-            ));
+        let CellMachine::Core(config) = &cell.machine else {
+            return Err(SimError::invalid_config("sampled cells run one core"));
         };
         sampled_metrics(
             &mut out,
@@ -581,21 +538,8 @@ pub fn evaluate_cell(
             chip_placement(&benchmarks, intensities, allocation, &chip, scale)?
         }
     };
-    let mut sim = match adaptive {
-        None => ChipSimulator::new(chip.clone().with_policy(policy), traces)?,
-        Some(adaptive) => ChipSimulator::new_adaptive(chip.clone(), traces, adaptive.clone())?,
-    };
+    let mut sim = ChipSimulator::new(chip.clone().with_policy(policy), traces)?;
     let stats = sim.run(scale.sim_options());
-    if adaptive.is_some() {
-        out.policy_residency = Some(merge_core_residencies(
-            (0..stats.num_cores())
-                .map(|core| {
-                    sim.policy_residency(core)
-                        .expect("adaptive chip reports residency")
-                })
-                .collect(),
-        ));
-    }
     // Freed before the reference runs below build their own simulators.
     drop(sim);
     // Per-thread committed counts in workload order.
@@ -1164,7 +1108,7 @@ mod tests {
         let mcf_gcc = workload(&["mcf", "gcc"]);
         let exact_cell = CellSpec::baseline(&mcf_gcc, FetchPolicyKind::Icount, scale);
         let sampled_cell = |policy| CellSpec {
-            policy: CellPolicy::Static(policy),
+            policy,
             sampling: Some(SamplingConfig {
                 skip_instructions: 0,
                 ff_instructions: 9_000,

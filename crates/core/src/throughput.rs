@@ -3,8 +3,7 @@
 //!
 //! The matrix covers 1-, 2- and 4-thread runs over ILP- and MLP-heavy mixes
 //! under the ICOUNT baseline and the paper's MLP-aware flush policy — plus a
-//! chip-level CMP row, an adaptive-engine row, a sampled-execution row and a
-//! trace-ingestion row — so a single `smt-cli bench` run characterizes the
+//! chip-level CMP row, a sampled-execution row and a trace-ingestion row — so a single `smt-cli bench` run characterizes the
 //! hot path for every pipeline shape the experiments exercise. Every row
 //! goes through one timed-repetition loop (best wall time of `runs`
 //! repetitions, which must agree bit for bit). Results serialize
@@ -17,7 +16,6 @@
 use std::time::Instant; // analyze: allow(determinism) reason="wall-clock timing of the benchmark harness itself, not simulated state"
 
 use serde::{Deserialize, Serialize};
-use smt_types::adaptive::{AdaptiveConfig, SelectorKind};
 use smt_types::config::FetchPolicyKind;
 use smt_types::{SimError, SmtConfig};
 
@@ -41,10 +39,16 @@ pub const BASELINE_SCENARIO: &str = "4t_mix_icount";
 
 /// Scenarios that `BENCH_throughput.json` history records but the matrix no
 /// longer runs, each with the reason it was retired.
-pub const RETIRED_SCENARIOS: &[(&str, &str)] = &[(
-    "4c2t_mix_chipthreads",
-    "chip worker pool removed: it ran 10-12x slower than serial chip stepping",
-)];
+pub const RETIRED_SCENARIOS: &[(&str, &str)] = &[
+    (
+        "4c2t_mix_chipthreads",
+        "chip worker pool removed: it ran 10-12x slower than serial chip stepping",
+    ),
+    (
+        "4t_mix_adaptive",
+        "adaptive policy selection removed: static MLP-aware flush beat every selector",
+    ),
+];
 
 /// Instruction-budget multiplier for sampled matrix rows: they run this many
 /// times the exact rows' per-thread budget, so a sampled row's wall-clock
@@ -58,10 +62,6 @@ pub enum ScenarioKind {
     /// A static-policy simulation: the single-core machine, or a chip when
     /// the row has more than one core.
     Exact,
-    /// The adaptive engine: [`SelectorKind::Sampling`] switches at runtime
-    /// between the row's policy and the MLP-aware flush policy, at the
-    /// default interval length.
-    Adaptive,
     /// A sampled run through [`SmtSimulator::run_sampled`] at
     /// [`SAMPLED_BUDGET_MULTIPLIER`] times the exact rows' instruction
     /// budget, timing the fast-forward/measure interleaving.
@@ -81,7 +81,7 @@ pub struct BenchScenario {
     pub name: &'static str,
     /// Benchmarks, one per hardware thread (across all cores, core-major).
     pub benchmarks: &'static [&'static str],
-    /// Fetch policy under test (the *initial* policy for adaptive rows).
+    /// Fetch policy under test.
     pub policy: FetchPolicyKind,
     /// Number of cores: 1 runs the single-core machine, >1 a chip with
     /// `benchmarks.len() / cores` threads per core (round-robin placement by
@@ -108,11 +108,11 @@ const fn row(
 }
 
 /// The fixed scenario matrix: 1T/2T/4T, ILP- and MLP-heavy mixes, ICOUNT
-/// baseline plus the MLP-aware flush policy, then one chip, one adaptive,
-/// one sampled and one trace-ingestion row.
+/// baseline plus the MLP-aware flush policy, then one chip, one sampled and
+/// one trace-ingestion row.
 pub fn scenario_matrix() -> Vec<BenchScenario> {
     use FetchPolicyKind::{Icount, MlpFlush};
-    use ScenarioKind::{Adaptive, Exact, Ingest, Sampled};
+    use ScenarioKind::{Exact, Ingest, Sampled};
     const MIX: &[&str] = &["mcf", "swim", "perlbmk", "mesa"];
     const MLP: &[&str] = &["applu", "galgel", "swim", "mesa"];
     vec![
@@ -137,7 +137,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
         row("4t_mlp_sampled", MLP, MlpFlush, 1, Sampled),
         // The 4-thread mix as a 2-core x 2-thread chip.
         row("2c2t_mix_icount", MIX, Icount, 2, Exact),
-        row("4t_mix_adaptive", MIX, Icount, 1, Adaptive),
         // `.smtt` replay versus synthetic regeneration of the same stream,
         // in ops/sec. No machine is simulated; the row pins the zero-copy
         // reader's headroom over generation (`ingest_speedup`).
@@ -197,9 +196,10 @@ pub struct ScenarioResult {
     pub policy: FetchPolicyKind,
     /// Number of cores (`None` in pre-chip reports means 1).
     pub cores: Option<usize>,
-    /// Adaptive rows: the policy selector used (`None` for static rows and
-    /// pre-adaptive reports).
-    pub selector: Option<SelectorKind>,
+    /// Retired: the policy selector of the adaptive rows in reports written
+    /// while the simulator had runtime policy selection. Read from history,
+    /// never written (`None` in every new row).
+    pub selector: Option<String>,
     /// Retired: worker threads that stepped a chip row's cores in reports
     /// written while chips could step on a worker pool. Read from history,
     /// never written (`None` in every new row).
@@ -504,7 +504,7 @@ fn prepare_sampled(
 }
 
 /// Builds a ready-to-run chip (one core unless the row names more) for an
-/// exact or adaptive row, dealing the benchmark list out over the cores
+/// exact row, dealing the benchmark list out over the cores
 /// core-major.
 fn prepare_chip(
     scenario: &BenchScenario,
@@ -528,19 +528,7 @@ fn prepare_chip(
                 .collect::<Result<Vec<_>, _>>()
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let sim = if scenario.kind == ScenarioKind::Adaptive {
-        // Adaptive rows switch between the row's policy and the MLP-aware
-        // flush policy, timing the interval collector and the swap
-        // machinery alongside the pipeline.
-        let adaptive = AdaptiveConfig::new(
-            SelectorKind::Sampling,
-            vec![scenario.policy, FetchPolicyKind::MlpFlush],
-        );
-        ChipSimulator::new_adaptive(config, traces, adaptive)?
-    } else {
-        ChipSimulator::new(config, traces)?
-    };
-    Ok((sim, scenario_options(opts)))
+    Ok((ChipSimulator::new(config, traces)?, scenario_options(opts)))
 }
 
 /// Runs `f` and returns its value with the wall-clock seconds it took.
@@ -604,7 +592,7 @@ pub fn run_scenario(
         benchmarks: scenario.benchmarks.iter().map(|b| b.to_string()).collect(),
         policy: scenario.policy,
         cores: Some(scenario.cores),
-        selector: (scenario.kind == ScenarioKind::Adaptive).then_some(SelectorKind::Sampling),
+        selector: None,
         chip_threads: None,
         instructions_per_thread: opts.instructions_per_thread,
         simulated_cycles: 0,
@@ -619,7 +607,7 @@ pub fn run_scenario(
         ingest_speedup: None,
     };
     let wall = match scenario.kind {
-        ScenarioKind::Exact | ScenarioKind::Adaptive => {
+        ScenarioKind::Exact => {
             let (stats, wall) = best_of(scenario, runs, || {
                 let (mut sim, options) = prepare_chip(scenario, opts)?;
                 let (stats, wall) = timed(|| sim.run(options));
@@ -884,11 +872,7 @@ mod tests {
             matrix.iter().any(|s| s.cores > 1),
             "matrix must contain a chip row"
         );
-        for kind in [
-            ScenarioKind::Adaptive,
-            ScenarioKind::Sampled,
-            ScenarioKind::Ingest,
-        ] {
+        for kind in [ScenarioKind::Sampled, ScenarioKind::Ingest] {
             assert!(matrix.iter().any(|s| s.kind == kind), "no {kind:?} row");
         }
         let mut names: Vec<_> = matrix.iter().map(|s| s.name).collect();
@@ -1028,7 +1012,7 @@ mod tests {
     }
 
     /// The checked-in trajectory, retired rows and the retired
-    /// `chip_threads` column included, still loads.
+    /// `chip_threads` and `selector` columns included, still loads.
     #[test]
     fn checked_in_trajectory_still_loads() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
@@ -1040,6 +1024,7 @@ mod tests {
             assert!(rows().any(|r| r.name == *name), "{name} not in history");
         }
         assert!(rows().any(|r| r.chip_threads.is_some()));
+        assert!(rows().any(|r| r.selector.is_some()));
     }
 
     #[test]

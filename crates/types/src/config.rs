@@ -220,21 +220,6 @@ impl FetchPolicyKind {
     pub fn from_name(name: &str) -> Option<FetchPolicyKind> {
         Self::ALL.into_iter().find(|p| p.name() == name)
     }
-
-    /// Whether the policy consults the MLP predictor stack (the paper's
-    /// proposed policies and their Section 6.5 alternatives). The adaptive
-    /// engine's threshold selector uses this to tell the MLP-aware candidate
-    /// from the ILP candidate regardless of candidate ordering.
-    pub fn is_mlp_aware(self) -> bool {
-        matches!(
-            self,
-            FetchPolicyKind::MlpStall
-                | FetchPolicyKind::MlpFlush
-                | FetchPolicyKind::MlpBinaryFlush
-                | FetchPolicyKind::MlpDistanceFlushAtStall
-                | FetchPolicyKind::MlpBinaryFlushAtStall
-        )
-    }
 }
 
 serde::named_enum_serde!(FetchPolicyKind, "fetch policy");

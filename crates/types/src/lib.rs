@@ -10,8 +10,6 @@
 //!   paper),
 //! * per-thread and machine-wide statistics ([`stats`]),
 //! * the read-only pipeline snapshot handed to fetch policies ([`snapshot`]),
-//! * the adaptive policy engine's configuration and interval telemetry
-//!   ([`adaptive`]),
 //! * error types ([`error`]),
 //! * the resilient engine's failure taxonomy ([`resilience`]),
 //! * the sampled-simulation cadence and estimate types ([`sampling`]).
@@ -29,7 +27,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod adaptive;
 pub mod config;
 pub mod error;
 pub mod flags;
@@ -40,9 +37,6 @@ pub mod sampling;
 pub mod snapshot;
 pub mod stats;
 
-pub use adaptive::{
-    AdaptiveConfig, IntervalStats, PolicyResidency, SelectorKind, ThreadIntervalStats,
-};
 pub use config::{BusConfig, ChipConfig, SmtConfig};
 pub use error::SimError;
 pub use flags::OpFlags;

@@ -4,8 +4,8 @@
 //! always advances exactly one cycle. [`ChipSimulator::run`] lets each quiet
 //! core sleep until its own next event; [`ChipSimulator::step`] steps every
 //! core for exactly one cycle. Every test here runs the same machine both
-//! ways, with the same stop rules, and requires identical statistics, final
-//! cycle and (for adaptive machines) policy residency.
+//! ways, with the same stop rules, and requires identical statistics and
+//! final cycle.
 
 use proptest::prelude::*;
 
@@ -14,10 +14,7 @@ use smt_core::pipeline::{SimOptions, SmtSimulator};
 use smt_core::runner::{build_trace, RunScale};
 use smt_trace::{spec, ScriptedTrace, SyntheticTraceGenerator, TraceSource};
 use smt_types::config::FetchPolicyKind;
-use smt_types::{
-    AdaptiveConfig, BusConfig, ChipConfig, ChipStats, MachineStats, SelectorKind, SmtConfig,
-    TraceOp,
-};
+use smt_types::{BusConfig, ChipConfig, ChipStats, MachineStats, SmtConfig, TraceOp};
 
 /// `SmtSimulator::run`, stepped one cycle at a time from outside.
 fn run_stepped(sim: &mut SmtSimulator, options: SimOptions) -> MachineStats {
@@ -59,16 +56,6 @@ fn assert_skip_matches_step(label: &str, options: SimOptions, build: impl Fn() -
         skipping.cycle(),
         stepping.cycle(),
         "{label}: final cycle diverged"
-    );
-    assert_eq!(
-        skipping.core().policy_residency(),
-        stepping.core().policy_residency(),
-        "{label}: policy residency diverged"
-    );
-    assert_eq!(
-        skipping.core().policy_swaps(),
-        stepping.core().policy_swaps(),
-        "{label}: policy swaps diverged"
     );
 }
 
@@ -136,44 +123,6 @@ fn machines() -> impl Strategy<Value = Machine> {
         })
 }
 
-/// An adaptive configuration drawn from `picks`: the sampling selector
-/// over two or three distinct candidates, or the MLP-threshold selector over
-/// one MLP-aware and one other policy, with an interval of 16-128 cycles so
-/// boundaries fall inside idle stretches.
-fn adaptive_config(mlp_threshold: bool, picks: &[usize], interval: u64) -> AdaptiveConfig {
-    let candidates = if mlp_threshold {
-        let aware: Vec<_> = FetchPolicyKind::ALL
-            .into_iter()
-            .filter(|p| p.is_mlp_aware())
-            .collect();
-        let other: Vec<_> = FetchPolicyKind::ALL
-            .into_iter()
-            .filter(|p| !p.is_mlp_aware())
-            .collect();
-        let (a, b) = (aware[picks[0] % aware.len()], other[picks[1] % other.len()]);
-        if picks[2].is_multiple_of(2) {
-            vec![a, b]
-        } else {
-            vec![b, a]
-        }
-    } else {
-        let mut candidates = Vec::new();
-        for &p in &picks[..2 + picks[3] % 2] {
-            let kind = FetchPolicyKind::ALL[p % FetchPolicyKind::ALL.len()];
-            if !candidates.contains(&kind) {
-                candidates.push(kind);
-            }
-        }
-        candidates
-    };
-    let selector = if mlp_threshold {
-        SelectorKind::MlpThreshold
-    } else {
-        SelectorKind::Sampling
-    };
-    AdaptiveConfig::new(selector, candidates).with_interval_cycles(interval)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -190,48 +139,16 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn adaptive_run_matches_step_loop(
-        machine in machines(),
-        mlp_threshold in any::<bool>(),
-        picks in prop::collection::vec(any::<usize>(), 4..5),
-        interval in 16u64..129,
-    ) {
-        let adaptive = adaptive_config(mlp_threshold, &picks, interval);
-        let label = format!("{machine:?} {adaptive:?}");
-        assert_skip_matches_step(&label, machine.options, || {
-            SmtSimulator::with_adaptive(
-                machine.config.clone(),
-                traces(&machine.benchmarks, machine.seed),
-                adaptive.clone(),
-            )
-            .expect("valid adaptive machine")
-        });
-    }
-}
-
-/// A registry-style cell: `benchmarks` on the baseline machine at tiny
-/// scale (2K instructions after a 1K warm-up, seed 42).
-fn registry_cell(
-    label: &str,
-    benchmarks: &[&str],
-    build: impl Fn(SmtConfig, Vec<Box<dyn TraceSource>>) -> SmtSimulator,
-) {
+/// A registry-style cell: `benchmarks` under `policy` on the baseline
+/// machine at tiny scale (2K instructions after a 1K warm-up, seed 42).
+fn static_cell(label: &str, benchmarks: &[&str], policy: FetchPolicyKind) {
     let scale = RunScale::tiny();
     assert_skip_matches_step(label, scale.sim_options(), || {
         let traces = benchmarks
             .iter()
             .map(|b| build_trace(b, scale).expect("known benchmark"))
             .collect();
-        build(SmtConfig::baseline(benchmarks.len()), traces)
-    });
-}
-
-fn static_cell(label: &str, benchmarks: &[&str], policy: FetchPolicyKind) {
-    registry_cell(label, benchmarks, |mut config, traces| {
+        let mut config = SmtConfig::baseline(benchmarks.len());
         config.fetch_policy = policy;
         SmtSimulator::new(config, traces).expect("valid machine")
     });
@@ -259,30 +176,6 @@ fn regression_frontend_ready_now_vortex_parser_crafty_twolf_mlp_stall() {
     );
 }
 
-/// Regression: an adaptive interval tick may swap the policy at the end of
-/// an otherwise quiet cycle, so the tick itself must count as activity.
-#[test]
-fn regression_adaptive_tick_counts_as_activity() {
-    let candidates = vec![FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush];
-    for selector in [SelectorKind::Sampling, SelectorKind::MlpThreshold] {
-        for mix in [
-            &["mcf", "swim"][..],
-            &["mcf", "swim", "perlbmk", "mesa"][..],
-            &["equake", "perlbmk", "applu", "vortex"][..],
-        ] {
-            let adaptive = AdaptiveConfig::new(selector, candidates.clone());
-            registry_cell(
-                &format!("{} / {selector:?}", mix.join("-")),
-                mix,
-                |config, traces| {
-                    SmtSimulator::with_adaptive(config, traces, adaptive.clone())
-                        .expect("valid adaptive machine")
-                },
-            );
-        }
-    }
-}
-
 /// Everything a caller can read off a chip between run loops, with each
 /// core's `cycles` field set to the live measured count (only `run`
 /// finalizes it).
@@ -292,7 +185,6 @@ struct ChipView {
     measured_cycles: u64,
     core_stats: Vec<MachineStats>,
     chip_stats: ChipStats,
-    residency: Vec<Option<Vec<(FetchPolicyKind, f64)>>>,
 }
 
 fn chip_view(sim: &ChipSimulator) -> ChipView {
@@ -310,9 +202,6 @@ fn chip_view(sim: &ChipSimulator) -> ChipView {
             .map(|c| finalized(sim.core_stats(c).clone()))
             .collect(),
         chip_stats,
-        residency: (0..sim.num_cores())
-            .map(|c| sim.policy_residency(c))
-            .collect(),
     }
 }
 
@@ -456,25 +345,6 @@ proptest! {
         let label = format!("{chip:?}");
         assert_chip_skip_matches_step(&label, chip.options, || {
             ChipSimulator::new(chip.config.clone(), chip.traces()).expect("valid chip")
-        });
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn adaptive_chip_run_matches_step_loop(
-        chip in chips(),
-        mlp_threshold in any::<bool>(),
-        picks in prop::collection::vec(any::<usize>(), 4..5),
-        interval in 16u64..129,
-    ) {
-        let adaptive = adaptive_config(mlp_threshold, &picks, interval);
-        let label = format!("{chip:?} {adaptive:?}");
-        assert_chip_skip_matches_step(&label, chip.options, || {
-            ChipSimulator::new_adaptive(chip.config.clone(), chip.traces(), adaptive.clone())
-                .expect("valid adaptive chip")
         });
     }
 }
