@@ -132,7 +132,8 @@ fn is_experiment_name(s: &str) -> bool {
 /// Experiment names cited on one doc line: tokens after `run` / `describe`
 /// on `smt-cli` invocation lines, plus backticked tokens matching the
 /// experiment-name shapes used by the registry (`fig<digits>_…`,
-/// `table<digits>_…`, `chip_<digit>…`, `adaptive_<digit>…`).
+/// `table<digits>_…`, `chip_<digit>…`), plus `adaptive_<digit>…`, the shape
+/// of the removed adaptive entries, so a stale citation of one is caught.
 fn cited_experiment_names(line: &str) -> Vec<String> {
     let mut cited = Vec::new();
     if line.contains("smt-cli") {

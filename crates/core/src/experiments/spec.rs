@@ -957,21 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn retired_adaptive_table_is_rejected_naming_it() {
-        let text = format!(
-            "{}\n[adaptive]\nselectors = [\"sampling\"]\n",
-            toml::to_string(&sample_spec()).unwrap()
-        );
-        let spec: ExperimentSpec = toml::from_str(&text).expect("any table parses");
-        match spec.validate() {
-            Err(SimError::InvalidConfig { reason }) => {
-                assert!(reason.contains("adaptive: retired"), "{reason}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn sampling_spec_validates_and_round_trips() {
         let mut spec = sample_spec();
         spec.sampling = Some(SamplingSpec {
