@@ -16,9 +16,11 @@
 //! * **registry-drift** — experiment names cited in the docs exist in the
 //!   registry; bench scenario names in `BENCH_throughput.json` exist in the
 //!   throughput matrix;
-//! * **panic-policy** — no bare `unwrap()`/`expect(` in the resilient
-//!   experiment engine (`crates/core/src/experiments/`): cell failures must
-//!   surface as `Result`s so the engine can quarantine and report them;
+//! * **panic-policy** — no bare `unwrap()`/`expect(` in the experiment
+//!   engine (`crates/core/src/experiments/`): cell failures must surface as
+//!   `Result`s so the report can classify them; a panic inside a cell is
+//!   only quarantined as an opaque `panic` outcome, and one outside a cell
+//!   takes the whole run down;
 //! * **sampling-discipline** — functional fast-forward code
 //!   (`crates/core/src/pipeline/fast_forward.rs`) never touches statistics
 //!   counters or cycle accounting: warming must be invisible to everything

@@ -499,12 +499,13 @@ fn config_hygiene(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding>) {
     }
 }
 
-/// **panic-policy** — no bare `unwrap()` / `expect(` in the resilient
-/// experiment engine. The engine's whole contract is that cell failures are
-/// caught, classified and reported as [`CellOutcome`]s rather than crashing
-/// the run, so non-test engine code must surface errors as `Result`s (or
-/// carry an `analyze: allow(panic-policy)` explaining why the panic is
-/// unreachable).
+/// **panic-policy** — no bare `unwrap()` / `expect(` in the experiment
+/// engine. The engine's contract is that cell failures are classified and
+/// reported as [`CellOutcome`]s rather than crashing the run. A panic inside
+/// a cell is only quarantined as an opaque `panic` outcome, and one outside
+/// a cell takes the run down, so non-test engine code must surface errors
+/// as `Result`s (or carry an `analyze: allow(panic-policy)` explaining why
+/// the panic is unreachable).
 ///
 /// [`CellOutcome`]: https://docs.rs/smt-types
 fn panic_policy(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding>) {
@@ -521,7 +522,7 @@ fn panic_policy(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding>) {
                     idx + 1,
                     "panic-policy",
                     format!(
-                        "`{pat}` can panic inside the resilient experiment engine; \
+                        "`{pat}` can panic inside the experiment engine; \
                          propagate a `SimError` instead"
                     ),
                 ));

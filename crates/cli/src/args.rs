@@ -170,14 +170,6 @@ pub struct RunArgs {
     pub format: Option<OutputFormat>,
     /// `--quiet`: suppress the text report on stdout when `--out` is given.
     pub quiet: bool,
-    /// `--max-retries <n>`: retries per failing cell beyond the first attempt.
-    pub max_retries: Option<u64>,
-    /// `--cell-timeout <ms>`: wall-clock budget per cell attempt.
-    pub cell_timeout: Option<u64>,
-    /// `--fail-fast`: skip remaining cells after the first permanent failure.
-    pub fail_fast: bool,
-    /// `--fault-plan <path>`: TOML fault plan injected into the engine.
-    pub fault_plan: Option<String>,
     /// `--sampled`: run a policy grid in sampled mode (SMARTS-style
     /// fast-forward/measure interleaving) with the default cadence.
     pub sampled: bool,
@@ -197,10 +189,6 @@ impl RunArgs {
             out: None,
             format: None,
             quiet: false,
-            max_retries: None,
-            cell_timeout: None,
-            fail_fast: false,
-            fault_plan: None,
             sampled: false,
         }
     }
@@ -311,26 +299,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         })?);
                     }
                     "--quiet" | "-q" => run.quiet = true,
-                    "--max-retries" => {
-                        let value = value_for("--max-retries")?;
-                        run.max_retries = Some(
-                            value
-                                .parse()
-                                .map_err(|_| format!("invalid retry count `{value}`"))?,
-                        );
-                    }
-                    "--cell-timeout" => {
-                        let value = value_for("--cell-timeout")?;
-                        let timeout: u64 = value
-                            .parse()
-                            .map_err(|_| format!("invalid cell timeout `{value}`"))?;
-                        if timeout == 0 {
-                            return Err("`--cell-timeout` must be at least 1 ms".to_string());
-                        }
-                        run.cell_timeout = Some(timeout);
-                    }
-                    "--fail-fast" => run.fail_fast = true,
-                    "--fault-plan" => run.fault_plan = Some(value_for("--fault-plan")?),
                     "--sampled" => run.sampled = true,
                     other => return Err(format!("unknown flag `{other}` for `run`")),
                 }
@@ -551,7 +519,9 @@ USAGE:
         Print an experiment's full spec as TOML (copy, edit, and run it).
 
     smt-cli run <name|spec.toml> [flags]
-        Run a registered experiment or a TOML spec file.
+        Run a registered experiment or a TOML spec file. Each cell runs
+        once; a cell that panics or reaches the spec's `[scale] max_cycles`
+        cap is reported as failed while the other cells complete.
 
     smt-cli bench [flags]
         Time the fixed throughput scenario matrix (1T/2T/4T single-core cells,
@@ -597,10 +567,6 @@ RUN FLAGS:
     --out <path>        Also write the report to a file (.json/.toml/.txt)
     --format <f>        Force text, json or toml output
     --quiet             With --out: suppress the stdout report
-    --max-retries <n>   Retries per failing cell beyond the first attempt (default 1)
-    --cell-timeout <ms> Wall-clock budget per cell attempt (default: none)
-    --fail-fast         Skip remaining cells after the first permanent failure
-    --fault-plan <path> Inject a deterministic TOML fault plan (chaos testing)
     --sampled           Sampled mode for policy grids: SMARTS-style
                         fast-forward/measure interleaving with shared warm
                         checkpoints and per-metric confidence intervals
@@ -699,33 +665,6 @@ mod tests {
         assert!(parse_err(&["run", "x", "--warp"]).contains("--warp"));
         assert!(parse_err(&["frobnicate"]).contains("frobnicate"));
         assert!(parse_err(&["list", "extra"]).contains("takes no arguments"));
-    }
-
-    #[test]
-    fn resilience_flags_parse_and_validate() {
-        let Command::Run(run) = parse_ok(&[
-            "run",
-            "fig09_two_thread_policies",
-            "--max-retries",
-            "3",
-            "--cell-timeout",
-            "5000",
-            "--fail-fast",
-            "--fault-plan",
-            "plans/chaos_transient.toml",
-        ]) else {
-            panic!("expected run");
-        };
-        assert_eq!(run.max_retries, Some(3));
-        assert_eq!(run.cell_timeout, Some(5_000));
-        assert!(run.fail_fast);
-        assert_eq!(
-            run.fault_plan.as_deref(),
-            Some("plans/chaos_transient.toml")
-        );
-        assert!(parse_err(&["run", "x", "--cell-timeout", "0"]).contains("at least 1 ms"));
-        assert!(parse_err(&["run", "x", "--max-retries", "many"]).contains("invalid retry count"));
-        assert!(parse_err(&["run", "x", "--fault-plan"]).contains("needs a value"));
     }
 
     #[test]

@@ -391,17 +391,6 @@ fn load_spec(target: &str) -> Result<ExperimentSpec, String> {
     Ok(spec)
 }
 
-/// Loads and validates a fault plan from a TOML file (`--fault-plan`).
-fn load_fault_plan(path: &str) -> Result<smt_resil::FaultPlan, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read fault plan `{path}`: {e}"))?;
-    let plan: smt_resil::FaultPlan =
-        toml::from_str(&text).map_err(|e| format!("fault plan `{path}`: {e}"))?;
-    plan.validate()
-        .map_err(|e| format!("fault plan `{path}`: {e}"))?;
-    Ok(plan)
-}
-
 fn execute(run: RunArgs) -> Result<ExitCode, String> {
     let mut spec = load_spec(&run.target)?;
     if let Some(scale) = run.scale {
@@ -440,22 +429,6 @@ fn execute(run: RunArgs) -> Result<ExitCode, String> {
         run.threads.unwrap_or_else(engine::default_parallelism)
     };
 
-    // Resilience policy: spec-level `[resilience]` settings first, command-line
-    // flags on top.
-    let mut policy = engine::RunPolicy::from_spec(&spec);
-    if let Some(retries) = run.max_retries {
-        policy.max_retries = retries;
-    }
-    if let Some(timeout) = run.cell_timeout {
-        policy.cell_timeout_ms = Some(timeout);
-    }
-    if run.fail_fast {
-        policy.fail_fast = true;
-    }
-    if let Some(path) = &run.fault_plan {
-        policy.fault_plan = Some(load_fault_plan(path)?);
-    }
-
     let mode = if spec.sampling.is_some() {
         " (sampled)"
     } else {
@@ -471,8 +444,7 @@ fn execute(run: RunArgs) -> Result<ExitCode, String> {
         spec.scale.instructions_per_thread,
         threads
     );
-    let report =
-        engine::run_spec_with_policy(&spec, threads, &policy).map_err(|e| e.to_string())?;
+    let report = engine::run_spec_with_threads(&spec, threads).map_err(|e| e.to_string())?;
 
     let stdout_format = run.format.unwrap_or(OutputFormat::Text);
     if let Some(path) = &run.out {
@@ -492,8 +464,7 @@ fn execute(run: RunArgs) -> Result<ExitCode, String> {
     }
 
     // Exit-code contract: 0 = every cell completed, 3 = degraded (partial
-    // report above is still valid), 1 = nothing completed. Reports without
-    // health (pre-resilience engine) count as complete.
+    // report above is still valid), 1 = nothing completed.
     Ok(match report.health.as_ref().map(|h| h.status) {
         None | Some(RunHealthStatus::Complete) => ExitCode::SUCCESS,
         Some(RunHealthStatus::Degraded) => {

@@ -1,8 +1,11 @@
 //! Untrusted input must fail cleanly: a spec TOML or checkpoint JSON nested
 //! far deeper than any real document exits with a load error and a message,
-//! never a stack-overflow abort, and retired knobs are rejected, not ignored.
+//! never a stack-overflow abort; sampling lengths past their limit are
+//! rejected before anything runs, never a hang; and retired knobs are
+//! rejected, not ignored.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
@@ -11,19 +14,41 @@ fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
     path
 }
 
-/// Runs `smt-cli <args> <file>` on `contents` and returns (exit code, stderr).
+/// Runs `smt-cli <args> <file>` on `contents` and returns (exit code,
+/// stderr). Hostile input must fail fast, so a run still going after 10 s
+/// is killed and reports no exit code.
 fn run_on(args: &[&str], name: &str, contents: &str) -> (Option<i32>, String) {
     let path = temp_file(name, contents);
-    let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
         .args(args)
         .arg(&path)
-        .output()
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
         .expect("smt-cli runs");
+    let start = Instant::now();
+    while child.try_wait().expect("wait on smt-cli").is_none() {
+        if start.elapsed() > Duration::from_secs(10) {
+            child.kill().ok();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
     std::fs::remove_file(&path).ok();
+    let output = child.wait_with_output().expect("smt-cli output");
     (
         output.status.code(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+/// The TOML of a registry entry, as `smt-cli describe` prints it.
+fn describe(name: &str) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+        .args(["describe", name])
+        .output()
+        .expect("smt-cli runs");
+    assert!(output.status.success());
+    String::from_utf8(output.stdout).expect("utf-8 spec")
 }
 
 #[test]
@@ -51,12 +76,7 @@ fn deeply_nested_spec_and_checkpoint_fail_with_a_load_error() {
 /// a validation error naming the field (exit 1), never silently ignored.
 #[test]
 fn chip_spec_with_retired_chip_threads_fails_naming_the_field() {
-    let describe = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
-        .args(["describe", "chip_2c2t_allocation_matrix"])
-        .output()
-        .expect("smt-cli runs");
-    assert!(describe.status.success());
-    let spec = String::from_utf8(describe.stdout).expect("utf-8 spec");
+    let spec = describe("chip_2c2t_allocation_matrix");
     let retired = spec.replace("[chip]\n", "[chip]\nchip_threads = 2\n");
     assert_ne!(retired, spec, "describe output has a [chip] table");
     let (code, stderr) = run_on(&["run"], "chip-threads-2.toml", &retired);
@@ -70,12 +90,7 @@ fn chip_spec_with_retired_chip_threads_fails_naming_the_field() {
 /// validation error naming it (both load errors, exit 1), never ignored.
 #[test]
 fn adaptive_specs_fail_naming_the_retired_parts() {
-    let describe = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
-        .args(["describe", "fig09_two_thread_policies"])
-        .output()
-        .expect("smt-cli runs");
-    assert!(describe.status.success());
-    let spec = String::from_utf8(describe.stdout).expect("utf-8 spec");
+    let spec = describe("fig09_two_thread_policies");
 
     let kind = spec.replace("kind = \"policy_grid\"", "kind = \"adaptive_grid\"");
     assert_ne!(kind, spec, "describe output names its kind");
@@ -92,15 +107,66 @@ fn adaptive_specs_fail_naming_the_retired_parts() {
     assert!(stderr.contains("adaptive: retired"), "{stderr}");
 }
 
+/// Specs written for the removed retry and fault-injection layer fail
+/// loudly: a `[resilience]` table is a validation error naming it and the
+/// cycle cap that replaces it (exit 1), never ignored.
+#[test]
+fn resilience_table_fails_naming_the_retired_table() {
+    let spec = describe("fig09_two_thread_policies");
+    let table = format!("{spec}\n[resilience]\nmax_cell_cycles = 3000\n");
+    let (code, stderr) = run_on(&["run"], "resilience-table.toml", &table);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("resilience: retired"), "{stderr}");
+    assert!(stderr.contains("max_cycles"), "{stderr}");
+}
+
+/// Sampling lengths and window counts past their documented limit used to
+/// hang a run (functional work has no cycle cap) or wrap the window cycle
+/// caps into a plausible report. Each is now a validation error naming the
+/// field: exit 1 before anything runs, at any scale.
+#[test]
+fn oversized_sampling_fields_fail_at_once_naming_the_field() {
+    let spec = describe("sampled_4t_policies");
+    assert!(
+        spec.contains("[sampling]\n"),
+        "describe output has a [sampling] table"
+    );
+    for (field, value) in [
+        ("skip_instructions", "18446744073709551615"),
+        ("skip_instructions", "1000000000000"),
+        ("ff_instructions", "18446744073709551000"),
+        ("min_windows", "4294967295"),
+        ("measure_instructions", "18446744073709551615"),
+    ] {
+        let hostile = spec.replace("[sampling]\n", &format!("[sampling]\n{field} = {value}\n"));
+        let (code, stderr) = run_on(
+            &["run"],
+            &format!("sampling-{field}-{value}.toml"),
+            &hostile,
+        );
+        assert_eq!(code, Some(1), "{field} = {value}: {stderr}");
+        assert!(stderr.contains(field), "{field} = {value}: {stderr}");
+    }
+}
+
 /// Retired flags are unknown arguments (exit 2), not silently ignored:
-/// `--chip-threads` everywhere, the adaptive `run` flags, and the `bench`
-/// flags that reshaped the fixed scenario matrix.
+/// `--chip-threads` everywhere, the adaptive and retry/fault-injection `run`
+/// flags, and the `bench` flags that reshaped the fixed scenario matrix.
 #[test]
 fn chip_threads_flag_is_an_unknown_argument() {
     for args in [
         &["run", "chip_2c2t_allocation_matrix", "--chip-threads", "2"][..],
         &["run", "fig09_two_thread_policies", "--selector", "sampling"],
         &["run", "fig09_two_thread_policies", "--interval", "256"],
+        &["run", "fig09_two_thread_policies", "--max-retries", "0"],
+        &["run", "fig09_two_thread_policies", "--cell-timeout", "500"],
+        &["run", "fig09_two_thread_policies", "--fail-fast"],
+        &[
+            "run",
+            "fig09_two_thread_policies",
+            "--fault-plan",
+            "plan.toml",
+        ],
         &["bench", "--chip-threads", "2"],
         &["bench", "--cores", "4"],
         &["bench", "--selector", "sampling"],
@@ -111,7 +177,7 @@ fn chip_threads_flag_is_an_unknown_argument() {
             .output()
             .expect("smt-cli runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        let flag = args[args.len() - 2];
+        let flag = args.iter().find(|a| a.starts_with("--")).expect("a flag");
         assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
             stderr.contains(&format!("unknown flag `{flag}`")),

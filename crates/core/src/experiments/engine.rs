@@ -1,4 +1,4 @@
-//! Resilient parallel execution engine for [`ExperimentSpec`]s.
+//! Parallel execution engine for [`ExperimentSpec`]s.
 //!
 //! The engine expands a spec into one plan of independent cells — sweep
 //! point × policy × optional allocation × workload for every grid kind,
@@ -11,29 +11,30 @@
 //! and independent of the thread count: every cell's simulations are
 //! self-contained and seeded by the spec's [`crate::runner::RunScale::seed`].
 //!
-//! # Resilience
+//! # Failure isolation
 //!
-//! Every cell runs inside an isolation boundary ([`std::panic::catch_unwind`]
-//! plus a quiet panic hook), so one panicking cell is quarantined as a
-//! [`CellOutcome`] failure while the rest of the grid keeps draining.
-//! A [`RunPolicy`] adds bounded retries with capped exponential backoff, a
-//! wall-clock watchdog deadline, a deterministic simulated-cycle deadline
-//! (via [`RunScale::max_cycles`]), optional fail-fast, and a deterministic
-//! fault-injection hook ([`smt_resil::FaultPlan`]) for chaos testing. The
-//! report degrades gracefully: completed cells are kept, failures are
-//! recorded per cell, and [`RunHealth`] classifies the whole run.
+//! Every cell runs once inside an isolation boundary
+//! ([`std::panic::catch_unwind`] plus a quiet panic hook), so one panicking
+//! cell is quarantined as a [`CellOutcome`] failure while the rest of the
+//! grid keeps draining. The one deadline is deterministic: a cell whose
+//! simulation reaches [`RunScale::max_cycles`] fails with a
+//! `deadline-exceeded` error on every rerun and at any thread count. A cell
+//! is a pure function of its spec, so nothing is retried: a second run
+//! would fail the same way. The report degrades gracefully: completed cells
+//! are kept, failures are recorded per cell, and [`RunHealth`] classifies
+//! the whole run.
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, PoisonError};
-use std::time::Duration;
-use std::time::Instant; // analyze: allow(determinism) reason="harness-side wall-clock for progress reporting; never feeds simulated state"
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Once;
+use std::time::Instant; // analyze: allow(determinism) reason="harness-side wall-clock for the report's wall_ms; never feeds simulated state"
 
-use smt_resil::FaultInjector;
 use smt_sched::AllocationPolicyKind;
 use smt_types::config::FetchPolicyKind;
-use smt_types::{CellError, CellOutcome, RunHealth, SamplingConfig, SimError, SmtConfig};
+use smt_types::{
+    CellError, CellErrorKind, CellOutcome, RunHealth, SamplingConfig, SimError, SmtConfig,
+};
 
 use crate::experiments::characterization;
 use crate::experiments::report::{empty_report, BenchRow, CheckpointSummary, ExperimentReport};
@@ -57,104 +58,6 @@ pub fn default_parallelism() -> usize {
         }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// How the engine shields a run from failing cells: retry budget, backoff
-/// shape, deadlines, fail-fast, and the optional deterministic fault plan.
-///
-/// The zero-configuration default retries each failed cell once with a few
-/// milliseconds of backoff and no deadlines — exactly the behaviour a
-/// fault-free run cannot observe, because successful cells record neither
-/// retries nor errors in the report.
-#[derive(Clone, PartialEq, Debug)]
-pub struct RunPolicy {
-    /// Retries per cell after the first attempt (`max_retries = 0` means one
-    /// attempt, no retry). Only retryable errors (panics, deadlines,
-    /// injected faults) consume the budget; deterministic simulation errors
-    /// fail immediately.
-    pub max_retries: u64,
-    /// Wall-clock budget per cell attempt, enforced by a watchdog thread.
-    /// `None` disables the wall-clock deadline.
-    pub cell_timeout_ms: Option<u64>,
-    /// Deterministic simulated-cycle budget per cell, checked inside the
-    /// simulator step loop. A cell that hits the cap before any thread
-    /// commits its instruction budget fails with a deadline error.
-    pub max_cell_cycles: Option<u64>,
-    /// Abort remaining cells after the first permanent failure. Skipped
-    /// cells are reported as failed with a `skipped` error. Which cells are
-    /// skipped depends on scheduling when `threads > 1`.
-    pub fail_fast: bool,
-    /// Base backoff before the first retry, in milliseconds.
-    pub backoff_base_ms: u64,
-    /// Upper bound on any single backoff sleep, in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Deterministic fault plan evaluated at the engine's injection points
-    /// (`cell-start`, `cell-finish`). `None` injects nothing.
-    pub fault_plan: Option<smt_resil::FaultPlan>,
-}
-
-impl Default for RunPolicy {
-    fn default() -> Self {
-        RunPolicy {
-            max_retries: 1,
-            cell_timeout_ms: None,
-            max_cell_cycles: None,
-            fail_fast: false,
-            backoff_base_ms: 2,
-            backoff_cap_ms: 250,
-            fault_plan: None,
-        }
-    }
-}
-
-impl RunPolicy {
-    /// Builds the effective policy for a spec: the engine defaults with every
-    /// field the spec's optional `resilience` section sets layered on top.
-    pub fn from_spec(spec: &ExperimentSpec) -> Self {
-        let mut policy = RunPolicy::default();
-        if let Some(resilience) = &spec.resilience {
-            if let Some(v) = resilience.max_retries {
-                policy.max_retries = v;
-            }
-            if resilience.cell_timeout_ms.is_some() {
-                policy.cell_timeout_ms = resilience.cell_timeout_ms;
-            }
-            if resilience.max_cell_cycles.is_some() {
-                policy.max_cell_cycles = resilience.max_cell_cycles;
-            }
-            if let Some(v) = resilience.fail_fast {
-                policy.fail_fast = v;
-            }
-            if let Some(v) = resilience.backoff_base_ms {
-                policy.backoff_base_ms = v;
-            }
-            if let Some(v) = resilience.backoff_cap_ms {
-                policy.backoff_cap_ms = v;
-            }
-            if resilience.fault_plan.is_some() {
-                policy.fault_plan = resilience.fault_plan.clone();
-            }
-        }
-        policy
-    }
-
-    /// Total attempts per cell (the first run plus the retries).
-    pub fn max_attempts(&self) -> u64 {
-        self.max_retries.saturating_add(1)
-    }
-
-    /// Backoff before retry `attempt` (1-based) of `cell`: capped exponential
-    /// growth from [`RunPolicy::backoff_base_ms`] plus a small deterministic
-    /// per-cell jitter, so retried cells of one run do not stampede in
-    /// lockstep. A pure function of `(cell, attempt)` — never wall clock.
-    pub fn backoff_ms(&self, cell: u64, attempt: u64) -> u64 {
-        let base = self.backoff_base_ms.max(1);
-        let shift = attempt.saturating_sub(1).min(16) as u32;
-        let raw = base.saturating_mul(1u64 << shift);
-        let jitter = (cell.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) % base;
-        raw.saturating_add(jitter)
-            .min(self.backoff_cap_ms.max(base))
-    }
 }
 
 thread_local! {
@@ -192,256 +95,79 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Wall-clock watchdog for cell deadlines. One monitor thread owns the only
-/// [`Instant`] and publishes a millisecond clock through an atomic; workers
-/// stamp their cell's start against that clock and poll an `expired` flag.
-struct Watchdog {
-    /// Milliseconds since the monitor started, advanced only by the monitor.
-    clock_ms: AtomicU64,
-    /// Per cell: `clock_ms + 1` at attempt start, `0` when idle.
-    started: Vec<AtomicU64>,
-    /// Per cell: set by the monitor once the running attempt overruns.
-    expired: Vec<AtomicBool>,
-    /// Cells fully finished (all attempts done or skipped).
-    finished: AtomicUsize,
-    timeout_ms: u64,
-}
-
-impl Watchdog {
-    fn new(cells: usize, timeout_ms: u64) -> Self {
-        Watchdog {
-            clock_ms: AtomicU64::new(0),
-            started: (0..cells).map(|_| AtomicU64::new(0)).collect(),
-            expired: (0..cells).map(|_| AtomicBool::new(false)).collect(),
-            finished: AtomicUsize::new(0),
-            timeout_ms,
-        }
-    }
-
-    /// Stamps the start of an attempt on `cell` against the monitor's clock.
-    fn arm(&self, cell: usize) {
-        self.expired[cell].store(false, Ordering::Release);
-        let stamp = self.clock_ms.load(Ordering::Acquire) + 1;
-        self.started[cell].store(stamp, Ordering::Release);
-    }
-
-    /// Ends the attempt on `cell`; returns whether the monitor saw it overrun.
-    fn disarm(&self, cell: usize) -> bool {
-        self.started[cell].store(0, Ordering::Release);
-        self.expired[cell].swap(false, Ordering::AcqRel)
-    }
-
-    /// Marks one cell as completely finished (success, failure, or skip).
-    fn cell_done(&self) {
-        self.finished.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Monitor loop: advances the shared clock and flags overrunning cells
-    /// until every cell is finished. This is the engine's single sanctioned
-    /// wall-clock read; simulated state never observes it.
-    fn monitor(&self) {
-        // analyze: allow(determinism) reason="wall-clock watchdog for cell deadlines; flags harness overruns only and never feeds simulated state"
-        let clock = Instant::now();
-        let poll = (self.timeout_ms / 4).clamp(1, 25);
-        while self.finished.load(Ordering::Acquire) < self.started.len() {
-            std::thread::sleep(Duration::from_millis(poll));
-            let now = clock.elapsed().as_millis() as u64;
-            self.clock_ms.store(now, Ordering::Release);
-            for cell in 0..self.started.len() {
-                let stamp = self.started[cell].load(Ordering::Acquire);
-                if stamp != 0 && now.saturating_sub(stamp - 1) > self.timeout_ms {
-                    self.expired[cell].store(true, Ordering::Release);
-                }
-            }
-        }
-    }
-}
-
-/// The terminal outcome of one cell: its result (or the error of the last
-/// attempt) and how many attempts were consumed.
-struct CellRun<R> {
-    result: Result<R, CellError>,
-    attempts: u64,
-}
-
-/// One isolated attempt of a cell: fault injection at `cell-start`, the cell
-/// body, fault injection at `cell-finish`, all under `catch_unwind` with the
-/// quiet panic hook engaged.
-fn attempt_cell<T, R>(
-    cell: u64,
-    attempt: u64,
-    item: &T,
-    injector: Option<&FaultInjector>,
-    body: &(impl Fn(&T) -> Result<R, SimError> + Sync),
-) -> Result<R, CellError> {
+/// Runs one cell under `catch_unwind` with the quiet panic hook engaged and
+/// classifies its failure.
+fn run_cell<T, R>(item: &T, body: &impl Fn(&T) -> Result<R, SimError>) -> Result<R, CellError> {
     IN_CELL.with(|flag| flag.set(true));
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(injector) = injector {
-            if let Some(fault) = injector.check("cell-start", cell, attempt) {
-                fault.trigger()?;
-            }
-        }
-        let result = body(item).map_err(|e| match e {
-            SimError::DeadlineExceeded { reason } => CellError::deadline(reason),
-            other => CellError::invalid_spec(other.to_string()),
-        })?;
-        if let Some(injector) = injector {
-            if let Some(fault) = injector.check("cell-finish", cell, attempt) {
-                fault.trigger()?;
-            }
-        }
-        Ok(result)
-    }));
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(item)));
     IN_CELL.with(|flag| flag.set(false));
-    match caught {
-        Ok(outcome) => outcome,
-        Err(payload) => Err(CellError::panic(panic_payload(payload))),
-    }
+    let (kind, detail) = match caught {
+        Ok(Ok(result)) => return Ok(result),
+        Ok(Err(SimError::DeadlineExceeded { reason })) => (CellErrorKind::DeadlineExceeded, reason),
+        Ok(Err(other)) => (CellErrorKind::InvalidSpec, other.to_string()),
+        Err(payload) => (CellErrorKind::Panic, panic_payload(payload)),
+    };
+    Err(CellError { kind, detail })
 }
 
-/// Runs one cell to its terminal outcome: up to [`RunPolicy::max_attempts`]
-/// isolated attempts with deterministic backoff between them and the
-/// watchdog armed around each attempt.
-fn run_one_cell<T, R>(
-    index: usize,
-    item: &T,
-    policy: &RunPolicy,
-    injector: Option<&FaultInjector>,
-    watchdog: Option<&Watchdog>,
-    body: &(impl Fn(&T) -> Result<R, SimError> + Sync),
-) -> CellRun<R> {
-    let cell = index as u64;
-    let max_attempts = policy.max_attempts();
-    let mut last_error = CellError::skipped("cell never ran");
-    for attempt in 0..max_attempts {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(policy.backoff_ms(cell, attempt)));
-        }
-        if let Some(watchdog) = watchdog {
-            watchdog.arm(index);
-        }
-        let outcome = attempt_cell(cell, attempt, item, injector, body);
-        let expired = watchdog.is_some_and(|w| w.disarm(index));
-        let outcome = match outcome {
-            Ok(_) if expired => Err(CellError::deadline(format!(
-                "cell exceeded its {} ms wall-clock budget",
-                policy.cell_timeout_ms.unwrap_or(0)
-            ))),
-            Ok(result) => Ok(result),
-            // A failed attempt keeps its own error even if it also overran.
-            Err(error) => Err(error),
-        };
-        match outcome {
-            Ok(result) => {
-                return CellRun {
-                    result: Ok(result),
-                    attempts: attempt + 1,
-                }
-            }
-            Err(error) => {
-                let retryable = error.kind.is_retryable();
-                last_error = error;
-                if !retryable {
-                    return CellRun {
-                        result: Err(last_error),
-                        attempts: attempt + 1,
-                    };
-                }
-            }
-        }
-    }
-    CellRun {
-        result: Err(last_error),
-        attempts: max_attempts,
-    }
-}
-
-/// The resilient executor: runs every item as an isolated, retried,
-/// deadline-guarded cell on up to `threads` workers, returning terminal
-/// outcomes in item order. Fault firing is a pure function of
-/// `(site, cell index, attempt)`, so outcomes are thread-count invariant
-/// (except which cells a `fail_fast` abort skips).
+/// Runs every item once as an isolated cell on up to `threads` workers and
+/// returns the results in item order. A cell is a pure function of its
+/// item, so the results do not depend on the thread count.
 fn run_cells<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
-    policy: &RunPolicy,
     body: impl Fn(&T) -> Result<R, SimError> + Sync,
-) -> Vec<CellRun<R>> {
+) -> Vec<Result<R, CellError>> {
     install_cell_panic_hook();
-    let injector = policy.fault_plan.clone().map(FaultInjector::new);
-    let injector = injector.as_ref();
-    let watchdog = policy
-        .cell_timeout_ms
-        .map(|t| Watchdog::new(items.len(), t));
-    let watchdog = watchdog.as_ref();
     let threads = threads.clamp(1, items.len().max(1));
     let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<CellRun<R>>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        if let Some(watchdog) = watchdog {
-            scope.spawn(|| watchdog.monitor());
-        }
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let run = if abort.load(Ordering::Acquire) {
-                    CellRun {
-                        result: Err(CellError::skipped(
-                            "fail-fast: an earlier cell failed permanently",
-                        )),
-                        attempts: 0,
+    let mut results: Vec<(usize, Result<R, CellError>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        done.push((i, run_cell(item, &body)));
                     }
-                } else {
-                    let run = run_one_cell(i, &items[i], policy, injector, watchdog, &body);
-                    if policy.fail_fast && run.result.is_err() {
-                        abort.store(true, Ordering::Release);
-                    }
-                    run
-                };
-                if let Some(watchdog) = watchdog {
-                    watchdog.cell_done();
-                }
-                // A cell that panicked on a previous holder cannot poison the
-                // slot (panics are caught inside the cell), but recover anyway
-                // rather than cascade.
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(run);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| CellRun {
-                    result: Err(CellError::skipped("cell produced no result")),
-                    attempts: 0,
                 })
-        })
-        .collect()
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                // Cell panics are caught inside `run_cell`; anything else
+                // is a bug in this loop and keeps unwinding.
+                worker
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    });
+    results.sort_unstable_by_key(|(i, _)| *i);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Splits terminal cell runs into the successful results and one labelled
+/// Splits cell results into the successful results and one labelled
 /// outcome per planned cell, in cell order.
 fn fold<T, R>(
     items: &[T],
-    runs: Vec<CellRun<R>>,
+    runs: Vec<Result<R, CellError>>,
     label: impl Fn(&T) -> String,
 ) -> (Vec<R>, Vec<CellOutcome>) {
     let mut results = Vec::with_capacity(items.len());
     let mut outcomes = Vec::with_capacity(items.len());
     for (index, (item, run)) in items.iter().zip(runs).enumerate() {
         let (index, label) = (index as u64, label(item));
-        match run.result {
+        match run {
             Ok(result) => {
                 results.push(result);
                 outcomes.push(CellOutcome::success(index, label));
             }
-            Err(error) => outcomes.push(CellOutcome::failure(index, label, error, run.attempts)),
+            Err(error) => outcomes.push(CellOutcome::failure(index, label, error)),
         }
     }
     (results, outcomes)
@@ -456,8 +182,8 @@ struct PlannedCell {
 }
 
 /// A validated grid spec expanded into its cells: sweep point × policy ×
-/// optional allocation × workload, nested in that order, so cell indices (and fault-plan targets) follow the spec's
-/// declaration order.
+/// optional allocation × workload, nested in that order, so cell indices
+/// follow the spec's declaration order.
 struct CellPlan<'a> {
     spec: &'a ExperimentSpec,
     workloads: Vec<Workload>,
@@ -567,8 +293,7 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<ExperimentReport, SimError> {
     run_spec_with_threads(spec, default_parallelism())
 }
 
-/// Runs an experiment spec on exactly `threads` worker threads under the
-/// resilience policy the spec itself declares ([`RunPolicy::from_spec`]).
+/// Runs an experiment spec on exactly `threads` worker threads.
 ///
 /// # Errors
 ///
@@ -577,43 +302,23 @@ pub fn run_spec_with_threads(
     spec: &ExperimentSpec,
     threads: usize,
 ) -> Result<ExperimentReport, SimError> {
-    run_spec_with_policy(spec, threads, &RunPolicy::from_spec(spec))
-}
-
-/// Runs an experiment spec on exactly `threads` worker threads under an
-/// explicit resilience policy (overriding whatever the spec declares).
-///
-/// # Errors
-///
-/// See [`run_spec`].
-pub fn run_spec_with_policy(
-    spec: &ExperimentSpec,
-    threads: usize,
-    policy: &RunPolicy,
-) -> Result<ExperimentReport, SimError> {
     spec.validate()?;
     let threads = threads.max(1);
     let start = Instant::now(); // analyze: allow(determinism) reason="elapsed-time reporting for the experiment harness, not simulated state"
 
-    // The simulated-cycle deadline rides on the spec's scale so every
-    // simulation a cell starts observes it inside its own step loop.
-    let mut effective = spec.clone();
-    if let Some(cap) = policy.max_cell_cycles {
-        effective.scale.max_cycles = Some(cap);
-    }
     let cache = StReferenceCache::new();
     let checkpoints = CheckpointCache::new();
     let mut report = empty_report(spec, threads);
     let outcomes = if spec.kind.is_single_thread() {
-        let benchmarks: Vec<&String> = effective.workloads.iter().map(|w| &w[0]).collect();
-        let (kind, scale) = (effective.kind, effective.scale);
-        let runs = run_cells(&benchmarks, threads, policy, |b| bench_row(kind, b, scale));
+        let benchmarks: Vec<&String> = spec.workloads.iter().map(|w| &w[0]).collect();
+        let (kind, scale) = (spec.kind, spec.scale);
+        let runs = run_cells(&benchmarks, threads, |b| bench_row(kind, b, scale));
         let (rows, outcomes) = fold(&benchmarks, runs, |b| b.to_string());
         report.bench_rows = rows;
         outcomes
     } else {
-        let plan = CellPlan::new(&effective)?;
-        let runs = run_cells(&plan.cells, threads, policy, |cell| {
+        let plan = CellPlan::new(spec)?;
+        let runs = run_cells(&plan.cells, threads, |cell| {
             evaluate_cell(&plan.cell_spec(cell), &cache, &checkpoints)
         });
         let (cells, outcomes) = fold(&plan.cells, runs, |cell| plan.label(cell));
@@ -716,8 +421,7 @@ fn bench_row(kind: ExperimentKind, benchmark: &str, scale: RunScale) -> Result<B
 mod tests {
     use super::*;
     use crate::experiments::spec::{SamplingSpec, SweepParameter, SweepSpec};
-    use smt_resil::{FaultAction, FaultPlan, FaultSpec};
-    use smt_types::{CellErrorKind, RunHealthStatus};
+    use smt_types::RunHealthStatus;
 
     fn tiny_grid_spec() -> ExperimentSpec {
         ExperimentSpec {
@@ -740,18 +444,6 @@ mod tests {
         }
     }
 
-    fn fault(site: &str, action: FaultAction) -> FaultSpec {
-        FaultSpec {
-            site: site.to_string(),
-            action,
-            cell: None,
-            hits: None,
-            delay_ms: None,
-            probability_pct: None,
-            detail: None,
-        }
-    }
-
     /// Zeroes the only fields that legitimately differ between two runs of
     /// the same spec (wall time and the worker-thread count), so reports can
     /// be compared bit-for-bit.
@@ -764,9 +456,8 @@ mod tests {
     #[test]
     fn run_cells_preserves_order_and_covers_all_items() {
         let items: Vec<u64> = (0..57).collect();
-        let policy = RunPolicy::default();
         let double = |threads| {
-            let runs = run_cells(&items, threads, &policy, |&x| Ok(x * 2));
+            let runs = run_cells(&items, threads, |&x| Ok(x * 2));
             fold(&items, runs, |x| x.to_string())
         };
         let (doubled, outcomes) = double(4);
@@ -971,140 +662,37 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_exponential_and_capped() {
-        let policy = RunPolicy {
-            backoff_base_ms: 4,
-            backoff_cap_ms: 20,
-            ..RunPolicy::default()
-        };
-        let first = policy.backoff_ms(3, 1);
-        assert_eq!(first, policy.backoff_ms(3, 1));
-        assert!(first >= 4);
-        assert!(policy.backoff_ms(3, 2) >= first);
-        // Growth saturates at the cap.
-        assert_eq!(policy.backoff_ms(3, 10), 20);
-        assert_eq!(policy.backoff_ms(3, 63), 20);
-    }
-
-    #[test]
     fn permanently_panicking_cell_is_quarantined() {
-        let spec = tiny_grid_spec();
-        let mut panic_fault = fault("cell-start", FaultAction::Panic);
-        panic_fault.cell = Some(0);
-        panic_fault.detail = Some("chaos: engine test".to_string());
-        let policy = RunPolicy {
-            fault_plan: Some(FaultPlan {
-                seed: 7,
-                faults: vec![panic_fault],
-            }),
-            ..RunPolicy::default()
-        };
-        let report = run_spec_with_policy(&spec, 2, &policy).unwrap();
-        let health = report.health.unwrap();
-        assert_eq!(health.status, RunHealthStatus::Degraded);
-        assert_eq!(health.planned_cells, 4);
-        assert_eq!(health.completed_cells, 3);
-        assert_eq!(health.failed_cells, 1);
-        // The surviving cells are intact.
-        assert_eq!(report.policy_cells.len(), 3);
-        let outcomes = report.cell_outcomes.unwrap();
-        let failed = &outcomes[0];
-        assert!(!failed.ok);
-        let error = failed.error.as_ref().unwrap();
-        assert_eq!(error.kind, CellErrorKind::Panic);
-        assert!(error.detail.contains("chaos: engine test"));
-        // Default policy: one retry, so two attempts were consumed.
-        assert_eq!(failed.attempts, Some(2));
-    }
-
-    #[test]
-    fn transient_fault_recovers_to_bit_for_bit_parity() {
-        let spec = tiny_grid_spec();
-        let clean = comparable(run_spec_with_threads(&spec, 2).unwrap());
-        let mut transient = fault("cell-start", FaultAction::Panic);
-        transient.hits = Some(1);
-        let policy = RunPolicy {
-            backoff_base_ms: 1,
-            fault_plan: Some(FaultPlan {
-                seed: 7,
-                faults: vec![transient],
-            }),
-            ..RunPolicy::default()
-        };
-        assert!(policy
-            .fault_plan
-            .as_ref()
-            .unwrap()
-            .recovers_within(policy.max_attempts()));
-        let chaotic = comparable(run_spec_with_policy(&spec, 2, &policy).unwrap());
-        assert_eq!(clean, chaotic);
-    }
-
-    #[test]
-    fn degraded_reports_are_thread_count_invariant() {
-        let spec = tiny_grid_spec();
-        let mut broken = fault("cell-finish", FaultAction::Fail);
-        broken.cell = Some(2);
-        let policy = RunPolicy {
-            backoff_base_ms: 1,
-            fault_plan: Some(FaultPlan {
-                seed: 11,
-                faults: vec![broken],
-            }),
-            ..RunPolicy::default()
-        };
-        let serial = comparable(run_spec_with_policy(&spec, 1, &policy).unwrap());
-        let parallel = comparable(run_spec_with_policy(&spec, 4, &policy).unwrap());
-        assert_eq!(serial, parallel);
-        assert_eq!(
-            serial.health.as_ref().unwrap().status,
-            RunHealthStatus::Degraded
-        );
-        let outcome = &serial.cell_outcomes.as_ref().unwrap()[2];
-        assert_eq!(
-            outcome.error.as_ref().unwrap().kind,
-            CellErrorKind::InjectedFault
-        );
-        // Injected faults are retryable: the full attempt budget was spent.
-        assert_eq!(outcome.attempts, Some(2));
-    }
-
-    #[test]
-    fn wall_clock_deadline_fails_slow_cells() {
-        let spec = tiny_grid_spec();
-        let mut slow = fault("cell-start", FaultAction::Delay);
-        slow.cell = Some(1);
-        slow.delay_ms = Some(1200);
-        let policy = RunPolicy {
-            max_retries: 0,
-            cell_timeout_ms: Some(600),
-            fault_plan: Some(FaultPlan {
-                seed: 3,
-                faults: vec![slow],
-            }),
-            ..RunPolicy::default()
-        };
-        let report = run_spec_with_policy(&spec, 2, &policy).unwrap();
-        let outcomes = report.cell_outcomes.unwrap();
-        let failed = &outcomes[1];
-        assert!(!failed.ok);
-        assert_eq!(
-            failed.error.as_ref().unwrap().kind,
-            CellErrorKind::DeadlineExceeded
-        );
-        assert_eq!(report.health.unwrap().status, RunHealthStatus::Degraded);
+        let items: Vec<u64> = (0..8).collect();
+        for threads in [1, 4] {
+            let runs = run_cells(&items, threads, |&x| {
+                if x == 3 {
+                    panic!("deliberate panic in item {x}");
+                }
+                Ok(x * 10)
+            });
+            let (results, outcomes) = fold(&items, runs, |x| x.to_string());
+            assert_eq!(
+                results,
+                vec![0, 10, 20, 40, 50, 60, 70],
+                "{threads} threads"
+            );
+            assert_eq!(outcomes.len(), 8);
+            let failed: Vec<&CellOutcome> = outcomes.iter().filter(|o| !o.ok).collect();
+            assert_eq!(failed.len(), 1);
+            assert_eq!(failed[0].cell, 3);
+            let error = failed[0].error.as_ref().unwrap();
+            assert_eq!(error.kind, CellErrorKind::Panic);
+            assert_eq!(error.detail, "deliberate panic in item 3");
+        }
     }
 
     #[test]
     fn simulated_cycle_deadline_fails_every_cell_deterministically() {
-        let spec = tiny_grid_spec();
-        let policy = RunPolicy {
-            max_retries: 0,
-            max_cell_cycles: Some(10),
-            ..RunPolicy::default()
-        };
-        let serial = comparable(run_spec_with_policy(&spec, 1, &policy).unwrap());
-        let parallel = comparable(run_spec_with_policy(&spec, 4, &policy).unwrap());
+        let mut spec = tiny_grid_spec();
+        spec.scale.max_cycles = Some(10);
+        let serial = comparable(run_spec_with_threads(&spec, 1).unwrap());
+        let parallel = comparable(run_spec_with_threads(&spec, 4).unwrap());
         assert_eq!(serial, parallel);
         let health = serial.health.as_ref().unwrap();
         assert_eq!(health.status, RunHealthStatus::Failed);
@@ -1117,33 +705,39 @@ mod tests {
         }
     }
 
+    /// `[scale] max_cycles` is the engine's one deadline. On the two-thread
+    /// grid it stops the slowest cells before their instruction budget and
+    /// lets the others finish, and the degraded report is the same on 1 and
+    /// 4 worker threads.
     #[test]
-    fn fail_fast_skips_cells_after_a_permanent_failure() {
-        let spec = tiny_grid_spec();
-        let mut broken = fault("cell-start", FaultAction::Fail);
-        broken.cell = Some(0);
-        let policy = RunPolicy {
-            max_retries: 0,
-            fail_fast: true,
-            fault_plan: Some(FaultPlan {
-                seed: 5,
-                faults: vec![broken],
-            }),
-            ..RunPolicy::default()
-        };
-        // Serial execution makes the skip set deterministic: cell 0 fails,
-        // cells 1-3 are skipped.
-        let report = run_spec_with_policy(&spec, 1, &policy).unwrap();
-        let outcomes = report.cell_outcomes.unwrap();
-        assert_eq!(
-            outcomes[0].error.as_ref().unwrap().kind,
-            CellErrorKind::InjectedFault
-        );
-        for outcome in &outcomes[1..] {
-            assert_eq!(outcome.error.as_ref().unwrap().kind, CellErrorKind::Skipped);
-            assert_eq!(outcome.attempts, Some(0));
+    fn degraded_reports_are_thread_count_invariant() {
+        let mut spec = crate::experiments::registry::ExperimentRegistry::builtin()
+            .get("fig09_two_thread_policies")
+            .expect("registry entry")
+            .clone()
+            .with_scale(RunScale::tiny())
+            .with_workload_limit_per_group(1)
+            .unwrap();
+        spec.scale.max_cycles = Some(20_000);
+        let serial = comparable(run_spec_with_threads(&spec, 1).unwrap());
+        let parallel = comparable(run_spec_with_threads(&spec, 4).unwrap());
+        assert_eq!(serial, parallel);
+        let health = serial.health.as_ref().unwrap();
+        assert_eq!(health.status, RunHealthStatus::Degraded);
+        assert_eq!(health.planned_cells, 18);
+        assert_eq!(health.completed_cells, 15);
+        assert_eq!(health.failed_cells, 3);
+        assert_eq!(serial.policy_cells.len(), 15);
+        for outcome in serial.cell_outcomes.as_ref().unwrap() {
+            if !outcome.ok {
+                let error = outcome.error.as_ref().unwrap();
+                assert_eq!(error.kind, CellErrorKind::DeadlineExceeded);
+                assert!(
+                    error.detail.contains("simulated-cycle cap"),
+                    "{}",
+                    error.detail
+                );
+            }
         }
-        assert_eq!(report.health.unwrap().status, RunHealthStatus::Failed);
-        assert!(report.policy_cells.is_empty());
     }
 }

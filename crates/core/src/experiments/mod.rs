@@ -16,12 +16,12 @@ pub mod report;
 pub mod spec;
 
 pub use characterization::{characterize, Table1Row};
-pub use engine::{run_spec, run_spec_with_policy, run_spec_with_threads, RunPolicy};
+pub use engine::{run_spec, run_spec_with_threads};
 pub use registry::{ExperimentRegistry, ALTERNATIVE_POLICIES};
 pub use report::{BenchRow, ExperimentReport, PolicyCell, SummaryRow};
 pub use spec::{
-    ChipSpec, ConfigOverrides, ExperimentKind, ExperimentSpec, ResilienceSpec, SamplingSpec,
-    SweepParameter, SweepSpec,
+    ChipSpec, ConfigOverrides, ExperimentKind, ExperimentSpec, SamplingSpec, SweepParameter,
+    SweepSpec,
 };
 
 // Figure-level checks run end to end through the registry specs: the policy

@@ -163,11 +163,11 @@ pub struct ExperimentReport {
     pub summaries: Vec<SummaryRow>,
     /// Per-benchmark rows (single-thread kinds; empty otherwise).
     pub bench_rows: Vec<BenchRow>,
-    /// Terminal outcome of every planned cell, in cell order. `None` only in
-    /// reports written before the resilient engine.
+    /// Outcome of every planned cell, in cell order. `None` only in reports
+    /// written before per-cell outcomes were recorded.
     pub cell_outcomes: Option<Vec<CellOutcome>>,
     /// Whole-run health classification. `None` only in reports written
-    /// before the resilient engine.
+    /// before per-cell outcomes were recorded.
     pub health: Option<RunHealth>,
     /// Warm-checkpoint traffic; present only for sampled runs.
     pub checkpoints: Option<CheckpointSummary>,
@@ -282,16 +282,13 @@ impl ExperimentReport {
                 ));
                 if let Some(outcomes) = &self.cell_outcomes {
                     for outcome in outcomes.iter().filter(|o| !o.ok) {
-                        let attempts = outcome.attempts.unwrap_or(0);
                         let error = outcome
                             .error
                             .as_ref()
                             .map_or_else(|| "unknown error".to_string(), |e| e.to_string());
                         out.push_str(&format!(
-                            "  cell {} [{}]: {error} (after {attempts} attempt{})\n",
-                            outcome.cell,
-                            outcome.label,
-                            if attempts == 1 { "" } else { "s" },
+                            "  cell {} [{}]: {error}\n",
+                            outcome.cell, outcome.label,
                         ));
                     }
                 }

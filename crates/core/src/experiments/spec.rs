@@ -9,7 +9,6 @@
 //! are executed by [`crate::experiments::engine::run_spec`].
 
 use serde::{Deserialize, Serialize};
-use smt_resil::FaultPlan;
 use smt_sched::AllocationPolicyKind;
 use smt_trace::spec as trace_spec;
 use smt_types::config::{BusConfig, CacheConfig, FetchPolicyKind};
@@ -210,43 +209,6 @@ pub struct ChipSpec {
     pub chip_threads: Option<usize>,
 }
 
-/// Resilience knobs and test hooks for the fault-tolerant engine: retry
-/// budgets, per-cell deadlines, and the deterministic fault plan the chaos
-/// harness (`smt-resil`) injects. Every field is optional; an absent field
-/// falls back to the engine default (see
-/// [`crate::experiments::engine::RunPolicy`]), and CLI flags override spec
-/// values.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct ResilienceSpec {
-    /// Retries per failed cell on top of the first attempt (0 = give up
-    /// immediately).
-    pub max_retries: Option<u64>,
-    /// Wall-clock budget per cell attempt, in milliseconds; enforcement is
-    /// by the engine's watchdog thread.
-    pub cell_timeout_ms: Option<u64>,
-    /// Deterministic simulated-cycle cap per cell attempt, enforced inside
-    /// the simulator step loop; a cell whose simulation hits the cap before
-    /// completing its instruction budget fails with a deadline error.
-    pub max_cell_cycles: Option<u64>,
-    /// Stop scheduling new cells after the first permanent cell failure.
-    pub fail_fast: Option<bool>,
-    /// First-retry backoff in milliseconds (doubled per retry, capped).
-    pub backoff_base_ms: Option<u64>,
-    /// Upper bound on the per-retry backoff, in milliseconds.
-    pub backoff_cap_ms: Option<u64>,
-    /// Deterministic fault schedule injected at the engine's named
-    /// injection points (the chaos-test hook).
-    pub fault_plan: Option<FaultPlan>,
-}
-
-impl ResilienceSpec {
-    /// Whether every field is unset.
-    pub fn is_empty(&self) -> bool {
-        *self == ResilienceSpec::default()
-    }
-}
-
 /// Sampled-execution cadence of a [`ExperimentKind::PolicyGrid`] experiment:
 /// when present, every grid cell runs in SMARTS-style sampled mode
 /// (`skip → ff → warm → measure` units, see
@@ -350,8 +312,12 @@ pub struct ExperimentSpec {
     /// Only an absent field validates; any `[adaptive]` table is an error,
     /// never silently ignored.
     pub adaptive: Option<serde::Value>,
-    /// Resilience knobs and fault-injection hooks (any kind; optional).
-    pub resilience: Option<ResilienceSpec>,
+    /// Retired: cell retries, the wall-clock watchdog and fault injection
+    /// are gone, because a cell is a pure function of its spec and fails the
+    /// same way twice. Only an absent field validates; any `[resilience]`
+    /// table is an error, never silently ignored. `[scale] max_cycles` is
+    /// the one per-cell deadline.
+    pub resilience: Option<serde::Value>,
     /// Sampled-execution cadence (exclusive to
     /// [`ExperimentKind::PolicyGrid`]; optional — absent runs cycle-accurate
     /// end to end).
@@ -516,6 +482,13 @@ impl ExperimentSpec {
                  name the fetch policies in `policies` instead",
             ));
         }
+        if self.resilience.is_some() {
+            return Err(invalid(
+                name,
+                "resilience: retired table; cells run once and are never retried, \
+                 so cap a cell's simulated cycles with `[scale] max_cycles` instead",
+            ));
+        }
         let threads_limit = match &self.chip {
             Some(chip) => chip.num_cores * smt_types::ThreadId::MAX_THREADS,
             None => smt_types::ThreadId::MAX_THREADS,
@@ -631,18 +604,6 @@ impl ExperimentSpec {
                 .config()
                 .validate()
                 .map_err(|e| prefix_error(name, "sampling", e))?;
-        }
-        if let Some(resilience) = &self.resilience {
-            if resilience.max_cell_cycles == Some(0) {
-                return Err(invalid(
-                    name,
-                    "resilience.max_cell_cycles: must be non-zero",
-                ));
-            }
-            if let Some(plan) = &resilience.fault_plan {
-                plan.validate()
-                    .map_err(|e| prefix_error(name, "resilience", e))?;
-            }
         }
         // Every configuration the grid will run must itself be valid.
         for sweep_value in self.sweep_points() {

@@ -55,6 +55,15 @@ impl SmtSimulator {
         self.chip.cores[0].fetch_frozen = frozen;
     }
 
+    /// The cycle by which a detailed phase of `instructions` per thread must
+    /// end: [`MAX_CYCLES_PER_INSTRUCTION`] per instruction plus a drain's
+    /// worth, saturating at `u64::MAX`.
+    fn phase_cap(&self, instructions: u64) -> u64 {
+        self.cycle()
+            .saturating_add(instructions.saturating_mul(MAX_CYCLES_PER_INSTRUCTION))
+            .saturating_add(MAX_DRAIN_CYCLES)
+    }
+
     /// Drains with fetch frozen until the pipeline is empty or the cycle
     /// count reaches `limit`; returns whether it drained.
     fn drain_until(&mut self, limit: u64) -> bool {
@@ -71,7 +80,7 @@ impl SmtSimulator {
     /// exceeded when the cap stopped it, internal otherwise.
     fn drain_for_fast_forward(&mut self, max_cycles: u64, bound: u64) -> Result<(), SimError> {
         let start = self.cycle();
-        if self.drain_until(max_cycles.min(start + bound)) {
+        if self.drain_until(max_cycles.min(start.saturating_add(bound))) {
             return Ok(());
         }
         let cycle = self.cycle();
@@ -135,21 +144,17 @@ impl SmtSimulator {
 
             // Detailed warm-up: re-fills the transient pipeline state the
             // functional path does not model; resets statistics at the end.
-            let warm_cap = options.max_cycles.min(
-                self.cycle()
-                    + sampling.warm_instructions * MAX_CYCLES_PER_INSTRUCTION
-                    + MAX_DRAIN_CYCLES,
-            );
+            let warm_cap = options
+                .max_cycles
+                .min(self.phase_cap(sampling.warm_instructions));
             self.warm_up(sampling.warm_instructions, warm_cap);
             self.reset_stats();
 
             // Measurement window: the paper's any-thread stop criterion at
             // window scale.
-            let measure_cap = options.max_cycles.min(
-                self.cycle()
-                    + sampling.measure_instructions * MAX_CYCLES_PER_INSTRUCTION
-                    + MAX_DRAIN_CYCLES,
-            );
+            let measure_cap = options
+                .max_cycles
+                .min(self.phase_cap(sampling.measure_instructions));
             self.chip.drive(
                 StopRule::AnyThreadCommits(sampling.measure_instructions),
                 measure_cap,

@@ -38,8 +38,9 @@ pub struct RunScale {
     /// Base random seed for the synthetic trace generators.
     pub seed: u64,
     /// Optional deterministic cap on simulated cycles, checked inside the
-    /// simulator step loop (the resilient engine's simulated-time deadline).
-    /// Absent = the generous [`SimOptions`] default safety limit.
+    /// simulator step loop: the engine's one per-cell deadline. A cell that
+    /// reaches it fails with a deadline-exceeded error. Absent = the
+    /// generous [`SimOptions`] default safety limit.
     pub max_cycles: Option<u64>,
 }
 
@@ -391,7 +392,7 @@ fn record_st_curve(
     let committed = committed(&sim);
     if committed < budget {
         // A truncated curve would yield bogus (even zero) reference CPIs and
-        // silently corrupt STP/ANTT; fail loudly so the resilient engine can
+        // silently corrupt STP/ANTT; fail loudly so the engine can
         // classify the cell as deadline-exceeded instead.
         return Err(SimError::deadline_exceeded(format!(
             "simulated-cycle cap of {max_cycles} cycles hit before the single-thread \

@@ -11,7 +11,7 @@
 //! * per-thread and machine-wide statistics ([`stats`]),
 //! * the read-only pipeline snapshot handed to fetch policies ([`snapshot`]),
 //! * error types ([`error`]),
-//! * the resilient engine's failure taxonomy ([`resilience`]),
+//! * the experiment engine's per-cell failure taxonomy ([`resilience`]),
 //! * the sampled-simulation cadence and estimate types ([`sampling`]).
 //!
 //! # Example

@@ -1,10 +1,9 @@
-//! Failure vocabulary of the resilient experiment engine.
+//! Failure vocabulary of the experiment engine.
 //!
 //! The parallel experiment engine (`smt-core`) runs every table, sweep and
 //! grid as a queue of independent *cells*. A cell can fail — a panic in the
-//! simulator, an exceeded deadline, a malformed cell specification, or a
-//! fault injected by the deterministic chaos harness (`smt-resil`) — without
-//! taking the run down with it. This module defines the shared taxonomy for
+//! simulator, a simulated-cycle cap hit, or a malformed cell specification —
+//! without taking the run down with it. This module defines the shared taxonomy for
 //! those failures: [`CellError`] (what went wrong in one cell),
 //! [`CellOutcome`] (the per-cell record embedded in every experiment
 //! report), and [`RunHealth`] (the roll-up the CLI maps to exit codes).
@@ -25,27 +24,19 @@ pub enum CellErrorKind {
     /// The cell body panicked; the payload is quarantined in
     /// [`CellError::detail`].
     Panic,
-    /// The cell exceeded its wall-clock or simulated-cycle budget.
+    /// The cell hit its simulated-cycle cap (`[scale] max_cycles`).
     DeadlineExceeded,
     /// The cell's specification was rejected by the simulator (unknown
-    /// benchmark, invalid configuration). Never retried: the same spec
-    /// fails the same way every time.
+    /// benchmark, invalid configuration).
     InvalidSpec,
-    /// A fault injected by a `smt-resil` fault plan fired in this cell.
-    InjectedFault,
-    /// The cell never ran: an earlier permanent failure aborted the run
-    /// under fail-fast.
-    Skipped,
 }
 
 impl CellErrorKind {
     /// Every failure kind, in presentation order.
-    pub const ALL: [CellErrorKind; 5] = [
+    pub const ALL: [CellErrorKind; 3] = [
         CellErrorKind::Panic,
         CellErrorKind::DeadlineExceeded,
         CellErrorKind::InvalidSpec,
-        CellErrorKind::InjectedFault,
-        CellErrorKind::Skipped,
     ];
 
     /// Short machine-readable name used in reports.
@@ -54,24 +45,12 @@ impl CellErrorKind {
             CellErrorKind::Panic => "panic",
             CellErrorKind::DeadlineExceeded => "deadline-exceeded",
             CellErrorKind::InvalidSpec => "invalid-spec",
-            CellErrorKind::InjectedFault => "injected-fault",
-            CellErrorKind::Skipped => "skipped",
         }
     }
 
     /// Parses a [`CellErrorKind::name`] string back into a kind.
     pub fn from_name(name: &str) -> Option<CellErrorKind> {
         Self::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// Whether a failure of this kind is worth retrying: panics, deadline
-    /// overruns and injected faults may be transient; a rejected spec fails
-    /// deterministically and a skipped cell was never attempted.
-    pub fn is_retryable(self) -> bool {
-        matches!(
-            self,
-            CellErrorKind::Panic | CellErrorKind::DeadlineExceeded | CellErrorKind::InjectedFault
-        )
     }
 }
 
@@ -83,51 +62,9 @@ serde::named_enum_serde!(CellErrorKind, "cell error kind");
 pub struct CellError {
     /// The failure class.
     pub kind: CellErrorKind,
-    /// Human-readable detail: the panic payload, the exceeded budget, the
-    /// simulator error text, or the injected fault's label.
+    /// Human-readable detail: the panic payload, the exceeded budget, or the
+    /// simulator error text.
     pub detail: String,
-}
-
-impl CellError {
-    /// A quarantined panic with its (stringified) payload.
-    pub fn panic(payload: impl Into<String>) -> Self {
-        CellError {
-            kind: CellErrorKind::Panic,
-            detail: payload.into(),
-        }
-    }
-
-    /// An exceeded per-cell budget.
-    pub fn deadline(detail: impl Into<String>) -> Self {
-        CellError {
-            kind: CellErrorKind::DeadlineExceeded,
-            detail: detail.into(),
-        }
-    }
-
-    /// A cell specification the simulator rejected.
-    pub fn invalid_spec(detail: impl Into<String>) -> Self {
-        CellError {
-            kind: CellErrorKind::InvalidSpec,
-            detail: detail.into(),
-        }
-    }
-
-    /// A fault fired by the deterministic injection harness.
-    pub fn injected(detail: impl Into<String>) -> Self {
-        CellError {
-            kind: CellErrorKind::InjectedFault,
-            detail: detail.into(),
-        }
-    }
-
-    /// A cell abandoned by fail-fast before it ever ran.
-    pub fn skipped(detail: impl Into<String>) -> Self {
-        CellError {
-            kind: CellErrorKind::Skipped,
-            detail: detail.into(),
-        }
-    }
 }
 
 impl fmt::Display for CellError {
@@ -139,12 +76,9 @@ impl fmt::Display for CellError {
 impl std::error::Error for CellError {}
 
 /// The execution record of one cell in an experiment report, aligned with
-/// the engine's deterministic cell ordering.
-///
-/// A cell that eventually succeeded — even after transient failures that
-/// were retried away — carries no error and no attempt count, so a report
-/// recovered from transient faults is bit-for-bit identical to the
-/// fault-free report.
+/// the engine's deterministic cell ordering. The engine runs each cell once:
+/// a cell is a pure function of its spec, so a second run would fail the
+/// same way.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct CellOutcome {
@@ -154,10 +88,8 @@ pub struct CellOutcome {
     pub label: String,
     /// Whether the cell produced its result.
     pub ok: bool,
-    /// The final error of a failed cell; absent on success.
+    /// The error of a failed cell; absent on success.
     pub error: Option<CellError>,
-    /// Attempts consumed by a failed cell (1 = no retry); absent on success.
-    pub attempts: Option<u64>,
 }
 
 impl CellOutcome {
@@ -168,18 +100,16 @@ impl CellOutcome {
             label: label.into(),
             ok: true,
             error: None,
-            attempts: None,
         }
     }
 
-    /// A cell that exhausted its retry budget.
-    pub fn failure(cell: u64, label: impl Into<String>, error: CellError, attempts: u64) -> Self {
+    /// A failed cell.
+    pub fn failure(cell: u64, label: impl Into<String>, error: CellError) -> Self {
         CellOutcome {
             cell,
             label: label.into(),
             ok: false,
             error: Some(error),
-            attempts: Some(attempts),
         }
     }
 }
@@ -234,8 +164,7 @@ pub struct RunHealth {
     pub planned_cells: u64,
     /// Cells that produced results.
     pub completed_cells: u64,
-    /// Cells that exhausted their retry budget (or were skipped by
-    /// fail-fast).
+    /// Cells that failed.
     pub failed_cells: u64,
 }
 
@@ -282,19 +211,17 @@ mod tests {
     }
 
     #[test]
-    fn retryability_matches_taxonomy() {
-        assert!(CellErrorKind::Panic.is_retryable());
-        assert!(CellErrorKind::DeadlineExceeded.is_retryable());
-        assert!(CellErrorKind::InjectedFault.is_retryable());
-        assert!(!CellErrorKind::InvalidSpec.is_retryable());
-        assert!(!CellErrorKind::Skipped.is_retryable());
-    }
-
-    #[test]
     fn health_classifies_outcome_mixes() {
         use serde::{Deserialize as _, Serialize as _};
         let ok = CellOutcome::success(0, "icount/gcc-mcf");
-        let bad = CellOutcome::failure(1, "mlp/gcc-mcf", CellError::panic("boom"), 3);
+        let bad = CellOutcome::failure(
+            1,
+            "mlp/gcc-mcf",
+            CellError {
+                kind: CellErrorKind::Panic,
+                detail: "boom".to_string(),
+            },
+        );
         let all_ok = RunHealth::from_outcomes(&[ok.clone(), ok.clone()]);
         assert_eq!(all_ok.status, RunHealthStatus::Complete);
         assert!(all_ok.is_complete());
@@ -312,19 +239,19 @@ mod tests {
     #[test]
     fn success_outcome_carries_no_failure_fields() {
         use serde::Serialize as _;
-        // Bit-for-bit parity between a fault-free run and a run whose
-        // transient faults were retried away depends on success outcomes
-        // serializing without error/attempts noise.
+        // A success outcome serializes as exactly `cell`, `label` and `ok`,
+        // so fault-free reports carry no failure noise.
         let ok = CellOutcome::success(3, "icount/gcc");
         match ok.serialize() {
             serde::Value::Map(fields) => {
-                assert!(fields.iter().all(|(k, _)| k != "error" && k != "attempts"));
+                assert!(fields.iter().all(|(k, _)| k != "error"));
             }
             other => panic!("expected map, got {other:?}"),
         }
-        assert_eq!(
-            format!("{}", CellError::deadline("cell 3: 10ms budget")),
-            "deadline-exceeded: cell 3: 10ms budget"
-        );
+        let error = CellError {
+            kind: CellErrorKind::DeadlineExceeded,
+            detail: "cell 3: max_cycles".to_string(),
+        };
+        assert_eq!(error.to_string(), "deadline-exceeded: cell 3: max_cycles");
     }
 }

@@ -25,6 +25,9 @@ use crate::error::SimError;
 /// the instruction budget is exhausted *and* at least `min_windows` windows
 /// were measured.
 ///
+/// Each length is at most [`SamplingConfig::MAX_PHASE_INSTRUCTIONS`] and
+/// `min_windows` at most [`SamplingConfig::MAX_WINDOWS`].
+///
 /// The skip phase is the lever for large budgets: functional warming costs
 /// several times raw trace consumption, and the warm structures only need a
 /// bounded warming horizon (`ff_instructions`) of fresh history before each
@@ -69,8 +72,37 @@ impl Default for SamplingConfig {
 }
 
 impl SamplingConfig {
-    /// Checks internal consistency.
+    /// Upper bound on each phase length, in instructions per thread: about
+    /// 670 times the `full` scale's whole budget. Functional work has no
+    /// cycle cap, so a longer phase could hang a run, and the window cycle
+    /// caps multiply the lengths.
+    pub const MAX_PHASE_INSTRUCTIONS: u64 = 100_000_000;
+
+    /// Upper bound on [`SamplingConfig::min_windows`].
+    pub const MAX_WINDOWS: u32 = 1_000;
+
+    /// Checks internal consistency and the documented limits.
     pub fn validate(&self) -> Result<(), SimError> {
+        for (field, value) in [
+            ("skip_instructions", self.skip_instructions),
+            ("ff_instructions", self.ff_instructions),
+            ("warm_instructions", self.warm_instructions),
+            ("measure_instructions", self.measure_instructions),
+        ] {
+            if value > Self::MAX_PHASE_INSTRUCTIONS {
+                return Err(SimError::invalid_config(format!(
+                    "{field} must be at most {} instructions per thread (got {value})",
+                    Self::MAX_PHASE_INSTRUCTIONS
+                )));
+            }
+        }
+        if self.min_windows > Self::MAX_WINDOWS {
+            return Err(SimError::invalid_config(format!(
+                "min_windows must be at most {} (got {})",
+                Self::MAX_WINDOWS,
+                self.min_windows
+            )));
+        }
         if self.measure_instructions == 0 {
             return Err(SimError::invalid_config(
                 "measure_instructions must be non-zero",
@@ -87,12 +119,13 @@ impl SamplingConfig {
         Ok(())
     }
 
-    /// Instructions per thread consumed by one full sampling unit.
+    /// Instructions per thread consumed by one full sampling unit
+    /// (saturating; a validated config is far below `u64::MAX`).
     pub fn unit_instructions(&self) -> u64 {
         self.skip_instructions
-            + self.ff_instructions
-            + self.warm_instructions
-            + self.measure_instructions
+            .saturating_add(self.ff_instructions)
+            .saturating_add(self.warm_instructions)
+            .saturating_add(self.measure_instructions)
     }
 
     /// Fraction of instructions executed in detailed (cycle-accurate) mode.
@@ -100,7 +133,8 @@ impl SamplingConfig {
     /// This is the deterministic speedup proxy: wall-clock gains track how few
     /// instructions run through the full pipeline model.
     pub fn detailed_fraction(&self) -> f64 {
-        (self.warm_instructions + self.measure_instructions) as f64
+        self.warm_instructions
+            .saturating_add(self.measure_instructions) as f64
             / self.unit_instructions() as f64
     }
 }
@@ -259,6 +293,42 @@ mod tests {
             ..SamplingConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn fields_above_their_limit_are_rejected_by_name() {
+        let limit = SamplingConfig::MAX_PHASE_INSTRUCTIONS;
+        let at_limit = SamplingConfig {
+            skip_instructions: limit,
+            ff_instructions: limit,
+            warm_instructions: limit,
+            measure_instructions: limit,
+            min_windows: SamplingConfig::MAX_WINDOWS,
+        };
+        at_limit.validate().unwrap();
+        let mut over = [at_limit; 5];
+        over[0].skip_instructions = u64::MAX;
+        over[1].ff_instructions = limit + 1;
+        over[2].warm_instructions = limit + 1;
+        over[3].measure_instructions = u64::MAX;
+        over[4].min_windows = u32::MAX;
+        let fields = [
+            "skip_instructions",
+            "ff_instructions",
+            "warm_instructions",
+            "measure_instructions",
+            "min_windows",
+        ];
+        for (field, config) in fields.into_iter().zip(over) {
+            let err = config.validate().unwrap_err().to_string();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        let wrapping = SamplingConfig {
+            skip_instructions: u64::MAX,
+            ..SamplingConfig::default()
+        };
+        assert_eq!(wrapping.unit_instructions(), u64::MAX);
+        assert!(wrapping.detailed_fraction() < 1e-12);
     }
 
     #[test]

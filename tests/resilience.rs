@@ -1,119 +1,6 @@
-//! End-to-end resilience properties of the experiment engine.
-//!
-//! Three contracts from the resilient-engine work are pinned here, from the
-//! outside, against the public API:
-//!
-//! 1. **Transient chaos is invisible.** Any fault plan whose faults all
-//!    recover within the retry budget yields a report bit-for-bit identical
-//!    to the fault-free run (modulo wall-clock time and thread count).
-//! 2. **Degradation is deterministic.** A permanently failing cell produces
-//!    the same degraded report on 1 engine thread and on 4.
-//! 3. **Artifact writes are crash-safe.** Killing a process mid-write leaves
-//!    either the old artifact or the complete new one on disk — never a
-//!    truncated hybrid.
-
-use proptest::prelude::*;
-use smt_core::experiments::{
-    run_spec_with_policy, ExperimentRegistry, ExperimentReport, RunPolicy,
-};
-use smt_core::runner::RunScale;
-use smt_resil::{FaultAction, FaultPlan, FaultSpec};
-
-/// The small spec every engine test here runs: two workloads of the paper's
-/// two-thread policy comparison at the tiny scale.
-fn tiny_spec() -> smt_core::experiments::ExperimentSpec {
-    ExperimentRegistry::builtin()
-        .get("fig09_two_thread_policies")
-        .expect("registry entry exists")
-        .clone()
-        .with_scale(RunScale::tiny())
-        .with_workload_limit(1)
-}
-
-/// Zeroes the report fields that legitimately differ between runs (wall
-/// clock) and thread counts, leaving everything the results contract pins.
-fn comparable(mut report: ExperimentReport) -> ExperimentReport {
-    report.wall_ms = 0;
-    report.threads_used = 0;
-    report
-}
-
-fn transient_fault(site: &str, action: FaultAction, cell: u64, hits: u64) -> FaultSpec {
-    FaultSpec {
-        site: site.to_string(),
-        action,
-        cell: Some(cell),
-        hits: Some(hits),
-        delay_ms: None,
-        probability_pct: None,
-        detail: Some("resilience integration test".to_string()),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Contract 1: a transient-only plan (every fault disarms within the
-    /// retry budget) must recover to bit-for-bit parity with the fault-free
-    /// run — same cells, same metrics, complete health, exit-code-0 shape.
-    #[test]
-    fn transient_chaos_recovers_to_bit_for_bit_parity(
-        seed in 0u64..1_000,
-        site_finish in any::<bool>(),
-        panic_not_fail in any::<bool>(),
-        cell in 0u64..6,
-        hits in 1u64..3,
-    ) {
-        let spec = tiny_spec();
-        let site = if site_finish { "cell-finish" } else { "cell-start" };
-        let action = if panic_not_fail { FaultAction::Panic } else { FaultAction::Fail };
-        let plan = FaultPlan {
-            seed,
-            faults: vec![transient_fault(site, action, cell, hits)],
-        };
-        let policy = RunPolicy {
-            max_retries: 2,
-            fault_plan: Some(plan.clone()),
-            ..RunPolicy::default()
-        };
-        prop_assert!(plan.recovers_within(policy.max_attempts()));
-
-        let clean = run_spec_with_policy(&spec, 2, &RunPolicy::default()).unwrap();
-        let chaotic = run_spec_with_policy(&spec, 2, &policy).unwrap();
-        prop_assert!(chaotic.health.as_ref().unwrap().is_complete());
-        prop_assert_eq!(comparable(clean), comparable(chaotic));
-    }
-}
-
-/// Contract 2: degraded reports — which cells failed, with what error, after
-/// how many attempts — are a pure function of the spec and the policy, not
-/// of the engine's thread count.
-#[test]
-fn degraded_reports_are_identical_across_thread_counts() {
-    let spec = tiny_spec();
-    let plan = FaultPlan {
-        seed: 13,
-        faults: vec![FaultSpec {
-            site: "cell-start".to_string(),
-            action: FaultAction::Fail,
-            cell: Some(1),
-            hits: None, // permanent
-            delay_ms: None,
-            probability_pct: None,
-            detail: Some("permanent integration fault".to_string()),
-        }],
-    };
-    let policy = RunPolicy {
-        fault_plan: Some(plan),
-        ..RunPolicy::default()
-    };
-    let serial = run_spec_with_policy(&spec, 1, &policy).unwrap();
-    let parallel = run_spec_with_policy(&spec, 4, &policy).unwrap();
-    let health = serial.health.clone().unwrap();
-    assert!(!health.is_complete());
-    assert_eq!(health.failed_cells, 1);
-    assert_eq!(comparable(serial), comparable(parallel));
-}
+//! Artifact writes are crash-safe: killing a process mid-write leaves either
+//! the old artifact or the complete new one on disk, never a truncated
+//! hybrid.
 
 /// Two distinguishable multi-megabyte payloads: large enough that a kill
 /// reliably lands inside a write, single-valued so corruption is detectable.
@@ -139,7 +26,7 @@ fn kill_write_child_helper() {
     }
 }
 
-/// Contract 3: `write_atomic` under `SIGKILL`. A child process (this same
+/// `write_atomic` under `SIGKILL`. A child process (this same
 /// test binary running [`kill_write_child_helper`]) overwrites a
 /// trajectory-like JSON artifact in a tight loop; the parent kills it
 /// mid-flight. Whatever instant the kill landed, the file must hold one
