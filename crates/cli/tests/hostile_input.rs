@@ -1,8 +1,8 @@
 //! Untrusted input must fail cleanly: a spec TOML or checkpoint JSON nested
 //! far deeper than any real document exits with a load error and a message,
 //! never a stack-overflow abort; sampling lengths past their limit are
-//! rejected before anything runs, never a hang; and retired knobs are
-//! rejected, not ignored.
+//! rejected before anything runs, never a hang; retired knobs are rejected,
+//! not ignored; and `--scale` never drops a spec's cycle cap.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -184,4 +184,29 @@ fn chip_threads_flag_is_an_unknown_argument() {
             "{stderr}"
         );
     }
+}
+
+/// `--scale` swaps the scale preset but keeps the spec's `[scale]
+/// max_cycles`: the one per-cell deadline is never silently dropped. On the
+/// two-thread grid at tiny scale a 20,000-cycle cap fails the three stalling
+/// `swim-perlbmk` cells, so the run degrades (exit 3) with 15 of 18 cells.
+#[test]
+fn scale_preset_keeps_the_spec_cycle_cap() {
+    let spec = describe("fig09_two_thread_policies");
+    let capped = spec.replace("\nseed = 42\n", "\nseed = 42\nmax_cycles = 20000\n");
+    assert_ne!(capped, spec, "describe output has a [scale] seed");
+    let path = temp_file("cycle-capped.toml", &capped);
+    let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+        .arg("run")
+        .arg(&path)
+        .args(["--scale", "tiny", "--per-group", "1"])
+        .output()
+        .expect("smt-cli runs");
+    std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(3), "{stdout}");
+    assert!(
+        stdout.contains("15 of 18 cells completed, 3 failed"),
+        "{stdout}"
+    );
 }

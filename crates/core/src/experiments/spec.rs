@@ -377,9 +377,13 @@ impl ExperimentSpec {
         }
     }
 
-    /// Returns a copy with a different run scale.
+    /// Returns a copy with a different run scale. The spec's own
+    /// [`RunScale::max_cycles`] cap is kept unless `scale` sets one.
     pub fn with_scale(mut self, scale: RunScale) -> Self {
-        self.scale = scale;
+        self.scale = RunScale {
+            max_cycles: scale.max_cycles.or(self.scale.max_cycles),
+            ..scale
+        };
         self
     }
 

@@ -11,21 +11,24 @@
 //! Explicit resource-management schemes (static partitioning, DCRA) additionally
 //! impose per-thread occupancy caps through [`FetchPolicy::resource_caps`].
 //!
-//! Implemented policies (Sections 3, 4.3, 6.5 and 6.6 of the paper):
+//! Implemented policies (Sections 3, 4.3, 6.5 and 6.6 of the paper), by
+//! [`FetchPolicyKind`]:
 //!
-//! | kind | description |
-//! |------|-------------|
-//! | [`IcountPolicy`] | ICOUNT 2.4 baseline |
-//! | [`StallPolicy`] (detected) | fetch stall on a detected long-latency load |
-//! | [`StallPolicy`] (predictive) | fetch stall on a predicted long-latency load |
-//! | [`FlushPolicy`] | flush past a detected long-latency load |
-//! | [`MlpStallPolicy`] | MLP-aware stall fetch (this paper) |
-//! | [`MlpFlushPolicy`] | MLP-aware flush (this paper, headline policy) |
-//! | [`MlpBinaryFlushPolicy`] | alternative (c): binary MLP predictor + flush |
-//! | [`MlpDistanceFlushAtStallPolicy`] | alternative (d): MLP distance + flush at resource stall |
-//! | [`MlpBinaryFlushAtStallPolicy`] | alternative (e): binary MLP + flush at resource stall |
-//! | [`StaticPartitionPolicy`] | equal static partitioning of buffer resources |
-//! | [`DcraPolicy`] | dynamically controlled resource allocation |
+//! | kind | implementation | description |
+//! |------|----------------|-------------|
+//! | `Icount` | [`IcountPolicy`] | ICOUNT 2.4 baseline |
+//! | `Stall` | long-latency | fetch stall on a detected long-latency load |
+//! | `PredictiveStall` | long-latency | fetch stall on a predicted long-latency load |
+//! | `Flush` | long-latency | flush past a detected long-latency load |
+//! | `MlpStall` | long-latency | MLP-aware stall fetch (this paper) |
+//! | `MlpFlush` | long-latency | MLP-aware flush (this paper, headline policy) |
+//! | `MlpBinaryFlush` | long-latency | alternative (c): binary MLP predictor + flush |
+//! | `MlpDistanceFlushAtStall` | long-latency | alternative (d): MLP distance + flush at resource stall |
+//! | `MlpBinaryFlushAtStall` | long-latency | alternative (e): binary MLP + flush at resource stall |
+//! | `StaticPartition` | [`StaticPartitionPolicy`] | equal static partitioning of buffer resources |
+//! | `Dcra` | [`DcraPolicy`] | dynamically controlled resource allocation |
+//!
+//! The eight long-latency kinds are one crate-private state machine (`lll`).
 //!
 //! All long-latency-aware policies implement the continue-oldest-thread (COT) rule
 //! of Cazorla et al.: when every thread is stalled on a long-latency load,
@@ -51,58 +54,62 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod alternatives;
-pub mod flush;
 pub mod icount;
-pub mod mlp;
+mod lll;
 pub mod partition;
 pub mod policy;
-pub mod stall;
 
-pub use alternatives::{
-    MlpBinaryFlushAtStallPolicy, MlpBinaryFlushPolicy, MlpDistanceFlushAtStallPolicy,
-};
-pub use flush::FlushPolicy;
 pub use icount::IcountPolicy;
-pub use mlp::{MlpFlushPolicy, MlpStallPolicy};
 pub use partition::{DcraPolicy, StaticPartitionPolicy};
 pub use policy::{FetchPolicy, FlushRequest, ResourceCaps};
-pub use stall::StallPolicy;
+
+// Unit tests of the long-latency kinds, one module per policy family.
+#[cfg(test)]
+#[path = "lll_tests/alternatives.rs"]
+mod alternatives;
+#[cfg(test)]
+#[path = "lll_tests/flush.rs"]
+mod flush;
+#[cfg(test)]
+#[path = "lll_tests/mlp.rs"]
+mod mlp;
+#[cfg(test)]
+#[path = "lll_tests/stall.rs"]
+mod stall;
 
 use smt_types::config::{FetchPolicyKind, SmtConfig};
 
 /// Builds the fetch policy implementation for a [`FetchPolicyKind`].
 pub fn build_policy(kind: FetchPolicyKind, config: &SmtConfig) -> Box<dyn FetchPolicy> {
+    use FetchPolicyKind as K;
+    let n = config.num_threads;
     match kind {
-        FetchPolicyKind::Icount => Box::new(IcountPolicy::new(config.num_threads)),
-        FetchPolicyKind::Stall => Box::new(StallPolicy::detected(config.num_threads)),
-        FetchPolicyKind::PredictiveStall => Box::new(StallPolicy::predictive(config.num_threads)),
-        FetchPolicyKind::Flush => Box::new(FlushPolicy::new(config.num_threads)),
-        FetchPolicyKind::MlpStall => Box::new(MlpStallPolicy::new(config.num_threads)),
-        FetchPolicyKind::MlpFlush => Box::new(MlpFlushPolicy::new(config.num_threads)),
-        FetchPolicyKind::MlpBinaryFlush => Box::new(MlpBinaryFlushPolicy::new(config.num_threads)),
-        FetchPolicyKind::MlpDistanceFlushAtStall => {
-            Box::new(MlpDistanceFlushAtStallPolicy::new(config.num_threads))
-        }
-        FetchPolicyKind::MlpBinaryFlushAtStall => {
-            Box::new(MlpBinaryFlushAtStallPolicy::new(config.num_threads))
-        }
-        FetchPolicyKind::StaticPartition => {
-            Box::new(StaticPartitionPolicy::new(config.num_threads))
-        }
-        FetchPolicyKind::Dcra => Box::new(DcraPolicy::new(config.num_threads)),
+        K::Icount => Box::new(IcountPolicy::new(n)),
+        K::Stall
+        | K::PredictiveStall
+        | K::Flush
+        | K::MlpStall
+        | K::MlpFlush
+        | K::MlpBinaryFlush
+        | K::MlpDistanceFlushAtStall
+        | K::MlpBinaryFlushAtStall => Box::new(lll::LongLatencyPolicy::new(kind, n)),
+        K::StaticPartition => Box::new(StaticPartitionPolicy::new(n)),
+        K::Dcra => Box::new(DcraPolicy::new(n)),
     }
 }
 
 #[cfg(test)]
 mod testing {
     //! Allocating wrappers around the buffer-based [`FetchPolicy`] queries, for
-    //! unit tests. The pipeline reuses scratch buffers instead.
+    //! unit tests. The pipeline reuses scratch buffers instead. The
+    //! long-latency kinds' tests also take their imports from here.
 
     use smt_types::config::SmtConfig;
-    use smt_types::{SmtSnapshot, ThreadId};
 
-    use crate::policy::{FetchPolicy, FlushRequest, ResourceCaps};
+    pub(crate) use crate::lll::LongLatencyPolicy;
+    pub(crate) use crate::policy::{FetchPolicy, FlushRequest, ResourceCaps};
+    pub(crate) use smt_types::config::FetchPolicyKind as K;
+    pub(crate) use smt_types::{SeqNum, SmtSnapshot, ThreadId};
 
     /// [`FetchPolicy::fetch_priority`] into a fresh vector.
     pub(crate) fn fetch_priority_vec<P: FetchPolicy + ?Sized>(
@@ -146,22 +153,9 @@ mod tests {
     #[test]
     fn factory_builds_every_policy() {
         let cfg = SmtConfig::baseline(2);
-        let kinds = [
-            FetchPolicyKind::Icount,
-            FetchPolicyKind::Stall,
-            FetchPolicyKind::PredictiveStall,
-            FetchPolicyKind::Flush,
-            FetchPolicyKind::MlpStall,
-            FetchPolicyKind::MlpFlush,
-            FetchPolicyKind::MlpBinaryFlush,
-            FetchPolicyKind::MlpDistanceFlushAtStall,
-            FetchPolicyKind::MlpBinaryFlushAtStall,
-            FetchPolicyKind::StaticPartition,
-            FetchPolicyKind::Dcra,
-        ];
         let snap = SmtSnapshot::new(2);
         let mut order = Vec::new();
-        for kind in kinds {
+        for kind in FetchPolicyKind::ALL {
             let mut p = build_policy(kind, &cfg);
             assert_eq!(p.kind(), kind);
             // Every policy lets both idle threads fetch in some order, and

@@ -4,7 +4,7 @@
 //!
 //! * set-associative L1 instruction, L1 data, unified L2 and unified L3 caches with
 //!   LRU replacement ([`cache`]),
-//! * fully-associative instruction and data TLBs ([`tlb`]),
+//! * fully-associative per-thread instruction and data TLBs ([`TlbFile`]),
 //! * miss status handling registers that let independent long-latency loads overlap
 //!   ([`mshr`]) — the structural mechanism behind memory-level parallelism,
 //! * a stream-buffer hardware prefetcher guided by a PC-indexed stride predictor
@@ -51,5 +51,5 @@ pub use hierarchy::{AccessLevel, CoreMemory, CoreMemoryState, LoadAccessResult, 
 pub use mshr::MshrFile;
 pub use prefetch::{PrefetcherState, StreamBufferPrefetcher};
 pub use shared::{MemoryBus, SharedLlc, SharedLlcState};
-pub use tlb::{Tlb, TlbFile, TlbFileState};
+pub use tlb::{TlbFile, TlbFileState};
 pub use write_buffer::WriteBuffer;

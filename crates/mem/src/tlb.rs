@@ -171,8 +171,7 @@ impl LruIndex {
 
 /// Looks up `vpn` in `entries`, refreshing its LRU stamp on a hit or
 /// installing it over the LRU victim on a miss (the hardware page walk).
-/// Returns `true` on a hit. Shared by [`Tlb`] and [`TlbFile`] so the
-/// replacement policy cannot drift between the two.
+/// Returns `true` on a hit.
 fn access_entries(entries: &mut [TlbEntry], index: &mut LruIndex, tick: u64, vpn: u64) -> bool {
     if let Some(&slot) = index.map.get(&vpn) {
         let e = &mut entries[slot as usize];
@@ -213,112 +212,15 @@ fn reference_access_entries(entries: &mut [TlbEntry], tick: u64, vpn: u64) -> bo
     false
 }
 
-/// A fully-associative TLB, as configured in Table IV (128-entry I-TLB, 512-entry
-/// D-TLB, 8 KB pages).
-///
-/// A D-TLB miss is one of the two events the paper counts as a *long-latency load*
-/// (the other being an L3 load miss).
-///
-/// # Example
-///
-/// ```
-/// use smt_mem::Tlb;
-/// use smt_types::config::TlbConfig;
-///
-/// let mut tlb = Tlb::new(&TlbConfig { entries: 4, page_bytes: 8192, miss_penalty: 350 });
-/// assert!(!tlb.access(0x0));          // cold miss, entry installed
-/// assert!(tlb.access(0x1fff));        // same 8 KB page
-/// assert!(!tlb.access(0x2000));       // next page
-/// ```
-#[derive(Clone, Debug)]
-pub struct Tlb {
-    entries: Vec<TlbEntry>,
-    index: LruIndex,
-    page_shift: u32,
-    miss_penalty: u64,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl Tlb {
-    /// Builds a TLB from its configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the entry count is zero or the page size is not a power of two.
-    pub fn new(config: &TlbConfig) -> Self {
-        assert!(config.entries > 0, "TLB needs at least one entry");
-        assert!(
-            config.page_bytes.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        Tlb {
-            entries: vec![TlbEntry::default(); config.entries as usize],
-            index: LruIndex::new(config.entries as usize),
-            page_shift: config.page_bytes.trailing_zeros(),
-            miss_penalty: config.miss_penalty,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Penalty in cycles charged for a miss (a page-table walk to memory).
-    pub fn miss_penalty(&self) -> u64 {
-        self.miss_penalty
-    }
-
-    /// Translates `addr`; returns `true` on a hit. On a miss the translation is
-    /// installed (hardware page walk), evicting the LRU entry.
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
-        let hit = access_entries(
-            &mut self.entries,
-            &mut self.index,
-            self.tick,
-            addr >> self.page_shift,
-        );
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
-    }
-
-    /// Checks for a translation without installing or touching LRU state.
-    pub fn probe(&self, addr: u64) -> bool {
-        let vpn = addr >> self.page_shift;
-        self.entries.iter().any(|e| e.valid && e.vpn == vpn)
-    }
-
-    /// Number of hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Invalidates every translation.
-    pub fn flush_all(&mut self) {
-        for e in &mut self.entries {
-            e.valid = false;
-        }
-        self.index.rebuild(&self.entries);
-    }
-}
-
 /// The per-thread TLBs of one kind (instruction or data) for every hardware
 /// thread, stored as a single flat entry array indexed by
 /// `thread * entries_per_thread + entry`.
 ///
-/// Functionally identical to a `Vec<Tlb>` — each thread's slice is searched and
-/// replaced exactly as [`Tlb`] would — but with one allocation instead of one
-/// `Vec` per thread, so hierarchy lookups don't chase a per-thread pointer.
+/// Each thread's slice is a fully-associative TLB with LRU replacement, as
+/// configured in Table IV (128-entry I-TLB, 512-entry D-TLB, 8 KB pages). A
+/// D-TLB miss is one of the two events the paper counts as a *long-latency
+/// load* (the other being an L3 load miss). One allocation holds every
+/// thread's entries, so hierarchy lookups don't chase a per-thread pointer.
 ///
 /// # Example
 ///
@@ -341,8 +243,7 @@ pub struct TlbFile {
     entries_per_thread: usize,
     page_shift: u32,
     miss_penalty: u64,
-    /// Per-thread LRU clocks (each thread's TLB ticks independently, exactly
-    /// like a standalone [`Tlb`]).
+    /// Per-thread LRU clocks (each thread's TLB ticks independently).
     ticks: Vec<u64>,
     hits: u64,
     misses: u64,
@@ -495,19 +396,22 @@ impl TlbFile {
 mod tests {
     use super::*;
 
-    fn tiny() -> Tlb {
-        Tlb::new(&TlbConfig {
-            entries: 2,
-            page_bytes: 4096,
-            miss_penalty: 350,
-        })
+    fn tiny() -> TlbFile {
+        TlbFile::new(
+            &TlbConfig {
+                entries: 2,
+                page_bytes: 4096,
+                miss_penalty: 350,
+            },
+            1,
+        )
     }
 
     #[test]
     fn hit_after_install() {
         let mut t = tiny();
-        assert!(!t.access(0x1000));
-        assert!(t.access(0x1abc));
+        assert!(!t.access(0, 0x1000));
+        assert!(t.access(0, 0x1abc));
         assert_eq!(t.hits(), 1);
         assert_eq!(t.misses(), 1);
     }
@@ -515,83 +419,47 @@ mod tests {
     #[test]
     fn lru_eviction() {
         let mut t = tiny();
-        t.access(0x0000); // page 0
-        t.access(0x1000); // page 1
-        t.access(0x0000); // refresh page 0
-        t.access(0x2000); // evicts page 1
-        assert!(t.probe(0x0000));
-        assert!(!t.probe(0x1000));
-        assert!(t.probe(0x2000));
+        t.access(0, 0x0000); // page 0
+        t.access(0, 0x1000); // page 1
+        t.access(0, 0x0000); // refresh page 0
+        t.access(0, 0x2000); // evicts page 1
+        assert!(t.probe(0, 0x0000));
+        assert!(!t.probe(0, 0x1000));
+        assert!(t.probe(0, 0x2000));
     }
 
     #[test]
     fn probe_is_side_effect_free() {
         let mut t = tiny();
-        t.access(0x0);
+        t.access(0, 0x0);
         let hits = t.hits();
         let misses = t.misses();
-        assert!(t.probe(0x0));
-        assert!(!t.probe(0x5000));
+        assert!(t.probe(0, 0x0));
+        assert!(!t.probe(0, 0x5000));
         assert_eq!(t.hits(), hits);
         assert_eq!(t.misses(), misses);
-        assert!(!t.probe(0x5000)); // probe of a missing page must not install it
+        assert!(!t.probe(0, 0x5000)); // probe of a missing page must not install it
     }
 
     #[test]
     fn flush_all_clears() {
         let mut t = tiny();
-        t.access(0x0);
+        t.access(0, 0x0);
         t.flush_all();
-        assert!(!t.probe(0x0));
+        assert!(!t.probe(0, 0x0));
     }
 
     #[test]
     #[should_panic]
     fn zero_entries_rejected() {
-        let _ = Tlb::new(&TlbConfig {
-            entries: 0,
-            page_bytes: 4096,
-            miss_penalty: 1,
-        });
-    }
-
-    #[test]
-    fn tlb_file_matches_vec_of_tlbs() {
-        let cfg = TlbConfig {
-            entries: 3,
-            page_bytes: 4096,
-            miss_penalty: 350,
-        };
-        let mut file = TlbFile::new(&cfg, 2);
-        let mut reference: Vec<Tlb> = (0..2).map(|_| Tlb::new(&cfg)).collect();
-        // A deterministic access pattern with reuse, eviction and cross-thread
-        // interleaving; the flat file must behave exactly like one Tlb per
-        // thread.
-        let mut x: u64 = 7;
-        for i in 0..500u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let thread = (i % 2) as usize;
-            let addr = (x >> 33) % 8 * 4096 + (x & 0xfff);
-            assert_eq!(
-                file.access(thread, addr),
-                reference[thread].access(addr),
-                "divergence at access {i}"
-            );
-        }
-        let reference_hits: u64 = reference.iter().map(|t| t.hits()).sum();
-        let reference_misses: u64 = reference.iter().map(|t| t.misses()).sum();
-        assert_eq!(file.hits(), reference_hits);
-        assert_eq!(file.misses(), reference_misses);
-        for page in 0..8u64 {
-            for (thread, tlb) in reference.iter().enumerate() {
-                assert_eq!(file.probe(thread, page * 4096), tlb.probe(page * 4096));
-            }
-        }
-        file.flush_all();
-        assert!(!file.probe(0, 0));
-        assert!(!file.probe(1, 0));
+        let _ = TlbFile::new(
+            &TlbConfig {
+                entries: 0,
+                page_bytes: 4096,
+                miss_penalty: 1,
+            },
+            1,
+        );
     }
 
     /// Splitmix-style deterministic pseudo-random stream for model tests.
@@ -614,12 +482,12 @@ mod tests {
                 page_bytes: 4096,
                 miss_penalty: 350,
             };
-            let mut indexed = Tlb::new(&cfg);
+            let mut indexed = TlbFile::new(&cfg, 1);
             let mut reference = vec![TlbEntry::default(); cfg.entries as usize];
             let mut x = seed;
             for (i, tick) in (1u64..=2_000).enumerate() {
                 let addr = next_rand(&mut x) % 13 * 4096;
-                let got = indexed.access(addr);
+                let got = indexed.access(0, addr);
                 let want = reference_access_entries(&mut reference, tick, addr >> 12);
                 assert_eq!(got, want, "hit/miss divergence at access {i} (seed {seed})");
                 for (slot, (a, b)) in indexed.entries.iter().zip(&reference).enumerate() {

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use smt_mem::{MemoryHierarchy, MshrFile, SetAssocCache, Tlb};
+use smt_mem::{MemoryHierarchy, MshrFile, SetAssocCache, TlbFile};
 use smt_types::config::{CacheConfig, TlbConfig};
 use smt_types::{SmtConfig, ThreadId};
 
@@ -51,13 +51,13 @@ proptest! {
     /// A TLB with N entries retains the N most recently used distinct pages.
     #[test]
     fn tlb_keeps_recent_pages(entries in 1u32..32, pages in prop::collection::vec(0u64..64, 1..200)) {
-        let mut tlb = Tlb::new(&TlbConfig { entries, page_bytes: 8192, miss_penalty: 350 });
+        let mut tlb = TlbFile::new(&TlbConfig { entries, page_bytes: 8192, miss_penalty: 350 }, 1);
         for &p in &pages {
-            tlb.access(p * 8192);
+            tlb.access(0, p * 8192);
         }
         // The most recently accessed page is always resident.
         if let Some(&last) = pages.last() {
-            prop_assert!(tlb.probe(last * 8192));
+            prop_assert!(tlb.probe(0, last * 8192));
         }
     }
 
