@@ -147,11 +147,8 @@ fn execute_checkpoint(command: CheckpointCmd) -> Result<(), String> {
         CheckpointCmd::Load { path } => {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read checkpoint `{path}`: {e}"))?;
-            let checkpoint: SimCheckpoint =
-                serde_json::from_str(&text).map_err(|e| format!("checkpoint `{path}`: {e}"))?;
-            checkpoint
-                .validate()
-                .map_err(|e| format!("checkpoint `{path}`: {e}"))?;
+            let checkpoint =
+                SimCheckpoint::from_json(&text).map_err(|e| format!("checkpoint `{path}`: {e}"))?;
             let meta = &checkpoint.meta;
             println!(
                 "checkpoint {path}\n  schema version: {}\n  benchmarks: {}\n  threads: {}\n  \

@@ -2,7 +2,9 @@
 //! far deeper than any real document exits with a load error and a message,
 //! never a stack-overflow abort; sampling lengths past their limit are
 //! rejected before anything runs, never a hang; retired knobs are rejected,
-//! not ignored; and `--scale` never drops a spec's cycle cap.
+//! not ignored; `--scale` never drops a spec's cycle cap or seed; and a
+//! checkpoint of another schema version or with a broken sparse table is a
+//! load error, never a panic.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -209,4 +211,107 @@ fn scale_preset_keeps_the_spec_cycle_cap() {
         stdout.contains("15 of 18 cells completed, 3 failed"),
         "{stdout}"
     );
+}
+
+/// `--scale` keeps the spec's seed: the same spec written at seeds 7 and 42
+/// and run under `--scale tiny` gives different cells, and each report
+/// names its own seed.
+#[test]
+fn scale_preset_keeps_the_spec_seed() {
+    let spec = describe("fig09_two_thread_policies");
+    assert!(spec.contains("\nseed = 42\n"), "describe output has a seed");
+    let cells = |seed: u64| {
+        let seeded = spec.replace("\nseed = 42\n", &format!("\nseed = {seed}\n"));
+        let path = temp_file(&format!("seed-{seed}.toml"), &seeded);
+        let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+            .arg("run")
+            .arg(&path)
+            .args(["--scale", "tiny", "--limit", "1"])
+            .output()
+            .expect("smt-cli runs");
+        std::fs::remove_file(&path).ok();
+        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+        assert_eq!(output.status.code(), Some(0), "seed {seed}: {stdout}");
+        assert!(stdout.contains(&format!(", seed {seed}\n")), "{stdout}");
+        // The result tables, without the scale and wall-clock header lines.
+        stdout
+            .lines()
+            .filter(|line| !line.starts_with("scale:") && !line.starts_with("engine:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_ne!(cells(7), cells(42));
+}
+
+/// The JSON of a tiny-scale `mcf,gcc` checkpoint, saved through
+/// `smt-cli checkpoint save` to a file named after `name`.
+fn saved_checkpoint(name: &str) -> String {
+    let path = temp_file(name, "");
+    let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+        .args(["checkpoint", "save", "mcf,gcc", "--scale", "tiny", "--out"])
+        .arg(&path)
+        .output()
+        .expect("smt-cli runs");
+    assert!(output.status.success(), "{output:?}");
+    let json = std::fs::read_to_string(&path).expect("checkpoint written");
+    std::fs::remove_file(&path).ok();
+    json
+}
+
+/// Byte range of the value of the `nth` `"index"` field of the shared LLC's
+/// ways.
+fn llc_way_index(json: &str, nth: usize) -> std::ops::Range<usize> {
+    let shared = json.find("\"shared\"").expect("a shared section");
+    let key = "\"index\": ";
+    let at = json[shared..]
+        .match_indices(key)
+        .nth(nth)
+        .expect("enough LLC ways")
+        .0;
+    let start = shared + at + key.len();
+    let len = json[start..]
+        .find(|c: char| !c.is_ascii_digit())
+        .expect("a number");
+    start..start + len
+}
+
+/// A version-1 checkpoint (dense tables and an instruction side) fails
+/// `checkpoint load` with a load error naming its schema version, not the
+/// first field version 2 does not know.
+#[test]
+fn version_one_checkpoint_fails_naming_the_schema_version() {
+    let json = saved_checkpoint("v2-source.json");
+    let v1 = json
+        .replace("\"schema_version\": 2", "\"schema_version\": 1")
+        .replace("\"memory\": {", "\"memory\": {\n    \"l1i\": null,");
+    assert_eq!(v1.matches("\"schema_version\": 1").count(), 1);
+    let (code, stderr) = run_on(&["checkpoint", "load"], "v1.json", &v1);
+    assert!(matches!(code, Some(1 | 2)), "{stderr}");
+    assert!(
+        stderr.contains("unsupported checkpoint schema version 1 (expected 2)"),
+        "{stderr}"
+    );
+}
+
+/// A shared-LLC way index past the table's length, or one repeated, fails
+/// `checkpoint load` with exit 1 and a message naming the fault, never a
+/// panic.
+#[test]
+fn checkpoint_with_a_bad_way_index_fails_cleanly() {
+    let json = saved_checkpoint("index-source.json");
+    let mut out_of_range = json.clone();
+    out_of_range.replace_range(llc_way_index(&json, 0), "18446744073709551615");
+    let mut repeated = json.clone();
+    let first = json[llc_way_index(&json, 0)].to_string();
+    repeated.replace_range(llc_way_index(&json, 1), &first);
+    for (name, hostile, fault) in [
+        ("out-of-range.json", out_of_range, "out of range"),
+        ("repeated.json", repeated, "repeated"),
+    ] {
+        assert_ne!(hostile, json);
+        let (code, stderr) = run_on(&["checkpoint", "load"], name, &hostile);
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(fault), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
 }

@@ -378,9 +378,11 @@ impl ExperimentSpec {
     }
 
     /// Returns a copy with a different run scale. The spec's own
-    /// [`RunScale::max_cycles`] cap is kept unless `scale` sets one.
+    /// [`RunScale::seed`] is kept, and so is its [`RunScale::max_cycles`]
+    /// cap unless `scale` sets one.
     pub fn with_scale(mut self, scale: RunScale) -> Self {
         self.scale = RunScale {
+            seed: self.scale.seed,
             max_cycles: scale.max_cycles.or(self.scale.max_cycles),
             ..scale
         };

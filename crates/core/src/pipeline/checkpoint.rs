@@ -67,31 +67,64 @@ pub struct SimCheckpoint {
     pub meta: CheckpointMeta,
     /// Per-thread warm state, in thread order.
     pub threads: Vec<ThreadCheckpoint>,
-    /// Core-private memory levels (L1s, L2, TLBs, prefetcher).
+    /// Core-private memory levels (L1D, L2, D-TLBs, prefetcher).
     pub memory: CoreMemoryState,
     /// Shared last-level cache.
     pub shared: SharedLlcState,
 }
 
+/// The identity header alone. It is read before the rest of a checkpoint,
+/// so a checkpoint of another schema version fails naming its version, not
+/// the first field this version does not know.
+#[derive(Deserialize)]
+struct CheckpointHeader {
+    meta: CheckpointMeta,
+}
+
+/// Rejects any schema version but [`CheckpointMeta::SCHEMA_VERSION`].
+fn check_schema_version(version: u32) -> Result<(), SimError> {
+    if version != CheckpointMeta::SCHEMA_VERSION {
+        // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+        return Err(SimError::invalid_config(format!(
+            "unsupported checkpoint schema version {version} (expected {})",
+            CheckpointMeta::SCHEMA_VERSION
+        )));
+    }
+    Ok(())
+}
+
 impl SimCheckpoint {
+    /// Parses a checkpoint from JSON text and [validates](Self::validate)
+    /// it. The schema version is checked before the rest of the document is
+    /// read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for malformed JSON, another
+    /// schema version, a document that does not match the schema, or a
+    /// failed validation.
+    pub fn from_json(text: &str) -> Result<Self, SimError> {
+        let parse_error = |e: serde_json::Error| SimError::invalid_config(e.to_string());
+        let header: CheckpointHeader = serde_json::from_str(text).map_err(parse_error)?;
+        check_schema_version(header.meta.schema_version)?;
+        let checkpoint: SimCheckpoint = serde_json::from_str(text).map_err(parse_error)?;
+        checkpoint.validate()?;
+        Ok(checkpoint)
+    }
+
     /// Checks the checkpoint's standalone invariants: a supported schema
-    /// version and metadata consistent with the captured thread states.
-    /// [`SmtSimulator::restore_checkpoint`] additionally validates the
-    /// checkpoint against the restoring simulator's configuration.
+    /// version, metadata consistent with the captured thread states, and
+    /// sparse warm tables whose entry indices ascend strictly within their
+    /// recorded lengths. [`SmtSimulator::restore_checkpoint`] additionally
+    /// validates the checkpoint against the restoring simulator's
+    /// configuration.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] describing the first violated
     /// invariant.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.meta.schema_version != CheckpointMeta::SCHEMA_VERSION {
-            // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
-            return Err(SimError::invalid_config(format!(
-                "unsupported checkpoint schema version {} (expected {})",
-                self.meta.schema_version,
-                CheckpointMeta::SCHEMA_VERSION
-            )));
-        }
+        check_schema_version(self.meta.schema_version)?;
         if self.meta.num_threads as usize != self.threads.len() {
             // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
             return Err(SimError::invalid_config(format!(
@@ -108,7 +141,8 @@ impl SimCheckpoint {
                 self.threads.len()
             )));
         }
-        Ok(())
+        self.memory.validate().map_err(SimError::invalid_config)?;
+        self.shared.validate().map_err(SimError::invalid_config)
     }
 }
 
@@ -191,13 +225,7 @@ impl SmtSimulator {
     /// Returns [`SimError::InvalidConfig`] on a schema or geometry mismatch
     /// and [`SimError::InvalidWorkload`] on a workload mismatch.
     pub fn restore_checkpoint(&mut self, ck: &SimCheckpoint) -> Result<(), SimError> {
-        if ck.meta.schema_version != CheckpointMeta::SCHEMA_VERSION {
-            return Err(SimError::invalid_config(format!(
-                "unsupported checkpoint schema version {} (expected {})",
-                ck.meta.schema_version,
-                CheckpointMeta::SCHEMA_VERSION
-            )));
-        }
+        check_schema_version(ck.meta.schema_version)?;
         if self.cycle() != 0 || !self.chip.cores[0].is_drained() {
             return Err(SimError::internal(
                 "checkpoints may only be restored into a freshly built simulator",

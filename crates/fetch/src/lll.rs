@@ -37,8 +37,6 @@
 //! * `MlpBinaryFlushAtStall` *sets* (not extends) its allowance for a no-MLP
 //!   load, and a busy thread of it without an allowance keeps fetching.
 
-use std::collections::HashSet;
-
 use smt_types::config::FetchPolicyKind as K;
 use smt_types::{SeqNum, SmtSnapshot, ThreadId};
 
@@ -51,8 +49,10 @@ struct ThreadState {
     latest_fetched: u64,
     /// Youngest sequence number the thread may fetch up to while it is busy.
     allowed_until: Option<u64>,
-    /// Recorded triggers not yet resolved, executed as hits or squashed.
-    pending: HashSet<u64>,
+    /// Sequence numbers of the recorded triggers not yet resolved, executed
+    /// as hits or squashed, ascending: the oldest is first and a squash cuts
+    /// the tail.
+    pending: Vec<u64>,
     /// Whether the thread was already flushed in the current stall episode.
     flushed_this_episode: bool,
 }
@@ -60,6 +60,26 @@ struct ThreadState {
 impl ThreadState {
     fn busy(&self, outstanding_lll: u32) -> bool {
         !self.pending.is_empty() || outstanding_lll > 0
+    }
+
+    /// Records trigger `seq`; triggers mostly arrive in program order, so
+    /// this is usually a push.
+    fn record(&mut self, seq: u64) {
+        match self.pending.last() {
+            Some(&last) if last >= seq => {
+                if let Err(pos) = self.pending.binary_search(&seq) {
+                    self.pending.insert(pos, seq);
+                }
+            }
+            _ => self.pending.push(seq),
+        }
+    }
+
+    /// Drops trigger `seq` if it is recorded.
+    fn drop_trigger(&mut self, seq: u64) {
+        if let Ok(pos) = self.pending.binary_search(&seq) {
+            self.pending.remove(pos);
+        }
     }
 
     fn extend_allowance(&mut self, until: u64) {
@@ -144,11 +164,11 @@ impl FetchPolicy for LongLatencyPolicy {
             K::MlpStall => state.extend_allowance(seq.0 + u64::from(predicted_mlp_distance)),
             _ => return,
         }
-        state.pending.insert(seq.0);
+        state.record(seq.0);
     }
 
     fn on_load_executed_hit(&mut self, thread: ThreadId, _pc: u64, seq: SeqNum) {
-        self.threads[thread.index()].pending.remove(&seq.0);
+        self.threads[thread.index()].drop_trigger(seq.0);
     }
 
     fn on_long_latency_detected(
@@ -182,13 +202,13 @@ impl FetchPolicy for LongLatencyPolicy {
             K::MlpBinaryFlushAtStall => None,
             _ => return None,
         };
-        state.pending.insert(seq);
+        state.record(seq);
         state.latest_fetched = state.latest_fetched.max(latest);
         state.flush_past(thread, keep?, latest)
     }
 
     fn on_long_latency_resolved(&mut self, thread: ThreadId, seq: SeqNum) {
-        self.threads[thread.index()].pending.remove(&seq.0);
+        self.threads[thread.index()].drop_trigger(seq.0);
     }
 
     /// The two flush-at-stall kinds flush each thread with a long-latency
@@ -201,8 +221,7 @@ impl FetchPolicy for LongLatencyPolicy {
             if state.flushed_this_episode || t.outstanding_long_latency_loads == 0 {
                 continue;
             }
-            // analyze: allow(determinism) reason="min over a hash set is order-independent"
-            let Some(oldest) = state.pending.iter().copied().min() else {
+            let Some(&oldest) = state.pending.first() else {
                 continue;
             };
             state.flushed_this_episode = true;
@@ -217,7 +236,8 @@ impl FetchPolicy for LongLatencyPolicy {
 
     fn on_squash(&mut self, thread: ThreadId, keep_up_to: SeqNum) {
         let state = &mut self.threads[thread.index()];
-        state.pending.retain(|&s| s <= keep_up_to.0); // analyze: allow(determinism) reason="the retain predicate is order-independent"
+        let kept = state.pending.partition_point(|&s| s <= keep_up_to.0);
+        state.pending.truncate(kept);
         state.latest_fetched = state.latest_fetched.min(keep_up_to.0);
     }
 }

@@ -2,24 +2,28 @@
 
 use serde::{Deserialize, Serialize};
 use smt_types::config::CacheConfig;
+use smt_types::sampling::check_sparse_indices;
 
-/// Serializable snapshot of one cache way (for warm checkpoints).
+/// One non-empty way of a [`CacheState`].
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct WayState {
-    /// Whether the way holds a line.
-    pub valid: bool,
-    /// Stored tag.
+    /// Flat way index, `set * associativity + way`.
+    pub index: u64,
+    /// Stored tag plus one; 0 marks an invalid way that still carries a
+    /// stamp.
     pub tag: u64,
     /// LRU stamp.
-    pub last_used: u64,
+    pub stamp: u64,
 }
 
 /// Serializable snapshot of a [`SetAssocCache`] (for warm checkpoints).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct CacheState {
-    /// All ways of all sets, `set * associativity + way` order.
+    /// Number of ways, `sets * associativity`.
+    pub len: u64,
+    /// The ways whose tag or stamp is non-zero, by ascending index.
     pub ways: Vec<WayState>,
     /// The LRU clock.
     pub tick: u64,
@@ -29,12 +33,16 @@ pub struct CacheState {
     pub misses: u64,
 }
 
-/// One cache way: a valid tag plus an LRU timestamp.
-#[derive(Clone, Copy, Debug, Default)]
-struct Way {
-    valid: bool,
-    tag: u64,
-    last_used: u64,
+impl CacheState {
+    /// Checks that the way indices ascend strictly and stay below `len`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first out-of-range, repeated or
+    /// unordered index.
+    pub fn validate(&self) -> Result<(), String> {
+        check_sparse_indices("cache", self.len, self.ways.iter().map(|w| w.index))
+    }
 }
 
 /// A set-associative, LRU-replaced cache tag store.
@@ -57,9 +65,21 @@ struct Way {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    /// All ways of all sets in one flat allocation, indexed by
-    /// `set * associativity + way` — no per-set pointer chase on lookup.
-    ways: Vec<Way>,
+    /// Two columns of `ways` entries (see [`SetAssocCache::columns`]), each
+    /// indexed by `set * associativity + way`: the tags, each the stored tag
+    /// plus one or 0 for an invalid way, then the LRU stamps, which
+    /// invalidation keeps because the stamped victim rule orders invalid ways
+    /// by them. The allocation is zeroed, so the pages of sets no access
+    /// reaches are never touched.
+    ///
+    /// The columns share one allocation: glibc hands freed memory back to
+    /// the OS beyond twice its largest freed block, so two half-size blocks
+    /// were returned and faulted in again by every new simulator (perfbench
+    /// `grid4t`: ~107K minor page faults in a 3 s run, ~2.7K with one
+    /// block).
+    columns: Vec<u64>,
+    /// Number of ways, the length of each column.
+    ways: usize,
     associativity: usize,
     line_shift: u32,
     set_mask: u64,
@@ -80,8 +100,10 @@ impl SetAssocCache {
         config.validate().expect("invalid cache configuration");
         let num_sets = config.num_sets();
         let associativity = config.associativity as usize;
+        let ways = num_sets as usize * associativity;
         SetAssocCache {
-            ways: vec![Way::default(); num_sets as usize * associativity],
+            columns: vec![0; 2 * ways],
+            ways,
             associativity,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: num_sets - 1,
@@ -92,31 +114,61 @@ impl SetAssocCache {
         }
     }
 
-    /// The ways of one set, as a contiguous slice of the flat way array.
-    #[inline(always)]
-    fn set_ways(&self, set: usize) -> &[Way] {
-        let start = set * self.associativity;
-        &self.ways[start..start + self.associativity]
-    }
-
-    /// Mutable counterpart of [`SetAssocCache::set_ways`].
-    #[inline(always)]
-    fn set_ways_mut(&mut self, set: usize) -> &mut [Way] {
-        let start = set * self.associativity;
-        &mut self.ways[start..start + self.associativity]
-    }
-
     /// Access latency of this level in cycles.
     pub fn latency(&self) -> u64 {
         self.latency
     }
 
-    fn index_tag(&self, addr: u64) -> (usize, u64) {
+    /// The first way of `addr`'s set and the tag column value `addr` is
+    /// stored under. Lines are at least two bytes, so the tag is below
+    /// `u64::MAX` and the stored value is never 0.
+    #[inline(always)]
+    fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
         (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
+            set * self.associativity,
+            (line >> self.set_mask.count_ones()) + 1,
         )
+    }
+
+    /// The tag column and the stamp column.
+    #[inline(always)]
+    fn columns(&self) -> (&[u64], &[u64]) {
+        self.columns.split_at(self.ways)
+    }
+
+    /// Stores `tag` and `stamp` in way `way`.
+    #[inline(always)]
+    fn set_way(&mut self, way: usize, tag: u64, stamp: u64) {
+        let (tags, stamps) = self.columns.split_at_mut(self.ways);
+        tags[way] = tag;
+        stamps[way] = stamp;
+    }
+
+    /// The flat index of the way holding `tag` in the set starting at
+    /// `first`, if any.
+    #[inline(always)]
+    fn find(&self, first: usize, tag: u64) -> Option<usize> {
+        self.columns().0[first..first + self.associativity]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|way| first + way)
+    }
+
+    /// The flat index of the way of the set starting at `first` that
+    /// minimizes `key(tag, stamp)`, the first such way winning ties.
+    #[inline(always)]
+    fn victim<K: Ord>(&self, first: usize, key: impl Fn(u64, u64) -> K) -> usize {
+        let (tags, stamps) = self.columns();
+        let end = first + self.associativity;
+        let (way, _) = tags[first..end]
+            .iter()
+            .zip(&stamps[first..end])
+            .enumerate()
+            .min_by_key(|&(_, (&tag, &stamp))| key(tag, stamp))
+            .expect("cache set has at least one way");
+        first + way
     }
 
     /// Looks up `addr`, updating LRU state and hit/miss counters.
@@ -126,42 +178,27 @@ impl SetAssocCache {
     /// the line only once the miss returns.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.index_tag(addr);
-        for way in self.set_ways_mut(set) {
-            if way.valid && way.tag == tag {
-                way.last_used = tick;
-                self.hits += 1;
-                return true;
-            }
-        }
-        self.misses += 1;
-        false
+        self.access_stamped(addr, self.tick)
     }
 
     /// Checks for presence without touching LRU state or counters.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.index_tag(addr);
-        self.set_ways(set).iter().any(|w| w.valid && w.tag == tag)
+        let (first, tag) = self.locate(addr);
+        self.find(first, tag).is_some()
     }
 
-    /// Installs the line containing `addr`, evicting the LRU way if needed.
+    /// Installs the line containing `addr`, evicting the LRU way if needed:
+    /// the lowest-stamped way, counting invalid ways as stamp 0, first way
+    /// winning ties.
     pub fn fill(&mut self, addr: u64) {
         self.tick += 1;
         let tick = self.tick;
-        let (set, tag) = self.index_tag(addr);
-        let ways = self.set_ways_mut(set);
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_used = tick;
-            return;
-        }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_used } else { 0 })
-            .expect("cache set has at least one way");
-        victim.valid = true;
-        victim.tag = tag;
-        victim.last_used = tick;
+        let (first, tag) = self.locate(addr);
+        let victim = match self.find(first, tag) {
+            Some(way) => way,
+            None => self.victim(first, |tag, stamp| if tag != 0 { stamp } else { 0 }),
+        };
+        self.set_way(victim, tag, tick);
     }
 
     /// Records a hit serviced outside the tag store (the chip-shared level
@@ -178,13 +215,11 @@ impl SetAssocCache {
     /// value so that the LRU state after the cycle does not depend on the
     /// order cores were serviced in.
     pub fn access_stamped(&mut self, addr: u64, stamp: u64) -> bool {
-        let (set, tag) = self.index_tag(addr);
-        for way in self.set_ways_mut(set) {
-            if way.valid && way.tag == tag {
-                way.last_used = stamp;
-                self.hits += 1;
-                return true;
-            }
+        let (first, tag) = self.locate(addr);
+        if let Some(way) = self.find(first, tag) {
+            self.columns[self.ways + way] = stamp;
+            self.hits += 1;
+            return true;
         }
         self.misses += 1;
         false
@@ -192,34 +227,33 @@ impl SetAssocCache {
 
     /// Installs (or LRU-refreshes) the line containing `addr` with an explicit
     /// stamp, evicting the lowest-stamped valid way if needed (invalid ways
-    /// are always preferred; ties break on the lowest way index, so the
-    /// outcome is a pure function of the set state and the stamp).
+    /// are always preferred, lowest stamp first; ties break on the lowest way
+    /// index, so the outcome is a pure function of the set state and the
+    /// stamp).
     pub fn fill_stamped(&mut self, addr: u64, stamp: u64) {
-        let (set, tag) = self.index_tag(addr);
-        let ways = self.set_ways_mut(set);
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_used = stamp;
-            return;
-        }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| (w.valid, w.last_used))
-            .expect("cache set has at least one way");
-        victim.valid = true;
-        victim.tag = tag;
-        victim.last_used = stamp;
+        let (first, tag) = self.locate(addr);
+        let victim = match self.find(first, tag) {
+            Some(way) => way,
+            None => self.victim(first, |tag, stamp| (tag != 0, stamp)),
+        };
+        self.set_way(victim, tag, stamp);
     }
 
-    /// Captures the tag-store state for a warm checkpoint.
+    /// Captures the tag-store state for a warm checkpoint: only the ways
+    /// with a non-zero tag or stamp.
     pub fn state(&self) -> CacheState {
+        let (tags, stamps) = self.columns();
         CacheState {
-            ways: self
-                .ways
+            len: self.ways as u64,
+            ways: tags
                 .iter()
-                .map(|w| WayState {
-                    valid: w.valid,
-                    tag: w.tag,
-                    last_used: w.last_used,
+                .zip(stamps)
+                .enumerate()
+                .filter(|&(_, (&tag, &stamp))| tag != 0 || stamp != 0)
+                .map(|(index, (&tag, &stamp))| WayState {
+                    index: index as u64,
+                    tag,
+                    stamp,
                 })
                 .collect(),
             tick: self.tick,
@@ -228,20 +262,21 @@ impl SetAssocCache {
         }
     }
 
-    /// Restores a state captured with [`SetAssocCache::state`]. Fails when
-    /// the cache geometry differs.
+    /// Restores a state captured with [`SetAssocCache::state`]. Fails, and
+    /// leaves the cache unchanged, when the geometry differs or a way index
+    /// is out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &CacheState) -> Result<(), String> {
-        if state.ways.len() != self.ways.len() {
+        if state.len != self.ways as u64 {
             return Err(format!(
                 "cache geometry mismatch: state has {} ways, cache has {}",
-                state.ways.len(),
-                self.ways.len()
+                state.len, self.ways
             ));
         }
-        for (way, s) in self.ways.iter_mut().zip(state.ways.iter()) {
-            way.valid = s.valid;
-            way.tag = s.tag;
-            way.last_used = s.last_used;
+        state.validate()?;
+        // Fresh zeroed columns: the ways the state leaves out stay untouched.
+        self.columns = vec![0; 2 * self.ways];
+        for way in &state.ways {
+            self.set_way(way.index as usize, way.tag, way.stamp);
         }
         self.tick = state.tick;
         self.hits = state.hits;
@@ -251,9 +286,7 @@ impl SetAssocCache {
 
     /// Invalidates every line (used between experiment repetitions).
     pub fn flush_all(&mut self) {
-        for way in &mut self.ways {
-            way.valid = false;
-        }
+        self.columns[..self.ways].fill(0);
     }
 
     /// Number of lookup hits so far.

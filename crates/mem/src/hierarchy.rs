@@ -1,8 +1,8 @@
 //! The memory hierarchy, split into per-core private levels ([`CoreMemory`])
 //! and the chip-shared bottom level ([`crate::shared::SharedLlc`]).
 //!
-//! [`CoreMemory`] owns everything private to one SMT core: L1I/L1D, the
-//! private L2, both TLBs, the stream-buffer prefetcher, and the per-thread
+//! [`CoreMemory`] owns everything private to one SMT core: the L1D, the
+//! private L2, the D-TLBs, the stream-buffer prefetcher, and the per-thread
 //! long-latency serialization state. Every access that misses the private
 //! levels is presented to a `&mut` [`SharedLlc`] borrowed from the caller: a
 //! chip lends its one shared level to each of its cores in turn within a
@@ -66,14 +66,10 @@ impl LoadAccessResult {
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct CoreMemoryState {
-    /// L1 instruction cache contents.
-    pub l1i: CacheState,
     /// L1 data cache contents.
     pub l1d: CacheState,
     /// Private L2 contents.
     pub l2: CacheState,
-    /// Instruction TLB contents.
-    pub itlb: TlbFileState,
     /// Data TLB contents.
     pub dtlb: TlbFileState,
     /// Prefetcher stride table and stream buffers.
@@ -82,8 +78,27 @@ pub struct CoreMemoryState {
     pub last_lll_completion: Vec<u64>,
 }
 
-/// The core-private memory levels of Table IV: L1 caches, private L2, TLBs,
-/// prefetcher, and per-thread long-latency serialization state.
+impl CoreMemoryState {
+    /// Checks every sparse table's entry indices (see
+    /// [`CacheState::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first out-of-range, repeated or
+    /// unordered index.
+    pub fn validate(&self) -> Result<(), String> {
+        self.l1d.validate()?;
+        self.l2.validate()?;
+        self.dtlb.validate()?;
+        self.prefetcher.validate()
+    }
+}
+
+/// The core-private memory levels of Table IV: L1 data cache, private L2,
+/// D-TLBs, prefetcher, and per-thread long-latency serialization state.
+///
+/// The simulated front end reads instructions from the trace without an
+/// instruction cache or I-TLB.
 ///
 /// L1/L2 capacity is shared between the SMT threads of the core (threads
 /// compete), while TLBs, MSHR slots and stream buffers are effectively per
@@ -91,10 +106,8 @@ pub struct CoreMemoryState {
 /// chip-wide requester id into the physical address.
 #[derive(Clone, Debug)]
 pub struct CoreMemory {
-    l1i: SetAssocCache,
     l1d: SetAssocCache,
     l2: SetAssocCache,
-    itlb: TlbFile,
     dtlb: TlbFile,
     prefetcher: StreamBufferPrefetcher,
     memory_latency: u64,
@@ -114,10 +127,8 @@ impl CoreMemory {
     pub fn new(config: &SmtConfig, core_id: usize) -> Self {
         config.validate().expect("invalid SMT configuration");
         CoreMemory {
-            l1i: SetAssocCache::new(&config.l1i),
             l1d: SetAssocCache::new(&config.l1d),
             l2: SetAssocCache::new(&config.l2),
-            itlb: TlbFile::new(&config.itlb, config.num_threads),
             dtlb: TlbFile::new(&config.dtlb, config.num_threads),
             prefetcher: StreamBufferPrefetcher::new(
                 config.prefetcher,
@@ -281,37 +292,6 @@ impl CoreMemory {
         }
     }
 
-    /// Instruction fetch of the line containing `pc`; returns the fetch latency in
-    /// cycles (1 on an L1 I-cache hit).
-    pub fn fetch_access(
-        &mut self,
-        shared: &mut SharedLlc,
-        thread: ThreadId,
-        pc: u64,
-        cycle: u64,
-    ) -> u64 {
-        let paddr = self.physical(thread, pc);
-        let _ = self.itlb.access(thread.index(), paddr);
-        if self.l1i.access(paddr) {
-            return self.l1i.latency();
-        }
-        if self.l2.access(paddr) {
-            self.l1i.fill(paddr);
-            return self.l2.latency();
-        }
-        if shared.access(paddr) {
-            self.l2.fill(paddr);
-            self.l1i.fill(paddr);
-            return shared.latency();
-        }
-        shared.fill(paddr);
-        self.l2.fill(paddr);
-        self.l1i.fill(paddr);
-        let latency = self.memory_latency + shared.queue_delay();
-        shared.register_transfer(cycle + latency);
-        latency
-    }
-
     /// Functional (fast-forward) data load: performs exactly the warm-state
     /// transitions of [`CoreMemory::load_access`] — TLB installs, stride
     /// training, fills down the hierarchy, stream-buffer consumption — but no
@@ -365,10 +345,8 @@ impl CoreMemory {
     /// Captures the private-level warm state for a checkpoint.
     pub fn state(&self) -> CoreMemoryState {
         CoreMemoryState {
-            l1i: self.l1i.state(),
             l1d: self.l1d.state(),
             l2: self.l2.state(),
-            itlb: self.itlb.state(),
             dtlb: self.dtlb.state(),
             prefetcher: self.prefetcher.state(),
             last_lll_completion: self.last_lll_completion.clone(),
@@ -385,10 +363,8 @@ impl CoreMemory {
                 self.last_lll_completion.len()
             ));
         }
-        self.l1i.restore_state(&state.l1i)?;
         self.l1d.restore_state(&state.l1d)?;
         self.l2.restore_state(&state.l2)?;
-        self.itlb.restore_state(&state.itlb)?;
         self.dtlb.restore_state(&state.dtlb)?;
         self.prefetcher.restore_state(&state.prefetcher)?;
         self.last_lll_completion
@@ -413,10 +389,8 @@ impl CoreMemory {
 
     /// Clears all private cache, TLB and prefetcher state.
     pub fn reset(&mut self) {
-        self.l1i.flush_all();
         self.l1d.flush_all();
         self.l2.flush_all();
-        self.itlb.flush_all();
         self.dtlb.flush_all();
         self.prefetcher.reset();
         for c in &mut self.last_lll_completion {
@@ -466,11 +440,6 @@ impl MemoryHierarchy {
     pub fn store_access(&mut self, thread: ThreadId, addr: u64, cycle: u64) {
         self.core
             .store_access(&mut self.shared, thread, addr, cycle);
-    }
-
-    /// Instruction fetch of the line containing `pc`; returns the fetch latency.
-    pub fn fetch_access(&mut self, thread: ThreadId, pc: u64, cycle: u64) -> u64 {
-        self.core.fetch_access(&mut self.shared, thread, pc, cycle)
     }
 
     /// Number of data prefetches issued so far.
@@ -650,16 +619,6 @@ mod tests {
             prefetch_hits > 10,
             "stream should be prefetched, got {prefetch_hits}"
         );
-    }
-
-    #[test]
-    fn fetch_access_uses_icache() {
-        let mut m = hierarchy();
-        let t = ThreadId::new(0);
-        let cold = m.fetch_access(t, 0x8000, 0);
-        assert!(cold >= 11);
-        let warm = m.fetch_access(t, 0x8004, 1);
-        assert_eq!(warm, 1);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Implements the Table IV memory system of the paper:
 //!
-//! * set-associative L1 instruction, L1 data, unified L2 and unified L3 caches with
-//!   LRU replacement ([`cache`]),
-//! * fully-associative per-thread instruction and data TLBs ([`TlbFile`]),
+//! * set-associative L1 data, unified L2 and unified L3 caches with LRU
+//!   replacement ([`cache`]),
+//! * fully-associative per-thread data TLBs ([`TlbFile`]),
 //! * miss status handling registers that let independent long-latency loads overlap
 //!   ([`mshr`]) — the structural mechanism behind memory-level parallelism,
 //! * a stream-buffer hardware prefetcher guided by a PC-indexed stride predictor
@@ -13,7 +13,7 @@
 //! * the chip-shared bottom level — LLC, LLC MSHRs, memory bus — with its
 //!   order-invariant multi-core arbitration discipline ([`shared`]),
 //! * the per-core private levels ([`hierarchy::CoreMemory`]), which the
-//!   pipeline queries for load and fetch latencies, and the composed
+//!   pipeline queries for load latencies, and the composed
 //!   single-core [`hierarchy::MemoryHierarchy`] facade for tests and
 //!   benchmarks that drive accesses directly.
 //!

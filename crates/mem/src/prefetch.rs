@@ -15,12 +15,15 @@
 
 use serde::{Deserialize, Serialize};
 use smt_types::config::PrefetcherConfig;
+use smt_types::sampling::check_sparse_indices;
 use smt_types::ThreadId;
 
-/// Serializable snapshot of one stride-table entry (for warm checkpoints).
+/// One non-empty stride-table entry of a [`PrefetcherState`].
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct StrideEntryState {
+    /// Stride-table slot.
+    pub index: u64,
     /// Whether the entry is trained.
     pub valid: bool,
     /// Load PC tag.
@@ -52,7 +55,10 @@ pub struct StreamBufferState {
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct PrefetcherState {
-    /// Stride-table contents.
+    /// Number of stride-table entries.
+    pub stride_table_len: u64,
+    /// The stride-table entries with any non-default field, by ascending
+    /// slot.
     pub stride_table: Vec<StrideEntryState>,
     /// Stream-buffer contents.
     pub buffers: Vec<StreamBufferState>,
@@ -64,7 +70,24 @@ pub struct PrefetcherState {
     pub hits: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+impl PrefetcherState {
+    /// Checks that the stride-table slots ascend strictly and stay below
+    /// `stride_table_len`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first out-of-range, repeated or
+    /// unordered slot.
+    pub fn validate(&self) -> Result<(), String> {
+        check_sparse_indices(
+            "stride table",
+            self.stride_table_len,
+            self.stride_table.iter().map(|e| e.index),
+        )
+    }
+}
+
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct StrideEntry {
     valid: bool,
     tag: u64,
@@ -281,10 +304,14 @@ impl StreamBufferPrefetcher {
     /// Captures the prefetcher state for a warm checkpoint.
     pub fn state(&self) -> PrefetcherState {
         PrefetcherState {
+            stride_table_len: self.stride_table.len() as u64,
             stride_table: self
                 .stride_table
                 .iter()
-                .map(|e| StrideEntryState {
+                .enumerate()
+                .filter(|(_, e)| **e != StrideEntry::default())
+                .map(|(i, e)| StrideEntryState {
+                    index: i as u64,
                     valid: e.valid,
                     tag: e.tag,
                     last_addr: e.last_addr,
@@ -309,26 +336,31 @@ impl StreamBufferPrefetcher {
     }
 
     /// Restores a state captured with [`StreamBufferPrefetcher::state`].
-    /// Fails when the geometry differs.
+    /// Fails, and leaves the prefetcher unchanged, when the geometry differs
+    /// or a stride-table slot is out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &PrefetcherState) -> Result<(), String> {
-        if state.stride_table.len() != self.stride_table.len()
+        if state.stride_table_len != self.stride_table.len() as u64
             || state.buffers.len() != self.buffers.len()
         {
             return Err(format!(
                 "prefetcher geometry mismatch: state has {} stride entries / {} buffers, \
                  prefetcher has {} / {}",
-                state.stride_table.len(),
+                state.stride_table_len,
                 state.buffers.len(),
                 self.stride_table.len(),
                 self.buffers.len()
             ));
         }
-        for (entry, s) in self.stride_table.iter_mut().zip(state.stride_table.iter()) {
-            entry.valid = s.valid;
-            entry.tag = s.tag;
-            entry.last_addr = s.last_addr;
-            entry.stride = s.stride;
-            entry.confidence = s.confidence;
+        state.validate()?;
+        self.stride_table.fill(StrideEntry::default());
+        for s in &state.stride_table {
+            self.stride_table[s.index as usize] = StrideEntry {
+                valid: s.valid,
+                tag: s.tag,
+                last_addr: s.last_addr,
+                stride: s.stride,
+                confidence: s.confidence,
+            };
         }
         for (buf, s) in self.buffers.iter_mut().zip(state.buffers.iter()) {
             buf.valid = s.valid;

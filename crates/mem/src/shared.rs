@@ -133,6 +133,18 @@ pub struct SharedLlcState {
     pub cycle: u64,
 }
 
+impl SharedLlcState {
+    /// Checks the LLC's way indices (see [`CacheState::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first out-of-range, repeated or
+    /// unordered index.
+    pub fn validate(&self) -> Result<(), String> {
+        self.llc.validate()
+    }
+}
+
 /// The shared last-level cache, its MSHR file, and the memory bus.
 #[derive(Clone, Debug)]
 pub struct SharedLlc {

@@ -2,11 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 use smt_types::config::TlbConfig;
+use smt_types::sampling::check_sparse_indices;
 
-/// Serializable snapshot of one TLB entry (for warm checkpoints).
+/// One non-empty TLB entry of a [`TlbFileState`].
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct TlbEntryState {
+    /// Flat entry index, `thread * entries_per_thread + entry`.
+    pub index: u64,
     /// Whether the entry holds a translation.
     pub valid: bool,
     /// Stored virtual page number.
@@ -19,7 +22,9 @@ pub struct TlbEntryState {
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct TlbFileState {
-    /// All threads' entries, `thread * entries_per_thread + entry` order.
+    /// Number of entries over all threads.
+    pub len: u64,
+    /// The entries with any non-default field, by ascending index.
     pub entries: Vec<TlbEntryState>,
     /// Per-thread LRU clocks.
     pub ticks: Vec<u64>,
@@ -29,7 +34,19 @@ pub struct TlbFileState {
     pub misses: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+impl TlbFileState {
+    /// Checks that the entry indices ascend strictly and stay below `len`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first out-of-range, repeated or
+    /// unordered index.
+    pub fn validate(&self) -> Result<(), String> {
+        check_sparse_indices("TLB", self.len, self.entries.iter().map(|e| e.index))
+    }
+}
+
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct TlbEntry {
     valid: bool,
     vpn: u64,
@@ -212,12 +229,11 @@ fn reference_access_entries(entries: &mut [TlbEntry], tick: u64, vpn: u64) -> bo
     false
 }
 
-/// The per-thread TLBs of one kind (instruction or data) for every hardware
-/// thread, stored as a single flat entry array indexed by
-/// `thread * entries_per_thread + entry`.
+/// The per-thread data TLBs of every hardware thread, stored as a single
+/// flat entry array indexed by `thread * entries_per_thread + entry`.
 ///
 /// Each thread's slice is a fully-associative TLB with LRU replacement, as
-/// configured in Table IV (128-entry I-TLB, 512-entry D-TLB, 8 KB pages). A
+/// configured in Table IV (512-entry D-TLB, 8 KB pages). A
 /// D-TLB miss is one of the two events the paper counts as a *long-latency
 /// load* (the other being an L3 load miss). One allocation holds every
 /// thread's entries, so hierarchy lookups don't chase a per-thread pointer.
@@ -332,13 +348,18 @@ impl TlbFile {
         self.misses
     }
 
-    /// Captures the TLB-file state for a warm checkpoint.
+    /// Captures the TLB-file state for a warm checkpoint: only the entries
+    /// with a non-default field.
     pub fn state(&self) -> TlbFileState {
         TlbFileState {
+            len: self.entries.len() as u64,
             entries: self
                 .entries
                 .iter()
-                .map(|e| TlbEntryState {
+                .enumerate()
+                .filter(|(_, e)| **e != TlbEntry::default())
+                .map(|(i, e)| TlbEntryState {
+                    index: i as u64,
                     valid: e.valid,
                     vpn: e.vpn,
                     last_used: e.last_used,
@@ -350,22 +371,27 @@ impl TlbFile {
         }
     }
 
-    /// Restores a state captured with [`TlbFile::state`]. Fails when the
-    /// geometry differs.
+    /// Restores a state captured with [`TlbFile::state`]. Fails, and leaves
+    /// the file unchanged, when the geometry differs or an entry index is
+    /// out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &TlbFileState) -> Result<(), String> {
-        if state.entries.len() != self.entries.len() || state.ticks.len() != self.ticks.len() {
+        if state.len != self.entries.len() as u64 || state.ticks.len() != self.ticks.len() {
             return Err(format!(
                 "TLB geometry mismatch: state has {} entries / {} threads, file has {} / {}",
-                state.entries.len(),
+                state.len,
                 state.ticks.len(),
                 self.entries.len(),
                 self.ticks.len()
             ));
         }
-        for (entry, s) in self.entries.iter_mut().zip(state.entries.iter()) {
-            entry.valid = s.valid;
-            entry.vpn = s.vpn;
-            entry.last_used = s.last_used;
+        state.validate()?;
+        self.entries.fill(TlbEntry::default());
+        for s in &state.entries {
+            self.entries[s.index as usize] = TlbEntry {
+                valid: s.valid,
+                vpn: s.vpn,
+                last_used: s.last_used,
+            };
         }
         self.ticks.copy_from_slice(&state.ticks);
         self.hits = state.hits;

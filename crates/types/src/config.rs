@@ -60,7 +60,8 @@ impl CacheConfig {
     /// Returns [`SimError::InvalidConfig`] if any geometry field is zero, the
     /// line count exceeds [`CacheConfig::MAX_LINES`], the capacity is not a
     /// multiple of `associativity * line_bytes`, the resulting set count is
-    /// not a power of two, or the latency exceeds [`MAX_LATENCY_CYCLES`].
+    /// not a power of two, the line size is not a power of two of at least
+    /// 2 bytes, or the latency exceeds [`MAX_LATENCY_CYCLES`].
     pub fn validate(&self) -> Result<(), SimError> {
         if self.size_bytes == 0 || self.associativity == 0 || self.line_bytes == 0 {
             return Err(SimError::invalid_config(
@@ -86,9 +87,9 @@ impl CacheConfig {
                 "cache set count must be a power of two",
             ));
         }
-        if !self.line_bytes.is_power_of_two() {
+        if !self.line_bytes.is_power_of_two() || self.line_bytes < 2 {
             return Err(SimError::invalid_config(
-                "cache line size must be a power of two",
+                "cache line size must be a power of two of at least 2 bytes",
             ));
         }
         Ok(())
@@ -272,16 +273,12 @@ pub struct SmtConfig {
     pub btb_assoc: u32,
     /// Write buffer entries (stores drain here at commit).
     pub write_buffer_entries: u32,
-    /// L1 instruction cache.
-    pub l1i: CacheConfig,
     /// L1 data cache.
     pub l1d: CacheConfig,
     /// Unified L2 cache.
     pub l2: CacheConfig,
     /// Unified L3 cache.
     pub l3: CacheConfig,
-    /// Instruction TLB.
-    pub itlb: TlbConfig,
     /// Data TLB.
     pub dtlb: TlbConfig,
     /// Main memory access latency in cycles (Figure 15/16 sweeps this 200–800).
@@ -343,12 +340,6 @@ impl SmtConfig {
             btb_entries: 256,
             btb_assoc: 4,
             write_buffer_entries: 8,
-            l1i: CacheConfig {
-                size_bytes: 64 * 1024,
-                associativity: 2,
-                line_bytes: 64,
-                latency: 1,
-            },
             l1d: CacheConfig {
                 size_bytes: 64 * 1024,
                 associativity: 2,
@@ -366,11 +357,6 @@ impl SmtConfig {
                 associativity: 16,
                 line_bytes: 64,
                 latency: 35,
-            },
-            itlb: TlbConfig {
-                entries: 128,
-                page_bytes: 8 * 1024,
-                miss_penalty: 350,
             },
             dtlb: TlbConfig {
                 entries: 512,
@@ -486,17 +472,16 @@ impl SmtConfig {
         if self.max_outstanding_misses == 0 {
             return Err(SimError::invalid_config("need at least one MSHR"));
         }
-        for cache in [&self.l1i, &self.l1d, &self.l2, &self.l3] {
+        for cache in [&self.l1d, &self.l2, &self.l3] {
             cache.validate()?;
         }
-        if self.dtlb.entries == 0 || self.itlb.entries == 0 {
+        if self.dtlb.entries == 0 {
             return Err(SimError::invalid_config("TLBs must have entries"));
         }
-        if !self.dtlb.page_bytes.is_power_of_two() || !self.itlb.page_bytes.is_power_of_two() {
+        if !self.dtlb.page_bytes.is_power_of_two() {
             return Err(SimError::invalid_config("page size must be a power of two"));
         }
         check_latency("TLB miss_penalty", self.dtlb.miss_penalty)?;
-        check_latency("TLB miss_penalty", self.itlb.miss_penalty)?;
         if self.memory_latency == 0 {
             return Err(SimError::invalid_config("memory latency must be non-zero"));
         }
@@ -566,7 +551,7 @@ impl Default for BusConfig {
 /// cache and a memory bus.
 ///
 /// Each of the `num_cores` cores is an independent copy of the [`SmtConfig`]
-/// machine (private L1I/L1D/L2, TLBs, prefetcher, write buffer, predictors);
+/// machine (private L1D/L2, D-TLBs, prefetcher, write buffer, predictors);
 /// the per-core `core.l3` is replaced by the chip-wide `shared_llc`, behind
 /// the shared [`BusConfig`] memory bus. With `num_cores == 1`, an unlimited
 /// bus and `shared_llc == core.l3`, the chip is exactly the paper's
