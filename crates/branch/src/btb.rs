@@ -1,19 +1,13 @@
 //! Set-associative branch target buffer.
 
 use serde::{Deserialize, Serialize};
+use smt_types::sparse::{in_field, SparseTable};
+use smt_types::SmtConfig;
 
-#[derive(Clone, Copy, Debug, Default)]
-struct BtbEntry {
-    valid: bool,
-    tag: u64,
-    target: u64,
-    last_used: u64,
-}
-
-/// Serializable snapshot of one BTB way (for warm checkpoints).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+/// One BTB way; the default is the reset (invalid) way.
+#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
-pub struct BtbEntryState {
+pub struct BtbEntry {
     /// Whether the way holds a target.
     pub valid: bool,
     /// Stored tag.
@@ -28,10 +22,24 @@ pub struct BtbEntryState {
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct BtbState {
-    /// All ways of all sets, flattened row-major (`set * assoc + way`).
-    pub entries: Vec<BtbEntryState>,
+    /// The ways that differ from reset, indexed by `set * assoc + way`.
+    pub entries: SparseTable<BtbEntry>,
     /// The LRU clock.
     pub tick: u64,
+}
+
+impl BtbState {
+    /// Checks the sparse way table against
+    /// [`SmtConfig::MAX_TABLE_ENTRIES`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.entries
+            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
+            .map_err(in_field("entries"))
+    }
 }
 
 /// A set-associative, LRU-replaced branch target buffer.
@@ -47,7 +55,11 @@ pub struct BtbState {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BranchTargetBuffer {
-    sets: Vec<Vec<BtbEntry>>,
+    /// Every way of every set, indexed by `set * assoc + way`.
+    ways: Vec<BtbEntry>,
+    assoc: usize,
+    /// Number of sets minus one (the set count is a power of two).
+    set_mask: u64,
     tick: u64,
 }
 
@@ -70,23 +82,29 @@ impl BranchTargetBuffer {
             "BTB set count must be a power of two"
         );
         BranchTargetBuffer {
-            sets: vec![vec![BtbEntry::default(); assoc as usize]; sets as usize],
+            ways: vec![BtbEntry::default(); entries as usize],
+            assoc: assoc as usize,
+            set_mask: u64::from(sets - 1),
             tick: 0,
         }
     }
 
-    fn set_and_tag(&self, pc: u64) -> (usize, u64) {
+    /// The ways of `pc`'s set and the tag `pc` is stored under.
+    fn set_and_tag(&mut self, pc: u64) -> (&mut [BtbEntry], u64) {
         let idx = pc >> 2;
-        let set = (idx as usize) & (self.sets.len() - 1);
-        (set, idx >> self.sets.len().trailing_zeros())
+        let first = (idx & self.set_mask) as usize * self.assoc;
+        (
+            &mut self.ways[first..first + self.assoc],
+            idx >> self.set_mask.count_ones(),
+        )
     }
 
     /// Looks up a predicted target for the branch at `pc`.
     pub fn lookup(&mut self, pc: u64) -> Option<u64> {
         self.tick += 1;
         let tick = self.tick;
-        let (set, tag) = self.set_and_tag(pc);
-        for e in &mut self.sets[set] {
+        let (ways, tag) = self.set_and_tag(pc);
+        for e in ways {
             if e.valid && e.tag == tag {
                 e.last_used = tick;
                 return Some(e.target);
@@ -95,46 +113,23 @@ impl BranchTargetBuffer {
         None
     }
 
-    /// Captures the BTB state for a warm checkpoint.
+    /// Captures the BTB state for a warm checkpoint: only the ways that
+    /// differ from reset.
     pub fn state(&self) -> BtbState {
         BtbState {
-            entries: self
-                .sets
-                .iter()
-                .flat_map(|set| set.iter())
-                .map(|e| BtbEntryState {
-                    valid: e.valid,
-                    tag: e.tag,
-                    target: e.target,
-                    last_used: e.last_used,
-                })
-                .collect(),
+            entries: SparseTable::capture(&self.ways, BtbEntry::default()),
             tick: self.tick,
         }
     }
 
-    /// Restores a state captured with [`BranchTargetBuffer::state`]. Fails
-    /// when the geometry differs.
+    /// Restores a state captured with [`BranchTargetBuffer::state`]. Fails,
+    /// and leaves the buffer unchanged, when the geometry differs or a way
+    /// index is out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &BtbState) -> Result<(), String> {
-        let total: usize = self.sets.iter().map(|s| s.len()).sum();
-        if state.entries.len() != total {
-            return Err(format!(
-                "BTB size mismatch: state has {} ways, buffer has {total}",
-                state.entries.len()
-            ));
-        }
-        let mut it = state.entries.iter();
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                let s = it.next().expect("length checked above");
-                *way = BtbEntry {
-                    valid: s.valid,
-                    tag: s.tag,
-                    target: s.target,
-                    last_used: s.last_used,
-                };
-            }
-        }
+        state
+            .entries
+            .restore_into(&mut self.ways, BtbEntry::default())
+            .map_err(in_field("entries"))?;
         self.tick = state.tick;
         Ok(())
     }
@@ -143,8 +138,7 @@ impl BranchTargetBuffer {
     pub fn insert(&mut self, pc: u64, target: u64) {
         self.tick += 1;
         let tick = self.tick;
-        let (set, tag) = self.set_and_tag(pc);
-        let ways = &mut self.sets[set];
+        let (ways, tag) = self.set_and_tag(pc);
         if let Some(e) = ways.iter_mut().find(|e| e.valid && e.tag == tag) {
             e.target = target;
             e.last_used = tick;

@@ -1,15 +1,34 @@
 //! gshare direction predictor (global history XOR PC indexing into 2-bit counters).
 
 use serde::{Deserialize, Serialize};
+use smt_types::sparse::{in_field, SparseTable};
+use smt_types::SmtConfig;
+
+/// The reset value of every counter: weakly not-taken.
+const RESET_COUNTER: u8 = 1;
 
 /// Serializable snapshot of a [`Gshare`] predictor (for warm checkpoints).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct GshareState {
-    /// The two-bit counter table.
-    pub counters: Vec<u8>,
+    /// The two-bit counters that differ from reset (1, weakly not-taken).
+    pub counters: SparseTable<u8>,
     /// The global history register.
     pub history: u64,
+}
+
+impl GshareState {
+    /// Checks the sparse counter table against
+    /// [`SmtConfig::MAX_TABLE_ENTRIES`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.counters
+            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
+            .map_err(in_field("counters"))
+    }
 }
 
 /// A gshare branch direction predictor.
@@ -43,7 +62,7 @@ impl Gshare {
             "gshare entries must be a power of two"
         );
         Gshare {
-            counters: vec![1; entries as usize], // weakly not-taken
+            counters: vec![RESET_COUNTER; entries as usize],
             history: 0,
             history_mask: entries as u64 - 1,
         }
@@ -58,25 +77,23 @@ impl Gshare {
         self.counters[self.index(pc)] >= 2
     }
 
-    /// Captures the predictor state for a warm checkpoint.
+    /// Captures the predictor state for a warm checkpoint: only the
+    /// counters that differ from reset.
     pub fn state(&self) -> GshareState {
         GshareState {
-            counters: self.counters.clone(),
+            counters: SparseTable::capture(&self.counters, RESET_COUNTER),
             history: self.history,
         }
     }
 
-    /// Restores a state captured with [`Gshare::state`]. Fails when the table
-    /// geometry differs.
+    /// Restores a state captured with [`Gshare::state`]. Fails, and leaves
+    /// the predictor unchanged, when the table geometry differs or a counter
+    /// index is out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &GshareState) -> Result<(), String> {
-        if state.counters.len() != self.counters.len() {
-            return Err(format!(
-                "gshare table size mismatch: state has {}, predictor has {}",
-                state.counters.len(),
-                self.counters.len()
-            ));
-        }
-        self.counters.copy_from_slice(&state.counters);
+        state
+            .counters
+            .restore_into(&mut self.counters, RESET_COUNTER)
+            .map_err(in_field("counters"))?;
         self.history = state.history & self.history_mask;
         Ok(())
     }

@@ -22,10 +22,11 @@
 pub mod btb;
 pub mod gshare;
 
-pub use btb::{BranchTargetBuffer, BtbEntryState, BtbState};
+pub use btb::{BranchTargetBuffer, BtbEntry, BtbState};
 pub use gshare::{Gshare, GshareState};
 
 use serde::{Deserialize, Serialize};
+use smt_types::sparse::in_field;
 
 /// Serializable snapshot of a [`BranchPredictor`] (for warm checkpoints).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -39,6 +40,18 @@ pub struct BranchPredictorState {
     pub predictions: u64,
     /// Mispredictions observed so far.
     pub mispredictions: u64,
+}
+
+impl BranchPredictorState {
+    /// Checks the sparse gshare counter table and BTB way table.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.gshare.validate().map_err(in_field("gshare"))?;
+        self.btb.validate().map_err(in_field("btb"))
+    }
 }
 
 /// A direction + target prediction for one branch.

@@ -3,10 +3,13 @@
 //! never a stack-overflow abort; sampling lengths past their limit are
 //! rejected before anything runs, never a hang; retired knobs are rejected,
 //! not ignored; `--scale` never drops a spec's cycle cap or seed; and a
-//! checkpoint of another schema version or with a broken sparse table is a
-//! load error, never a panic.
+//! checkpoint of another schema version, with a broken or oversized sparse
+//! table or with a stream buffer of a missing thread is a load error, never
+//! a panic.
 
 use std::process::{Command, Stdio};
+
+use smt_core::SimCheckpoint;
 use std::time::{Duration, Instant};
 
 fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
@@ -258,39 +261,48 @@ fn saved_checkpoint(name: &str) -> String {
     json
 }
 
-/// Byte range of the value of the `nth` `"index"` field of the shared LLC's
-/// ways.
-fn llc_way_index(json: &str, nth: usize) -> std::ops::Range<usize> {
-    let shared = json.find("\"shared\"").expect("a shared section");
-    let key = "\"index\": ";
-    let at = json[shared..]
-        .match_indices(key)
-        .nth(nth)
-        .expect("enough LLC ways")
-        .0;
-    let start = shared + at + key.len();
-    let len = json[start..]
-        .find(|c: char| !c.is_ascii_digit())
-        .expect("a number");
-    start..start + len
+/// A saved tiny-scale `mcf,gcc` checkpoint after `edit`, as JSON. The
+/// edit acts on the parsed document, which is not validated.
+fn edited_checkpoint(name: &str, edit: impl FnOnce(&mut SimCheckpoint)) -> String {
+    let mut checkpoint: SimCheckpoint =
+        serde_json::from_str(&saved_checkpoint(name)).expect("a saved checkpoint parses");
+    edit(&mut checkpoint);
+    serde_json::to_string_pretty(&checkpoint).expect("serializes")
+}
+
+/// `checkpoint load` of `old`, a checkpoint of schema `version`, fails with
+/// a load error naming that version, not the first field version 3 does not
+/// know.
+fn assert_old_version_fails(version: u32, old: &str) {
+    let marker = format!("\"schema_version\": {version}");
+    assert_eq!(old.matches(&marker).count(), 1);
+    let (code, stderr) = run_on(&["checkpoint", "load"], "old.json", old);
+    assert_eq!(code, Some(1), "{stderr}");
+    let message = format!("unsupported checkpoint schema version {version} (expected 3)");
+    assert!(stderr.contains(&message), "{stderr}");
 }
 
 /// A version-1 checkpoint (dense tables and an instruction side) fails
-/// `checkpoint load` with a load error naming its schema version, not the
-/// first field version 2 does not know.
+/// naming its version.
 #[test]
 fn version_one_checkpoint_fails_naming_the_schema_version() {
-    let json = saved_checkpoint("v2-source.json");
-    let v1 = json
-        .replace("\"schema_version\": 2", "\"schema_version\": 1")
+    let v1 = saved_checkpoint("v1-source.json")
+        .replace("\"schema_version\": 3", "\"schema_version\": 1")
         .replace("\"memory\": {", "\"memory\": {\n    \"l1i\": null,");
-    assert_eq!(v1.matches("\"schema_version\": 1").count(), 1);
-    let (code, stderr) = run_on(&["checkpoint", "load"], "v1.json", &v1);
-    assert!(matches!(code, Some(1 | 2)), "{stderr}");
-    assert!(
-        stderr.contains("unsupported checkpoint schema version 1 (expected 2)"),
-        "{stderr}"
-    );
+    assert_old_version_fails(1, &v1);
+}
+
+/// A version-2 checkpoint (`index`-tagged entries, a `stride_table_len`)
+/// fails naming its version.
+#[test]
+fn version_two_checkpoint_fails_naming_the_schema_version() {
+    let v2 = saved_checkpoint("v2-source.json")
+        .replace("\"schema_version\": 3", "\"schema_version\": 2")
+        .replace(
+            "\"prefetcher\": {",
+            "\"prefetcher\": {\n      \"stride_table_len\": 2048,",
+        );
+    assert_old_version_fails(2, &v2);
 }
 
 /// A shared-LLC way index past the table's length, or one repeated, fails
@@ -298,17 +310,56 @@ fn version_one_checkpoint_fails_naming_the_schema_version() {
 /// panic.
 #[test]
 fn checkpoint_with_a_bad_way_index_fails_cleanly() {
-    let json = saved_checkpoint("index-source.json");
-    let mut out_of_range = json.clone();
-    out_of_range.replace_range(llc_way_index(&json, 0), "18446744073709551615");
-    let mut repeated = json.clone();
-    let first = json[llc_way_index(&json, 0)].to_string();
-    repeated.replace_range(llc_way_index(&json, 1), &first);
+    let out_of_range = edited_checkpoint("range-source.json", |ck| {
+        ck.shared.llc.ways.indices[0] = u32::MAX;
+    });
+    let repeated = edited_checkpoint("repeat-source.json", |ck| {
+        let indices = &mut ck.shared.llc.ways.indices;
+        indices[1] = indices[0];
+    });
     for (name, hostile, fault) in [
         ("out-of-range.json", out_of_range, "out of range"),
         ("repeated.json", repeated, "repeated"),
     ] {
-        assert_ne!(hostile, json);
+        let (code, stderr) = run_on(&["checkpoint", "load"], name, &hostile);
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains("shared.llc.ways.indices["),
+            "{name}: {stderr}"
+        );
+        assert!(stderr.contains(fault), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+}
+
+/// A table length past its configuration limit (an LLC of 2^60 ways, a BTB
+/// of 2^40 entries) or a stream buffer owned by a thread the checkpoint does
+/// not have fails `checkpoint load` with exit 1 naming the field, never a
+/// panic.
+#[test]
+fn checkpoint_with_an_impossible_length_or_buffer_thread_fails_naming_the_field() {
+    let cases = [
+        (
+            "llc-len.json",
+            edited_checkpoint("llc-source.json", |ck| ck.shared.llc.ways.len = 1 << 60),
+            "shared.llc.ways.len: 1152921504606846976 exceeds the limit of 4194304",
+        ),
+        (
+            "btb-len.json",
+            edited_checkpoint("btb-source.json", |ck| {
+                ck.threads[1].branch_predictor.btb.entries.len = 1 << 40;
+            }),
+            "threads[1].branch_predictor.btb.entries.len: 1099511627776 exceeds",
+        ),
+        (
+            "buffer-thread.json",
+            edited_checkpoint("thread-source.json", |ck| {
+                ck.memory.prefetcher.buffers[0].thread = 1_000_000_000_000_000;
+            }),
+            "memory.prefetcher.buffers[0].thread: 1000000000000000 out of range (2 threads)",
+        ),
+    ];
+    for (name, hostile, fault) in cases {
         let (code, stderr) = run_on(&["checkpoint", "load"], name, &hostile);
         assert_eq!(code, Some(1), "{name}: {stderr}");
         assert!(stderr.contains(fault), "{name}: {stderr}");

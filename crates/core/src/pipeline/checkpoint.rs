@@ -20,6 +20,7 @@ use smt_branch::BranchPredictorState;
 use smt_mem::{CoreMemoryState, SharedLlcState};
 use smt_predictors::{BinaryMlpState, LlsrState, MissPatternState, MlpDistanceState};
 use smt_trace::TraceSourceState;
+use smt_types::sparse::in_field;
 use smt_types::{CheckpointMeta, SimError, TraceOp};
 
 use super::thread::PendingMlpEval;
@@ -57,6 +58,25 @@ pub struct ThreadCheckpoint {
     pub llsr: LlsrState,
     /// Predictions awaiting their LLSR ground truth, in commit order.
     pub pending_mlp_evals: Vec<PendingEvalState>,
+}
+
+impl ThreadCheckpoint {
+    /// Checks the sparse gshare, BTB and predictor tables, returning a
+    /// message naming the offending field.
+    fn validate(&self) -> Result<(), String> {
+        self.branch_predictor
+            .validate()
+            .map_err(in_field("branch_predictor"))?;
+        self.lll_predictor
+            .validate()
+            .map_err(in_field("lll_predictor"))?;
+        self.mlp_predictor
+            .validate()
+            .map_err(in_field("mlp_predictor"))?;
+        self.binary_mlp_predictor
+            .validate()
+            .map_err(in_field("binary_mlp_predictor"))
+    }
 }
 
 /// A complete warm checkpoint of a single-core simulator.
@@ -113,11 +133,12 @@ impl SimCheckpoint {
     }
 
     /// Checks the checkpoint's standalone invariants: a supported schema
-    /// version, metadata consistent with the captured thread states, and
-    /// sparse warm tables whose entry indices ascend strictly within their
-    /// recorded lengths. [`SmtSimulator::restore_checkpoint`] additionally
-    /// validates the checkpoint against the restoring simulator's
-    /// configuration.
+    /// version, metadata consistent with the captured thread states, every
+    /// sparse warm table within its configuration limit and with indices
+    /// that ascend strictly below its length, and every stream buffer owned
+    /// by a captured thread. [`SmtSimulator::restore_checkpoint`]
+    /// additionally validates the checkpoint against the restoring
+    /// simulator's configuration.
     ///
     /// # Errors
     ///
@@ -141,8 +162,20 @@ impl SimCheckpoint {
                 self.threads.len()
             )));
         }
-        self.memory.validate().map_err(SimError::invalid_config)?;
-        self.shared.validate().map_err(SimError::invalid_config)
+        for (i, thread) in self.threads.iter().enumerate() {
+            thread.validate().map_err(|e| {
+                // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+                SimError::invalid_config(format!("threads[{i}].{e}"))
+            })?;
+        }
+        self.memory
+            .validate(self.threads.len())
+            .map_err(in_field("memory"))
+            .map_err(SimError::invalid_config)?;
+        self.shared
+            .validate()
+            .map_err(in_field("shared"))
+            .map_err(SimError::invalid_config)
     }
 }
 

@@ -12,7 +12,8 @@ use proptest::prelude::*;
 
 use smt_core::pipeline::{SimOptions, SmtSimulator};
 use smt_core::runner::{build_trace, RunScale};
-use smt_types::config::FetchPolicyKind;
+use smt_types::config::{CacheConfig, FetchPolicyKind};
+use smt_types::sparse::SparseTable;
 use smt_types::{SamplingConfig, SmtConfig};
 
 fn build_sim(benchmarks: &[&str], policy: FetchPolicyKind, scale: RunScale) -> SmtSimulator {
@@ -123,6 +124,71 @@ fn checkpoint_restore_rejects_geometry_mismatch() {
 
     let mut wrong_workload = build_sim(&["swim", "twolf"], FetchPolicyKind::Icount, scale);
     assert!(wrong_workload.restore_checkpoint(&ck).is_err());
+}
+
+/// A freshly built simulator holds nothing but reset entries, so its
+/// checkpoint lists zero entries in every sparse table, each at its full
+/// configured length.
+#[test]
+fn fresh_simulator_captures_no_sparse_entries() {
+    fn shape<T>(table: &SparseTable<T>) -> (u64, usize) {
+        (table.len, table.indices.len())
+    }
+    let scale = RunScale::tiny();
+    let benchmarks = ["mcf", "swim", "perlbmk", "mesa"];
+    let c = SmtConfig::baseline(benchmarks.len());
+    let mut sim = build_sim(&benchmarks, FetchPolicyKind::MlpFlush, scale);
+    let ck = sim.checkpoint(scale.seed).expect("checkpointable");
+    ck.validate().expect("a fresh checkpoint validates");
+    let lines = |cache: CacheConfig| cache.size_bytes / u64::from(cache.line_bytes);
+    let (memory, threads) = (&ck.memory, benchmarks.len() as u32);
+    let mut tables = vec![
+        ("llc", shape(&ck.shared.llc.ways), lines(c.l3)),
+        ("l1d", shape(&memory.l1d.ways), lines(c.l1d)),
+        ("l2", shape(&memory.l2.ways), lines(c.l2)),
+        (
+            "dtlb",
+            shape(&memory.dtlb.entries),
+            u64::from(c.dtlb.entries * threads),
+        ),
+        (
+            "stride",
+            shape(&memory.prefetcher.stride_table),
+            u64::from(c.prefetcher.stride_table_entries),
+        ),
+    ];
+    for t in &ck.threads {
+        tables.extend(
+            [
+                (
+                    "gshare",
+                    shape(&t.branch_predictor.gshare.counters),
+                    c.gshare_entries,
+                ),
+                ("btb", shape(&t.branch_predictor.btb.entries), c.btb_entries),
+                (
+                    "lll",
+                    shape(&t.lll_predictor.entries),
+                    c.lll_predictor_entries,
+                ),
+                (
+                    "mlp",
+                    shape(&t.mlp_predictor.table),
+                    c.mlp_predictor_entries,
+                ),
+                (
+                    "binary",
+                    shape(&t.binary_mlp_predictor.table),
+                    c.mlp_predictor_entries,
+                ),
+            ]
+            .map(|(name, shape, entries)| (name, shape, u64::from(entries))),
+        );
+    }
+    assert_eq!(tables.len(), 5 + 5 * benchmarks.len());
+    for (name, shape, configured) in tables {
+        assert_eq!(shape, (configured, 0), "{name}");
+    }
 }
 
 #[test]

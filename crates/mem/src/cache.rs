@@ -2,29 +2,17 @@
 
 use serde::{Deserialize, Serialize};
 use smt_types::config::CacheConfig;
-use smt_types::sampling::check_sparse_indices;
-
-/// One non-empty way of a [`CacheState`].
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct WayState {
-    /// Flat way index, `set * associativity + way`.
-    pub index: u64,
-    /// Stored tag plus one; 0 marks an invalid way that still carries a
-    /// stamp.
-    pub tag: u64,
-    /// LRU stamp.
-    pub stamp: u64,
-}
+use smt_types::sparse::{in_field, SparseTable};
 
 /// Serializable snapshot of a [`SetAssocCache`] (for warm checkpoints).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct CacheState {
-    /// Number of ways, `sets * associativity`.
-    pub len: u64,
-    /// The ways whose tag or stamp is non-zero, by ascending index.
-    pub ways: Vec<WayState>,
+    /// The ways whose tag or stamp is non-zero, indexed by
+    /// `set * associativity + way`, each as `(tag, stamp)`: the stored tag
+    /// plus one (0 marks an invalid way that still carries a stamp) and the
+    /// LRU stamp.
+    pub ways: SparseTable<(u64, u64)>,
     /// The LRU clock.
     pub tick: u64,
     /// Lookup hits so far.
@@ -34,14 +22,15 @@ pub struct CacheState {
 }
 
 impl CacheState {
-    /// Checks that the way indices ascend strictly and stay below `len`.
+    /// Checks the sparse way table against [`CacheConfig::MAX_LINES`].
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first out-of-range, repeated or
-    /// unordered index.
+    /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        check_sparse_indices("cache", self.len, self.ways.iter().map(|w| w.index))
+        self.ways
+            .validate(CacheConfig::MAX_LINES)
+            .map_err(in_field("ways"))
     }
 }
 
@@ -244,18 +233,10 @@ impl SetAssocCache {
     pub fn state(&self) -> CacheState {
         let (tags, stamps) = self.columns();
         CacheState {
-            len: self.ways as u64,
-            ways: tags
-                .iter()
-                .zip(stamps)
-                .enumerate()
-                .filter(|&(_, (&tag, &stamp))| tag != 0 || stamp != 0)
-                .map(|(index, (&tag, &stamp))| WayState {
-                    index: index as u64,
-                    tag,
-                    stamp,
-                })
-                .collect(),
+            ways: SparseTable::from_fn(self.ways, |way| {
+                let entry = (tags[way], stamps[way]);
+                (entry != (0, 0)).then_some(entry)
+            }),
             tick: self.tick,
             hits: self.hits,
             misses: self.misses,
@@ -266,17 +247,14 @@ impl SetAssocCache {
     /// leaves the cache unchanged, when the geometry differs or a way index
     /// is out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &CacheState) -> Result<(), String> {
-        if state.len != self.ways as u64 {
-            return Err(format!(
-                "cache geometry mismatch: state has {} ways, cache has {}",
-                state.len, self.ways
-            ));
-        }
-        state.validate()?;
+        state
+            .ways
+            .check_restore(self.ways)
+            .map_err(in_field("ways"))?;
         // Fresh zeroed columns: the ways the state leaves out stay untouched.
         self.columns = vec![0; 2 * self.ways];
-        for way in &state.ways {
-            self.set_way(way.index as usize, way.tag, way.stamp);
+        for (way, &(tag, stamp)) in state.ways.entries() {
+            self.set_way(way, tag, stamp);
         }
         self.tick = state.tick;
         self.hits = state.hits;

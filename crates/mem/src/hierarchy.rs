@@ -11,6 +11,7 @@
 //! its own, for tests and benchmarks that drive memory accesses directly.
 
 use serde::{Deserialize, Serialize};
+use smt_types::sparse::in_field;
 use smt_types::{ChipConfig, SmtConfig, ThreadId};
 
 use crate::cache::{CacheState, SetAssocCache};
@@ -79,18 +80,32 @@ pub struct CoreMemoryState {
 }
 
 impl CoreMemoryState {
-    /// Checks every sparse table's entry indices (see
-    /// [`CacheState::validate`]).
+    /// Checks every sparse table (see
+    /// [`SparseTable::validate`](smt_types::sparse::SparseTable::validate))
+    /// and that the per-thread state covers exactly `num_threads` threads,
+    /// every stream buffer owned by one of them.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first out-of-range, repeated or
-    /// unordered index.
-    pub fn validate(&self) -> Result<(), String> {
-        self.l1d.validate()?;
-        self.l2.validate()?;
-        self.dtlb.validate()?;
-        self.prefetcher.validate()
+    /// Returns a message naming the offending field.
+    pub fn validate(&self, num_threads: usize) -> Result<(), String> {
+        for (field, threads) in [
+            ("last_lll_completion", self.last_lll_completion.len()),
+            ("dtlb.ticks", self.dtlb.ticks.len()),
+        ] {
+            if threads != num_threads {
+                // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+                return Err(format!(
+                    "{field}: {threads} threads, checkpoint has {num_threads}"
+                ));
+            }
+        }
+        self.l1d.validate().map_err(in_field("l1d"))?;
+        self.l2.validate().map_err(in_field("l2"))?;
+        self.dtlb.validate().map_err(in_field("dtlb"))?;
+        self.prefetcher
+            .validate(num_threads)
+            .map_err(in_field("prefetcher"))
     }
 }
 
@@ -356,13 +371,7 @@ impl CoreMemory {
     /// Restores a state captured with [`CoreMemory::state`]. Fails when any
     /// structure's geometry differs.
     pub fn restore_state(&mut self, state: &CoreMemoryState) -> Result<(), String> {
-        if state.last_lll_completion.len() != self.last_lll_completion.len() {
-            return Err(format!(
-                "thread count mismatch: state has {}, core has {}",
-                state.last_lll_completion.len(),
-                self.last_lll_completion.len()
-            ));
-        }
+        state.validate(self.last_lll_completion.len())?;
         self.l1d.restore_state(&state.l1d)?;
         self.l2.restore_state(&state.l2)?;
         self.dtlb.restore_state(&state.dtlb)?;

@@ -15,15 +15,13 @@
 
 use serde::{Deserialize, Serialize};
 use smt_types::config::PrefetcherConfig;
-use smt_types::sampling::check_sparse_indices;
-use smt_types::ThreadId;
+use smt_types::sparse::{in_field, SparseTable};
+use smt_types::{SmtConfig, ThreadId};
 
-/// One non-empty stride-table entry of a [`PrefetcherState`].
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+/// One stride-table entry; the default is the reset (untrained) entry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
-pub struct StrideEntryState {
-    /// Stride-table slot.
-    pub index: u64,
+pub struct StrideEntry {
     /// Whether the entry is trained.
     pub valid: bool,
     /// Load PC tag.
@@ -55,11 +53,8 @@ pub struct StreamBufferState {
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct PrefetcherState {
-    /// Number of stride-table entries.
-    pub stride_table_len: u64,
-    /// The stride-table entries with any non-default field, by ascending
-    /// slot.
-    pub stride_table: Vec<StrideEntryState>,
+    /// The stride-table entries with any non-default field, by slot.
+    pub stride_table: SparseTable<StrideEntry>,
     /// Stream-buffer contents.
     pub buffers: Vec<StreamBufferState>,
     /// Allocation clock.
@@ -71,29 +66,30 @@ pub struct PrefetcherState {
 }
 
 impl PrefetcherState {
-    /// Checks that the stride-table slots ascend strictly and stay below
-    /// `stride_table_len`.
+    /// Checks the sparse stride table against
+    /// [`SmtConfig::MAX_TABLE_ENTRIES`] and that every stream buffer
+    /// belongs to one of `num_threads` threads.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first out-of-range, repeated or
-    /// unordered slot.
-    pub fn validate(&self) -> Result<(), String> {
-        check_sparse_indices(
-            "stride table",
-            self.stride_table_len,
-            self.stride_table.iter().map(|e| e.index),
-        )
+    /// Returns a message naming the offending field.
+    pub fn validate(&self, num_threads: usize) -> Result<(), String> {
+        self.stride_table
+            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
+            .map_err(in_field("stride_table"))?;
+        match self
+            .buffers
+            .iter()
+            .position(|b| b.thread >= num_threads as u64)
+        {
+            // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+            Some(i) => Err(format!(
+                "buffers[{i}].thread: {} out of range ({num_threads} threads)",
+                self.buffers[i].thread
+            )),
+            None => Ok(()),
+        }
     }
-}
-
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-struct StrideEntry {
-    valid: bool,
-    tag: u64,
-    last_addr: u64,
-    stride: i64,
-    confidence: u8,
 }
 
 #[derive(Clone, Debug)]
@@ -304,21 +300,7 @@ impl StreamBufferPrefetcher {
     /// Captures the prefetcher state for a warm checkpoint.
     pub fn state(&self) -> PrefetcherState {
         PrefetcherState {
-            stride_table_len: self.stride_table.len() as u64,
-            stride_table: self
-                .stride_table
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| **e != StrideEntry::default())
-                .map(|(i, e)| StrideEntryState {
-                    index: i as u64,
-                    valid: e.valid,
-                    tag: e.tag,
-                    last_addr: e.last_addr,
-                    stride: e.stride,
-                    confidence: e.confidence,
-                })
-                .collect(),
+            stride_table: SparseTable::capture(&self.stride_table, StrideEntry::default()),
             buffers: self
                 .buffers
                 .iter()
@@ -339,29 +321,17 @@ impl StreamBufferPrefetcher {
     /// Fails, and leaves the prefetcher unchanged, when the geometry differs
     /// or a stride-table slot is out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &PrefetcherState) -> Result<(), String> {
-        if state.stride_table_len != self.stride_table.len() as u64
-            || state.buffers.len() != self.buffers.len()
-        {
+        if state.buffers.len() != self.buffers.len() {
             return Err(format!(
-                "prefetcher geometry mismatch: state has {} stride entries / {} buffers, \
-                 prefetcher has {} / {}",
-                state.stride_table_len,
+                "prefetcher geometry mismatch: state has {} buffers, prefetcher has {}",
                 state.buffers.len(),
-                self.stride_table.len(),
                 self.buffers.len()
             ));
         }
-        state.validate()?;
-        self.stride_table.fill(StrideEntry::default());
-        for s in &state.stride_table {
-            self.stride_table[s.index as usize] = StrideEntry {
-                valid: s.valid,
-                tag: s.tag,
-                last_addr: s.last_addr,
-                stride: s.stride,
-                confidence: s.confidence,
-            };
-        }
+        state
+            .stride_table
+            .restore_into(&mut self.stride_table, StrideEntry::default())
+            .map_err(in_field("stride_table"))?;
         for (buf, s) in self.buffers.iter_mut().zip(state.buffers.iter()) {
             buf.valid = s.valid;
             buf.thread = s.thread as usize;

@@ -45,6 +45,7 @@
 //! Each core's cycle is therefore a function of cycle-start state and its
 //! own requests, whatever order the cores step in.
 
+use smt_types::sparse::in_field;
 use smt_types::ChipConfig;
 
 use crate::cache::SetAssocCache;
@@ -134,14 +135,13 @@ pub struct SharedLlcState {
 }
 
 impl SharedLlcState {
-    /// Checks the LLC's way indices (see [`CacheState::validate`]).
+    /// Checks the LLC's sparse way table (see [`CacheState::validate`]).
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first out-of-range, repeated or
-    /// unordered index.
+    /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        self.llc.validate()
+        self.llc.validate().map_err(in_field("llc"))
     }
 }
 

@@ -2,14 +2,13 @@
 
 use serde::{Deserialize, Serialize};
 use smt_types::config::TlbConfig;
-use smt_types::sampling::check_sparse_indices;
+use smt_types::sparse::{in_field, SparseTable};
+use smt_types::SmtConfig;
 
-/// One non-empty TLB entry of a [`TlbFileState`].
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+/// One TLB entry; the default is the reset (invalid) entry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
-pub struct TlbEntryState {
-    /// Flat entry index, `thread * entries_per_thread + entry`.
-    pub index: u64,
+pub struct TlbEntry {
     /// Whether the entry holds a translation.
     pub valid: bool,
     /// Stored virtual page number.
@@ -22,10 +21,9 @@ pub struct TlbEntryState {
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct TlbFileState {
-    /// Number of entries over all threads.
-    pub len: u64,
-    /// The entries with any non-default field, by ascending index.
-    pub entries: Vec<TlbEntryState>,
+    /// The entries with any non-default field, indexed by
+    /// `thread * entries_per_thread + entry`.
+    pub entries: SparseTable<TlbEntry>,
     /// Per-thread LRU clocks.
     pub ticks: Vec<u64>,
     /// Hits so far.
@@ -35,22 +33,16 @@ pub struct TlbFileState {
 }
 
 impl TlbFileState {
-    /// Checks that the entry indices ascend strictly and stay below `len`.
+    /// Checks the sparse entry table against
+    /// [`SmtConfig::MAX_TABLE_ENTRIES`] entries per thread.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first out-of-range, repeated or
-    /// unordered index.
+    /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        check_sparse_indices("TLB", self.len, self.entries.iter().map(|e| e.index))
+        let max_len = u64::from(SmtConfig::MAX_TABLE_ENTRIES) * self.ticks.len() as u64;
+        self.entries.validate(max_len).map_err(in_field("entries"))
     }
-}
-
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-struct TlbEntry {
-    valid: bool,
-    vpn: u64,
-    last_used: u64,
 }
 
 /// Sentinel for "no slot" in [`LruIndex`] links.
@@ -352,19 +344,7 @@ impl TlbFile {
     /// with a non-default field.
     pub fn state(&self) -> TlbFileState {
         TlbFileState {
-            len: self.entries.len() as u64,
-            entries: self
-                .entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| **e != TlbEntry::default())
-                .map(|(i, e)| TlbEntryState {
-                    index: i as u64,
-                    valid: e.valid,
-                    vpn: e.vpn,
-                    last_used: e.last_used,
-                })
-                .collect(),
+            entries: SparseTable::capture(&self.entries, TlbEntry::default()),
             ticks: self.ticks.clone(),
             hits: self.hits,
             misses: self.misses,
@@ -375,24 +355,17 @@ impl TlbFile {
     /// the file unchanged, when the geometry differs or an entry index is
     /// out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &TlbFileState) -> Result<(), String> {
-        if state.len != self.entries.len() as u64 || state.ticks.len() != self.ticks.len() {
+        if state.ticks.len() != self.ticks.len() {
             return Err(format!(
-                "TLB geometry mismatch: state has {} entries / {} threads, file has {} / {}",
-                state.len,
+                "TLB geometry mismatch: state has {} threads, file has {}",
                 state.ticks.len(),
-                self.entries.len(),
                 self.ticks.len()
             ));
         }
-        state.validate()?;
-        self.entries.fill(TlbEntry::default());
-        for s in &state.entries {
-            self.entries[s.index as usize] = TlbEntry {
-                valid: s.valid,
-                vpn: s.vpn,
-                last_used: s.last_used,
-            };
-        }
+        state
+            .entries
+            .restore_into(&mut self.entries, TlbEntry::default())
+            .map_err(in_field("entries"))?;
         self.ticks.copy_from_slice(&state.ticks);
         self.hits = state.hits;
         self.misses = state.misses;

@@ -147,7 +147,7 @@ proptest! {
         let mut prefetcher = StreamBufferPrefetcher::new(config, 64, 350);
         apply(&mut prefetcher, &prefix);
         let state = prefetcher.state();
-        prop_assert!(state.validate().is_ok());
+        prop_assert!(state.validate(1).is_ok());
         let mut restored = StreamBufferPrefetcher::new(config, 64, 350);
         restored.restore_state(&state).unwrap();
         prop_assert_eq!(restored.state(), state);

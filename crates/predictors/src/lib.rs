@@ -46,8 +46,8 @@ pub mod llsr;
 pub mod mlp;
 
 pub use lll::{
-    LastValuePredictor, LongLatencyPredictor, MissPatternPredictor, MissPatternState,
-    TwoBitMissPredictor,
+    LastValuePredictor, LongLatencyPredictor, MissPatternEntry, MissPatternPredictor,
+    MissPatternState, TwoBitMissPredictor,
 };
 pub use llsr::{Llsr, LlsrState, MlpObservation};
 pub use mlp::{BinaryMlpPredictor, BinaryMlpState, MlpDistancePredictor, MlpDistanceState};

@@ -1,5 +1,8 @@
 //! Long-latency load predictors (Section 4.1).
 
+use smt_types::sparse::{in_field, SparseTable};
+use smt_types::SmtConfig;
+
 /// Interface shared by all long-latency load predictors.
 ///
 /// The predictor is consulted in the front-end pipeline ([`predict`]) and trained
@@ -29,22 +32,41 @@ pub trait LongLatencyPredictor {
 /// counters (12 Kbit per thread).
 #[derive(Clone, Debug)]
 pub struct MissPatternPredictor {
-    period: Vec<u8>,
-    since_last: Vec<u8>,
-    seen_miss: Vec<bool>,
+    entries: Vec<MissPatternEntry>,
     counter_max: u8,
+}
+
+/// One miss-pattern table entry; the default is the reset entry.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct MissPatternEntry {
+    /// Hits between the two most recent long-latency misses.
+    pub period: u8,
+    /// Hits since the last long-latency miss.
+    pub since_last: u8,
+    /// Whether the entry has observed a miss yet.
+    pub seen_miss: bool,
 }
 
 /// Serializable snapshot of a [`MissPatternPredictor`] (for warm checkpoints).
 #[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct MissPatternState {
-    /// Learned miss periods per table entry.
-    pub period: Vec<u8>,
-    /// Accesses since the last miss per table entry.
-    pub since_last: Vec<u8>,
-    /// Whether each entry has observed a miss yet.
-    pub seen_miss: Vec<bool>,
+    /// The entries that differ from reset, by table slot.
+    pub entries: SparseTable<MissPatternEntry>,
+}
+
+impl MissPatternState {
+    /// Checks the sparse table against [`SmtConfig::MAX_TABLE_ENTRIES`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.entries
+            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
+            .map_err(in_field("entries"))
+    }
 }
 
 impl MissPatternPredictor {
@@ -69,42 +91,31 @@ impl MissPatternPredictor {
             "counter bits must be in 1..=8"
         );
         MissPatternPredictor {
-            period: vec![0; entries as usize],
-            since_last: vec![0; entries as usize],
-            seen_miss: vec![false; entries as usize],
+            entries: vec![MissPatternEntry::default(); entries as usize],
             counter_max: ((1u16 << counter_bits) - 1) as u8,
         }
     }
 
     fn slot(&self, pc: u64) -> usize {
-        (pc as usize / 4) % self.period.len()
+        (pc as usize / 4) % self.entries.len()
     }
-}
 
-impl MissPatternPredictor {
-    /// Captures the predictor state for a warm checkpoint.
+    /// Captures the predictor state for a warm checkpoint: only the entries
+    /// that differ from reset.
     pub fn state(&self) -> MissPatternState {
         MissPatternState {
-            period: self.period.clone(),
-            since_last: self.since_last.clone(),
-            seen_miss: self.seen_miss.clone(),
+            entries: SparseTable::capture(&self.entries, MissPatternEntry::default()),
         }
     }
 
-    /// Restores a state captured with [`MissPatternPredictor::state`]. Fails
-    /// when the table geometry differs.
+    /// Restores a state captured with [`MissPatternPredictor::state`].
+    /// Fails, and leaves the predictor unchanged, when the table geometry
+    /// differs or an entry index is out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &MissPatternState) -> Result<(), String> {
-        if state.period.len() != self.period.len() {
-            return Err(format!(
-                "miss-pattern table size mismatch: state has {}, predictor has {}",
-                state.period.len(),
-                self.period.len()
-            ));
-        }
-        self.period.copy_from_slice(&state.period);
-        self.since_last.copy_from_slice(&state.since_last);
-        self.seen_miss.copy_from_slice(&state.seen_miss);
-        Ok(())
+        state
+            .entries
+            .restore_into(&mut self.entries, MissPatternEntry::default())
+            .map_err(in_field("entries"))
     }
 }
 
@@ -113,18 +124,20 @@ impl LongLatencyPredictor for MissPatternPredictor {
         // The paper's predictor fires only when the hit run-length since the last
         // miss *equals* the previously observed run-length — not ">=", which would
         // keep predicting "miss" forever after a single isolated miss.
-        let s = self.slot(pc);
-        self.seen_miss[s] && self.since_last[s] == self.period[s]
+        let e = self.entries[self.slot(pc)];
+        e.seen_miss && e.since_last == e.period
     }
 
     fn update(&mut self, pc: u64, was_long_latency: bool) {
-        let s = self.slot(pc);
+        let counter_max = self.counter_max;
+        let slot = self.slot(pc);
+        let e = &mut self.entries[slot];
         if was_long_latency {
-            self.period[s] = self.since_last[s];
-            self.since_last[s] = 0;
-            self.seen_miss[s] = true;
+            e.period = e.since_last;
+            e.since_last = 0;
+            e.seen_miss = true;
         } else {
-            self.since_last[s] = (self.since_last[s] + 1).min(self.counter_max);
+            e.since_last = (e.since_last + 1).min(counter_max);
         }
     }
 

@@ -1,5 +1,8 @@
 //! MLP predictors (Section 4.2 and the Section 6.5 alternatives).
 
+use smt_types::sparse::{in_field, SparseTable};
+use smt_types::SmtConfig;
+
 /// Last-value predictor of the MLP *distance* of a long-latency load.
 ///
 /// A 2K-entry, load-PC indexed table; each entry holds the most recently observed
@@ -73,25 +76,23 @@ impl MlpDistancePredictor {
         self.table.iter_mut().for_each(|e| *e = 0);
     }
 
-    /// Captures the predictor state for a warm checkpoint.
+    /// Captures the predictor state for a warm checkpoint: only the
+    /// non-zero distances.
     pub fn state(&self) -> MlpDistanceState {
         MlpDistanceState {
-            table: self.table.clone(),
+            table: SparseTable::capture(&self.table, 0),
             updates: self.updates,
         }
     }
 
-    /// Restores a state captured with [`MlpDistancePredictor::state`]. Fails
-    /// when the table geometry differs.
+    /// Restores a state captured with [`MlpDistancePredictor::state`].
+    /// Fails, and leaves the predictor unchanged, when the table geometry
+    /// differs or an entry index is out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &MlpDistanceState) -> Result<(), String> {
-        if state.table.len() != self.table.len() {
-            return Err(format!(
-                "MLP distance table size mismatch: state has {}, predictor has {}",
-                state.table.len(),
-                self.table.len()
-            ));
-        }
-        self.table.copy_from_slice(&state.table);
+        state
+            .table
+            .restore_into(&mut self.table, 0)
+            .map_err(in_field("table"))?;
         self.updates = state.updates;
         Ok(())
     }
@@ -109,18 +110,44 @@ pub struct BinaryMlpPredictor {
 #[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct MlpDistanceState {
-    /// Last observed MLP distance per table entry.
-    pub table: Vec<u16>,
+    /// The non-zero last observed MLP distances, by table slot.
+    pub table: SparseTable<u16>,
     /// Updates applied so far.
     pub updates: u64,
+}
+
+impl MlpDistanceState {
+    /// Checks the sparse table against [`SmtConfig::MAX_TABLE_ENTRIES`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.table
+            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
+            .map_err(in_field("table"))
+    }
 }
 
 /// Serializable snapshot of a [`BinaryMlpPredictor`] (for warm checkpoints).
 #[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct BinaryMlpState {
-    /// Whether MLP was last observed, per table entry.
-    pub table: Vec<bool>,
+    /// The slots whose last observation showed MLP (all `true`).
+    pub table: SparseTable<bool>,
+}
+
+impl BinaryMlpState {
+    /// Checks the sparse table against [`SmtConfig::MAX_TABLE_ENTRIES`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.table
+            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
+            .map_err(in_field("table"))
+    }
 }
 
 impl BinaryMlpPredictor {
@@ -156,25 +183,22 @@ impl BinaryMlpPredictor {
         self.table.iter_mut().for_each(|e| *e = false);
     }
 
-    /// Captures the predictor state for a warm checkpoint.
+    /// Captures the predictor state for a warm checkpoint: only the slots
+    /// that saw MLP.
     pub fn state(&self) -> BinaryMlpState {
         BinaryMlpState {
-            table: self.table.clone(),
+            table: SparseTable::capture(&self.table, false),
         }
     }
 
-    /// Restores a state captured with [`BinaryMlpPredictor::state`]. Fails
-    /// when the table geometry differs.
+    /// Restores a state captured with [`BinaryMlpPredictor::state`]. Fails,
+    /// and leaves the predictor unchanged, when the table geometry differs
+    /// or an entry index is out of range, repeated or out of order.
     pub fn restore_state(&mut self, state: &BinaryMlpState) -> Result<(), String> {
-        if state.table.len() != self.table.len() {
-            return Err(format!(
-                "binary MLP table size mismatch: state has {}, predictor has {}",
-                state.table.len(),
-                self.table.len()
-            ));
-        }
-        self.table.copy_from_slice(&state.table);
-        Ok(())
+        state
+            .table
+            .restore_into(&mut self.table, false)
+            .map_err(in_field("table"))
     }
 }
 

@@ -307,6 +307,13 @@ impl SmtConfig {
     /// explicit LLSR length.
     pub const MAX_WINDOW_ENTRIES: u32 = 1 << 16;
 
+    /// The largest per-thread warm table: `gshare_entries`, `btb_entries`,
+    /// `lll_predictor_entries`, `mlp_predictor_entries`, `dtlb.entries` and
+    /// `prefetcher.stride_table_entries` must not exceed it (Table IV uses
+    /// at most 2K). It also bounds the recorded length of those tables in a
+    /// warm checkpoint.
+    pub const MAX_TABLE_ENTRIES: u32 = 1 << 20;
+
     /// The baseline Table IV configuration for `num_threads` hardware threads.
     ///
     /// # Panics
@@ -477,6 +484,24 @@ impl SmtConfig {
         }
         if self.dtlb.entries == 0 {
             return Err(SimError::invalid_config("TLBs must have entries"));
+        }
+        for (field, entries) in [
+            ("gshare_entries", self.gshare_entries),
+            ("btb_entries", self.btb_entries),
+            ("lll_predictor_entries", self.lll_predictor_entries),
+            ("mlp_predictor_entries", self.mlp_predictor_entries),
+            ("dtlb.entries", self.dtlb.entries),
+            (
+                "prefetcher.stride_table_entries",
+                self.prefetcher.stride_table_entries,
+            ),
+        ] {
+            if entries > Self::MAX_TABLE_ENTRIES {
+                return Err(SimError::invalid_config(format!(
+                    "{field} of {entries} exceeds the {}-entry limit",
+                    Self::MAX_TABLE_ENTRIES
+                )));
+            }
         }
         if !self.dtlb.page_bytes.is_power_of_two() {
             return Err(SimError::invalid_config("page size must be a power of two"));
@@ -844,6 +869,34 @@ mod tests {
         let mut c = SmtConfig::baseline(2);
         c.llsr_length_override = Some(4_000_000_000);
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_warm_tables_rejected_by_name() {
+        let max = SmtConfig::MAX_TABLE_ENTRIES;
+        let mut at_limit = SmtConfig::baseline(2);
+        at_limit.lll_predictor_entries = max;
+        at_limit.prefetcher.stride_table_entries = max;
+        assert!(at_limit.validate().is_ok());
+        type Setter = fn(&mut SmtConfig);
+        let setters: [(&str, Setter); 6] = [
+            ("gshare_entries", |c| c.gshare_entries = u32::MAX),
+            ("btb_entries", |c| c.btb_entries = u32::MAX),
+            ("lll_predictor_entries", |c| c.lll_predictor_entries += 1),
+            ("mlp_predictor_entries", |c| {
+                c.mlp_predictor_entries = u32::MAX
+            }),
+            ("dtlb.entries", |c| c.dtlb.entries = u32::MAX),
+            ("prefetcher.stride_table_entries", |c| {
+                c.prefetcher.stride_table_entries += 1
+            }),
+        ];
+        for (field, set) in setters {
+            let mut c = at_limit.clone();
+            set(&mut c);
+            let err = c.validate().unwrap_err().to_string();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * the read-only pipeline snapshot handed to fetch policies ([`snapshot`]),
 //! * error types ([`error`]),
 //! * the experiment engine's per-cell failure taxonomy ([`resilience`]),
-//! * the sampled-simulation cadence and estimate types ([`sampling`]).
+//! * the sampled-simulation cadence and estimate types ([`sampling`]),
+//! * the sparse checkpoint form of a fixed-size warm table ([`sparse`]).
 //!
 //! # Example
 //!
@@ -35,6 +36,7 @@ pub mod op;
 pub mod resilience;
 pub mod sampling;
 pub mod snapshot;
+pub mod sparse;
 pub mod stats;
 
 pub use config::{BusConfig, ChipConfig, SmtConfig};
@@ -45,4 +47,5 @@ pub use op::{BranchInfo, MemInfo, OpKind, TraceOp};
 pub use resilience::{CellError, CellErrorKind, CellOutcome, RunHealth, RunHealthStatus};
 pub use sampling::{CheckpointMeta, MetricEstimate, SampledEstimate, SamplingConfig};
 pub use snapshot::{SmtSnapshot, ThreadSnapshot};
+pub use sparse::SparseTable;
 pub use stats::{ChipStats, MachineStats, ThreadStats};

@@ -1,8 +1,7 @@
 //! Sampled-simulation vocabulary: the fast-forward/measure cadence
 //! ([`SamplingConfig`]), the extrapolated per-metric estimates with
 //! confidence intervals ([`SampledEstimate`]), the identity header of a
-//! serialized warm checkpoint ([`CheckpointMeta`]) and the index rule of its
-//! sparse warm tables ([`check_sparse_indices`]).
+//! serialized warm checkpoint ([`CheckpointMeta`]).
 //!
 //! Sampled runs interleave a cheap *functional fast-forward* (trace consumed,
 //! caches/TLBs/predictors kept warm, no cycle accounting) with short
@@ -264,60 +263,19 @@ pub struct CheckpointMeta {
 }
 
 impl CheckpointMeta {
-    /// Current checkpoint format version. Version 2 records each fixed-size
-    /// warm table (cache ways, TLB entries, stride-table entries) as its
-    /// length plus its non-default entries by ascending index, and has no
-    /// instruction cache or I-TLB; version 1 listed every entry.
-    pub const SCHEMA_VERSION: u32 = 2;
-}
-
-/// Checks the entry indices of a sparse warm table in a checkpoint (a
-/// table's length plus only its non-default entries, each tagged with its
-/// index): they must ascend strictly and stay below `len`.
-///
-/// # Errors
-///
-/// Returns a message naming `table` and the first index that is at or past
-/// `len`, repeated, or out of ascending order.
-pub fn check_sparse_indices(
-    table: &str,
-    len: u64,
-    indices: impl IntoIterator<Item = u64>,
-) -> Result<(), String> {
-    // The smallest index the next entry may carry.
-    let mut next = 0u64;
-    for index in indices {
-        if index >= len {
-            return Err(format!(
-                "{table} state: entry index {index} out of range (length {len})"
-            ));
-        }
-        if index < next {
-            return Err(format!(
-                "{table} state: entry index {index} repeated or out of ascending order"
-            ));
-        }
-        next = index + 1;
-    }
-    Ok(())
+    /// Current checkpoint format version. Version 3 stores every
+    /// fixed-size warm table except gshare (cache ways, D-TLB, stride
+    /// table, BTB, miss-pattern, MLP-distance and binary-MLP tables) as one
+    /// [`SparseTable`](crate::sparse::SparseTable): `len`, the ascending
+    /// `indices` of the entries that differ from reset, and their `values`.
+    /// Version 2 tagged each listed entry with an `index` field and stored
+    /// the predictor tables and BTB densely; version 1 listed every entry.
+    pub const SCHEMA_VERSION: u32 = 3;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparse_indices_ascend_strictly_within_the_length() {
-        assert!(check_sparse_indices("t", 4, [0, 1, 3]).is_ok());
-        assert!(check_sparse_indices("t", 0, []).is_ok());
-        let fault = |len, indices: &[u64]| {
-            check_sparse_indices("t", len, indices.iter().copied()).unwrap_err()
-        };
-        assert!(fault(4, &[4]).contains("index 4 out of range"));
-        assert!(fault(4, &[u64::MAX]).contains("out of range"));
-        assert!(fault(4, &[1, 1]).contains("index 1 repeated"));
-        assert!(fault(4, &[2, 1]).contains("out of ascending order"));
-    }
 
     #[test]
     fn default_config_validates() {
