@@ -28,7 +28,7 @@
 //! * **sync-discipline** — simulation state is single-owner: locks, atomics,
 //!   interior mutability and `unsafe` live only in the host-side harness
 //!   files (experiment engine, runner, bench harness), never in a
-//!   simulation module, and frozen read views expose only `&self` methods.
+//!   simulation module.
 //!
 //! A finding is suppressed with a justified annotation on (or directly
 //! above) the offending line:

@@ -565,65 +565,24 @@ fn sampling_discipline(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding>)
 /// **sync-discipline** — simulation state is single-owner and stepped
 /// deterministically; threads, locks, interior mutability and `unsafe` live
 /// only in the host-side harness files ([`in_sync_harness`]), never in a
-/// simulation module. Additionally, frozen read views (types named
-/// `*View*`) must expose only `&self` methods: a `&mut self` method on a
-/// view would let one core mutate what the staged chip discipline promises
-/// every core of the cycle sees frozen.
+/// simulation module.
 fn sync_discipline(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding>) {
-    // Brace depth of the body of the innermost `impl ... View ...` block, if
-    // any; while inside one, `fn` signatures taking `&mut self` are flagged.
-    let mut depth = 0usize;
-    let mut view_impl_depth: Option<usize> = None;
     for (idx, line) in file.lines.iter().enumerate() {
-        let code = line.code.as_str();
-        if !line.in_test {
-            for (pat, word) in SYNC_PATTERNS {
-                if matches_pattern(code, pat, word) {
-                    out.push(finding(
-                        file,
-                        raw,
-                        idx + 1,
-                        "sync-discipline",
-                        format!(
-                            "`{pat}` in simulation code: synchronization primitives and \
-                             escape hatches live only in the host-side harness files"
-                        ),
-                    ));
-                }
-            }
-            if view_impl_depth.is_some()
-                && find_word(code, "fn", 0).is_some()
-                && code.contains("&mut self")
-            {
+        if line.in_test {
+            continue;
+        }
+        for (pat, word) in SYNC_PATTERNS {
+            if matches_pattern(&line.code, pat, word) {
                 out.push(finding(
                     file,
                     raw,
                     idx + 1,
                     "sync-discipline",
-                    "`&mut self` method on a frozen view: intra-cycle view queries \
-                     must be read-only (`&self`)"
-                        .to_string(),
+                    format!(
+                        "`{pat}` in simulation code: synchronization primitives and \
+                         escape hatches live only in the host-side harness files"
+                    ),
                 ));
-            }
-        }
-        if view_impl_depth.is_none()
-            && find_word(code, "impl", 0).is_some()
-            && code.contains("View")
-        {
-            // The impl body opens at the next brace depth (the `{` may sit
-            // on a later line when a `where` clause intervenes).
-            view_impl_depth = Some(depth + 1);
-        }
-        for b in code.bytes() {
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth = depth.saturating_sub(1);
-                    if view_impl_depth.is_some_and(|d| depth < d) {
-                        view_impl_depth = None;
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -743,20 +702,6 @@ mod tests {
         assert!(run("crates/cli/src/main.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let m = std::sync::Mutex::new(0);\n        let _ = m;\n    }\n}\n";
         assert!(run("crates/sched/src/x.rs", test_src).is_empty());
-    }
-
-    #[test]
-    fn sync_discipline_pins_frozen_views_to_shared_refs() {
-        let src = "pub struct LlcView;\nimpl LlcView {\n    pub fn probe(&self, a: u64) -> bool {\n        a == 0\n    }\n    pub fn touch(&mut self, a: u64) {\n        let _ = a;\n    }\n}\nimpl Stage {\n    pub fn apply(&mut self) {}\n}\n";
-        let out = run("crates/mem/src/x.rs", src);
-        let lines: Vec<usize> = out
-            .iter()
-            .filter(|f| f.rule == "sync-discipline")
-            .map(|f| f.line)
-            .collect();
-        // `&self` queries on the view (line 3) and `&mut self` methods on
-        // non-view impls (line 11) are legal; a mutating view method is not.
-        assert_eq!(lines, vec![6], "{out:?}");
     }
 
     #[test]

@@ -105,18 +105,15 @@ fn sampling_discipline_fires_only_in_the_fast_forward_file() {
 fn sync_discipline_fires_in_every_sim_module() {
     for path in ["crates/sched/src/fake.rs", "crates/core/src/chip/mod.rs"] {
         let report = analyze_inputs(&[input(path, include_str!("fixtures/sync_discipline.rs"))]);
-        // `&self` view queries (line 14) and `&mut self` methods on non-view
-        // impls (line 24) are legal; the allowed Mutex on line 38 is
-        // suppressed, not reported.
+        // The allowed Mutex on line 17 is suppressed, not reported.
         assert_eq!(
             hits(&report),
             vec![
+                (5, "sync-discipline"),
                 (6, "sync-discipline"),
-                (7, "sync-discipline"),
-                (18, "sync-discipline"),
-                (30, "sync-discipline"),
-                (31, "sync-discipline"),
-                (32, "sync-discipline"),
+                (9, "sync-discipline"),
+                (10, "sync-discipline"),
+                (11, "sync-discipline"),
             ],
             "{path}"
         );
@@ -135,7 +132,7 @@ fn sync_discipline_spares_only_the_harness() {
         let report = analyze_inputs(&[input(path, include_str!("fixtures/sync_discipline.rs"))]);
         // Out of scope the rule never fires, so the allow annotation has
         // nothing to suppress and is itself reported as stale.
-        assert_eq!(hits(&report), vec![(37, "unused-allow")], "{path}");
+        assert_eq!(hits(&report), vec![(16, "unused-allow")], "{path}");
     }
 }
 

@@ -1,41 +1,20 @@
 //! Fixture: sync-discipline. Fed to the analyzer under a simulation-crate
 //! path; never compiled. Synchronization primitives, interior mutability
-//! and `unsafe` are forbidden outside the host-side harness files, and
-//! frozen read views must stay `&self`.
+//! and `unsafe` are forbidden outside the host-side harness files.
 
-use std::sync::Mutex; // line 6: lock type
-use std::sync::atomic::AtomicU64; // line 7: the Atomic* family
-
-pub struct LlcView {
-    lines: u64,
-}
-
-impl LlcView {
-    pub fn probe(&self, addr: u64) -> bool { // line 14: &self query, legal
-        self.lines == addr
-    }
-
-    pub fn touch(&mut self, addr: u64) { // line 18: mutating view method
-        self.lines = addr;
-    }
-}
-
-impl Stage {
-    pub fn apply(&mut self) { // line 24: &mut self off a non-view impl, legal
-        let _ = self;
-    }
-}
+use std::sync::Mutex; // line 5: lock type
+use std::sync::atomic::AtomicU64; // line 6: the Atomic* family
 
 pub fn step() {
-    let cell = RefCell::new(0u64); // line 30: interior mutability
-    let count = AtomicU64::new(0); // line 31: atomic
-    let zero = unsafe { core::mem::zeroed::<u64>() }; // line 32: escape hatch
+    let cell = RefCell::new(0u64); // line 9: interior mutability
+    let count = AtomicU64::new(0); // line 10: atomic
+    let zero = unsafe { core::mem::zeroed::<u64>() }; // line 11: escape hatch
     drop((cell, count, zero));
 }
 
 pub fn sanctioned() {
     // analyze: allow(sync-discipline) reason="fixture: sanctioned hand-off"
-    let gate = Mutex::new(()); // line 38: suppressed by the allow above
+    let gate = Mutex::new(()); // line 17: suppressed by the allow above
     drop(gate);
 }
 

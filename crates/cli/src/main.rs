@@ -182,7 +182,7 @@ fn execute_checkpoint_save(save: CheckpointSaveArgs) -> Result<(), String> {
     let checkpoint = CheckpointCache::new()
         .warmed(&benchmarks, &config, scale)
         .map_err(|e| e.to_string())?;
-    let payload = serde_json::to_string_pretty(&*checkpoint).map_err(|e| e.to_string())?;
+    let payload = serde_json::to_string(&*checkpoint).map_err(|e| e.to_string())?;
     smt_core::artifacts::write_atomic(&save.out, payload + "\n")
         .map_err(|e| format!("cannot write `{}`: {e}", save.out))?;
     eprintln!("checkpoint written to {}", save.out);

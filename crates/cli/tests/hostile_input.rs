@@ -270,11 +270,27 @@ fn edited_checkpoint(name: &str, edit: impl FnOnce(&mut SimCheckpoint)) -> Strin
     serde_json::to_string_pretty(&checkpoint).expect("serializes")
 }
 
+/// `checkpoint save` writes compact JSON, one line with no padding, and
+/// `checkpoint load` reads it as well as the indented form of the same
+/// document.
+#[test]
+fn checkpoint_save_is_compact_and_load_reads_both_forms() {
+    let compact = saved_checkpoint("compact-source.json");
+    assert_eq!(compact.trim_end().lines().count(), 1);
+    assert!(!compact.contains(": "), "padded separators");
+    let indented = edited_checkpoint("indented-source.json", |_| {});
+    assert!(indented.len() > 2 * compact.len());
+    for (name, json) in [("compact.json", &compact), ("indented.json", &indented)] {
+        let (code, stderr) = run_on(&["checkpoint", "load"], name, json);
+        assert_eq!(code, Some(0), "{name}: {stderr}");
+    }
+}
+
 /// `checkpoint load` of `old`, a checkpoint of schema `version`, fails with
 /// a load error naming that version, not the first field version 3 does not
 /// know.
 fn assert_old_version_fails(version: u32, old: &str) {
-    let marker = format!("\"schema_version\": {version}");
+    let marker = format!("\"schema_version\":{version}");
     assert_eq!(old.matches(&marker).count(), 1);
     let (code, stderr) = run_on(&["checkpoint", "load"], "old.json", old);
     assert_eq!(code, Some(1), "{stderr}");
@@ -287,8 +303,8 @@ fn assert_old_version_fails(version: u32, old: &str) {
 #[test]
 fn version_one_checkpoint_fails_naming_the_schema_version() {
     let v1 = saved_checkpoint("v1-source.json")
-        .replace("\"schema_version\": 3", "\"schema_version\": 1")
-        .replace("\"memory\": {", "\"memory\": {\n    \"l1i\": null,");
+        .replace("\"schema_version\":3", "\"schema_version\":1")
+        .replace("\"memory\":{", "\"memory\":{\"l1i\":null,");
     assert_old_version_fails(1, &v1);
 }
 
@@ -297,10 +313,10 @@ fn version_one_checkpoint_fails_naming_the_schema_version() {
 #[test]
 fn version_two_checkpoint_fails_naming_the_schema_version() {
     let v2 = saved_checkpoint("v2-source.json")
-        .replace("\"schema_version\": 3", "\"schema_version\": 2")
+        .replace("\"schema_version\":3", "\"schema_version\":2")
         .replace(
-            "\"prefetcher\": {",
-            "\"prefetcher\": {\n      \"stride_table_len\": 2048,",
+            "\"prefetcher\":{",
+            "\"prefetcher\":{\"stride_table_len\":2048,",
         );
     assert_old_version_fails(2, &v2);
 }

@@ -32,21 +32,7 @@ impl Core {
                 }
                 let predicted_mlp_distance = ctx.window.predicted_mlp_distance_at(0);
                 ctx.window.pop_front();
-                ctx.occ.rob -= 1;
-                self.totals.rob -= 1;
-                if flags.uses_lsq() {
-                    ctx.occ.lsq -= 1;
-                    self.totals.lsq -= 1;
-                }
-                if flags.has_dest() {
-                    if flags.dest_fp() {
-                        ctx.occ.rename_fp -= 1;
-                        self.totals.rename_fp -= 1;
-                    } else {
-                        ctx.occ.rename_int -= 1;
-                        self.totals.rename_int -= 1;
-                    }
-                }
+                self.totals.release_backend(&mut ctx.occ, flags);
                 ctx.committed += 1;
                 let thread_id = ThreadId::new(ti);
                 if op.kind == OpKind::Store {

@@ -62,7 +62,11 @@ impl Core {
             for ti in 0..self.threads.len() {
                 let thread_id = ThreadId::new(ti);
                 let ctx = &mut self.threads[ti];
-                let (op, replay) = ctx.pull_op();
+                // Pending re-fetches first, exactly as fetch would take them.
+                let (op, replay) = match ctx.window.pop_pending() {
+                    Some((op, _)) => (op, true),
+                    None => (ctx.pull_op(), false),
+                };
                 ctx.committed += 1;
                 let mut is_lll_load = false;
                 match op.kind {
@@ -70,7 +74,7 @@ impl Core {
                         // First sight of this dynamic branch: predict and
                         // train at the same global-history point. Replays of
                         // squashed instructions already trained the predictor.
-                        if let (None, Some(info)) = (replay, op.branch) {
+                        if let (false, Some(info)) = (replay, op.branch) {
                             let pred = ctx.branch_predictor.predict(op.pc);
                             ctx.branch_predictor
                                 .update(op.pc, info.taken, info.target, pred);

@@ -1,6 +1,8 @@
 //! Fetch phase: ask the fetch policy for this cycle's thread priority,
-//! account gated cycles, and pull instructions (fresh or re-fetched) into the
-//! front end, predicting branches exactly once per dynamic branch.
+//! account gated cycles, and pull instructions (re-armed re-fetches first,
+//! then fresh trace ops) into the front end, predicting branches exactly once
+//! per dynamic branch. Occupancy, statistics and the policy's `on_fetch` are
+//! accounted once per thread per fetch group.
 
 use smt_types::{OpFlags, OpKind, SeqNum, SmtSnapshot};
 
@@ -33,55 +35,53 @@ impl Core {
             if budget == 0 || threads_used >= self.config.fetch_threads_per_cycle {
                 break;
             }
-            let ti = t.index();
-            if self.threads[ti].occ.frontend >= self.frontend_capacity {
-                continue;
-            }
-            let mut fetched_here = 0;
-            while budget > 0
-                && fetched_here < self.config.fetch_width
-                && self.threads[ti].occ.frontend < self.frontend_capacity
-            {
-                let ctx = &mut self.threads[ti];
-                let (op, replay) = ctx.pull_op();
+            let ctx = &mut self.threads[t.index()];
+            let room = budget.min(self.frontend_capacity - ctx.occ.frontend);
+            let mut fetched = 0;
+            while fetched < room {
                 let seq = ctx.next_seq;
                 ctx.next_seq += 1;
-                ctx.latest_fetched_seq = seq;
-                let mut mispredicted = false;
-                let mut predicted_taken = false;
-                if let Some(entry) = replay {
-                    // Re-fetch of a squashed instruction: replay the original
-                    // prediction outcome; the predictor was already trained.
-                    mispredicted = entry.mispredicted;
-                    predicted_taken = entry.predicted_taken;
-                } else if let (OpKind::Branch, Some(info)) = (op.kind, op.branch) {
-                    // First fetch of this dynamic branch: predict and train at the
-                    // same global-history point, exactly once per dynamic branch.
-                    let pred = ctx.branch_predictor.predict(op.pc);
-                    mispredicted =
-                        ctx.branch_predictor
-                            .update(op.pc, info.taken, info.target, pred);
-                    predicted_taken = pred.taken;
-                }
-                let mut flags = OpFlags::default();
-                flags.set_mispredicted(mispredicted);
-                flags.set_predicted_taken(predicted_taken);
-                ctx.window.push_back(seq, op, frontend_ready_at, flags);
-                ctx.occ.frontend += 1;
-                ctx.occ.icount += 1;
-                self.stats.thread_mut(t).fetched_instructions += 1;
-                self.policy.on_fetch(t, SeqNum(seq));
-                budget -= 1;
-                fetched_here += 1;
-                self.busy = true;
-                if predicted_taken {
+                fetched += 1;
+                let flags = if ctx.window.refetch_pending() > 0 {
+                    // Re-fetch of a squashed instruction: its slot is re-armed
+                    // in place with the original prediction outcome; the
+                    // predictor was already trained.
+                    ctx.window.rearm(seq, frontend_ready_at)
+                } else {
+                    let op = ctx.pull_op();
+                    let mut flags = OpFlags::default();
+                    if let (OpKind::Branch, Some(info)) = (op.kind, op.branch) {
+                        // First fetch of this dynamic branch: predict and
+                        // train at the same global-history point, exactly
+                        // once per dynamic branch.
+                        let pred = ctx.branch_predictor.predict(op.pc);
+                        flags.set_mispredicted(ctx.branch_predictor.update(
+                            op.pc,
+                            info.taken,
+                            info.target,
+                            pred,
+                        ));
+                        flags.set_predicted_taken(pred.taken);
+                    }
+                    ctx.window.push_back(seq, op, frontend_ready_at, flags);
+                    flags
+                };
+                if flags.predicted_taken() {
                     // The fetch group ends at a predicted-taken branch.
                     break;
                 }
             }
-            if fetched_here > 0 {
-                threads_used += 1;
+            if fetched == 0 {
+                continue;
             }
+            // One fetch group: account it once, with its youngest seq.
+            ctx.occ.frontend += fetched;
+            ctx.latest_fetched_seq = ctx.next_seq - 1;
+            self.stats.thread_mut(t).fetched_instructions += u64::from(fetched);
+            self.policy.on_fetch(t, SeqNum(ctx.latest_fetched_seq));
+            budget -= fetched;
+            threads_used += 1;
+            self.busy = true;
         }
         self.priority = priority;
     }

@@ -124,20 +124,13 @@ impl Core {
                         flags.set_is_long_latency(true);
                         flags.set_predicted_has_mlp(detection_has_mlp);
                     }
-                    let uses_fp_iq = flags.uses_fp_iq();
+                    let flags = *flags;
                     ctx.window.set_done_at(idx, done_at);
                     if detected_lll {
                         ctx.window
                             .set_predicted_mlp_distance(idx, detection_distance);
                     }
-                    if uses_fp_iq {
-                        ctx.occ.iq_fp -= 1;
-                        self.totals.iq_fp -= 1;
-                    } else {
-                        ctx.occ.iq_int -= 1;
-                        self.totals.iq_int -= 1;
-                    }
-                    ctx.occ.icount -= 1;
+                    self.totals.release_iq(&mut ctx.occ, flags);
                     self.completions.push(
                         CompletionEvent {
                             done_at,

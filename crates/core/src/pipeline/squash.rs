@@ -1,11 +1,17 @@
 //! Squash machinery: remove the youngest instructions of a thread (after a
-//! branch misprediction or a fetch-policy flush) and queue them for re-fetch
-//! in program order.
+//! branch misprediction or a fetch-policy flush) so they are fetched again.
+//!
+//! A squash rewinds the thread's window ([`OpWindow::truncate`]): the
+//! squashed instructions stay in their slots from the new tail at
+//! `head + len` on, where the next fetch re-arms them in place. Only the
+//! dispatched ones hold back-end resources to release one by one; the
+//! undispatched tail leaves the front end (and the ICOUNT) in one step.
+//!
+//! [`OpWindow::truncate`]: super::window::OpWindow::truncate
 
 use smt_fetch::FlushRequest;
 use smt_types::{SeqNum, ThreadId};
 
-use super::thread::RefetchEntry;
 use super::Core;
 
 /// Why a range of instructions was squashed.
@@ -31,77 +37,42 @@ impl Core {
     }
 
     /// Removes every instruction of thread `ti` with a sequence number greater than
-    /// `keep_up_to`, returning how many were squashed. Squashed operations are
-    /// queued for re-fetch in program order.
+    /// `keep_up_to`, returning how many were squashed. Squashed operations wait
+    /// in the window for re-fetch in program order.
     pub(super) fn squash(&mut self, ti: usize, keep_up_to: u64, cause: SquashCause) -> u64 {
+        let ctx = &mut self.threads[ti];
+        ctx.latest_fetched_seq = ctx.latest_fetched_seq.min(keep_up_to);
+        let len = ctx.window.len();
+        let cut = ctx.window.index_after_seq(keep_up_to);
+        if cut == len {
+            return 0;
+        }
+        // Everything from the dispatch cursor on sits in the front end.
+        let dispatched_end = ctx.window.first_undispatched_index().max(cut);
+        ctx.occ.frontend -= (len - dispatched_end) as u32;
+        for index in (cut..dispatched_end).rev() {
+            let flags = ctx.window.flags_at(index);
+            self.totals.release_backend(&mut ctx.occ, flags);
+            if !flags.issued() {
+                self.totals.release_iq(&mut ctx.occ, flags);
+            } else if !flags.completed() {
+                if flags.is_long_latency() {
+                    ctx.outstanding_lll.remove(ctx.window.seq_at(index));
+                }
+                if flags.l1_missed() && ctx.outstanding_l1d > 0 {
+                    ctx.outstanding_l1d -= 1;
+                }
+            }
+        }
+        ctx.window.truncate(cut);
+        let squashed = (len - cut) as u64;
         let thread_id = ThreadId::new(ti);
-        let mut squashed = 0;
-        {
-            let ctx = &mut self.threads[ti];
-            while !ctx.window.is_empty() {
-                let last = ctx.window.len() - 1;
-                let seq = ctx.window.seq_at(last);
-                if seq <= keep_up_to {
-                    break;
-                }
-                let flags = ctx.window.flags_at(last);
-                let op = ctx.window.op_at(last);
-                ctx.window.pop_back();
-                if flags.dispatched() {
-                    ctx.occ.rob -= 1;
-                    self.totals.rob -= 1;
-                    if flags.uses_lsq() {
-                        ctx.occ.lsq -= 1;
-                        self.totals.lsq -= 1;
-                    }
-                    if !flags.issued() {
-                        if flags.uses_fp_iq() {
-                            ctx.occ.iq_fp -= 1;
-                            self.totals.iq_fp -= 1;
-                        } else {
-                            ctx.occ.iq_int -= 1;
-                            self.totals.iq_int -= 1;
-                        }
-                        ctx.occ.icount -= 1;
-                    }
-                    if flags.has_dest() {
-                        if flags.dest_fp() {
-                            ctx.occ.rename_fp -= 1;
-                            self.totals.rename_fp -= 1;
-                        } else {
-                            ctx.occ.rename_int -= 1;
-                            self.totals.rename_int -= 1;
-                        }
-                    }
-                    if flags.issued() && !flags.completed() {
-                        if flags.is_long_latency() {
-                            ctx.outstanding_lll.remove(seq);
-                        }
-                        if flags.l1_missed() && ctx.outstanding_l1d > 0 {
-                            ctx.outstanding_l1d -= 1;
-                        }
-                    }
-                } else {
-                    ctx.occ.frontend -= 1;
-                    ctx.occ.icount -= 1;
-                }
-                ctx.refetch.push_front(RefetchEntry {
-                    op,
-                    mispredicted: flags.mispredicted(),
-                    predicted_taken: flags.predicted_taken(),
-                });
-                squashed += 1;
-            }
-            ctx.latest_fetched_seq = ctx.latest_fetched_seq.min(keep_up_to);
+        let tstats = self.stats.thread_mut(thread_id);
+        match cause {
+            SquashCause::BranchMisprediction => tstats.squashed_by_branch += squashed,
+            SquashCause::PolicyFlush => tstats.squashed_by_policy += squashed,
         }
-        if squashed > 0 {
-            let tstats = self.stats.thread_mut(thread_id);
-            match cause {
-                SquashCause::BranchMisprediction => tstats.squashed_by_branch += squashed,
-                SquashCause::PolicyFlush => tstats.squashed_by_policy += squashed,
-            }
-            self.policy.on_squash(thread_id, SeqNum(keep_up_to));
-        }
+        self.policy.on_squash(thread_id, SeqNum(keep_up_to));
         squashed
     }
 }

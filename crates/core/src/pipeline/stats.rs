@@ -2,8 +2,9 @@
 //! occupancy totals, the start-of-cycle snapshot refresh handed to fetch
 //! policies, and the fetch-gating and MLP cycle accounting.
 
-use smt_types::{SmtSnapshot, ThreadId, ThreadSnapshot};
+use smt_types::{OpFlags, SmtSnapshot, ThreadId, ThreadSnapshot};
 
+use super::thread::Occupancy;
 use super::Core;
 
 /// Machine-level occupancy of the shared buffer resources, maintained
@@ -19,13 +20,50 @@ pub(super) struct SharedTotals {
     pub(super) rename_fp: u32,
 }
 
+impl SharedTotals {
+    /// Frees the issue-queue entry a dispatched instruction with `flags`
+    /// holds until it issues, in the thread's `occ` and in the totals.
+    #[inline]
+    pub(super) fn release_iq(&mut self, occ: &mut Occupancy, flags: OpFlags) {
+        if flags.uses_fp_iq() {
+            occ.iq_fp -= 1;
+            self.iq_fp -= 1;
+        } else {
+            occ.iq_int -= 1;
+            self.iq_int -= 1;
+        }
+    }
+
+    /// Frees what a dispatched instruction with `flags` holds until it
+    /// leaves the window — its ROB entry, LSQ entry and rename register —
+    /// in the thread's `occ` and in the totals.
+    #[inline]
+    pub(super) fn release_backend(&mut self, occ: &mut Occupancy, flags: OpFlags) {
+        occ.rob -= 1;
+        self.rob -= 1;
+        if flags.uses_lsq() {
+            occ.lsq -= 1;
+            self.lsq -= 1;
+        }
+        if flags.has_dest() {
+            if flags.dest_fp() {
+                occ.rename_fp -= 1;
+                self.rename_fp -= 1;
+            } else {
+                occ.rename_int -= 1;
+                self.rename_int -= 1;
+            }
+        }
+    }
+}
+
 impl Core {
     /// Rewrites the reused snapshot buffer in place with the start-of-cycle
     /// machine state (no allocation in steady state).
     pub(super) fn refresh_snapshot(&self, snap: &mut SmtSnapshot) {
         for (t, ctx) in snap.threads.iter_mut().zip(&self.threads) {
             *t = ThreadSnapshot {
-                icount: ctx.occ.icount,
+                icount: ctx.occ.icount(),
                 outstanding_long_latency_loads: ctx.outstanding_lll.len() as u32,
                 outstanding_l1d_misses: ctx.outstanding_l1d,
                 oldest_lll_cycle: ctx.outstanding_lll.min_cycle(),

@@ -1,5 +1,9 @@
 //! Per-thread pipeline state: the trace front end, the instruction window
 //! with its ready set, occupancy counters and the per-thread predictors.
+//!
+//! Squashed instructions wait for re-fetch in the window, just past its tail
+//! at `head + len` ([`OpWindow::refetch_pending`]); fetch, fast-forward and
+//! skip take them before a fresh trace op.
 
 use std::collections::VecDeque;
 
@@ -27,10 +31,16 @@ pub(crate) struct Occupancy {
     pub iq_fp: u32,
     pub rename_int: u32,
     pub rename_fp: u32,
-    /// ICOUNT contribution: instructions fetched but not yet issued.
-    pub icount: u32,
     /// Instructions fetched but not yet dispatched (front-end buffer occupancy).
     pub frontend: u32,
+}
+
+impl Occupancy {
+    /// ICOUNT contribution: instructions fetched but not yet issued, in the
+    /// front end or an issue queue.
+    pub(super) fn icount(&self) -> u32 {
+        self.frontend + self.iq_int + self.iq_fp
+    }
 }
 
 /// A pending MLP-prediction evaluation: the prediction made when the load executed,
@@ -94,17 +104,6 @@ impl OutstandingLll {
     }
 }
 
-/// A squashed instruction waiting to be re-fetched, together with the branch
-/// prediction outcome recorded at its first fetch (re-fetches replay that outcome
-/// instead of re-querying the predictor, so the predictor sees every dynamic
-/// branch exactly once, in trace order).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RefetchEntry {
-    pub op: TraceOp,
-    pub mispredicted: bool,
-    pub predicted_taken: bool,
-}
-
 /// All per-thread pipeline state.
 pub(crate) struct ThreadContext {
     /// The workload being executed.
@@ -114,9 +113,8 @@ pub(crate) struct ThreadContext {
     refill_buf: Vec<TraceOp>,
     /// Next unconsumed position in `refill_buf`.
     refill_pos: usize,
-    /// Instructions squashed from the pipeline that must be re-fetched, in order.
-    pub refetch: VecDeque<RefetchEntry>,
-    /// In-flight instructions in program order (front-end buffer + ROB).
+    /// In-flight instructions in program order (front-end buffer + ROB),
+    /// followed by the squashed ones waiting for re-fetch.
     pub window: OpWindow,
     /// Next sequence number to assign at fetch.
     pub next_seq: u64,
@@ -155,7 +153,6 @@ impl ThreadContext {
             trace,
             refill_buf: Vec::with_capacity(REFILL_BATCH),
             refill_pos: 0,
-            refetch: VecDeque::new(),
             window: OpWindow::new(window_capacity),
             next_seq: 1,
             latest_fetched_seq: 0,
@@ -179,13 +176,11 @@ impl ThreadContext {
         }
     }
 
-    /// Next instruction to fetch: a previously squashed instruction (with its
-    /// recorded branch-prediction outcome) if any, otherwise a fresh one from
-    /// the batched refill buffer (refilled from the trace source when drained).
-    pub(super) fn pull_op(&mut self) -> (TraceOp, Option<RefetchEntry>) {
-        if let Some(entry) = self.refetch.pop_front() {
-            return (entry.op, Some(entry));
-        }
+    /// Next fresh instruction from the batched refill buffer (refilled from
+    /// the trace source when drained). Pending re-fetches come first; this
+    /// is only called once the window has none.
+    pub(super) fn pull_op(&mut self) -> TraceOp {
+        debug_assert_eq!(self.window.refetch_pending(), 0);
         if self.refill_pos == self.refill_buf.len() {
             self.refill_buf.clear();
             self.refill_pos = 0;
@@ -203,29 +198,29 @@ impl ThreadContext {
                      sources must honour the infinite-stream batch contract",
                     self.trace.name()
                 );
-                return (self.trace.next_op(), None);
+                return self.trace.next_op();
             }
         }
         let op = self.refill_buf[self.refill_pos];
         self.refill_pos += 1;
-        (op, None)
+        op
     }
 
     /// Discards the next `n` trace ops without touching any other state.
     ///
-    /// Already-materialized ops — queued re-fetches and the unconsumed tail of
-    /// the refill buffer — are drained one at a time; the remainder is skipped
-    /// in bulk through [`TraceSource::skip`], which is an O(1) seek for
-    /// seekable sources (`FileTraceSource`) and a generate-and-discard loop
-    /// for synthetic ones.
+    /// Already-materialized ops go first — the window's pending re-fetches
+    /// one at a time, then the unconsumed tail of the refill buffer in one
+    /// step; the remainder is skipped in bulk through [`TraceSource::skip`],
+    /// which is an O(1) seek for seekable sources (`FileTraceSource`) and a
+    /// generate-and-discard loop for synthetic ones.
     pub(super) fn skip_ops(&mut self, n: u64) {
         let mut remaining = n;
-        while remaining > 0 && (!self.refetch.is_empty() || self.refill_pos < self.refill_buf.len())
-        {
-            let _ = self.pull_op();
+        while remaining > 0 && self.window.pop_pending().is_some() {
             remaining -= 1;
         }
-        self.trace.skip(remaining);
+        let buffered = remaining.min((self.refill_buf.len() - self.refill_pos) as u64);
+        self.refill_pos += buffered as usize;
+        self.trace.skip(remaining - buffered);
     }
 
     /// Trace ops pulled into the refill buffer but not yet consumed, in

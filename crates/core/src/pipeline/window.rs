@@ -6,7 +6,7 @@
 //! pipeline phase streams only the columns it actually reads: commit tests one
 //! `u16` per head entry, issue walks the ready bitmap, and writeback finds its
 //! instruction with one probe of the `seq` column at the event's slot. A
-//! monotone first-undispatched cursor lets dispatch resume where it stopped.
+//! first-undispatched cursor lets dispatch resume where it stopped.
 //!
 //! Readiness is event driven, as in the register update unit of
 //! SimpleScalar's `sim-outorder`: an instruction becomes ready when its last
@@ -17,12 +17,19 @@
 //! [`OpWindow::complete`] re-checks the linked consumers. A producer with more
 //! than [`CONSUMER_LINKS`] consumers rescans the dispatched slots younger than
 //! itself instead. The re-check is idempotent, so links left behind by a
-//! squash or a reused slot are harmless.
+//! squash or a re-armed slot are harmless.
 //!
-//! Mutation is restricted to the pipeline-shaped operations — push at the
-//! back (fetch), dispatch, issue and complete in place, pop at the front
-//! (commit), pop at the back (squash) — which is what keeps the dispatch-time
-//! dependence offsets, the dispatch cursor and the ready set consistent.
+//! A squash rewinds the window: the squashed instructions stay in their
+//! slots just past the tail as its re-fetch queue. Commit moves `head` only
+//! by shrinking `len`, so `head + len` — where the next fetch lands — is
+//! always the oldest pending re-fetch, which [`OpWindow::rearm`] turns back
+//! into a fetched instruction in place. `len + refetch_pending <= capacity`.
+//!
+//! Mutation is restricted to the pipeline-shaped operations — push or re-arm
+//! at the back (fetch), dispatch, issue and complete in place, pop at the
+//! front (commit), truncate at the back (squash) — which is what keeps the
+//! dispatch-time dependence offsets, the dispatch cursor and the ready set
+//! consistent.
 
 use smt_types::{OpFlags, SmtConfig, TraceOp};
 
@@ -41,10 +48,10 @@ pub const MAX_WINDOW_SLOTS: usize = SmtConfig::MAX_WINDOW_ENTRIES as usize;
 /// Fixed-capacity struct-of-arrays ring buffer of in-flight instructions, in
 /// program order (front = oldest).
 ///
-/// Logical index 0 is the oldest instruction; [`OpWindow::push_back`] appends
-/// at fetch, [`OpWindow::pop_front`] retires at commit, [`OpWindow::pop_back`]
-/// squashes from the youngest end. Sequence numbers are strictly increasing
-/// from front to back.
+/// Logical index 0 is the oldest instruction; [`OpWindow::push_back`] and
+/// [`OpWindow::rearm`] append at fetch, [`OpWindow::pop_front`] retires at
+/// commit, [`OpWindow::truncate`] squashes from the youngest end. Sequence
+/// numbers are strictly increasing from front to back.
 ///
 /// # Example
 ///
@@ -64,6 +71,11 @@ pub const MAX_WINDOW_SLOTS: usize = SmtConfig::MAX_WINDOW_ENTRIES as usize;
 /// assert!(w.is_ready(1));
 /// w.pop_front();
 /// assert_eq!(w.seq_at(0), 2);
+/// // A squash keeps seq 2 in its slot for re-fetch under a new number.
+/// w.truncate(w.index_after_seq(1));
+/// assert_eq!((w.len(), w.refetch_pending()), (0, 1));
+/// w.rearm(3, 20);
+/// assert_eq!(w.seq_at(0), 3);
 /// ```
 #[derive(Clone, Debug)]
 pub struct OpWindow {
@@ -71,16 +83,15 @@ pub struct OpWindow {
     head: usize,
     /// Number of live entries.
     len: usize,
+    /// Squashed instructions held in the slots just past the tail, oldest
+    /// first at `head + len`, waiting to be re-fetched.
+    refetch_pending: usize,
     /// Capacity - 1; capacity is a power of two.
     mask: usize,
-    /// Entries ever popped from the front: the global position of logical 0.
-    /// The dispatch cursor is stored in this monotone coordinate system so
-    /// front pops never invalidate it.
-    base: u64,
-    /// Global position of the oldest undispatched instruction. Everything
+    /// Logical index of the oldest undispatched instruction. Everything
     /// before it is dispatched; everything at or after it is not (dispatch is
     /// strictly in order).
-    first_undispatched: u64,
+    first_undispatched: usize,
     seq: Box<[u64]>,
     op: Box<[TraceOp]>,
     frontend_ready_at: Box<[u64]>,
@@ -117,8 +128,8 @@ impl OpWindow {
         OpWindow {
             head: 0,
             len: 0,
+            refetch_pending: 0,
             mask: capacity - 1,
-            base: 0,
             first_undispatched: 0,
             seq: vec![0; capacity].into_boxed_slice(),
             op: vec![TraceOp::int_alu(0); capacity].into_boxed_slice(),
@@ -159,36 +170,80 @@ impl OpWindow {
 
     // ------------------------------------------------------------ mutation
 
-    /// Appends a fetched instruction at the back. `flags` carries the
-    /// fetch-time bits (branch outcome replay); all pipeline-progress bits
-    /// must be clear.
+    /// Appends a freshly fetched instruction at the back, as a pending
+    /// re-fetch re-armed at once: of `flags`, only the fetch-time branch bits
+    /// (mispredicted, predicted taken) count.
     ///
     /// # Panics
     ///
-    /// Panics if the window is full or `seq` does not exceed the youngest
-    /// in-flight sequence number.
+    /// Panics if the window is full, and (in debug builds) if a re-fetch is
+    /// pending.
     #[inline]
     pub fn push_back(&mut self, seq: u64, op: TraceOp, frontend_ready_at: u64, flags: OpFlags) {
         assert!(self.len <= self.mask, "instruction window overflow");
-        debug_assert!(
-            !(flags.dispatched() || flags.issued() || flags.completed()),
-            "fetch-time flags must not carry pipeline progress"
-        );
+        debug_assert_eq!(self.refetch_pending, 0, "re-fetches go first");
+        let slot = (self.head + self.len) & self.mask;
+        self.op[slot] = op;
+        self.flags[slot] = flags;
+        self.refetch_pending = 1;
+        self.rearm(seq, frontend_ready_at);
+    }
+
+    /// Re-fetches the oldest squashed instruction in place as the youngest,
+    /// numbered `seq`: it keeps its trace op and first-fetch branch bits, and
+    /// every progress column starts over. Returns its flags.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if nothing is pending or `seq` does not
+    /// exceed the youngest in-flight sequence number.
+    #[inline]
+    pub fn rearm(&mut self, seq: u64, frontend_ready_at: u64) -> OpFlags {
+        debug_assert!(self.refetch_pending > 0, "rearm with nothing pending");
         debug_assert!(
             self.len == 0 || self.seq_at(self.len - 1) < seq,
             "sequence numbers must be strictly increasing"
         );
         let slot = (self.head + self.len) & self.mask;
+        let first = self.flags[slot];
+        let mut flags = OpFlags::default();
+        flags.set_mispredicted(first.mispredicted());
+        flags.set_predicted_taken(first.predicted_taken());
+        self.flags[slot] = flags;
         self.seq[slot] = seq;
-        self.op[slot] = op;
         self.frontend_ready_at[slot] = frontend_ready_at;
         self.done_at[slot] = u64::MAX;
         self.predicted_mlp_distance[slot] = 0;
         self.src_dep_offsets[slot] = [NO_DEP; 2];
-        self.flags[slot] = flags;
         // Links a squashed former occupant collected are dead.
         self.consumer_count[slot] = 0;
         self.len += 1;
+        self.refetch_pending -= 1;
+        debug_assert!(
+            self.len + self.refetch_pending <= self.capacity(),
+            "in-flight plus pending re-fetches exceed the ring"
+        );
+        flags
+    }
+
+    /// Squashed instructions waiting past the tail for re-fetch.
+    #[inline(always)]
+    pub fn refetch_pending(&self) -> usize {
+        self.refetch_pending
+    }
+
+    /// Consumes the oldest pending re-fetch of an empty window without
+    /// re-entering it (functional fast-forward and skip), returning its trace
+    /// op and first-fetch flags.
+    pub fn pop_pending(&mut self) -> Option<(TraceOp, OpFlags)> {
+        if self.refetch_pending == 0 {
+            return None;
+        }
+        debug_assert!(self.is_empty(), "pending re-fetches sit behind live ops");
+        let slot = self.head;
+        self.head = (self.head + 1) & self.mask;
+        self.refetch_pending -= 1;
+        Some((self.op[slot], self.flags[slot]))
     }
 
     /// Retires the oldest instruction (callers read its columns at logical
@@ -204,30 +259,29 @@ impl OpWindow {
             self.flags[self.head].issued(),
             "pop_front may only retire issued instructions"
         );
-        self.head = (self.head + 1) & self.mask;
-        self.len -= 1;
-        self.base += 1;
         // Commit only retires dispatched instructions, so the dispatch cursor
         // can never fall behind the new front.
-        debug_assert!(self.first_undispatched >= self.base);
+        debug_assert!(self.first_undispatched > 0);
+        self.head = (self.head + 1) & self.mask;
+        self.len -= 1;
+        self.first_undispatched -= 1;
     }
 
-    /// Squashes the youngest instruction (callers read its columns at logical
-    /// index `len() - 1` first). The dispatch cursor is clamped to the
-    /// shortened window — the one sanctioned way it moves backwards — and the
-    /// slot leaves the ready set.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the window is empty.
+    /// Squashes every instruction from logical index `len` on (callers read
+    /// their columns first): they stay in their slots as the oldest pending
+    /// re-fetches. The dispatch cursor is clamped to the shortened window —
+    /// the one sanctioned way it moves backwards — and the squashed
+    /// dispatched slots leave the ready set; the undispatched tail is cut
+    /// without being visited.
     #[inline]
-    pub fn pop_back(&mut self) {
-        debug_assert!(self.len > 0, "pop_back on empty window");
-        let slot = self.slot(self.len - 1);
-        self.clear_ready(slot);
-        self.len -= 1;
-        let end = self.base + self.len as u64;
-        self.first_undispatched = self.first_undispatched.min(end);
+    pub fn truncate(&mut self, len: usize) {
+        debug_assert!(len <= self.len, "truncate past the tail");
+        for index in len..self.first_undispatched.max(len) {
+            self.clear_ready(self.slot(index));
+        }
+        self.refetch_pending += self.len - len;
+        self.len = len;
+        self.first_undispatched = self.first_undispatched.min(len);
     }
 
     // ------------------------------------------------- dispatch and readiness
@@ -237,7 +291,7 @@ impl OpWindow {
     /// window has dispatched.
     #[inline(always)]
     pub fn first_undispatched_index(&self) -> usize {
-        (self.first_undispatched - self.base) as usize
+        self.first_undispatched
     }
 
     /// Dispatches the instruction at `index`: resolves its source producers
@@ -427,6 +481,22 @@ impl OpWindow {
         (index < self.len && self.seq[slot] == seq).then_some(index)
     }
 
+    /// Logical index of the oldest in-flight instruction younger than `seq`
+    /// (`len()` if there is none): where a squash that keeps `seq` cuts. A
+    /// binary search over the strictly increasing sequence column.
+    pub fn index_after_seq(&self, seq: u64) -> usize {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.seq[(self.head + mid) & self.mask] <= seq {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
     /// Logical index of the in-flight instruction with sequence number `seq`,
     /// if present. Sequence numbers are dense except across squash gaps, so
     /// the common case is a single O(1) probe at `seq - front_seq`; the
@@ -444,20 +514,9 @@ impl OpWindow {
         if guess < self.len && self.seq[(self.head + guess) & self.mask] == seq {
             return Some(guess);
         }
-        let mut lo = 0usize;
-        let mut hi = self.len;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let s = self.seq[(self.head + mid) & self.mask];
-            if s < seq {
-                lo = mid + 1;
-            } else if s > seq {
-                hi = mid;
-            } else {
-                return Some(mid);
-            }
-        }
-        None
+        // `seq >= front`, so at least the front precedes the search point.
+        let index = self.index_after_seq(seq) - 1;
+        (self.seq_at(index) == seq).then_some(index)
     }
 
     // ------------------------------------------------------------ columns
@@ -673,11 +732,15 @@ mod tests {
             w.mark_dispatched(i);
         }
         w.mark_issued(0);
-        w.pop_back();
-        w.pop_back();
+        w.truncate(w.index_after_seq(2));
+        assert_eq!((w.len(), w.refetch_pending()), (2, 2));
         assert_eq!(w.first_undispatched_index(), 2);
         assert_eq!(ready(&w), vec![1]);
-        push(&mut w, 9);
+        // The re-fetch re-arms seq 3's op in place, undispatched.
+        w.rearm(9, 20);
+        assert_eq!((w.len(), w.refetch_pending()), (3, 1));
+        assert_eq!(w.op_at(2), TraceOp::int_alu(0x40 + 4 * 3));
+        assert_eq!(w.frontend_ready_at(2), 20);
         assert_eq!(w.first_undispatched_index(), 2);
         assert_eq!(ready(&w), vec![1]);
     }
@@ -750,10 +813,11 @@ mod tests {
         w.mark_dispatched(0);
         w.mark_dispatched(1);
         w.mark_issued(0);
-        // Squash the consumer; its slot is reused by a later op that waits on
-        // nothing in the window but is not yet dispatched.
-        w.pop_back();
-        push(&mut w, 3);
+        // Squash the consumer; its re-fetch re-arms the slot, and the op's
+        // producer (seq 2 - 1) is no longer in the window, so it waits on
+        // nothing but is not yet dispatched.
+        w.truncate(1);
+        w.rearm(3, 14);
         w.complete(0);
         assert!(
             !w.is_ready(1),

@@ -1,13 +1,18 @@
 //! Model-based tests for the struct-of-arrays instruction window: a naive
 //! `VecDeque`-of-structs reference model is driven through random
-//! fetch/dispatch/issue/complete/commit/squash sequences in lockstep with
-//! [`OpWindow`], asserting identical observable state after every step. The
-//! model recomputes readiness from scratch, so every step also checks that
-//! the window's event-driven ready set is exactly the dispatched, unissued
-//! instructions whose operands are available — across squashes of linked
-//! consumers, producers with more consumers than their link column holds, and
-//! slots reused across the ring wrap. A deterministic squash-at-wraparound
-//! regression test pins the ring buffer.
+//! fetch/dispatch/issue/complete/commit/squash/fast-forward sequences in
+//! lockstep with [`OpWindow`], asserting identical observable state after
+//! every step. The model recomputes readiness from scratch, so every step
+//! also checks that the window's event-driven ready set is exactly the
+//! dispatched, unissued instructions whose operands are available — across
+//! squashes of linked consumers, producers with more consumers than their
+//! link column holds, and slots reused across the ring wrap.
+//!
+//! The model keeps squashed instructions in a separate FIFO re-fetch queue;
+//! the window rewinds instead and re-arms them in place. Every re-fetch, and
+//! every pending op a fast-forward consumes from an empty window, must match
+//! the model's queue entry, first-fetch branch bits included. A deterministic
+//! squash-at-wraparound regression test pins the ring buffer.
 
 use std::collections::VecDeque;
 
@@ -32,10 +37,21 @@ struct RefEntry {
     src_dep_offsets: [u32; 2],
 }
 
+/// A squashed instruction in the model's re-fetch queue, with the branch
+/// bits of its first fetch.
+#[derive(Clone, Copy, Debug)]
+struct RefRefetch {
+    op: TraceOp,
+    mispredicted: bool,
+    predicted_taken: bool,
+}
+
 /// Reference model: program-order deque with front-to-back scans everywhere.
 #[derive(Default)]
 struct RefWindow {
     entries: VecDeque<RefEntry>,
+    /// Squashed instructions awaiting re-fetch, oldest first.
+    refetch: VecDeque<RefRefetch>,
     /// `(slot_id, seq)` handles of recently issued entries, as completion
     /// events carry them; squashed or committed ones must stop resolving.
     handles: VecDeque<(u16, u64)>,
@@ -88,6 +104,7 @@ impl RefWindow {
 fn assert_same_state(w: &OpWindow, r: &RefWindow) {
     assert_eq!(w.len(), r.entries.len());
     assert_eq!(w.is_empty(), r.entries.is_empty());
+    assert_eq!(w.refetch_pending(), r.refetch.len());
     assert_eq!(w.first_undispatched_index(), r.first_undispatched_index());
     let mut ready = Vec::new();
     w.collect_ready(&mut ready);
@@ -135,17 +152,25 @@ enum Action {
     Complete(u64),
     Commit(u64),
     Squash(u64),
+    /// Functional fast-forward of an empty window: consume pending
+    /// re-fetches without re-entering them.
+    FastForward(u64),
 }
 
-fn action_strategy() -> impl Strategy<Value = Action> {
-    (0u8..6, any::<u64>()).prop_map(|(kind, param)| match kind {
+fn action(kind: u64, param: u64) -> Action {
+    match kind % 7 {
         0 => Action::Fetch,
         1 => Action::Dispatch,
         2 => Action::Issue(param),
         3 => Action::Complete(param),
         4 => Action::Commit(param),
-        _ => Action::Squash(param),
-    })
+        5 => Action::Squash(param),
+        _ => Action::FastForward(param),
+    }
+}
+
+fn action_strategy() -> impl Strategy<Value = Action> {
+    (0u64..7, any::<u64>()).prop_map(|(kind, param)| action(kind, param))
 }
 
 /// A deterministic little op generator so dependence resolution is exercised
@@ -185,6 +210,14 @@ struct Coverage {
     reused_linked_slots: u64,
     /// Set by a squash of a linked consumer, cleared by the next fetch.
     stale_link_pending: bool,
+    /// Re-fetches re-armed in place.
+    rearms: u64,
+    /// Squashes that hit while earlier squashed ops still awaited re-fetch.
+    nested_squashes: u64,
+    /// Squashes whose range held both dispatched and undispatched ops.
+    mixed_squashes: u64,
+    /// Pending re-fetches a fast-forward consumed from an empty window.
+    fast_forwarded_pending: u64,
 }
 
 /// Whether the dispatched, unissued entry `idx` waits on the producer at
@@ -209,7 +242,7 @@ fn apply(
         Action::Fetch => {
             // Keep the window smaller than its (tiny) capacity so the ring
             // wraps many times per run.
-            if w.len() == w.capacity() {
+            if r.refetch.is_empty() && w.len() == w.capacity() {
                 return;
             }
             let seq = *next_seq;
@@ -218,11 +251,31 @@ fn apply(
                 cov.reused_linked_slots += 1;
             }
             cov.stale_link_pending = false;
+            let ready_at = seq % 17;
+            if let Some(entry) = r.refetch.pop_front() {
+                cov.rearms += 1;
+                let flags = w.rearm(seq, ready_at);
+                assert_eq!(w.op_at(w.len() - 1), entry.op, "re-armed op of {seq}");
+                assert_eq!(flags.mispredicted(), entry.mispredicted);
+                assert_eq!(flags.predicted_taken(), entry.predicted_taken);
+                r.entries.push_back(RefEntry {
+                    seq,
+                    op: entry.op,
+                    frontend_ready_at: ready_at,
+                    done_at: u64::MAX,
+                    dispatched: false,
+                    issued: false,
+                    completed: false,
+                    mispredicted: entry.mispredicted,
+                    predicted_taken: entry.predicted_taken,
+                    src_dep_offsets: [NO_DEP; 2],
+                });
+                return;
+            }
             let op = op_for(seq);
             let mut flags = OpFlags::default();
             flags.set_mispredicted(seq.is_multiple_of(11));
             flags.set_predicted_taken(seq.is_multiple_of(5));
-            let ready_at = seq % 17;
             w.push_back(seq, op, ready_at, flags);
             r.entries.push_back(RefEntry {
                 seq,
@@ -306,25 +359,55 @@ fn apply(
             }
         }
         Action::Squash(param) => {
-            if r.entries.is_empty() {
+            let len = r.entries.len();
+            if len == 0 {
                 return;
             }
-            let keep_idx = (param % r.entries.len() as u64) as usize;
-            let keep_up_to = r.entries[keep_idx].seq;
-            let linked = (keep_idx + 1..r.entries.len())
-                .any(|j| (0..=keep_idx).any(|p| !r.entries[p].completed && waits_on(r, j, p)));
+            // Keep `kept` of the entries: possibly none, emptying the window.
+            let kept = (param % (len as u64 + 1)) as usize;
+            let keep_up_to = match kept {
+                0 => r.entries[0].seq - 1,
+                _ => r.entries[kept - 1].seq,
+            };
+            let linked = (kept..len)
+                .any(|j| (0..kept).any(|p| !r.entries[p].completed && waits_on(r, j, p)));
             if linked {
                 cov.squashed_live_links += 1;
                 cov.stale_link_pending = true;
             }
-            while let Some(back) = r.entries.back() {
-                if back.seq <= keep_up_to {
+            if kept < len && !r.refetch.is_empty() {
+                cov.nested_squashes += 1;
+            }
+            if kept < len && r.entries[kept].dispatched && !r.entries[len - 1].dispatched {
+                cov.mixed_squashes += 1;
+            }
+            let cut = w.index_after_seq(keep_up_to);
+            assert_eq!(cut, kept, "squash point of {keep_up_to}");
+            w.truncate(cut);
+            while r.entries.len() > kept {
+                let e = r.entries.pop_back().expect("non-empty");
+                r.refetch.push_front(RefRefetch {
+                    op: e.op,
+                    mispredicted: e.mispredicted,
+                    predicted_taken: e.predicted_taken,
+                });
+            }
+        }
+        Action::FastForward(param) => {
+            if !r.entries.is_empty() {
+                return;
+            }
+            for _ in 0..param % 4 + 1 {
+                let got = w.pop_pending();
+                let Some(entry) = r.refetch.pop_front() else {
+                    assert!(got.is_none());
                     break;
-                }
-                let last = w.len() - 1;
-                assert_eq!(w.seq_at(last), back.seq);
-                w.pop_back();
-                r.entries.pop_back();
+                };
+                cov.fast_forwarded_pending += 1;
+                let (op, flags) = got.expect("a pending re-fetch");
+                assert_eq!(op, entry.op);
+                assert_eq!(flags.mispredicted(), entry.mispredicted);
+                assert_eq!(flags.predicted_taken(), entry.predicted_taken);
             }
         }
     }
@@ -362,6 +445,7 @@ fn run_against_model(actions: impl IntoIterator<Item = Action>) -> (OpWindow, u6
 /// The random op mix reaches every edge case of the consumer links: a
 /// squash of a linked consumer, a producer whose consumers overflow its link
 /// column, and a stale link whose slot the wrapped ring hands to a new op.
+/// It reaches those of the rewind too.
 #[test]
 fn random_mix_covers_consumer_link_edge_cases() {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -371,20 +455,19 @@ fn random_mix_covers_consumer_link_edge_cases() {
         state ^= state << 25;
         state ^= state >> 27;
         let x = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
-        let param = x >> 8;
-        match x % 6 {
-            0 => Action::Fetch,
-            1 => Action::Dispatch,
-            2 => Action::Issue(param),
-            3 => Action::Complete(param),
-            4 => Action::Commit(param),
-            _ => Action::Squash(param),
-        }
+        action(x, x >> 8)
     });
     let (_, _, cov) = run_against_model(actions);
     assert!(cov.overflowing_producers > 0, "{cov:?}");
     assert!(cov.squashed_live_links > 0, "{cov:?}");
     assert!(cov.reused_linked_slots > 0, "{cov:?}");
+    // The rewind's own edge cases: re-fetch in place, a squash before the
+    // previous one's re-fetches complete, a squash across the dispatch
+    // cursor, and pending ops consumed from an empty window.
+    assert!(cov.rearms > 0, "{cov:?}");
+    assert!(cov.nested_squashes > 0, "{cov:?}");
+    assert!(cov.mixed_squashes > 0, "{cov:?}");
+    assert!(cov.fast_forwarded_pending > 0, "{cov:?}");
 }
 
 /// The ready walk that yields the issue candidates crosses 64-bit word
@@ -470,11 +553,9 @@ fn squash_across_ring_wraparound() {
     w.mark_issued(2);
 
     // Squash everything younger than seq 9: removes seqs 14..=10 whose slots
-    // straddle the wrap point.
-    while w.seq_at(w.len() - 1) > 9 {
-        w.pop_back();
-    }
-    assert_eq!(w.len(), 3);
+    // straddle the wrap point, in one step.
+    w.truncate(w.index_after_seq(9));
+    assert_eq!((w.len(), w.refetch_pending()), (3, 5));
     let seqs: Vec<u64> = (0..w.len()).map(|i| w.seq_at(i)).collect();
     assert_eq!(seqs, vec![7, 8, 9]);
     // The dispatch cursor was at 5 and clamps to 3; of the ready entries
@@ -486,12 +567,14 @@ fn squash_across_ring_wraparound() {
     assert_eq!(w.position_of_seq(9), Some(2));
     assert_eq!(w.position_of_seq(10), None);
 
-    // The freed slots are reusable: refill to capacity across the wrap again.
+    // The squashed ops re-fetch in place, in order, across the wrap again.
     for seq in 20..=24u64 {
-        w.push_back(seq, TraceOp::int_alu(0x80 + seq), 0, OpFlags::default());
+        w.rearm(seq, 0);
     }
-    assert_eq!(w.len(), 8);
+    assert_eq!((w.len(), w.refetch_pending()), (8, 0));
     assert_eq!(w.seq_at(3), 20);
+    assert_eq!(w.op_at(3), TraceOp::int_alu(0x40 + 10));
+    assert_eq!(w.op_at(7), TraceOp::int_alu(0x40 + 14));
     assert_eq!(w.position_of_seq(24), Some(7));
     for i in 3..8 {
         w.mark_dispatched(i);

@@ -76,7 +76,11 @@ pub trait FetchPolicy: Send {
     /// the list are fetch gated this cycle.
     fn fetch_priority(&mut self, snapshot: &SmtSnapshot, priority: &mut Vec<ThreadId>);
 
-    /// An instruction with sequence number `seq` was fetched for `thread`.
+    /// `thread` fetched a group of instructions, the youngest of which has
+    /// sequence number `seq`. The pipeline calls this once per thread per
+    /// fetch group, after the whole group is in the window, with that
+    /// youngest seq only: a policy learns the thread's fetch frontier, not
+    /// how many instructions reached it.
     fn on_fetch(&mut self, thread: ThreadId, seq: SeqNum) {
         let _ = (thread, seq);
     }
