@@ -1,14 +1,12 @@
-//! The **registry-drift** rule: names cited in the docs and the benchmark
-//! trajectory must exist in the source they claim to describe.
+//! The **registry-drift** rule: experiment names cited in the docs must
+//! exist in the registry they claim to describe.
 //!
-//! Three sub-checks:
+//! Two sub-checks:
 //!
 //! 1. every experiment name cited in `README.md` / `EXPERIMENTS.md` (on an
 //!    `smt-cli … run|describe <name>` invocation line, or as a backticked
 //!    token shaped like an experiment name) exists in the registry source;
-//! 2. every registered experiment name is documented in `EXPERIMENTS.md`;
-//! 3. every bench scenario name recorded in `BENCH_throughput.json` exists
-//!    as a string literal in the throughput matrix source.
+//! 2. every registered experiment name is documented in `EXPERIMENTS.md`.
 
 use crate::rules::Finding;
 use crate::scan::ScannedFile;
@@ -19,81 +17,51 @@ use crate::scan::ScannedFile;
 pub struct DriftInputs<'a> {
     /// `crates/core/src/experiments/registry.rs`, scanned.
     pub registry: Option<&'a ScannedFile>,
-    /// `crates/core/src/throughput.rs`, scanned.
-    pub throughput: Option<&'a ScannedFile>,
     /// `(path, text)` of `README.md` and `EXPERIMENTS.md`.
     pub docs: Vec<(&'a str, &'a str)>,
-    /// `(path, text)` of `BENCH_throughput.json`.
-    pub bench_json: Option<(&'a str, &'a str)>,
 }
 
 /// Runs the rule.
 pub(crate) fn check_drift(inputs: &DriftInputs<'_>, out: &mut Vec<Finding>) {
-    let registry_names: Vec<(usize, String)> = inputs
-        .registry
-        .map(|f| {
-            f.non_test_strings()
-                .filter(|(_, s)| is_experiment_name(s))
-                .map(|(l, s)| (l, s.to_string()))
-                .collect()
-        })
-        .unwrap_or_default();
+    let Some(registry) = inputs.registry else {
+        return;
+    };
+    let registry_names: Vec<(usize, String)> = registry
+        .non_test_strings()
+        .filter(|(_, s)| is_experiment_name(s))
+        .map(|(l, s)| (l, s.to_string()))
+        .collect();
 
-    if let Some(registry) = inputs.registry {
-        for (path, text) in &inputs.docs {
-            for (line_no, line) in text.lines().enumerate() {
-                for cited in cited_experiment_names(line) {
-                    if !registry_names.iter().any(|(_, n)| *n == cited) {
-                        out.push(doc_finding(
-                            path,
-                            line_no + 1,
-                            line,
-                            format!("experiment `{cited}` is cited here but not registered in the experiment registry"),
-                        ));
-                    }
-                }
-            }
-        }
-        if let Some((_, experiments_text)) = inputs
-            .docs
-            .iter()
-            .find(|(p, _)| p.ends_with("EXPERIMENTS.md"))
-        {
-            for (line, name) in &registry_names {
-                if !experiments_text.contains(name.as_str()) {
-                    out.push(Finding {
-                        file: registry.path.clone(),
-                        line: *line,
-                        rule: "registry-drift",
-                        message: format!(
-                            "registered experiment `{name}` is not documented in EXPERIMENTS.md"
-                        ),
-                        excerpt: format!("\"{name}\""),
-                    });
+    for (path, text) in &inputs.docs {
+        for (line_no, line) in text.lines().enumerate() {
+            for cited in cited_experiment_names(line) {
+                if !registry_names.iter().any(|(_, n)| *n == cited) {
+                    out.push(doc_finding(
+                        path,
+                        line_no + 1,
+                        line,
+                        format!("experiment `{cited}` is cited here but not registered in the experiment registry"),
+                    ));
                 }
             }
         }
     }
-
-    if let (Some(throughput), Some((json_path, json_text))) = (inputs.throughput, inputs.bench_json)
+    if let Some((_, experiments_text)) = inputs
+        .docs
+        .iter()
+        .find(|(p, _)| p.ends_with("EXPERIMENTS.md"))
     {
-        let literals: Vec<&str> = throughput.non_test_strings().map(|(_, s)| s).collect();
-        let mut seen: Vec<String> = Vec::new();
-        for (line, name) in json_name_values(json_text) {
-            if seen.contains(&name) {
-                continue;
-            }
-            seen.push(name.clone());
-            if !literals.contains(&name.as_str()) {
-                out.push(doc_finding(
-                    json_path,
-                    line,
-                    json_text.lines().nth(line - 1).unwrap_or_default(),
-                    format!(
-                        "bench scenario `{name}` is recorded in the trajectory but absent \
-                         from the throughput matrix source"
+        for (line, name) in &registry_names {
+            if !experiments_text.contains(name.as_str()) {
+                out.push(Finding {
+                    file: registry.path.clone(),
+                    line: *line,
+                    rule: "registry-drift",
+                    message: format!(
+                        "registered experiment `{name}` is not documented in EXPERIMENTS.md"
                     ),
-                ));
+                    excerpt: format!("\"{name}\""),
+                });
             }
         }
     }
@@ -185,30 +153,6 @@ fn is_shaped_citation(token: &str) -> bool {
     false
 }
 
-/// `(line, value)` of every `"name": "<value>"` pair in a JSON text,
-/// extracted with a scanner rather than a JSON parser (vendored-deps-only).
-fn json_name_values(text: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let mut rest = line;
-        while let Some(at) = rest.find("\"name\"") {
-            let tail = rest[at + 6..].trim_start();
-            let Some(tail) = tail.strip_prefix(':') else {
-                rest = &rest[at + 6..];
-                continue;
-            };
-            let tail = tail.trim_start();
-            if let Some(tail) = tail.strip_prefix('"') {
-                if let Some(end) = tail.find('"') {
-                    out.push((idx + 1, tail[..end].to_string()));
-                }
-            }
-            rest = &rest[at + 6..];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,15 +188,5 @@ mod tests {
         assert_eq!(cited, vec!["fig09_two_thread_policies".to_string()]);
         assert!(cited_experiment_names("`smt-cli run my.toml`").is_empty());
         assert!(cited_experiment_names("plain prose with `policy_comparison` tokens").is_empty());
-    }
-
-    #[test]
-    fn json_names_extracted_with_lines() {
-        let json =
-            "{\n  \"scenarios\": [\n    { \"name\": \"4t_mix_icount\", \"cores\": 1 }\n  ]\n}";
-        assert_eq!(
-            json_name_values(json),
-            vec![(3, "4t_mix_icount".to_string())]
-        );
     }
 }

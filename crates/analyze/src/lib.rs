@@ -14,8 +14,7 @@
 //! * **config-hygiene** — every `Deserialize` struct in `smt-types` carries
 //!   `#[serde(deny_unknown_fields)]`;
 //! * **registry-drift** — experiment names cited in the docs exist in the
-//!   registry; bench scenario names in `BENCH_throughput.json` exist in the
-//!   throughput matrix;
+//!   registry, and every registered name is documented;
 //! * **panic-policy** — no bare `unwrap()`/`expect(` in the experiment
 //!   engine (`crates/core/src/experiments/`): cell failures must surface as
 //!   `Result`s so the report can classify them; a panic inside a cell is
@@ -27,8 +26,7 @@
 //!   the measure windows report;
 //! * **sync-discipline** — simulation state is single-owner: locks, atomics,
 //!   interior mutability and `unsafe` live only in the host-side harness
-//!   files (experiment engine, runner, bench harness), never in a
-//!   simulation module.
+//!   files (experiment engine, runner), never in a simulation module.
 //!
 //! A finding is suppressed with a justified annotation on (or directly
 //! above) the offending line:
@@ -140,8 +138,8 @@ fn json_string(s: &str) -> String {
 }
 
 /// Analyzes a set of in-memory inputs. `.rs` files are scanned and run
-/// through the per-file rules; `README.md`, `EXPERIMENTS.md` and
-/// `BENCH_throughput.json` feed the registry-drift rule.
+/// through the per-file rules; `README.md` and `EXPERIMENTS.md` feed the
+/// registry-drift rule.
 pub fn analyze_inputs(inputs: &[Input]) -> Report {
     let mut scanned: Vec<(ScannedFile, &Input)> = inputs
         .iter()
@@ -161,16 +159,11 @@ pub fn analyze_inputs(inputs: &[Input]) -> Report {
     };
     let drift_inputs = DriftInputs {
         registry: find_scanned("crates/core/src/experiments/registry.rs"),
-        throughput: find_scanned("crates/core/src/throughput.rs"),
         docs: inputs
             .iter()
             .filter(|i| i.path.ends_with("README.md") || i.path.ends_with("EXPERIMENTS.md"))
             .map(|i| (i.path.as_str(), i.text.as_str()))
             .collect(),
-        bench_json: inputs
-            .iter()
-            .find(|i| i.path.ends_with("BENCH_throughput.json"))
-            .map(|i| (i.path.as_str(), i.text.as_str())),
     };
     drift::check_drift(&drift_inputs, &mut raw_findings);
 
@@ -255,7 +248,7 @@ pub fn analyze_inputs(inputs: &[Input]) -> Report {
 pub fn analyze_root(root: &Path) -> std::io::Result<Report> {
     let mut inputs = Vec::new();
     walk(root, root, &mut inputs)?;
-    for doc in ["README.md", "EXPERIMENTS.md", "BENCH_throughput.json"] {
+    for doc in ["README.md", "EXPERIMENTS.md"] {
         let path = root.join(doc);
         if path.is_file() {
             inputs.push(Input {

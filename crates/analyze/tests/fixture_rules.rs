@@ -125,7 +125,6 @@ fn sync_discipline_fires_in_every_sim_module() {
 fn sync_discipline_spares_only_the_harness() {
     for path in [
         "crates/core/src/runner.rs",
-        "crates/core/src/throughput.rs",
         "crates/core/src/experiments/engine.rs",
         "crates/cli/src/fake.rs",
     ] {
@@ -195,25 +194,6 @@ fn builtin() {
         ]
     );
     assert!(report.findings.iter().all(|f| f.rule == "registry-drift"));
-}
-
-#[test]
-fn registry_drift_checks_bench_scenarios_against_throughput_matrix() {
-    let throughput = input(
-        "crates/core/src/throughput.rs",
-        "fn matrix() { scenario(\"4t_mix_icount\"); }\n",
-    );
-    let bench = input(
-        "BENCH_throughput.json",
-        "{\n  \"entries\": [\n    { \"name\": \"4t_mix_icount\" },\n    { \"name\": \"9t_legacy\" }\n  ]\n}\n",
-    );
-    let report = analyze_inputs(&[throughput, bench]);
-    assert_eq!(report.findings.len(), 1);
-    let f = &report.findings[0];
-    assert_eq!(
-        (f.file.as_str(), f.line, f.rule),
-        ("BENCH_throughput.json", 4, "registry-drift")
-    );
 }
 
 #[test]

@@ -50,8 +50,6 @@ pub enum Command {
     },
     /// `smt-cli run <name|spec.toml> [flags]`
     Run(RunArgs),
-    /// `smt-cli bench [flags]`
-    Bench(BenchArgs),
     /// `smt-cli checkpoint <save|load> ...`
     Checkpoint(CheckpointCmd),
     /// `smt-cli trace <record|inspect|stats> ...`
@@ -123,25 +121,6 @@ pub struct CheckpointSaveArgs {
     pub scale: Option<RunScale>,
     /// `--instructions <n>`: overrides the warm-up prefix length.
     pub instructions: Option<u64>,
-}
-
-/// Flags of the `bench` subcommand.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct BenchArgs {
-    /// `--quick`: reduced-size smoke run (CI).
-    pub quick: bool,
-    /// `--instructions <n>`: overrides the per-thread instruction budget.
-    pub instructions: Option<u64>,
-    /// `--runs <n>`: timed repetitions per scenario (best one is kept).
-    pub runs: Option<u32>,
-    /// `--out <path>`: where to write the JSON report
-    /// (default `BENCH_throughput.json`).
-    pub out: Option<String>,
-    /// `--baseline <path>`: earlier trajectory whose latest entry to compare
-    /// against.
-    pub baseline: Option<String>,
-    /// `--quiet`: suppress the stdout table.
-    pub quiet: bool,
 }
 
 /// Flags of the `run` subcommand.
@@ -304,44 +283,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
             }
             Ok(Command::Run(run))
-        }
-        "bench" => {
-            let mut bench = BenchArgs::default();
-            while let Some(flag) = iter.next() {
-                let mut value_for = |flag: &str| {
-                    iter.next()
-                        .cloned()
-                        .ok_or_else(|| format!("`{flag}` needs a value"))
-                };
-                match flag.as_str() {
-                    "--quick" => bench.quick = true,
-                    "--instructions" => {
-                        let value = value_for("--instructions")?;
-                        let instructions: u64 = value
-                            .parse()
-                            .map_err(|_| format!("invalid instruction count `{value}`"))?;
-                        if instructions == 0 {
-                            return Err("`--instructions` must be at least 1".to_string());
-                        }
-                        bench.instructions = Some(instructions);
-                    }
-                    "--runs" => {
-                        let value = value_for("--runs")?;
-                        let runs: u32 = value
-                            .parse()
-                            .map_err(|_| format!("invalid run count `{value}`"))?;
-                        if runs == 0 {
-                            return Err("`--runs` must be at least 1".to_string());
-                        }
-                        bench.runs = Some(runs);
-                    }
-                    "--out" => bench.out = Some(value_for("--out")?),
-                    "--baseline" => bench.baseline = Some(value_for("--baseline")?),
-                    "--quiet" | "-q" => bench.quiet = true,
-                    other => return Err(format!("unknown flag `{other}` for `bench`")),
-                }
-            }
-            Ok(Command::Bench(bench))
         }
         "checkpoint" => {
             let action = iter
@@ -523,12 +464,6 @@ USAGE:
         once; a cell that panics or reaches the spec's `[scale] max_cycles`
         cap is reported as failed while the other cells complete.
 
-    smt-cli bench [flags]
-        Time the fixed throughput scenario matrix (1T/2T/4T single-core cells,
-        ILP/MLP mixes, ICOUNT + MLP-aware flush, plus a 2-core chip, a
-        sampled and a trace-ingestion cell) and append a dated entry to the
-        BENCH_throughput.json trajectory.
-
     smt-cli checkpoint save <bench1,bench2,...> --out <path> [flags]
         Functionally fast-forward a workload's warm-up prefix and write the
         warm state (caches, TLBs, predictors, LLSR) as a checkpoint JSON.
@@ -547,14 +482,6 @@ USAGE:
 
     smt-cli trace stats <path.smtt>
         Print a trace file's op-kind mix, branch and dependency statistics.
-
-BENCH FLAGS:
-    --quick             Reduced-size smoke run (CI)
-    --instructions <n>  Instructions per thread (default 30000; 3000 with --quick)
-    --runs <n>          Timed repetitions per scenario (default 3; 1 with --quick)
-    --out <path>        Trajectory path to append to (default BENCH_throughput.json)
-    --baseline <path>   Compare against an earlier trajectory's latest entry, print speedups
-    --quiet             Suppress the stdout table
 
 RUN FLAGS:
     --scale <tiny|test|standard|full>   Override the spec's run scale
@@ -595,8 +522,6 @@ EXAMPLES:
     smt-cli run chip_2c2t_allocation_matrix --scale tiny --limit 1
     smt-cli describe fig09_two_thread_policies > my_experiment.toml
     smt-cli run my_experiment.toml --threads 8
-    smt-cli bench --out BENCH_throughput.json
-    smt-cli bench --quick --baseline BENCH_throughput.json --out /tmp/now.json
     smt-cli run sampled_4t_policies --scale standard
     smt-cli run fig09_two_thread_policies --sampled --scale test
     smt-cli checkpoint save mcf,gcc --scale test --out /tmp/warm.json
@@ -665,32 +590,6 @@ mod tests {
         assert!(parse_err(&["run", "x", "--warp"]).contains("--warp"));
         assert!(parse_err(&["frobnicate"]).contains("frobnicate"));
         assert!(parse_err(&["list", "extra"]).contains("takes no arguments"));
-    }
-
-    #[test]
-    fn bench_flags_parse() {
-        assert_eq!(parse_ok(&["bench"]), Command::Bench(BenchArgs::default()));
-        let command = parse_ok(&[
-            "bench",
-            "--quick",
-            "--instructions",
-            "5000",
-            "--runs",
-            "2",
-            "--out",
-            "/tmp/b.json",
-            "--baseline",
-            "old.json",
-            "--quiet",
-        ]);
-        let Command::Bench(bench) = command else {
-            panic!("expected bench");
-        };
-        assert!(bench.quick && bench.quiet);
-        assert_eq!(bench.instructions, Some(5_000));
-        assert_eq!(bench.runs, Some(2));
-        assert_eq!(bench.out.as_deref(), Some("/tmp/b.json"));
-        assert_eq!(bench.baseline.as_deref(), Some("old.json"));
     }
 
     #[test]
@@ -802,14 +701,6 @@ mod tests {
         );
         assert!(parse_err(&["trace", "inspect"]).contains("file path"));
         assert!(parse_err(&["trace", "stats", "a", "b"]).contains("one argument"));
-    }
-
-    #[test]
-    fn bench_errors_are_helpful() {
-        assert!(parse_err(&["bench", "--instructions", "0"]).contains("at least 1"));
-        assert!(parse_err(&["bench", "--runs", "zero"]).contains("invalid run count"));
-        assert!(parse_err(&["bench", "--warp"]).contains("--warp"));
-        assert!(parse_err(&["bench", "--out"]).contains("needs a value"));
     }
 
     #[test]

@@ -20,15 +20,11 @@ use std::process::ExitCode;
 
 use smt_core::experiments::{engine, ExperimentRegistry, ExperimentSpec, SamplingSpec};
 use smt_core::runner::{CheckpointCache, RunScale};
-use smt_core::throughput::{
-    self, BenchOptions, ThroughputReport, ThroughputTrajectory, BASELINE_SCENARIO,
-};
 use smt_core::SimCheckpoint;
 use smt_types::{RunHealthStatus, SimError, SmtConfig};
 
 use args::{
-    BenchArgs, CheckpointCmd, CheckpointSaveArgs, Command, OutputFormat, RunArgs, TraceCmd,
-    TraceRecordArgs,
+    CheckpointCmd, CheckpointSaveArgs, Command, OutputFormat, RunArgs, TraceCmd, TraceRecordArgs,
 };
 
 fn main() -> ExitCode {
@@ -58,7 +54,6 @@ fn dispatch(command: Command) -> Result<ExitCode, String> {
         Command::List => list().map(|()| ExitCode::SUCCESS),
         Command::Describe { name } => describe(&name).map(|()| ExitCode::SUCCESS),
         Command::Run(run) => execute(run),
-        Command::Bench(bench) => execute_bench(bench).map(|()| ExitCode::SUCCESS),
         Command::Checkpoint(checkpoint) => {
             execute_checkpoint(checkpoint).map(|()| ExitCode::SUCCESS)
         }
@@ -186,150 +181,6 @@ fn execute_checkpoint_save(save: CheckpointSaveArgs) -> Result<(), String> {
     smt_core::artifacts::write_atomic(&save.out, payload + "\n")
         .map_err(|e| format!("cannot write `{}`: {e}", save.out))?;
     eprintln!("checkpoint written to {}", save.out);
-    Ok(())
-}
-
-/// Best-effort git revision of the working tree, recorded in bench reports.
-/// A dirty tree is marked `-dirty`: the measured binary then differs from the
-/// named commit, and the report must not be mistaken for that commit's
-/// trajectory point.
-fn current_commit() -> Option<String> {
-    let output = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()?;
-    if !output.status.success() {
-        return None;
-    }
-    let mut rev = String::from_utf8(output.stdout).ok()?.trim().to_string();
-    if rev.is_empty() {
-        return None;
-    }
-    let status = std::process::Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()?;
-    if status.status.success() && !status.stdout.is_empty() {
-        rev.push_str("-dirty");
-    }
-    Some(rev)
-}
-
-/// Today's UTC date as `YYYY-MM-DD` (Howard Hinnant's `civil_from_days`),
-/// recorded with every appended trajectory entry.
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-fn execute_bench(bench: BenchArgs) -> Result<(), String> {
-    let mut opts = if bench.quick {
-        BenchOptions::quick()
-    } else {
-        BenchOptions::standard()
-    };
-    if let Some(instructions) = bench.instructions {
-        opts.instructions_per_thread = instructions;
-    }
-    if let Some(runs) = bench.runs {
-        opts.runs = runs;
-    }
-    // Load the baseline up front: a missing or malformed file must fail before
-    // the (minutes-long) measurement, not after it. The latest trajectory
-    // entry is what we compare against.
-    let baseline = bench
-        .baseline
-        .as_deref()
-        .map(|path| -> Result<(String, ThroughputReport), String> {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read baseline `{path}`: {e}"))?;
-            let trajectory = ThroughputTrajectory::from_json(&text).map_err(|e| e.to_string())?;
-            let report = trajectory
-                .latest()
-                .ok_or_else(|| format!("baseline `{path}` has no entries"))?
-                .clone();
-            // The matrix is static, so comparability is known now: the
-            // baseline must share at least one scenario with a usable rate.
-            let comparable = report.scenarios.iter().any(|s| {
-                s.cycles_per_second > 0.0
-                    && throughput::scenario_matrix()
-                        .iter()
-                        .any(|m| m.name == s.name)
-            });
-            if !comparable {
-                return Err(format!(
-                    "baseline `{path}` shares no comparable scenarios with the current matrix"
-                ));
-            }
-            Ok((path.to_string(), report))
-        })
-        .transpose()?;
-
-    eprintln!(
-        "benchmarking {} scenarios at {} instructions/thread, best of {} run(s)...",
-        throughput::scenario_matrix().len(),
-        opts.instructions_per_thread,
-        opts.runs
-    );
-    let report = throughput::run_matrix(&opts, current_commit()).map_err(|e| e.to_string())?;
-
-    // Append to the trajectory instead of overwriting it: the file keeps one
-    // dated entry per recorded run, so the perf history of earlier commits
-    // stays recoverable from the working tree.
-    let out = bench.out.as_deref().unwrap_or("BENCH_throughput.json");
-    let mut trajectory = match std::fs::read_to_string(out) {
-        Ok(text) => ThroughputTrajectory::from_json(&text)
-            .map_err(|e| format!("cannot append to `{out}`: {e}"))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => ThroughputTrajectory::new(),
-        Err(e) => return Err(format!("cannot read `{out}`: {e}")),
-    };
-    trajectory.push(today_utc(), report.clone());
-    let payload = trajectory.to_json().map_err(|e| e.to_string())?;
-    // Atomic write: a crash mid-append must not truncate the perf history.
-    smt_core::artifacts::write_atomic(out, payload)
-        .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    eprintln!(
-        "trajectory entry appended to {out} ({} entries)",
-        trajectory.entries.len()
-    );
-
-    if !bench.quiet {
-        print!("{}", report.format_text());
-    }
-    if let Some((path, baseline)) = &baseline {
-        // Matrix drift (a freshly added or retired scenario) is a warning,
-        // not an error: the comparison simply skips unshared scenarios.
-        for warning in report.scenario_set_warnings(baseline) {
-            eprintln!("warning: {warning}");
-        }
-        let rows = report.compare(baseline);
-        println!("\nspeedup vs {path}:");
-        for row in &rows {
-            println!(
-                "{:<18} {:>10.0} -> {:>10.0} cycles/s  ({:.2}x)",
-                row.name, row.baseline_cycles_per_second, row.cycles_per_second, row.speedup
-            );
-        }
-        match report.headline_speedup(baseline) {
-            Some(headline) => println!("headline ({BASELINE_SCENARIO}): {headline:.2}x"),
-            None => eprintln!(
-                "warning: headline scenario `{BASELINE_SCENARIO}` is missing from this run \
-                 or the baseline; no headline speedup to report"
-            ),
-        }
-    }
     Ok(())
 }
 

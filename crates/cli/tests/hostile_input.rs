@@ -4,8 +4,9 @@
 //! rejected before anything runs, never a hang; retired knobs are rejected,
 //! not ignored; `--scale` never drops a spec's cycle cap or seed; and a
 //! checkpoint of another schema version, with a broken or oversized sparse
-//! table or with a stream buffer of a missing thread is a load error, never
-//! a panic.
+//! table or with a stream buffer of a missing thread, and a `.smtt` trace
+//! whose header promises more records than any file holds, are load
+//! errors, never a panic.
 
 use std::process::{Command, Stdio};
 
@@ -154,9 +155,9 @@ fn oversized_sampling_fields_fail_at_once_naming_the_field() {
     }
 }
 
-/// Retired flags are unknown arguments (exit 2), not silently ignored:
+/// Retired inputs are unknown arguments (exit 2), not silently ignored:
 /// `--chip-threads` everywhere, the adaptive and retry/fault-injection `run`
-/// flags, and the `bench` flags that reshaped the fixed scenario matrix.
+/// flags, and the retired `bench` command (perfbench times the simulator).
 #[test]
 fn chip_threads_flag_is_an_unknown_argument() {
     for args in [
@@ -172,10 +173,6 @@ fn chip_threads_flag_is_an_unknown_argument() {
             "--fault-plan",
             "plan.toml",
         ],
-        &["bench", "--chip-threads", "2"],
-        &["bench", "--cores", "4"],
-        &["bench", "--selector", "sampling"],
-        &["bench", "--interval", "256"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
             .args(args)
@@ -189,6 +186,13 @@ fn chip_threads_flag_is_an_unknown_argument() {
             "{stderr}"
         );
     }
+    let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+        .arg("bench")
+        .output()
+        .expect("smt-cli runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown command `bench`"), "{stderr}");
 }
 
 /// `--scale` swaps the scale preset but keeps the spec's `[scale]
@@ -381,4 +385,51 @@ fn checkpoint_with_an_impossible_length_or_buffer_thread_fails_naming_the_field(
         assert!(stderr.contains(fault), "{name}: {stderr}");
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
+}
+
+/// A `.smtt` header whose `op_count` of 2^61 records wraps a 64-bit byte
+/// count to exactly the header's 64 bytes: every command that opens the
+/// header-only file exits 1 naming an oversized trace, never a panic.
+#[test]
+fn trace_with_an_op_count_past_any_file_length_fails_cleanly() {
+    let path = temp_file("huge-op-count.smtt", "");
+    let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+        .args(["trace", "record", "mcf", "--ops", "10", "--out"])
+        .arg(&path)
+        .output()
+        .expect("smt-cli runs");
+    assert!(output.status.success(), "{output:?}");
+    let mut bytes = std::fs::read(&path).expect("trace written");
+    bytes.truncate(64);
+    bytes[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
+    std::fs::write(&path, &bytes).expect("hostile trace written");
+
+    let trace = path.to_str().expect("utf-8 path");
+    let workload = format!("trace:{trace}");
+    let out = temp_file("huge-op-count.json", "");
+    let out = out.to_str().expect("utf-8 path");
+    let save = [
+        "checkpoint",
+        "save",
+        &workload,
+        "--scale",
+        "tiny",
+        "--out",
+        out,
+    ];
+    for args in [
+        &["trace", "inspect", trace][..],
+        &["trace", "stats", trace],
+        &save,
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+            .args(args)
+            .output()
+            .expect("smt-cli runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("oversized trace"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(out).ok();
 }

@@ -1,7 +1,7 @@
 //! Crash-safe artifact writes.
 //!
-//! Every durable artifact the workspace produces — experiment reports, the
-//! `BENCH_throughput.json` trajectory, regenerated golden fixtures — goes
+//! Every durable artifact the workspace produces — experiment reports, saved
+//! warm checkpoints, regenerated golden fixtures — goes
 //! through [`write_atomic`], which writes to a temporary sibling file and
 //! renames it into place. A process killed mid-write leaves at most a stale
 //! `*.tmp` file behind; the previous artifact (if any) stays intact, so a

@@ -16,9 +16,7 @@
 //!   them into the STP/ANTT result of one grid cell in any mode,
 //! * [`experiments`] — every table/figure of the evaluation section as a
 //!   declarative spec, plus the engine that runs specs and the uniform report
-//!   it produces,
-//! * [`throughput`] — the simulator-throughput (sims/sec) harness behind
-//!   `smt-cli bench` and `BENCH_throughput.json`.
+//!   it produces.
 //!
 //! # Quickstart
 //!
@@ -49,7 +47,6 @@ pub mod experiments;
 pub mod metrics;
 pub mod pipeline;
 pub mod runner;
-pub mod throughput;
 pub mod workloads;
 
 pub use chip::ChipSimulator;

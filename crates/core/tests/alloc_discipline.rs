@@ -169,19 +169,6 @@ fn steady_state_cycle_loop_performs_no_heap_allocations() {
     smt_trace::record_source(recorder.as_mut(), 8192, &replay_path, true)
         .expect("recording succeeds");
 
-    // The bulk-ingestion loop (the `trace_replay_ingest` bench path):
-    // zero-copy record iteration over a resident reader must be
-    // allocation-free in steady state, cyclic wraps included.
-    let mut resident =
-        smt_trace::FileTraceSource::open_resident(&replay_path).expect("trace loads resident");
-    let mut folded = 0u64;
-    assert_zero_alloc_steady_state("FileTraceSource/for_each_record", || {
-        resident.for_each_record(64, |record| {
-            folded = folded.rotate_left(7).wrapping_add(record.pc());
-        });
-    });
-    assert_ne!(folded, 0, "ingestion loop consumed records");
-
     for policy in [FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush] {
         let config = SmtConfig::baseline(2).with_policy(policy);
         let mut sim = SmtSimulator::new(config, mixed_pair()).expect("machine builds");

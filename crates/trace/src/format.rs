@@ -169,6 +169,25 @@ impl TraceHeader {
             digest,
         })
     }
+
+    /// Length in bytes of the file this header describes: the header plus
+    /// `op_count` records.
+    ///
+    /// Fails with a typed "truncated or oversized trace" error when that
+    /// length does not fit in a `u64`, so a hostile `op_count` never wraps
+    /// into a length that a short file matches.
+    pub(crate) fn file_len(&self, context: &str) -> Result<u64, SimError> {
+        self.op_count
+            .checked_mul(RECORD_LEN as u64)
+            .and_then(|records| records.checked_add(HEADER_LEN as u64))
+            .ok_or_else(|| {
+                SimError::invalid_config(format!(
+                    "{context}: truncated or oversized trace: header promises {} records, \
+                     more than any file can hold",
+                    self.op_count
+                ))
+            })
+    }
 }
 
 /// Serializes one [`TraceOp`] into its 24-byte on-disk record.
@@ -333,81 +352,6 @@ pub(crate) fn decode_record_trusted(bytes: &[u8; RECORD_LEN], violations: &mut u
     }
 }
 
-/// A zero-copy view of one on-disk record: field accessors decode straight
-/// from the borrowed 24 bytes without materializing a [`TraceOp`].
-///
-/// This is the bulk-ingestion interface for consumers that do not need the
-/// engine's op struct (statistics, checksums, format tooling): iterating
-/// records through [`crate::reader::FileTraceSource::for_each_record`] runs
-/// at memory bandwidth, several times faster than full decode.
-#[derive(Clone, Copy)]
-pub struct RecordView<'a> {
-    bytes: &'a [u8; RECORD_LEN],
-}
-
-impl<'a> RecordView<'a> {
-    /// Wraps one record's bytes. No validation happens here; `decode` (or
-    /// the accessors' callers) decide how much to trust the contents.
-    pub fn new(bytes: &'a [u8; RECORD_LEN]) -> Self {
-        RecordView { bytes }
-    }
-
-    /// The op's program counter (bytes 0..8).
-    #[inline]
-    pub fn pc(&self) -> u64 {
-        u64::from_le_bytes(self.bytes[0..8].try_into().expect("8-byte slice"))
-    }
-
-    /// The payload word: memory address or branch target (bytes 8..16).
-    #[inline]
-    pub fn payload(&self) -> u64 {
-        u64::from_le_bytes(self.bytes[8..16].try_into().expect("8-byte slice"))
-    }
-
-    /// Both 16-bit dependence distances as one little-endian word
-    /// (bytes 16..20; `dep0` in the low half, [`DEP_NONE`] sentinels kept).
-    #[inline]
-    pub fn packed_deps(&self) -> u32 {
-        u32::from_le_bytes(self.bytes[16..20].try_into().expect("4-byte slice"))
-    }
-
-    /// Kind code, flags, mem size and the reserved byte as one little-endian
-    /// word (bytes 20..24).
-    #[inline]
-    pub fn packed_tail(&self) -> u32 {
-        u32::from_le_bytes(self.bytes[20..24].try_into().expect("4-byte slice"))
-    }
-
-    /// The op-kind code (byte 20).
-    #[inline]
-    pub fn kind_code(&self) -> u8 {
-        self.bytes[20]
-    }
-
-    /// The record flag byte (byte 21).
-    #[inline]
-    pub fn flags(&self) -> u8 {
-        self.bytes[21]
-    }
-
-    /// The memory access size in bytes (byte 22).
-    #[inline]
-    pub fn mem_size(&self) -> u8 {
-        self.bytes[22]
-    }
-
-    /// The raw record bytes.
-    #[inline]
-    pub fn raw(&self) -> &'a [u8; RECORD_LEN] {
-        self.bytes
-    }
-
-    /// Fully decodes and validates the record.
-    pub fn decode(&self) -> Result<TraceOp, SimError> {
-        decode_record(self.bytes)
-    }
-}
-
 #[inline]
 fn decode_dep(raw: u16) -> Option<u32> {
     (raw != DEP_NONE).then_some(raw as u32)
@@ -509,19 +453,6 @@ mod tests {
                 }
             }
         }
-        // RecordView's packed words cover the raw bytes exactly.
-        let view = RecordView::new(&buf);
-        assert_eq!(view.pc(), 0x10);
-        assert_eq!(view.payload(), 0x20);
-        assert_eq!(view.packed_deps().to_le_bytes(), buf[16..20]);
-        assert_eq!(view.packed_tail().to_le_bytes(), buf[20..24]);
-        assert_eq!(view.kind_code(), buf[20]);
-        assert_eq!(view.flags(), buf[21]);
-        assert_eq!(view.mem_size(), buf[22]);
-        assert_eq!(
-            view.decode().expect("valid record decodes"),
-            decode_record(&buf).expect("valid record decodes"),
-        );
     }
 
     #[test]

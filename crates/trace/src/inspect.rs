@@ -91,7 +91,6 @@ pub fn scan_file(path: impl AsRef<Path>) -> Result<TraceScan, SimError> {
     file.read_exact(&mut skip)
         .map_err(|e| SimError::invalid_config(format!("{context}: cannot re-read header: {e}")))?;
 
-    let expected = header.op_count * RECORD_LEN as u64;
     let mut digest = DIGEST_SEED;
     let mut scan = TraceScan {
         header: header.clone(),
@@ -100,7 +99,7 @@ pub fn scan_file(path: impl AsRef<Path>) -> Result<TraceScan, SimError> {
         ops_with_deps: 0,
     };
     let mut chunk = vec![0u8; 4096 * RECORD_LEN];
-    let mut remaining = expected;
+    let mut remaining = header.file_len(&context)? - HEADER_LEN as u64;
     let mut index = 0u64;
     while remaining > 0 {
         let len = remaining.min(chunk.len() as u64) as usize;

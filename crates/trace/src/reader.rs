@@ -20,8 +20,8 @@ use std::path::Path;
 use smt_types::{SimError, TraceOp};
 
 use crate::format::{
-    decode_record, decode_record_trusted, digest_update, RecordView, TraceHeader, DIGEST_SEED,
-    HEADER_LEN, RECORD_LEN,
+    decode_record, decode_record_trusted, digest_update, TraceHeader, DIGEST_SEED, HEADER_LEN,
+    RECORD_LEN,
 };
 use crate::{TraceSource, TraceSourceState};
 
@@ -87,7 +87,7 @@ impl FileTraceSource {
                 "{context}: trace holds no ops (a trace source must be an infinite stream)"
             )));
         }
-        let expected = HEADER_LEN as u64 + header.op_count * RECORD_LEN as u64;
+        let expected = header.file_len(&context)?;
         let actual = file
             .metadata()
             .map_err(|e| SimError::invalid_config(format!("cannot stat trace {context}: {e}")))?
@@ -120,8 +120,7 @@ impl FileTraceSource {
     ///
     /// Replay then never touches the file again: buffer refills become
     /// cursor resets, so cyclic wraps, `skip` and state restores cost no
-    /// seeks or reads, and [`Self::for_each_record`] iterates the records at
-    /// memory bandwidth. Costs `op_count × 24` bytes of memory up front —
+    /// seeks or reads. Costs `op_count × 24` bytes of memory up front —
     /// use [`Self::open`] to stream traces too large to hold resident.
     pub fn open_resident(path: impl AsRef<Path>) -> Result<Self, SimError> {
         let path = path.as_ref();
@@ -143,42 +142,6 @@ impl FileTraceSource {
         source.buf = records;
         source.resident = true;
         Ok(source)
-    }
-
-    /// Streams `n` records to `f` as zero-copy [`RecordView`]s, in order,
-    /// wrapping cyclically like every other consumption path.
-    ///
-    /// No [`TraceOp`] is materialized and no per-record validation runs —
-    /// the views read straight out of the buffered file bytes, so bulk
-    /// consumers (statistics, checksums, format tooling) run at memory
-    /// bandwidth. Combine with [`Self::open_resident`] to also skip file
-    /// I/O in steady state. Advances the stream exactly like `refill`.
-    pub fn for_each_record(&mut self, n: u64, mut f: impl FnMut(RecordView<'_>)) {
-        let mut left = n;
-        while left > 0 {
-            if self.buf_pos == self.buf_len {
-                self.fill_buf();
-            }
-            // A fill never reads past the end of the file, so the span below
-            // never spans the cyclic wrap: `file_pos + take <= op_count`.
-            let avail = ((self.buf_len - self.buf_pos) / RECORD_LEN) as u64;
-            let take = avail.min(left) as usize;
-            let span = &self.buf[self.buf_pos..self.buf_pos + take * RECORD_LEN];
-            for record in span.chunks_exact(RECORD_LEN) {
-                f(RecordView::new(
-                    record.try_into().expect("buffer fills are record-aligned"),
-                ));
-            }
-            self.buf_pos += take * RECORD_LEN;
-            self.file_pos += take as u64;
-            self.consumed += take as u64;
-            left -= take as u64;
-            if self.file_pos == self.op_count {
-                // End of file: wrap the infinite stream back to op 0.
-                self.file_pos = 0;
-                self.needs_seek = true;
-            }
-        }
     }
 
     /// Total ops handed out so far (the absolute stream position).

@@ -1,9 +1,11 @@
 //! Property-based tests of the `.smtt` on-disk trace format: every encodable
 //! op round-trips through encode/decode bit for bit, whole files round-trip
 //! through `record_source` → [`FileTraceSource`] verbatim, and malformed
-//! files — truncation, trailing bytes, wrong version, empty traces — are
-//! rejected at open time with typed [`SimError`]s rather than panics or
-//! garbage ops.
+//! files — truncation, trailing bytes, wrong version, empty traces, an
+//! `op_count` past any file length — are rejected at open time with typed
+//! [`SimError`]s rather than panics or garbage ops.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
@@ -115,9 +117,15 @@ proptest! {
     }
 }
 
-/// Writes a small valid trace and returns its bytes.
+/// Writes a small valid trace and returns its bytes. Each call records to
+/// its own path, so tests running in parallel never read each other's file.
 fn valid_trace_bytes() -> Vec<u8> {
-    let path = std::env::temp_dir().join(format!("smt-prop-seed-{}.smtt", std::process::id()));
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "smt-prop-seed-{}-{}.smtt",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     let ops = vec![
         TraceOp::int_alu(0x100),
         TraceOp::load(0x104, 0x8000),
@@ -174,6 +182,30 @@ fn resident_open_matches_streaming_open_and_verifies_digest() {
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
     assert!(err.to_string().contains("digest"), "{err}");
+}
+
+/// A header whose `op_count` records cannot fit in a file (2^61 records
+/// wrap a 64-bit byte count to exactly the header's length) is rejected by
+/// both the replay reader and the full-file scan, never a panic or a wrap.
+#[test]
+fn header_op_count_past_any_file_length_is_rejected() {
+    let mut bytes = valid_trace_bytes();
+    bytes.truncate(HEADER_LEN);
+    for op_count in [1u64 << 61, u64::MAX] {
+        bytes[16..24].copy_from_slice(&op_count.to_le_bytes());
+        let err = open_err("huge-op-count", &bytes);
+        assert!(err.to_string().contains("oversized"), "{err}");
+
+        let path =
+            std::env::temp_dir().join(format!("smt-prop-huge-scan-{}.smtt", std::process::id()));
+        std::fs::write(&path, &bytes).expect("temp trace writes");
+        let scan = smt_trace::inspect::scan_file(&path);
+        std::fs::remove_file(&path).ok();
+        match scan {
+            Ok(_) => panic!("op_count {op_count}: scan accepted a header-only file"),
+            Err(e) => assert!(e.to_string().contains("oversized"), "{e}"),
+        }
+    }
 }
 
 #[test]
