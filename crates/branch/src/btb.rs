@@ -1,7 +1,7 @@
 //! Set-associative branch target buffer.
 
 use serde::{Deserialize, Serialize};
-use smt_types::sparse::{in_field, SparseTable};
+use smt_types::warm::{Entries, Warm, WarmVisitor};
 use smt_types::SmtConfig;
 
 /// One BTB way; the default is the reset (invalid) way.
@@ -16,30 +16,6 @@ pub struct BtbEntry {
     pub target: u64,
     /// LRU stamp.
     pub last_used: u64,
-}
-
-/// Serializable snapshot of a [`BranchTargetBuffer`] (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct BtbState {
-    /// The ways that differ from reset, indexed by `set * assoc + way`.
-    pub entries: SparseTable<BtbEntry>,
-    /// The LRU clock.
-    pub tick: u64,
-}
-
-impl BtbState {
-    /// Checks the sparse way table against
-    /// [`SmtConfig::MAX_TABLE_ENTRIES`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.entries
-            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
-            .map_err(in_field("entries"))
-    }
 }
 
 /// A set-associative, LRU-replaced branch target buffer.
@@ -113,27 +89,6 @@ impl BranchTargetBuffer {
         None
     }
 
-    /// Captures the BTB state for a warm checkpoint: only the ways that
-    /// differ from reset.
-    pub fn state(&self) -> BtbState {
-        BtbState {
-            entries: SparseTable::capture(&self.ways, BtbEntry::default()),
-            tick: self.tick,
-        }
-    }
-
-    /// Restores a state captured with [`BranchTargetBuffer::state`]. Fails,
-    /// and leaves the buffer unchanged, when the geometry differs or a way
-    /// index is out of range, repeated or out of order.
-    pub fn restore_state(&mut self, state: &BtbState) -> Result<(), String> {
-        state
-            .entries
-            .restore_into(&mut self.ways, BtbEntry::default())
-            .map_err(in_field("entries"))?;
-        self.tick = state.tick;
-        Ok(())
-    }
-
     /// Installs (or refreshes) the target of a taken branch.
     pub fn insert(&mut self, pc: u64, target: u64) {
         self.tick += 1;
@@ -154,6 +109,15 @@ impl BranchTargetBuffer {
             target,
             last_used: tick,
         };
+    }
+}
+
+impl Warm for BranchTargetBuffer {
+    /// The ways, indexed by `set * assoc + way`, and the LRU clock.
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let ways = Entries(&mut self.ways, BtbEntry::default());
+        v.table("entries", u64::from(SmtConfig::MAX_TABLE_ENTRIES), ways);
+        v.scalar("tick", &mut self.tick);
     }
 }
 

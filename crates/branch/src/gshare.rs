@@ -1,35 +1,10 @@
 //! gshare direction predictor (global history XOR PC indexing into 2-bit counters).
 
-use serde::{Deserialize, Serialize};
-use smt_types::sparse::{in_field, SparseTable};
+use smt_types::warm::{Entries, Warm, WarmVisitor};
 use smt_types::SmtConfig;
 
 /// The reset value of every counter: weakly not-taken.
 const RESET_COUNTER: u8 = 1;
-
-/// Serializable snapshot of a [`Gshare`] predictor (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct GshareState {
-    /// The two-bit counters that differ from reset (1, weakly not-taken).
-    pub counters: SparseTable<u8>,
-    /// The global history register.
-    pub history: u64,
-}
-
-impl GshareState {
-    /// Checks the sparse counter table against
-    /// [`SmtConfig::MAX_TABLE_ENTRIES`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.counters
-            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
-            .map_err(in_field("counters"))
-    }
-}
 
 /// A gshare branch direction predictor.
 ///
@@ -77,27 +52,6 @@ impl Gshare {
         self.counters[self.index(pc)] >= 2
     }
 
-    /// Captures the predictor state for a warm checkpoint: only the
-    /// counters that differ from reset.
-    pub fn state(&self) -> GshareState {
-        GshareState {
-            counters: SparseTable::capture(&self.counters, RESET_COUNTER),
-            history: self.history,
-        }
-    }
-
-    /// Restores a state captured with [`Gshare::state`]. Fails, and leaves
-    /// the predictor unchanged, when the table geometry differs or a counter
-    /// index is out of range, repeated or out of order.
-    pub fn restore_state(&mut self, state: &GshareState) -> Result<(), String> {
-        state
-            .counters
-            .restore_into(&mut self.counters, RESET_COUNTER)
-            .map_err(in_field("counters"))?;
-        self.history = state.history & self.history_mask;
-        Ok(())
-    }
-
     /// Updates the counter and global history with the resolved direction.
     pub fn update(&mut self, pc: u64, taken: bool) {
         let idx = self.index(pc);
@@ -108,6 +62,24 @@ impl Gshare {
             *c = c.saturating_sub(1);
         }
         self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
+    }
+}
+
+impl Warm for Gshare {
+    /// The two-bit counters (resetting to 1, weakly not-taken) and the
+    /// global history register.
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let counters = Entries(&mut self.counters, RESET_COUNTER);
+        v.table(
+            "counters",
+            u64::from(SmtConfig::MAX_TABLE_ENTRIES),
+            counters,
+        );
+        v.scalar("history", &mut self.history);
+    }
+
+    fn restored(&mut self) {
+        self.history &= self.history_mask;
     }
 }
 

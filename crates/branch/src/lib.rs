@@ -22,37 +22,10 @@
 pub mod btb;
 pub mod gshare;
 
-pub use btb::{BranchTargetBuffer, BtbEntry, BtbState};
-pub use gshare::{Gshare, GshareState};
+pub use btb::{BranchTargetBuffer, BtbEntry};
+pub use gshare::Gshare;
 
-use serde::{Deserialize, Serialize};
-use smt_types::sparse::in_field;
-
-/// Serializable snapshot of a [`BranchPredictor`] (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct BranchPredictorState {
-    /// Direction predictor state.
-    pub gshare: GshareState,
-    /// Target buffer state.
-    pub btb: BtbState,
-    /// Predictions made so far.
-    pub predictions: u64,
-    /// Mispredictions observed so far.
-    pub mispredictions: u64,
-}
-
-impl BranchPredictorState {
-    /// Checks the sparse gshare counter table and BTB way table.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.gshare.validate().map_err(in_field("gshare"))?;
-        self.btb.validate().map_err(in_field("btb"))
-    }
-}
+use smt_types::warm::{Warm, WarmVisitor};
 
 /// A direction + target prediction for one branch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -133,43 +106,18 @@ impl BranchPredictor {
         mispredicted
     }
 
-    /// Captures the predictor state for a warm checkpoint.
-    pub fn state(&self) -> BranchPredictorState {
-        BranchPredictorState {
-            gshare: self.gshare.state(),
-            btb: self.btb.state(),
-            predictions: self.predictions,
-            mispredictions: self.mispredictions,
-        }
-    }
-
-    /// Restores a state captured with [`BranchPredictor::state`]. Fails when
-    /// the predictor geometry differs.
-    pub fn restore_state(&mut self, state: &BranchPredictorState) -> Result<(), String> {
-        self.gshare.restore_state(&state.gshare)?;
-        self.btb.restore_state(&state.btb)?;
-        self.predictions = state.predictions;
-        self.mispredictions = state.mispredictions;
-        Ok(())
-    }
-
     /// Number of predictions made.
     pub fn predictions(&self) -> u64 {
         self.predictions
     }
+}
 
-    /// Number of mispredictions observed.
-    pub fn mispredictions(&self) -> u64 {
-        self.mispredictions
-    }
-
-    /// Misprediction rate over all predictions (0.0 when nothing was predicted).
-    pub fn misprediction_rate(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
+impl Warm for BranchPredictor {
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        v.part("gshare", &mut self.gshare);
+        v.part("btb", &mut self.btb);
+        v.scalar("predictions", &mut self.predictions);
+        v.scalar("mispredictions", &mut self.mispredictions);
     }
 }
 
@@ -223,11 +171,5 @@ mod tests {
         if p.taken {
             assert!(bp.update(0x4444, true, 0x9000, p));
         }
-    }
-
-    #[test]
-    fn misprediction_rate_bounds() {
-        let bp = BranchPredictor::new(512, 64, 2);
-        assert_eq!(bp.misprediction_rate(), 0.0);
     }
 }

@@ -469,7 +469,8 @@ USAGE:
         warm state (caches, TLBs, predictors, LLSR) as a checkpoint JSON.
 
     smt-cli checkpoint load <path>
-        Load a checkpoint file, validate its schema, and print its summary.
+        Load a checkpoint file, restore it into the baseline machine of its
+        benchmarks to validate it, and print its summary.
 
     smt-cli trace record <benchmark> --out <path.smtt> [flags]
         Record a benchmark's op stream into an on-disk `.smtt` binary trace.

@@ -19,8 +19,8 @@ mod args;
 use std::process::ExitCode;
 
 use smt_core::experiments::{engine, ExperimentRegistry, ExperimentSpec, SamplingSpec};
-use smt_core::runner::{CheckpointCache, RunScale};
-use smt_core::SimCheckpoint;
+use smt_core::runner::{build_trace, CheckpointCache, RunScale};
+use smt_core::{SimCheckpoint, SmtSimulator};
 use smt_types::{RunHealthStatus, SimError, SmtConfig};
 
 use args::{
@@ -142,8 +142,9 @@ fn execute_checkpoint(command: CheckpointCmd) -> Result<(), String> {
         CheckpointCmd::Load { path } => {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read checkpoint `{path}`: {e}"))?;
-            let checkpoint =
-                SimCheckpoint::from_json(&text).map_err(|e| format!("checkpoint `{path}`: {e}"))?;
+            let checkpoint = SimCheckpoint::from_json(&text)
+                .and_then(|checkpoint| restore_into_baseline(&checkpoint).map(|()| checkpoint))
+                .map_err(|e| format!("checkpoint `{path}`: {e}"))?;
             let meta = &checkpoint.meta;
             println!(
                 "checkpoint {path}\n  schema version: {}\n  benchmarks: {}\n  threads: {}\n  \
@@ -157,6 +158,24 @@ fn execute_checkpoint(command: CheckpointCmd) -> Result<(), String> {
             Ok(())
         }
     }
+}
+
+/// Restores `checkpoint` into the machine `checkpoint save` captures from,
+/// the baseline configuration running its benchmarks: every warm table is
+/// checked against that machine's geometry.
+fn restore_into_baseline(checkpoint: &SimCheckpoint) -> Result<(), SimError> {
+    let meta = &checkpoint.meta;
+    let scale = RunScale {
+        seed: meta.seed,
+        ..RunScale::tiny()
+    };
+    let traces = meta
+        .benchmarks
+        .iter()
+        .map(|benchmark| build_trace(benchmark, scale))
+        .collect::<Result<_, _>>()?;
+    SmtSimulator::new(SmtConfig::baseline(meta.benchmarks.len()), traces)?
+        .restore_checkpoint(checkpoint)
 }
 
 fn execute_checkpoint_save(save: CheckpointSaveArgs) -> Result<(), String> {

@@ -9,9 +9,9 @@
 //! errors, never a panic.
 
 use std::process::{Command, Stdio};
-
-use smt_core::SimCheckpoint;
 use std::time::{Duration, Instant};
+
+use serde::Value;
 
 fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
@@ -267,11 +267,36 @@ fn saved_checkpoint(name: &str) -> String {
 
 /// A saved tiny-scale `mcf,gcc` checkpoint after `edit`, as JSON. The
 /// edit acts on the parsed document, which is not validated.
-fn edited_checkpoint(name: &str, edit: impl FnOnce(&mut SimCheckpoint)) -> String {
-    let mut checkpoint: SimCheckpoint =
+fn edited_checkpoint(name: &str, edit: impl FnOnce(&mut Value)) -> String {
+    let mut checkpoint: Value =
         serde_json::from_str(&saved_checkpoint(name)).expect("a saved checkpoint parses");
     edit(&mut checkpoint);
     serde_json::to_string_pretty(&checkpoint).expect("serializes")
+}
+
+/// The field at the dotted `path` (`shared.llc.ways.indices[0]`) of a
+/// parsed document.
+fn field<'a>(mut value: &'a mut Value, path: &str) -> &'a mut Value {
+    for step in path.split('.') {
+        let (name, index) = match step.split_once('[') {
+            Some((name, index)) => (name, index.trim_end_matches(']').parse::<usize>().ok()),
+            None => (step, None),
+        };
+        value = match value {
+            Value::Map(fields) => match fields.iter_mut().find(|(n, _)| n == name) {
+                Some((_, field)) => field,
+                None => panic!("{path}: no field `{name}`"),
+            },
+            _ => panic!("{path}: `{name}` is not in a map"),
+        };
+        if let Some(index) = index {
+            value = match value {
+                Value::Seq(items) => &mut items[index],
+                _ => panic!("{path}: `{name}` is not a sequence"),
+            };
+        }
+    }
+    value
 }
 
 /// `checkpoint save` writes compact JSON, one line with no padding, and
@@ -331,11 +356,11 @@ fn version_two_checkpoint_fails_naming_the_schema_version() {
 #[test]
 fn checkpoint_with_a_bad_way_index_fails_cleanly() {
     let out_of_range = edited_checkpoint("range-source.json", |ck| {
-        ck.shared.llc.ways.indices[0] = u32::MAX;
+        *field(ck, "shared.llc.ways.indices[0]") = Value::Int(u32::MAX.into());
     });
     let repeated = edited_checkpoint("repeat-source.json", |ck| {
-        let indices = &mut ck.shared.llc.ways.indices;
-        indices[1] = indices[0];
+        let first = field(ck, "shared.llc.ways.indices[0]").clone();
+        *field(ck, "shared.llc.ways.indices[1]") = first;
     });
     for (name, hostile, fault) in [
         ("out-of-range.json", out_of_range, "out of range"),
@@ -352,6 +377,24 @@ fn checkpoint_with_a_bad_way_index_fails_cleanly() {
     }
 }
 
+/// A checkpoint of no threads, or of more than a simulator runs, fails
+/// `checkpoint load` with exit 1 naming the thread count, never a panic.
+#[test]
+fn checkpoint_with_an_unsupported_thread_count_fails_cleanly() {
+    for threads in [0, 9] {
+        let hostile = edited_checkpoint("threads-source.json", |ck| {
+            let first = field(ck, "threads[0]").clone();
+            *field(ck, "threads") = Value::Seq(vec![first; threads]);
+            *field(ck, "meta.num_threads") = Value::Int(threads as i64);
+            *field(ck, "meta.benchmarks") = Value::Seq(vec![Value::Str("mcf".into()); threads]);
+        });
+        let (code, stderr) = run_on(&["checkpoint", "load"], "threads.json", &hostile);
+        assert_eq!(code, Some(1), "{threads}: {stderr}");
+        let fault = format!("threads: {threads} threads, a simulator runs 1 to 8");
+        assert!(stderr.contains(&fault), "{threads}: {stderr}");
+    }
+}
+
 /// A table length past its configuration limit (an LLC of 2^60 ways, a BTB
 /// of 2^40 entries) or a stream buffer owned by a thread the checkpoint does
 /// not have fails `checkpoint load` with exit 1 naming the field, never a
@@ -361,20 +404,23 @@ fn checkpoint_with_an_impossible_length_or_buffer_thread_fails_naming_the_field(
     let cases = [
         (
             "llc-len.json",
-            edited_checkpoint("llc-source.json", |ck| ck.shared.llc.ways.len = 1 << 60),
+            edited_checkpoint("llc-source.json", |ck| {
+                *field(ck, "shared.llc.ways.len") = Value::Int(1 << 60);
+            }),
             "shared.llc.ways.len: 1152921504606846976 exceeds the limit of 4194304",
         ),
         (
             "btb-len.json",
             edited_checkpoint("btb-source.json", |ck| {
-                ck.threads[1].branch_predictor.btb.entries.len = 1 << 40;
+                *field(ck, "threads[1].branch_predictor.btb.entries.len") = Value::Int(1 << 40);
             }),
             "threads[1].branch_predictor.btb.entries.len: 1099511627776 exceeds",
         ),
         (
             "buffer-thread.json",
             edited_checkpoint("thread-source.json", |ck| {
-                ck.memory.prefetcher.buffers[0].thread = 1_000_000_000_000_000;
+                *field(ck, "memory.prefetcher.buffers[0].thread") =
+                    Value::Int(1_000_000_000_000_000);
             }),
             "memory.prefetcher.buffers[0].thread: 1000000000000000 out of range (2 threads)",
         ),

@@ -195,11 +195,11 @@ struct CellPlan<'a> {
 }
 
 impl<'a> CellPlan<'a> {
-    /// Expands `spec`. Each distinct benchmark's MLP intensity is probed at
-    /// most once (serially, at negligible probe scale) before the cells fan
-    /// out, so every cell sees identical placement inputs at any engine
-    /// thread count; probe failures are setup errors, not cell failures.
-    fn new(spec: &'a ExperimentSpec) -> Result<Self, SimError> {
+    /// Expands `spec`. Each distinct benchmark's MLP intensity is probed
+    /// once, on up to `threads` workers, before the cells fan out, so every
+    /// cell sees identical placement inputs at any engine thread count; a
+    /// probe's failure is a setup error, not a cell failure.
+    fn new(spec: &'a ExperimentSpec, threads: usize) -> Result<Self, SimError> {
         let workloads: Vec<Workload> = spec
             .workloads
             .iter()
@@ -214,11 +214,20 @@ impl<'a> CellPlan<'a> {
             // The probe normalizes to one thread, so any workload's core
             // configuration gives the same answer.
             let probe_config = spec.config_for(1, None);
+            let mut benchmarks: Vec<&String> = Vec::new();
             for benchmark in workloads.iter().flat_map(|w| &w.benchmarks) {
-                if !intensities.contains_key(benchmark) {
-                    let value = mlp_intensity(benchmark, &probe_config, spec.scale.seed)?;
-                    intensities.insert(benchmark.clone(), value);
+                if !benchmarks.contains(&benchmark) {
+                    benchmarks.push(benchmark);
                 }
+            }
+            // Each probe's own result rides in the cell's: a failed probe
+            // keeps its error variant, a panicking one is an internal error.
+            let probes = run_cells(&benchmarks, threads, |benchmark| {
+                Ok(mlp_intensity(benchmark, &probe_config, spec.scale.seed))
+            });
+            for (benchmark, probe) in benchmarks.into_iter().zip(probes) {
+                let value = probe.map_err(|e| SimError::internal(e.to_string()))??;
+                intensities.insert(benchmark.clone(), value);
             }
         }
         let mut cells = Vec::new();
@@ -317,7 +326,7 @@ pub fn run_spec_with_threads(
         report.bench_rows = rows;
         outcomes
     } else {
-        let plan = CellPlan::new(spec)?;
+        let plan = CellPlan::new(spec, threads)?;
         let runs = run_cells(&plan.cells, threads, |cell| {
             evaluate_cell(&plan.cell_spec(cell), &cache, &checkpoints)
         });

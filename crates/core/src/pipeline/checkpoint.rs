@@ -10,26 +10,28 @@
 //! capturing, and restoring into a freshly built simulator reproduces the
 //! fast-forwarded machine bit for bit.
 //!
+//! Each warm structure lists its checkpointed fields once
+//! ([`smt_types::warm::Warm`]); this module captures them all and restores
+//! them all-or-nothing, every structure checked before the first is written.
+//!
 //! Sweeps branch from one shared checkpoint: fast-forward the warm prefix
 //! once, [`SmtSimulator::checkpoint`] it, then
 //! [`SmtSimulator::restore_checkpoint`] into each cell's fresh simulator
 //! instead of re-running the prefix.
 
 use serde::{Deserialize, Serialize};
-use smt_branch::BranchPredictorState;
-use smt_mem::{CoreMemoryState, SharedLlcState};
-use smt_predictors::{BinaryMlpState, LlsrState, MissPatternState, MlpDistanceState};
 use smt_trace::TraceSourceState;
-use smt_types::sparse::in_field;
-use smt_types::{CheckpointMeta, SimError, TraceOp};
+use smt_types::warm::{self, CheckpointError, Warm, WarmState};
+use smt_types::{CheckpointMeta, SimError, ThreadId, TraceOp};
 
-use super::thread::PendingMlpEval;
 use super::SmtSimulator;
 
-/// A pending MLP-prediction evaluation, serialized.
+/// A pending MLP-prediction evaluation: the prediction made when the load
+/// executed, waiting for the LLSR to produce the actual MLP distance at
+/// window exit.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
-pub struct PendingEvalState {
+pub struct PendingMlpEval {
     /// PC of the long-latency load awaiting its LLSR ground truth.
     pub pc: u64,
     /// The MLP distance predicted when the load was processed.
@@ -47,36 +49,17 @@ pub struct ThreadCheckpoint {
     /// Instructions committed (functionally executed) so far.
     pub committed: u64,
     /// Branch predictor state.
-    pub branch_predictor: BranchPredictorState,
+    pub branch_predictor: WarmState,
     /// Long-latency load predictor state.
-    pub lll_predictor: MissPatternState,
+    pub lll_predictor: WarmState,
     /// MLP distance predictor state.
-    pub mlp_predictor: MlpDistanceState,
+    pub mlp_predictor: WarmState,
     /// Binary MLP predictor state.
-    pub binary_mlp_predictor: BinaryMlpState,
+    pub binary_mlp_predictor: WarmState,
     /// Long-latency shift register contents.
-    pub llsr: LlsrState,
+    pub llsr: WarmState,
     /// Predictions awaiting their LLSR ground truth, in commit order.
-    pub pending_mlp_evals: Vec<PendingEvalState>,
-}
-
-impl ThreadCheckpoint {
-    /// Checks the sparse gshare, BTB and predictor tables, returning a
-    /// message naming the offending field.
-    fn validate(&self) -> Result<(), String> {
-        self.branch_predictor
-            .validate()
-            .map_err(in_field("branch_predictor"))?;
-        self.lll_predictor
-            .validate()
-            .map_err(in_field("lll_predictor"))?;
-        self.mlp_predictor
-            .validate()
-            .map_err(in_field("mlp_predictor"))?;
-        self.binary_mlp_predictor
-            .validate()
-            .map_err(in_field("binary_mlp_predictor"))
-    }
+    pub pending_mlp_evals: Vec<PendingMlpEval>,
 }
 
 /// A complete warm checkpoint of a single-core simulator.
@@ -88,9 +71,9 @@ pub struct SimCheckpoint {
     /// Per-thread warm state, in thread order.
     pub threads: Vec<ThreadCheckpoint>,
     /// Core-private memory levels (L1D, L2, D-TLBs, prefetcher).
-    pub memory: CoreMemoryState,
+    pub memory: WarmState,
     /// Shared last-level cache.
-    pub shared: SharedLlcState,
+    pub shared: WarmState,
 }
 
 /// The identity header alone. It is read before the rest of a checkpoint,
@@ -102,13 +85,16 @@ struct CheckpointHeader {
 }
 
 /// Rejects any schema version but [`CheckpointMeta::SCHEMA_VERSION`].
-fn check_schema_version(version: u32) -> Result<(), SimError> {
+fn check_schema_version(version: u32) -> Result<(), CheckpointError> {
     if version != CheckpointMeta::SCHEMA_VERSION {
-        // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
-        return Err(SimError::invalid_config(format!(
-            "unsupported checkpoint schema version {version} (expected {})",
-            CheckpointMeta::SCHEMA_VERSION
-        )));
+        return Err(CheckpointError::new(
+            "meta.schema_version",
+            // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+            format!(
+                "unsupported checkpoint schema version {version} (expected {})",
+                CheckpointMeta::SCHEMA_VERSION
+            ),
+        ));
     }
     Ok(())
 }
@@ -120,9 +106,9 @@ impl SimCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for malformed JSON, another
-    /// schema version, a document that does not match the schema, or a
-    /// failed validation.
+    /// Returns [`SimError::InvalidConfig`] for malformed JSON or a document
+    /// that does not match the schema, and [`SimError::Checkpoint`] for
+    /// another schema version or a failed validation.
     pub fn from_json(text: &str) -> Result<Self, SimError> {
         let parse_error = |e: serde_json::Error| SimError::invalid_config(e.to_string());
         let header: CheckpointHeader = serde_json::from_str(text).map_err(parse_error)?;
@@ -132,58 +118,59 @@ impl SimCheckpoint {
         Ok(checkpoint)
     }
 
-    /// Checks the checkpoint's standalone invariants: a supported schema
-    /// version, metadata consistent with the captured thread states, every
-    /// sparse warm table within its configuration limit and with indices
-    /// that ascend strictly below its length, and every stream buffer owned
-    /// by a captured thread. [`SmtSimulator::restore_checkpoint`]
-    /// additionally validates the checkpoint against the restoring
-    /// simulator's configuration.
+    /// Checks what holds for any simulator: a supported schema version, a
+    /// supported thread count and metadata consistent with the captured
+    /// threads. The warm state is
+    /// checked against the simulator it is restored into
+    /// ([`SmtSimulator::restore_checkpoint`]).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] describing the first violated
-    /// invariant.
+    /// Returns [`SimError::Checkpoint`] naming the first violated invariant.
     pub fn validate(&self) -> Result<(), SimError> {
         check_schema_version(self.meta.schema_version)?;
-        if self.meta.num_threads as usize != self.threads.len() {
+        let captured = self.threads.len();
+        if !(1..=ThreadId::MAX_THREADS).contains(&captured) {
+            let max = ThreadId::MAX_THREADS;
             // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
-            return Err(SimError::invalid_config(format!(
-                "checkpoint metadata claims {} threads but {} are captured",
-                self.meta.num_threads,
-                self.threads.len()
-            )));
+            let reason = format!("{captured} threads, a simulator runs 1 to {max}");
+            return Err(CheckpointError::new("threads", reason).into());
         }
-        if self.meta.benchmarks.len() != self.threads.len() {
-            // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
-            return Err(SimError::invalid_config(format!(
-                "checkpoint names {} benchmarks for {} captured threads",
-                self.meta.benchmarks.len(),
-                self.threads.len()
-            )));
-        }
-        for (i, thread) in self.threads.iter().enumerate() {
-            thread.validate().map_err(|e| {
+        for (field, claimed) in [
+            ("meta.num_threads", self.meta.num_threads as usize),
+            ("meta.benchmarks", self.meta.benchmarks.len()),
+        ] {
+            if claimed != captured {
                 // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
-                SimError::invalid_config(format!("threads[{i}].{e}"))
-            })?;
+                let reason = format!("{claimed} threads, but {captured} are captured");
+                return Err(CheckpointError::new(field, reason).into());
+            }
         }
-        self.memory
-            .validate(self.threads.len())
-            .map_err(in_field("memory"))
-            .map_err(SimError::invalid_config)?;
-        self.shared
-            .validate()
-            .map_err(in_field("shared"))
-            .map_err(SimError::invalid_config)
+        Ok(())
     }
+}
+
+/// Checks `state` against `warm`, and with `write` restores it, naming
+/// `field` in any error.
+fn apply(
+    warm: &mut impl Warm,
+    state: &WarmState,
+    field: &str,
+    write: bool,
+) -> Result<(), CheckpointError> {
+    let result = if write {
+        warm::restore(warm, state)
+    } else {
+        warm::check(warm, state)
+    };
+    result.map_err(|e| e.in_field(field))
 }
 
 impl SmtSimulator {
     /// Captures a warm checkpoint. Legal only at a pure
-    /// fast-forward-from-reset boundary: the cycle counter must still be zero
-    /// and the pipeline empty, so every transient structure is structurally
-    /// empty and only warm state needs saving.
+    /// fast-forward-from-reset boundary: the cycle counter must still be zero,
+    /// the pipeline empty and the shared level quiescent, so every transient
+    /// structure is structurally empty and only warm state needs saving.
     ///
     /// `seed` records the workload seed the simulator was built with (the
     /// simulator itself does not know it); restore validates it.
@@ -194,18 +181,20 @@ impl SmtSimulator {
     /// checkpointable boundary and [`SimError::InvalidWorkload`] when a trace
     /// source does not support checkpointing.
     pub fn checkpoint(&mut self, seed: u64) -> Result<SimCheckpoint, SimError> {
-        if self.cycle() != 0 || !self.chip.cores[0].is_drained() {
+        if self.cycle() != 0 || !self.chip.cores[0].is_drained() || !self.chip.shared.is_quiescent()
+        {
             return Err(SimError::internal(
                 "checkpoints may only be captured after a pure fast-forward from reset \
                  (cycle 0, empty pipeline)",
             ));
         }
-        let shared = self.chip.shared.state().map_err(SimError::internal)?;
-        let core = self.core();
+        let num_threads = self.config().num_threads as u32;
+        let chip = &mut self.chip;
+        let core = &mut chip.cores[0];
         let mut threads = Vec::with_capacity(core.threads.len());
         let mut benchmarks = Vec::with_capacity(core.threads.len());
         let mut warmed = u64::MAX;
-        for ctx in &core.threads {
+        for ctx in &mut core.threads {
             let trace = ctx.trace.save_state().ok_or_else(|| {
                 SimError::invalid_workload(format!(
                     "trace source '{}' does not support checkpointing",
@@ -218,97 +207,85 @@ impl SmtSimulator {
                 trace,
                 pending_ops: ctx.pending_trace_ops().to_vec(),
                 committed: ctx.committed,
-                branch_predictor: ctx.branch_predictor.state(),
-                lll_predictor: ctx.lll_predictor.state(),
-                mlp_predictor: ctx.mlp_predictor.state(),
-                binary_mlp_predictor: ctx.binary_mlp_predictor.state(),
-                llsr: ctx.llsr.state(),
-                pending_mlp_evals: ctx
-                    .pending_mlp_evals
-                    .iter()
-                    .map(|e| PendingEvalState {
-                        pc: e.pc,
-                        predicted_distance: e.predicted_distance,
-                    })
-                    .collect(),
+                branch_predictor: warm::capture(&mut ctx.branch_predictor),
+                lll_predictor: warm::capture(&mut ctx.lll_predictor),
+                mlp_predictor: warm::capture(&mut ctx.mlp_predictor),
+                binary_mlp_predictor: warm::capture(&mut ctx.binary_mlp_predictor),
+                llsr: warm::capture(&mut ctx.llsr),
+                pending_mlp_evals: ctx.pending_mlp_evals.iter().copied().collect(),
             });
         }
         let meta = CheckpointMeta {
             schema_version: CheckpointMeta::SCHEMA_VERSION,
             benchmarks,
             seed,
-            num_threads: self.config().num_threads as u32,
+            num_threads,
             warmed_instructions: if warmed == u64::MAX { 0 } else { warmed },
         };
         Ok(SimCheckpoint {
             meta,
             threads,
-            memory: core.mem.state(),
-            shared,
+            memory: warm::capture(&mut core.mem),
+            shared: warm::capture(&mut chip.shared),
         })
     }
 
     /// Restores a checkpoint into this simulator, which must be freshly built
     /// for the same configuration and workload (same benchmarks, same seed
-    /// derivation, same geometry). After a successful restore the simulator is
-    /// bit-for-bit the machine that was checkpointed.
+    /// derivation, same geometry). Every warm structure is checked before
+    /// any is written. After a successful restore the simulator is bit for
+    /// bit the machine that was checkpointed.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] on a schema or geometry mismatch
-    /// and [`SimError::InvalidWorkload`] on a workload mismatch.
+    /// Returns [`SimError::Checkpoint`] naming the first field that does not
+    /// fit this simulator and [`SimError::InvalidWorkload`] on a workload
+    /// mismatch.
     pub fn restore_checkpoint(&mut self, ck: &SimCheckpoint) -> Result<(), SimError> {
-        check_schema_version(ck.meta.schema_version)?;
+        ck.validate()?;
         if self.cycle() != 0 || !self.chip.cores[0].is_drained() {
             return Err(SimError::internal(
                 "checkpoints may only be restored into a freshly built simulator",
             ));
         }
         let num_threads = self.config().num_threads;
-        if ck.meta.num_threads as usize != num_threads || ck.threads.len() != num_threads {
-            return Err(SimError::invalid_config(format!(
-                "checkpoint has {} threads, simulator has {num_threads}",
-                ck.threads.len()
-            )));
+        if ck.threads.len() != num_threads {
+            let reason = format!("{} threads, simulator has {num_threads}", ck.threads.len());
+            return Err(CheckpointError::new("threads", reason).into());
         }
-        let chip = &mut self.chip;
-        let core = &mut chip.cores[0];
-        for (ctx, t) in core.threads.iter_mut().zip(&ck.threads) {
+        self.apply_warm(ck, false)?;
+        for (ctx, t) in self.chip.cores[0].threads.iter_mut().zip(&ck.threads) {
             ctx.trace
                 .restore_state(&t.trace)
                 .map_err(SimError::invalid_workload)?;
             ctx.set_pending_trace_ops(t.pending_ops.clone());
             ctx.committed = t.committed;
-            ctx.branch_predictor
-                .restore_state(&t.branch_predictor)
-                .map_err(SimError::invalid_config)?;
-            ctx.lll_predictor
-                .restore_state(&t.lll_predictor)
-                .map_err(SimError::invalid_config)?;
-            ctx.mlp_predictor
-                .restore_state(&t.mlp_predictor)
-                .map_err(SimError::invalid_config)?;
-            ctx.binary_mlp_predictor
-                .restore_state(&t.binary_mlp_predictor)
-                .map_err(SimError::invalid_config)?;
-            ctx.llsr
-                .restore_state(&t.llsr)
-                .map_err(SimError::invalid_config)?;
-            ctx.pending_mlp_evals = t
-                .pending_mlp_evals
-                .iter()
-                .map(|e| PendingMlpEval {
-                    pc: e.pc,
-                    predicted_distance: e.predicted_distance,
-                })
-                .collect();
+            ctx.pending_mlp_evals = t.pending_mlp_evals.iter().copied().collect();
         }
-        core.mem
-            .restore_state(&ck.memory)
-            .map_err(SimError::invalid_config)?;
-        chip.shared
-            .restore_state(&ck.shared)
-            .map_err(SimError::invalid_config)?;
-        Ok(())
+        Ok(self.apply_warm(ck, true)?)
+    }
+
+    /// Checks every warm structure of `ck` against this simulator's, and
+    /// with `write` restores them.
+    fn apply_warm(&mut self, ck: &SimCheckpoint, write: bool) -> Result<(), CheckpointError> {
+        let chip = &mut self.chip;
+        let core = &mut chip.cores[0];
+        for (i, (ctx, t)) in core.threads.iter_mut().zip(&ck.threads).enumerate() {
+            // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+            let in_thread = |e: CheckpointError| e.in_field(&format!("threads[{i}]"));
+            // Each part's checkpoint field is named after its context field.
+            macro_rules! apply_part {
+                ($part:ident) => {
+                    apply(&mut ctx.$part, &t.$part, stringify!($part), write).map_err(in_thread)?
+                };
+            }
+            apply_part!(branch_predictor);
+            apply_part!(lll_predictor);
+            apply_part!(mlp_predictor);
+            apply_part!(binary_mlp_predictor);
+            apply_part!(llsr);
+        }
+        apply(&mut core.mem, &ck.memory, "memory", write)?;
+        apply(&mut chip.shared, &ck.shared, "shared", write)
     }
 }

@@ -14,6 +14,7 @@ use smt_predictors::{
 use smt_trace::TraceSource;
 use smt_types::{SmtConfig, TraceOp};
 
+use super::checkpoint::PendingMlpEval;
 use super::window::OpWindow;
 
 /// How many trace operations one [`TraceSource::refill`] call pulls. The batch
@@ -41,14 +42,6 @@ impl Occupancy {
     pub(super) fn icount(&self) -> u32 {
         self.frontend + self.iq_int + self.iq_fp
     }
-}
-
-/// A pending MLP-prediction evaluation: the prediction made when the load executed,
-/// waiting for the LLSR to produce the actual MLP distance at window exit.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PendingMlpEval {
-    pub pc: u64,
-    pub predicted_distance: u32,
 }
 
 /// The set of outstanding long-latency loads of one thread, as a flat

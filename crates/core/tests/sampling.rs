@@ -6,19 +6,25 @@
 //!   wall-clock time is not);
 //! * checkpoint save → load → run is bit-for-bit identical to the
 //!   uninterrupted run (deterministic cases plus a property test over
-//!   fast-forward lengths and budgets).
+//!   fast-forward lengths and budgets);
+//! * every warm structure's state round-trips through a fresh simulator,
+//!   and a state that does not fit changes nothing.
 
 use proptest::prelude::*;
+use serde::Value;
 
 use smt_core::pipeline::{SimOptions, SmtSimulator};
 use smt_core::runner::{build_trace, RunScale};
 use smt_types::config::{CacheConfig, FetchPolicyKind};
-use smt_types::sparse::SparseTable;
-use smt_types::{SamplingConfig, SmtConfig};
+use smt_types::{SamplingConfig, SimError, SmtConfig};
 
 fn build_sim(benchmarks: &[&str], policy: FetchPolicyKind, scale: RunScale) -> SmtSimulator {
     let mut config = SmtConfig::baseline(benchmarks.len());
     config.fetch_policy = policy;
+    build_on(config, benchmarks, scale)
+}
+
+fn build_on(config: SmtConfig, benchmarks: &[&str], scale: RunScale) -> SmtSimulator {
     let traces = benchmarks
         .iter()
         .map(|b| build_trace(b, scale).expect("known benchmark"))
@@ -126,14 +132,51 @@ fn checkpoint_restore_rejects_geometry_mismatch() {
     assert!(wrong_workload.restore_checkpoint(&ck).is_err());
 }
 
+/// Every sparse table of a serialized state, found by its shape (a map of
+/// exactly `len`, `indices` and `values`): its dotted path, length and
+/// number of listed entries.
+fn sparse_tables(path: String, value: &Value, out: &mut Vec<(String, u64, usize)>) {
+    match value {
+        Value::Map(fields) => {
+            let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+            if names == ["len", "indices", "values"] {
+                let len = match fields[0].1 {
+                    Value::Int(len) => len as u64,
+                    _ => panic!("{path}.len is not an integer"),
+                };
+                let listed = fields[1].1.as_seq().map_or(0, <[Value]>::len);
+                out.push((path, len, listed));
+                return;
+            }
+            for (name, field) in fields {
+                let path = if path.is_empty() {
+                    name.clone()
+                } else {
+                    format!("{path}.{name}")
+                };
+                sparse_tables(path, field, out);
+            }
+        }
+        Value::Seq(items) => {
+            for (i, item) in items.iter().enumerate() {
+                sparse_tables(format!("{path}[{i}]"), item, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+fn tables_of(ck: &smt_core::SimCheckpoint) -> Vec<(String, u64, usize)> {
+    let mut tables = Vec::new();
+    sparse_tables(String::new(), &serde_json::to_value(ck), &mut tables);
+    tables
+}
+
 /// A freshly built simulator holds nothing but reset entries, so its
 /// checkpoint lists zero entries in every sparse table, each at its full
 /// configured length.
 #[test]
 fn fresh_simulator_captures_no_sparse_entries() {
-    fn shape<T>(table: &SparseTable<T>) -> (u64, usize) {
-        (table.len, table.indices.len())
-    }
     let scale = RunScale::tiny();
     let benchmarks = ["mcf", "swim", "perlbmk", "mesa"];
     let c = SmtConfig::baseline(benchmarks.len());
@@ -141,53 +184,94 @@ fn fresh_simulator_captures_no_sparse_entries() {
     let ck = sim.checkpoint(scale.seed).expect("checkpointable");
     ck.validate().expect("a fresh checkpoint validates");
     let lines = |cache: CacheConfig| cache.size_bytes / u64::from(cache.line_bytes);
-    let (memory, threads) = (&ck.memory, benchmarks.len() as u32);
-    let mut tables = vec![
-        ("llc", shape(&ck.shared.llc.ways), lines(c.l3)),
-        ("l1d", shape(&memory.l1d.ways), lines(c.l1d)),
-        ("l2", shape(&memory.l2.ways), lines(c.l2)),
+    let threads = benchmarks.len() as u32;
+    let mut want = vec![
+        ("memory.l1d.ways".to_string(), lines(c.l1d)),
+        ("memory.l2.ways".to_string(), lines(c.l2)),
         (
-            "dtlb",
-            shape(&memory.dtlb.entries),
+            "memory.dtlb.entries".to_string(),
             u64::from(c.dtlb.entries * threads),
         ),
         (
-            "stride",
-            shape(&memory.prefetcher.stride_table),
+            "memory.prefetcher.stride_table".to_string(),
             u64::from(c.prefetcher.stride_table_entries),
         ),
+        ("shared.llc.ways".to_string(), lines(c.l3)),
     ];
-    for t in &ck.threads {
-        tables.extend(
-            [
-                (
-                    "gshare",
-                    shape(&t.branch_predictor.gshare.counters),
-                    c.gshare_entries,
-                ),
-                ("btb", shape(&t.branch_predictor.btb.entries), c.btb_entries),
-                (
-                    "lll",
-                    shape(&t.lll_predictor.entries),
-                    c.lll_predictor_entries,
-                ),
-                (
-                    "mlp",
-                    shape(&t.mlp_predictor.table),
-                    c.mlp_predictor_entries,
-                ),
-                (
-                    "binary",
-                    shape(&t.binary_mlp_predictor.table),
-                    c.mlp_predictor_entries,
-                ),
-            ]
-            .map(|(name, shape, entries)| (name, shape, u64::from(entries))),
+    for t in 0..benchmarks.len() {
+        for (table, entries) in [
+            ("branch_predictor.gshare.counters", c.gshare_entries),
+            ("branch_predictor.btb.entries", c.btb_entries),
+            ("lll_predictor.entries", c.lll_predictor_entries),
+            ("mlp_predictor.table", c.mlp_predictor_entries),
+            ("binary_mlp_predictor.table", c.mlp_predictor_entries),
+        ] {
+            want.push((format!("threads[{t}].{table}"), u64::from(entries)));
+        }
+    }
+    want.sort();
+    let mut found = tables_of(&ck);
+    found.sort();
+    assert_eq!(found.len(), 5 + 5 * benchmarks.len());
+    for ((path, len, listed), (want_path, want_len)) in found.into_iter().zip(want) {
+        assert_eq!(
+            (path.as_str(), len, listed),
+            (want_path.as_str(), want_len, 0)
         );
     }
-    assert_eq!(tables.len(), 5 + 5 * benchmarks.len());
-    for (name, shape, configured) in tables {
-        assert_eq!(shape, (configured, 0), "{name}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The one round-trip property of every warm structure: the state
+    /// captured after any warm prefix, read back from JSON and restored
+    /// into a fresh simulator, is captured again unchanged, table by table,
+    /// and both machines then run alike. A simulator whose BTB or L2 has
+    /// another geometry rejects it, naming the field, and keeps its own
+    /// fresh state: nothing is written unless everything fits.
+    #[test]
+    fn warm_state_round_trips_through_a_fresh_simulator(
+        picks in prop::collection::vec(0usize..5, 1..5),
+        ff in 0u64..12_000,
+        wider_l2 in any::<bool>(),
+    ) {
+        let names = ["mcf", "gcc", "swim", "twolf", "applu"];
+        let mix: Vec<&str> = picks.iter().map(|&i| names[i]).collect();
+        let scale = RunScale::tiny();
+        let mut donor = build_sim(&mix, FetchPolicyKind::Icount, scale);
+        donor.fast_forward(ff);
+        let ck = donor.checkpoint(scale.seed).expect("checkpointable");
+        prop_assert!(ff == 0 || tables_of(&ck).iter().any(|&(_, _, listed)| listed > 0));
+        let parsed: smt_core::SimCheckpoint =
+            serde_json::from_str(&serde_json::to_string(&ck).unwrap()).unwrap();
+
+        let mut restored = build_sim(&mix, FetchPolicyKind::Icount, scale);
+        restored.restore_checkpoint(&parsed).expect("restores into its own geometry");
+        let again = restored.checkpoint(scale.seed).expect("checkpointable");
+        prop_assert_eq!(tables_of(&again), tables_of(&ck));
+        prop_assert_eq!(again, ck.clone());
+        let options = SimOptions {
+            max_instructions_per_thread: 1_500,
+            warmup_instructions_per_thread: 0,
+            max_cycles: 10_000_000,
+        };
+        prop_assert_eq!(restored.run(options), donor.run(options));
+
+        let mut config = SmtConfig::baseline(mix.len());
+        let field = if wider_l2 {
+            config.l2.size_bytes *= 2;
+            "memory.l2.ways.len: geometry mismatch"
+        } else {
+            config.btb_entries *= 2;
+            "threads[0].branch_predictor.btb.entries.len: geometry mismatch"
+        };
+        let mut other = build_on(config.clone(), &mix, scale);
+        let err = other.restore_checkpoint(&ck).unwrap_err();
+        let named = matches!(&err, SimError::Checkpoint(e) if e.to_string().starts_with(field));
+        prop_assert!(named, "{}", err);
+        let fresh = build_on(config, &mix, scale).checkpoint(scale.seed).unwrap();
+        prop_assert_eq!(other.checkpoint(scale.seed).unwrap(), fresh);
     }
 }
 

@@ -1,38 +1,7 @@
 //! Set-associative cache tag store with LRU replacement.
 
-use serde::{Deserialize, Serialize};
 use smt_types::config::CacheConfig;
-use smt_types::sparse::{in_field, SparseTable};
-
-/// Serializable snapshot of a [`SetAssocCache`] (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct CacheState {
-    /// The ways whose tag or stamp is non-zero, indexed by
-    /// `set * associativity + way`, each as `(tag, stamp)`: the stored tag
-    /// plus one (0 marks an invalid way that still carries a stamp) and the
-    /// LRU stamp.
-    pub ways: SparseTable<(u64, u64)>,
-    /// The LRU clock.
-    pub tick: u64,
-    /// Lookup hits so far.
-    pub hits: u64,
-    /// Lookup misses so far.
-    pub misses: u64,
-}
-
-impl CacheState {
-    /// Checks the sparse way table against [`CacheConfig::MAX_LINES`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.ways
-            .validate(CacheConfig::MAX_LINES)
-            .map_err(in_field("ways"))
-    }
-}
+use smt_types::warm::{Warm, WarmTable, WarmVisitor};
 
 /// A set-associative, LRU-replaced cache tag store.
 ///
@@ -58,8 +27,9 @@ pub struct SetAssocCache {
     /// indexed by `set * associativity + way`: the tags, each the stored tag
     /// plus one or 0 for an invalid way, then the LRU stamps, which
     /// invalidation keeps because the stamped victim rule orders invalid ways
-    /// by them. The allocation is zeroed, so the pages of sets no access
-    /// reaches are never touched.
+    /// by them. The allocation comes from `calloc`; when glibc recycles a
+    /// freed block for it, `calloc` clears every page, so construction can
+    /// touch the whole table, not only the sets accesses reach.
     ///
     /// The columns share one allocation: glibc hands freed memory back to
     /// the OS beyond twice its largest freed block, so two half-size blocks
@@ -228,40 +198,6 @@ impl SetAssocCache {
         self.set_way(victim, tag, stamp);
     }
 
-    /// Captures the tag-store state for a warm checkpoint: only the ways
-    /// with a non-zero tag or stamp.
-    pub fn state(&self) -> CacheState {
-        let (tags, stamps) = self.columns();
-        CacheState {
-            ways: SparseTable::from_fn(self.ways, |way| {
-                let entry = (tags[way], stamps[way]);
-                (entry != (0, 0)).then_some(entry)
-            }),
-            tick: self.tick,
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-
-    /// Restores a state captured with [`SetAssocCache::state`]. Fails, and
-    /// leaves the cache unchanged, when the geometry differs or a way index
-    /// is out of range, repeated or out of order.
-    pub fn restore_state(&mut self, state: &CacheState) -> Result<(), String> {
-        state
-            .ways
-            .check_restore(self.ways)
-            .map_err(in_field("ways"))?;
-        // Fresh zeroed columns: the ways the state leaves out stay untouched.
-        self.columns = vec![0; 2 * self.ways];
-        for (way, &(tag, stamp)) in state.ways.entries() {
-            self.set_way(way, tag, stamp);
-        }
-        self.tick = state.tick;
-        self.hits = state.hits;
-        self.misses = state.misses;
-        Ok(())
-    }
-
     /// Invalidates every line (used between experiment repetitions).
     pub fn flush_all(&mut self) {
         self.columns[..self.ways].fill(0);
@@ -288,9 +224,55 @@ impl SetAssocCache {
     }
 }
 
+/// The way table of a checkpoint: each way as `(tag, stamp)`, the stored
+/// tag plus one (0 marks an invalid way that still carries a stamp) and the
+/// LRU stamp, indexed by `set * associativity + way`.
+struct Ways<'a> {
+    columns: &'a mut Vec<u64>,
+    ways: usize,
+}
+
+impl WarmTable for Ways<'_> {
+    type Entry = (u64, u64);
+
+    fn size(&self) -> usize {
+        self.ways
+    }
+
+    fn get(&self, way: usize) -> Option<(u64, u64)> {
+        let entry = (self.columns[way], self.columns[self.ways + way]);
+        (entry != (0, 0)).then_some(entry)
+    }
+
+    /// Fresh zeroed columns: the ways the state leaves out stay untouched.
+    fn clear(&mut self) {
+        // analyze: allow(hot-path-alloc) reason="once per checkpoint restore, never in the cycle loop"
+        *self.columns = vec![0; 2 * self.ways];
+    }
+
+    fn set(&mut self, way: usize, (tag, stamp): (u64, u64)) {
+        self.columns[way] = tag;
+        self.columns[self.ways + way] = stamp;
+    }
+}
+
+impl Warm for SetAssocCache {
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let ways = Ways {
+            ways: self.ways,
+            columns: &mut self.columns,
+        };
+        v.table("ways", CacheConfig::MAX_LINES, ways);
+        v.scalar("tick", &mut self.tick);
+        v.scalar("hits", &mut self.hits);
+        v.scalar("misses", &mut self.misses);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_types::warm;
 
     fn small_cache(assoc: u32) -> SetAssocCache {
         SetAssocCache::new(&CacheConfig {
@@ -385,6 +367,22 @@ mod tests {
         assert!(a.probe(0x400));
         assert!(!a.probe(0x800));
         assert!(!a.access_stamped(0x1000, 13));
+    }
+
+    /// Invalid ways keep their LRU stamps, which order the next victims, so
+    /// a checkpoint of a flushed cache lists them and a restore keeps them.
+    #[test]
+    fn restore_keeps_the_stamps_of_invalid_ways() {
+        let mut c = small_cache(2);
+        c.fill(0x0);
+        c.fill(0x400);
+        assert!(c.access(0x0)); // way 0 now has the newer stamp
+        c.flush_all();
+        let mut restored = small_cache(2);
+        warm::restore(&mut restored, &warm::capture(&mut c)).unwrap();
+        c.fill_stamped(0x800, 9);
+        restored.fill_stamped(0x800, 9);
+        assert_eq!(warm::capture(&mut restored), warm::capture(&mut c));
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //! [`MemoryHierarchy`] facade fuses one core's levels with a shared level of
 //! its own, for tests and benchmarks that drive memory accesses directly.
 
-use serde::{Deserialize, Serialize};
-use smt_types::sparse::in_field;
+use smt_types::warm::{same_len, Warm, WarmVisitor};
 use smt_types::{ChipConfig, SmtConfig, ThreadId};
 
-use crate::cache::{CacheState, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::mshr::MshrOutcome;
-use crate::prefetch::{PrefetcherState, StreamBufferPrefetcher};
+use crate::prefetch::StreamBufferPrefetcher;
 use crate::shared::SharedLlc;
-use crate::tlb::{TlbFile, TlbFileState};
+use crate::tlb::TlbFile;
 
 /// Deepest level that had to service a data access.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,52 +62,6 @@ impl LoadAccessResult {
     }
 }
 
-/// Serializable snapshot of a [`CoreMemory`] (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct CoreMemoryState {
-    /// L1 data cache contents.
-    pub l1d: CacheState,
-    /// Private L2 contents.
-    pub l2: CacheState,
-    /// Data TLB contents.
-    pub dtlb: TlbFileState,
-    /// Prefetcher stride table and stream buffers.
-    pub prefetcher: PrefetcherState,
-    /// Per-thread completion cycle of the last long-latency load.
-    pub last_lll_completion: Vec<u64>,
-}
-
-impl CoreMemoryState {
-    /// Checks every sparse table (see
-    /// [`SparseTable::validate`](smt_types::sparse::SparseTable::validate))
-    /// and that the per-thread state covers exactly `num_threads` threads,
-    /// every stream buffer owned by one of them.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self, num_threads: usize) -> Result<(), String> {
-        for (field, threads) in [
-            ("last_lll_completion", self.last_lll_completion.len()),
-            ("dtlb.ticks", self.dtlb.ticks.len()),
-        ] {
-            if threads != num_threads {
-                // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
-                return Err(format!(
-                    "{field}: {threads} threads, checkpoint has {num_threads}"
-                ));
-            }
-        }
-        self.l1d.validate().map_err(in_field("l1d"))?;
-        self.l2.validate().map_err(in_field("l2"))?;
-        self.dtlb.validate().map_err(in_field("dtlb"))?;
-        self.prefetcher
-            .validate(num_threads)
-            .map_err(in_field("prefetcher"))
-    }
-}
-
 /// The core-private memory levels of Table IV: L1 data cache, private L2,
 /// D-TLBs, prefetcher, and per-thread long-latency serialization state.
 ///
@@ -147,6 +100,7 @@ impl CoreMemory {
             dtlb: TlbFile::new(&config.dtlb, config.num_threads),
             prefetcher: StreamBufferPrefetcher::new(
                 config.prefetcher,
+                config.num_threads,
                 config.l1d.line_bytes as u64,
                 config.memory_latency,
             ),
@@ -357,45 +311,6 @@ impl CoreMemory {
         self.store_access(shared, thread, addr, 0);
     }
 
-    /// Captures the private-level warm state for a checkpoint.
-    pub fn state(&self) -> CoreMemoryState {
-        CoreMemoryState {
-            l1d: self.l1d.state(),
-            l2: self.l2.state(),
-            dtlb: self.dtlb.state(),
-            prefetcher: self.prefetcher.state(),
-            last_lll_completion: self.last_lll_completion.clone(),
-        }
-    }
-
-    /// Restores a state captured with [`CoreMemory::state`]. Fails when any
-    /// structure's geometry differs.
-    pub fn restore_state(&mut self, state: &CoreMemoryState) -> Result<(), String> {
-        state.validate(self.last_lll_completion.len())?;
-        self.l1d.restore_state(&state.l1d)?;
-        self.l2.restore_state(&state.l2)?;
-        self.dtlb.restore_state(&state.dtlb)?;
-        self.prefetcher.restore_state(&state.prefetcher)?;
-        self.last_lll_completion
-            .copy_from_slice(&state.last_lll_completion);
-        Ok(())
-    }
-
-    /// Number of data prefetches issued so far.
-    pub fn prefetches_issued(&self) -> u64 {
-        self.prefetcher.prefetches_issued()
-    }
-
-    /// Number of demand misses covered by the prefetcher so far.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.prefetcher.prefetch_hits()
-    }
-
-    /// L1 data-cache hit rate so far.
-    pub fn l1d_hit_rate(&self) -> f64 {
-        self.l1d.hit_rate()
-    }
-
     /// Clears all private cache, TLB and prefetcher state.
     pub fn reset(&mut self) {
         self.l1d.flush_all();
@@ -405,6 +320,23 @@ impl CoreMemory {
         for c in &mut self.last_lll_completion {
             *c = 0;
         }
+    }
+}
+
+impl Warm for CoreMemory {
+    /// The L1D, L2, D-TLB and prefetcher, and per thread the completion
+    /// cycle of the last long-latency load.
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        v.part("l1d", &mut self.l1d);
+        v.part("l2", &mut self.l2);
+        v.part("dtlb", &mut self.dtlb);
+        v.part("prefetcher", &mut self.prefetcher);
+        let threads = self.last_lll_completion.len();
+        v.value(
+            "last_lll_completion",
+            &mut self.last_lll_completion,
+            same_len(threads),
+        );
     }
 }
 
@@ -449,21 +381,6 @@ impl MemoryHierarchy {
     pub fn store_access(&mut self, thread: ThreadId, addr: u64, cycle: u64) {
         self.core
             .store_access(&mut self.shared, thread, addr, cycle);
-    }
-
-    /// Number of data prefetches issued so far.
-    pub fn prefetches_issued(&self) -> u64 {
-        self.core.prefetches_issued()
-    }
-
-    /// Number of demand misses covered by the prefetcher so far.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.core.prefetch_hits()
-    }
-
-    /// L1 data-cache hit rate so far.
-    pub fn l1d_hit_rate(&self) -> f64 {
-        self.core.l1d_hit_rate()
     }
 
     /// Clears all cache, TLB, MSHR and prefetcher state.

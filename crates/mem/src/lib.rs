@@ -46,10 +46,10 @@ pub mod shared;
 pub mod tlb;
 pub mod write_buffer;
 
-pub use cache::{CacheState, SetAssocCache};
-pub use hierarchy::{AccessLevel, CoreMemory, CoreMemoryState, LoadAccessResult, MemoryHierarchy};
+pub use cache::SetAssocCache;
+pub use hierarchy::{AccessLevel, CoreMemory, LoadAccessResult, MemoryHierarchy};
 pub use mshr::MshrFile;
-pub use prefetch::{PrefetcherState, StreamBufferPrefetcher, StrideEntry};
-pub use shared::{MemoryBus, SharedLlc, SharedLlcState};
-pub use tlb::{TlbEntry, TlbFile, TlbFileState};
+pub use prefetch::{StreamBufferPrefetcher, StrideEntry};
+pub use shared::{MemoryBus, SharedLlc};
+pub use tlb::{TlbEntry, TlbFile};
 pub use write_buffer::WriteBuffer;

@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 use smt_types::config::PrefetcherConfig;
-use smt_types::sparse::{in_field, SparseTable};
+use smt_types::warm::{CheckpointError, Entries, Warm, WarmVisitor};
 use smt_types::{SmtConfig, ThreadId};
 
 /// One stride-table entry; the default is the reset (untrained) entry.
@@ -34,71 +34,18 @@ pub struct StrideEntry {
     pub confidence: u8,
 }
 
-/// Serializable snapshot of one stream buffer (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+/// One stream buffer, checkpointed whole.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
-pub struct StreamBufferState {
-    /// Whether the buffer tracks a stream.
-    pub valid: bool,
-    /// Owning thread index.
-    pub thread: u64,
-    /// `(line, available_at)` per held or in-flight line.
-    pub lines: Vec<(u64, u64)>,
-    /// Allocation stamp for LRU replacement.
-    pub last_allocated: u64,
-}
-
-/// Serializable snapshot of a [`StreamBufferPrefetcher`] (for warm
-/// checkpoints).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct PrefetcherState {
-    /// The stride-table entries with any non-default field, by slot.
-    pub stride_table: SparseTable<StrideEntry>,
-    /// Stream-buffer contents.
-    pub buffers: Vec<StreamBufferState>,
-    /// Allocation clock.
-    pub tick: u64,
-    /// Prefetches issued so far.
-    pub issued: u64,
-    /// Prefetch hits so far.
-    pub hits: u64,
-}
-
-impl PrefetcherState {
-    /// Checks the sparse stride table against
-    /// [`SmtConfig::MAX_TABLE_ENTRIES`] and that every stream buffer
-    /// belongs to one of `num_threads` threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self, num_threads: usize) -> Result<(), String> {
-        self.stride_table
-            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
-            .map_err(in_field("stride_table"))?;
-        match self
-            .buffers
-            .iter()
-            .position(|b| b.thread >= num_threads as u64)
-        {
-            // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
-            Some(i) => Err(format!(
-                "buffers[{i}].thread: {} out of range ({num_threads} threads)",
-                self.buffers[i].thread
-            )),
-            None => Ok(()),
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
 struct StreamBuffer {
+    /// Whether the buffer tracks a stream.
     valid: bool,
+    /// Owning thread index.
     thread: usize,
     /// Line addresses held (or being fetched) by this buffer, with the cycle at
     /// which each becomes available.
     lines: Vec<(u64, u64)>,
+    /// Allocation stamp for LRU replacement.
     last_allocated: u64,
 }
 
@@ -117,6 +64,8 @@ pub struct StreamBufferPrefetcher {
     config: PrefetcherConfig,
     stride_table: Vec<StrideEntry>,
     buffers: Vec<StreamBuffer>,
+    /// Number of hardware threads that may own a buffer.
+    threads: usize,
     line_bytes: u64,
     memory_latency: u64,
     tick: u64,
@@ -127,14 +76,20 @@ pub struct StreamBufferPrefetcher {
 impl StreamBufferPrefetcher {
     /// Creates a prefetcher.
     ///
-    /// `line_bytes` is the cache-line size prefetches operate on and
+    /// `threads` is the number of hardware threads that own buffers,
+    /// `line_bytes` the cache-line size prefetches operate on and
     /// `memory_latency` the cycles needed to bring a prefetched line on chip.
     ///
     /// # Panics
     ///
     /// Panics if the configuration has zero buffers, entries, or stride-table
     /// entries while enabled.
-    pub fn new(config: PrefetcherConfig, line_bytes: u64, memory_latency: u64) -> Self {
+    pub fn new(
+        config: PrefetcherConfig,
+        threads: usize,
+        line_bytes: u64,
+        memory_latency: u64,
+    ) -> Self {
         if config.enabled {
             assert!(config.stream_buffers > 0, "prefetcher needs stream buffers");
             assert!(config.entries_per_buffer > 0, "stream buffers need entries");
@@ -153,6 +108,7 @@ impl StreamBufferPrefetcher {
                     last_allocated: 0,
                 })
                 .collect(),
+            threads,
             config,
             line_bytes,
             memory_latency,
@@ -160,11 +116,6 @@ impl StreamBufferPrefetcher {
             issued: 0,
             hits: 0,
         }
-    }
-
-    /// Whether prefetching is enabled.
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
     }
 
     /// Total prefetch requests issued.
@@ -297,54 +248,6 @@ impl StreamBufferPrefetcher {
         victim.last_allocated = tick;
     }
 
-    /// Captures the prefetcher state for a warm checkpoint.
-    pub fn state(&self) -> PrefetcherState {
-        PrefetcherState {
-            stride_table: SparseTable::capture(&self.stride_table, StrideEntry::default()),
-            buffers: self
-                .buffers
-                .iter()
-                .map(|b| StreamBufferState {
-                    valid: b.valid,
-                    thread: b.thread as u64,
-                    lines: b.lines.clone(),
-                    last_allocated: b.last_allocated,
-                })
-                .collect(),
-            tick: self.tick,
-            issued: self.issued,
-            hits: self.hits,
-        }
-    }
-
-    /// Restores a state captured with [`StreamBufferPrefetcher::state`].
-    /// Fails, and leaves the prefetcher unchanged, when the geometry differs
-    /// or a stride-table slot is out of range, repeated or out of order.
-    pub fn restore_state(&mut self, state: &PrefetcherState) -> Result<(), String> {
-        if state.buffers.len() != self.buffers.len() {
-            return Err(format!(
-                "prefetcher geometry mismatch: state has {} buffers, prefetcher has {}",
-                state.buffers.len(),
-                self.buffers.len()
-            ));
-        }
-        state
-            .stride_table
-            .restore_into(&mut self.stride_table, StrideEntry::default())
-            .map_err(in_field("stride_table"))?;
-        for (buf, s) in self.buffers.iter_mut().zip(state.buffers.iter()) {
-            buf.valid = s.valid;
-            buf.thread = s.thread as usize;
-            buf.lines.clear();
-            buf.lines.extend(s.lines.iter().copied());
-            buf.last_allocated = s.last_allocated;
-        }
-        self.tick = state.tick;
-        self.issued = state.issued;
-        self.hits = state.hits;
-        Ok(())
-    }
-
     /// Clears all prefetcher state.
     pub fn reset(&mut self) {
         for e in &mut self.stride_table {
@@ -357,12 +260,40 @@ impl StreamBufferPrefetcher {
     }
 }
 
+impl Warm for StreamBufferPrefetcher {
+    /// The stride table by slot, the stream buffers, the allocation clock
+    /// and the issued and hit counts.
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let max_len = u64::from(SmtConfig::MAX_TABLE_ENTRIES);
+        let stride_table = Entries(&mut self.stride_table, StrideEntry::default());
+        v.table("stride_table", max_len, stride_table);
+        let (count, threads) = (self.buffers.len(), self.threads);
+        v.value("buffers", &mut self.buffers, |buffers| {
+            if buffers.len() != count {
+                // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+                let reason = format!("{} buffers, prefetcher has {count}", buffers.len());
+                return Err(CheckpointError::new("", reason));
+            }
+            let Some(i) = buffers.iter().position(|b| b.thread >= threads) else {
+                return Ok(());
+            };
+            // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+            let reason = format!("{} out of range ({threads} threads)", buffers[i].thread);
+            // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+            Err(CheckpointError::new(format!("[{i}].thread"), reason))
+        });
+        v.scalar("tick", &mut self.tick);
+        v.scalar("issued", &mut self.issued);
+        v.scalar("hits", &mut self.hits);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pf() -> StreamBufferPrefetcher {
-        StreamBufferPrefetcher::new(PrefetcherConfig::default(), 64, 350)
+        StreamBufferPrefetcher::new(PrefetcherConfig::default(), 2, 64, 350)
     }
 
     fn train_strided(p: &mut StreamBufferPrefetcher, pc: u64, start: u64, stride: u64, n: u64) {
@@ -378,7 +309,7 @@ mod tests {
             enabled: false,
             ..PrefetcherConfig::default()
         };
-        let mut p = StreamBufferPrefetcher::new(cfg, 64, 350);
+        let mut p = StreamBufferPrefetcher::new(cfg, 1, 64, 350);
         let t = ThreadId::new(0);
         p.train(t, 0x10, 0x1000);
         p.on_demand_miss(t, 0x10, 0x1000, 0);

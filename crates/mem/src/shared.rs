@@ -45,13 +45,10 @@
 //! Each core's cycle is therefore a function of cycle-start state and its
 //! own requests, whatever order the cores step in.
 
-use smt_types::sparse::in_field;
+use smt_types::warm::{Warm, WarmVisitor};
 use smt_types::ChipConfig;
 
 use crate::cache::SetAssocCache;
-use serde::{Deserialize, Serialize};
-
-use crate::cache::CacheState;
 use crate::mshr::{MshrFile, MshrOutcome};
 
 /// The shared off-chip memory bus: each in-flight line transfer adds one bus
@@ -116,32 +113,6 @@ impl MemoryBus {
     pub fn reset(&mut self) {
         self.inflight.clear();
         self.frozen = 0;
-    }
-}
-
-/// Serializable snapshot of a [`SharedLlc`] (for warm checkpoints).
-///
-/// Only the warm (cache-content) state is captured: checkpoints are taken at
-/// quiescent boundaries where no misses are outstanding, no bus transfers are
-/// in flight, and no fills are staged, so the transient timing state is
-/// structurally empty and restores to empty.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct SharedLlcState {
-    /// LLC tag-store contents.
-    pub llc: CacheState,
-    /// Current cycle stamp (read by chip arbitration only).
-    pub cycle: u64,
-}
-
-impl SharedLlcState {
-    /// Checks the LLC's sparse way table (see [`CacheState::validate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.llc.validate().map_err(in_field("llc"))
     }
 }
 
@@ -292,33 +263,6 @@ impl SharedLlc {
             && self.staged.is_empty()
     }
 
-    /// Captures the warm state for a checkpoint. Fails unless the level is
-    /// quiescent (see [`SharedLlc::is_quiescent`]).
-    pub fn state(&self) -> Result<SharedLlcState, String> {
-        if !self.is_quiescent() {
-            return Err(
-                "shared LLC has outstanding misses, bus transfers, or staged fills; \
-                 checkpoints are only legal at quiescent boundaries"
-                    .to_string(),
-            );
-        }
-        Ok(SharedLlcState {
-            llc: self.llc.state(),
-            cycle: self.cycle,
-        })
-    }
-
-    /// Restores a state captured with [`SharedLlc::state`]; the transient
-    /// timing state (MSHRs, bus, staged fills) is reset to empty.
-    pub fn restore_state(&mut self, state: &SharedLlcState) -> Result<(), String> {
-        self.llc.restore_state(&state.llc)?;
-        self.cycle = state.cycle;
-        self.mshrs.reset();
-        self.bus.reset();
-        self.staged.clear();
-        Ok(())
-    }
-
     /// Clears all LLC, MSHR, bus and staging state.
     pub fn reset(&mut self) {
         self.llc.flush_all();
@@ -326,6 +270,22 @@ impl SharedLlc {
         self.bus.reset();
         self.staged.clear();
         self.cycle = 0;
+    }
+}
+
+/// Only the warm (cache-content) state is checkpointed: checkpoints are
+/// taken at quiescent boundaries (see [`SharedLlc::is_quiescent`]), where the
+/// transient timing state is structurally empty, and it restores to empty.
+impl Warm for SharedLlc {
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        v.part("llc", &mut self.llc);
+        v.scalar("cycle", &mut self.cycle);
+    }
+
+    fn restored(&mut self) {
+        self.mshrs.reset();
+        self.bus.reset();
+        self.staged.clear();
     }
 }
 

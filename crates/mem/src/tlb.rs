@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use smt_types::config::TlbConfig;
-use smt_types::sparse::{in_field, SparseTable};
+use smt_types::warm::{same_len, Entries, Warm, WarmVisitor};
 use smt_types::SmtConfig;
 
 /// One TLB entry; the default is the reset (invalid) entry.
@@ -15,34 +15,6 @@ pub struct TlbEntry {
     pub vpn: u64,
     /// LRU stamp.
     pub last_used: u64,
-}
-
-/// Serializable snapshot of a [`TlbFile`] (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct TlbFileState {
-    /// The entries with any non-default field, indexed by
-    /// `thread * entries_per_thread + entry`.
-    pub entries: SparseTable<TlbEntry>,
-    /// Per-thread LRU clocks.
-    pub ticks: Vec<u64>,
-    /// Hits so far.
-    pub hits: u64,
-    /// Misses so far.
-    pub misses: u64,
-}
-
-impl TlbFileState {
-    /// Checks the sparse entry table against
-    /// [`SmtConfig::MAX_TABLE_ENTRIES`] entries per thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        let max_len = u64::from(SmtConfig::MAX_TABLE_ENTRIES) * self.ticks.len() as u64;
-        self.entries.validate(max_len).map_err(in_field("entries"))
-    }
 }
 
 /// Sentinel for "no slot" in [`LruIndex`] links.
@@ -163,7 +135,7 @@ impl LruIndex {
     /// vpns keep first-slot-wins semantics like the original linear scan.
     fn rebuild(&mut self, entries: &[TlbEntry]) {
         self.map.clear();
-        // analyze: allow(hot-path-alloc) reason="once per checkpoint restore, called only from restore_state"
+        // analyze: allow(hot-path-alloc) reason="once per checkpoint restore or flush, never in the cycle loop"
         let mut slots: Vec<u32> = (0..entries.len() as u32).collect();
         slots.sort_by_key(|&s| {
             let e = &entries[s as usize];
@@ -340,39 +312,6 @@ impl TlbFile {
         self.misses
     }
 
-    /// Captures the TLB-file state for a warm checkpoint: only the entries
-    /// with a non-default field.
-    pub fn state(&self) -> TlbFileState {
-        TlbFileState {
-            entries: SparseTable::capture(&self.entries, TlbEntry::default()),
-            ticks: self.ticks.clone(),
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-
-    /// Restores a state captured with [`TlbFile::state`]. Fails, and leaves
-    /// the file unchanged, when the geometry differs or an entry index is
-    /// out of range, repeated or out of order.
-    pub fn restore_state(&mut self, state: &TlbFileState) -> Result<(), String> {
-        if state.ticks.len() != self.ticks.len() {
-            return Err(format!(
-                "TLB geometry mismatch: state has {} threads, file has {}",
-                state.ticks.len(),
-                self.ticks.len()
-            ));
-        }
-        state
-            .entries
-            .restore_into(&mut self.entries, TlbEntry::default())
-            .map_err(in_field("entries"))?;
-        self.ticks.copy_from_slice(&state.ticks);
-        self.hits = state.hits;
-        self.misses = state.misses;
-        self.rebuild_indexes();
-        Ok(())
-    }
-
     /// Invalidates every translation of every thread.
     pub fn flush_all(&mut self) {
         for e in &mut self.entries {
@@ -391,9 +330,28 @@ impl TlbFile {
     }
 }
 
+impl Warm for TlbFile {
+    /// The entries (indexed by `thread * entries_per_thread + entry`), the
+    /// per-thread LRU clocks and the hit and miss counts.
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let threads = self.ticks.len();
+        let max_len = u64::from(SmtConfig::MAX_TABLE_ENTRIES) * threads as u64;
+        let entries = Entries(&mut self.entries, TlbEntry::default());
+        v.table("entries", max_len, entries);
+        v.value("ticks", &mut self.ticks, same_len(threads));
+        v.scalar("hits", &mut self.hits);
+        v.scalar("misses", &mut self.misses);
+    }
+
+    fn restored(&mut self) {
+        self.rebuild_indexes();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_types::warm;
 
     fn tiny() -> TlbFile {
         TlbFile::new(
@@ -502,8 +460,8 @@ mod tests {
 
     #[test]
     fn indexed_file_matches_reference_across_restore() {
-        // Same property at TlbFile scale, with a state()/restore_state()
-        // round-trip into a fresh file mid-stream: the rebuilt index must
+        // Same property at TlbFile scale, with a warm-state capture and
+        // restore into a fresh file mid-stream: the rebuilt index must
         // continue replaying the linear reference exactly.
         let cfg = TlbConfig {
             entries: 4,
@@ -526,10 +484,10 @@ mod tests {
                     reference_access_entries(&mut reference[thread], ticks[thread], addr >> 12);
                 assert_eq!(got, want, "divergence at phase {phase} access {i}");
             }
-            let snapshot = file.state();
+            let snapshot = warm::capture(&mut file);
             let mut fresh = TlbFile::new(&cfg, threads);
-            fresh.restore_state(&snapshot).expect("geometry matches");
-            assert_eq!(fresh.state(), snapshot);
+            warm::restore(&mut fresh, &snapshot).expect("geometry matches");
+            assert_eq!(warm::capture(&mut fresh), snapshot);
             file = fresh;
         }
     }

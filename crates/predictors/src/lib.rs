@@ -47,7 +47,7 @@ pub mod mlp;
 
 pub use lll::{
     LastValuePredictor, LongLatencyPredictor, MissPatternEntry, MissPatternPredictor,
-    MissPatternState, TwoBitMissPredictor,
+    TwoBitMissPredictor,
 };
-pub use llsr::{Llsr, LlsrState, MlpObservation};
-pub use mlp::{BinaryMlpPredictor, BinaryMlpState, MlpDistancePredictor, MlpDistanceState};
+pub use llsr::{Llsr, MlpObservation};
+pub use mlp::{BinaryMlpPredictor, MlpDistancePredictor};

@@ -1,6 +1,6 @@
 //! Long-latency load predictors (Section 4.1).
 
-use smt_types::sparse::{in_field, SparseTable};
+use smt_types::warm::{Entries, Warm, WarmVisitor};
 use smt_types::SmtConfig;
 
 /// Interface shared by all long-latency load predictors.
@@ -33,8 +33,10 @@ pub trait LongLatencyPredictor {
 #[derive(Clone, Debug)]
 pub struct MissPatternPredictor {
     entries: Vec<MissPatternEntry>,
-    counter_max: u8,
 }
+
+/// The saturation value of the 6-bit hit counters.
+const COUNTER_MAX: u8 = 63;
 
 /// One miss-pattern table entry; the default is the reset entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, serde::Serialize, serde::Deserialize)]
@@ -48,27 +50,6 @@ pub struct MissPatternEntry {
     pub seen_miss: bool,
 }
 
-/// Serializable snapshot of a [`MissPatternPredictor`] (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct MissPatternState {
-    /// The entries that differ from reset, by table slot.
-    pub entries: SparseTable<MissPatternEntry>,
-}
-
-impl MissPatternState {
-    /// Checks the sparse table against [`SmtConfig::MAX_TABLE_ENTRIES`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.entries
-            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
-            .map_err(in_field("entries"))
-    }
-}
-
 impl MissPatternPredictor {
     /// Creates a predictor with `entries` table entries and 6-bit counters.
     ///
@@ -76,46 +57,22 @@ impl MissPatternPredictor {
     ///
     /// Panics if `entries` is zero.
     pub fn new(entries: u32) -> Self {
-        Self::with_counter_bits(entries, 6)
-    }
-
-    /// Creates a predictor with an explicit counter width (used by sizing studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is zero or `counter_bits` is zero or greater than 8.
-    pub fn with_counter_bits(entries: u32, counter_bits: u32) -> Self {
         assert!(entries > 0, "predictor needs at least one entry");
-        assert!(
-            counter_bits > 0 && counter_bits <= 8,
-            "counter bits must be in 1..=8"
-        );
         MissPatternPredictor {
             entries: vec![MissPatternEntry::default(); entries as usize],
-            counter_max: ((1u16 << counter_bits) - 1) as u8,
         }
     }
 
     fn slot(&self, pc: u64) -> usize {
         (pc as usize / 4) % self.entries.len()
     }
+}
 
-    /// Captures the predictor state for a warm checkpoint: only the entries
-    /// that differ from reset.
-    pub fn state(&self) -> MissPatternState {
-        MissPatternState {
-            entries: SparseTable::capture(&self.entries, MissPatternEntry::default()),
-        }
-    }
-
-    /// Restores a state captured with [`MissPatternPredictor::state`].
-    /// Fails, and leaves the predictor unchanged, when the table geometry
-    /// differs or an entry index is out of range, repeated or out of order.
-    pub fn restore_state(&mut self, state: &MissPatternState) -> Result<(), String> {
-        state
-            .entries
-            .restore_into(&mut self.entries, MissPatternEntry::default())
-            .map_err(in_field("entries"))
+impl Warm for MissPatternPredictor {
+    /// The table entries by slot.
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let entries = Entries(&mut self.entries, MissPatternEntry::default());
+        v.table("entries", u64::from(SmtConfig::MAX_TABLE_ENTRIES), entries);
     }
 }
 
@@ -129,7 +86,6 @@ impl LongLatencyPredictor for MissPatternPredictor {
     }
 
     fn update(&mut self, pc: u64, was_long_latency: bool) {
-        let counter_max = self.counter_max;
         let slot = self.slot(pc);
         let e = &mut self.entries[slot];
         if was_long_latency {
@@ -137,7 +93,7 @@ impl LongLatencyPredictor for MissPatternPredictor {
             e.since_last = 0;
             e.seen_miss = true;
         } else {
-            e.since_last = (e.since_last + 1).min(counter_max);
+            e.since_last = (e.since_last + 1).min(COUNTER_MAX);
         }
     }
 

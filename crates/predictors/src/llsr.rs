@@ -14,14 +14,7 @@
 
 use std::collections::VecDeque;
 
-/// Serializable snapshot of an [`Llsr`]'s contents (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct LlsrState {
-    /// `(pc, is_long_latency_load)` per in-flight committed instruction,
-    /// oldest first.
-    pub entries: Vec<(u64, bool)>,
-}
+use smt_types::warm::{CheckpointError, Warm, WarmVisitor};
 
 /// One completed MLP-distance observation produced by the LLSR.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -116,27 +109,20 @@ impl Llsr {
     pub fn reset(&mut self) {
         self.entries.clear();
     }
+}
 
-    /// Captures the register contents for a warm checkpoint.
-    pub fn state(&self) -> LlsrState {
-        LlsrState {
-            entries: self.entries.iter().copied().collect(),
-        }
-    }
-
-    /// Restores a state captured with [`Llsr::state`]. Fails when the state
-    /// holds more entries than this register's capacity.
-    pub fn restore_state(&mut self, state: &LlsrState) -> Result<(), String> {
-        if state.entries.len() > self.capacity {
-            return Err(format!(
-                "LLSR state has {} entries, register capacity is {}",
-                state.entries.len(),
-                self.capacity
-            ));
-        }
-        self.entries.clear();
-        self.entries.extend(state.entries.iter().copied());
-        Ok(())
+impl Warm for Llsr {
+    /// `(pc, is_long_latency_load)` per committed instruction in the
+    /// window, oldest first.
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let capacity = self.capacity;
+        v.value("entries", &mut self.entries, |entries| {
+            if entries.len() <= capacity {
+                return Ok(());
+            }
+            let reason = format!("{} entries, register capacity is {capacity}", entries.len());
+            Err(CheckpointError::new("", reason))
+        });
     }
 }
 

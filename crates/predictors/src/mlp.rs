@@ -1,6 +1,6 @@
 //! MLP predictors (Section 4.2 and the Section 6.5 alternatives).
 
-use smt_types::sparse::{in_field, SparseTable};
+use smt_types::warm::{Entries, Warm, WarmVisitor};
 use smt_types::SmtConfig;
 
 /// Last-value predictor of the MLP *distance* of a long-latency load.
@@ -61,11 +61,6 @@ impl MlpDistancePredictor {
         self.updates += 1;
     }
 
-    /// Maximum distance the predictor can represent.
-    pub fn max_distance(&self) -> u32 {
-        self.max_distance
-    }
-
     /// Number of training updates applied.
     pub fn updates(&self) -> u64 {
         self.updates
@@ -75,26 +70,15 @@ impl MlpDistancePredictor {
     pub fn reset(&mut self) {
         self.table.iter_mut().for_each(|e| *e = 0);
     }
+}
 
-    /// Captures the predictor state for a warm checkpoint: only the
-    /// non-zero distances.
-    pub fn state(&self) -> MlpDistanceState {
-        MlpDistanceState {
-            table: SparseTable::capture(&self.table, 0),
-            updates: self.updates,
-        }
-    }
-
-    /// Restores a state captured with [`MlpDistancePredictor::state`].
-    /// Fails, and leaves the predictor unchanged, when the table geometry
-    /// differs or an entry index is out of range, repeated or out of order.
-    pub fn restore_state(&mut self, state: &MlpDistanceState) -> Result<(), String> {
-        state
-            .table
-            .restore_into(&mut self.table, 0)
-            .map_err(in_field("table"))?;
-        self.updates = state.updates;
-        Ok(())
+impl Warm for MlpDistancePredictor {
+    /// The last observed MLP distances by slot (0, no MLP, is the reset
+    /// value) and the number of updates.
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let table = Entries(&mut self.table, 0);
+        v.table("table", u64::from(SmtConfig::MAX_TABLE_ENTRIES), table);
+        v.scalar("updates", &mut self.updates);
     }
 }
 
@@ -104,50 +88,6 @@ impl MlpDistancePredictor {
 #[derive(Clone, Debug)]
 pub struct BinaryMlpPredictor {
     table: Vec<bool>,
-}
-
-/// Serializable snapshot of a [`MlpDistancePredictor`] (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct MlpDistanceState {
-    /// The non-zero last observed MLP distances, by table slot.
-    pub table: SparseTable<u16>,
-    /// Updates applied so far.
-    pub updates: u64,
-}
-
-impl MlpDistanceState {
-    /// Checks the sparse table against [`SmtConfig::MAX_TABLE_ENTRIES`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.table
-            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
-            .map_err(in_field("table"))
-    }
-}
-
-/// Serializable snapshot of a [`BinaryMlpPredictor`] (for warm checkpoints).
-#[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct BinaryMlpState {
-    /// The slots whose last observation showed MLP (all `true`).
-    pub table: SparseTable<bool>,
-}
-
-impl BinaryMlpState {
-    /// Checks the sparse table against [`SmtConfig::MAX_TABLE_ENTRIES`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.table
-            .validate(u64::from(SmtConfig::MAX_TABLE_ENTRIES))
-            .map_err(in_field("table"))
-    }
 }
 
 impl BinaryMlpPredictor {
@@ -182,23 +122,13 @@ impl BinaryMlpPredictor {
     pub fn reset(&mut self) {
         self.table.iter_mut().for_each(|e| *e = false);
     }
+}
 
-    /// Captures the predictor state for a warm checkpoint: only the slots
-    /// that saw MLP.
-    pub fn state(&self) -> BinaryMlpState {
-        BinaryMlpState {
-            table: SparseTable::capture(&self.table, false),
-        }
-    }
-
-    /// Restores a state captured with [`BinaryMlpPredictor::state`]. Fails,
-    /// and leaves the predictor unchanged, when the table geometry differs
-    /// or an entry index is out of range, repeated or out of order.
-    pub fn restore_state(&mut self, state: &BinaryMlpState) -> Result<(), String> {
-        state
-            .table
-            .restore_into(&mut self.table, false)
-            .map_err(in_field("table"))
+impl Warm for BinaryMlpPredictor {
+    /// The slots whose last observation showed MLP.
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let table = Entries(&mut self.table, false);
+        v.table("table", u64::from(SmtConfig::MAX_TABLE_ENTRIES), table);
     }
 }
 
@@ -220,7 +150,6 @@ mod tests {
         let mut p = MlpDistancePredictor::new(64, 64);
         p.update(0x40, 1000);
         assert_eq!(p.predict(0x40), 64);
-        assert_eq!(p.max_distance(), 64);
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl FileTraceSource {
         Ok(source)
     }
 
-    /// Total ops handed out so far (the absolute stream position).
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
     /// Records in the underlying file (one cycle of the infinite stream).
     pub fn op_count(&self) -> u64 {
         self.op_count

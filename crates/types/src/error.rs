@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::warm::CheckpointError;
+
 /// Errors produced while configuring or running the simulator.
 ///
 /// # Example
@@ -40,6 +42,8 @@ pub enum SimError {
         /// Human-readable description of the exhausted budget.
         reason: String,
     },
+    /// A checkpoint does not fit the simulator it is restored into.
+    Checkpoint(CheckpointError),
 }
 
 impl SimError {
@@ -80,11 +84,18 @@ impl fmt::Display for SimError {
             SimError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
             SimError::Internal { reason } => write!(f, "internal simulator error: {reason}"),
             SimError::DeadlineExceeded { reason } => write!(f, "deadline exceeded: {reason}"),
+            SimError::Checkpoint(error) => write!(f, "invalid checkpoint: {error}"),
         }
     }
 }
 
 impl Error for SimError {}
+
+impl From<CheckpointError> for SimError {
+    fn from(error: CheckpointError) -> Self {
+        SimError::Checkpoint(error)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -114,6 +125,10 @@ mod tests {
         assert_eq!(
             SimError::deadline_exceeded("cycle cap hit").to_string(),
             "deadline exceeded: cycle cap hit"
+        );
+        assert_eq!(
+            SimError::from(CheckpointError::new("llc.ways.len", "too long")).to_string(),
+            "invalid checkpoint: llc.ways.len: too long"
         );
     }
 

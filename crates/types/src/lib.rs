@@ -13,7 +13,8 @@
 //! * error types ([`error`]),
 //! * the experiment engine's per-cell failure taxonomy ([`resilience`]),
 //! * the sampled-simulation cadence and estimate types ([`sampling`]),
-//! * the sparse checkpoint form of a fixed-size warm table ([`sparse`]).
+//! * the sparse checkpoint form of a fixed-size warm table ([`sparse`]),
+//! * the one checkpoint path of every warm structure ([`warm`]).
 //!
 //! # Example
 //!
@@ -38,6 +39,7 @@ pub mod sampling;
 pub mod snapshot;
 pub mod sparse;
 pub mod stats;
+pub mod warm;
 
 pub use config::{BusConfig, ChipConfig, SmtConfig};
 pub use error::SimError;
@@ -49,3 +51,4 @@ pub use sampling::{CheckpointMeta, MetricEstimate, SampledEstimate, SamplingConf
 pub use snapshot::{SmtSnapshot, ThreadSnapshot};
 pub use sparse::SparseTable;
 pub use stats::{ChipStats, MachineStats, ThreadStats};
+pub use warm::{CheckpointError, Warm, WarmState, WarmVisitor};

@@ -5,9 +5,11 @@
 //! predictor table still hold their reset value, so a checkpoint lists the
 //! others by index, as SMARTS live-points store only the warm state a sample
 //! needs. Every warm table of a checkpoint uses this one form and this one
-//! validation rule.
+//! validation rule ([`crate::warm`] captures and restores them).
 
 use serde::{Deserialize, Error, Serialize, Value};
+
+use crate::warm::CheckpointError;
 
 /// A fixed-size table of `len` entries stored as the indices and values of
 /// its non-reset entries.
@@ -21,11 +23,10 @@ use serde::{Deserialize, Error, Serialize, Value};
 /// use smt_types::sparse::SparseTable;
 ///
 /// let table = [0u16, 7, 0, 0, 3];
-/// let sparse = SparseTable::capture(&table, 0);
+/// let sparse = SparseTable::from_fn(table.len(), |i| (table[i] != 0).then_some(table[i]));
 /// assert_eq!((sparse.len, &sparse.indices[..], &sparse.values[..]), (5, &[1, 4][..], &[7, 3][..]));
-/// let mut restored = [9u16; 5];
-/// sparse.restore_into(&mut restored, 0).unwrap();
-/// assert_eq!(restored, table);
+/// assert!(sparse.validate(5).is_ok());
+/// assert_eq!(sparse.validate(4).unwrap_err().to_string(), "len: 5 exceeds the limit of 4 entries");
 /// ```
 #[derive(Clone, PartialEq, Debug)]
 pub struct SparseTable<T> {
@@ -35,13 +36,6 @@ pub struct SparseTable<T> {
     pub indices: Vec<u32>,
     /// The listed entries, parallel to `indices`.
     pub values: Vec<T>,
-}
-
-/// Prefixes an error message with the field it was found in, building a
-/// dotted path as the error propagates outward (`llc` then `shared` turn
-/// `ways.len: ...` into `shared.llc.ways.len: ...`).
-pub fn in_field(field: &str) -> impl Fn(String) -> String + '_ {
-    move |message| format!("{field}.{message}")
 }
 
 impl<T> SparseTable<T> {
@@ -72,14 +66,6 @@ impl<T> SparseTable<T> {
         }
     }
 
-    /// Lists the entries of `table` that differ from its reset value.
-    pub fn capture(table: &[T], reset: T) -> Self
-    where
-        T: Copy + PartialEq,
-    {
-        Self::from_fn(table.len(), |i| (table[i] != reset).then_some(table[i]))
-    }
-
     /// The listed entries as `(index, value)` pairs in ascending index
     /// order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, &T)> {
@@ -92,74 +78,38 @@ impl<T> SparseTable<T> {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending field (`len`, `values` or
+    /// Returns an error naming the offending field (`len`, `values` or
     /// `indices[k]`) and the first violation.
-    pub fn validate(&self, max_len: u64) -> Result<(), String> {
+    pub fn validate(&self, max_len: u64) -> Result<(), CheckpointError> {
         if self.len > max_len {
-            return Err(format!(
-                "len: {} exceeds the limit of {max_len} entries",
-                self.len
+            return Err(CheckpointError::new(
+                "len",
+                format!("{} exceeds the limit of {max_len} entries", self.len),
             ));
         }
         if self.values.len() != self.indices.len() {
-            return Err(format!(
-                "values: {} values for {} indices",
-                self.values.len(),
-                self.indices.len()
+            return Err(CheckpointError::new(
+                "values",
+                format!(
+                    "{} values for {} indices",
+                    self.values.len(),
+                    self.indices.len()
+                ),
             ));
         }
         // The smallest index the next entry may carry.
         let mut next = 0u64;
         for (k, &index) in self.indices.iter().enumerate() {
             let index = u64::from(index);
-            if index >= self.len {
-                return Err(format!(
-                    "indices[{k}]: index {index} out of range (len {})",
-                    self.len
-                ));
-            }
-            if index < next {
-                return Err(format!(
-                    "indices[{k}]: index {index} repeated or out of ascending order"
-                ));
-            }
-            next = index + 1;
-        }
-        Ok(())
-    }
-
-    /// Checks that this table restores into a table of exactly `len`
-    /// entries and [validates](Self::validate) it against that length.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the length mismatch or the first violation
-    /// of the rule.
-    pub fn check_restore(&self, len: usize) -> Result<(), String> {
-        if self.len != len as u64 {
-            return Err(format!(
-                "len: geometry mismatch: state has {} entries, table has {len}",
-                self.len
-            ));
-        }
-        self.validate(len as u64)
-    }
-
-    /// Resets every entry of `table` to `reset` and scatters the listed
-    /// entries back. Fails, and leaves `table` unchanged, when
-    /// [`check_restore`](Self::check_restore) does.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message of [`check_restore`](Self::check_restore).
-    pub fn restore_into(&self, table: &mut [T], reset: T) -> Result<(), String>
-    where
-        T: Copy,
-    {
-        self.check_restore(table.len())?;
-        table.fill(reset);
-        for (index, &value) in self.entries() {
-            table[index] = value;
+            let fault = if index >= self.len {
+                format!("index {index} out of range (len {})", self.len)
+            } else if index < next {
+                format!("index {index} repeated or out of ascending order")
+            } else {
+                next = index + 1;
+                continue;
+            };
+            return Err(CheckpointError::new(format!("indices[{k}]"), fault));
         }
         Ok(())
     }
@@ -203,6 +153,7 @@ impl<T: Deserialize> Deserialize for SparseTable<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warm::{capture, restore, Entries, Warm, WarmState, WarmVisitor};
 
     fn table(len: u64, indices: &[u32]) -> SparseTable<u8> {
         SparseTable {
@@ -212,16 +163,36 @@ mod tests {
         }
     }
 
+    /// A bare table whose entries reset to the second field, as the one
+    /// field `t` of a warm structure.
+    struct Bare<T>(Vec<T>, T);
+
+    impl<T: Copy + PartialEq + Serialize + Deserialize + Send + Sync + 'static> Warm for Bare<T> {
+        fn visit(&mut self, v: &mut impl WarmVisitor) {
+            v.table("t", 64, Entries(&mut self.0, self.1));
+        }
+    }
+
+    fn sparse<T: Copy + PartialEq>(table: &[T], reset: T) -> SparseTable<T> {
+        SparseTable::from_fn(table.len(), |i| (table[i] != reset).then_some(table[i]))
+    }
+
+    /// `sparse` as the state of a [`Bare`] table.
+    fn state<T: Serialize>(sparse: &SparseTable<T>) -> WarmState {
+        let json = format!("{{\"t\":{}}}", serde_json::to_string(sparse).unwrap());
+        serde_json::from_str(&json).unwrap()
+    }
+
     #[test]
     fn empty_table_lists_nothing_and_restores_to_reset() {
-        let sparse = SparseTable::capture(&[0u8; 16], 0);
+        let sparse = sparse(&[0u8; 16], 0);
         assert_eq!(sparse.len, 16);
         assert!(sparse.indices.is_empty() && sparse.values.is_empty());
         sparse.validate(16).unwrap();
-        let mut dirty = [5u8; 16];
-        sparse.restore_into(&mut dirty, 0).unwrap();
-        assert_eq!(dirty, [0; 16]);
-        let none = SparseTable::<u8>::capture(&[], 0);
+        let mut dirty = Bare(vec![5u8; 16], 0);
+        restore(&mut dirty, &state(&sparse)).unwrap();
+        assert_eq!(dirty.0, [0; 16]);
+        let none = SparseTable::<u8>::from_fn(0, |_| None);
         assert_eq!(none.len, 0);
         none.validate(0).unwrap();
     }
@@ -229,21 +200,24 @@ mod tests {
     #[test]
     fn full_table_lists_every_entry() {
         let full: Vec<u16> = (1..=8).collect();
-        let sparse = SparseTable::capture(&full, 0);
+        let mut bare = Bare(full.clone(), 0);
+        let captured = capture(&mut bare);
+        let sparse = sparse(&full, 0);
         assert_eq!(sparse.indices, (0..8).collect::<Vec<u32>>());
         assert_eq!(sparse.values, full);
-        let mut restored = vec![0u16; 8];
-        sparse.restore_into(&mut restored, 0).unwrap();
-        assert_eq!(restored, full);
+        assert_eq!(captured, state(&sparse));
+        let mut restored = Bare(vec![0u16; 8], 0);
+        restore(&mut restored, &captured).unwrap();
+        assert_eq!(restored.0, full);
     }
 
     #[test]
     fn default_valued_entries_are_left_out() {
-        let sparse = SparseTable::capture(&[0u8, 3, 0, 0, 4, 0], 0);
-        assert_eq!(sparse.indices, [1, 4]);
-        assert_eq!(sparse.values, [3, 4]);
+        let listed = sparse(&[0u8, 3, 0, 0, 4, 0], 0);
+        assert_eq!(listed.indices, [1, 4]);
+        assert_eq!(listed.values, [3, 4]);
         // A reset value other than zero (gshare's weakly-not-taken 1).
-        let counters = SparseTable::capture(&[1u8, 1, 3, 0, 1], 1);
+        let counters = sparse(&[1u8, 1, 3, 0, 1], 1);
         assert_eq!(
             (counters.indices, counters.values),
             (vec![2, 3], vec![3, 0])
@@ -261,7 +235,7 @@ mod tests {
     #[test]
     fn out_of_range_unsorted_mismatched_or_over_cap_input_is_rejected() {
         table(4, &[0, 1, 3]).validate(4).unwrap();
-        let fault = |t: SparseTable<u8>, max: u64| t.validate(max).unwrap_err();
+        let fault = |t: SparseTable<u8>, max: u64| t.validate(max).unwrap_err().to_string();
         assert!(fault(table(4, &[4]), 4).starts_with("indices[0]: index 4 out of range"));
         assert!(fault(table(4, &[u32::MAX]), 4).contains("out of range"));
         assert!(fault(table(4, &[1, 1]), 4).starts_with("indices[1]: index 1 repeated"));
@@ -274,19 +248,28 @@ mod tests {
 
     #[test]
     fn restore_rejects_another_length_and_leaves_the_table_unchanged() {
-        let mut target = [7u8; 4];
-        let err = table(5, &[0]).restore_into(&mut target, 0).unwrap_err();
-        assert!(err.contains("geometry mismatch"), "{err}");
-        let err = table(4, &[3, 2]).restore_into(&mut target, 0).unwrap_err();
-        assert!(err.contains("out of ascending order"), "{err}");
-        assert_eq!(target, [7; 4]);
+        let mut target = Bare(vec![7u8; 4], 0);
+        let err = restore(&mut target, &state(&table(5, &[0]))).unwrap_err();
+        assert!(
+            err.to_string().contains("t.len: geometry mismatch"),
+            "{err}"
+        );
+        let err = restore(&mut target, &state(&table(4, &[3, 2]))).unwrap_err();
+        assert!(err.to_string().contains("out of ascending order"), "{err}");
+        assert_eq!(target.0, [7; 4]);
     }
 
     #[test]
     fn field_paths_compose_outward() {
         let err = table(1 << 60, &[]).validate(8).unwrap_err();
-        let err = in_field("shared")(in_field("llc")(in_field("ways")(err)));
-        assert!(err.starts_with("shared.llc.ways.len: "), "{err}");
+        let err = err.in_field("ways").in_field("llc").in_field("shared");
+        assert!(
+            err.to_string().starts_with("shared.llc.ways.len: "),
+            "{err}"
+        );
+        let err = CheckpointError::new("[0].thread", "out of range").in_field("buffers");
+        assert_eq!(err.field, "buffers[0].thread");
+        assert_eq!(CheckpointError::new("", "whole").in_field("x").field, "x");
     }
 
     #[test]
