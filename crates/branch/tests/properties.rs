@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use smt_branch::{BranchPredictor, BranchTargetBuffer};
+use smt_types::warm::{capture, check, restore};
 
 /// One random branch `(kind, pc slot, target slot)`: kinds 0–1 predict,
 /// 2–3 update as taken, 4 as not taken, 5 train as taken. The pcs cover 64
@@ -48,8 +49,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A branch predictor (gshare plus sparse BTB) restored from its state
-    /// into a fresh predictor has the same state and predicts identically on
-    /// any continuation.
+    /// into a fresh predictor has the same state (its prediction and
+    /// misprediction counts included) and predicts identically on any
+    /// continuation.
     #[test]
     fn branch_predictor_state_round_trips_and_replays(
         (gshare, btb_entries, btb_assoc) in geometry(),
@@ -58,15 +60,15 @@ proptest! {
     ) {
         let mut bp = BranchPredictor::new(gshare, btb_entries, btb_assoc);
         apply(&mut bp, &prefix);
-        let state = bp.state();
-        prop_assert!(state.validate().is_ok());
+        let state = capture(&mut bp);
+        prop_assert!(check(&mut bp, &state).is_ok());
         let mut restored = BranchPredictor::new(gshare, btb_entries, btb_assoc);
-        restored.restore_state(&state).unwrap();
-        prop_assert_eq!(restored.state(), state);
+        restore(&mut restored, &state).unwrap();
+        prop_assert_eq!(capture(&mut restored), state);
         let want = apply(&mut bp, &rest);
         prop_assert_eq!(apply(&mut restored, &rest), want);
-        prop_assert_eq!(restored.state(), bp.state());
-        prop_assert_eq!(restored.mispredictions(), bp.mispredictions());
+        prop_assert_eq!(capture(&mut restored), capture(&mut bp));
+        prop_assert_eq!(restored.predictions(), bp.predictions());
     }
 
     /// The same for a bare BTB, through inserts and lookups only; a BTB of
@@ -91,17 +93,17 @@ proptest! {
         };
         let mut btb = BranchTargetBuffer::new(entries, assoc);
         apply(&mut btb, &prefix);
-        let state = btb.state();
-        prop_assert!(state.validate().is_ok());
+        let state = capture(&mut btb);
+        prop_assert!(check(&mut btb, &state).is_ok());
         let mut restored = BranchTargetBuffer::new(entries, assoc);
-        restored.restore_state(&state).unwrap();
-        prop_assert_eq!(restored.state(), state.clone());
+        restore(&mut restored, &state).unwrap();
+        prop_assert_eq!(capture(&mut restored), state.clone());
         let mut other = BranchTargetBuffer::new(entries * 2, assoc);
-        let before = other.state();
-        prop_assert!(other.restore_state(&state).is_err());
-        prop_assert_eq!(other.state(), before);
+        let before = capture(&mut other);
+        prop_assert!(restore(&mut other, &state).is_err());
+        prop_assert_eq!(capture(&mut other), before);
         let want = apply(&mut btb, &rest);
         prop_assert_eq!(apply(&mut restored, &rest), want);
-        prop_assert_eq!(restored.state(), btb.state());
+        prop_assert_eq!(capture(&mut restored), capture(&mut btb));
     }
 }

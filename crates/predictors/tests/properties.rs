@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use smt_predictors::{Llsr, LongLatencyPredictor, MissPatternPredictor, MlpDistancePredictor};
+use smt_predictors::{
+    BinaryMlpPredictor, Llsr, LongLatencyPredictor, MissPatternPredictor, MlpDistancePredictor,
+};
+use smt_types::warm::{capture, check, restore};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -74,5 +77,110 @@ proptest! {
             let _ = distance.predict(pc);
             distance.update(pc, (pc % 100) as u32);
         }
+    }
+}
+
+/// One random predictor operation `(update, pc slot, outcome)`: kinds 0–1
+/// predict, 2–3 update. The pcs cover 48 slots, so small tables alias.
+type PredictorOp = (u8, u64, u32);
+
+fn predictor_ops() -> impl Strategy<Value = Vec<PredictorOp>> {
+    prop::collection::vec((0u8..4, 0u64..48, 0u32..80), 0..300)
+}
+
+/// Applies `ops` through `predict` and `update`, returning every prediction.
+fn apply_predictor_ops<P>(
+    predictor: &mut P,
+    ops: &[PredictorOp],
+    predict: impl Fn(&mut P, u64) -> u32,
+    update: impl Fn(&mut P, u64, u32),
+) -> Vec<u32> {
+    ops.iter()
+        .filter_map(|&(kind, slot, outcome)| {
+            let pc = slot * 4;
+            if kind < 2 {
+                Some(predict(predictor, pc))
+            } else {
+                update(predictor, pc, outcome);
+                None
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A miss-pattern predictor restored from its sparse state into a fresh
+    /// predictor has the same state and predicts identically on any
+    /// continuation. Outcomes above `miss_above` are long-latency, so
+    /// entries see both hit runs and misses, and where misses are rare and
+    /// the table small the 6-bit counters saturate.
+    #[test]
+    fn miss_pattern_state_round_trips_and_replays(
+        entries in 1u32..32,
+        miss_above in 40u32..80,
+        prefix in predictor_ops(),
+        rest in predictor_ops(),
+    ) {
+        let predict = |p: &mut MissPatternPredictor, pc| u32::from(p.predict(pc));
+        let update =
+            move |p: &mut MissPatternPredictor, pc, outcome| p.update(pc, outcome > miss_above);
+        let mut predictor = MissPatternPredictor::new(entries);
+        apply_predictor_ops(&mut predictor, &prefix, predict, update);
+        let state = capture(&mut predictor);
+        prop_assert!(check(&mut predictor, &state).is_ok());
+        let mut restored = MissPatternPredictor::new(entries);
+        restore(&mut restored, &state).unwrap();
+        prop_assert_eq!(capture(&mut restored), state);
+        let want = apply_predictor_ops(&mut predictor, &rest, predict, update);
+        prop_assert_eq!(apply_predictor_ops(&mut restored, &rest, predict, update), want);
+        prop_assert_eq!(capture(&mut restored), capture(&mut predictor));
+    }
+
+    /// The same for the MLP-distance predictor, whose distances (0 = no
+    /// MLP, the reset value) saturate at the LLSR length.
+    #[test]
+    fn mlp_distance_state_round_trips_and_replays(
+        entries in 1u32..32,
+        max_distance in 1u32..64,
+        prefix in predictor_ops(),
+        rest in predictor_ops(),
+    ) {
+        let predict = |p: &mut MlpDistancePredictor, pc| p.predict(pc);
+        let update = |p: &mut MlpDistancePredictor, pc, outcome| p.update(pc, outcome % 70);
+        let mut predictor = MlpDistancePredictor::new(entries, max_distance);
+        apply_predictor_ops(&mut predictor, &prefix, predict, update);
+        let state = capture(&mut predictor);
+        prop_assert!(check(&mut predictor, &state).is_ok());
+        let mut restored = MlpDistancePredictor::new(entries, max_distance);
+        restore(&mut restored, &state).unwrap();
+        prop_assert_eq!(capture(&mut restored), state);
+        let want = apply_predictor_ops(&mut predictor, &rest, predict, update);
+        prop_assert_eq!(apply_predictor_ops(&mut restored, &rest, predict, update), want);
+        prop_assert_eq!(capture(&mut restored), capture(&mut predictor));
+        prop_assert_eq!(restored.updates(), predictor.updates());
+    }
+
+    /// The same for the binary MLP predictor, whose entries go back to the
+    /// reset value (`false`) as well as away from it.
+    #[test]
+    fn binary_mlp_state_round_trips_and_replays(
+        entries in 1u32..32,
+        prefix in predictor_ops(),
+        rest in predictor_ops(),
+    ) {
+        let predict = |p: &mut BinaryMlpPredictor, pc| u32::from(p.predict(pc));
+        let update = |p: &mut BinaryMlpPredictor, pc, outcome| p.update(pc, outcome % 2 == 1);
+        let mut predictor = BinaryMlpPredictor::new(entries);
+        apply_predictor_ops(&mut predictor, &prefix, predict, update);
+        let state = capture(&mut predictor);
+        prop_assert!(check(&mut predictor, &state).is_ok());
+        let mut restored = BinaryMlpPredictor::new(entries);
+        restore(&mut restored, &state).unwrap();
+        prop_assert_eq!(capture(&mut restored), state);
+        let want = apply_predictor_ops(&mut predictor, &rest, predict, update);
+        prop_assert_eq!(apply_predictor_ops(&mut restored, &rest, predict, update), want);
+        prop_assert_eq!(capture(&mut restored), capture(&mut predictor));
     }
 }
