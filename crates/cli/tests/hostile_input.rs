@@ -433,6 +433,36 @@ fn checkpoint_with_an_impossible_length_or_buffer_thread_fails_naming_the_field(
     }
 }
 
+/// A thread's trace position of another benchmark, or more pending ops than
+/// one refill batch holds, fails `checkpoint load` with exit 1 naming the
+/// field, never a panic.
+#[test]
+fn checkpoint_with_a_foreign_trace_or_overlong_pending_ops_fails_naming_the_field() {
+    let cases = [
+        (
+            "trace-name.json",
+            edited_checkpoint("trace-name-source.json", |ck| {
+                *field(ck, "threads[1].trace.name") = Value::Str("gzip".into());
+            }),
+            "threads[1].trace.name: state of `gzip`, this thread runs `gcc`",
+        ),
+        (
+            "pending-ops.json",
+            edited_checkpoint("pending-ops-source.json", |ck| {
+                let op = field(ck, "threads[0].pending_ops[0]").clone();
+                *field(ck, "threads[0].pending_ops") = Value::Seq(vec![op; 65]);
+            }),
+            "threads[0].pending_ops: 65 ops, a refill batch holds 64",
+        ),
+    ];
+    for (name, hostile, fault) in cases {
+        let (code, stderr) = run_on(&["checkpoint", "load"], name, &hostile);
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(fault), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+}
+
 /// A `.smtt` header whose `op_count` of 2^61 records wraps a 64-bit byte
 /// count to exactly the header's 64 bytes: every command that opens the
 /// header-only file exits 1 naming an oversized trace, never a panic.

@@ -50,7 +50,7 @@ pub mod runner;
 pub mod workloads;
 
 pub use chip::ChipSimulator;
-pub use pipeline::checkpoint::{SimCheckpoint, ThreadCheckpoint};
+pub use pipeline::checkpoint::SimCheckpoint;
 pub use pipeline::sampling::SampledRun;
 pub use pipeline::{Core, SimOptions, SmtSimulator};
 pub use runner::{

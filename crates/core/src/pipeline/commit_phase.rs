@@ -5,7 +5,7 @@
 use smt_mem::SharedLlc;
 use smt_types::{OpKind, ThreadId};
 
-use super::checkpoint::PendingMlpEval;
+use super::thread::PendingMlpEval;
 use super::Core;
 
 impl Core {

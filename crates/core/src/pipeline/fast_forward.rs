@@ -29,7 +29,7 @@ use smt_mem::SharedLlc;
 use smt_predictors::LongLatencyPredictor;
 use smt_types::{OpKind, ThreadId};
 
-use super::checkpoint::PendingMlpEval;
+use super::thread::PendingMlpEval;
 use super::{Core, SmtSimulator};
 
 impl Core {

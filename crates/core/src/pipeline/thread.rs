@@ -7,20 +7,33 @@
 
 use std::collections::VecDeque;
 
+use serde::{Deserialize, Serialize};
 use smt_branch::BranchPredictor;
 use smt_predictors::{
     BinaryMlpPredictor, Llsr, LongLatencyPredictor, MissPatternPredictor, MlpDistancePredictor,
 };
 use smt_trace::TraceSource;
+use smt_types::warm::{CheckpointError, Warm, WarmVisitor};
 use smt_types::{SmtConfig, TraceOp};
 
-use super::checkpoint::PendingMlpEval;
 use super::window::OpWindow;
 
 /// How many trace operations one [`TraceSource::refill`] call pulls. The batch
 /// amortizes the `Box<dyn TraceSource>` virtual call over ~64 fetched
 /// instructions instead of paying it once per op.
 pub(crate) const REFILL_BATCH: usize = 64;
+
+/// A pending MLP-prediction evaluation: the prediction made when the load
+/// executed, waiting for the LLSR to produce the actual MLP distance at
+/// window exit.
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub(super) struct PendingMlpEval {
+    /// PC of the long-latency load awaiting its LLSR ground truth.
+    pub pc: u64,
+    /// The MLP distance predicted when the load was processed.
+    pub predicted_distance: u32,
+}
 
 /// Occupancy counters for one thread (shared-resource accounting is the sum over
 /// threads).
@@ -216,20 +229,6 @@ impl ThreadContext {
         self.trace.skip(remaining - buffered);
     }
 
-    /// Trace ops pulled into the refill buffer but not yet consumed, in
-    /// stream order (captured by checkpoints so a restored thread resumes at
-    /// the exact trace position).
-    pub(super) fn pending_trace_ops(&self) -> &[TraceOp] {
-        &self.refill_buf[self.refill_pos..]
-    }
-
-    /// Replaces the refill buffer with `ops` (a checkpoint's unconsumed
-    /// suffix), to be consumed before the trace source is pulled again.
-    pub(super) fn set_pending_trace_ops(&mut self, ops: Vec<TraceOp>) {
-        self.refill_buf = ops;
-        self.refill_pos = 0;
-    }
-
     /// The predictor front end consults for a load: returns
     /// `(predicted_long_latency, predicted_mlp_distance, predicted_has_mlp)`.
     pub(super) fn predict_load(&mut self, pc: u64) -> (bool, u32, bool) {
@@ -237,6 +236,53 @@ impl ThreadContext {
         let distance = self.mlp_predictor.predict(pc);
         let has_mlp = self.binary_mlp_predictor.predict(pc);
         (lll, distance, has_mlp)
+    }
+}
+
+/// A thread's warm state, at a fast-forward boundary where its window is
+/// empty: the trace position, the ops pulled but not consumed, the
+/// committed count, the predictors and the pending MLP evaluations.
+impl Warm for ThreadContext {
+    fn visit(&mut self, v: &mut impl WarmVisitor) {
+        let live = self.trace.save_state();
+        // analyze: allow(hot-path-alloc) reason="checkpoint capture and restore, once per warm prefix"
+        let mut trace = live.clone();
+        v.value("trace", &mut trace, |state| match (state, &live) {
+            (Some(state), Some(live)) => state.fits(live),
+            _ => Err(CheckpointError::new(
+                "",
+                "this trace source does not support checkpointing",
+            )),
+        });
+        // Only a restore changes `trace`, and only to a state that fits the
+        // live source's own, which the source accepts.
+        if let Some(state) = trace.as_ref().filter(|_| trace != live) {
+            self.trace
+                .restore_state(state)
+                .expect("a trace state that fits restores");
+        }
+        // Drop the consumed head: the unconsumed tail is the whole buffer.
+        self.refill_buf.drain(..self.refill_pos);
+        self.refill_pos = 0;
+        v.value("pending_ops", &mut self.refill_buf, |ops| {
+            if ops.len() > REFILL_BATCH {
+                // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+                let reason = format!("{} ops, a refill batch holds {REFILL_BATCH}", ops.len());
+                return Err(CheckpointError::new("", reason));
+            }
+            match ops.iter().position(|op| !op.is_well_formed()) {
+                // analyze: allow(hot-path-alloc) reason="error construction on the validation failure path"
+                Some(i) => Err(CheckpointError::new(format!("[{i}]"), "malformed op")),
+                None => Ok(()),
+            }
+        });
+        v.scalar("committed", &mut self.committed);
+        v.part("branch_predictor", &mut self.branch_predictor);
+        v.part("lll_predictor", &mut self.lll_predictor);
+        v.part("mlp_predictor", &mut self.mlp_predictor);
+        v.part("binary_mlp_predictor", &mut self.binary_mlp_predictor);
+        v.part("llsr", &mut self.llsr);
+        v.value("pending_mlp_evals", &mut self.pending_mlp_evals, |_| Ok(()));
     }
 }
 

@@ -9,6 +9,7 @@
 //! [`evaluate_cell`] applies that methodology to one grid cell of any mode.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -264,22 +265,67 @@ impl StCurve {
     }
 }
 
+/// A map whose value for each key is computed at most once, shared by the
+/// worker threads of the parallel experiment engine: concurrent callers of
+/// one key block until the one elected computation finishes. The map lock is
+/// held only to find or insert a key's [`OnceLock`] cell, never while
+/// computing, so callers of different keys never serialize on each other.
+struct OnceMap<K, V> {
+    #[allow(clippy::type_complexity)]
+    cells: Mutex<HashMap<K, Arc<OnceLock<Result<V, SimError>>>>>,
+    computed: AtomicU64,
+    requests: AtomicU64,
+}
+
+impl<K, V> Default for OnceMap<K, V> {
+    fn default() -> Self {
+        OnceMap {
+            cells: Mutex::default(),
+            computed: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> OnceMap<K, V> {
+    /// The value of `key`, computed by `compute` on first use.
+    fn get(&self, key: K, compute: impl FnOnce() -> Result<V, SimError>) -> Result<V, SimError> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let cell = {
+            // The map lock never wraps user code, but a cell body panicking
+            // elsewhere must not cascade into "poisoned" aborts here: the
+            // map is a plain insert-only table, valid even after a panic.
+            let mut cells = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(cells.entry(key).or_default())
+        };
+        cell.get_or_init(|| {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            compute()
+        })
+        .clone()
+    }
+
+    /// Number of values actually computed.
+    fn computed(&self) -> u64 {
+        self.computed.load(Ordering::Relaxed)
+    }
+
+    /// Number of requests served from an already-computed value.
+    fn hits(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed) - self.computed()
+    }
+}
+
 /// Cache of single-threaded reference curves keyed by benchmark and the
 /// configuration parameters that affect single-threaded timing.
 ///
 /// The cache is `Send + Sync` and designed to be shared across the worker
 /// threads of the parallel experiment engine: each distinct
 /// `(benchmark, configuration)` reference run is simulated **exactly once**
-/// no matter how many threads ask for it concurrently. Internally the key map
-/// is guarded by a mutex that is only held while looking up or inserting an
-/// entry's [`OnceLock`] cell; the (expensive) reference simulation itself runs
-/// outside the map lock, so threads needing different references never
-/// serialize on each other.
+/// no matter how many threads ask for it concurrently, outside the map lock.
 #[derive(Default)]
 pub struct StReferenceCache {
-    #[allow(clippy::type_complexity)]
-    curves: Mutex<HashMap<(String, ConfigKey), Arc<OnceLock<Result<StCurve, SimError>>>>>,
-    reference_runs: AtomicU64,
+    curves: OnceMap<(String, ConfigKey), Arc<StCurve>>,
 }
 
 /// Cache key: the *full* configuration normalized by [`single_thread`] as
@@ -323,41 +369,17 @@ impl StReferenceCache {
         instructions: u64,
     ) -> Result<f64, SimError> {
         let key = (benchmark.to_string(), ConfigKey::new(config, scale));
-        let cell = {
-            // The map lock never wraps user code, but a cell body panicking
-            // elsewhere must not cascade into "poisoned" aborts here: the
-            // map is a plain insert-only table, valid even after a panic.
-            let mut curves = self.curves.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(curves.entry(key).or_default())
-        };
-        let outcome = cell.get_or_init(|| {
-            self.reference_runs.fetch_add(1, Ordering::Relaxed);
-            record_st_curve(benchmark, config, scale)
-        });
-        match outcome {
-            Ok(curve) => Ok(curve.cpi_at(instructions)),
-            Err(e) => Err(e.clone()),
-        }
+        let curve = self.curves.get(key, || {
+            record_st_curve(benchmark, config, scale).map(Arc::new)
+        })?;
+        Ok(curve.cpi_at(instructions))
     }
 
     /// Number of reference simulations actually performed (as opposed to
-    /// cache hits). With correct exactly-once sharing this equals
-    /// [`StReferenceCache::len`] even under concurrency.
+    /// cache hits): one per distinct `(benchmark, configuration)`, even
+    /// under concurrency.
     pub fn reference_runs(&self) -> u64 {
-        self.reference_runs.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct `(benchmark, configuration)` references requested.
-    pub fn len(&self) -> usize {
-        self.curves
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// Whether no reference has been requested yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.curves.computed()
     }
 }
 
@@ -604,10 +626,7 @@ pub fn evaluate_cell(
 /// policy away and all policies of a grid share one checkpoint per workload.
 #[derive(Default)]
 pub struct CheckpointCache {
-    #[allow(clippy::type_complexity)]
-    cells: Mutex<HashMap<CheckpointKey, Arc<OnceLock<Result<Arc<SimCheckpoint>, SimError>>>>>,
-    captures: AtomicU64,
-    requests: AtomicU64,
+    checkpoints: OnceMap<CheckpointKey, Arc<SimCheckpoint>>,
 }
 
 /// Cache key: the workload's benchmarks in thread order, the full normalized
@@ -651,26 +670,19 @@ impl CheckpointCache {
             seed: scale.seed,
             prefix_instructions: scale.warmup_instructions,
         };
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let cell = {
-            let mut cells = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(cells.entry(key).or_default())
-        };
-        cell.get_or_init(|| {
-            self.captures.fetch_add(1, Ordering::Relaxed);
+        self.checkpoints.get(key, || {
             capture_warm_checkpoint(benchmarks, &norm, scale).map(Arc::new)
         })
-        .clone()
     }
 
     /// Number of warm prefixes actually fast-forwarded and captured.
     pub fn captures(&self) -> u64 {
-        self.captures.load(Ordering::Relaxed)
+        self.checkpoints.computed()
     }
 
     /// Number of requests served from an already-captured checkpoint.
     pub fn hits(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed) - self.captures()
+        self.checkpoints.hits()
     }
 }
 
@@ -913,7 +925,7 @@ mod tests {
         let result = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _guard = cache.curves.lock().unwrap();
+                    let _guard = cache.curves.cells.lock().unwrap();
                     panic!("poison the cache lock");
                 })
                 .join()
@@ -926,7 +938,7 @@ mod tests {
             .unwrap();
         assert_eq!(before.to_bits(), after.to_bits());
         assert_eq!(cache.reference_runs(), runs);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(runs, 1);
     }
 
     #[test]
@@ -1010,11 +1022,9 @@ mod tests {
         let a = cache.st_cpi("gcc", &cfg, scale, 1_000).unwrap();
         let b = cache.st_cpi("gcc", &cfg, scale, 1_000).unwrap();
         assert_eq!(a, b);
-        assert_eq!(cache.len(), 1);
         assert_eq!(cache.reference_runs(), 1);
         let c = cache.st_cpi("gcc", &cfg, scale, 2_000).unwrap();
         assert!(c > 0.0);
-        assert_eq!(cache.len(), 1);
         assert_eq!(cache.reference_runs(), 1);
     }
 
@@ -1035,13 +1045,12 @@ mod tests {
         cache.st_cpi("gcc", &narrow_fetch, scale, 1_000).unwrap();
         cache.st_cpi("gcc", &few_mshrs, scale, 1_000).unwrap();
         cache.st_cpi("gcc", &baseline, long_warmup, 1_000).unwrap();
-        assert_eq!(cache.len(), 4);
         assert_eq!(cache.reference_runs(), 4);
         // Differences the single-thread normalization erases (thread count,
         // fetch policy) do share an entry.
         let four_thread = SmtConfig::baseline(4).with_policy(FetchPolicyKind::MlpFlush);
         cache.st_cpi("gcc", &four_thread, scale, 1_000).unwrap();
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.reference_runs(), 4);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //!   and a state that does not fit changes nothing.
 
 use proptest::prelude::*;
-use serde::Value;
+use serde::{Serialize, Value};
 
 use smt_core::pipeline::{SimOptions, SmtSimulator};
 use smt_core::runner::{build_trace, RunScale};
 use smt_types::config::{CacheConfig, FetchPolicyKind};
+use smt_types::warm::WarmState;
 use smt_types::{SamplingConfig, SimError, SmtConfig};
 
 fn build_sim(benchmarks: &[&str], policy: FetchPolicyKind, scale: RunScale) -> SmtSimulator {
@@ -130,6 +131,41 @@ fn checkpoint_restore_rejects_geometry_mismatch() {
 
     let mut wrong_workload = build_sim(&["swim", "twolf"], FetchPolicyKind::Icount, scale);
     assert!(wrong_workload.restore_checkpoint(&ck).is_err());
+}
+
+/// The field `name` of a captured thread state, as it serializes.
+fn field(thread: &WarmState, name: &str) -> Value {
+    let state = thread.serialize();
+    let fields = state.as_map().expect("a thread state is a map");
+    Value::map_get(fields, name)
+        .expect("a captured field")
+        .clone()
+}
+
+/// A checkpoint whose last thread's trace position belongs to another
+/// benchmark fails naming that field, and changes nothing: the earlier
+/// threads' traces, pending ops and committed counts stay as built.
+#[test]
+fn failed_restore_changes_nothing() {
+    let scale = RunScale::tiny();
+    let mut donor = build_sim(&["mcf", "gcc"], FetchPolicyKind::Icount, scale);
+    donor.fast_forward(5_000);
+    let json = serde_json::to_string(&donor.checkpoint(scale.seed).unwrap()).unwrap();
+    let hostile = json.replacen("\"name\":\"gcc\"", "\"name\":\"gzip\"", 1);
+    assert_ne!(hostile, json);
+    let ck = smt_core::SimCheckpoint::from_json(&hostile).expect("parses and validates");
+
+    let mut target = build_sim(&["mcf", "gcc"], FetchPolicyKind::Icount, scale);
+    let err = target.restore_checkpoint(&ck).unwrap_err();
+    assert!(
+        matches!(&err, SimError::Checkpoint(e) if e.field == "threads[1].trace.name"),
+        "{err}"
+    );
+    let mut fresh = build_sim(&["mcf", "gcc"], FetchPolicyKind::Icount, scale);
+    assert_eq!(
+        target.checkpoint(scale.seed).unwrap(),
+        fresh.checkpoint(scale.seed).unwrap()
+    );
 }
 
 /// Every sparse table of a serialized state, found by its shape (a map of
@@ -376,19 +412,31 @@ fn skip_forward_freezes_warm_state_and_advances_trace() {
 
     // The trace position moved...
     for (b, a) in before.threads.iter().zip(&after.threads) {
-        assert_eq!(a.committed, b.committed + 5_000);
-        assert_ne!(a.trace, b.trace, "trace source did not advance");
+        let committed = |t: &WarmState| match field(t, "committed") {
+            Value::Int(n) => n,
+            other => panic!("committed is {other:?}"),
+        };
+        assert_eq!(committed(a), committed(b) + 5_000);
+        assert_ne!(
+            field(a, "trace"),
+            field(b, "trace"),
+            "trace source did not advance"
+        );
     }
     // ...but every warm structure is bit-for-bit frozen.
     assert_eq!(after.memory, before.memory);
     assert_eq!(after.shared, before.shared);
     for (b, a) in before.threads.iter().zip(&after.threads) {
-        assert_eq!(a.branch_predictor, b.branch_predictor);
-        assert_eq!(a.lll_predictor, b.lll_predictor);
-        assert_eq!(a.mlp_predictor, b.mlp_predictor);
-        assert_eq!(a.binary_mlp_predictor, b.binary_mlp_predictor);
-        assert_eq!(a.llsr, b.llsr);
-        assert_eq!(a.pending_mlp_evals, b.pending_mlp_evals);
+        for part in [
+            "branch_predictor",
+            "lll_predictor",
+            "mlp_predictor",
+            "binary_mlp_predictor",
+            "llsr",
+            "pending_mlp_evals",
+        ] {
+            assert_eq!(field(a, part), field(b, part), "{part}");
+        }
     }
 }
 

@@ -45,6 +45,7 @@ pub use reader::FileTraceSource;
 pub use scripted::ScriptedTrace;
 pub use writer::{record_source, TraceWriter};
 
+use smt_types::warm::{same_len, CheckpointError};
 use smt_types::TraceOp;
 
 /// The workload-name prefix marking an on-disk `.smtt` trace benchmark
@@ -166,6 +167,26 @@ pub struct TraceSourceState {
     pub branch_bias: Vec<bool>,
     /// Long-latency loads emitted so far.
     pub emitted_long_latency: u64,
+}
+
+impl TraceSourceState {
+    /// Checks that this state restores into a source whose own state is
+    /// `live`: the same benchmark and, for a generator, the same cursor
+    /// geometry. A source accepts any state that fits.
+    ///
+    /// # Errors
+    ///
+    /// Names the field that does not fit (`name`, `stride_cursors`,
+    /// `branch_bias`).
+    pub fn fits(&self, live: &TraceSourceState) -> Result<(), CheckpointError> {
+        if self.name != live.name {
+            let reason = format!("state of `{}`, this thread runs `{}`", self.name, live.name);
+            return Err(CheckpointError::new("name", reason));
+        }
+        same_len(live.stride_cursors.len())(&self.stride_cursors)
+            .map_err(|e| e.in_field("stride_cursors"))?;
+        same_len(live.branch_bias.len())(&self.branch_bias).map_err(|e| e.in_field("branch_bias"))
+    }
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for Box<T> {

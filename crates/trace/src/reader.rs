@@ -19,10 +19,8 @@ use std::path::Path;
 
 use smt_types::{SimError, TraceOp};
 
-use crate::format::{
-    decode_record, decode_record_trusted, digest_update, TraceHeader, DIGEST_SEED, HEADER_LEN,
-    RECORD_LEN,
-};
+use crate::format::{decode_record, decode_record_trusted, HEADER_LEN, RECORD_LEN};
+use crate::inspect::scan_file;
 use crate::{TraceSource, TraceSourceState};
 
 /// Records held by the reusable read buffer (×[`RECORD_LEN`] bytes ≈ 384 KiB).
@@ -43,105 +41,51 @@ pub struct FileTraceSource {
     file: File,
     benchmark: String,
     op_count: u64,
-    /// Header digest over the record area (checked on resident loads).
-    digest: u64,
     /// Index of the next record to decode, always `< op_count`.
     file_pos: u64,
     /// Total ops handed out since construction (absolute stream position).
     consumed: u64,
     /// Reusable record-aligned read buffer; never grows after construction.
-    /// In resident mode it holds the entire record area instead.
     buf: Box<[u8]>,
     buf_len: usize,
     buf_pos: usize,
     /// The OS file cursor no longer matches `file_pos` (after a wrap, a skip
-    /// or a restore); the next fill seeks first. Irrelevant in resident mode.
+    /// or a restore); the next fill seeks first.
     needs_seek: bool,
-    /// The whole record area lives in `buf`; fills are cursor resets, the
-    /// file is never touched again after the one load at open.
-    resident: bool,
 }
 
 impl FileTraceSource {
-    /// Opens a trace file, validating its header and length.
+    /// Opens a trace file after checking all of it once
+    /// ([`scan_file`]): the header, the length, every record and the
+    /// digest.
     ///
     /// Fails with a typed [`SimError`] on a missing file, a malformed or
-    /// wrong-version header, an empty trace, or a file whose length does not
-    /// match `op_count` fixed-width records (truncation or trailing bytes).
-    /// Record *contents* are validated lazily as they stream through decode;
-    /// use [`crate::inspect::scan_file`] for an eager full-file check.
+    /// wrong-version header, an empty trace, a file whose length does not
+    /// match `op_count` fixed-width records (truncation or trailing bytes),
+    /// a record that does not decode (naming it) or a digest mismatch.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, SimError> {
         let path = path.as_ref();
         let context = path.display().to_string();
-        let mut file = File::open(path)
-            .map_err(|e| SimError::invalid_config(format!("cannot open trace {context}: {e}")))?;
-        let mut header_bytes = [0u8; HEADER_LEN];
-        file.read_exact(&mut header_bytes).map_err(|_| {
-            SimError::invalid_config(format!(
-                "{context}: file is shorter than the {HEADER_LEN}-byte .smtt header"
-            ))
-        })?;
-        let header = TraceHeader::decode(&header_bytes, &context)?;
+        let header = scan_file(path)?.header;
         if header.op_count == 0 {
             return Err(SimError::invalid_config(format!(
                 "{context}: trace holds no ops (a trace source must be an infinite stream)"
             )));
         }
-        let expected = header.file_len(&context)?;
-        let actual = file
-            .metadata()
-            .map_err(|e| SimError::invalid_config(format!("cannot stat trace {context}: {e}")))?
-            .len();
-        if actual != expected {
-            return Err(SimError::invalid_config(format!(
-                "{context}: truncated or oversized trace: header promises {} records \
-                 ({expected} bytes) but the file is {actual} bytes",
-                header.op_count
-            )));
-        }
+        let file = File::open(path)
+            .map_err(|e| SimError::invalid_config(format!("cannot open trace {context}: {e}")))?;
         let chunk = CHUNK_RECORDS.min(header.op_count) as usize * RECORD_LEN;
         Ok(FileTraceSource {
             file,
             benchmark: header.benchmark,
             op_count: header.op_count,
-            digest: header.digest,
             file_pos: 0,
             consumed: 0,
             buf: vec![0u8; chunk].into_boxed_slice(),
             buf_len: 0,
             buf_pos: 0,
-            needs_seek: false,
-            resident: false,
+            needs_seek: true,
         })
-    }
-
-    /// Opens a trace file and loads its whole record area into memory,
-    /// verifying the header digest over the loaded bytes.
-    ///
-    /// Replay then never touches the file again: buffer refills become
-    /// cursor resets, so cyclic wraps, `skip` and state restores cost no
-    /// seeks or reads. Costs `op_count × 24` bytes of memory up front —
-    /// use [`Self::open`] to stream traces too large to hold resident.
-    pub fn open_resident(path: impl AsRef<Path>) -> Result<Self, SimError> {
-        let path = path.as_ref();
-        let mut source = Self::open(path)?;
-        let len = source.op_count as usize * RECORD_LEN;
-        let mut records = vec![0u8; len].into_boxed_slice();
-        source.file.read_exact(&mut records).map_err(|e| {
-            SimError::invalid_config(format!(
-                "{}: cannot load trace records into memory: {e}",
-                path.display()
-            ))
-        })?;
-        if digest_update(DIGEST_SEED, &records) != source.digest {
-            return Err(SimError::invalid_config(format!(
-                "{}: record digest mismatch (corrupt or tampered trace)",
-                path.display()
-            )));
-        }
-        source.buf = records;
-        source.resident = true;
-        Ok(source)
     }
 
     /// Records in the underlying file (one cycle of the infinite stream).
@@ -154,15 +98,6 @@ impl FileTraceSource {
     /// so a buffer never spans the cyclic wrap point.
     #[cold]
     fn fill_buf(&mut self) {
-        if self.resident {
-            // The whole record area is already in `buf`; a "fill" just parks
-            // the cursor on the current record. After a wrap that is a reset
-            // to the front; after a skip or restore it lands mid-buffer.
-            self.buf_pos = self.file_pos as usize * RECORD_LEN;
-            self.buf_len = self.buf.len();
-            self.needs_seek = false;
-            return;
-        }
         if self.needs_seek {
             let byte = HEADER_LEN as u64 + self.file_pos * RECORD_LEN as u64;
             if let Err(e) = self.file.seek(SeekFrom::Start(byte)) {

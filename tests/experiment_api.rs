@@ -316,7 +316,6 @@ fn shared_reference_cache_simulates_each_reference_exactly_once() {
             });
         }
     });
-    assert_eq!(cache.len(), 8, "8 distinct references should be cached");
     assert_eq!(
         cache.reference_runs(),
         8,

@@ -156,32 +156,24 @@ fn open_err(tag: &str, bytes: &[u8]) -> SimError {
     }
 }
 
+/// Opening a trace checks every record and the digest once: a flipped
+/// byte that still decodes fails the digest, and a record that does not
+/// decode fails naming it, before any op is replayed.
 #[test]
-fn resident_open_matches_streaming_open_and_verifies_digest() {
+fn open_verifies_every_record_and_the_digest() {
     let good = valid_trace_bytes();
-    let path = std::env::temp_dir().join(format!("smt-prop-resident-{}.smtt", std::process::id()));
-    std::fs::write(&path, &good).expect("temp trace writes");
-
-    // Resident and streaming readers must hand out the identical stream,
-    // wraps included.
-    let mut streaming = FileTraceSource::open(&path).expect("opens streaming");
-    let mut resident = FileTraceSource::open_resident(&path).expect("opens resident");
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    streaming.refill(&mut a, 10);
-    resident.refill(&mut b, 10);
-    assert_eq!(a, b, "resident replay diverged from streaming replay");
-
-    // A flipped record byte must fail the resident load's digest check.
-    let mut corrupt = good;
-    corrupt[HEADER_LEN + 3] ^= 0xFF;
-    std::fs::write(&path, &corrupt).expect("temp trace rewrites");
-    let err = match FileTraceSource::open_resident(&path) {
-        Ok(_) => panic!("corrupt record area unexpectedly loaded"),
-        Err(e) => e,
-    };
-    std::fs::remove_file(&path).ok();
+    let mut flipped_pc = good.clone();
+    flipped_pc[HEADER_LEN + 3] ^= 0xFF;
+    let err = open_err("flipped-pc", &flipped_pc);
     assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
     assert!(err.to_string().contains("digest"), "{err}");
+
+    // Byte 23 of a record is reserved and must be zero.
+    let mut reserved = good;
+    reserved[HEADER_LEN + RECORD_LEN + 23] = 1;
+    let err = open_err("reserved-byte", &reserved);
+    assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+    assert!(err.to_string().contains("record 1:"), "{err}");
 }
 
 /// A header whose `op_count` records cannot fit in a file (2^61 records
