@@ -1,8 +1,8 @@
 //! `smt-analyze` — the workspace invariant checker.
 //!
 //! A self-contained, dependency-free static analysis pass over the
-//! simulator's Rust sources enforcing the conventions three PRs of tribal
-//! knowledge rest on:
+//! simulator's Rust sources enforcing the conventions the workspace rests
+//! on:
 //!
 //! * **hot-path-alloc** — the zero-allocation steady state of the cycle loop
 //!   (PR 2): no heap-allocating constructs in `crates/core/src/pipeline`,
@@ -26,7 +26,11 @@
 //!   the measure windows report;
 //! * **sync-discipline** — simulation state is single-owner: locks, atomics,
 //!   interior mutability and `unsafe` live only in the host-side harness
-//!   files (experiment engine, runner), never in a simulation module.
+//!   files (experiment engine, runner), never in a simulation module;
+//! * **test-only-pub** — every `pub` item of a library crate is named by
+//!   some non-test code of the workspace (the CLI, `src/`, `examples/` and
+//!   perfbench included): API that only tests call is deleted or carries
+//!   an allow naming the tests that need it.
 //!
 //! A finding is suppressed with a justified annotation on (or directly
 //! above) the offending line:
@@ -46,6 +50,7 @@ mod drift;
 pub mod lexer;
 mod rules;
 pub mod scan;
+mod test_only_pub;
 
 pub use drift::DriftInputs;
 pub use rules::{Finding, RULE_IDS};
@@ -138,8 +143,8 @@ fn json_string(s: &str) -> String {
 }
 
 /// Analyzes a set of in-memory inputs. `.rs` files are scanned and run
-/// through the per-file rules; `README.md` and `EXPERIMENTS.md` feed the
-/// registry-drift rule.
+/// through the per-file rules and, together, the test-only-pub rule;
+/// `README.md` and `EXPERIMENTS.md` feed the registry-drift rule.
 pub fn analyze_inputs(inputs: &[Input]) -> Report {
     let mut scanned: Vec<(ScannedFile, &Input)> = inputs
         .iter()
@@ -148,10 +153,13 @@ pub fn analyze_inputs(inputs: &[Input]) -> Report {
         .collect();
     scanned.sort_by(|a, b| a.0.path.cmp(&b.0.path));
 
+    let raw: Vec<Vec<&str>> = scanned
+        .iter()
+        .map(|(_, i)| i.text.lines().collect())
+        .collect();
     let mut raw_findings: Vec<Finding> = Vec::new();
-    for (file, input) in &scanned {
-        let raw: Vec<&str> = input.text.lines().collect();
-        rules::check_file(file, &raw, &mut raw_findings);
+    for ((file, _), raw) in scanned.iter().zip(&raw) {
+        rules::check_file(file, raw, &mut raw_findings);
     }
 
     let find_scanned = |path: &str| -> Option<&ScannedFile> {
@@ -166,6 +174,8 @@ pub fn analyze_inputs(inputs: &[Input]) -> Report {
             .collect(),
     };
     drift::check_drift(&drift_inputs, &mut raw_findings);
+    let files: Vec<&ScannedFile> = scanned.iter().map(|(f, _)| f).collect();
+    test_only_pub::check_test_only_pub(&files, &raw, &mut raw_findings);
 
     // Apply suppressions and flag unused or malformed annotations.
     let mut findings = Vec::new();

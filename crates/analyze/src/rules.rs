@@ -24,7 +24,7 @@ pub struct Finding {
 }
 
 /// The enforced rule ids, i.e. the valid arguments to `analyze: allow(...)`.
-pub const RULE_IDS: [&str; 7] = [
+pub const RULE_IDS: [&str; 8] = [
     "hot-path-alloc",
     "determinism",
     "config-hygiene",
@@ -32,6 +32,7 @@ pub const RULE_IDS: [&str; 7] = [
     "panic-policy",
     "sampling-discipline",
     "sync-discipline",
+    "test-only-pub",
 ];
 
 /// Crates whose sources must stay deterministic: everything that executes
@@ -175,7 +176,7 @@ pub(crate) fn check_file(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding
     }
 }
 
-fn finding(
+pub(crate) fn finding(
     file: &ScannedFile,
     raw: &[&str],
     line: usize,

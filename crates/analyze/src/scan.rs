@@ -2,7 +2,7 @@
 //!
 //! Walks the comment-and-string-free lines once, tracking brace depth to
 //! answer, for every line: is it inside a test region (`#[cfg(test)]` /
-//! `mod tests` / a `tests/`, `examples/` or `benches/` path), and is it inside
+//! `mod tests` / a `tests/` or `benches/` path), and is it inside
 //! a constructor (a function named `new`/`default`, prefixed
 //! `new_`/`with_`/`from_`/`build`, or returning `Self`) or a checkpoint
 //! serialization function (`state`/`save_state`/`restore_state`/
@@ -165,11 +165,10 @@ pub fn scan(path: &str, source: &str) -> ScannedFile {
     }
 }
 
-/// Paths whose every line counts as test code: integration tests, examples,
-/// benches.
+/// Paths whose every line counts as test code: integration tests and
+/// benches. Examples are programs that call the public API, not tests.
 fn is_test_path(path: &str) -> bool {
-    path.split('/')
-        .any(|c| c == "tests" || c == "examples" || c == "benches")
+    path.split('/').any(|c| c == "tests" || c == "benches")
 }
 
 /// Does this (comment-free) line carry a `#[cfg(...)]` whose predicate can

@@ -196,6 +196,80 @@ fn builtin() {
     assert!(report.findings.iter().all(|f| f.rule == "registry-drift"));
 }
 
+/// The fixture as a library file, plus callers: the CLI names
+/// `called_by_cli` and `Probe` (and, in a doc comment, `only_tested`),
+/// perfbench names `called_by_perfbench`, the crate root re-exports
+/// `ONLY_REEXPORTED`, and an integration test calls `only_tested`.
+fn test_only_pub_inputs(extra_cli: &str) -> Vec<Input> {
+    vec![
+        input(
+            "crates/mem/src/fake.rs",
+            include_str!("fixtures/test_only_pub.rs"),
+        ),
+        input("crates/mem/src/lib.rs", "pub use fake::ONLY_REEXPORTED;\n"),
+        input(
+            "crates/cli/src/main.rs",
+            &format!(
+                "/// Unlike `only_tested`, these have callers.\nfn main() {{\n    \
+                 let _ = smt_mem::fake::called_by_cli();\n    \
+                 println!(\"{{}}\", smt_mem::fake::Probe);\n{extra_cli}}}\n"
+            ),
+        ),
+        input(
+            "perfbench/src/main.rs",
+            "fn main() {\n    let _ = smt_mem::fake::called_by_perfbench();\n}\n",
+        ),
+        input(
+            "crates/mem/tests/fake.rs",
+            "#[test]\nfn t() {\n    assert_eq!(smt_mem::fake::only_tested(), 7);\n}\n",
+        ),
+    ]
+}
+
+#[test]
+fn test_only_pub_fires_only_on_items_without_a_non_test_caller() {
+    let report = analyze_inputs(&test_only_pub_inputs(""));
+    // `only_tested` (line 7) has test callers only; `ONLY_REEXPORTED` (line
+    // 26) is only re-exported. Items named by the CLI or perfbench, the
+    // private helper, the trait-impl method, the `pub use` line and the
+    // allowed entry point stay quiet.
+    assert_eq!(
+        hits(&report),
+        vec![(7, "test-only-pub"), (26, "test-only-pub")]
+    );
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.file == "crates/mem/src/fake.rs"));
+    assert_eq!(report.suppressed.len(), 1);
+}
+
+#[test]
+fn test_only_pub_allow_goes_stale_once_the_item_gains_a_caller() {
+    let report = analyze_inputs(&test_only_pub_inputs(
+        "    smt_mem::fake::kept_entry_point();\n",
+    ));
+    assert_eq!(
+        hits(&report),
+        vec![
+            (7, "test-only-pub"),
+            (26, "test-only-pub"),
+            (38, "unused-allow")
+        ]
+    );
+    assert!(report.suppressed.is_empty());
+}
+
+#[test]
+fn test_only_pub_needs_callers_in_view() {
+    // A library file analyzed alone has no callers to judge by.
+    let report = analyze_inputs(&[input(
+        "crates/mem/src/fake.rs",
+        include_str!("fixtures/test_only_pub.rs"),
+    )]);
+    assert_eq!(hits(&report), vec![(38, "unused-allow")]);
+}
+
 #[test]
 fn json_report_shape_is_stable() {
     let report = analyze_inputs(&[input(

@@ -509,3 +509,53 @@ fn trace_with_an_op_count_past_any_file_length_fails_cleanly() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(out).ok();
 }
+
+/// A `.smtt` whose record 100 has its reserved byte set: `trace inspect`
+/// and `checkpoint save trace:<file>` exit 1 with one error prefix and the
+/// record's index, not the record error nested in a second prefix.
+#[test]
+fn corrupt_trace_record_fails_naming_the_record_under_one_prefix() {
+    let path = temp_file("corrupt-record.smtt", "");
+    let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+        .args(["trace", "record", "mcf", "--ops", "200", "--out"])
+        .arg(&path)
+        .output()
+        .expect("smt-cli runs");
+    assert!(output.status.success(), "{output:?}");
+    let mut bytes = std::fs::read(&path).expect("trace written");
+    bytes[64 + 100 * 24 + 23] = 1;
+    std::fs::write(&path, &bytes).expect("corrupt trace written");
+
+    let trace = path.to_str().expect("utf-8 path");
+    let workload = format!("trace:{trace}");
+    let out = temp_file("corrupt-record.json", "");
+    let out = out.to_str().expect("utf-8 path");
+    let save = [
+        "checkpoint",
+        "save",
+        &workload,
+        "--scale",
+        "tiny",
+        "--out",
+        out,
+    ];
+    for args in [&["trace", "inspect", trace][..], &save] {
+        let output = Command::new(env!("CARGO_BIN_EXE_smt-cli"))
+            .args(args)
+            .output()
+            .expect("smt-cli runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{trace}: record 100: corrupt .smtt record")),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(
+            stderr.matches("invalid configuration").count(),
+            1,
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(out).ok();
+}

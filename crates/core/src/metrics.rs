@@ -11,11 +11,11 @@
 //! for STP, arithmetic mean for ANTT.
 //!
 //! Chip-level runs reuse the same definitions: each thread is normalized
-//! against a run alone on one core of the chip, [`flatten_chip_stats`] turns
-//! a [`ChipStats`] record into the per-thread shape every helper here
-//! expects, and [`per_core_stp`] splits the throughput sum by core.
+//! against a run alone on one core of the chip, taken in the canonical
+//! core-major `(core, thread)` order of [`ChipStats::threads`], and
+//! [`per_core_stp`] splits the throughput sum by core.
 
-use smt_types::{ChipStats, MachineStats};
+use smt_types::ChipStats;
 
 /// System throughput (weighted speedup) from per-program single-threaded and
 /// multithreaded CPIs.
@@ -91,21 +91,10 @@ pub fn cdf_fraction_within(cdf: &[(u32, f64)], threshold: u32) -> f64 {
     last
 }
 
-/// Flattens a chip run into one [`MachineStats`] whose threads are the
-/// chip's `(core, thread)` slots in canonical core-major order, so every
-/// per-thread metric helper (and report formatter) written for the
-/// single-core machine also works on chip runs.
-pub fn flatten_chip_stats(chip: &ChipStats) -> MachineStats {
-    MachineStats {
-        cycles: chip.cycles,
-        threads: chip.threads().cloned().collect(),
-    }
-}
-
 /// Per-core STP contributions of a chip run: for each core, the sum over its
 /// threads of `st_cpi / mt_cpi`, given the flattened per-thread CPI vectors
-/// in the same canonical `(core, thread)` order as
-/// [`flatten_chip_stats`]. The total STP is the sum over cores.
+/// in the same canonical `(core, thread)` order as [`ChipStats::threads`].
+/// The total STP is the sum over cores.
 ///
 /// # Panics
 ///
@@ -193,11 +182,8 @@ mod tests {
         chip.cycles = 100;
         chip.cores[0].threads[0].committed_instructions = 50;
         chip.cores[1].threads[1].committed_instructions = 25;
-        let flat = flatten_chip_stats(&chip);
-        assert_eq!(flat.cycles, 100);
-        assert_eq!(flat.threads.len(), 4);
-        assert_eq!(flat.threads[0].committed_instructions, 50);
-        assert_eq!(flat.threads[3].committed_instructions, 25);
+        let flat: Vec<u64> = chip.threads().map(|t| t.committed_instructions).collect();
+        assert_eq!(flat, [50, 0, 0, 25]);
         // Core 0's threads run at full speed, core 1's at half speed.
         let st = [1.0, 1.0, 1.0, 1.0];
         let mt = [1.0, 1.0, 2.0, 2.0];

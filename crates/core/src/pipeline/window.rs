@@ -571,6 +571,7 @@ impl OpWindow {
     /// Source-dependence offsets of the instruction at logical `index`
     /// ([`NO_DEP`] = no in-window producer).
     #[inline(always)]
+    // analyze: allow(test-only-pub) reason="crates/core/tests/window_model.rs checks the window's dependence links against its reference model through it"
     pub fn src_dep_offsets_at(&self, index: usize) -> [u32; 2] {
         self.src_dep_offsets[self.slot(index)]
     }

@@ -211,6 +211,7 @@ fn single_thread(config: &SmtConfig) -> SmtConfig {
 /// # Errors
 ///
 /// Returns an error for unknown benchmarks or invalid configurations.
+// analyze: allow(test-only-pub) reason="perfbench's wrappers_are_transparent test and tests/golden_stats.rs run it; it goes when perfbench stops naming it"
 pub fn run_multiprogram(
     benchmarks: &[&str],
     policy: FetchPolicyKind,

@@ -55,6 +55,22 @@ pub struct LoadAccessResult {
     pub long_latency: bool,
 }
 
+/// Where the walk of one load was serviced.
+struct Walk {
+    dtlb_miss: bool,
+    level: AccessLevel,
+    /// The stream-buffer availability cycle of a prefetch hit, or the
+    /// completion cycle of an off-chip access.
+    ready_at: u64,
+}
+
+impl Walk {
+    /// The paper's long-latency load: an LLC miss or a D-TLB miss.
+    fn long_latency(&self) -> bool {
+        self.dtlb_miss || self.level == AccessLevel::Memory
+    }
+}
+
 impl LoadAccessResult {
     /// Cycle at which the loaded value becomes available.
     pub fn completion_cycle(&self) -> u64 {
@@ -136,87 +152,98 @@ impl CoreMemory {
         cycle: u64,
     ) -> LoadAccessResult {
         let paddr = self.physical(thread, addr);
-        let mut latency = 0u64;
-        let dtlb_hit = self.dtlb.access(thread.index(), paddr);
-        let dtlb_miss = !dtlb_hit;
-        if dtlb_miss {
-            latency += self.dtlb.miss_penalty();
-        }
-
-        // Train the stride predictor on every load, hit or miss.
-        self.prefetcher.train(thread, pc, paddr);
-
-        let mut result = LoadAccessResult {
-            start_cycle: cycle,
-            latency: 0,
-            level: AccessLevel::L1,
-            dtlb_miss,
-            l1_miss: false,
-            l2_miss: false,
-            prefetch_hit: false,
-            long_latency: dtlb_miss,
-        };
-
-        if self.l1d.access(paddr) {
-            result.latency = latency + self.l1d.latency();
-            return self.finish_serialized(thread, result);
-        }
-        result.l1_miss = true;
-
-        if let Some(hit) = self.prefetcher.probe(thread, paddr, cycle) {
-            // Line is (or will shortly be) in a stream buffer: pay the larger of the
-            // L2 latency and the remaining prefetch in-flight time.
-            let remaining = hit.available_at.saturating_sub(cycle);
-            result.latency = latency + self.l2.latency().max(remaining);
-            result.level = AccessLevel::Prefetch;
-            result.prefetch_hit = true;
-            self.l1d.fill(paddr);
-            return self.finish_serialized(thread, result);
-        }
-
-        if self.l2.access(paddr) {
-            result.latency = latency + self.l2.latency();
-            result.level = AccessLevel::L2;
-            self.l1d.fill(paddr);
-            return self.finish_serialized(thread, result);
-        }
-        result.l2_miss = true;
-
-        if shared.access(paddr) {
-            result.latency = latency + shared.latency();
-            result.level = AccessLevel::L3;
-            self.l2.fill(paddr);
-            self.l1d.fill(paddr);
-            return self.finish_serialized(thread, result);
-        }
-
+        let tlb_penalty = self.dtlb.miss_penalty();
+        let (requester, line_bytes) = (self.requester(thread), self.line_bytes);
+        let (memory_latency, l2_latency) = (self.memory_latency, self.l2.latency());
         // Off-chip access: a long-latency load by the paper's definition. The
         // transfer contends for the shared memory bus (free on the
         // single-core machine's unlimited bus).
-        result.level = AccessLevel::Memory;
-        result.long_latency = true;
-        let line = paddr / self.line_bytes;
-        let congestion = shared.queue_delay();
-        let nominal_completion = cycle + latency + self.memory_latency + congestion;
-        let completion =
-            match shared.mshr_request(self.requester(thread), line, cycle, nominal_completion) {
+        let walk = self.walk(shared, thread, pc, paddr, cycle, |shared, dtlb_miss| {
+            let congestion = shared.queue_delay();
+            let penalty = if dtlb_miss { tlb_penalty } else { 0 };
+            let nominal_completion = cycle + penalty + memory_latency + congestion;
+            let line = paddr / line_bytes;
+            match shared.mshr_request(requester, line, cycle, nominal_completion) {
                 MshrOutcome::Allocated => {
                     shared.register_transfer(nominal_completion);
                     nominal_completion
                 }
-                MshrOutcome::Merged(done) => done.max(cycle + self.l2.latency()),
+                MshrOutcome::Merged(done) => done.max(cycle + l2_latency),
                 MshrOutcome::Full(soonest) => {
-                    let serialized = soonest.max(cycle) + self.memory_latency + congestion;
+                    let serialized = soonest.max(cycle) + memory_latency + congestion;
                     shared.register_transfer(serialized);
                     serialized
                 }
-            };
-        result.latency = completion.saturating_sub(cycle).max(1);
-        self.prefetcher.on_demand_miss(thread, pc, paddr, cycle);
+            }
+        });
+        let penalty = if walk.dtlb_miss { tlb_penalty } else { 0 };
+        let latency = match walk.level {
+            AccessLevel::L1 => penalty + self.l1d.latency(),
+            // Line is (or will shortly be) in a stream buffer: pay the larger of the
+            // L2 latency and the remaining prefetch in-flight time.
+            AccessLevel::Prefetch => penalty + l2_latency.max(walk.ready_at.saturating_sub(cycle)),
+            AccessLevel::L2 => penalty + l2_latency,
+            AccessLevel::L3 => penalty + shared.latency(),
+            AccessLevel::Memory => walk.ready_at.saturating_sub(cycle).max(1),
+        };
+        let result = LoadAccessResult {
+            start_cycle: cycle,
+            latency,
+            level: walk.level,
+            dtlb_miss: walk.dtlb_miss,
+            l1_miss: walk.level != AccessLevel::L1,
+            l2_miss: matches!(walk.level, AccessLevel::L3 | AccessLevel::Memory),
+            prefetch_hit: walk.level == AccessLevel::Prefetch,
+            long_latency: walk.long_latency(),
+        };
+        self.finish_serialized(thread, result)
+    }
+
+    /// The one walk of a data load through the warm state: D-TLB, stride
+    /// training, L1, stream-buffer probe, L2 and the shared level. On an LLC
+    /// miss `off_chip` times the memory access (given the shared level and
+    /// whether the D-TLB missed) and returns its completion cycle; the
+    /// demand-miss prefetch and the fills down the hierarchy follow it.
+    #[inline(always)]
+    fn walk(
+        &mut self,
+        shared: &mut SharedLlc,
+        thread: ThreadId,
+        pc: u64,
+        paddr: u64,
+        now: u64,
+        off_chip: impl FnOnce(&mut SharedLlc, bool) -> u64,
+    ) -> Walk {
+        let dtlb_miss = !self.dtlb.access(thread.index(), paddr);
+        // Train the stride predictor on every load, hit or miss.
+        self.prefetcher.train(thread, pc, paddr);
+        let serviced = |level, ready_at| Walk {
+            dtlb_miss,
+            level,
+            ready_at,
+        };
+        if self.l1d.access(paddr) {
+            return serviced(AccessLevel::L1, 0);
+        }
+        if let Some(hit) = self.prefetcher.probe(thread, paddr, now) {
+            self.l1d.fill(paddr);
+            return serviced(AccessLevel::Prefetch, hit.available_at);
+        }
+        if self.l2.access(paddr) {
+            self.l1d.fill(paddr);
+            return serviced(AccessLevel::L2, 0);
+        }
+        if shared.access(paddr) {
+            self.l2.fill(paddr);
+            self.l1d.fill(paddr);
+            return serviced(AccessLevel::L3, 0);
+        }
+        let completion = off_chip(shared, dtlb_miss);
+        self.prefetcher.on_demand_miss(thread, pc, paddr, now);
         shared.fill(paddr);
         self.l2.fill(paddr);
         self.l1d.fill(paddr);
-        self.finish_serialized(thread, result)
+        serviced(AccessLevel::Memory, completion)
     }
 
     /// Applies the artificial long-latency-load serialization used by the Table I
@@ -261,10 +288,10 @@ impl CoreMemory {
         }
     }
 
-    /// Functional (fast-forward) data load: performs exactly the warm-state
-    /// transitions of [`CoreMemory::load_access`] — TLB installs, stride
-    /// training, fills down the hierarchy, stream-buffer consumption — but no
-    /// timing: no MSHR allocation, no bus transfers, no long-latency-load
+    /// Functional (fast-forward) data load: the walk of
+    /// [`CoreMemory::load_access`] — TLB installs, stride training, fills
+    /// down the hierarchy, stream-buffer consumption — without its timing:
+    /// no MSHR allocation, no bus transfers, no long-latency-load
     /// serialization. Returns the paper's long-latency classification (LLC
     /// load miss or D-TLB miss), which fast-forward mode uses to keep the
     /// LLL/MLP predictors trained.
@@ -280,29 +307,8 @@ impl CoreMemory {
         now: u64,
     ) -> bool {
         let paddr = self.physical(thread, addr);
-        let dtlb_miss = !self.dtlb.access(thread.index(), paddr);
-        self.prefetcher.train(thread, pc, paddr);
-        if self.l1d.access(paddr) {
-            return dtlb_miss;
-        }
-        if self.prefetcher.probe(thread, paddr, now).is_some() {
-            self.l1d.fill(paddr);
-            return dtlb_miss;
-        }
-        if self.l2.access(paddr) {
-            self.l1d.fill(paddr);
-            return dtlb_miss;
-        }
-        if shared.access(paddr) {
-            self.l2.fill(paddr);
-            self.l1d.fill(paddr);
-            return dtlb_miss;
-        }
-        self.prefetcher.on_demand_miss(thread, pc, paddr, now);
-        shared.fill(paddr);
-        self.l2.fill(paddr);
-        self.l1d.fill(paddr);
-        true
+        self.walk(shared, thread, pc, paddr, now, |_, _| 0)
+            .long_latency()
     }
 
     /// Functional (fast-forward) store: identical to
@@ -502,7 +508,8 @@ mod tests {
     fn bus_contention_slows_cross_core_misses() {
         // With a contended bus, a second core's off-chip miss issued the
         // cycle after another transfer went in flight pays queueing delay.
-        let chip = smt_types::ChipConfig::baseline(2, 2).with_bus_bytes_per_cycle(8);
+        let mut chip = smt_types::ChipConfig::baseline(2, 2);
+        chip.bus = smt_types::BusConfig { bytes_per_cycle: 8 };
         let mut shared = SharedLlc::for_chip(&chip);
         let mut core0 = CoreMemory::new(&chip.core, 0);
         let mut core1 = CoreMemory::new(&chip.core, 1);

@@ -90,17 +90,6 @@ impl MshrFile {
         self.outstanding[requester].retain(|_, &mut done| done > now); // analyze: allow(determinism) reason="retain/min/max over a hash set is order-independent: the predicate and fold are commutative"
     }
 
-    /// Number of misses outstanding for `requester` at `now`.
-    pub fn outstanding_count(&mut self, requester: usize, now: u64) -> usize {
-        self.retire_completed(requester, now);
-        self.outstanding[requester].len()
-    }
-
-    /// Completion cycle of the latest-finishing outstanding miss, if any.
-    pub fn latest_completion(&self, requester: usize) -> Option<u64> {
-        self.outstanding[requester].values().copied().max() // analyze: allow(determinism) reason="retain/min/max over a hash set is order-independent: the predicate and fold are commutative"
-    }
-
     /// Number of entries currently held across all requesters, ignoring
     /// completion times (zero means the file is structurally empty and a
     /// checkpoint boundary is safe).
@@ -135,8 +124,10 @@ mod tests {
         assert_eq!(m.request(0, 0x40, 0, 100), MshrOutcome::Allocated);
         // At cycle 100 the miss is done, so a new miss can allocate.
         assert_eq!(m.request(0, 0x80, 100, 450), MshrOutcome::Allocated);
-        assert_eq!(m.outstanding_count(0, 100), 1);
-        assert_eq!(m.outstanding_count(0, 450), 0);
+        m.retire_completed(0, 100);
+        assert_eq!(m.total_entries(), 1);
+        m.retire_completed(0, 450);
+        assert_eq!(m.total_entries(), 0);
     }
 
     #[test]
@@ -144,19 +135,9 @@ mod tests {
         let mut m = MshrFile::new(2, 1);
         assert_eq!(m.request(0, 0x40, 0, 350), MshrOutcome::Allocated);
         assert_eq!(m.request(1, 0x40, 0, 350), MshrOutcome::Allocated);
-        assert_eq!(m.outstanding_count(0, 10), 1);
-        assert_eq!(m.outstanding_count(1, 10), 1);
-    }
-
-    #[test]
-    fn latest_completion_tracks_max() {
-        let mut m = MshrFile::new(1, 4);
-        m.request(0, 0x40, 0, 350);
-        m.request(0, 0x80, 5, 500);
-        m.request(0, 0xc0, 7, 420);
-        assert_eq!(m.latest_completion(0), Some(500));
+        assert_eq!(m.total_entries(), 2);
         m.reset();
-        assert_eq!(m.latest_completion(0), None);
+        assert_eq!(m.total_entries(), 0);
     }
 
     #[test]

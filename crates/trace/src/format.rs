@@ -246,69 +246,39 @@ pub fn encode_record(op: &TraceOp, out: &mut [u8; RECORD_LEN]) -> Result<(), Sim
 
 /// Deserializes one 24-byte on-disk record.
 ///
-/// The hot decode loop of [`crate::reader::FileTraceSource`] runs through this
-/// function; it performs no heap allocation on the success path. Fails on an
-/// unknown kind code, undefined flag bits, a non-zero reserved byte, or
-/// metadata flags inconsistent with the kind.
+/// Fails on an unknown kind code, undefined flag bits, a non-zero reserved
+/// byte, or metadata flags inconsistent with the kind: the conditions the
+/// crate's bulk decoder folds into one accumulator, checked once here.
 #[inline]
 pub fn decode_record(bytes: &[u8; RECORD_LEN]) -> Result<TraceOp, SimError> {
-    let kind = match bytes[20] {
-        0 => OpKind::IntAlu,
-        1 => OpKind::IntMul,
-        2 => OpKind::FpOp,
-        3 => OpKind::FpLong,
-        4 => OpKind::Load,
-        5 => OpKind::Store,
-        6 => OpKind::Branch,
-        code => {
-            return Err(SimError::invalid_config(format!(
-                "corrupt .smtt record: unknown op kind code {code}"
-            )))
-        }
-    };
-    let flags = bytes[21];
-    if flags & !(FLAG_TAKEN | FLAG_UNCONDITIONAL | FLAG_HAS_MEM | FLAG_HAS_BRANCH) != 0
-        || bytes[23] != 0
-        || (flags & FLAG_HAS_MEM != 0) != kind.is_mem()
-        || (flags & FLAG_HAS_BRANCH != 0) != (kind == OpKind::Branch)
-        || (flags & (FLAG_TAKEN | FLAG_UNCONDITIONAL) != 0 && flags & FLAG_HAS_BRANCH == 0)
-    {
-        return Err(SimError::invalid_config(format!(
-            "corrupt .smtt record: inconsistent flags {flags:#04x} for kind code {}",
-            bytes[20]
-        )));
+    let mut violations = 0u8;
+    let op = decode_record_trusted(bytes, &mut violations);
+    if violations == 0 {
+        Ok(op)
+    } else {
+        Err(SimError::invalid_config(corrupt_record(bytes)))
     }
-    let pc = u64::from_le_bytes(bytes[0..8].try_into().expect("8-byte slice"));
-    let payload = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-    let dep0 = u16::from_le_bytes([bytes[16], bytes[17]]);
-    let dep1 = u16::from_le_bytes([bytes[18], bytes[19]]);
-    let mem = (flags & FLAG_HAS_MEM != 0).then_some(MemInfo {
-        addr: payload,
-        size: bytes[22],
-    });
-    let branch = (flags & FLAG_HAS_BRANCH != 0).then_some(BranchInfo {
-        taken: flags & FLAG_TAKEN != 0,
-        target: payload,
-        unconditional: flags & FLAG_UNCONDITIONAL != 0,
-    });
-    Ok(TraceOp {
-        pc,
-        kind,
-        src_deps: [decode_dep(dep0), decode_dep(dep1)],
-        mem,
-        branch,
-    })
+}
+
+/// What is wrong with a record [`decode_record_trusted`] rejects.
+#[cold]
+pub(crate) fn corrupt_record(bytes: &[u8; RECORD_LEN]) -> String {
+    let (code, flags) = (bytes[20], bytes[21]);
+    if code >= 7 {
+        format!("corrupt .smtt record: unknown op kind code {code}")
+    } else {
+        format!("corrupt .smtt record: inconsistent flags {flags:#04x} for kind code {code}")
+    }
 }
 
 /// Deserializes one record without per-record error branches: the decode is
-/// straight-line field extraction, and every validity condition
-/// [`decode_record`] would reject is instead OR-folded into `violations`.
+/// straight-line field extraction, and every validity condition is instead
+/// OR-folded into `violations`.
 ///
 /// This is the bulk-decode hot path of [`crate::reader::FileTraceSource`]:
 /// the caller decodes a whole buffered run, then checks `violations` once
-/// per run — the same acceptance set as [`decode_record`], at a fraction of
-/// the per-op cost. On a violation the returned op for that record is
-/// garbage (a clamped kind); callers must not use the batch.
+/// per run. On a violation the returned op for that record is garbage (a
+/// clamped kind); callers must not use the batch.
 #[inline]
 pub(crate) fn decode_record_trusted(bytes: &[u8; RECORD_LEN], violations: &mut u8) -> TraceOp {
     const KINDS: [OpKind; 8] = [
@@ -390,7 +360,11 @@ mod tests {
     fn sample_ops() -> Vec<TraceOp> {
         vec![
             TraceOp::int_alu(0x1000).with_dep(3).with_dep(17),
-            TraceOp::fp_op(0x1004).with_dep(1),
+            TraceOp {
+                kind: OpKind::FpOp,
+                ..TraceOp::int_alu(0x1004)
+            }
+            .with_dep(1),
             TraceOp::load(0x1008, 0xdead_beef_0000).with_dep(2),
             TraceOp::store(0x100c, 0x4000_0000),
             TraceOp::branch(0x1010, true, 0x2000),
@@ -424,12 +398,22 @@ mod tests {
         }
     }
 
-    /// The bulk trusted decoder accepts exactly the records `decode_record`
-    /// accepts and produces identical ops for them. Exhaustive over the
-    /// three bytes that drive validity (kind code, flags, reserved), with
-    /// the wide fields held at representative values.
+    /// The bulk trusted decoder and `decode_record` accept exactly the
+    /// records the format defines, spelled out here as the reference, and
+    /// produce identical ops for them. Exhaustive over the three bytes that
+    /// drive validity (kind code, flags, reserved), with the wide fields held
+    /// at representative values.
     #[test]
     fn trusted_decode_matches_checked_decode() {
+        let kinds = [
+            OpKind::IntAlu,
+            OpKind::IntMul,
+            OpKind::FpOp,
+            OpKind::FpLong,
+            OpKind::Load,
+            OpKind::Store,
+            OpKind::Branch,
+        ];
         let mut buf = [0u8; RECORD_LEN];
         encode_record(&TraceOp::load(0x10, 0x20).with_dep(5), &mut buf).expect("encodes");
         for code in 0..=255u8 {
@@ -439,16 +423,25 @@ mod tests {
                     record[20] = code;
                     record[21] = flags;
                     record[23] = reserved;
+                    let kind = kinds.get(code as usize).copied();
+                    let has = |flag: u8| flags & flag != 0;
+                    let valid = kind.is_some_and(|kind| {
+                        flags & !(FLAG_TAKEN | FLAG_UNCONDITIONAL | FLAG_HAS_MEM | FLAG_HAS_BRANCH)
+                            == 0
+                            && reserved == 0
+                            && has(FLAG_HAS_MEM) == kind.is_mem()
+                            && has(FLAG_HAS_BRANCH) == (kind == OpKind::Branch)
+                            && (has(FLAG_HAS_BRANCH) || !has(FLAG_TAKEN | FLAG_UNCONDITIONAL))
+                    });
                     let mut violations = 0u8;
                     let trusted = decode_record_trusted(&record, &mut violations);
+                    assert_eq!(violations == 0, valid, "trusted decode of {record:?}");
                     match decode_record(&record) {
                         Ok(op) => {
-                            assert_eq!(violations, 0, "false positive on {record:?}");
+                            assert!(valid, "false positive on {record:?}");
                             assert_eq!(trusted, op, "value mismatch on {record:?}");
                         }
-                        Err(_) => {
-                            assert_ne!(violations, 0, "missed violation on {record:?}");
-                        }
+                        Err(_) => assert!(!valid, "false rejection of {record:?}"),
                     }
                 }
             }

@@ -14,7 +14,8 @@ use std::path::Path;
 use smt_types::{OpKind, SimError};
 
 use crate::format::{
-    decode_record, digest_update, TraceHeader, DIGEST_SEED, HEADER_LEN, RECORD_LEN,
+    corrupt_record, decode_record_trusted, digest_update, kind_code, TraceHeader, DIGEST_SEED,
+    HEADER_LEN, RECORD_LEN,
 };
 
 /// Reads and validates only the 64-byte header of a trace file.
@@ -24,7 +25,12 @@ use crate::format::{
 /// does it replay, and is that workload MLP-intensive" without touching the
 /// record payload.
 pub fn peek_header(path: impl AsRef<Path>) -> Result<TraceHeader, SimError> {
-    let path = path.as_ref();
+    open(path.as_ref()).map(|(header, _, _)| header)
+}
+
+/// Opens a trace and reads its validated header, leaving the returned
+/// handle at the first record. Also returns the path as error context.
+fn open(path: &Path) -> Result<(TraceHeader, File, String), SimError> {
     let context = path.display().to_string();
     let mut file = File::open(path)
         .map_err(|e| SimError::invalid_config(format!("cannot open trace {context}: {e}")))?;
@@ -34,7 +40,7 @@ pub fn peek_header(path: impl AsRef<Path>) -> Result<TraceHeader, SimError> {
             "{context}: file is shorter than the {HEADER_LEN}-byte .smtt header"
         ))
     })?;
-    TraceHeader::decode(&bytes, &context)
+    Ok((TraceHeader::decode(&bytes, &context)?, file, context))
 }
 
 /// Full-file scan result: the validated header plus an op-mix summary.
@@ -59,19 +65,7 @@ impl TraceScan {
 
     /// Count of one kind.
     pub fn count(&self, kind: OpKind) -> u64 {
-        self.kind_counts[kind_index(kind)]
-    }
-}
-
-fn kind_index(kind: OpKind) -> usize {
-    match kind {
-        OpKind::IntAlu => 0,
-        OpKind::IntMul => 1,
-        OpKind::FpOp => 2,
-        OpKind::FpLong => 3,
-        OpKind::Load => 4,
-        OpKind::Store => 5,
-        OpKind::Branch => 6,
+        self.kind_counts[kind_code(kind) as usize]
     }
 }
 
@@ -82,14 +76,7 @@ fn kind_index(kind: OpKind) -> usize {
 /// mismatch. On success the trace is bit-for-bit the stream its recorder
 /// finalized.
 pub fn scan_file(path: impl AsRef<Path>) -> Result<TraceScan, SimError> {
-    let path = path.as_ref();
-    let context = path.display().to_string();
-    let header = peek_header(path)?;
-    let mut file = File::open(path)
-        .map_err(|e| SimError::invalid_config(format!("cannot open trace {context}: {e}")))?;
-    let mut skip = [0u8; HEADER_LEN];
-    file.read_exact(&mut skip)
-        .map_err(|e| SimError::invalid_config(format!("{context}: cannot re-read header: {e}")))?;
+    let (header, mut file, context) = open(path.as_ref())?;
 
     let mut digest = DIGEST_SEED;
     let mut scan = TraceScan {
@@ -113,9 +100,15 @@ pub fn scan_file(path: impl AsRef<Path>) -> Result<TraceScan, SimError> {
         digest = digest_update(digest, &chunk[..len]);
         for record in chunk[..len].chunks_exact(RECORD_LEN) {
             let record: &[u8; RECORD_LEN] = record.try_into().expect("chunks are record-sized");
-            let op = decode_record(record)
-                .map_err(|e| SimError::invalid_config(format!("{context}: record {index}: {e}")))?;
-            scan.kind_counts[kind_index(op.kind)] += 1;
+            let mut violations = 0u8;
+            let op = decode_record_trusted(record, &mut violations);
+            if violations != 0 {
+                return Err(SimError::invalid_config(format!(
+                    "{context}: record {index}: {}",
+                    corrupt_record(record)
+                )));
+            }
+            scan.kind_counts[kind_code(op.kind) as usize] += 1;
             if op.branch.is_some_and(|b| b.taken) {
                 scan.taken_branches += 1;
             }

@@ -44,6 +44,7 @@ impl ScriptedTrace {
 
     /// Creates a source that repeats `ops` in a loop forever instead of falling
     /// back to ALU filler.
+    // analyze: allow(test-only-pub) reason="the looping scripted source of tests/cycle_skipping.rs, tests/pipeline_invariants.rs, tests/trace_format_properties.rs and crates/core/tests/alloc_discipline.rs"
     pub fn looping(name: impl Into<String>, ops: Vec<TraceOp>) -> LoopingTrace {
         LoopingTrace {
             name: name.into(),

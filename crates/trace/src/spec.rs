@@ -10,50 +10,63 @@
 use crate::profile::{BenchmarkProfile, WorkloadClass};
 use smt_types::SimError;
 
-/// Integer-benchmark defaults for the instruction mix.
-#[allow(clippy::too_many_arguments)]
-fn int_profile(
-    name: &str,
-    input: &str,
-    class: WorkloadClass,
-    lll: f64,
-    mlp: f64,
-    burst_span: u32,
-    prefetch: f64,
-    branch_randomness: f64,
-) -> BenchmarkProfile {
-    BenchmarkProfile {
-        name: name.into(),
-        input: input.into(),
-        class,
-        lll_per_kinst: lll,
-        target_mlp: mlp,
-        burst_span,
-        prefetch_friendliness: prefetch,
-        load_fraction: 0.26,
-        store_fraction: 0.12,
-        branch_fraction: 0.16,
-        fp_fraction: 0.02,
-        branch_taken_rate: 0.62,
-        branch_randomness,
-        dep_distance_mean: 4.5,
-        static_mem_pcs: 96,
-        hot_working_set_lines: 384,
-        l2_fraction: 0.003,
-    }
-}
+/// One row of Table I: the benchmark, its reference input and class, the
+/// long-latency loads per 1000 instructions and the MLP the paper measured,
+/// the generator's burst span and prefetch friendliness, and the branch
+/// randomness of a SPECint row (`None` for SPECfp).
+type Row = (
+    &'static str,
+    &'static str,
+    WorkloadClass,
+    f64,
+    f64,
+    u32,
+    f64,
+    Option<f64>,
+);
 
-/// Floating-point-benchmark defaults for the instruction mix.
-fn fp_profile(
-    name: &str,
-    input: &str,
-    class: WorkloadClass,
-    lll: f64,
-    mlp: f64,
-    burst_span: u32,
-    prefetch: f64,
+/// The 26 SPEC CPU2000 benchmarks of Table I, in the order the paper lists
+/// them (integer benchmarks first, then floating point).
+const TABLE_I: [Row; 26] = {
+    use WorkloadClass::{Ilp, Mlp};
+    [
+        // --- SPECint2000 -----------------------------------------------------
+        ("bzip2", "program", Ilp, 0.14, 1.00, 48, 0.80, Some(0.04)),
+        ("crafty", "ref", Ilp, 0.08, 1.34, 48, 0.30, Some(0.08)),
+        ("eon", "rushmeier", Ilp, 0.01, 1.83, 48, 0.40, Some(0.05)),
+        ("gap", "ref", Ilp, 0.36, 1.02, 48, 0.40, Some(0.05)),
+        ("gcc", "166", Ilp, 0.01, 1.70, 48, 0.35, Some(0.07)),
+        ("gzip", "graphic", Ilp, 0.08, 1.81, 48, 0.70, Some(0.06)),
+        ("mcf", "ref", Mlp, 17.36, 5.17, 118, 0.05, Some(0.08)),
+        ("parser", "ref", Ilp, 0.14, 1.24, 48, 0.30, Some(0.07)),
+        ("perlbmk", "makerand", Ilp, 0.30, 1.00, 48, 0.35, Some(0.05)),
+        ("twolf", "ref", Ilp, 0.10, 1.37, 48, 0.25, Some(0.08)),
+        ("vortex", "ref2", Ilp, 0.39, 1.06, 48, 0.40, Some(0.04)),
+        ("vpr", "route", Ilp, 0.09, 1.43, 48, 0.30, Some(0.07)),
+        // --- SPECfp2000 ------------------------------------------------------
+        ("ammp", "ref", Mlp, 1.71, 3.94, 72, 0.30, None),
+        ("applu", "ref", Mlp, 14.24, 4.26, 64, 0.90, None),
+        ("apsi", "ref", Mlp, 0.78, 6.15, 90, 0.60, None),
+        ("art", "ref-110", Ilp, 0.19, 8.58, 100, 0.70, None),
+        ("equake", "ref", Mlp, 24.60, 2.69, 88, 0.60, None),
+        ("facerec", "ref", Ilp, 0.41, 1.51, 56, 0.60, None),
+        ("fma3d", "ref", Mlp, 17.67, 6.27, 116, 0.50, None),
+        ("galgel", "ref", Mlp, 0.24, 3.84, 72, 0.70, None),
+        ("lucas", "ref", Mlp, 10.63, 2.15, 34, 0.85, None),
+        ("mesa", "ref", Mlp, 0.45, 2.88, 64, 0.50, None),
+        ("mgrid", "ref", Mlp, 6.04, 1.76, 52, 0.90, None),
+        ("sixtrack", "ref", Ilp, 0.10, 2.61, 64, 0.50, None),
+        ("swim", "ref", Mlp, 15.08, 3.66, 70, 0.90, None),
+        ("wupwise", "ref", Mlp, 2.00, 2.20, 60, 0.60, None),
+    ]
+};
+
+/// The profile of one row: the floating-point instruction mix, or the
+/// integer one for a SPECint row.
+fn profile(
+    &(name, input, class, lll, mlp, burst_span, prefetch, int_branch_randomness): &Row,
 ) -> BenchmarkProfile {
-    BenchmarkProfile {
+    let fp = BenchmarkProfile {
         name: name.into(),
         input: input.into(),
         class,
@@ -71,70 +84,48 @@ fn fp_profile(
         static_mem_pcs: 64,
         hot_working_set_lines: 512,
         l2_fraction: 0.008,
+    };
+    match int_branch_randomness {
+        None => fp,
+        Some(branch_randomness) => BenchmarkProfile {
+            load_fraction: 0.26,
+            store_fraction: 0.12,
+            branch_fraction: 0.16,
+            fp_fraction: 0.02,
+            branch_taken_rate: 0.62,
+            branch_randomness,
+            dep_distance_mean: 4.5,
+            static_mem_pcs: 96,
+            hot_working_set_lines: 384,
+            l2_fraction: 0.003,
+            ..fp
+        },
     }
 }
 
 /// Returns the full list of the 26 SPEC CPU2000 benchmarks of Table I, in the
 /// order the paper lists them (integer benchmarks first, then floating point).
 pub fn all_benchmarks() -> Vec<BenchmarkProfile> {
-    use WorkloadClass::{Ilp, Mlp};
-    vec![
-        // --- SPECint2000 -----------------------------------------------------
-        int_profile("bzip2", "program", Ilp, 0.14, 1.00, 48, 0.80, 0.04),
-        int_profile("crafty", "ref", Ilp, 0.08, 1.34, 48, 0.30, 0.08),
-        int_profile("eon", "rushmeier", Ilp, 0.01, 1.83, 48, 0.40, 0.05),
-        int_profile("gap", "ref", Ilp, 0.36, 1.02, 48, 0.40, 0.05),
-        int_profile("gcc", "166", Ilp, 0.01, 1.70, 48, 0.35, 0.07),
-        int_profile("gzip", "graphic", Ilp, 0.08, 1.81, 48, 0.70, 0.06),
-        int_profile("mcf", "ref", Mlp, 17.36, 5.17, 118, 0.05, 0.08),
-        int_profile("parser", "ref", Ilp, 0.14, 1.24, 48, 0.30, 0.07),
-        int_profile("perlbmk", "makerand", Ilp, 0.30, 1.00, 48, 0.35, 0.05),
-        int_profile("twolf", "ref", Ilp, 0.10, 1.37, 48, 0.25, 0.08),
-        int_profile("vortex", "ref2", Ilp, 0.39, 1.06, 48, 0.40, 0.04),
-        int_profile("vpr", "route", Ilp, 0.09, 1.43, 48, 0.30, 0.07),
-        // --- SPECfp2000 ------------------------------------------------------
-        fp_profile("ammp", "ref", Mlp, 1.71, 3.94, 72, 0.30),
-        fp_profile("applu", "ref", Mlp, 14.24, 4.26, 64, 0.90),
-        fp_profile("apsi", "ref", Mlp, 0.78, 6.15, 90, 0.60),
-        fp_profile("art", "ref-110", Ilp, 0.19, 8.58, 100, 0.70),
-        fp_profile("equake", "ref", Mlp, 24.60, 2.69, 88, 0.60),
-        fp_profile("facerec", "ref", Ilp, 0.41, 1.51, 56, 0.60),
-        fp_profile("fma3d", "ref", Mlp, 17.67, 6.27, 116, 0.50),
-        fp_profile("galgel", "ref", Mlp, 0.24, 3.84, 72, 0.70),
-        fp_profile("lucas", "ref", Mlp, 10.63, 2.15, 34, 0.85),
-        fp_profile("mesa", "ref", Mlp, 0.45, 2.88, 64, 0.50),
-        fp_profile("mgrid", "ref", Mlp, 6.04, 1.76, 52, 0.90),
-        fp_profile("sixtrack", "ref", Ilp, 0.10, 2.61, 64, 0.50),
-        fp_profile("swim", "ref", Mlp, 15.08, 3.66, 70, 0.90),
-        fp_profile("wupwise", "ref", Mlp, 2.00, 2.20, 60, 0.60),
-    ]
+    TABLE_I.iter().map(profile).collect()
 }
 
-/// Looks up one benchmark profile by name.
+/// Looks up one benchmark profile by name, building only that profile.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnknownBenchmark`] when the name is not one of the 26
 /// SPEC CPU2000 benchmarks of Table I.
 pub fn benchmark(name: &str) -> Result<BenchmarkProfile, SimError> {
-    all_benchmarks()
-        .into_iter()
-        .find(|b| b.name == name)
+    TABLE_I
+        .iter()
+        .find(|row| row.0 == name)
+        .map(profile)
         .ok_or_else(|| SimError::UnknownBenchmark { name: name.into() })
 }
 
 /// The six most MLP-intensive programs used in Figure 4 (MLP-distance CDFs).
 pub fn figure4_benchmarks() -> Vec<&'static str> {
     vec!["mcf", "applu", "equake", "fma3d", "lucas", "swim"]
-}
-
-/// Names of all MLP-intensive benchmarks (Table I classification).
-pub fn mlp_intensive_benchmarks() -> Vec<String> {
-    all_benchmarks()
-        .into_iter()
-        .filter(|b| b.class == WorkloadClass::Mlp)
-        .map(|b| b.name)
-        .collect()
 }
 
 #[cfg(test)]
@@ -158,7 +149,11 @@ mod tests {
 
     #[test]
     fn table1_classification_matches_paper() {
-        let mlp = mlp_intensive_benchmarks();
+        let mlp: Vec<String> = all_benchmarks()
+            .into_iter()
+            .filter(|b| b.class == WorkloadClass::Mlp)
+            .map(|b| b.name)
+            .collect();
         for expected in [
             "mcf", "ammp", "applu", "apsi", "equake", "fma3d", "galgel", "lucas", "mesa", "mgrid",
             "swim", "wupwise",
@@ -190,7 +185,19 @@ mod tests {
 
     #[test]
     fn unknown_benchmark_is_an_error() {
-        assert!(benchmark("quake3").is_err());
+        assert_eq!(
+            benchmark("quake3"),
+            Err(SimError::UnknownBenchmark {
+                name: "quake3".into()
+            })
+        );
+    }
+
+    #[test]
+    fn every_benchmark_resolves_to_its_table_profile() {
+        for profile in all_benchmarks() {
+            assert_eq!(benchmark(&profile.name), Ok(profile));
+        }
     }
 
     #[test]

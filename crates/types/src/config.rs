@@ -644,12 +644,6 @@ impl ChipConfig {
         self
     }
 
-    /// Returns a copy with the given bus bandwidth (`0` = unlimited).
-    pub fn with_bus_bytes_per_cycle(mut self, bytes_per_cycle: u32) -> Self {
-        self.bus = BusConfig { bytes_per_cycle };
-        self
-    }
-
     /// Total hardware threads across all cores.
     pub fn total_threads(&self) -> usize {
         self.num_cores * self.core.num_threads
@@ -989,9 +983,8 @@ mod tests {
 
     #[test]
     fn chip_config_serde_round_trips() {
-        let chip = ChipConfig::baseline(4, 2)
-            .with_policy(FetchPolicyKind::MlpFlush)
-            .with_bus_bytes_per_cycle(8);
+        let mut chip = ChipConfig::baseline(4, 2).with_policy(FetchPolicyKind::MlpFlush);
+        chip.bus = BusConfig { bytes_per_cycle: 8 };
         let round = ChipConfig::deserialize(&chip.serialize()).unwrap();
         assert_eq!(round, chip);
         let mut value = chip.serialize();

@@ -75,18 +75,9 @@ impl From<ThreadId> for usize {
 pub struct SeqNum(pub u64);
 
 impl SeqNum {
-    /// The first sequence number of any thread.
-    pub const ZERO: SeqNum = SeqNum(0);
-
     /// Returns the next sequence number.
     pub fn next(self) -> SeqNum {
         SeqNum(self.0 + 1)
-    }
-
-    /// Number of dynamic instructions between `self` and an older `other`
-    /// (saturating at zero when `other` is younger).
-    pub fn distance_from(self, other: SeqNum) -> u64 {
-        self.0.saturating_sub(other.0)
     }
 }
 
@@ -124,8 +115,7 @@ mod tests {
         let a = SeqNum(10);
         let b = a.next();
         assert!(b > a);
-        assert_eq!(b.distance_from(a), 1);
-        assert_eq!(a.distance_from(b), 0);
+        assert_eq!(b.0 - a.0, 1);
     }
 
     #[test]

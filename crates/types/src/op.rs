@@ -132,17 +132,6 @@ impl TraceOp {
         }
     }
 
-    /// Creates a floating-point operation with no dependences.
-    pub fn fp_op(pc: u64) -> Self {
-        TraceOp {
-            pc,
-            kind: OpKind::FpOp,
-            src_deps: [None, None],
-            mem: None,
-            branch: None,
-        }
-    }
-
     /// Creates a load of `addr` with no register dependences.
     pub fn load(pc: u64, addr: u64) -> Self {
         TraceOp {
@@ -217,7 +206,11 @@ mod tests {
     #[test]
     fn constructors_are_well_formed() {
         assert!(TraceOp::int_alu(0).is_well_formed());
-        assert!(TraceOp::fp_op(4).is_well_formed());
+        assert!(TraceOp {
+            kind: OpKind::FpOp,
+            ..TraceOp::int_alu(4)
+        }
+        .is_well_formed());
         assert!(TraceOp::load(8, 0x100).is_well_formed());
         assert!(TraceOp::store(12, 0x200).is_well_formed());
         assert!(TraceOp::branch(16, true, 0x40).is_well_formed());

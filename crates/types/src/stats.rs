@@ -131,15 +131,6 @@ impl ThreadStats {
         }
     }
 
-    /// Cycles per instruction given a machine cycle count.
-    pub fn cpi(&self, cycles: u64) -> f64 {
-        if self.committed_instructions == 0 {
-            f64::INFINITY
-        } else {
-            cycles as f64 / self.committed_instructions as f64
-        }
-    }
-
     /// Measured memory-level parallelism: average number of outstanding
     /// long-latency loads over the cycles with at least one outstanding
     /// (Chou et al. 2004, used in Table I / Figure 1).
@@ -378,9 +369,8 @@ mod tests {
         let mut s = ThreadStats::default();
         s.committed_instructions = 500;
         assert!((s.ipc(1000) - 0.5).abs() < 1e-12);
-        assert!((s.cpi(1000) - 2.0).abs() < 1e-12);
+        assert!((1.0 / s.ipc(1000) - 2.0).abs() < 1e-12);
         assert_eq!(ThreadStats::default().ipc(100), 0.0);
-        assert!(ThreadStats::default().cpi(100).is_infinite());
     }
 
     #[test]
